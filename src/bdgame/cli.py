@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, agent_extension, desire_report,
-                       enumerate_profiles, joint_extension)
+                       DecisionProfile, agent_extension, enumerate_profiles)
 from .errors import BdgameError
 from .extension import Extension
 from .game import CONCEPTS, GameSpecification, derive_game, evaluate_profile
@@ -50,12 +49,22 @@ class RunConfig:
     decision_mode: DecisionMode | None = None
     output_format: str = "text"
     infeasible_swaps: str = "skip"
-    max_atoms: int = DEFAULT_MAX_ATOMS
+    max_atoms: int | None = None  # None: the environment, then the spec
     max_decisions: int = DEFAULT_DECISION_CAP
     max_profiles: int = DEFAULT_PROFILE_CAP
-    jobs: int = 1
     seed: int = 0
     samples: int = 200
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"'{text}' is not an integer") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,18 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--decision-mode",
                         choices=[m.value for m in DecisionMode],
                         help="override the spec's decision mode")
-    common.add_argument("--max-atoms", type=int,
-                        default=int(os.environ.get(ENV_MAX_ATOMS,
-                                                   DEFAULT_MAX_ATOMS)),
-                        help="entailment atom cap (env BDGAME_MAX_ATOMS)")
-    common.add_argument("--max-decisions", type=int,
+    common.add_argument("--max-atoms", type=_positive_int,
+                        help="entailment atom cap; overrides env "
+                             f"{ENV_MAX_ATOMS}, which overrides the spec's "
+                             f"option max_atoms (default {DEFAULT_MAX_ATOMS})")
+    common.add_argument("--max-decisions", type=_positive_int,
                         default=DEFAULT_DECISION_CAP,
                         help="per-agent decision enumeration cap")
-    common.add_argument("--max-profiles", type=int,
+    common.add_argument("--max-profiles", type=_positive_int,
                         default=DEFAULT_PROFILE_CAP,
                         help="profile enumeration cap")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel profile evaluations (content-neutral)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the seeded suites")
     common.add_argument("--infeasible-swaps", choices=("skip", "fail"),
@@ -123,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--property", required=True,
                          choices=("representation", "monotonicity",
                                   "order-laws", "pipeline-equivalence"))
-    p_check.add_argument("--samples", type=int, default=200)
+    p_check.add_argument("--samples", type=_positive_int, default=200)
     return parser
 
 
@@ -179,11 +186,26 @@ class _Reporter:
             print("\n".join(self.lines))
 
 
+def _max_atoms(flag: int | None) -> int | None:
+    """The atom cap set by the flag, else by the environment; None leaves
+    the spec's option (or the default) in force."""
+    if flag is not None:
+        return flag
+    env = os.environ.get(ENV_MAX_ATOMS)
+    if env is None:
+        return None
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise BdgameError(f"{ENV_MAX_ATOMS}: {exc}") from None
+
+
 def _load(config: RunConfig, out: _Reporter) -> AgentSystemSpec:
     with open(config.path, encoding="utf-8") as handle:
         spec = parse_spec(handle.read())
     mode = DecisionMode(config.decision_mode) if config.decision_mode else None
-    return spec.with_options(decision_mode=mode, max_atoms=config.max_atoms)
+    return spec.with_options(decision_mode=mode,
+                             max_atoms=_max_atoms(config.max_atoms))
 
 
 def _require_valid(spec: AgentSystemSpec) -> None:
@@ -239,19 +261,15 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
         profile = DecisionProfile(tuple(
             Decision(a.id, frozenset(a.initial_decision))
             for a in spec.agents))
-        ext = joint_extension(spec, profile)
-        rep = desire_report(spec, profile) if ext.consistent else None
-        report["profiles"] = [_profile_entry(spec, profile, ext, rep)]
+        ep = evaluate_profile(spec, profile)
+        ext = ep.extension
+        report["profiles"] = [_profile_entry(spec, profile, ext, ep.report)]
         out.text(f"joint extension of the initial profile {profile}:")
     else:
         decision = _parse_decision(spec, agent, decision_text)
         ext = agent_extension(spec, agent, decision)
-        report["profiles"] = [{
-            "decisions": {agent: [str(l) for l in decision.sorted_literals()]},
-            "extension": _extension_json(ext),
-            "consistent": ext.consistent,
-            "unreached": None,
-        }]
+        report["profiles"] = [_profile_entry(
+            spec, DecisionProfile((decision,)), ext, None)]
         out.text(f"extension for {agent}, decision {decision}:")
     flag = "consistent" if ext.consistent else "INCONSISTENT"
     out.text("  {" + ", ".join(_extension_json(ext)) + "}")
@@ -303,7 +321,7 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                concept: str) -> int:
     _require_valid(spec)
     game = derive_game(spec, max_decisions=config.max_decisions,
-                       max_profiles=config.max_profiles, jobs=config.jobs)
+                       max_profiles=config.max_profiles)
     solution = solve_game(game, concept,
                           infeasible_swaps=config.infeasible_swaps)
     report = _game_report(spec, game)
@@ -335,7 +353,7 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                rule_name: str | None) -> int:
     _require_valid(spec)
     game = derive_game(spec, max_decisions=config.max_decisions,
-                       max_profiles=config.max_profiles, jobs=config.jobs)
+                       max_profiles=config.max_profiles)
     report = _game_report(spec, game)
     report["command"] = "goals"
     if rule_name is not None:
@@ -354,28 +372,26 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
         family = concept_family(spec, family_name, game=game,
                                 infeasible_swaps=config.infeasible_swaps)
         label = f"{family_name} family"
-    goal_sets = delta_goal_sets(spec, family)
-    generators: dict[int, list[int]] = {}
-    for gi, gs in enumerate(goal_sets):
-        generators[gi] = [
-            i for i, ep in enumerate(game.profiles)
-            if ep.profile in family.profiles
-            and goal_set_of(spec, ep.profile) == gs]
+    goal_sets = delta_goal_sets(spec, family, game=game)
+    members = set(family.profiles)
+    family_indexes = [i for i, ep in enumerate(game.profiles)
+                      if ep.profile in members]
+    generators = {gs: [] for gs in goal_sets}
+    for i in family_indexes:
+        generators[goal_set_of(spec, game.profiles[i].profile,
+                               game=game)].append(i)
     report["goal_sets"] = [
         {"positive": sorted(format_formula(f) for f in gs.positive),
          "negative": sorted(format_formula(f) for f in gs.negative),
-         "generators": generators[gi]}
-        for gi, gs in enumerate(goal_sets)]
-    family_indexes = sorted(
-        i for i, ep in enumerate(game.profiles)
-        if ep.profile in family.profiles)
+         "generators": generators[gs]}
+        for gs in goal_sets]
     report["solutions"] = {"family": family_indexes}
     out.text(f"{label}: {len(family.profiles)} profiles, "
              f"{len(goal_sets)} goal sets")
     for i in family_indexes:
         out.text(f"  [{i}] {game.profiles[i].profile}")
     for gi, gs in enumerate(goal_sets):
-        out.text(f"  goal set {gi}: {gs} from profiles {generators[gi]}")
+        out.text(f"  goal set {gi}: {gs} from profiles {generators[gs]}")
     out.emit(report)
     return EXIT_OK
 
@@ -413,7 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         max_atoms=args.max_atoms,
         max_decisions=args.max_decisions,
         max_profiles=args.max_profiles,
-        jobs=args.jobs,
         seed=args.seed,
         samples=getattr(args, "samples", 200),
     )

@@ -15,9 +15,9 @@ anyone) or fail the candidate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
                        DecisionProfile, DesireReport, desire_report,
@@ -86,12 +86,11 @@ class GameSpecification:
 
 def derive_game(spec: AgentSystemSpec, *,
                 max_decisions: int = DEFAULT_DECISION_CAP,
-                max_profiles: int = DEFAULT_PROFILE_CAP,
-                jobs: int = 1) -> GameSpecification:
+                max_profiles: int = DEFAULT_PROFILE_CAP) -> GameSpecification:
     """Enumerate feasible decisions per agent and keep jointly feasible profiles.
 
-    Profile evaluation is pure, so ``jobs`` only parallelizes it; results
-    are merged in enumeration order and never depend on the degree.
+    Each candidate profile is evaluated once, and everything downstream
+    reads that evaluation.
     """
     feasible: dict[str, tuple[Decision, ...]] = {}
     for agent in spec.agents:
@@ -105,14 +104,8 @@ def derive_game(spec: AgentSystemSpec, *,
     if total > max_profiles:
         raise CombinatorialBoundError(
             f"{total} candidate profiles (cap {max_profiles})")
-    candidates = [DecisionProfile(combo)
-                  for combo in product(*feasible.values())]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            evaluated = list(pool.map(lambda p: evaluate_profile(spec, p),
-                                      candidates))
-    else:
-        evaluated = [evaluate_profile(spec, p) for p in candidates]
+    evaluated = (evaluate_profile(spec, DecisionProfile(combo))
+                 for combo in product(*feasible.values()))
     return GameSpecification(
         spec=spec,
         profiles=tuple(ep for ep in evaluated if ep.report is not None),
@@ -143,37 +136,44 @@ class SolutionReport:
     witnesses: dict[int, ExclusionWitness]
 
 
+def _unbeaten(game: GameSpecification, concept: str,
+              beats: Callable[[int, int], ExclusionWitness | None]
+              ) -> SolutionReport:
+    """Profiles that no other profile beats.  ``beats(j, i)`` is the witness
+    that j excludes i, or None; the first such j in canonical order wins."""
+    count = len(game.profiles)
+    included, witnesses = [], {}
+    for i in range(count):
+        for j in range(count):
+            witness = None if j == i else beats(j, i)
+            if witness is not None:
+                witnesses[i] = witness
+                break
+        else:
+            included.append(i)
+    return SolutionReport(concept, tuple(included), witnesses)
+
+
 def pareto(game: GameSpecification) -> SolutionReport:
     """Profiles no feasible alternative strictly improves for every agent."""
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
-    for i in range(len(game.profiles)):
-        witness = next(
-            (j for j in range(len(game.profiles)) if j != i
-             and all(game.strictly_better(j, i, a) for a in agents)),
-            None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(other=witness)
-    return SolutionReport(PARETO, tuple(included), witnesses)
+
+    def beats(j: int, i: int) -> ExclusionWitness | None:
+        return (ExclusionWitness(other=j) if all(
+            game.strictly_better(j, i, a) for a in agents) else None)
+    return _unbeaten(game, PARETO, beats)
 
 
 def strongly_pareto(game: GameSpecification) -> SolutionReport:
     """Profiles with no alternative weakly better for all, strictly for some."""
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
-    for i in range(len(game.profiles)):
-        witness = next(
-            (j for j in range(len(game.profiles)) if j != i
-             and all(game.profile_geq(j, i, a) for a in agents)
-             and any(game.strictly_better(j, i, a) for a in agents)),
-            None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(other=witness)
-    return SolutionReport(STRONG_PARETO, tuple(included), witnesses)
+
+    def beats(j: int, i: int) -> ExclusionWitness | None:
+        return (ExclusionWitness(other=j)
+                if all(game.profile_geq(j, i, a) for a in agents)
+                and any(game.strictly_better(j, i, a) for a in agents)
+                else None)
+    return _unbeaten(game, STRONG_PARETO, beats)
 
 
 def dominant(game: GameSpecification) -> SolutionReport:
@@ -185,20 +185,17 @@ def dominant(game: GameSpecification) -> SolutionReport:
     agent that alone controls its favourite world parameter has a dominant
     component even in games of fully opposed interests, which are exactly
     the games meant to have no dominant solution.  Dominant profiles are
-    always Nash and Pareto.
+    always Nash and Pareto.  The witness names the first agent for whom the
+    candidate is not at least as good as the excluding profile.
     """
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
-    for i in range(len(game.profiles)):
-        witness = next(
-            ((j, a) for j in range(len(game.profiles)) if j != i
-             for a in agents if not game.profile_geq(i, j, a)),
-            None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(agent=witness[1], other=witness[0])
-    return SolutionReport(DOMINANT, tuple(included), witnesses)
+
+    def beats(j: int, i: int) -> ExclusionWitness | None:
+        agent = next((a for a in agents if not game.profile_geq(i, j, a)),
+                     None)
+        return None if agent is None else ExclusionWitness(agent=agent,
+                                                           other=j)
+    return _unbeaten(game, DOMINANT, beats)
 
 
 def nash(game: GameSpecification, *,

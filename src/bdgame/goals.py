@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .decision import (DecisionProfile, DesireReport, desire_report,
-                       is_feasible_profile, joint_extension, set_geq)
+from .decision import DecisionProfile, DesireReport
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
-from .game import GameSpecification, derive_game, nash, pareto, solve
-from .logic import And, Formula, entails, format_formula, in_sublanguage
+from .game import (EvaluatedProfile, GameSpecification, derive_game,
+                   evaluate_profile, nash, pareto, solve)
+from .logic import Formula, entails, format_formula, in_sublanguage
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -78,16 +78,16 @@ def unreached_signature(spec: AgentSystemSpec,
                  for a in spec.agents)
 
 
-def _signature_of(spec: AgentSystemSpec, game: GameSpecification,
-                  profile: DecisionProfile) -> tuple:
-    index = game.index_of(profile)
-    if index is not None:
-        report = game.profiles[index].report
-        assert report is not None
-        return unreached_signature(spec, report)
-    if not is_feasible_profile(spec, profile):
+def _evaluated(spec: AgentSystemSpec, profile: DecisionProfile,
+               game: GameSpecification | None) -> EvaluatedProfile:
+    """The game's evaluation of a feasible profile, or a fresh one when the
+    profile is not in the game (or no game is at hand)."""
+    index = None if game is None else game.index_of(profile)
+    ep = (evaluate_profile(spec, profile) if index is None
+          else game.profiles[index])
+    if ep.report is None:
         raise InfeasibleProfileError(f"profile {profile} is infeasible")
-    return unreached_signature(spec, desire_report(spec, profile))
+    return ep
 
 
 def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
@@ -102,55 +102,57 @@ def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
     members = list(family)
     if game is None:
         game = derive_game(spec)
-    wanted = {_signature_of(spec, game, p) for p in members}
+    wanted = {unreached_signature(spec, _evaluated(spec, p, game).report)
+              for p in members}
     closed = tuple(
         ep.profile for ep in game.profiles
         if unreached_signature(spec, ep.report) in wanted)
     return ProfileFamily(closed, u_closed=True)
 
 
-def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile) -> GoalSet:
+def _goal_set(spec: AgentSystemSpec, report: DesireReport) -> GoalSet:
+    positive, negative = set(), set()
+    for agent in spec.agents:
+        status = report.per_agent[agent.id]
+        for rule in agent.desires:
+            if rule.id in status.reached:
+                positive.add(rule.consequent)
+            elif rule.id in status.inapplicable:
+                negative.add(rule.antecedent)
+    return GoalSet(frozenset(positive), frozenset(negative))
+
+
+def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile, *,
+                game: GameSpecification | None = None) -> GoalSet:
     """The goal set one feasible profile generates from the joint desire pool.
 
     Desires of every agent contribute: positive goals are consequents of
     jointly reached desires, negative goals are antecedents the extension
     does not entail.  Unreached-but-triggered desires contribute nothing.
+    Read off the profile's desire report (from ``game`` when given).
     """
-    ext = joint_extension(spec, profile)
-    if not ext.consistent:
-        raise InfeasibleProfileError(f"profile {profile} is infeasible")
-    theory = ext.formulas
-    atoms = spec.vocabulary.names
-    positive, negative = set(), set()
-    for rule in spec.all_desires():
-        if entails(theory, And(rule.antecedent, rule.consequent),
-                   atoms=atoms, max_atoms=spec.max_atoms):
-            positive.add(rule.consequent)
-        if not entails(theory, rule.antecedent, atoms=atoms,
-                       max_atoms=spec.max_atoms):
-            negative.add(rule.antecedent)
-    return GoalSet(frozenset(positive), frozenset(negative))
+    return _goal_set(spec, _evaluated(spec, profile, game).report)
 
 
-def delta_goal_sets(spec: AgentSystemSpec,
-                    family: ProfileFamily) -> tuple[GoalSet, ...]:
+def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
+                    game: GameSpecification | None = None
+                    ) -> tuple[GoalSet, ...]:
     """The deduplicated goal sets generated by the members of a U-closed family."""
     if not family.u_closed:
         raise NotUClosedError(
             "goal sets are defined per U-closed family; close it first")
     seen: dict[GoalSet, None] = {}
     for profile in family.profiles:
-        seen.setdefault(goal_set_of(spec, profile))
+        seen.setdefault(goal_set_of(spec, profile, game=game))
     return tuple(sorted(seen, key=goal_set_key))
 
 
 def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
-                  goals: GoalSet) -> bool:
-    """The joint extension entails every positive goal and no negative goal."""
-    ext = joint_extension(spec, profile)
-    if not ext.consistent:
-        raise InfeasibleProfileError(f"profile {profile} is infeasible")
-    theory = ext.formulas
+                  goals: GoalSet, *,
+                  game: GameSpecification | None = None) -> bool:
+    """The joint extension entails every positive goal and no negative goal
+    (decided by entailment, independently of the desire reports)."""
+    theory = _evaluated(spec, profile, game).extension.formulas
     atoms = spec.vocabulary.names
     return (all(entails(theory, g, atoms=atoms, max_atoms=spec.max_atoms)
                 for g in goals.positive)
@@ -233,17 +235,17 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
         game = derive_game(spec)
     violations: list[RepresentationViolation] = []
     for profile in family.profiles:
-        gs = goal_set_of(spec, profile)
-        if not is_goal_based(spec, profile, gs):
+        gs = goal_set_of(spec, profile, game=game)
+        if not is_goal_based(spec, profile, gs, game=game):
             violations.append(RepresentationViolation(
                 "member-without-goal-set", profile, gs,
                 f"{profile} is not goal-based for its own goal set {gs}"))
-    goal_sets = set(delta_goal_sets(spec, family))
+    goal_sets = set(delta_goal_sets(spec, family, game=game))
     members = set(family.profiles)
     for ep in game.profiles:
         if ep.profile in members:
             continue
-        gs = goal_set_of(spec, ep.profile)
+        gs = _goal_set(spec, ep.report)
         if gs in goal_sets:
             violations.append(RepresentationViolation(
                 "goal-based-outside-family", ep.profile, gs,
@@ -266,15 +268,15 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
         game = derive_game(spec)
     classes: dict[tuple, list[DecisionProfile]] = {}
     for ep in game.profiles:
-        assert ep.report is not None
         classes.setdefault(unreached_signature(spec, ep.report),
                            []).append(ep.profile)
     violations: list[RepresentationViolation] = []
     for profiles in classes.values():
         family = ProfileFamily(tuple(profiles), u_closed=True)
-        goal_sets = delta_goal_sets(spec, family)
+        goal_sets = delta_goal_sets(spec, family, game=game)
         for profile in profiles:
-            if not any(is_goal_based(spec, profile, gs) for gs in goal_sets):
+            if not any(is_goal_based(spec, profile, gs, game=game)
+                       for gs in goal_sets):
                 violations.append(RepresentationViolation(
                     "member-without-goal-set", profile, None,
                     f"{profile} is not goal-based for any goal set of its "
@@ -341,20 +343,28 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
     which is asserted), gather the goal-based profiles of each, and order
     that pool by the per-agent preferences.  Agrees with the profile-first
     route on the resulting Pareto family.
+
+    It checks goal-basedness by entailment, independently of the desire
+    reports, and orders the pool without ``game.pareto``.  It does not
+    check the goal sets, which are read off the same desire reports as the
+    preferences.  Every feasible profile is goal-based for its own goal set
+    (representation direction (a)), so that one is tried first and the
+    pool is the whole feasible set unless that direction fails.
     """
     if game is None:
         game = derive_game(spec)
     desire_consequents = {r.consequent for r in spec.all_desires()}
     desire_antecedents = {r.antecedent for r in spec.all_desires()}
-    realized = {goal_set_of(spec, ep.profile) for ep in game.profiles}
+    own = [_goal_set(spec, ep.report) for ep in game.profiles]
+    realized = set(own)
     for gs in realized:
         assert gs.positive <= desire_consequents
         assert gs.negative <= desire_antecedents
     feasible_goal_sets = tuple(sorted(realized, key=goal_set_key))
     pool = tuple(
         i for i, ep in enumerate(game.profiles)
-        if any(is_goal_based(spec, ep.profile, gs)
-               for gs in feasible_goal_sets))
+        if any(is_goal_based(spec, ep.profile, gs, game=game)
+               for gs in (own[i], *feasible_goal_sets)))
     agents = spec.agent_ids
 
     def improves(first: int, second: int) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, count, permutations, product
 from typing import Iterator, Sequence
 
 from .decision import set_geq, set_preference
@@ -87,12 +87,13 @@ def random_spec(rng: random.Random, *, max_agents: int = 2,
 
     Belief consequents stay in the world language; desire rules range over
     the whole vocabulary.  Initial decisions are empty so every candidate
-    decision shape stays available.
+    decision shape stays available.  Decision atoms are named a..h, then
+    d9, d10, ...
     """
     n_agents = rng.randint(1, max_agents)
     agent_ids = [f"a{i + 1}" for i in range(n_agents)]
     decision_atoms = {}
-    pool = iter("abcdefgh")
+    pool = chain("abcdefgh", (f"d{k}" for k in count(9)))
     for aid in agent_ids:
         decision_atoms[aid] = tuple(
             next(pool) for _ in range(rng.randint(1, max_decision_atoms)))

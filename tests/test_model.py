@@ -180,6 +180,19 @@ def test_print_parse_identity_on_random_specs():
         assert parse_spec(format_spec(spec)) == spec
 
 
+def test_random_specs_name_decision_atoms_past_eight():
+    names = list("abcdefgh") + [f"d{k}" for k in range(9, 13)]
+    rng = random.Random(5)
+    widest = 0
+    for _ in range(50):
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=4)
+        atoms = [x for agent in spec.agents for x in agent.decision_atoms]
+        assert atoms == names[:len(atoms)]
+        assert parse_spec(format_spec(spec)) == spec
+        widest = max(widest, len(atoms))
+    assert widest > 8
+
+
 def test_options_round_trip():
     src = ('system "o"\noption decision_mode = literal-subsets\n'
            'option max_atoms = 12\nagent x {\n  atoms a\n}\n')
