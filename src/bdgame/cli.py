@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
@@ -67,7 +68,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls
+    of ``main`` in the same process; it holds no environment state."""
     parser = argparse.ArgumentParser(
         prog="bdgame",
         description="Solve qualitative games over belief and desire rules.")

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
 from .extension import Extension, extension
-from .logic import (Formula, Literal, Not, consistent, entails,
-                    literal_sort_key)
+from .logic import (Formula, Literal, Not, literal_sort_key, mask_entails,
+                    models)
 from .model import AgentSystemSpec, DecisionMode, PriorityOrder
 
 DEFAULT_DECISION_CAP = 4096
@@ -151,27 +151,32 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
                      max_atoms=spec.max_atoms)
 
 
-def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile) -> Extension:
+def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
+                    parts: tuple[Extension, ...] | None = None) -> Extension:
     """Union of the per-agent belief extensions, with a joint consistency flag.
 
-    ``iterations`` is the largest per-agent round count.
+    ``parts`` are the agents' extensions of the profile's decisions, in
+    agent order, for a caller that has built them with ``agent_extension``
+    already; by default they are built here.  The union is consistent iff
+    the AND of the parts' model masks is not empty.  ``iterations`` is the
+    largest per-agent round count.
     """
+    if parts is None:
+        parts = tuple(agent_extension(spec, a.id, profile.decision_for(a.id))
+                      for a in spec.agents)
     base: set[Formula] = set()
     derived: set[Formula] = set()
-    rounds = 0
-    for agent in spec.agents:
-        ext = agent_extension(spec, agent.id, profile.decision_for(agent.id))
+    joint = -1  # every assignment
+    for ext in parts:
         base |= ext.base
         derived |= ext.derived
-        rounds = max(rounds, ext.iterations)
+        joint &= ext.models
     derived -= base
-    all_formulas = base | derived
     return Extension(
         base=frozenset(base),
         derived=frozenset(derived),
-        iterations=rounds,
-        consistent=consistent(all_formulas, atoms=spec.vocabulary.names,
-                              max_atoms=spec.max_atoms),
+        iterations=max((ext.iterations for ext in parts), default=0),
+        consistent=joint != 0,
     )
 
 
@@ -188,32 +193,30 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
                   ext: Extension | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
 
-    Undefined on infeasible profiles: an inconsistent extension entails
-    everything, which would make every desire reached and violated at once.
+    The extension's model mask is built once, and each antecedent or
+    consequent query is one AND against it.  Undefined on infeasible
+    profiles: an inconsistent extension entails everything, which would
+    make every desire reached and violated at once.
     """
     if ext is None:
         ext = joint_extension(spec, profile)
     if not ext.consistent:
         raise InfeasibleProfileError(
             f"profile {profile} has an inconsistent extension")
-    theory = ext.formulas
     atoms = spec.vocabulary.names
+    theory = models(ext.formulas, atoms=atoms, max_atoms=spec.max_atoms)
     per_agent = {}
     for agent in spec.agents:
         unreached, reached, violated, inapplicable = set(), set(), set(), set()
         for rule in agent.desires:
-            if not entails(theory, rule.antecedent, atoms=atoms,
-                           max_atoms=spec.max_atoms):
+            if not mask_entails(theory, rule.antecedent, atoms):
                 inapplicable.add(rule.id)
-                continue
-            if entails(theory, rule.consequent, atoms=atoms,
-                       max_atoms=spec.max_atoms):
+            elif mask_entails(theory, rule.consequent, atoms):
                 reached.add(rule.id)
-                continue
-            unreached.add(rule.id)
-            if entails(theory, Not(rule.consequent), atoms=atoms,
-                       max_atoms=spec.max_atoms):
-                violated.add(rule.id)
+            else:
+                unreached.add(rule.id)
+                if mask_entails(theory, Not(rule.consequent), atoms):
+                    violated.add(rule.id)
         per_agent[agent.id] = AgentDesireStatus(
             frozenset(unreached), frozenset(reached),
             frozenset(violated), frozenset(inapplicable))

@@ -9,11 +9,11 @@ Inconsistent extensions are legal outputs; they are flagged, not rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .logic import DEFAULT_MAX_ATOMS, Formula, atoms_of, consistent, entails
+from .logic import DEFAULT_MAX_ATOMS, Formula, atoms_of, entails, models
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,17 @@ class Extension:
 
     ``iterations`` counts the rounds that added at least one new formula;
     all applicable rules fire in each round, so the count is deterministic.
+    ``models`` is the model mask of the formulas over the atom universe of
+    the fixpoint (see ``logic.models``), so that a union of extensions over
+    one universe decides consistency with one AND per part.  It takes no
+    part in equality, and unions leave it None.
     """
 
     base: frozenset[Formula]
     derived: frozenset[Formula]
     iterations: int
     consistent: bool
+    models: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def formulas(self) -> frozenset[Formula]:
@@ -100,11 +105,13 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
         rounds += 1
     else:
         raise AssertionError("fixpoint not reached within len(rules)+1 rounds")
+    mask = models(current, atoms=universe, max_atoms=max_atoms)
     return Extension(
         base=base_set,
         derived=frozenset(current - base_set),
         iterations=rounds,
-        consistent=consistent(current, atoms=universe, max_atoms=max_atoms),
+        consistent=mask != 0,
+        models=mask,
     )
 
 

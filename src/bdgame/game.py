@@ -3,8 +3,11 @@
 The game of a specification pairs the jointly feasible profiles (drawn from
 the product of each agent's individually feasible decisions) with the
 per-agent preference orders induced by unreached desires.  Solution concepts
-are computed by brute force over the feasible profiles; every exclusion
-carries a witness that can be re-validated against the definitions.
+are computed by brute force: Pareto, strong Pareto and dominant over the
+indistinguishability classes (profiles with equal unreached sets for every
+agent, which no preference tells apart), Nash over the feasible profiles.
+Every exclusion carries a witness that can be re-validated against the
+definitions.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
@@ -16,13 +19,14 @@ anyone) or fail the candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, DesireReport, desire_report,
-                       enumerate_decisions, is_feasible_decision,
-                       joint_extension, set_geq)
+                       DecisionProfile, DesireReport, agent_extension,
+                       desire_report, enumerate_decisions, joint_extension,
+                       set_geq)
 from .errors import CombinatorialBoundError
 from .extension import Extension
 from .model import AgentSystemSpec
@@ -44,9 +48,12 @@ class EvaluatedProfile:
     report: DesireReport | None  # None when the profile is infeasible
 
 
-def evaluate_profile(spec: AgentSystemSpec,
-                     profile: DecisionProfile) -> EvaluatedProfile:
-    ext = joint_extension(spec, profile)
+def evaluate_profile(spec: AgentSystemSpec, profile: DecisionProfile,
+                     parts: tuple[Extension, ...] | None = None
+                     ) -> EvaluatedProfile:
+    """The joint extension and desire report of one profile; ``parts`` are
+    the agents' extensions of its decisions, as for ``joint_extension``."""
+    ext = joint_extension(spec, profile, parts)
     report = desire_report(spec, profile, ext) if ext.consistent else None
     return EvaluatedProfile(profile, ext, report)
 
@@ -60,13 +67,29 @@ class GameSpecification:
     def index_of(self, profile: DecisionProfile) -> int | None:
         return self._index.get(profile)
 
-    @property
+    @cached_property
     def _index(self) -> dict[DecisionProfile, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {ep.profile: i for i, ep in enumerate(self.profiles)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        return {ep.profile: i for i, ep in enumerate(self.profiles)}
+
+    @cached_property
+    def class_ids(self) -> tuple[int, ...]:
+        """Each profile's indistinguishability class: profiles share a class
+        iff every agent has the same unreached set in both.  Classes are
+        numbered in the order of their first members."""
+        agents = self.spec.agent_ids
+        ids: dict[tuple, int] = {}
+        return tuple(
+            ids.setdefault(tuple(ep.report.unreached(a) for a in agents),
+                           len(ids))
+            for ep in self.profiles)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each class, in canonical order."""
+        members: list[list[int]] = [[] for _ in set(self.class_ids)]
+        for i, c in enumerate(self.class_ids):
+            members[c].append(i)
+        return tuple(map(tuple, members))
 
     def unreached(self, index: int, agent_id: str) -> frozenset[str]:
         report = self.profiles[index].report
@@ -89,22 +112,28 @@ def derive_game(spec: AgentSystemSpec, *,
                 max_profiles: int = DEFAULT_PROFILE_CAP) -> GameSpecification:
     """Enumerate feasible decisions per agent and keep jointly feasible profiles.
 
-    Each candidate profile is evaluated once, and everything downstream
-    reads that evaluation.
+    Each agent's extension of each of its decisions is built once, for the
+    feasibility filter and every profile containing that decision.  Each
+    candidate profile is evaluated once, and everything downstream reads
+    that evaluation.
     """
+    built: dict[Decision, Extension] = {}
     feasible: dict[str, tuple[Decision, ...]] = {}
     for agent in spec.agents:
         candidates = enumerate_decisions(spec, agent.id,
                                          max_decisions=max_decisions)
-        feasible[agent.id] = tuple(
-            d for d in candidates if is_feasible_decision(spec, agent.id, d))
+        for d in candidates:
+            built[d] = agent_extension(spec, agent.id, d)
+        feasible[agent.id] = tuple(d for d in candidates
+                                   if built[d].consistent)
     total = 1
     for ds in feasible.values():
         total *= len(ds)
     if total > max_profiles:
         raise CombinatorialBoundError(
             f"{total} candidate profiles (cap {max_profiles})")
-    evaluated = (evaluate_profile(spec, DecisionProfile(combo))
+    evaluated = (evaluate_profile(spec, DecisionProfile(combo),
+                                  tuple(built[d] for d in combo))
                  for combo in product(*feasible.values()))
     return GameSpecification(
         spec=spec,
@@ -140,18 +169,26 @@ def _unbeaten(game: GameSpecification, concept: str,
               beats: Callable[[int, int], ExclusionWitness | None]
               ) -> SolutionReport:
     """Profiles that no other profile beats.  ``beats(j, i)`` is the witness
-    that j excludes i, or None; the first such j in canonical order wins."""
-    count = len(game.profiles)
+    that profile j excludes profile i, or None.
+
+    The concepts built on this compare profiles only through their unreached
+    sets, so ``beats`` is asked once per pair of classes, of their first
+    members, and profiles of one class never exclude each other.  The first
+    excluding class holds the first excluding profile in canonical order,
+    its first member, which is the witness.
+    """
     included, witnesses = [], {}
-    for i in range(count):
-        for j in range(count):
-            witness = None if j == i else beats(j, i)
+    for members in game.classes:
+        for others in game.classes:
+            witness = (None if others is members
+                       else beats(others[0], members[0]))
             if witness is not None:
-                witnesses[i] = witness
+                witnesses.update(dict.fromkeys(members, witness))
                 break
         else:
-            included.append(i)
-    return SolutionReport(concept, tuple(included), witnesses)
+            included.extend(members)
+    return SolutionReport(concept, tuple(sorted(included)),
+                          dict(sorted(witnesses.items())))
 
 
 def pareto(game: GameSpecification) -> SolutionReport:
@@ -204,7 +241,8 @@ def nash(game: GameSpecification, *,
 
     Deviations range over the agent's individually feasible decisions;
     deviations that make the joint profile infeasible are skipped under the
-    default policy and fail the candidate under the fail policy.
+    default policy and fail the candidate under the fail policy.  A
+    deviation into the candidate's own class gains nothing.
     """
     included, witnesses = [], {}
     for i, candidate in enumerate(game.profiles):
@@ -222,7 +260,8 @@ def nash(game: GameSpecification, *,
                                                    decision=deviation)
                         break
                     continue
-                if not game.profile_geq(i, deviated, agent_id):
+                if (game.class_ids[deviated] != game.class_ids[i]
+                        and not game.profile_geq(i, deviated, agent_id)):
                     witness = ExclusionWitness(agent=agent_id, other=deviated,
                                                decision=deviation)
                     break

@@ -266,13 +266,10 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
     """
     if game is None:
         game = derive_game(spec)
-    classes: dict[tuple, list[DecisionProfile]] = {}
-    for ep in game.profiles:
-        classes.setdefault(unreached_signature(spec, ep.report),
-                           []).append(ep.profile)
     violations: list[RepresentationViolation] = []
-    for profiles in classes.values():
-        family = ProfileFamily(tuple(profiles), u_closed=True)
+    for members in game.classes:
+        profiles = tuple(game.profiles[i].profile for i in members)
+        family = ProfileFamily(profiles, u_closed=True)
         goal_sets = delta_goal_sets(spec, family, game=game)
         for profile in profiles:
             if not any(is_goal_based(spec, profile, gs, game=game)

@@ -10,7 +10,9 @@ enumeration over a finite atom universe.  Each formula is compiled to an
 integer bitmask with one bit per assignment, so entailment checks reduce to
 a handful of big-integer operations.  The universe defaults to the atoms
 occurring in the query, which coincides with full-vocabulary semantics for
-both entailment and consistency.
+both entailment and consistency.  A theory queried many times has its model
+mask built once by ``models`` and then answers each query with one AND
+(``mask_entails``); ``entails`` and ``consistent`` go through the same two.
 """
 
 from __future__ import annotations
@@ -419,6 +421,34 @@ def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
     return atoms
 
 
+def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...]) -> int:
+    mask = (1 << (1 << len(universe))) - 1
+    for f in formulas:
+        mask &= _mask(f, universe)
+        if mask == 0:
+            break
+    return mask
+
+
+def models(formulas: Iterable[Formula], *,
+           atoms: Sequence[str] | None = None,
+           max_atoms: int = DEFAULT_MAX_ATOMS) -> int:
+    """The assignments satisfying every formula, as a bitmask over the
+    universe (``atoms``, by default the atoms of the formulas).
+
+    Build it once for a theory and query it with ``mask_entails``.
+    """
+    formulas = tuple(formulas)
+    return _models(formulas, _universe(formulas, atoms, max_atoms))
+
+
+def mask_entails(theory: int, conclusion: Formula,
+                 atoms: Sequence[str]) -> bool:
+    """True iff every assignment in ``theory``, a model mask over ``atoms``,
+    satisfies the conclusion."""
+    return theory == 0 or theory & ~_mask(conclusion, tuple(atoms)) == 0
+
+
 def entails(premises: Iterable[Formula], conclusion: Formula, *,
             atoms: Sequence[str] | None = None,
             max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
@@ -429,26 +459,14 @@ def entails(premises: Iterable[Formula], conclusion: Formula, *,
     """
     premises = tuple(premises)
     universe = _universe(premises + (conclusion,), atoms, max_atoms)
-    models = (1 << (1 << len(universe))) - 1
-    for p in premises:
-        models &= _mask(p, universe)
-        if models == 0:
-            return True
-    return models & ~_mask(conclusion, universe) == 0
+    return mask_entails(_models(premises, universe), conclusion, universe)
 
 
 def consistent(premises: Iterable[Formula], *,
                atoms: Sequence[str] | None = None,
                max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """True iff some assignment satisfies every premise."""
-    premises = tuple(premises)
-    universe = _universe(premises, atoms, max_atoms)
-    models = (1 << (1 << len(universe))) - 1
-    for p in premises:
-        models &= _mask(p, universe)
-        if models == 0:
-            return False
-    return True
+    return models(premises, atoms=atoms, max_atoms=max_atoms) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ class PriorityOrder:
 
     mode: str
     rule_ids: frozenset[str]
-    ranks: dict[str, int] | None = None
+    # Left out of the hash (a dict has none); equal orders still hash equal.
+    ranks: dict[str, int] | None = field(default=None, hash=False)
 
     @classmethod
     def ranked(cls, ranks: dict[str, int]) -> "PriorityOrder":

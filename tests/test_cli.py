@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bdgame import example_path
-from bdgame.cli import main
+from bdgame.cli import _build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -239,3 +239,37 @@ def test_golden_reports(case):
     result = run_cli(*args, "--format", "json", fixture(spec_name))
     expected = (GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8")
     assert result.stdout == expected
+
+
+IN_PROCESS_RUNS = [
+    ("solve", "--concept", "pareto", "--format", "json", fixture("prisoners")),
+    ("goals", "--family", "nash", fixture("cooperation")),
+    ("profiles", "--feasible-only", "--decision-mode", "total-assignments",
+     fixture("interdependence")),
+    ("extension", "--agent", "alpha1", "--decision", "a,d,e",
+     fixture("single_agent_priorities")),
+    ("solve", "--concept", "dominant", "--max-atoms", "12", "--format", "json",
+     fixture("opposed_interests")),
+    ("validate", fixture("conflicting_beliefs")),
+]
+
+
+def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
+    monkeypatch.delenv("BDGAME_MAX_ATOMS", raising=False)
+    in_process = []
+    for argv in IN_PROCESS_RUNS:
+        assert main(list(argv)) == 0
+        in_process.append(capsys.readouterr().out)
+    assert _build_parser() is _build_parser()
+    for argv, out in zip(IN_PROCESS_RUNS, in_process):
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 0
+        assert out == fresh.stdout, argv
+
+
+def test_parser_is_not_built_at_import():
+    probe = ("import bdgame.cli as cli; "
+             "print(cli._build_parser.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "0", result.stderr

@@ -1,24 +1,31 @@
-"""Seeded differential test of the solution concepts and goal sets.
+"""Seeded differential test of profile evaluation, solution concepts and
+goal sets.
 
-The reference bodies below are the brute-force definitions: one loop per
-concept, and goal sets decided by entailment on the joint extension.  The
-library computes the three exclusion concepts through one shared loop and
-reads goal sets off the desire reports; both must agree with these
-references on every index, every witness and every goal set.
+The reference bodies below are the brute-force definitions: the joint
+extension rebuilt from scratch for each profile, desire reports and goal
+sets decided by entailment on it, and one loop over profiles per concept.
+The library shares each agent extension between profiles, answers desire
+queries from one model mask per profile, solves the three exclusion
+concepts on indistinguishability classes through one shared loop, and
+reads goal sets off the desire reports; all of it must agree with these
+references on every extension, report, index, witness and goal set.
 """
 
 import random
 
+from bdgame.decision import AgentDesireStatus, DesireReport, joint_extension
 from bdgame.errors import CombinatorialBoundError
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
 from bdgame.goals import GoalSet, goal_set_of
-from bdgame.logic import And, entails
+from bdgame.logic import And, Not, entails
 from bdgame.verify import random_spec
 
 SMALL_SPECS = 450
 LARGE_SPECS = 600  # up to 3 agents x 4 decision atoms each
 LARGE_PROFILE_CAP = 32  # candidate profiles; the reference loops are O(P^2)
+CLASS_SPECS = 5  # games of 128 or more profiles in 16 to P/4 classes
+CLASS_PROFILE_CAP = 256
 
 
 def ref_pareto(game):
@@ -98,6 +105,31 @@ def ref_nash(game, infeasible_swaps):
     return tuple(included), witnesses
 
 
+def ref_desire_report(spec, ext):
+    theory = ext.formulas
+    atoms = spec.vocabulary.names
+
+    def holds(formula):
+        return entails(theory, formula, atoms=atoms, max_atoms=spec.max_atoms)
+
+    per_agent = {}
+    for agent in spec.agents:
+        unreached, reached, violated, inapplicable = set(), set(), set(), set()
+        for rule in agent.desires:
+            if not holds(rule.antecedent):
+                inapplicable.add(rule.id)
+            elif holds(rule.consequent):
+                reached.add(rule.id)
+            else:
+                unreached.add(rule.id)
+                if holds(Not(rule.consequent)):
+                    violated.add(rule.id)
+        per_agent[agent.id] = AgentDesireStatus(
+            frozenset(unreached), frozenset(reached),
+            frozenset(violated), frozenset(inapplicable))
+    return DesireReport(per_agent)
+
+
 def ref_goal_set(spec, ext):
     theory = ext.formulas
     atoms = spec.vocabulary.names
@@ -143,9 +175,44 @@ def test_concepts_and_goal_sets_match_the_definitions():
             assert (got.profile_indexes, got.witnesses) == \
                 ref_nash(game, policy)
         for ep in game.profiles:
+            fresh = joint_extension(spec, ep.profile)
+            assert ep.extension == fresh
+            assert ep.report == ref_desire_report(spec, fresh)
             expected = ref_goal_set(spec, ep.extension)
             assert goal_set_of(spec, ep.profile, game=game) == expected
             assert goal_set_of(spec, ep.profile) == expected
     assert specs >= 500
     assert three_agent_specs >= 25 and widest == 4
     assert profiles >= 6_000
+
+
+def class_collapsing_games():
+    """Seeded games with many profiles and few indistinguishability classes."""
+    rng = random.Random(7)
+    for _ in range(400):
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=4,
+                           max_rules=6, world_atoms=("p", "q", "r"))
+        try:
+            game = derive_game(spec, max_profiles=CLASS_PROFILE_CAP)
+        except CombinatorialBoundError:
+            continue
+        classes = len(game.classes)
+        if len(game.profiles) >= 128 and 16 <= classes <= \
+                len(game.profiles) // 4:
+            yield game
+
+
+def test_class_level_concepts_match_the_profile_loops():
+    games = excluded = 0
+    for game in class_collapsing_games():
+        games += 1
+        for solve, reference in ((pareto, ref_pareto),
+                                 (strongly_pareto, ref_strongly_pareto),
+                                 (dominant, ref_dominant)):
+            got = solve(game)
+            assert (got.profile_indexes, got.witnesses) == reference(game)
+            excluded += len(got.witnesses)
+        if games == CLASS_SPECS:
+            break
+    assert games == CLASS_SPECS
+    assert excluded >= 1_500

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
-from bdgame.decision import Decision
+import bdgame.decision
+import bdgame.game
+from bdgame.decision import Decision, agent_extension, enumerate_decisions
 from bdgame.game import (FAIL, derive_game, dominant, nash, pareto, solve,
                          strongly_pareto)
 from bdgame.logic import Literal, Not, Var
@@ -199,3 +202,23 @@ def test_pareto_nonempty_on_random_games():
         game = derive_game(spec)
         if game.profiles:
             assert pareto(game).profile_indexes
+
+
+def test_derive_game_builds_each_agent_extension_once(monkeypatch):
+    built = Counter()
+
+    def counting(spec, agent_id, decision):
+        built[agent_id, decision] += 1
+        return agent_extension(spec, agent_id, decision)
+
+    monkeypatch.setattr(bdgame.decision, "agent_extension", counting)
+    monkeypatch.setattr(bdgame.game, "agent_extension", counting)
+    rng = random.Random(11)
+    for _ in range(30):
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=2)
+        built.clear()
+        derive_game(spec)
+        pairs = {(a.id, d) for a in spec.agents
+                 for d in enumerate_decisions(spec, a.id)}
+        assert set(built) == pairs
+        assert set(built.values()) == {1}

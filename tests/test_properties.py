@@ -1,7 +1,9 @@
 """Algebraic laws and cross-module invariants on seeded random instances."""
 
 import random
+from importlib import resources
 
+from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
 from bdgame.game import derive_game, nash, pareto
@@ -145,3 +147,15 @@ def test_heuristic_fragment_containment_is_logged_not_asserted(capsys):
     assert result.passed
     assert result.checked > 0
     print(f"heuristic fragment containment: {result.details}")
+
+
+def test_equal_specs_hash_equal():
+    for path in sorted(resources.files("bdgame").joinpath(
+            "examples").iterdir()):
+        if not path.name.endswith(".bdg"):
+            continue
+        spec = load_example(path.name)
+        twin = parse_spec(format_spec(spec))
+        assert twin == spec and twin is not spec
+        assert hash(twin) == hash(spec)
+        assert {spec: path.name}[twin] == path.name
