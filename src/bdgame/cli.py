@@ -21,13 +21,15 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import __version__
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, agent_extension, enumerate_profiles)
+                       DecisionProfile, agent_extension)
 from .errors import BdgameError
 from .extension import Extension
-from .game import CONCEPTS, GameSpecification, derive_game, evaluate_profile
+from .game import (CONCEPTS, GameSpecification, agent_extensions,
+                   derive_game, evaluate_product, evaluate_profile)
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
                     delta_goal_sets, goal_set_of, pareto_via_goals, u_closure)
@@ -163,8 +165,9 @@ def _profile_entry(spec: AgentSystemSpec, profile, ext: Extension,
     return entry
 
 
-def _empty_report(spec_name: str, command: str) -> dict:
-    return {
+def _report(spec_name: str, command: str, **sections) -> dict:
+    """The JSON report: every section present, empty unless given."""
+    report = {
         "system": spec_name,
         "command": command,
         "profiles": [],
@@ -172,6 +175,8 @@ def _empty_report(spec_name: str, command: str) -> dict:
         "goal_sets": [],
         "checks": [],
     }
+    report.update(sections)
+    return report
 
 
 class _Reporter:
@@ -183,9 +188,11 @@ class _Reporter:
         if self.fmt == "text":
             self.lines.append(line)
 
-    def emit(self, report: dict) -> None:
+    def emit(self, build: Callable[[], dict]) -> None:
+        """Print the text lines, or the report ``build`` returns: it is only
+        built for JSON output."""
         if self.fmt == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(json.dumps(build(), indent=2, sort_keys=True))
         else:
             print("\n".join(self.lines))
 
@@ -226,17 +233,15 @@ def _require_valid(spec: AgentSystemSpec) -> None:
 def _cmd_validate(spec: AgentSystemSpec, config: RunConfig,
                   out: _Reporter) -> int:
     violations = validate_spec(spec)
-    report = _empty_report(spec.name, "validate")
-    report["checks"] = [
-        {"name": v.code, "passed": False,
-         "counterexample": {"agent": v.agent, "message": v.message,
-                            "severity": v.severity}}
-        for v in violations]
     if not violations:
         out.text(f"{spec.name}: OK")
     for v in violations:
         out.text(str(v))
-    out.emit(report)
+    out.emit(lambda: _report(spec.name, "validate", checks=[
+        {"name": v.code, "passed": False,
+         "counterexample": {"agent": v.agent, "message": v.message,
+                            "severity": v.severity}}
+        for v in violations]))
     errors = any(v.severity == "error" for v in violations)
     return EXIT_INPUT_ERROR if errors else EXIT_OK
 
@@ -258,7 +263,6 @@ def _parse_decision(spec: AgentSystemSpec, agent_id: str,
 def _cmd_extension(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                    agent: str | None, decision_text: str | None) -> int:
     _require_valid(spec)
-    report = _empty_report(spec.name, "extension")
     if agent is None:
         if decision_text is not None:
             raise BdgameError("--decision requires --agent")
@@ -266,38 +270,28 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
             Decision(a.id, frozenset(a.initial_decision))
             for a in spec.agents))
         ep = evaluate_profile(spec, profile)
-        ext = ep.extension
-        report["profiles"] = [_profile_entry(spec, profile, ext, ep.report)]
+        ext, report = ep.extension, ep.report
         out.text(f"joint extension of the initial profile {profile}:")
     else:
         decision = _parse_decision(spec, agent, decision_text)
-        ext = agent_extension(spec, agent, decision)
-        report["profiles"] = [_profile_entry(
-            spec, DecisionProfile((decision,)), ext, None)]
+        profile = DecisionProfile((decision,))
+        ext, report = agent_extension(spec, agent, decision), None
         out.text(f"extension for {agent}, decision {decision}:")
     flag = "consistent" if ext.consistent else "INCONSISTENT"
     out.text("  {" + ", ".join(_extension_json(ext)) + "}")
     out.text(f"  {flag}; {ext.iterations} productive rounds")
-    out.emit(report)
+    out.emit(lambda: _report(spec.name, "extension", profiles=[
+        _profile_entry(spec, profile, ext, report)]))
     return EXIT_OK
 
 
 def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                   feasible_only: bool) -> int:
     _require_valid(spec)
-    report = _empty_report(spec.name, "profiles")
-    entries = []
-    shown = []
-    for profile in enumerate_profiles(spec,
-                                      max_decisions=config.max_decisions,
-                                      max_profiles=config.max_profiles):
-        ep = evaluate_profile(spec, profile)
-        if feasible_only and ep.report is None:
-            continue
-        entries.append(_profile_entry(spec, ep.profile, ep.extension,
-                                      ep.report))
-        shown.append(ep)
-    report["profiles"] = entries
+    built = agent_extensions(spec, max_decisions=config.max_decisions)
+    shown = [ep for ep in evaluate_product(spec, built,
+                                           max_profiles=config.max_profiles)
+             if ep.report is not None or not feasible_only]
     out.text(f"{len(shown)} profiles"
              + (" (feasible only)" if feasible_only else "") + ":")
     for i, ep in enumerate(shown):
@@ -309,16 +303,17 @@ def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
             for a in spec.agent_ids:
                 unreached = ", ".join(sorted(ep.report.unreached(a))) or "-"
                 out.text(f"      unreached[{a}]: {unreached}")
-    out.emit(report)
+    out.emit(lambda: _report(spec.name, "profiles", profiles=[
+        _profile_entry(spec, ep.profile, ep.extension, ep.report)
+        for ep in shown]))
     return EXIT_OK
 
 
-def _game_report(spec: AgentSystemSpec, game: GameSpecification) -> dict:
-    report = _empty_report(spec.name, "")
-    report["profiles"] = [
+def _game_report(spec: AgentSystemSpec, game: GameSpecification,
+                 command: str, **sections) -> dict:
+    return _report(spec.name, command, profiles=[
         _profile_entry(spec, ep.profile, ep.extension, ep.report)
-        for ep in game.profiles]
-    return report
+        for ep in game.profiles], **sections)
 
 
 def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
@@ -328,9 +323,6 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                        max_profiles=config.max_profiles)
     solution = solve_game(game, concept,
                           infeasible_swaps=config.infeasible_swaps)
-    report = _game_report(spec, game)
-    report["command"] = "solve"
-    report["solutions"] = {concept: list(solution.profile_indexes)}
     out.text(f"{concept}: {len(solution.profile_indexes)} of "
              f"{len(game.profiles)} feasible profiles")
     for i in solution.profile_indexes:
@@ -348,7 +340,8 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                 parts.append(f"deviation {w.decision}")
             out.text(f"  [{i}] {game.profiles[i].profile}: "
                      + ", ".join(parts))
-    out.emit(report)
+    out.emit(lambda: _game_report(spec, game, "solve", solutions={
+        concept: list(solution.profile_indexes)}))
     return EXIT_OK
 
 
@@ -358,8 +351,6 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
     _require_valid(spec)
     game = derive_game(spec, max_decisions=config.max_decisions,
                        max_profiles=config.max_profiles)
-    report = _game_report(spec, game)
-    report["command"] = "goals"
     if rule_name is not None:
         family = apply_decision_rule(spec, rule_name, game=game)
         label = f"decision rule {rule_name}"
@@ -384,19 +375,18 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
     for i in family_indexes:
         generators[goal_set_of(spec, game.profiles[i].profile,
                                game=game)].append(i)
-    report["goal_sets"] = [
-        {"positive": sorted(format_formula(f) for f in gs.positive),
-         "negative": sorted(format_formula(f) for f in gs.negative),
-         "generators": generators[gs]}
-        for gs in goal_sets]
-    report["solutions"] = {"family": family_indexes}
     out.text(f"{label}: {len(family.profiles)} profiles, "
              f"{len(goal_sets)} goal sets")
     for i in family_indexes:
         out.text(f"  [{i}] {game.profiles[i].profile}")
     for gi, gs in enumerate(goal_sets):
         out.text(f"  goal set {gi}: {gs} from profiles {generators[gs]}")
-    out.emit(report)
+    out.emit(lambda: _game_report(
+        spec, game, "goals", solutions={"family": family_indexes},
+        goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
+                    "negative": sorted(map(format_formula, gs.negative)),
+                    "generators": generators[gs]}
+                   for gs in goal_sets]))
     return EXIT_OK
 
 
@@ -412,13 +402,11 @@ def _cmd_check(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
         result = check_order_laws()
     else:
         result = check_pipeline_equivalence(spec)
-    report = _empty_report(spec.name, "check")
     entry = {"name": result.name, "passed": result.passed}
     if result.counterexample is not None:
         entry["counterexample"] = result.counterexample
-    report["checks"] = [entry]
     out.text(str(result))
-    out.emit(report)
+    out.emit(lambda: _report(spec.name, "check", checks=[entry]))
     return EXIT_OK if result.passed else EXIT_VIOLATIONS
 
 

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
 from .extension import Extension, extension
-from .logic import (Formula, Literal, Not, literal_sort_key, mask_entails,
-                    models)
+from .logic import (Formula, Literal, Not, conditioned_models,
+                    literal_sort_key)
 from .model import AgentSystemSpec, DecisionMode, PriorityOrder
 
 DEFAULT_DECISION_CAP = 4096
@@ -142,13 +142,14 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
                     decision: Decision) -> Extension:
     """The agent's own belief extension of its facts plus one decision.
 
-    Other agents' decisions are invisible here: a belief rule whose
-    antecedent mentions a foreign decision atom never fires in it.
+    Its model mask ranges over the world atoms, with the decision's
+    literals substituted.  Other agents' decisions are invisible here: a
+    belief rule whose antecedent mentions a foreign decision atom only
+    fires if it holds for every value of that atom.
     """
     agent = spec.agent(agent_id)
-    base = frozenset(agent.facts) | decision.formulas()
-    return extension(agent.beliefs, base, atoms=spec.vocabulary.names,
-                     max_atoms=spec.max_atoms)
+    return extension(agent.beliefs, agent.facts, atoms=spec.mask_atoms,
+                     max_atoms=spec.max_atoms, fixed=decision.literals)
 
 
 def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
@@ -157,9 +158,10 @@ def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
 
     ``parts`` are the agents' extensions of the profile's decisions, in
     agent order, for a caller that has built them with ``agent_extension``
-    already; by default they are built here.  The union is consistent iff
-    the AND of the parts' model masks is not empty.  ``iterations`` is the
-    largest per-agent round count.
+    already; by default they are built here.  The agents' decision atoms
+    are disjoint, so the union's model mask over the world atoms is the AND
+    of the parts' masks, and it is consistent iff that is not empty.
+    ``iterations`` is the largest per-agent round count.
     """
     if parts is None:
         parts = tuple(agent_extension(spec, a.id, profile.decision_for(a.id))
@@ -177,6 +179,7 @@ def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
         derived=frozenset(derived),
         iterations=max((ext.iterations for ext in parts), default=0),
         consistent=joint != 0,
+        models=joint,
     )
 
 
@@ -193,29 +196,44 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
                   ext: Extension | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
 
-    The extension's model mask is built once, and each antecedent or
-    consequent query is one AND against it.  Undefined on infeasible
-    profiles: an inconsistent extension entails everything, which would
-    make every desire reached and violated at once.
+    ``ext`` is the profile's joint extension, built here by default.  Each
+    antecedent, consequent or negated-consequent query is one AND of the
+    extension's world mask against the world assignments where the query
+    fails.  Those come from the spec's table (``AgentSystemSpec.desire_masks``)
+    by the profile's values on the rule's decision atoms, and are
+    conditioned once per entry.
+    Undefined on infeasible profiles: an inconsistent extension entails
+    everything, which would make every desire reached and violated at once.
     """
     if ext is None:
         ext = joint_extension(spec, profile)
     if not ext.consistent:
         raise InfeasibleProfileError(
             f"profile {profile} has an inconsistent extension")
-    atoms = spec.vocabulary.names
-    theory = models(ext.formulas, atoms=atoms, max_atoms=spec.max_atoms)
+    world = spec.mask_atoms
+    full = (1 << (1 << len(world))) - 1
+    fixed = {lit.atom: lit.positive
+             for d in profile.decisions for lit in d.literals}
+    theory = ext.models
     per_agent = {}
-    for agent in spec.agents:
+    for agent, rows in zip(spec.agents, spec.desire_masks):
         unreached, reached, violated, inapplicable = set(), set(), set(), set()
-        for rule in agent.desires:
-            if not mask_entails(theory, rule.antecedent, atoms):
+        for rule, atoms, table in rows:
+            values = tuple(fixed.get(a) for a in atoms)
+            failing = table.get(values)
+            if failing is None:
+                given = {a: v for a, v in zip(atoms, values) if v is not None}
+                failing = table[values] = tuple(
+                    full ^ conditioned_models(f, given, world) for f in
+                    (rule.antecedent, rule.consequent, Not(rule.consequent)))
+            antecedent, consequent, negated = failing
+            if theory & antecedent:
                 inapplicable.add(rule.id)
-            elif mask_entails(theory, rule.consequent, atoms):
+            elif not theory & consequent:
                 reached.add(rule.id)
             else:
                 unreached.add(rule.id)
-                if mask_entails(theory, Not(rule.consequent), atoms):
+                if not theory & negated:
                     violated.add(rule.id)
         per_agent[agent.id] = AgentDesireStatus(
             frozenset(unreached), frozenset(reached),

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .logic import DEFAULT_MAX_ATOMS, Formula, atoms_of, entails, models
+from .errors import VocabularyLimitError
+from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, Literal, atoms_of,
+                    conditioned_models, entails)
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,17 @@ class Extension:
     ``iterations`` counts the rounds that added at least one new formula;
     all applicable rules fire in each round, so the count is deterministic.
     ``models`` is the model mask of the formulas over the atom universe of
-    the fixpoint (see ``logic.models``), so that a union of extensions over
-    one universe decides consistency with one AND per part.  It takes no
-    part in equality, and unions leave it None.
+    the fixpoint, with the fixed literals substituted (see ``extension``).
+    A joint extension (``decision.joint_extension``) carries the AND of its
+    parts' masks, which all range over the world atoms.  It takes no part
+    in equality.
     """
 
     base: frozenset[Formula]
     derived: frozenset[Formula]
     iterations: int
     consistent: bool
-    models: int | None = field(default=None, compare=False, repr=False)
+    models: int = field(compare=False, repr=False)
 
     @property
     def formulas(self) -> frozenset[Formula]:
@@ -83,35 +86,60 @@ def applicable_consequents(rules: Iterable[Rule], theory: Iterable[Formula], *,
 
 def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
               atoms: Sequence[str] | None = None,
-              max_atoms: int = DEFAULT_MAX_ATOMS) -> Extension:
+              max_atoms: int = DEFAULT_MAX_ATOMS,
+              fixed: Iterable[Literal] = ()) -> Extension:
     """Iteratively fire all applicable rules until nothing new is added.
 
     Each productive round adds at least one of the finitely many rule
     consequents, so the fixpoint is reached in at most ``len(rules)``
     productive rounds.
+
+    The ``fixed`` literals join the base and are substituted into every
+    formula, so the model masks range over ``atoms`` only (see
+    ``logic.conditioned_models``).  Antecedent atoms outside ``atoms`` and
+    the fixed ones are left free by the theory and quantified universally.
+    Every formula that enters the theory (the base and fired consequents)
+    must therefore be over ``atoms`` and the fixed atoms; one that is not
+    raises UndeclaredAtomError.
     """
     rules = tuple(rules)
-    base_set = frozenset(base)
+    values = {lit.atom: lit.positive for lit in fixed}
+    given = frozenset(base)
+    base_set = given | frozenset(lit.formula() for lit in fixed)
     universe = _rule_universe(rules, base_set, atoms)
+    if len(universe) > max_atoms:
+        raise VocabularyLimitError(
+            f"{len(universe)} atoms exceed the enumeration bound of "
+            f"{max_atoms}")
+
+    def premise(f: Formula) -> int:
+        return conditioned_models(f, values, universe, quantify=False)
+
+    theory = full = premise(TRUE)
+    # Where each antecedent fails: the theory entails it iff they are apart.
+    failing = tuple(full ^ conditioned_models(r.antecedent, values, universe)
+                    for r in rules)
     current = set(base_set)
+    for f in given:  # the fixed literals hold by substitution
+        theory &= premise(f)
     rounds = 0
     for _ in range(len(rules) + 1):
-        fired = applicable_consequents(rules, current, atoms=universe,
-                                       max_atoms=max_atoms)
-        new = fired - current
+        new = {r.consequent for r, fails in zip(rules, failing)
+               if not theory & fails} - current
         if not new:
             break
         current |= new
+        for f in new:
+            theory &= premise(f)
         rounds += 1
     else:
         raise AssertionError("fixpoint not reached within len(rules)+1 rounds")
-    mask = models(current, atoms=universe, max_atoms=max_atoms)
     return Extension(
         base=base_set,
         derived=frozenset(current - base_set),
         iterations=rounds,
-        consistent=mask != 0,
-        models=mask,
+        consistent=theory != 0,
+        models=theory,
     )
 
 

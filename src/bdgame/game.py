@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable
+from math import prod
+from typing import Callable, Iterator
 
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
                        DecisionProfile, DesireReport, agent_extension,
@@ -107,6 +108,32 @@ class GameSpecification:
                 and not self.profile_geq(second, first, agent_id))
 
 
+def agent_extensions(spec: AgentSystemSpec, *,
+                     max_decisions: int = DEFAULT_DECISION_CAP
+                     ) -> dict[str, dict[Decision, Extension]]:
+    """Each agent's extension of each of its candidate decisions, built
+    once, in agent order and canonical decision order."""
+    return {agent.id: {d: agent_extension(spec, agent.id, d)
+                       for d in enumerate_decisions(
+                           spec, agent.id, max_decisions=max_decisions)}
+            for agent in spec.agents}
+
+
+def evaluate_product(spec: AgentSystemSpec,
+                     decisions: dict[str, dict[Decision, Extension]], *,
+                     max_profiles: int = DEFAULT_PROFILE_CAP
+                     ) -> Iterator[EvaluatedProfile]:
+    """Evaluate every profile of the product of the agents' decisions, in
+    canonical order, from the agents' extensions of those decisions."""
+    total = prod(len(ds) for ds in decisions.values())
+    if total > max_profiles:
+        raise CombinatorialBoundError(
+            f"{total} candidate profiles (cap {max_profiles})")
+    for combo in product(*(ds.items() for ds in decisions.values())):
+        profile = DecisionProfile(tuple(d for d, _ in combo))
+        yield evaluate_profile(spec, profile, tuple(ext for _, ext in combo))
+
+
 def derive_game(spec: AgentSystemSpec, *,
                 max_decisions: int = DEFAULT_DECISION_CAP,
                 max_profiles: int = DEFAULT_PROFILE_CAP) -> GameSpecification:
@@ -117,28 +144,16 @@ def derive_game(spec: AgentSystemSpec, *,
     candidate profile is evaluated once, and everything downstream reads
     that evaluation.
     """
-    built: dict[Decision, Extension] = {}
-    feasible: dict[str, tuple[Decision, ...]] = {}
-    for agent in spec.agents:
-        candidates = enumerate_decisions(spec, agent.id,
-                                         max_decisions=max_decisions)
-        for d in candidates:
-            built[d] = agent_extension(spec, agent.id, d)
-        feasible[agent.id] = tuple(d for d in candidates
-                                   if built[d].consistent)
-    total = 1
-    for ds in feasible.values():
-        total *= len(ds)
-    if total > max_profiles:
-        raise CombinatorialBoundError(
-            f"{total} candidate profiles (cap {max_profiles})")
-    evaluated = (evaluate_profile(spec, DecisionProfile(combo),
-                                  tuple(built[d] for d in combo))
-                 for combo in product(*feasible.values()))
+    feasible = {
+        agent: {d: ext for d, ext in built.items() if ext.consistent}
+        for agent, built in agent_extensions(
+            spec, max_decisions=max_decisions).items()}
+    evaluated = evaluate_product(spec, feasible, max_profiles=max_profiles)
     return GameSpecification(
         spec=spec,
         profiles=tuple(ep for ep in evaluated if ep.report is not None),
-        feasible_decisions=feasible,
+        feasible_decisions={agent: tuple(ds)
+                            for agent, ds in feasible.items()},
     )
 
 

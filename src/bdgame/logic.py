@@ -13,6 +13,9 @@ occurring in the query, which coincides with full-vocabulary semantics for
 both entailment and consistency.  A theory queried many times has its model
 mask built once by ``models`` and then answers each query with one AND
 (``mask_entails``); ``entails`` and ``consistent`` go through the same two.
+The solver's own queries use ``conditioned_models``: masks over the world
+atoms only, with a profile's decision literals substituted and the decision
+atoms it leaves free quantified universally.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormulaSyntaxError, UndeclaredAtomError, VocabularyLimitError
 
@@ -379,12 +382,15 @@ def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
 @lru_cache(maxsize=None)
 def _atom_pattern(i: int, n: int) -> int:
     # Bit k of the mask is the truth value in assignment k, where atom i is
-    # true iff bit i of k is set: runs of 2^i ones repeated with period 2^(i+1).
+    # true iff bit i of k is set: runs of 2^i ones repeated with period
+    # 2^(i+1).  The first period is doubled until it covers 2^n bits.
     half = 1 << i
-    period = half << 1
-    block = ((1 << half) - 1) << half
-    repeats = ((1 << (1 << n)) - 1) // ((1 << period) - 1)
-    return block * repeats
+    pattern = ((1 << half) - 1) << half
+    width, size = half << 1, 1 << n
+    while width < size:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
 
 
 @lru_cache(maxsize=1 << 16)
@@ -467,6 +473,59 @@ def consistent(premises: Iterable[Formula], *,
                max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """True iff some assignment satisfies every premise."""
     return models(premises, atoms=atoms, max_atoms=max_atoms) != 0
+
+
+class _FreeAtom(Exception):
+    """An atom neither in the world nor fixed; carries its name."""
+
+
+def _conditioned(f: Formula, values: Mapping[str, bool],
+                 world: tuple[str, ...], full: int) -> int:
+    kind = type(f)
+    if kind is Var:
+        value = values.get(f.name)
+        if value is not None:
+            return full if value else 0
+        try:
+            return _atom_pattern(world.index(f.name), len(world))
+        except ValueError:
+            raise _FreeAtom(f.name) from None
+    if kind is Not:
+        return full ^ _conditioned(f.operand, values, world, full)
+    if kind is Const:
+        return full if f.value else 0
+    left = _conditioned(f.left, values, world, full)
+    right = _conditioned(f.right, values, world, full)
+    if kind is And:
+        return left & right
+    if kind is Or:
+        return left | right
+    return (full ^ left) | right
+
+
+def conditioned_models(f: Formula, fixed: Mapping[str, bool],
+                       world: Sequence[str], *, quantify: bool = True) -> int:
+    """The assignments to ``world`` under which ``f`` holds with the atoms
+    in ``fixed`` set to their values and for every value of its other
+    atoms: a model mask over ``world``.
+
+    A theory made of the fixed literals and formulas over ``world`` leaves
+    every other atom free, so it entails ``f`` iff its model mask ``m``
+    over ``world`` (its formulas conditioned the same way) has
+    ``m & ~conditioned_models(f, fixed, world) == 0``.  A formula of such
+    a theory is conditioned with ``quantify=False``: an atom outside
+    ``world`` and ``fixed`` then raises UndeclaredAtomError.
+    """
+    world = tuple(world)
+    try:
+        return _conditioned(f, fixed, world, (1 << (1 << len(world))) - 1)
+    except _FreeAtom as free:
+        if not quantify:
+            raise UndeclaredAtomError(str(free)) from None
+        # For all values of the free atom: the AND of both substitutions.
+        name = str(free)
+        return (conditioned_models(f, {**fixed, name: False}, world)
+                & conditioned_models(f, {**fixed, name: True}, world))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-from .errors import (BdgameError, SpecSyntaxError)
+from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
 from .extension import Rule
 from .logic import (DEFAULT_MAX_ATOMS, Atom, Formula, Literal, Vocabulary,
-                    consistent, consistent_literals, format_formula,
+                    atoms_of, consistent, consistent_literals, format_formula,
                     in_sublanguage, literal_sort_key, parse_formula,
                     parse_literal)
 
@@ -99,6 +99,41 @@ class AgentSystemSpec:
     @cached_property
     def agent_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.agents)
+
+    @cached_property
+    def mask_atoms(self) -> tuple[str, ...]:
+        """The world atoms: the universe of the solver's model masks.
+
+        The atom cap still counts the declared vocabulary.  A spec whose
+        facts or belief consequents mention decision atoms is refused:
+        masks over the world atoms would answer it wrongly.
+        """
+        if len(self.vocabulary) > self.max_atoms:
+            raise VocabularyLimitError(
+                f"{len(self.vocabulary)} atoms exceed the enumeration bound "
+                f"of {self.max_atoms}")
+        for agent in self.agents:
+            for f in agent.facts + tuple(r.consequent for r in agent.beliefs):
+                if not in_sublanguage(f, self.vocabulary, "world"):
+                    raise BdgameError(
+                        f"agent {agent.id}: {format_formula(f)} mentions "
+                        "decision atoms, but facts and belief consequents "
+                        "must be world formulas")
+        return self.world_atoms
+
+    @cached_property
+    def desire_masks(self) -> tuple[tuple[tuple[Rule, tuple[str, ...], dict],
+                                          ...], ...]:
+        """Per agent, per desire rule: the rule, its decision atoms, and a
+        table from a profile's values on them to the rule's query masks,
+        filled by ``decision.desire_report``.  It lives and dies with the
+        spec."""
+        world = set(self.world_atoms)
+        return tuple(
+            tuple((r, tuple(sorted(
+                (atoms_of(r.antecedent) | atoms_of(r.consequent)) - world)),
+                {}) for r in agent.desires)
+            for agent in self.agents)
 
     def agent(self, agent_id: str) -> AgentSpec:
         for a in self.agents:
@@ -193,8 +228,7 @@ def validate_spec(spec: AgentSystemSpec) -> list[Violation]:
                 f"initial decision uses atoms the agent does not own: "
                 f"{', '.join(sorted(stray))}"))
     all_facts = [f for a in spec.agents for f in a.facts]
-    if all_facts and not consistent(all_facts, atoms=vocab.names,
-                                    max_atoms=spec.max_atoms):
+    if all_facts and not consistent(all_facts, max_atoms=spec.max_atoms):
         out.append(Violation(
             "facts-conflict", "warning", None,
             "the agents' facts are jointly inconsistent"))

@@ -24,6 +24,9 @@ from .model import (IDENTITY, RANKED, AgentSpec, AgentSystemSpec,
                     DecisionMode, PriorityOrder)
 
 
+NOTHING_TO_CHECK = "nothing to check: no feasible profile"
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -348,18 +351,20 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     """Both representation directions on one specification.
 
     Families checked: every singleton closure, the full feasible family,
-    and closures of seeded random subsets of the feasible profiles.
+    and closures of seeded random subsets of the feasible profiles.  A spec
+    without a feasible profile has none of them, and fails: a check that
+    examined nothing does not pass.
     """
     from .goals import ProfileFamily
 
     rng = random.Random(seed)
     game = derive_game(spec)
+    if not game.profiles:
+        return CheckResult("representation", False, 0, NOTHING_TO_CHECK)
     feasible = [ep.profile for ep in game.profiles]
     families = [u_closure(spec, [p], game=game) for p in feasible]
     families.append(ProfileFamily(tuple(feasible), u_closed=True))
     for _ in range(family_samples):
-        if not feasible:
-            break
         subset = rng.sample(feasible, rng.randint(1, len(feasible)))
         families.append(u_closure(spec, subset, game=game))
     checked = 0
@@ -381,37 +386,52 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
 
 def check_representation_corpus(seed: int = 0, samples: int = 500, *,
                                 exhaustive: bool = True) -> CheckResult:
-    """Representation checks over the exhaustive family plus random specs."""
+    """Representation checks over the exhaustive family plus ``samples``
+    random specs.
+
+    A spec without a feasible profile has nothing to check: it is skipped
+    and not counted, and a random one is drawn again (at most 50 draws per
+    sample).
+    """
+    from .model import format_spec
+
     rng = random.Random(seed)
     checked = 0
+
+    def failed(spec: AgentSystemSpec, result: CheckResult) -> CheckResult:
+        result.counterexample = {"spec": format_spec(spec),
+                                 **(result.counterexample or {})}
+        result.checked = checked
+        return result
+
     if exhaustive:
         for spec in exhaustive_small_specs():
-            checked += 1
             result = check_representation(spec, seed=rng.randrange(1 << 30),
                                           family_samples=1)
-            if not result.passed:
-                from .model import format_spec
-                result.counterexample = {"spec": format_spec(spec),
-                                         **(result.counterexample or {})}
-                result.checked = checked
-                return result
-    for _ in range(samples):
+            if result.checked:
+                checked += 1
+                if not result.passed:
+                    return failed(spec, result)
+    wanted = checked + samples
+    for _ in range(samples * 50):
+        if checked == wanted:
+            break
         spec = random_spec(rng, max_rules=3)
-        checked += 1
         result = check_representation(spec, seed=rng.randrange(1 << 30),
                                       family_samples=2)
-        if not result.passed:
-            from .model import format_spec
-            result.counterexample = {"spec": format_spec(spec),
-                                     **(result.counterexample or {})}
-            result.checked = checked
-            return result
-    return CheckResult("representation", True, checked)
+        if result.checked:
+            checked += 1
+            if not result.passed:
+                return failed(spec, result)
+    return CheckResult("representation", checked > 0, checked)
 
 
 def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
-    """Profile-first and goals-first Pareto families must coincide."""
+    """Profile-first and goals-first Pareto families must coincide; a spec
+    without a feasible profile fails, as there is nothing to compare."""
     game = derive_game(spec)
+    if not game.profiles:
+        return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
     direct = pareto(game)
     closed = u_closure(
         spec, [game.profiles[i].profile for i in direct.profile_indexes],
@@ -453,7 +473,8 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
     On specs whose belief rules are triggered by the world only, every
     positive goal of every feasible profile's goal set should be entailed
     by the heuristic pool.  Counterexamples are reported as details, not
-    failures: this documents observed behaviour.
+    failures: this documents observed behaviour.  No draw in the fragment
+    fails the check, as nothing was examined.
     """
     from .goals import fragment_check
     from .model import format_spec
@@ -486,6 +507,9 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
             contained += 1
         else:
             misses += 1
+    if not examined:
+        return CheckResult("heuristic-fragment", False, 0,
+                           "nothing to check: no draw in the fragment")
     return CheckResult(
         "heuristic-fragment", True, examined,
         f"contained on {contained}/{examined} fragment specs, "

@@ -1,12 +1,19 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import bdgame.cli
+import bdgame.decision
+import bdgame.game
 from bdgame import example_path
 from bdgame.cli import _build_parser, main
+from bdgame.decision import agent_extension
+from bdgame.game import derive_game
+from bdgame.model import parse_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -273,3 +280,86 @@ def test_parser_is_not_built_at_import():
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True)
     assert result.stdout.strip() == "0", result.stderr
+
+
+def test_profiles_builds_each_agent_extension_once(monkeypatch, capsys):
+    built = Counter()
+
+    def counting(spec, agent_id, decision):
+        built[agent_id, decision] += 1
+        return agent_extension(spec, agent_id, decision)
+
+    monkeypatch.setattr(bdgame.game, "agent_extension", counting)
+    monkeypatch.setattr(bdgame.decision, "agent_extension", counting)
+    assert main(["profiles", "--format", "json", fixture("cooperation")]) == 0
+    assert len(json.loads(capsys.readouterr().out)["profiles"]) == 16
+    assert len(built) == 8
+    assert set(built.values()) == {1}
+
+
+TEXT_REPORTS = {
+    ("solve", "--concept", "nash", fixture("prisoners")):
+        "nash: 1 of 4 feasible profiles\n"
+        "  [3] <alpha1={!a}, alpha2={!b}>\n"
+        "excluded:\n"
+        "  [0] <alpha1={a}, alpha2={b}>: agent alpha1, "
+        "see [2] <alpha1={!a}, alpha2={b}>, deviation {!a}\n"
+        "  [1] <alpha1={a}, alpha2={!b}>: agent alpha1, "
+        "see [3] <alpha1={!a}, alpha2={!b}>, deviation {!a}\n"
+        "  [2] <alpha1={!a}, alpha2={b}>: agent alpha2, "
+        "see [3] <alpha1={!a}, alpha2={!b}>, deviation {!b}\n",
+    ("goals", "--family", "pareto", fixture("cooperation")):
+        "pareto family: 1 profiles, 1 goal sets\n"
+        "  [0] <alpha1={a}, alpha2={c}>\n"
+        "  goal set 0: <+{p & q}, -{}> from profiles [0]\n",
+}
+
+
+def test_text_mode_never_builds_the_report(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON report was built in text mode")
+
+    monkeypatch.setattr(bdgame.cli, "_game_report", refuse)
+    for argv, expected in TEXT_REPORTS.items():
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+
+
+NOTHING_FEASIBLE = "agent x {\n  fact p\n  belief true => !p\n}\nworld p\n"
+
+
+@pytest.mark.parametrize("prop", ["representation", "pipeline-equivalence"])
+def test_check_that_examined_nothing_does_not_pass(prop, tmp_path, capsys):
+    path = tmp_path / "nothing.bdg"
+    path.write_text(NOTHING_FEASIBLE, encoding="utf-8")
+    assert main(["check", "--property", prop, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "nothing to check: no feasible profile" in out
+    assert "PASS" not in out
+    assert main(["check", "--property", prop, "--format", "json",
+                 str(path)]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["passed"] is False
+
+
+WIDE_SPEC = Path(__file__).parent / "specs" / "wide_vocabulary.bdg"
+
+
+def test_wide_vocabulary_solves_on_world_masks(monkeypatch, capsys):
+    monkeypatch.delenv("BDGAME_MAX_ATOMS", raising=False)
+    spec = parse_spec(WIDE_SPEC.read_text(encoding="utf-8"))
+    world = len(spec.world_atoms)
+    assert len(spec.vocabulary) > 24 and world <= 16
+    # The cap counts the declared vocabulary, not the mask universe.
+    assert main(["solve", "--concept", "nash", str(WIDE_SPEC)]) == 2
+    assert "26 atoms exceed" in capsys.readouterr().err
+    for concept in ("pareto", "nash"):
+        assert main(["solve", "--concept", concept, "--max-atoms", "32",
+                     "--format", "json", str(WIDE_SPEC)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["profiles"]) == 576
+        assert report["solutions"][concept]
+    game = derive_game(spec.with_options(max_atoms=32))
+    assert len(game.profiles) == 576
+    for ep in game.profiles:
+        assert ep.extension.models.bit_length() <= 2 ** world

@@ -1,24 +1,32 @@
 """Seeded differential test of profile evaluation, solution concepts and
 goal sets.
 
-The reference bodies below are the brute-force definitions: the joint
-extension rebuilt from scratch for each profile, desire reports and goal
-sets decided by entailment on it, and one loop over profiles per concept.
-The library shares each agent extension between profiles, answers desire
-queries from one model mask per profile, solves the three exclusion
-concepts on indistinguishability classes through one shared loop, and
-reads goal sets off the desire reports; all of it must agree with these
-references on every extension, report, index, witness and goal set.
+The reference bodies below are the brute-force definitions: extensions
+computed over the whole vocabulary, the joint extension rebuilt from
+scratch for each profile, desire reports and goal sets decided by
+entailment on it, and one loop over profiles per concept.  The library
+answers extension and desire queries on masks over the world atoms with
+the decision literals substituted, shares each agent extension between
+profiles, solves the three exclusion concepts on indistinguishability
+classes through one shared loop, and reads goal sets off the desire
+reports; all of it must agree with these references on every extension,
+report, index, witness and goal set.
 """
 
 import random
+from collections import Counter
+from itertools import product
 
-from bdgame.decision import AgentDesireStatus, DesireReport, joint_extension
+from bdgame.decision import (AgentDesireStatus, DecisionProfile, DesireReport,
+                             agent_extension, enumerate_decisions,
+                             joint_extension)
 from bdgame.errors import CombinatorialBoundError
+from bdgame.extension import extension
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
 from bdgame.goals import GoalSet, goal_set_of
-from bdgame.logic import And, Not, entails
+from bdgame.logic import And, Not, _atom_pattern, atoms_of, consistent, entails
+from bdgame.model import DecisionMode
 from bdgame.verify import random_spec
 
 SMALL_SPECS = 450
@@ -26,6 +34,8 @@ LARGE_SPECS = 600  # up to 3 agents x 4 decision atoms each
 LARGE_PROFILE_CAP = 32  # candidate profiles; the reference loops are O(P^2)
 CLASS_SPECS = 5  # games of 128 or more profiles in 16 to P/4 classes
 CLASS_PROFILE_CAP = 256
+CONDITIONED_SPECS = 150  # each in all three decision modes
+CONDITIONED_PROFILE_CAP = 64
 
 
 def ref_pareto(game):
@@ -216,3 +226,67 @@ def test_class_level_concepts_match_the_profile_loops():
             break
     assert games == CLASS_SPECS
     assert excluded >= 1_500
+
+
+def division_pattern(i, n):
+    """Atom i's truth table over n atoms, as one big-integer division."""
+    half = 1 << i
+    block = ((1 << half) - 1) << half
+    return block * (((1 << (1 << n)) - 1) // ((1 << (half << 1)) - 1))
+
+
+def test_atom_patterns_match_the_division_formula():
+    for n in range(1, 17):
+        for i in range(n):
+            assert _atom_pattern.__wrapped__(i, n) == division_pattern(i, n)
+
+
+def test_conditioned_route_matches_the_full_vocabulary():
+    """Agent extensions, joint feasibility and desire reports on world masks
+    against extensions and entailment over the whole vocabulary, in every
+    decision mode."""
+    rng = random.Random(20021001)
+    seen = Counter()
+    for _ in range(CONDITIONED_SPECS):
+        drawn = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                            max_rules=4)
+        owner = drawn.vocabulary.owner
+        if any(owner(name) not in (None, rule.owner)
+               for rule in drawn.all_beliefs()
+               for name in atoms_of(rule.antecedent)):
+            seen["foreign belief antecedent"] += 1
+        for mode in DecisionMode:
+            spec = drawn.with_options(decision_mode=mode)
+            vocabulary = spec.vocabulary.names
+            candidates = []
+            for agent in spec.agents:
+                decisions = enumerate_decisions(spec, agent.id)
+                candidates.append(decisions)
+                for decision in decisions:
+                    got = agent_extension(spec, agent.id, decision)
+                    assert got == extension(
+                        agent.beliefs, frozenset(agent.facts)
+                        | decision.formulas(), atoms=vocabulary,
+                        max_atoms=spec.max_atoms)
+                    seen["agent extensions"] += 1
+                    if len(decision.literals) < len(agent.decision_atoms):
+                        seen[f"free atoms, {mode.value}"] += 1
+            try:
+                game = derive_game(spec, max_profiles=CONDITIONED_PROFILE_CAP)
+            except CombinatorialBoundError:
+                continue
+            feasible = {ep.profile for ep in game.profiles}
+            for combo in product(*candidates):
+                joint = joint_extension(spec, DecisionProfile(combo))
+                assert joint.consistent == consistent(
+                    joint.formulas, atoms=vocabulary)
+                assert joint.consistent == (DecisionProfile(combo) in feasible)
+            for ep in game.profiles:
+                assert ep.report == ref_desire_report(spec, ep.extension)
+                seen[f"desire reports, {mode.value}"] += 1
+    assert seen["foreign belief antecedent"] >= 50
+    assert seen["agent extensions"] >= 6_000
+    for mode in DecisionMode:
+        assert seen[f"desire reports, {mode.value}"] >= 800
+    for mode in (DecisionMode.POSITIVE_SUBSETS, DecisionMode.LITERAL_SUBSETS):
+        assert seen[f"free atoms, {mode.value}"] >= 1_000

@@ -3,6 +3,8 @@
 import random
 from importlib import resources
 
+import bdgame.goals
+import bdgame.verify
 from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
@@ -11,7 +13,8 @@ from bdgame.goals import (apply_decision_rule, goal_set_of, u_closure,
                           unreached_signature)
 from bdgame.verify import (check_extension_laws, check_game_laws,
                            check_heuristic_fragment, check_order_laws,
-                           check_pipeline_equivalence, random_spec)
+                           check_pipeline_equivalence, check_representation,
+                           check_representation_corpus, random_spec)
 
 
 def feasible_games(seed, count, **kwargs):
@@ -147,6 +150,34 @@ def test_heuristic_fragment_containment_is_logged_not_asserted(capsys):
     assert result.passed
     assert result.checked > 0
     print(f"heuristic fragment containment: {result.details}")
+
+
+def test_checks_that_examine_nothing_do_not_pass(monkeypatch):
+    spec = parse_spec("agent x {\n  fact p\n  belief true => !p\n}\n"
+                      "world p\n")
+    for result in (check_representation(spec),
+                   check_pipeline_equivalence(spec)):
+        assert not result.passed and result.checked == 0
+        assert "nothing to check: no feasible profile" in str(result)
+    monkeypatch.setattr(bdgame.goals, "fragment_check", lambda spec: False)
+    result = check_heuristic_fragment(seed=55, samples=5)
+    assert not result.passed and result.checked == 0
+
+
+def test_representation_corpus_skips_specs_without_feasible_profiles(
+        monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(check_representation(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bdgame.verify, "check_representation", recording)
+    corpus = check_representation_corpus(seed=3, samples=10,
+                                         exhaustive=False)
+    assert corpus.passed and corpus.checked == 10
+    skipped = [r for r in results if not r.checked]
+    assert len(results) == 11 and len(skipped) == 1
 
 
 def test_equal_specs_hash_equal():
