@@ -32,7 +32,7 @@ from .game import (CONCEPTS, GameSpecification, agent_extensions,
                    derive_game, evaluate_product, evaluate_profile)
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
-                    delta_goal_sets, goal_set_of, pareto_via_goals, u_closure)
+                    delta_goal_sets, pareto_via_goals, u_closure)
 from .logic import DEFAULT_MAX_ATOMS, format_formula, parse_literal
 from .model import (AgentSystemSpec, DecisionMode, parse_spec, validate_spec)
 from .verify import (check_monotonicity, check_order_laws,
@@ -212,8 +212,12 @@ def _max_atoms(flag: int | None) -> int | None:
 
 
 def _load(config: RunConfig, out: _Reporter) -> AgentSystemSpec:
-    with open(config.path, encoding="utf-8") as handle:
-        spec = parse_spec(handle.read())
+    try:
+        with open(config.path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise BdgameError(f"{config.path} is not UTF-8 text: {exc}") from None
+    spec = parse_spec(text)
     mode = DecisionMode(config.decision_mode) if config.decision_mode else None
     return spec.with_options(decision_mode=mode,
                              max_atoms=_max_atoms(config.max_atoms))
@@ -232,6 +236,7 @@ def _require_valid(spec: AgentSystemSpec) -> None:
 
 def _cmd_validate(spec: AgentSystemSpec, config: RunConfig,
                   out: _Reporter) -> int:
+    spec.check_atom_cap()
     violations = validate_spec(spec)
     if not violations:
         out.text(f"{spec.name}: OK")
@@ -248,6 +253,8 @@ def _cmd_validate(spec: AgentSystemSpec, config: RunConfig,
 
 def _parse_decision(spec: AgentSystemSpec, agent_id: str,
                     text: str | None) -> Decision:
+    if agent_id not in spec.agent_ids:
+        raise BdgameError(f"no agent '{agent_id}' in {spec.name}")
     agent = spec.agent(agent_id)
     if text is None:
         return Decision(agent_id, frozenset(agent.initial_decision))
@@ -368,13 +375,10 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                                 infeasible_swaps=config.infeasible_swaps)
         label = f"{family_name} family"
     goal_sets = delta_goal_sets(spec, family, game=game)
-    members = set(family.profiles)
-    family_indexes = [i for i, ep in enumerate(game.profiles)
-                      if ep.profile in members]
+    family_indexes = sorted(map(game.index_of, family.profiles))
     generators = {gs: [] for gs in goal_sets}
     for i in family_indexes:
-        generators[goal_set_of(spec, game.profiles[i].profile,
-                               game=game)].append(i)
+        generators[game.goal_sets[i]].append(i)
     out.text(f"{label}: {len(family.profiles)} profiles, "
              f"{len(goal_sets)} goal sets")
     for i in family_indexes:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import VocabularyLimitError
 from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, Literal, atoms_of,
-                    conditioned_models, entails)
+                    conditioned_models, consistent_literals, entails)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
     the fixed ones are left free by the theory and quantified universally.
     Every formula that enters the theory (the base and fired consequents)
     must therefore be over ``atoms`` and the fixed atoms; one that is not
-    raises UndeclaredAtomError.
+    raises UndeclaredAtomError.  Fixed literals with both polarities of an
+    atom have no model: the theory is inconsistent and every rule fires.
     """
     rules = tuple(rules)
     values = {lit.atom: lit.positive for lit in fixed}
@@ -115,7 +116,8 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
     def premise(f: Formula) -> int:
         return conditioned_models(f, values, universe, quantify=False)
 
-    theory = full = premise(TRUE)
+    full = premise(TRUE)
+    theory = full if consistent_literals(fixed) else 0
     # Where each antecedent fails: the theory entails it iff they are apart.
     failing = tuple(full ^ conditioned_models(r.antecedent, values, universe)
                     for r in rules)

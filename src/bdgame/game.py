@@ -30,6 +30,7 @@ from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
                        set_geq)
 from .errors import CombinatorialBoundError
 from .extension import Extension
+from .logic import Formula, format_formula
 from .model import AgentSystemSpec
 
 SKIP = "skip"
@@ -40,6 +41,24 @@ STRONG_PARETO = "strong-pareto"
 DOMINANT = "dominant"
 NASH = "nash"
 CONCEPTS = (PARETO, STRONG_PARETO, DOMINANT, NASH)
+
+
+@dataclass(frozen=True)
+class GoalSet:
+    """Positive goals the extension must entail; negative goals it must not."""
+
+    positive: frozenset[Formula]
+    negative: frozenset[Formula]
+
+    def __str__(self) -> str:
+        pos, neg = map(", ".join, goal_set_key(self))
+        return f"<+{{{pos}}}, -{{{neg}}}>"
+
+
+def goal_set_key(gs: GoalSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The goal set's formulas, printed and sorted: the canonical order."""
+    return (tuple(sorted(format_formula(f) for f in gs.positive)),
+            tuple(sorted(format_formula(f) for f in gs.negative)))
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,19 @@ class GameSpecification:
         for i, c in enumerate(self.class_ids):
             members[c].append(i)
         return tuple(map(tuple, members))
+
+    @cached_property
+    def goal_sets(self) -> tuple[GoalSet, ...]:
+        """Each profile's goal set, read off its desire report: the
+        consequents of the desires it reaches and the antecedents of those
+        it leaves inapplicable, over every agent's desires."""
+        rules = [(a.id, r) for a in self.spec.agents for r in a.desires]
+        return tuple(GoalSet(
+            frozenset(r.consequent for a, r in rules
+                      if r.id in ep.report.per_agent[a].reached),
+            frozenset(r.antecedent for a, r in rules
+                      if r.id in ep.report.per_agent[a].inapplicable))
+            for ep in self.profiles)
 
     def unreached(self, index: int, agent_id: str) -> frozenset[str]:
         report = self.profiles[index].report

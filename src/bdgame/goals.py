@@ -7,6 +7,10 @@ desires never triggered.  Goal sets are defined per indistinguishability
 class, so the machinery here works on U-closed families: sets of feasible
 profiles closed under equality of per-agent unreached sets.
 
+Everything here reads the game: its goal-set table (``goal_sets``) and
+its classes (``class_ids``).  Called without a game, a function derives
+one; a profile outside the game raises InfeasibleProfileError.
+
 The two representation checks verify, by brute force, that membership in a
 U-closed family and being goal-based for one of its goal sets are the same
 thing, and that feasibility alone is captured by the goal sets of singleton
@@ -19,13 +23,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .decision import DecisionProfile, DesireReport
+from .decision import DecisionProfile
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
-from .game import (EvaluatedProfile, GameSpecification, derive_game,
-                   evaluate_profile, nash, pareto, solve)
-from .logic import Formula, entails, format_formula, in_sublanguage
+from .game import (EvaluatedProfile, GameSpecification, GoalSet, derive_game,
+                   goal_set_key, nash, pareto, solve)
+from .logic import Formula, entails, in_sublanguage
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -33,19 +37,6 @@ DEFAULT_SUBSET_CAP = 16
 BD_RATIONAL = "bd-rational"
 NASH_ELSE_PARETO = "nash-else-pareto"
 DECISION_RULES = (BD_RATIONAL, NASH_ELSE_PARETO)
-
-
-@dataclass(frozen=True)
-class GoalSet:
-    """Positive goals the extension must entail; negative goals it must not."""
-
-    positive: frozenset[Formula]
-    negative: frozenset[Formula]
-
-    def __str__(self) -> str:
-        pos = ", ".join(sorted(format_formula(f) for f in self.positive))
-        neg = ", ".join(sorted(format_formula(f) for f in self.negative))
-        return f"<+{{{pos}}}, -{{{neg}}}>"
 
 
 @dataclass(frozen=True)
@@ -59,35 +50,26 @@ class ProfileFamily:
     profiles: tuple[DecisionProfile, ...]
     u_closed: bool = False
 
-    def __contains__(self, profile: DecisionProfile) -> bool:
-        return profile in self.profiles
 
-    def __len__(self) -> int:
-        return len(self.profiles)
+def _sorted_goal_sets(goal_sets: Iterable[GoalSet]) -> tuple[GoalSet, ...]:
+    return tuple(sorted(dict.fromkeys(goal_sets), key=goal_set_key))
 
 
-def goal_set_key(gs: GoalSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (tuple(sorted(format_formula(f) for f in gs.positive)),
-            tuple(sorted(format_formula(f) for f in gs.negative)))
+def _index(game: GameSpecification, profile: DecisionProfile) -> int:
+    index = game.index_of(profile)
+    if index is None:
+        raise InfeasibleProfileError(
+            f"profile {profile} is not a feasible profile of the game")
+    return index
 
 
-def unreached_signature(spec: AgentSystemSpec,
-                        report: DesireReport) -> tuple:
-    """Hashable per-agent unreached-set tuple; equal iff indistinguishable."""
-    return tuple((a.id, tuple(sorted(report.unreached(a.id))))
-                 for a in spec.agents)
-
-
-def _evaluated(spec: AgentSystemSpec, profile: DecisionProfile,
-               game: GameSpecification | None) -> EvaluatedProfile:
-    """The game's evaluation of a feasible profile, or a fresh one when the
-    profile is not in the game (or no game is at hand)."""
-    index = None if game is None else game.index_of(profile)
-    ep = (evaluate_profile(spec, profile) if index is None
-          else game.profiles[index])
-    if ep.report is None:
-        raise InfeasibleProfileError(f"profile {profile} is infeasible")
-    return ep
+def _closure(game: GameSpecification,
+             indexes: Iterable[int]) -> ProfileFamily:
+    """The union of the classes of the indexed profiles."""
+    wanted = {game.class_ids[i] for i in indexes}
+    return ProfileFamily(
+        tuple(ep.profile for ep, c in zip(game.profiles, game.class_ids)
+              if c in wanted), u_closed=True)
 
 
 def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
@@ -96,30 +78,12 @@ def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
 
     Two feasible profiles are indistinguishable when every agent has the
     same unreached set in both.  That is an equivalence, so the closure is
-    the union of the members' classes within the feasible profiles; one
-    pass suffices and the result follows the canonical profile order.
+    the union of the members' classes (``game.class_ids``); the result
+    follows the canonical profile order.
     """
-    members = list(family)
     if game is None:
         game = derive_game(spec)
-    wanted = {unreached_signature(spec, _evaluated(spec, p, game).report)
-              for p in members}
-    closed = tuple(
-        ep.profile for ep in game.profiles
-        if unreached_signature(spec, ep.report) in wanted)
-    return ProfileFamily(closed, u_closed=True)
-
-
-def _goal_set(spec: AgentSystemSpec, report: DesireReport) -> GoalSet:
-    positive, negative = set(), set()
-    for agent in spec.agents:
-        status = report.per_agent[agent.id]
-        for rule in agent.desires:
-            if rule.id in status.reached:
-                positive.add(rule.consequent)
-            elif rule.id in status.inapplicable:
-                negative.add(rule.antecedent)
-    return GoalSet(frozenset(positive), frozenset(negative))
+    return _closure(game, (_index(game, p) for p in family))
 
 
 def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile, *,
@@ -129,9 +93,11 @@ def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile, *,
     Desires of every agent contribute: positive goals are consequents of
     jointly reached desires, negative goals are antecedents the extension
     does not entail.  Unreached-but-triggered desires contribute nothing.
-    Read off the profile's desire report (from ``game`` when given).
+    Read off the game's goal-set table (``GameSpecification.goal_sets``).
     """
-    return _goal_set(spec, _evaluated(spec, profile, game).report)
+    if game is None:
+        game = derive_game(spec)
+    return game.goal_sets[_index(game, profile)]
 
 
 def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
@@ -141,24 +107,32 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
     if not family.u_closed:
         raise NotUClosedError(
             "goal sets are defined per U-closed family; close it first")
-    seen: dict[GoalSet, None] = {}
-    for profile in family.profiles:
-        seen.setdefault(goal_set_of(spec, profile, game=game))
-    return tuple(sorted(seen, key=goal_set_key))
+    if game is None:
+        game = derive_game(spec)
+    return _sorted_goal_sets(
+        game.goal_sets[_index(game, p)] for p in family.profiles)
 
 
-def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
-                  goals: GoalSet, *,
-                  game: GameSpecification | None = None) -> bool:
-    """The joint extension entails every positive goal and no negative goal
-    (decided by entailment, independently of the desire reports)."""
-    theory = _evaluated(spec, profile, game).extension.formulas
+def _goal_based(spec: AgentSystemSpec, ep: EvaluatedProfile,
+                goals: GoalSet) -> bool:
+    theory = ep.extension.formulas
     atoms = spec.vocabulary.names
     return (all(entails(theory, g, atoms=atoms, max_atoms=spec.max_atoms)
                 for g in goals.positive)
             and not any(entails(theory, g, atoms=atoms,
                                 max_atoms=spec.max_atoms)
                         for g in goals.negative))
+
+
+def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
+                  goals: GoalSet, *,
+                  game: GameSpecification | None = None) -> bool:
+    """The joint extension entails every positive goal and no negative goal
+    (decided by entailment over the whole vocabulary, independently of the
+    desire reports)."""
+    if game is None:
+        game = derive_game(spec)
+    return _goal_based(spec, game.profiles[_index(game, profile)], goals)
 
 
 def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
@@ -188,9 +162,8 @@ def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
 def syntactic_goal_sets(spec: AgentSystemSpec, *,
                         max_subset_rules: int = DEFAULT_SUBSET_CAP
                         ) -> tuple[GoalSet, ...]:
-    return tuple(sorted(
-        iter_syntactic_goal_sets(spec, max_subset_rules=max_subset_rules),
-        key=goal_set_key))
+    return _sorted_goal_sets(
+        iter_syntactic_goal_sets(spec, max_subset_rules=max_subset_rules))
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +206,18 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
         raise NotUClosedError("representation requires a U-closed family")
     if game is None:
         game = derive_game(spec)
+    members = [_index(game, p) for p in family.profiles]
     violations: list[RepresentationViolation] = []
-    for profile in family.profiles:
-        gs = goal_set_of(spec, profile, game=game)
-        if not is_goal_based(spec, profile, gs, game=game):
+    for i in members:
+        ep, gs = game.profiles[i], game.goal_sets[i]
+        if not _goal_based(spec, ep, gs):
             violations.append(RepresentationViolation(
-                "member-without-goal-set", profile, gs,
-                f"{profile} is not goal-based for its own goal set {gs}"))
-    goal_sets = set(delta_goal_sets(spec, family, game=game))
-    members = set(family.profiles)
-    for ep in game.profiles:
-        if ep.profile in members:
-            continue
-        gs = _goal_set(spec, ep.report)
-        if gs in goal_sets:
+                "member-without-goal-set", ep.profile, gs,
+                f"{ep.profile} is not goal-based for its own goal set {gs}"))
+    goal_sets = {game.goal_sets[i] for i in members}
+    inside = set(members)
+    for i, (ep, gs) in enumerate(zip(game.profiles, game.goal_sets)):
+        if i not in inside and gs in goal_sets:
             violations.append(RepresentationViolation(
                 "goal-based-outside-family", ep.profile, gs,
                 f"{ep.profile} generates the family goal set {gs} but is "
@@ -268,15 +239,13 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
         game = derive_game(spec)
     violations: list[RepresentationViolation] = []
     for members in game.classes:
-        profiles = tuple(game.profiles[i].profile for i in members)
-        family = ProfileFamily(profiles, u_closed=True)
-        goal_sets = delta_goal_sets(spec, family, game=game)
-        for profile in profiles:
-            if not any(is_goal_based(spec, profile, gs, game=game)
-                       for gs in goal_sets):
+        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
+        for i in members:
+            ep = game.profiles[i]
+            if not any(_goal_based(spec, ep, gs) for gs in goal_sets):
                 violations.append(RepresentationViolation(
-                    "member-without-goal-set", profile, None,
-                    f"{profile} is not goal-based for any goal set of its "
+                    "member-without-goal-set", ep.profile, None,
+                    f"{ep.profile} is not goal-based for any goal set of its "
                     f"indistinguishability class"))
     return CheckReport(not violations, tuple(violations))
 
@@ -301,8 +270,7 @@ def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
         picked = nash(game).profile_indexes or pareto(game).profile_indexes
     else:
         raise ValueError(f"unknown decision rule '{rule_name}'")
-    members = [game.profiles[i].profile for i in picked]
-    return u_closure(spec, members, game=game)
+    return _closure(game, picked)
 
 
 def concept_family(spec: AgentSystemSpec, concept: str, *,
@@ -312,11 +280,9 @@ def concept_family(spec: AgentSystemSpec, concept: str, *,
     if game is None:
         game = derive_game(spec)
     if concept == "all":
-        return ProfileFamily(tuple(ep.profile for ep in game.profiles),
-                             u_closed=True)
+        return _closure(game, range(len(game.profiles)))
     report = solve(game, concept, infeasible_swaps=infeasible_swaps)
-    members = [game.profiles[i].profile for i in report.profile_indexes]
-    return u_closure(spec, members, game=game)
+    return _closure(game, report.profile_indexes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +318,14 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
         game = derive_game(spec)
     desire_consequents = {r.consequent for r in spec.all_desires()}
     desire_antecedents = {r.antecedent for r in spec.all_desires()}
-    own = [_goal_set(spec, ep.report) for ep in game.profiles]
-    realized = set(own)
-    for gs in realized:
+    feasible_goal_sets = _sorted_goal_sets(game.goal_sets)
+    for gs in feasible_goal_sets:
         assert gs.positive <= desire_consequents
         assert gs.negative <= desire_antecedents
-    feasible_goal_sets = tuple(sorted(realized, key=goal_set_key))
     pool = tuple(
         i for i, ep in enumerate(game.profiles)
-        if any(is_goal_based(spec, ep.profile, gs, game=game)
-               for gs in (own[i], *feasible_goal_sets)))
+        if any(_goal_based(spec, ep, gs)
+               for gs in (game.goal_sets[i], *feasible_goal_sets)))
     agents = spec.agent_ids
 
     def improves(first: int, second: int) -> bool:
@@ -369,11 +333,10 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
 
     best = [i for i in pool
             if not any(improves(j, i) for j in pool if j != i)]
-    members = [game.profiles[i].profile for i in best]
     return GoalsFirstResult(
         feasible_goal_sets=feasible_goal_sets,
         pool=pool,
-        pareto_family=u_closure(spec, members, game=game),
+        pareto_family=_closure(game, best),
     )
 
 

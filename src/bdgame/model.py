@@ -100,6 +100,13 @@ class AgentSystemSpec:
     def agent_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.agents)
 
+    def check_atom_cap(self) -> None:
+        """Refuse a declared vocabulary larger than the atom cap."""
+        if len(self.vocabulary) > self.max_atoms:
+            raise VocabularyLimitError(
+                f"{len(self.vocabulary)} atoms exceed the enumeration bound "
+                f"of {self.max_atoms}")
+
     @cached_property
     def mask_atoms(self) -> tuple[str, ...]:
         """The world atoms: the universe of the solver's model masks.
@@ -108,10 +115,7 @@ class AgentSystemSpec:
         facts or belief consequents mention decision atoms is refused:
         masks over the world atoms would answer it wrongly.
         """
-        if len(self.vocabulary) > self.max_atoms:
-            raise VocabularyLimitError(
-                f"{len(self.vocabulary)} atoms exceed the enumeration bound "
-                f"of {self.max_atoms}")
+        self.check_atom_cap()
         for agent in self.agents:
             for f in agent.facts + tuple(r.consequent for r in agent.beliefs):
                 if not in_sublanguage(f, self.vocabulary, "world"):

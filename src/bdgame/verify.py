@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 from .decision import set_geq, set_preference
 from .extension import Rule, extension, fixpoint_certificate
 from .game import derive_game, dominant, nash, pareto, strongly_pareto
-from .goals import (feasible_representation_check, goal_set_of,
-                    heuristic_goals, pareto_via_goals, representation_check,
-                    u_closure)
+from .goals import (ProfileFamily, concept_family,
+                    feasible_representation_check, heuristic_goals,
+                    pareto_via_goals, representation_check, u_closure)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, atoms_of,
                     entails)
 from .model import (IDENTITY, RANKED, AgentSpec, AgentSystemSpec,
@@ -350,19 +350,19 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
                          family_samples: int = 5) -> CheckResult:
     """Both representation directions on one specification.
 
-    Families checked: every singleton closure, the full feasible family,
-    and closures of seeded random subsets of the feasible profiles.  A spec
+    Families checked: every singleton closure (one per feasible profile:
+    its indistinguishability class), the full feasible family, and
+    closures of seeded random subsets of the feasible profiles.  A spec
     without a feasible profile has none of them, and fails: a check that
     examined nothing does not pass.
     """
-    from .goals import ProfileFamily
-
     rng = random.Random(seed)
     game = derive_game(spec)
     if not game.profiles:
         return CheckResult("representation", False, 0, NOTHING_TO_CHECK)
     feasible = [ep.profile for ep in game.profiles]
-    families = [u_closure(spec, [p], game=game) for p in feasible]
+    families = [ProfileFamily(tuple(feasible[i] for i in game.classes[c]),
+                              u_closed=True) for c in game.class_ids]
     families.append(ProfileFamily(tuple(feasible), u_closed=True))
     for _ in range(family_samples):
         subset = rng.sample(feasible, rng.randint(1, len(feasible)))
@@ -432,10 +432,7 @@ def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
     game = derive_game(spec)
     if not game.profiles:
         return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
-    direct = pareto(game)
-    closed = u_closure(
-        spec, [game.profiles[i].profile for i in direct.profile_indexes],
-        game=game)
+    closed = concept_family(spec, "pareto", game=game)
     via = pareto_via_goals(spec, game=game)
     if set(closed.profiles) != set(via.pareto_family.profiles):
         return CheckResult(
@@ -494,8 +491,7 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
         pool = heuristic_goals(spec)
         game = derive_game(spec)
         ok = True
-        for ep in game.profiles:
-            gs = goal_set_of(spec, ep.profile)
+        for gs in game.goal_sets:
             for goal in gs.positive:
                 if not entails(pool, goal, atoms=spec.vocabulary.names,
                                max_atoms=spec.max_atoms):

@@ -62,6 +62,27 @@ def test_extension_of_initial_decision_by_default():
     assert "{!p, a}" in result.stdout
 
 
+def test_contradictory_decision_is_inconsistent(capsys):
+    # Both polarities of an atom have no model: every belief fires.
+    assert main(["extension", "--agent", "alpha1", "--decision", "a,!a",
+                 fixture("cooperation")]) == 0
+    assert capsys.readouterr().out == (
+        "extension for alpha1, decision {a, !a}:\n"
+        "  {!a, !p & q, a, p}\n"
+        "  INCONSISTENT; 1 productive rounds\n")
+
+
+def test_bad_input_is_an_input_error_without_traceback(tmp_path):
+    latin1 = tmp_path / "latin1.bdg"
+    latin1.write_bytes("agent x {\n  atoms a\n}\n# café\n".encode("latin-1"))
+    for argv in (["extension", "--agent", "nosuch", fixture("cooperation")],
+                 ["validate", str(latin1)]):
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert result.stderr.startswith("bdgame: "), result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_validate_ok_and_error_exit_codes(tmp_path):
     ok = run_cli("validate", fixture("cooperation"))
     assert ok.returncode == 0
@@ -363,3 +384,12 @@ def test_wide_vocabulary_solves_on_world_masks(monkeypatch, capsys):
     assert len(game.profiles) == 576
     for ep in game.profiles:
         assert ep.extension.models.bit_length() <= 2 ** world
+
+
+def test_validate_applies_the_atom_cap(monkeypatch, capsys):
+    monkeypatch.delenv("BDGAME_MAX_ATOMS", raising=False)
+    assert main(["validate", str(WIDE_SPEC)]) == 2
+    assert "26 atoms exceed the enumeration bound of 24" in \
+        capsys.readouterr().err
+    assert main(["validate", "--max-atoms", "32", str(WIDE_SPEC)]) == 0
+    assert capsys.readouterr().out == "wide vocabulary: OK\n"

@@ -11,21 +11,30 @@ profiles, solves the three exclusion concepts on indistinguishability
 classes through one shared loop, and reads goal sets off the desire
 reports; all of it must agree with these references on every extension,
 report, index, witness and goal set.
+
+The goals layer reads the game's goal-set table and closes families by
+class id.  Its reference is the older route: closure by per-agent
+unreached-set signatures, goal sets read off a fresh desire report of each
+profile, and the representation loops over profiles.
 """
 
 import random
 from collections import Counter
 from itertools import product
 
-from bdgame.decision import (AgentDesireStatus, DecisionProfile, DesireReport,
-                             agent_extension, enumerate_decisions,
-                             joint_extension)
+from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
+                             DesireReport, agent_extension, desire_report,
+                             enumerate_decisions, joint_extension)
 from bdgame.errors import CombinatorialBoundError
 from bdgame.extension import extension
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
-from bdgame.goals import GoalSet, goal_set_of
-from bdgame.logic import And, Not, _atom_pattern, atoms_of, consistent, entails
+from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
+                          delta_goal_sets, feasible_representation_check,
+                          goal_set_key, goal_set_of, representation_check,
+                          u_closure)
+from bdgame.logic import (And, Not, _atom_pattern, atoms_of, consistent,
+                          entails, literal_sort_key)
 from bdgame.model import DecisionMode
 from bdgame.verify import random_spec
 
@@ -36,6 +45,8 @@ CLASS_SPECS = 5  # games of 128 or more profiles in 16 to P/4 classes
 CLASS_PROFILE_CAP = 256
 CONDITIONED_SPECS = 150  # each in all three decision modes
 CONDITIONED_PROFILE_CAP = 64
+GOALS_SPECS = 60
+GOALS_PROFILE_CAP = 64
 
 
 def ref_pareto(game):
@@ -271,6 +282,18 @@ def test_conditioned_route_matches_the_full_vocabulary():
                     seen["agent extensions"] += 1
                     if len(decision.literals) < len(agent.decision_atoms):
                         seen[f"free atoms, {mode.value}"] += 1
+                # Both polarities of an atom: no model, every belief fires.
+                widest = max(decisions, key=lambda d: len(d.literals))
+                for lit in sorted(widest.literals, key=literal_sort_key):
+                    clash = Decision(agent.id,
+                                     widest.literals | {lit.negated()})
+                    got = agent_extension(spec, agent.id, clash)
+                    assert got == extension(
+                        agent.beliefs, frozenset(agent.facts)
+                        | clash.formulas(), atoms=vocabulary,
+                        max_atoms=spec.max_atoms)
+                    assert not got.consistent
+                    seen["contradictory decisions"] += 1
             try:
                 game = derive_game(spec, max_profiles=CONDITIONED_PROFILE_CAP)
             except CombinatorialBoundError:
@@ -286,7 +309,140 @@ def test_conditioned_route_matches_the_full_vocabulary():
                 seen[f"desire reports, {mode.value}"] += 1
     assert seen["foreign belief antecedent"] >= 50
     assert seen["agent extensions"] >= 6_000
+    assert seen["contradictory decisions"] >= 1_000
     for mode in DecisionMode:
         assert seen[f"desire reports, {mode.value}"] >= 800
     for mode in (DecisionMode.POSITIVE_SUBSETS, DecisionMode.LITERAL_SUBSETS):
         assert seen[f"free atoms, {mode.value}"] >= 1_000
+
+
+class RefGoals:
+    """The goals layer as it was: closure by unreached-set signatures, goal
+    sets read off a fresh desire report of each profile, goal-basedness by
+    entailment on a fresh joint extension, and the representation loops
+    over profiles.  Signatures and goal sets are built once per profile."""
+
+    def __init__(self, spec, game):
+        self.spec, self.game = spec, game
+        self.ext, self.signature, self.goal_set = {}, {}, {}
+        for ep in game.profiles:
+            ext = joint_extension(spec, ep.profile)
+            report = desire_report(spec, ep.profile, ext)
+            self.ext[ep.profile] = ext
+            self.signature[ep.profile] = tuple(
+                (a.id, tuple(sorted(report.unreached(a.id))))
+                for a in spec.agents)
+            positive, negative = set(), set()
+            for agent in spec.agents:
+                status = report.per_agent[agent.id]
+                for rule in agent.desires:
+                    if rule.id in status.reached:
+                        positive.add(rule.consequent)
+                    elif rule.id in status.inapplicable:
+                        negative.add(rule.antecedent)
+            self.goal_set[ep.profile] = GoalSet(frozenset(positive),
+                                                frozenset(negative))
+
+    def goal_based(self, profile, goals):
+        theory = self.ext[profile].formulas
+        atoms = self.spec.vocabulary.names
+
+        def holds(goal):
+            return entails(theory, goal, atoms=atoms,
+                           max_atoms=self.spec.max_atoms)
+        return (all(map(holds, goals.positive))
+                and not any(map(holds, goals.negative)))
+
+    def closure(self, members):
+        wanted = {self.signature[p] for p in members}
+        return tuple(ep.profile for ep in self.game.profiles
+                     if self.signature[ep.profile] in wanted)
+
+    def goal_sets(self, profiles):
+        seen = dict.fromkeys(self.goal_set[p] for p in profiles)
+        return tuple(sorted(seen, key=goal_set_key))
+
+    def representation(self, profiles):
+        violations = []
+        for p in profiles:
+            gs = self.goal_set[p]
+            if not self.goal_based(p, gs):
+                violations.append(RepresentationViolation(
+                    "member-without-goal-set", p, gs,
+                    f"{p} is not goal-based for its own goal set {gs}"))
+        goal_sets, members = set(self.goal_sets(profiles)), set(profiles)
+        for ep in self.game.profiles:
+            if ep.profile in members:
+                continue
+            gs = self.goal_set[ep.profile]
+            if gs in goal_sets:
+                violations.append(RepresentationViolation(
+                    "goal-based-outside-family", ep.profile, gs,
+                    f"{ep.profile} generates the family goal set {gs} but "
+                    f"is missing from the family"))
+        return tuple(violations)
+
+    def feasible_representation(self):
+        classes = {}
+        for ep in self.game.profiles:
+            classes.setdefault(self.signature[ep.profile], []).append(
+                ep.profile)
+        violations = []
+        for members in classes.values():
+            goal_sets = self.goal_sets(members)
+            for p in members:
+                if not any(self.goal_based(p, gs) for gs in goal_sets):
+                    violations.append(RepresentationViolation(
+                        "member-without-goal-set", p, None,
+                        f"{p} is not goal-based for any goal set of its "
+                        f"indistinguishability class"))
+        return tuple(violations)
+
+
+def test_goals_layer_matches_the_profile_route():
+    """Closures, goal sets and both representation checks on the game's
+    tables against the signature route, on closed families and on families
+    flagged closed that are not, so that direction (b) fires."""
+    rng = random.Random(20021018)
+    seen = Counter()
+    while seen["games"] < GOALS_SPECS:
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                           max_rules=4)
+        try:
+            game = derive_game(spec, max_profiles=GOALS_PROFILE_CAP)
+        except CombinatorialBoundError:
+            continue
+        if not game.profiles:
+            continue
+        seen["games"] += 1
+        ref = RefGoals(spec, game)
+        feasible = [ep.profile for ep in game.profiles]
+        drawn = [rng.sample(feasible, rng.randint(1, len(feasible)))
+                 for _ in range(4)]
+        families = [ProfileFamily(tuple(subset), u_closed=True)
+                    for subset in drawn]  # flagged closed, often not
+        for subset in [[p] for p in feasible] + [feasible] + drawn:
+            closed = u_closure(spec, subset, game=game)
+            assert closed.u_closed
+            assert closed.profiles == ref.closure(subset)
+            assert delta_goal_sets(spec, closed, game=game) == \
+                ref.goal_sets(closed.profiles)
+            families.append(closed)
+        for family in families:
+            got = representation_check(spec, family, game=game)
+            expected = ref.representation(family.profiles)
+            assert got.violations == expected
+            assert got.passed == (not expected)
+            seen["families"] += 1
+            seen["outside the family"] += len(expected)
+        assert feasible_representation_check(spec, game=game).violations \
+            == ref.feasible_representation()
+        # Called without a game, each derives one; the answers are the same.
+        assert u_closure(spec, drawn[0]).profiles == ref.closure(drawn[0])
+        assert goal_set_of(spec, feasible[-1]) == ref.goal_set[feasible[-1]]
+        for members in game.classes:
+            if len({ref.goal_set[feasible[i]] for i in members}) > 1:
+                seen["classes with several goal sets"] += 1
+    assert seen["families"] >= 1_500
+    assert seen["outside the family"] >= 1_000
+    assert seen["classes with several goal sets"] >= 25

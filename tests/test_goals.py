@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import bdgame.game
 from bdgame.decision import desire_report
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
@@ -12,6 +15,7 @@ from bdgame.goals import (GoalSet, ProfileFamily, apply_decision_rule,
                           syntactic_goal_sets, u_closure)
 from bdgame.logic import TRUE, And, Not, Var, parse_formula
 from bdgame.model import parse_spec
+from bdgame.verify import check_representation, random_spec
 
 from conftest import profile
 
@@ -187,6 +191,33 @@ def test_feasible_representation_on_fixtures(
     for spec in (single_agent_priorities, interdependence, cooperation,
                  prisoners, opposed_interests):
         assert feasible_representation_check(spec).passed
+
+
+def test_each_goal_set_is_built_once_per_game(monkeypatch):
+    rng = random.Random(11)
+    while True:
+        spec = random_spec(rng, max_agents=3)
+        game = derive_game(spec)
+        if len(game.profiles) >= 16 and len(game.classes) < len(game.profiles):
+            break
+    built = []
+
+    def counting(positive, negative):
+        built.append(positive)
+        return GoalSet(positive, negative)
+
+    monkeypatch.setattr(bdgame.game, "GoalSet", counting)
+    assert check_representation(spec).passed  # derives a game of its own
+    assert len(built) == len(game.profiles)
+    built.clear()
+    everything = ProfileFamily(tuple(ep.profile for ep in game.profiles),
+                               u_closed=True)
+    assert representation_check(spec, everything, game=game).passed
+    assert feasible_representation_check(spec, game=game).passed
+    pareto_via_goals(spec, game=game)
+    for ep in game.profiles:
+        goal_set_of(spec, ep.profile, game=game)
+    assert len(built) == len(game.profiles)
 
 
 def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):

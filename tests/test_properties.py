@@ -9,12 +9,17 @@ from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
 from bdgame.game import derive_game, nash, pareto
-from bdgame.goals import (apply_decision_rule, goal_set_of, u_closure,
-                          unreached_signature)
+from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
 from bdgame.verify import (check_extension_laws, check_game_laws,
                            check_heuristic_fragment, check_order_laws,
                            check_pipeline_equivalence, check_representation,
                            check_representation_corpus, random_spec)
+
+
+def unreached_signature(spec, report):
+    """Hashable per-agent unreached-set tuple; equal iff indistinguishable."""
+    return tuple((a.id, tuple(sorted(report.unreached(a.id))))
+                 for a in spec.agents)
 
 
 def feasible_games(seed, count, **kwargs):
