@@ -122,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_goals = sub.add_parser("goals", parents=[common],
                              help="goal sets of a profile family")
     p_goals.add_argument("--family", choices=CONCEPTS + ("all",),
-                         default="all",
                          help="which family to close and report (default all)")
     p_goals.add_argument("--all", action="store_true",
                          help="shorthand for --family all")
@@ -359,7 +358,8 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
     game = derive_game(spec, max_decisions=config.max_decisions,
                        max_profiles=config.max_profiles)
     if rule_name is not None:
-        family = apply_decision_rule(spec, rule_name, game=game)
+        family = apply_decision_rule(spec, rule_name, game=game,
+                                     infeasible_swaps=config.infeasible_swaps)
         label = f"decision rule {rule_name}"
     elif via_goals:
         if family_name not in ("pareto", "all"):
@@ -392,6 +392,20 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                     "generators": generators[gs]}
                    for gs in goal_sets]))
     return EXIT_OK
+
+
+def _goals_family(args: argparse.Namespace) -> str:
+    """The family ``goals`` reports; flags it would ignore are refused."""
+    if args.rule is not None:
+        for flag, given in (("--family", args.family is not None),
+                            ("--all", args.all),
+                            ("--via-goals", args.via_goals)):
+            if given:
+                raise BdgameError(f"--rule selects its own family; "
+                                  f"drop {flag}")
+    if args.all and args.family is not None:
+        raise BdgameError("--all is short for --family all; give one of them")
+    return args.family or "all"
 
 
 def _cmd_check(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
@@ -441,9 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return _cmd_solve(spec, config, out, args.concept)
         if args.command == "goals":
-            family = "all" if args.all else args.family
-            return _cmd_goals(spec, config, out, family, args.via_goals,
-                              args.rule)
+            return _cmd_goals(spec, config, out, _goals_family(args),
+                              args.via_goals, args.rule)
         if args.command == "check":
             return _cmd_check(spec, config, out, getattr(args, "property"))
         raise AssertionError(f"unhandled command {args.command}")

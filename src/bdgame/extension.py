@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import VocabularyLimitError
-from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, Literal, atoms_of,
-                    conditioned_models, consistent_literals, entails)
+from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, Literal, _universe,
+                    conditioned_models, consistent_literals, mask_entails,
+                    models)
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,18 @@ class Extension:
         return self.base | self.derived
 
 
-def _rule_universe(rules: Iterable[Rule], base: Iterable[Formula],
-                   atoms: Sequence[str] | None) -> tuple[str, ...]:
-    if atoms is not None:
-        return tuple(atoms)
-    names: set[str] = set()
-    for r in rules:
-        names |= atoms_of(r.antecedent) | atoms_of(r.consequent)
-    for f in base:
-        names |= atoms_of(f)
-    return tuple(sorted(names))
-
-
 def applicable_consequents(rules: Iterable[Rule], theory: Iterable[Formula], *,
                            atoms: Sequence[str] | None = None,
                            max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[Formula]:
     """Consequents of the rules whose antecedent the theory entails."""
     theory = tuple(theory)
     rules = tuple(rules)
-    universe = _rule_universe(rules, theory, atoms)
-    return frozenset(
-        r.consequent for r in rules
-        if entails(theory, r.antecedent, atoms=universe, max_atoms=max_atoms))
+    universe = _universe(
+        [*theory, *(f for r in rules for f in (r.antecedent, r.consequent))],
+        atoms, max_atoms)
+    mask = models(theory, atoms=universe, max_atoms=max_atoms)
+    return frozenset(r.consequent for r in rules
+                     if mask_entails(mask, r.antecedent, universe))
 
 
 def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
@@ -107,11 +97,9 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
     values = {lit.atom: lit.positive for lit in fixed}
     given = frozenset(base)
     base_set = given | frozenset(lit.formula() for lit in fixed)
-    universe = _rule_universe(rules, base_set, atoms)
-    if len(universe) > max_atoms:
-        raise VocabularyLimitError(
-            f"{len(universe)} atoms exceed the enumeration bound of "
-            f"{max_atoms}")
+    universe = _universe(
+        [*base_set, *(f for r in rules for f in (r.antecedent, r.consequent))],
+        atoms, max_atoms)
 
     def premise(f: Formula) -> int:
         return conditioned_models(f, values, universe, quantify=False)
@@ -163,7 +151,10 @@ def fixpoint_certificate(rules: Iterable[Rule], base: Iterable[Formula],
     claimed_set = frozenset(claimed)
     if not base_set <= claimed_set:
         return False
-    universe = _rule_universe(rules, base_set | claimed_set, atoms)
+    universe = _universe(
+        [*base_set, *claimed_set,
+         *(f for r in rules for f in (r.antecedent, r.consequent))],
+        atoms, max_atoms)
     consequents = tuple({r.consequent for r in rules} - base_set)
     least: frozenset[Formula] | None = None
     for size in range(len(consequents) + 1):

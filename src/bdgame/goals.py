@@ -29,7 +29,7 @@ from .errors import (CombinatorialBoundError, InfeasibleProfileError,
 from .extension import extension
 from .game import (EvaluatedProfile, GameSpecification, GoalSet, derive_game,
                    goal_set_key, nash, pareto, solve)
-from .logic import Formula, entails, in_sublanguage
+from .logic import Formula, in_sublanguage, mask_entails, models
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -115,12 +115,13 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
 
 def _goal_based(spec: AgentSystemSpec, ep: EvaluatedProfile,
                 goals: GoalSet) -> bool:
-    theory = ep.extension.formulas
+    if not goals.positive and not goals.negative:
+        return True  # nothing to ask: skip the 2^|V|-bit theory mask
     atoms = spec.vocabulary.names
-    return (all(entails(theory, g, atoms=atoms, max_atoms=spec.max_atoms)
-                for g in goals.positive)
-            and not any(entails(theory, g, atoms=atoms,
-                                max_atoms=spec.max_atoms)
+    theory = models(ep.extension.formulas, atoms=atoms,
+                    max_atoms=spec.max_atoms)
+    return (all(mask_entails(theory, g, atoms) for g in goals.positive)
+            and not any(mask_entails(theory, g, atoms)
                         for g in goals.negative))
 
 
@@ -255,19 +256,22 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
 # ---------------------------------------------------------------------------
 
 def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
-                        game: GameSpecification | None = None) -> ProfileFamily:
+                        game: GameSpecification | None = None,
+                        infeasible_swaps: str = "skip") -> ProfileFamily:
     """Select profiles by a named societal rule; the output is U-closed.
 
     bd-rational: the Pareto profiles.  nash-else-pareto: the Nash profiles
-    when any exist, otherwise the Pareto profiles.  Closing the result keeps
-    rules blind to distinctions between indistinguishable profiles.
+    (under the ``infeasible_swaps`` policy) when any exist, otherwise the
+    Pareto profiles.  Closing the result keeps rules blind to distinctions
+    between indistinguishable profiles.
     """
     if game is None:
         game = derive_game(spec)
     if rule_name == BD_RATIONAL:
         picked = pareto(game).profile_indexes
     elif rule_name == NASH_ELSE_PARETO:
-        picked = nash(game).profile_indexes or pareto(game).profile_indexes
+        picked = (nash(game, infeasible_swaps=infeasible_swaps).profile_indexes
+                  or pareto(game).profile_indexes)
     else:
         raise ValueError(f"unknown decision rule '{rule_name}'")
     return _closure(game, picked)

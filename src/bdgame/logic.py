@@ -16,6 +16,11 @@ mask built once by ``models`` and then answers each query with one AND
 The solver's own queries use ``conditioned_models``: masks over the world
 atoms only, with a profile's decision literals substituted and the decision
 atoms it leaves free quantified universally.
+
+There is one compiler (``_conditioned``) behind all of these, and no mask
+cache: a mask lives as long as the call or the caller that built it.  Only
+the per-atom truth tables (``_atom_pattern``) are kept, one per (atom
+position, universe size).
 """
 
 from __future__ import annotations
@@ -81,12 +86,6 @@ class Vocabulary:
         except KeyError:
             raise UndeclaredAtomError(name) from None
 
-    def world_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self if a.owner is None)
-
-    def decision_names(self, agent: str) -> tuple[str, ...]:
-        return tuple(a.name for a in self if a.owner == agent)
-
 
 # ---------------------------------------------------------------------------
 # Formula AST
@@ -96,18 +95,6 @@ class Formula:
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
     __slots__ = ()
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -393,26 +380,6 @@ def _atom_pattern(i: int, n: int) -> int:
     return pattern
 
 
-@lru_cache(maxsize=1 << 16)
-def _mask(f: Formula, atoms: tuple[str, ...]) -> int:
-    n = len(atoms)
-    full = (1 << (1 << n)) - 1
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, Var):
-        try:
-            return _atom_pattern(atoms.index(f.name), n)
-        except ValueError:
-            raise UndeclaredAtomError(f.name) from None
-    if isinstance(f, Not):
-        return full ^ _mask(f.operand, atoms)
-    if isinstance(f, And):
-        return _mask(f.left, atoms) & _mask(f.right, atoms)
-    if isinstance(f, Or):
-        return _mask(f.left, atoms) | _mask(f.right, atoms)
-    return (full ^ _mask(f.left, atoms)) | _mask(f.right, atoms)
-
-
 def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
               max_atoms: int) -> tuple[str, ...]:
     if atoms is None:
@@ -428,11 +395,15 @@ def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
 
 
 def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...]) -> int:
-    mask = (1 << (1 << len(universe))) - 1
-    for f in formulas:
-        mask &= _mask(f, universe)
-        if mask == 0:
-            break
+    full = (1 << (1 << len(universe))) - 1
+    mask = full
+    try:
+        for f in formulas:
+            mask &= _conditioned(f, {}, universe, full)
+            if mask == 0:
+                break
+    except _FreeAtom as free:
+        raise UndeclaredAtomError(str(free)) from None
     return mask
 
 
@@ -452,7 +423,15 @@ def mask_entails(theory: int, conclusion: Formula,
                  atoms: Sequence[str]) -> bool:
     """True iff every assignment in ``theory``, a model mask over ``atoms``,
     satisfies the conclusion."""
-    return theory == 0 or theory & ~_mask(conclusion, tuple(atoms)) == 0
+    if theory == 0:
+        return True
+    try:
+        # Only the theory's assignments are tested, so the conclusion is
+        # compiled within them: no all-ones mask is built per query.
+        return theory & ~_conditioned(conclusion, {}, tuple(atoms),
+                                      theory) == 0
+    except _FreeAtom as free:
+        raise UndeclaredAtomError(str(free)) from None
 
 
 def entails(premises: Iterable[Formula], conclusion: Formula, *,
@@ -481,6 +460,8 @@ class _FreeAtom(Exception):
 
 def _conditioned(f: Formula, values: Mapping[str, bool],
                  world: tuple[str, ...], full: int) -> int:
+    # The one formula compiler.  Negation complements within ``full``; the
+    # result agrees with the formula's mask on every assignment in ``full``.
     kind = type(f)
     if kind is Var:
         value = values.get(f.name)

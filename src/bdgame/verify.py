@@ -19,7 +19,7 @@ from .goals import (ProfileFamily, concept_family,
                     feasible_representation_check, heuristic_goals,
                     pareto_via_goals, representation_check, u_closure)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, atoms_of,
-                    entails)
+                    mask_entails, models)
 from .model import (IDENTITY, RANKED, AgentSpec, AgentSystemSpec,
                     DecisionMode, PriorityOrder)
 
@@ -488,13 +488,14 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
         if not fragment_check(spec):
             continue
         examined += 1
+        atoms = spec.vocabulary.names
         pool = heuristic_goals(spec)
+        theory = models(pool, atoms=atoms, max_atoms=spec.max_atoms)
         game = derive_game(spec)
         ok = True
         for gs in game.goal_sets:
             for goal in gs.positive:
-                if not entails(pool, goal, atoms=spec.vocabulary.names,
-                               max_atoms=spec.max_atoms):
+                if not mask_entails(theory, goal, atoms):
                     ok = False
                     if first_miss is None:
                         first_miss = {"spec": format_spec(spec),

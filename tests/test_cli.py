@@ -162,6 +162,43 @@ def test_goals_decision_rule():
     assert "decision rule nash-else-pareto: 1 profiles" in result.stdout
 
 
+@pytest.mark.parametrize("policy, family", [
+    ("skip", "nash family: 2 profiles"),
+    ("fail", "pareto family: 3 profiles"),
+])
+def test_nash_else_pareto_follows_the_infeasible_swaps_policy(policy, family,
+                                                               capsys):
+    # Under "fail" interdependence has no Nash profile, so the rule falls
+    # back to its three Pareto profiles.
+    spec = fixture("interdependence")
+    swaps = ("--infeasible-swaps", policy)
+    assert main(["goals", "--family", "nash", *swaps, spec]) == 0
+    assert capsys.readouterr().out.startswith("nash family: 0 profiles") \
+        == (policy == "fail")
+    concept = family.split()[0]
+    assert main(["goals", "--family", concept, *swaps, spec]) == 0
+    expected = capsys.readouterr().out
+    assert expected.startswith(family)
+    assert main(["goals", "--rule", "nash-else-pareto", *swaps, spec]) == 0
+    assert capsys.readouterr().out == expected.replace(
+        f"{concept} family", "decision rule nash-else-pareto", 1)
+
+
+@pytest.mark.parametrize("flags, dropped", [
+    (("--rule", "bd-rational", "--via-goals"), "--via-goals"),
+    (("--rule", "bd-rational", "--family", "pareto"), "--family"),
+    (("--rule", "nash-else-pareto", "--family", "all"), "--family"),
+    (("--rule", "bd-rational", "--all"), "--all"),
+    (("--all", "--family", "nash"), "--family"),
+    (("--all", "--family", "all"), "--family"),
+])
+def test_goals_refuses_flags_it_would_drop(flags, dropped, capsys):
+    assert main(["goals", *flags, fixture("cooperation")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bdgame: ") and dropped in captured.err
+
+
 def test_check_commands_pass():
     for prop in ("representation", "monotonicity", "order-laws",
                  "pipeline-equivalence"):

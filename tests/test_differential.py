@@ -16,27 +16,36 @@ The goals layer reads the game's goal-set table and closes families by
 class id.  Its reference is the older route: closure by per-agent
 unreached-set signatures, goal sets read off a fresh desire report of each
 profile, and the representation loops over profiles.
+
+The entailment oracles (goal-basedness, rule firing, the fixpoint
+certificate and the heuristic check) build each theory's model mask once
+and ask every query of it; their references call ``entails`` once per
+query, rebuilding the theory each time.
 """
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
                              DesireReport, agent_extension, desire_report,
                              enumerate_decisions, joint_extension)
 from bdgame.errors import CombinatorialBoundError
-from bdgame.extension import extension
+from bdgame.extension import (applicable_consequents, extension,
+                              fixpoint_certificate)
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
 from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
                           delta_goal_sets, feasible_representation_check,
-                          goal_set_key, goal_set_of, representation_check,
-                          u_closure)
-from bdgame.logic import (And, Not, _atom_pattern, atoms_of, consistent,
+                          fragment_check, goal_set_key, goal_set_of,
+                          heuristic_goals, is_goal_based,
+                          iter_syntactic_goal_sets, pareto_via_goals,
+                          representation_check, u_closure)
+from bdgame.logic import (And, Not, Var, _atom_pattern, atoms_of, consistent,
                           entails, literal_sort_key)
-from bdgame.model import DecisionMode
-from bdgame.verify import random_spec
+from bdgame.model import DecisionMode, format_spec
+from bdgame.verify import (CheckResult, check_heuristic_fragment,
+                           random_formula, random_spec, random_theory)
 
 SMALL_SPECS = 450
 LARGE_SPECS = 600  # up to 3 agents x 4 decision atoms each
@@ -47,6 +56,8 @@ CONDITIONED_SPECS = 150  # each in all three decision modes
 CONDITIONED_PROFILE_CAP = 64
 GOALS_SPECS = 60
 GOALS_PROFILE_CAP = 64
+ORACLE_SPECS = 80
+FIXPOINT_RULES = 6  # the certificate tries every subset of consequents
 
 
 def ref_pareto(game):
@@ -446,3 +457,148 @@ def test_goals_layer_matches_the_profile_route():
     assert seen["families"] >= 1_500
     assert seen["outside the family"] >= 1_000
     assert seen["classes with several goal sets"] >= 25
+
+
+# ---------------------------------------------------------------------------
+# Entailment oracles: one theory mask per theory against one entails per query
+# ---------------------------------------------------------------------------
+
+def ref_goal_based(spec, ext, goals):
+    theory = ext.formulas
+    atoms = spec.vocabulary.names
+    return (all(entails(theory, g, atoms=atoms, max_atoms=spec.max_atoms)
+                for g in goals.positive)
+            and not any(entails(theory, g, atoms=atoms,
+                                max_atoms=spec.max_atoms)
+                        for g in goals.negative))
+
+
+def ref_applicable_consequents(rules, theory, atoms=None):
+    theory, rules = tuple(theory), tuple(rules)
+    if atoms is None:
+        names = set()
+        for f in theory:
+            names |= atoms_of(f)
+        for r in rules:
+            names |= atoms_of(r.antecedent) | atoms_of(r.consequent)
+        atoms = sorted(names)
+    return frozenset(r.consequent for r in rules
+                     if entails(theory, r.antecedent, atoms=atoms))
+
+
+def ref_fixpoint_certificate(rules, base, claimed, atoms):
+    base, claimed = frozenset(base), frozenset(claimed)
+    if not base <= claimed:
+        return False
+    consequents = tuple({r.consequent for r in rules} - base)
+    least = None
+    for chosen in product((False, True), repeat=len(consequents)):
+        candidate = base | {c for c, keep in zip(consequents, chosen) if keep}
+        if ref_applicable_consequents(rules, candidate, atoms) <= candidate:
+            least = candidate if least is None else least & candidate
+    return claimed == least
+
+
+def ref_check_heuristic_fragment(seed, samples):
+    rng = random.Random(seed)
+    examined = contained = misses = draws = 0
+    first_miss = None
+    while examined < samples and draws < samples * 50:
+        draws += 1
+        spec = random_spec(rng, max_rules=3)
+        if not fragment_check(spec):
+            continue
+        examined += 1
+        pool = heuristic_goals(spec)
+        ok = True
+        for gs in derive_game(spec).goal_sets:
+            for goal in gs.positive:
+                if not entails(pool, goal, atoms=spec.vocabulary.names,
+                               max_atoms=spec.max_atoms):
+                    ok = False
+                    if first_miss is None:
+                        first_miss = {"spec": format_spec(spec),
+                                      "goal": str(goal)}
+        contained += ok
+        misses += not ok
+    return CheckResult(
+        "heuristic-fragment", True, examined,
+        f"contained on {contained}/{examined} fragment specs, "
+        f"misses on {misses}", first_miss)
+
+
+def test_goal_basedness_matches_one_entailment_per_goal():
+    """Every feasible profile against its game's goal sets, some syntactic
+    goal sets and random ones over the vocabulary; and the goals-first
+    pool, which is built from the same check."""
+    rng = random.Random(20021101)
+    seen = Counter()
+    while seen["games"] < ORACLE_SPECS:
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                           max_rules=4)
+        try:
+            game = derive_game(spec, max_profiles=GOALS_PROFILE_CAP)
+        except CombinatorialBoundError:
+            continue
+        if not game.profiles:
+            continue
+        seen["games"] += 1
+        vocabulary = spec.vocabulary.names
+        drawn = [GoalSet(random_theory(rng, vocabulary, rng.randint(0, 2)),
+                         random_theory(rng, vocabulary, rng.randint(0, 2)))
+                 for _ in range(6)]
+        goal_sets = (set(game.goal_sets) | set(drawn)
+                     | set(islice(iter_syntactic_goal_sets(spec), 8)))
+        for ep in game.profiles:
+            for gs in goal_sets:
+                expected = ref_goal_based(spec, ep.extension, gs)
+                assert is_goal_based(spec, ep.profile, gs,
+                                     game=game) == expected
+                seen[expected] += 1
+        assert pareto_via_goals(spec, game=game).pool == tuple(
+            i for i, ep in enumerate(game.profiles)
+            if any(ref_goal_based(spec, ep.extension, gs)
+                   for gs in (game.goal_sets[i], *game.goal_sets)))
+    assert seen[True] >= 2_000 and seen[False] >= 8_000
+
+
+def test_rule_firing_and_certificates_match_one_entailment_per_rule():
+    """Rule firing on random theories, inconsistent ones included, over the
+    rules' own atoms and over the vocabulary; the fixpoint certificate of
+    each extension and of a perturbed claim."""
+    rng = random.Random(20021102)
+    seen = Counter()
+    for _ in range(ORACLE_SPECS):
+        spec = random_spec(rng, max_agents=2, max_decision_atoms=2,
+                           max_rules=3)
+        vocabulary = spec.vocabulary.names
+        rules = (spec.all_beliefs() + spec.all_desires())[:FIXPOINT_RULES]
+        for _ in range(10):
+            theory = set(random_theory(rng, vocabulary, rng.randint(0, 4)))
+            if rng.random() < 0.25:
+                atom = Var(rng.choice(vocabulary))
+                theory |= {atom, Not(atom)}
+            for atoms in (None, vocabulary):
+                expected = ref_applicable_consequents(rules, theory, atoms)
+                assert applicable_consequents(rules, theory,
+                                              atoms=atoms) == expected
+                seen["fired"] += len(expected)
+                seen["not fired"] += len(rules) - len(expected)
+        base = random_theory(rng, vocabulary, rng.randint(0, 2))
+        claimed = extension(rules, base, atoms=vocabulary).formulas
+        extra = random_formula(rng, vocabulary)
+        for claim in (claimed, claimed | {extra}, claimed - {extra}, base):
+            expected = ref_fixpoint_certificate(rules, base, claim, vocabulary)
+            assert fixpoint_certificate(rules, base, claim,
+                                        atoms=vocabulary) == expected
+            seen[f"certificate {expected}"] += 1
+    assert seen["fired"] >= 1_000 and seen["not fired"] >= 1_000
+    assert seen["certificate True"] >= ORACLE_SPECS
+    assert seen["certificate False"] >= ORACLE_SPECS // 2
+
+
+def test_heuristic_check_matches_one_entailment_per_goal():
+    for seed in (0, 55):
+        expected = ref_check_heuristic_fragment(seed, samples=60)
+        assert check_heuristic_fragment(seed=seed, samples=60) == expected
+    assert expected.counterexample is not None  # some goal is missed

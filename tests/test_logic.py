@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
 from bdgame.logic import (FALSE, TRUE, And, Atom, Implies, Literal, Not, Or,
                           Var, Vocabulary, atoms_of, consistent, entails,
                           evaluate, format_formula, in_sublanguage,
-                          parse_formula, parse_literal)
+                          mask_entails, models, parse_formula, parse_literal)
 
 ATOMS = ["a", "b", "p", "q", "r", "s"]
 
@@ -156,6 +158,63 @@ def test_entailment_is_monotone(premises, extra, conclusion):
 def test_deduction_sanity(premises, x, y):
     if entails(premises, x) and entails(premises + [x], y):
         assert entails(premises, y)
+
+
+def _assignments(names):
+    """Every assignment to ``names``, in mask bit order: bit k of a model
+    mask is assignment k, where atom i is true iff bit i of k is set."""
+    for k in range(1 << len(names)):
+        yield {name: bool(k >> i & 1) for i, name in enumerate(names)}
+
+
+@given(st.lists(formulas, max_size=4), st.booleans(),
+       st.lists(formulas, max_size=4))
+@settings(max_examples=200)
+def test_theory_masks_agree_with_assignment_enumeration(premises, clash,
+                                                        queries):
+    if clash:  # an inconsistent theory entails every query
+        premises = premises + [Var("q"), Not(Var("q"))]
+    theory = models(premises, atoms=ATOMS)
+    satisfying = [k for k, assignment in enumerate(_assignments(ATOMS))
+                  if all(evaluate(p, assignment) for p in premises)]
+    assert theory == sum(1 << k for k in satisfying)
+    assignments = list(_assignments(ATOMS))
+    for query in queries:
+        assert mask_entails(theory, query, ATOMS) == all(
+            evaluate(query, assignments[k]) for k in satisfying)
+
+
+def test_theory_masks_refuse_atoms_outside_the_universe():
+    with pytest.raises(UndeclaredAtomError, match="zzz"):
+        models([Var("p"), Var("zzz")], atoms=["p"])
+    theory = models([Var("p")], atoms=["p"])
+    with pytest.raises(UndeclaredAtomError, match="zzz"):
+        mask_entails(theory, Or(Var("p"), Var("zzz")), ["p"])
+    assert mask_entails(0, Var("zzz"), ["p"])  # no model: nothing to test
+
+
+def test_entailment_keeps_no_masks():
+    """Masks live as long as the call that built them: 1,500 distinct
+    queries over 16 atoms (8 KiB per mask) leave less than 1 MiB behind."""
+    names = [f"x{i}" for i in range(16)]
+    premises = [Or(Var("x0"), Var("x1")), Implies(Var("x2"), Var("x3"))]
+    queries = [Implies(And(Var(names[i]), Not(Var(names[j]))),
+                       Or(Var(names[k]), Var(names[(i + j + k) % 16])))
+               for i, j, k in itertools.product(range(16), repeat=3)
+               if len({i, j, k}) == 3][:1500]
+    assert len(set(queries)) == 1500
+    entails(premises, queries[0], atoms=names)  # builds the atom patterns
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for query in queries:
+            entails(premises, query, atoms=names)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
 
 
 def test_consistent_iff_not_entails_false():
