@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
@@ -178,22 +178,14 @@ def _report(spec_name: str, command: str, **sections) -> dict:
     return report
 
 
-class _Reporter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.lines: list[str] = []
-
-    def text(self, line: str = "") -> None:
-        if self.fmt == "text":
-            self.lines.append(line)
-
-    def emit(self, build: Callable[[], dict]) -> None:
-        """Print the text lines, or the report ``build`` returns: it is only
-        built for JSON output."""
-        if self.fmt == "json":
-            print(json.dumps(build(), indent=2, sort_keys=True))
-        else:
-            print("\n".join(self.lines))
+def _emit(config: RunConfig, lines: Callable[[], Iterable[str]],
+          report: Callable[[], dict]) -> None:
+    """Print the text lines, or the JSON report: only the builder of the
+    chosen format runs."""
+    if config.output_format == "json":
+        print(json.dumps(report(), indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines()))
 
 
 def _max_atoms(flag: int | None) -> int | None:
@@ -210,7 +202,7 @@ def _max_atoms(flag: int | None) -> int | None:
         raise BdgameError(f"{ENV_MAX_ATOMS}: {exc}") from None
 
 
-def _load(config: RunConfig, out: _Reporter) -> AgentSystemSpec:
+def _load(config: RunConfig) -> AgentSystemSpec:
     try:
         with open(config.path, encoding="utf-8") as handle:
             text = handle.read()
@@ -233,15 +225,15 @@ def _require_valid(spec: AgentSystemSpec) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(spec: AgentSystemSpec, config: RunConfig,
-                  out: _Reporter) -> int:
+def _cmd_validate(spec: AgentSystemSpec, config: RunConfig) -> int:
     spec.check_atom_cap()
     violations = validate_spec(spec)
-    if not violations:
-        out.text(f"{spec.name}: OK")
-    for v in violations:
-        out.text(str(v))
-    out.emit(lambda: _report(spec.name, "validate", checks=[
+
+    def lines() -> Iterator[str]:
+        if not violations:
+            yield f"{spec.name}: OK"
+        yield from map(str, violations)
+    _emit(config, lines, lambda: _report(spec.name, "validate", checks=[
         {"name": v.code, "passed": False,
          "counterexample": {"agent": v.agent, "message": v.message,
                             "severity": v.severity}}
@@ -266,7 +258,7 @@ def _parse_decision(spec: AgentSystemSpec, agent_id: str,
     return Decision(agent_id, literals)
 
 
-def _cmd_extension(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
+def _cmd_extension(spec: AgentSystemSpec, config: RunConfig,
                    agent: str | None, decision_text: str | None) -> int:
     _require_valid(spec)
     if agent is None:
@@ -277,39 +269,45 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
             for a in spec.agents))
         ep = evaluate_profile(spec, profile)
         ext, report = ep.extension, ep.report
-        out.text(f"joint extension of the initial profile {profile}:")
     else:
         decision = _parse_decision(spec, agent, decision_text)
         profile = DecisionProfile((decision,))
         ext, report = agent_extension(spec, agent, decision), None
-        out.text(f"extension for {agent}, decision {decision}:")
-    flag = "consistent" if ext.consistent else "INCONSISTENT"
-    out.text("  {" + ", ".join(_extension_json(ext)) + "}")
-    out.text(f"  {flag}; {ext.iterations} productive rounds")
-    out.emit(lambda: _report(spec.name, "extension", profiles=[
+
+    def lines() -> Iterator[str]:
+        if agent is None:
+            yield f"joint extension of the initial profile {profile}:"
+        else:
+            yield f"extension for {agent}, decision {decision}:"
+        flag = "consistent" if ext.consistent else "INCONSISTENT"
+        yield "  {" + ", ".join(_extension_json(ext)) + "}"
+        yield f"  {flag}; {ext.iterations} productive rounds"
+    _emit(config, lines, lambda: _report(spec.name, "extension", profiles=[
         _profile_entry(spec, profile, ext, report)]))
     return EXIT_OK
 
 
-def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
+def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig,
                   feasible_only: bool) -> int:
     _require_valid(spec)
     built = agent_extensions(spec, max_decisions=config.max_decisions)
     shown = [ep for ep in evaluate_product(spec, built,
                                            max_profiles=config.max_profiles)
              if ep.report is not None or not feasible_only]
-    out.text(f"{len(shown)} profiles"
-             + (" (feasible only)" if feasible_only else "") + ":")
-    for i, ep in enumerate(shown):
-        flag = "ok" if ep.extension.consistent else "INFEASIBLE"
-        out.text(f"  [{i}] {ep.profile} {flag}")
-        out.text("      extension {"
-                 + ", ".join(_extension_json(ep.extension)) + "}")
-        if ep.report is not None:
-            for a in spec.agent_ids:
-                unreached = ", ".join(sorted(ep.report.unreached(a))) or "-"
-                out.text(f"      unreached[{a}]: {unreached}")
-    out.emit(lambda: _report(spec.name, "profiles", profiles=[
+
+    def lines() -> Iterator[str]:
+        yield (f"{len(shown)} profiles"
+               + (" (feasible only)" if feasible_only else "") + ":")
+        for i, ep in enumerate(shown):
+            flag = "ok" if ep.extension.consistent else "INFEASIBLE"
+            yield f"  [{i}] {ep.profile} {flag}"
+            yield ("      extension {"
+                   + ", ".join(_extension_json(ep.extension)) + "}")
+            if ep.report is not None:
+                for a in spec.agent_ids:
+                    unreached = ", ".join(sorted(ep.report.unreached(a)))
+                    yield f"      unreached[{a}]: {unreached or '-'}"
+    _emit(config, lines, lambda: _report(spec.name, "profiles", profiles=[
         _profile_entry(spec, ep.profile, ep.extension, ep.report)
         for ep in shown]))
     return EXIT_OK
@@ -322,19 +320,21 @@ def _game_report(spec: AgentSystemSpec, game: GameSpecification,
         for ep in game.profiles], **sections)
 
 
-def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
+def _cmd_solve(spec: AgentSystemSpec, config: RunConfig,
                concept: str) -> int:
     _require_valid(spec)
     game = derive_game(spec, max_decisions=config.max_decisions,
                        max_profiles=config.max_profiles)
     solution = solve_game(game, concept,
                           infeasible_swaps=config.infeasible_swaps)
-    out.text(f"{concept}: {len(solution.profile_indexes)} of "
-             f"{len(game.profiles)} feasible profiles")
-    for i in solution.profile_indexes:
-        out.text(f"  [{i}] {game.profiles[i].profile}")
-    if solution.witnesses:
-        out.text("excluded:")
+
+    def lines() -> Iterator[str]:
+        yield (f"{concept}: {len(solution.profile_indexes)} of "
+               f"{len(game.profiles)} feasible profiles")
+        for i in solution.profile_indexes:
+            yield f"  [{i}] {game.profiles[i].profile}"
+        if solution.witnesses:
+            yield "excluded:"
         for i in sorted(solution.witnesses):
             w = solution.witnesses[i]
             parts = []
@@ -344,16 +344,15 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
                 parts.append(f"see [{w.other}] {game.profiles[w.other].profile}")
             if w.decision is not None:
                 parts.append(f"deviation {w.decision}")
-            out.text(f"  [{i}] {game.profiles[i].profile}: "
-                     + ", ".join(parts))
-    out.emit(lambda: _game_report(spec, game, "solve", solutions={
-        concept: list(solution.profile_indexes)}))
+            yield f"  [{i}] {game.profiles[i].profile}: " + ", ".join(parts)
+    _emit(config, lines, lambda: _game_report(
+        spec, game, "solve",
+        solutions={concept: list(solution.profile_indexes)}))
     return EXIT_OK
 
 
-def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
-               family_name: str, via_goals: bool,
-               rule_name: str | None) -> int:
+def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, family_name: str,
+               via_goals: bool, rule_name: str | None) -> int:
     _require_valid(spec)
     game = derive_game(spec, max_decisions=config.max_decisions,
                        max_profiles=config.max_profiles)
@@ -379,13 +378,15 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
     generators = {gs: [] for gs in goal_sets}
     for i in family_indexes:
         generators[game.goal_sets[i]].append(i)
-    out.text(f"{label}: {len(family.profiles)} profiles, "
-             f"{len(goal_sets)} goal sets")
-    for i in family_indexes:
-        out.text(f"  [{i}] {game.profiles[i].profile}")
-    for gi, gs in enumerate(goal_sets):
-        out.text(f"  goal set {gi}: {gs} from profiles {generators[gs]}")
-    out.emit(lambda: _game_report(
+
+    def lines() -> Iterator[str]:
+        yield (f"{label}: {len(family.profiles)} profiles, "
+               f"{len(goal_sets)} goal sets")
+        for i in family_indexes:
+            yield f"  [{i}] {game.profiles[i].profile}"
+        for gi, gs in enumerate(goal_sets):
+            yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
+    _emit(config, lines, lambda: _game_report(
         spec, game, "goals", solutions={"family": family_indexes},
         goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
                     "negative": sorted(map(format_formula, gs.negative)),
@@ -408,8 +409,7 @@ def _goals_family(args: argparse.Namespace) -> str:
     return args.family or "all"
 
 
-def _cmd_check(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
-               prop: str) -> int:
+def _cmd_check(spec: AgentSystemSpec, config: RunConfig, prop: str) -> int:
     _require_valid(spec)
     if prop == "representation":
         result = check_representation(spec, seed=config.seed)
@@ -423,8 +423,8 @@ def _cmd_check(spec: AgentSystemSpec, config: RunConfig, out: _Reporter,
     entry = {"name": result.name, "passed": result.passed}
     if result.counterexample is not None:
         entry["counterexample"] = result.counterexample
-    out.text(str(result))
-    out.emit(lambda: _report(spec.name, "check", checks=[entry]))
+    _emit(config, lambda: [str(result)],
+          lambda: _report(spec.name, "check", checks=[entry]))
     return EXIT_OK if result.passed else EXIT_VIOLATIONS
 
 
@@ -442,23 +442,21 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         samples=getattr(args, "samples", 200),
     )
-    out = _Reporter(config.output_format)
     try:
-        spec = _load(config, out)
+        spec = _load(config)
         if args.command == "validate":
-            return _cmd_validate(spec, config, out)
+            return _cmd_validate(spec, config)
         if args.command == "extension":
-            return _cmd_extension(spec, config, out, args.agent,
-                                  args.decision)
+            return _cmd_extension(spec, config, args.agent, args.decision)
         if args.command == "profiles":
-            return _cmd_profiles(spec, config, out, args.feasible_only)
+            return _cmd_profiles(spec, config, args.feasible_only)
         if args.command == "solve":
-            return _cmd_solve(spec, config, out, args.concept)
+            return _cmd_solve(spec, config, args.concept)
         if args.command == "goals":
-            return _cmd_goals(spec, config, out, _goals_family(args),
+            return _cmd_goals(spec, config, _goals_family(args),
                               args.via_goals, args.rule)
         if args.command == "check":
-            return _cmd_check(spec, config, out, getattr(args, "property"))
+            return _cmd_check(spec, config, getattr(args, "property"))
         raise AssertionError(f"unhandled command {args.command}")
     except OSError as exc:
         print(f"bdgame: {exc}", file=sys.stderr)

@@ -45,15 +45,16 @@ class Extension:
     ``models`` is the model mask of the formulas over the atom universe of
     the fixpoint, with the fixed literals substituted (see ``extension``).
     A joint extension (``decision.joint_extension``) carries the AND of its
-    parts' masks, which all range over the world atoms.  It takes no part
-    in equality.
+    parts' masks, which all range over the world atoms; the one a game
+    keeps per profile carries None (``game.evaluate_profile``).  It takes
+    no part in equality.
     """
 
     base: frozenset[Formula]
     derived: frozenset[Formula]
     iterations: int
     consistent: bool
-    models: int = field(compare=False, repr=False)
+    models: int | None = field(compare=False, repr=False)
 
     @property
     def formulas(self) -> frozenset[Formula]:

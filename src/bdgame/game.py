@@ -3,11 +3,21 @@
 The game of a specification pairs the jointly feasible profiles (drawn from
 the product of each agent's individually feasible decisions) with the
 per-agent preference orders induced by unreached desires.  Solution concepts
-are computed by brute force: Pareto, strong Pareto and dominant over the
-indistinguishability classes (profiles with equal unreached sets for every
-agent, which no preference tells apart), Nash over the feasible profiles.
-Every exclusion carries a witness that can be re-validated against the
-definitions.
+are computed by brute force on small integer tables, numbered once per game:
+
+- each agent's distinct unreached sets get ids, and one preference table
+  per agent holds the lifted order (``set_geq``) between them, filled on
+  first ask (``PreferenceTable``);
+- each candidate profile has a mixed-radix index over the agents' feasible
+  decisions (last agent fastest, the order of ``itertools.product``), and
+  ``candidates`` maps it to its feasible index, or -1.
+
+Pareto, strong Pareto and dominant compare the indistinguishability
+classes (profiles with equal unreached sets for every agent, which no
+preference tells apart); Nash reaches each deviation by index arithmetic
+and one lookup.  Every exclusion carries a witness that can be re-validated
+against the definitions, which ``profile_geq`` and ``strictly_better``
+keep: they decide by ``set_geq`` on the unreached sets, not by the tables.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
@@ -31,7 +41,7 @@ from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
 from .errors import CombinatorialBoundError
 from .extension import Extension
 from .logic import Formula, format_formula
-from .model import AgentSystemSpec
+from .model import AgentSystemSpec, PriorityOrder
 
 SKIP = "skip"
 FAIL = "fail"
@@ -72,10 +82,48 @@ def evaluate_profile(spec: AgentSystemSpec, profile: DecisionProfile,
                      parts: tuple[Extension, ...] | None = None
                      ) -> EvaluatedProfile:
     """The joint extension and desire report of one profile; ``parts`` are
-    the agents' extensions of its decisions, as for ``joint_extension``."""
+    the agents' extensions of its decisions, as for ``joint_extension``.
+
+    The joint world mask lives only until the report is read: the kept
+    extension has ``models=None``, so a game holds no mask per profile.
+    """
     ext = joint_extension(spec, profile, parts)
     report = desire_report(spec, profile, ext) if ext.consistent else None
-    return EvaluatedProfile(profile, ext, report)
+    return EvaluatedProfile(profile, Extension(
+        ext.base, ext.derived, ext.iterations, ext.consistent, models=None),
+        report)
+
+
+class PreferenceTable:
+    """One agent's preferences over a game's profiles, on small integers.
+
+    ``ids[i]`` numbers profile i's unreached set among the agent's distinct
+    ones, in order of first appearance.  ``geq(x, y)`` is whether a profile
+    with set x is at least as good for the agent as one with set y.  Equal
+    ids are; any other pair is decided by ``set_geq`` on its first ask, and
+    the answer is kept, so no pair costs more than one call.
+    """
+
+    def __init__(self, ids: tuple[int, ...],
+                 sets: tuple[frozenset[str], ...],
+                 order: PriorityOrder) -> None:
+        self.ids = ids
+        self._sets = sets
+        self._order = order
+        self._known: dict[int, bool] = {}
+
+    def geq(self, x: int, y: int) -> bool:
+        if x == y:
+            return True
+        key = x * len(self._sets) + y
+        known = self._known.get(key)
+        if known is None:
+            known = self._known[key] = set_geq(self._sets[y], self._sets[x],
+                                               self._order)
+        return known
+
+    def better(self, x: int, y: int) -> bool:
+        return self.geq(x, y) and not self.geq(y, x)
 
 
 @dataclass(frozen=True)
@@ -83,6 +131,9 @@ class GameSpecification:
     spec: AgentSystemSpec
     profiles: tuple[EvaluatedProfile, ...]  # feasible only, canonical order
     feasible_decisions: dict[str, tuple[Decision, ...]]
+    # Per candidate profile, by mixed-radix index over feasible_decisions
+    # (last agent fastest): its index in profiles, or -1 when infeasible.
+    candidates: tuple[int, ...]
 
     def index_of(self, profile: DecisionProfile) -> int | None:
         return self._index.get(profile)
@@ -92,16 +143,25 @@ class GameSpecification:
         return {ep.profile: i for i, ep in enumerate(self.profiles)}
 
     @cached_property
+    def preferences(self) -> tuple[PreferenceTable, ...]:
+        """One preference table per agent, in agent order."""
+        tables = []
+        for agent in self.spec.agents:
+            sets: dict[frozenset[str], int] = {}
+            ids = tuple(sets.setdefault(ep.report.unreached(agent.id),
+                                        len(sets))
+                        for ep in self.profiles)
+            tables.append(PreferenceTable(ids, tuple(sets), agent.priority))
+        return tuple(tables)
+
+    @cached_property
     def class_ids(self) -> tuple[int, ...]:
         """Each profile's indistinguishability class: profiles share a class
         iff every agent has the same unreached set in both.  Classes are
         numbered in the order of their first members."""
-        agents = self.spec.agent_ids
-        ids: dict[tuple, int] = {}
-        return tuple(
-            ids.setdefault(tuple(ep.report.unreached(a) for a in agents),
-                           len(ids))
-            for ep in self.profiles)
+        ids: dict[tuple[int, ...], int] = {}
+        return tuple(ids.setdefault(key, len(ids)) for key in
+                     zip(*(table.ids for table in self.preferences)))
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -180,12 +240,19 @@ def derive_game(spec: AgentSystemSpec, *,
         agent: {d: ext for d, ext in built.items() if ext.consistent}
         for agent, built in agent_extensions(
             spec, max_decisions=max_decisions).items()}
-    evaluated = evaluate_product(spec, feasible, max_profiles=max_profiles)
+    profiles, candidates = [], []
+    for ep in evaluate_product(spec, feasible, max_profiles=max_profiles):
+        if ep.report is None:
+            candidates.append(-1)
+        else:
+            candidates.append(len(profiles))
+            profiles.append(ep)
     return GameSpecification(
         spec=spec,
-        profiles=tuple(ep for ep in evaluated if ep.report is not None),
+        profiles=tuple(profiles),
         feasible_decisions={agent: tuple(ds)
                             for agent, ds in feasible.items()},
+        candidates=tuple(candidates),
     )
 
 
@@ -240,22 +307,22 @@ def _unbeaten(game: GameSpecification, concept: str,
 
 def pareto(game: GameSpecification) -> SolutionReport:
     """Profiles no feasible alternative strictly improves for every agent."""
-    agents = game.spec.agent_ids
+    tables = game.preferences
 
     def beats(j: int, i: int) -> ExclusionWitness | None:
         return (ExclusionWitness(other=j) if all(
-            game.strictly_better(j, i, a) for a in agents) else None)
+            t.better(t.ids[j], t.ids[i]) for t in tables) else None)
     return _unbeaten(game, PARETO, beats)
 
 
 def strongly_pareto(game: GameSpecification) -> SolutionReport:
     """Profiles with no alternative weakly better for all, strictly for some."""
-    agents = game.spec.agent_ids
+    tables = game.preferences
 
     def beats(j: int, i: int) -> ExclusionWitness | None:
         return (ExclusionWitness(other=j)
-                if all(game.profile_geq(j, i, a) for a in agents)
-                and any(game.strictly_better(j, i, a) for a in agents)
+                if all(t.geq(t.ids[j], t.ids[i]) for t in tables)
+                and any(t.better(t.ids[j], t.ids[i]) for t in tables)
                 else None)
     return _unbeaten(game, STRONG_PARETO, beats)
 
@@ -273,10 +340,11 @@ def dominant(game: GameSpecification) -> SolutionReport:
     candidate is not at least as good as the excluding profile.
     """
     agents = game.spec.agent_ids
+    tables = game.preferences
 
     def beats(j: int, i: int) -> ExclusionWitness | None:
-        agent = next((a for a in agents if not game.profile_geq(i, j, a)),
-                     None)
+        agent = next((a for a, t in zip(agents, tables)
+                      if not t.geq(t.ids[i], t.ids[j])), None)
         return None if agent is None else ExclusionWitness(agent=agent,
                                                            other=j)
     return _unbeaten(game, DOMINANT, beats)
@@ -289,26 +357,34 @@ def nash(game: GameSpecification, *,
     Deviations range over the agent's individually feasible decisions;
     deviations that make the joint profile infeasible are skipped under the
     default policy and fail the candidate under the fail policy.  A
-    deviation into the candidate's own class gains nothing.
+    deviation is found by index arithmetic: replacing the agent's digit in
+    the candidate's mixed-radix index, then one lookup in ``candidates``.
     """
+    agents = game.spec.agent_ids
+    radixes = [len(game.feasible_decisions[a]) for a in agents]
+    strides = [prod(radixes[k + 1:]) for k in range(len(agents))]
+    candidates = game.candidates
     included, witnesses = [], {}
-    for i, candidate in enumerate(game.profiles):
+    for c, i in enumerate(candidates):
+        if i < 0:
+            continue
         witness = None
-        for agent_id in game.spec.agent_ids:
-            current = candidate.profile.decision_for(agent_id)
-            for deviation in game.feasible_decisions[agent_id]:
-                if deviation == current:
+        for agent_id, prefs, radix, stride in zip(
+                agents, game.preferences, radixes, strides):
+            digit = c // stride % radix
+            base = c - digit * stride
+            own = prefs.ids[i]
+            for k, deviation in enumerate(game.feasible_decisions[agent_id]):
+                if k == digit:
                     continue
-                deviated = game.index_of(
-                    candidate.profile.with_decision(deviation))
-                if deviated is None:
+                deviated = candidates[base + k * stride]
+                if deviated < 0:
                     if infeasible_swaps == FAIL:
                         witness = ExclusionWitness(agent=agent_id,
                                                    decision=deviation)
                         break
                     continue
-                if (game.class_ids[deviated] != game.class_ids[i]
-                        and not game.profile_geq(i, deviated, agent_id)):
+                if not prefs.geq(own, prefs.ids[deviated]):
                     witness = ExclusionWitness(agent=agent_id, other=deviated,
                                                decision=deviation)
                     break

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ import bdgame.game
 from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import agent_extension
-from bdgame.game import derive_game
+from bdgame.game import agent_extensions, derive_game
 from bdgame.model import parse_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -383,6 +384,64 @@ def test_text_mode_never_builds_the_report(monkeypatch, capsys):
         assert capsys.readouterr().out == expected
 
 
+EXAMPLES = sorted(p.name.removesuffix(".bdg") for p in
+                  example_path("prisoners").parent.iterdir()
+                  if p.name.endswith(".bdg"))
+CONCEPT_NAMES = ("pareto", "strong-pareto", "dominant", "nash")
+
+
+def test_json_mode_formats_no_text(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} formatted in JSON mode")
+
+    monkeypatch.setattr(bdgame.decision.DecisionProfile, "__str__", refuse)
+    monkeypatch.setattr(bdgame.game.GoalSet, "__str__", refuse)
+    commands = [("profiles",), ("goals",),
+                *(("solve", "--concept", c) for c in CONCEPT_NAMES)]
+    assert len(EXAMPLES) == 6
+    for name in EXAMPLES:
+        for command in commands:
+            assert main([*command, "--format", "json", fixture(name)]) == 0
+            assert json.loads(capsys.readouterr().out)["profiles"]
+
+
+HASH_SEED_DRIVER = """
+import json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["bdgame", *argv]
+    try:
+        runpy.run_module("bdgame", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        print(f"exit {exc.code}")
+"""
+
+
+def test_output_is_independent_of_the_hash_seed():
+    """Set and dict orders of strings change with PYTHONHASHSEED, which the
+    benchmark pins; every report must not.  Each hash seed runs every
+    command as ``python -m bdgame`` would, in one process."""
+    argvs = [[*command, *fmt, fixture(name)] for name in EXAMPLES
+             for command, formats in (
+                 *((("solve", "--concept", c), ((), ("--format", "json")))
+                   for c in CONCEPT_NAMES),
+                 (("goals",), (("--format", "json"),)))
+             for fmt in formats]
+    assert len(argvs) == 6 * 9
+    src = str(Path(bdgame.cli.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("BDGAME_MAX_ATOMS", "PYTHONPATH")}
+        env.update(PYTHONHASHSEED=seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_DRIVER, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count("exit 0") == len(argvs)
+    assert outputs[0] == outputs[1]
+
+
 NOTHING_FEASIBLE = "agent x {\n  fact p\n  belief true => !p\n}\nworld p\n"
 
 
@@ -417,10 +476,14 @@ def test_wide_vocabulary_solves_on_world_masks(monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         assert len(report["profiles"]) == 576
         assert report["solutions"][concept]
-    game = derive_game(spec.with_options(max_atoms=32))
-    assert len(game.profiles) == 576
-    for ep in game.profiles:
-        assert ep.extension.models.bit_length() <= 2 ** world
+    wide = spec.with_options(max_atoms=32)
+    assert len(derive_game(wide).profiles) == 576
+    # The masks that remain are the agent extensions', over world atoms.
+    built = agent_extensions(wide)
+    assert sum(map(len, built.values())) > 0
+    for decisions in built.values():
+        for ext in decisions.values():
+            assert ext.models.bit_length() <= 2 ** world
 
 
 def test_validate_applies_the_atom_cap(monkeypatch, capsys):

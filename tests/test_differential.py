@@ -8,9 +8,13 @@ entailment on it, and one loop over profiles per concept.  The library
 answers extension and desire queries on masks over the world atoms with
 the decision literals substituted, shares each agent extension between
 profiles, solves the three exclusion concepts on indistinguishability
-classes through one shared loop, and reads goal sets off the desire
-reports; all of it must agree with these references on every extension,
-report, index, witness and goal set.
+classes through one shared loop, reads every preference off per-agent
+tables over unreached-set ids, finds Nash deviations by mixed-radix index,
+and reads goal sets off the desire reports; all of it must agree with
+these references on every extension, report, index, witness and goal set.
+The references compare profiles by ``profile_geq``, which decides by
+``set_geq`` on the unreached sets, and find deviations with
+``with_decision`` and ``index_of``: none of them reads the tables.
 
 The goals layer reads the game's goal-set table and closes families by
 class id.  Its reference is the older route: closure by per-agent
@@ -26,6 +30,7 @@ query, rebuilding the theory each time.
 import random
 from collections import Counter
 from itertools import islice, product
+from math import prod
 
 from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
                              DesireReport, agent_extension, desire_report,
@@ -52,6 +57,7 @@ LARGE_SPECS = 600  # up to 3 agents x 4 decision atoms each
 LARGE_PROFILE_CAP = 32  # candidate profiles; the reference loops are O(P^2)
 CLASS_SPECS = 5  # games of 128 or more profiles in 16 to P/4 classes
 CLASS_PROFILE_CAP = 256
+SWAP_DRAWS = 1_500  # keeping the games where a swap breaks feasibility
 CONDITIONED_SPECS = 150  # each in all three decision modes
 CONDITIONED_PROFILE_CAP = 64
 GOALS_SPECS = 60
@@ -244,10 +250,45 @@ def test_class_level_concepts_match_the_profile_loops():
             got = solve(game)
             assert (got.profile_indexes, got.witnesses) == reference(game)
             excluded += len(got.witnesses)
+        for policy in (SKIP, FAIL):
+            got = nash(game, infeasible_swaps=policy)
+            assert (got.profile_indexes, got.witnesses) == \
+                ref_nash(game, policy)
         if games == CLASS_SPECS:
             break
     assert games == CLASS_SPECS
     assert excluded >= 1_500
+
+
+def swap_breaking_games():
+    """Seeded 2- and 3-agent games with fewer feasible profiles than the
+    product of the agents' feasible decisions: some unilateral swap leaves
+    the feasible set.  The agents' decision counts mostly differ, so do the
+    strides of their digits in the candidate index."""
+    rng = random.Random(31337)
+    for _ in range(SWAP_DRAWS):
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                           max_rules=4, world_atoms=("p",))
+        game = derive_game(spec)
+        candidates = prod(map(len, game.feasible_decisions.values()))
+        if 0 < len(game.profiles) < candidates:
+            yield game
+
+
+def test_nash_matches_the_profile_loop_where_swaps_break_feasibility():
+    games = three_agent = unequal = decision_only = 0
+    for game in swap_breaking_games():
+        games += 1
+        three_agent += len(game.spec.agents) == 3
+        unequal += len(set(map(len, game.feasible_decisions.values()))) > 1
+        for policy in (SKIP, FAIL):
+            got = nash(game, infeasible_swaps=policy)
+            assert (got.profile_indexes, got.witnesses) == \
+                ref_nash(game, policy)
+        decision_only += sum(w.other is None
+                             for w in got.witnesses.values())
+    assert games >= 25 and three_agent >= 15 and unequal >= 25
+    assert decision_only >= 600
 
 
 def division_pattern(i, n):

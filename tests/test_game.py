@@ -1,13 +1,16 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import bdgame.decision
 import bdgame.game
-from bdgame.decision import Decision, agent_extension, enumerate_decisions
-from bdgame.game import (FAIL, derive_game, dominant, nash, pareto, solve,
-                         strongly_pareto)
+from bdgame.decision import (Decision, DecisionProfile, agent_extension,
+                             enumerate_decisions, set_geq)
+from bdgame.game import (FAIL, SKIP, GameSpecification, derive_game,
+                         dominant, nash, pareto, solve, strongly_pareto)
 from bdgame.logic import Literal, Not, Var
 from bdgame.model import parse_spec
 from bdgame.verify import check_game_laws, random_spec
@@ -222,3 +225,102 @@ def test_derive_game_builds_each_agent_extension_once(monkeypatch):
                  for d in enumerate_decisions(spec, a.id)}
         assert set(built) == pairs
         assert set(built.values()) == {1}
+
+
+TWENTY_WORLD_ATOMS = """system "twenty world atoms"
+option decision_mode = positive-subsets
+agent alpha {
+  atoms a1 a2 a3 a4
+  belief a1 => w0
+  belief a2 => w1 | w2
+  belief a3 & a4 => !w3
+  belief w0 => w4
+  desire true => w4
+  desire a2 => w1
+}
+agent beta {
+  atoms b1 b2 b3 b4
+  belief b1 => w5
+  belief b2 => w6 & w7
+  belief b3 => !w8
+  belief b4 => w9 | w19
+  desire true => w5
+  desire b3 => w8
+}
+world """ + " ".join(f"w{k}" for k in range(20)) + "\n"
+
+
+def test_the_game_keeps_no_world_mask_per_profile():
+    """A joint world mask over 20 atoms is 128 KiB; 256 of them would be
+    32 MiB.  The game keeps the desire reports and drops the masks."""
+    spec = parse_spec(TWENTY_WORLD_ATOMS).with_options(max_atoms=32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        game = derive_game(spec)
+        profiles = len(game.profiles)
+        holding = tracemalloc.get_traced_memory()[0]
+        del game
+        gc.collect()
+        kept = holding - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert profiles == 256
+    assert kept < 8 << 20
+
+
+def seeded_games():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                           max_rules=5)
+        game = derive_game(spec)
+        if len(game.profiles) > 1:
+            yield game
+
+
+def all_concepts(game):
+    for concept in (pareto, strongly_pareto, dominant):
+        concept(game)
+    for policy in (SKIP, FAIL):
+        nash(game, infeasible_swaps=policy)
+
+
+def test_concepts_decide_each_pair_of_unreached_sets_once(monkeypatch):
+    asked = Counter()
+
+    def counting(first, second, order):
+        asked[id(order), frozenset(first), frozenset(second)] += 1
+        return set_geq(first, second, order)
+
+    monkeypatch.setattr(bdgame.game, "set_geq", counting)
+    games = decided = 0
+    for game in seeded_games():
+        games += 1
+        asked.clear()
+        all_concepts(game)
+        all_concepts(game)  # the tables are kept with the game
+        distinct = {
+            id(agent.priority): {ep.report.unreached(agent.id)
+                                 for ep in game.profiles}
+            for agent in game.spec.agents}
+        for (order, first, second), calls in asked.items():
+            assert calls == 1
+            assert first != second
+            assert {first, second} <= distinct[order]
+        decided += len(asked)
+    assert games >= 150 and decided >= 1_000
+
+
+def test_nash_builds_no_profile_and_looks_none_up(monkeypatch,
+                                                  interdependence):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nash went through profile objects")
+
+    monkeypatch.setattr(DecisionProfile, "with_decision", refuse)
+    monkeypatch.setattr(GameSpecification, "index_of", refuse)
+    excluded = 0
+    for game in [derive_game(interdependence), *seeded_games()]:
+        for policy in (SKIP, FAIL):
+            excluded += len(nash(game, infeasible_swaps=policy).witnesses)
+    assert excluded >= 1_000
