@@ -184,6 +184,15 @@ class GameSpecification:
                       if r.id in ep.report.per_agent[a].inapplicable))
             for ep in self.profiles)
 
+    @cached_property
+    def goal_set_members(self) -> dict[GoalSet, tuple[int, ...]]:
+        """The profiles generating each distinct goal set, in canonical
+        order; goal sets in the order of their first generators."""
+        members: dict[GoalSet, list[int]] = {}
+        for i, gs in enumerate(self.goal_sets):
+            members.setdefault(gs, []).append(i)
+        return {gs: tuple(m) for gs, m in members.items()}
+
     def unreached(self, index: int, agent_id: str) -> frozenset[str]:
         report = self.profiles[index].report
         assert report is not None

@@ -7,21 +7,30 @@ desires never triggered.  Goal sets are defined per indistinguishability
 class, so the machinery here works on U-closed families: sets of feasible
 profiles closed under equality of per-agent unreached sets.
 
-Everything here reads the game: its goal-set table (``goal_sets``) and
-its classes (``class_ids``).  Called without a game, a function derives
-one; a profile outside the game raises InfeasibleProfileError.
+Everything here reads the game: its goal-set table (``goal_sets``), the
+generators of each distinct goal set (``goal_set_members``) and its
+classes (``class_ids``).  Called without a game, a function derives one; a
+profile outside the game raises InfeasibleProfileError.
 
-The two representation checks verify, by brute force, that membership in a
-U-closed family and being goal-based for one of its goal sets are the same
-thing, and that feasibility alone is captured by the goal sets of singleton
-closures.
+Work is done per distinct goal set where the theory allows it: profiles
+that generate the same goal set leave the same desires unreached.
+
+- The goals-first pipeline (``pareto_via_goals``) orders the distinct goal
+  sets of its pool, one member standing for each, and only then expands
+  the maximal ones to profiles.
+- The two representation checks verify, by brute force, that membership in
+  a U-closed family and being goal-based for one of its goal sets are the
+  same thing, and that feasibility alone is captured by the goal sets of
+  singleton closures.  One check decides each (profile, goal set) pair by
+  entailment at most once, in a memo that lives as long as the check;
+  ``verify.check_representation`` shares one memo between all its families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decision import DecisionProfile
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
@@ -63,13 +72,19 @@ def _index(game: GameSpecification, profile: DecisionProfile) -> int:
     return index
 
 
+def _closure_indexes(game: GameSpecification,
+                     indexes: Iterable[int]) -> tuple[int, ...]:
+    """The union of the classes of the indexed profiles, in canonical
+    order."""
+    wanted = {game.class_ids[i] for i in indexes}
+    return tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted)))
+
+
 def _closure(game: GameSpecification,
              indexes: Iterable[int]) -> ProfileFamily:
-    """The union of the classes of the indexed profiles."""
-    wanted = {game.class_ids[i] for i in indexes}
-    return ProfileFamily(
-        tuple(ep.profile for ep, c in zip(game.profiles, game.class_ids)
-              if c in wanted), u_closed=True)
+    return ProfileFamily(tuple(game.profiles[i].profile
+                               for i in _closure_indexes(game, indexes)),
+                         u_closed=True)
 
 
 def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
@@ -188,6 +203,66 @@ class CheckReport:
     violations: tuple[RepresentationViolation, ...] = ()
 
 
+GoalBased = Callable[[int, GoalSet], bool]
+
+
+def _goal_based_memo(spec: AgentSystemSpec,
+                     game: GameSpecification) -> GoalBased:
+    """``_goal_based`` by feasible index, deciding each (index, goal set)
+    pair at most once, for as long as the returned function lives."""
+    known: dict[tuple[int, GoalSet], bool] = {}
+
+    def goal_based(i: int, goals: GoalSet) -> bool:
+        key = (i, goals)
+        answer = known.get(key)
+        if answer is None:
+            answer = known[key] = _goal_based(spec, game.profiles[i], goals)
+        return answer
+    return goal_based
+
+
+def _representation_violations(game: GameSpecification,
+                               members: Sequence[int], goal_based: GoalBased
+                               ) -> tuple[RepresentationViolation, ...]:
+    """Both directions on a family given by feasible indexes: direction (a)
+    in family order, then direction (b) in canonical order."""
+    violations: list[RepresentationViolation] = []
+    for i in members:
+        ep, gs = game.profiles[i], game.goal_sets[i]
+        if not goal_based(i, gs):
+            violations.append(RepresentationViolation(
+                "member-without-goal-set", ep.profile, gs,
+                f"{ep.profile} is not goal-based for its own goal set {gs}"))
+    inside = set(members)
+    outside = sorted(
+        j for gs in {game.goal_sets[i] for i in members}
+        for j in game.goal_set_members[gs] if j not in inside)
+    for j in outside:
+        ep, gs = game.profiles[j], game.goal_sets[j]
+        violations.append(RepresentationViolation(
+            "goal-based-outside-family", ep.profile, gs,
+            f"{ep.profile} generates the family goal set {gs} but is "
+            f"missing from the family"))
+    return tuple(violations)
+
+
+def _feasible_violations(game: GameSpecification, goal_based: GoalBased
+                         ) -> tuple[RepresentationViolation, ...]:
+    violations: list[RepresentationViolation] = []
+    for members in game.classes:
+        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
+        for i in members:
+            # Its own goal set first: direction (a) has decided that pair.
+            if not (goal_based(i, game.goal_sets[i])
+                    or any(goal_based(i, gs) for gs in goal_sets)):
+                profile = game.profiles[i].profile
+                violations.append(RepresentationViolation(
+                    "member-without-goal-set", profile, None,
+                    f"{profile} is not goal-based for any goal set of its "
+                    f"indistinguishability class"))
+    return tuple(violations)
+
+
 def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
                          game: GameSpecification | None = None) -> CheckReport:
     """Brute-force both directions of the family/goal-set correspondence.
@@ -202,28 +277,19 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
     and U-closure makes (b) a theorem.  Satisfaction alone is too weak; a
     profile reaching strictly more desires still satisfies the smaller goal
     set.
+
+    Direction (a) decides each (member, goal set) pair by entailment once;
+    direction (b) reads the generators of the family's goal sets off the
+    game (``goal_set_members``) instead of scanning every feasible profile.
     """
     if not family.u_closed:
         raise NotUClosedError("representation requires a U-closed family")
     if game is None:
         game = derive_game(spec)
     members = [_index(game, p) for p in family.profiles]
-    violations: list[RepresentationViolation] = []
-    for i in members:
-        ep, gs = game.profiles[i], game.goal_sets[i]
-        if not _goal_based(spec, ep, gs):
-            violations.append(RepresentationViolation(
-                "member-without-goal-set", ep.profile, gs,
-                f"{ep.profile} is not goal-based for its own goal set {gs}"))
-    goal_sets = {game.goal_sets[i] for i in members}
-    inside = set(members)
-    for i, (ep, gs) in enumerate(zip(game.profiles, game.goal_sets)):
-        if i not in inside and gs in goal_sets:
-            violations.append(RepresentationViolation(
-                "goal-based-outside-family", ep.profile, gs,
-                f"{ep.profile} generates the family goal set {gs} but is "
-                f"missing from the family"))
-    return CheckReport(not violations, tuple(violations))
+    violations = _representation_violations(game, members,
+                                            _goal_based_memo(spec, game))
+    return CheckReport(not violations, violations)
 
 
 def feasible_representation_check(spec: AgentSystemSpec, *,
@@ -234,21 +300,13 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
     The closure of a singleton is the minimal U-closed witness, so checking
     each feasible profile against it decides representability by feasible
     goal sets.  Infeasible profiles cannot be goal-based for anything here:
-    goal-basedness is only defined on consistent extensions.
+    goal-basedness is only defined on consistent extensions.  Each profile
+    tries its own goal set first.
     """
     if game is None:
         game = derive_game(spec)
-    violations: list[RepresentationViolation] = []
-    for members in game.classes:
-        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
-        for i in members:
-            ep = game.profiles[i]
-            if not any(_goal_based(spec, ep, gs) for gs in goal_sets):
-                violations.append(RepresentationViolation(
-                    "member-without-goal-set", ep.profile, None,
-                    f"{ep.profile} is not goal-based for any goal set of its "
-                    f"indistinguishability class"))
-    return CheckReport(not violations, tuple(violations))
+    violations = _feasible_violations(game, _goal_based_memo(spec, game))
+    return CheckReport(not violations, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +364,27 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
     """Compute the Pareto family through joint goals instead of profiles.
 
     Route: collect the feasible joint goal sets (those some feasible
-    profile generates; their components always come from desire rules,
-    which is asserted), gather the goal-based profiles of each, and order
-    that pool by the per-agent preferences.  Agrees with the profile-first
-    route on the resulting Pareto family.
+    profile generates; their components must come from desire rules), and
+    gather the pool of profiles goal-based for one of them.  Group the pool
+    by the goal set each member generates.  Equal goal sets force equal
+    unreached sets (see ``representation_check``), so the first member of a
+    group stands for its goal set: a goal set is maximal when no other
+    group's first member strictly improves on its first member for every
+    agent (``strictly_better``).  Maximal joint goal sets first, profiles
+    second: the family is every feasible profile that leaves the same
+    desires unreached as a maximal goal set's members, which is the
+    U-closure of the pool profiles no pool profile improves on.  Agrees
+    with the profile-first route on the resulting Pareto family.
 
     It checks goal-basedness by entailment, independently of the desire
-    reports, and orders the pool without ``game.pareto``.  It does not
-    check the goal sets, which are read off the same desire reports as the
-    preferences.  Every feasible profile is goal-based for its own goal set
-    (representation direction (a)), so that one is tried first and the
-    pool is the whole feasible set unless that direction fails.
+    reports, and orders goal sets without the preference tables, the
+    classes or ``game.pareto``.  It does not check the goal sets, which are
+    read off the same desire reports as the preferences.  Every feasible
+    profile is goal-based for its own goal set (representation direction
+    (a)), so that one is tried first and the pool is the whole feasible set
+    unless that direction fails.  A goal set with a goal of no desire rule,
+    or a goal set whose pool members leave different desires unreached,
+    raises RuntimeError, under ``python -O`` as well.
     """
     if game is None:
         game = derive_game(spec)
@@ -324,23 +392,40 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
     desire_antecedents = {r.antecedent for r in spec.all_desires()}
     feasible_goal_sets = _sorted_goal_sets(game.goal_sets)
     for gs in feasible_goal_sets:
-        assert gs.positive <= desire_consequents
-        assert gs.negative <= desire_antecedents
+        if not (gs.positive <= desire_consequents
+                and gs.negative <= desire_antecedents):
+            raise RuntimeError(
+                f"feasible goal set {gs} holds a goal of no desire rule")
     pool = tuple(
         i for i, ep in enumerate(game.profiles)
         if any(_goal_based(spec, ep, gs)
                for gs in (game.goal_sets[i], *feasible_goal_sets)))
     agents = spec.agent_ids
+    unreached = [tuple(game.unreached(i, a) for a in agents)
+                 for i in range(len(game.profiles))]
+    groups: dict[GoalSet, list[int]] = {}
+    for i in pool:
+        groups.setdefault(game.goal_sets[i], []).append(i)
+    for gs, (first, *others) in groups.items():
+        for i in others:
+            if unreached[i] != unreached[first]:
+                raise RuntimeError(
+                    f"{game.profiles[first].profile} and "
+                    f"{game.profiles[i].profile} generate the goal set {gs} "
+                    f"but leave different desires unreached")
+    firsts = [members[0] for members in groups.values()]
 
     def improves(first: int, second: int) -> bool:
         return all(game.strictly_better(first, second, a) for a in agents)
 
-    best = [i for i in pool
-            if not any(improves(j, i) for j in pool if j != i)]
+    maximal = {unreached[i] for i in firsts
+               if not any(improves(j, i) for j in firsts if j != i)}
     return GoalsFirstResult(
         feasible_goal_sets=feasible_goal_sets,
         pool=pool,
-        pareto_family=_closure(game, best),
+        pareto_family=ProfileFamily(
+            tuple(ep.profile for ep, u in zip(game.profiles, unreached)
+                  if u in maximal), u_closed=True),
     )
 
 

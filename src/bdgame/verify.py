@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 from .decision import set_geq, set_preference
 from .extension import Rule, extension, fixpoint_certificate
 from .game import derive_game, dominant, nash, pareto, strongly_pareto
-from .goals import (ProfileFamily, concept_family,
-                    feasible_representation_check, heuristic_goals,
-                    pareto_via_goals, representation_check, u_closure)
+from .goals import (_closure_indexes, _feasible_violations,
+                    _goal_based_memo, _representation_violations,
+                    concept_family, heuristic_goals, pareto_via_goals)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, atoms_of,
                     mask_entails, models)
 from .model import (IDENTITY, RANKED, AgentSpec, AgentSystemSpec,
@@ -355,33 +355,39 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     closures of seeded random subsets of the feasible profiles.  A spec
     without a feasible profile has none of them, and fails: a check that
     examined nothing does not pass.
+
+    Families are tuples of feasible indexes.  ``checked`` counts every
+    family, but a family equal to one already passed (the singleton
+    closures of one class, say) is not checked again, and one memo decides
+    each (profile, goal set) pair by entailment at most once for all the
+    families and the feasible check.
     """
     rng = random.Random(seed)
     game = derive_game(spec)
-    if not game.profiles:
+    size = len(game.profiles)
+    if not size:
         return CheckResult("representation", False, 0, NOTHING_TO_CHECK)
-    feasible = [ep.profile for ep in game.profiles]
-    families = [ProfileFamily(tuple(feasible[i] for i in game.classes[c]),
-                              u_closed=True) for c in game.class_ids]
-    families.append(ProfileFamily(tuple(feasible), u_closed=True))
+    families = [game.classes[c] for c in game.class_ids]
+    families.append(tuple(range(size)))
     for _ in range(family_samples):
-        subset = rng.sample(feasible, rng.randint(1, len(feasible)))
-        families.append(u_closure(spec, subset, game=game))
-    checked = 0
-    for family in families:
-        checked += 1
-        report = representation_check(spec, family, game=game)
-        if not report.passed:
+        subset = rng.sample(range(size), rng.randint(1, size))
+        families.append(_closure_indexes(game, subset))
+    goal_based = _goal_based_memo(spec, game)
+    passed: set[tuple[int, ...]] = set()
+    for checked, members in enumerate(families, 1):
+        if members in passed:
+            continue
+        violations = _representation_violations(game, members, goal_based)
+        if violations:
             return CheckResult(
-                "representation", False, checked,
-                str(report.violations[0]),
-                {"family": [str(p) for p in family.profiles]})
-    feas = feasible_representation_check(spec, game=game)
-    checked += 1
-    if not feas.passed:
-        return CheckResult("representation", False, checked,
-                           str(feas.violations[0]), None)
-    return CheckResult("representation", True, checked)
+                "representation", False, checked, str(violations[0]),
+                {"family": [str(game.profiles[i].profile) for i in members]})
+        passed.add(members)
+    violations = _feasible_violations(game, goal_based)
+    if violations:
+        return CheckResult("representation", False, len(families) + 1,
+                           str(violations[0]), None)
+    return CheckResult("representation", True, len(families) + 1)
 
 
 def check_representation_corpus(seed: int = 0, samples: int = 500, *,

@@ -19,7 +19,9 @@ The references compare profiles by ``profile_geq``, which decides by
 The goals layer reads the game's goal-set table and closes families by
 class id.  Its reference is the older route: closure by per-agent
 unreached-set signatures, goal sets read off a fresh desire report of each
-profile, and the representation loops over profiles.
+profile, and the representation loops over profiles.  The goals-first
+pipeline orders distinct goal sets, one member standing for each; its
+reference orders every pair of pool profiles.
 
 The entailment oracles (goal-basedness, rule firing, the fixpoint
 certificate and the heuristic check) build each theory's model mask once
@@ -182,6 +184,30 @@ def ref_goal_set(spec, ext):
     return GoalSet(frozenset(positive), frozenset(negative))
 
 
+def ref_pareto_via_goals(spec, game):
+    """The goals-first pool and family by the profile-pair loop: a pool
+    profile is kept unless another pool profile strictly improves on it
+    for every agent, and the kept ones are closed."""
+    feasible_goal_sets = sorted(set(game.goal_sets), key=goal_set_key)
+    pool = tuple(
+        i for i, ep in enumerate(game.profiles)
+        if any(is_goal_based(spec, ep.profile, gs, game=game)
+               for gs in (game.goal_sets[i], *feasible_goal_sets)))
+    agents = spec.agent_ids
+    best = [i for i in pool
+            if not any(all(game.strictly_better(j, i, a) for a in agents)
+                       for j in pool if j != i)]
+    return pool, u_closure(spec, [game.profiles[i].profile for i in best],
+                           game=game)
+
+
+def assert_goals_first_matches_the_pair_loop(spec, game):
+    """Returns how many of the game's goal sets have several generators."""
+    got = pareto_via_goals(spec, game=game)
+    assert (got.pool, got.pareto_family) == ref_pareto_via_goals(spec, game)
+    return sum(n >= 2 for n in Counter(game.goal_sets).values())
+
+
 def seeded_games():
     rng = random.Random(20020707)
     for _ in range(SMALL_SPECS):
@@ -196,9 +222,11 @@ def seeded_games():
 
 
 def test_concepts_and_goal_sets_match_the_definitions():
-    specs = three_agent_specs = widest = profiles = 0
+    specs = three_agent_specs = widest = profiles = shared_goal_sets = 0
     for spec, game in seeded_games():
         specs += 1
+        shared_goal_sets += assert_goals_first_matches_the_pair_loop(spec,
+                                                                     game)
         if len(spec.agents) == 3:
             three_agent_specs += 1
             widest = max(widest, *(len(a.decision_atoms) for a in spec.agents))
@@ -222,6 +250,7 @@ def test_concepts_and_goal_sets_match_the_definitions():
     assert specs >= 500
     assert three_agent_specs >= 25 and widest == 4
     assert profiles >= 6_000
+    assert shared_goal_sets >= 1_000
 
 
 def class_collapsing_games():
@@ -241,9 +270,11 @@ def class_collapsing_games():
 
 
 def test_class_level_concepts_match_the_profile_loops():
-    games = excluded = 0
+    games = excluded = shared_goal_sets = 0
     for game in class_collapsing_games():
         games += 1
+        shared_goal_sets += assert_goals_first_matches_the_pair_loop(
+            game.spec, game)
         for solve, reference in ((pareto, ref_pareto),
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
@@ -258,6 +289,7 @@ def test_class_level_concepts_match_the_profile_loops():
             break
     assert games == CLASS_SPECS
     assert excluded >= 1_500
+    assert shared_goal_sets >= 200
 
 
 def swap_breaking_games():

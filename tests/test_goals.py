@@ -1,13 +1,22 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import bdgame.game
+import bdgame.goals
+import bdgame.verify
 from bdgame.decision import desire_report
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
-from bdgame.game import derive_game, pareto
-from bdgame.goals import (GoalSet, ProfileFamily, apply_decision_rule,
+from bdgame.game import GameSpecification, derive_game, pareto
+from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
+                          apply_decision_rule,
                           delta_goal_sets, feasible_representation_check,
                           fragment_check, goal_set_of, heuristic_goals,
                           is_goal_based, iter_syntactic_goal_sets,
@@ -23,6 +32,8 @@ P, Q = Var("p"), Var("q")
 
 TWIN_SPEC_SRC = ('agent x {\n  atoms a b\n  desire d: true => p\n}\n'
                  'world p\n')
+# {a, b} and {a} both generate <+{a}, -{}>; {b} and {} generate <+{}, -{}>.
+SHARED_SPEC_SRC = 'agent x {\n  atoms a b\n  desire d: true => a\n}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +300,164 @@ def test_goals_first_pool_is_all_feasible(prisoners):
     game = derive_game(prisoners)
     result = pareto_via_goals(prisoners, game=game)
     assert set(result.pool) == set(range(len(game.profiles)))
+
+
+# ---------------------------------------------------------------------------
+# Per goal set: the memo, the comparisons, broken invariants
+# ---------------------------------------------------------------------------
+
+def with_profile(game, index, **changes):
+    """A copy of the game with one evaluated profile's fields replaced."""
+    profiles = list(game.profiles)
+    profiles[index] = dataclasses.replace(profiles[index], **changes)
+    return dataclasses.replace(game, profiles=tuple(profiles))
+
+
+def shared_goal_set_game():
+    """A seeded game of 64 profiles with 6 goal sets in 4 classes."""
+    rng = random.Random(6)
+    while True:
+        spec = random_spec(rng, max_agents=3)
+        game = derive_game(spec)
+        distinct = len(set(game.goal_sets))
+        if (len(game.profiles) >= 16 and 4 <= distinct
+                <= len(game.profiles) // 4 and len(game.classes) < distinct):
+            return spec, game
+
+
+def test_representation_reports_the_one_member_that_lost_its_goals(
+        monkeypatch):
+    spec = parse_spec(SHARED_SPEC_SRC)
+    game = derive_game(spec)
+    ab, a, b = (game.index_of(profile(x=names))
+                for names in (["a", "b"], ["a"], ["b"]))
+    shared = game.goal_sets[ab]
+    assert game.goal_sets[a] == shared and shared.positive
+    # {a, b} keeps its goal set but no longer entails its positive goal a.
+    broken = with_profile(game, ab, extension=game.profiles[b].extension)
+    expected = RepresentationViolation(
+        "member-without-goal-set", profile(x=["a", "b"]), shared,
+        f"{profile(x=['a', 'b'])} is not goal-based for its own goal set "
+        f"{shared}")
+    for members in ((ab, a), (a, ab), range(len(game.profiles))):
+        family = ProfileFamily(tuple(game.profiles[i].profile
+                                     for i in members), u_closed=True)
+        assert representation_check(spec, family, game=broken).violations \
+            == (expected,)
+    monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
+    result = check_representation(spec)
+    assert not result.passed
+    assert result.details == str(expected)
+    assert set(result.counterexample["family"]) == {
+        str(profile(x=["a", "b"])), str(profile(x=["a"]))}
+
+
+def test_feasible_check_tries_every_goal_set_of_the_class():
+    # {}, {a} and {a, b} leave nothing unreached; {a, b} generates
+    # <+{a}, -{}>, the other two <+{}, -{b}>.
+    spec = parse_spec(
+        'agent x {\n  atoms a b\n  desire d: b => a\n}\n')
+    game = derive_game(spec)
+    ab, empty = game.index_of(profile(x=["a", "b"])), \
+        game.index_of(profile(x=[]))
+    broken = with_profile(game, ab, extension=game.profiles[empty].extension)
+    family = u_closure(spec, [profile(x=["a", "b"])], game=broken)
+    assert len(family.profiles) == 3
+    assert [v.profile for v in representation_check(
+        spec, family, game=broken).violations] == [profile(x=["a", "b"])]
+    # Not goal-based for its own goal set, but for its class's other one.
+    assert feasible_representation_check(spec, game=broken).passed
+
+
+def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
+    spec, game = shared_goal_set_game()
+    asked = Counter()
+    decide = bdgame.goals._goal_based
+
+    def counting(spec, ep, goals):
+        asked[ep.profile, goals] += 1
+        return decide(spec, ep, goals)
+
+    monkeypatch.setattr(bdgame.goals, "_goal_based", counting)
+    assert check_representation(spec).passed
+    # Each profile is decided on its own goal set, once; that settles the
+    # feasible check too.
+    assert set(asked) == {(ep.profile, gs)
+                          for ep, gs in zip(game.profiles, game.goal_sets)}
+    assert max(asked.values()) == 1
+
+
+def test_goals_first_compares_first_members_of_distinct_goal_sets(
+        monkeypatch):
+    spec, game = shared_goal_set_game()
+    firsts = {game.goal_sets.index(gs) for gs in game.goal_sets}
+    compared = []
+    definition = GameSpecification.strictly_better
+
+    def counting(self, first, second, agent_id):
+        compared.append((first, second))
+        return definition(self, first, second, agent_id)
+
+    monkeypatch.setattr(GameSpecification, "strictly_better", counting)
+    fresh = derive_game(spec)
+    result = pareto_via_goals(spec, game=fresh)
+    assert compared
+    for first, second in compared:
+        assert {first, second} <= firsts and first != second
+    assert len(set(compared)) <= len(firsts) * (len(firsts) - 1)
+    # The route orders goal sets without the tables, the classes or pareto.
+    assert not {"preferences", "class_ids", "classes"} & set(vars(fresh))
+    assert set(result.pareto_family.profiles) == set(u_closure(
+        spec, [game.profiles[i].profile
+               for i in pareto(game).profile_indexes], game=game).profiles)
+
+
+def tampered_games():
+    """Games of SHARED_SPEC_SRC that each break one invariant the
+    goals-first route checks, with the message it raises."""
+    spec = parse_spec(SHARED_SPEC_SRC)
+    game = derive_game(spec)
+    foreign = dataclasses.replace(game)
+    vars(foreign)["goal_sets"] = tuple(
+        GoalSet(gs.positive | {Var("b")}, gs.negative)
+        for gs in game.goal_sets)
+    yield spec, foreign, "holds a goal of no desire rule"
+    # {b} claims the goal set of {a}, which reaches the desire {b} leaves
+    # unreached: one goal set, two unreached sets.
+    claimed = dataclasses.replace(game)
+    b, a = game.index_of(profile(x=["b"])), game.index_of(profile(x=["a"]))
+    vars(claimed)["goal_sets"] = tuple(
+        game.goal_sets[a] if i == b else gs
+        for i, gs in enumerate(game.goal_sets))
+    yield spec, claimed, "leave different desires unreached"
+
+
+def test_goals_first_raises_on_a_broken_invariant():
+    for spec, game, message in tampered_games():
+        with pytest.raises(RuntimeError, match=message):
+            pareto_via_goals(spec, game=game)
+
+
+def test_goals_first_raises_on_a_broken_invariant_without_asserts():
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('asserts are on')\n"
+        "from bdgame.goals import pareto_via_goals\n"
+        "from test_goals import tampered_games\n"
+        "for spec, game, message in tampered_games():\n"
+        "    try:\n"
+        "        pareto_via_goals(spec, game=game)\n"
+        "        print('returned')\n"
+        "    except RuntimeError as exc:\n"
+        "        print('raised' if message in str(exc) else exc)\n")
+    path = os.pathsep.join([str(Path(bdgame.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "raised\nraised\n"), \
+        run.stderr
 
 
 # ---------------------------------------------------------------------------
