@@ -21,14 +21,15 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
                        DecisionProfile, agent_extension)
 from .errors import BdgameError
 from .extension import Extension
-from .game import (CONCEPTS, GameSpecification, agent_extensions,
+from .game import (CONCEPTS, EvaluatedProfile, agent_extensions,
                    derive_game, evaluate_product, evaluate_profile)
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
@@ -147,21 +148,81 @@ def _extension_json(ext: Extension) -> list[str]:
     return sorted(format_formula(f) for f in ext.formulas)
 
 
-def _profile_entry(spec: AgentSystemSpec, profile, ext: Extension,
-                   report) -> dict:
-    decisions = {
-        d.agent: [str(lit) for lit in d.sorted_literals()]
-        for d in profile.decisions}
-    entry = {
-        "decisions": decisions,
-        "extension": _extension_json(ext),
-        "consistent": ext.consistent,
-        "unreached": None,
-    }
-    if report is not None:
-        entry["unreached"] = {a: sorted(report.unreached(a))
-                              for a in spec.agent_ids}
-    return entry
+def _members(lines: list[str], brackets: str, depth: int) -> str:
+    """A JSON array or object ``depth`` levels deep, as ``json.dumps`` with
+    ``indent=2`` prints it, from its member lines (indented one level
+    deeper)."""
+    if not lines:
+        return brackets
+    return (brackets[0] + "\n" + ",\n".join(lines) + "\n" + "  " * depth
+            + brackets[1])
+
+
+def _strings(texts: Iterable[str], depth: int) -> str:
+    """A JSON array of strings, ``depth`` levels deep."""
+    pad = "  " * (depth + 1)
+    return _members([pad + json.dumps(t) for t in texts], "[]", depth)
+
+
+def _profile_entries(evaluated: Iterable[EvaluatedProfile],
+                     extensions: Mapping[str, Mapping[Decision, Extension]]
+                     ) -> list[str]:
+    """Each profile's JSON entry, as the report's ``json.dumps`` prints it
+    in the ``profiles`` array: ``consistent``, ``decisions`` (the literals
+    of each agent's decision), ``extension`` (the joint extension's
+    formulas, sorted) and ``unreached`` (each agent's unreached desires,
+    or null for an infeasible profile).  ``extensions`` holds each agent's
+    extension of each decision of the profiles.
+
+    A report's profiles share most of their pieces, and each piece is
+    encoded once per report: each decision's literal list, each agent
+    extension's formula texts and each distinct unreached set's list.  A
+    joint extension is the union of its agents' extensions, and
+    ``format_formula`` is one-to-one, so a profile's formula list is the
+    sorted union of its parts' texts.  Keys are sorted as ``sort_keys``
+    sorts them.
+    """
+    # Per decision: its member line in "decisions", its extension's texts.
+    pieces: dict[Decision, tuple[str, frozenset[str]]] = {}
+    strings: dict[str, str] = {}
+    unreached: dict[tuple[str, frozenset[str]], str] = {}
+    entries = []
+    for ep in evaluated:
+        parts = []
+        for d in sorted(ep.profile.decisions, key=attrgetter("agent")):
+            piece = pieces.get(d)
+            if piece is None:
+                texts = frozenset(format_formula(f) for f in
+                                  extensions[d.agent][d].formulas)
+                for text in texts - strings.keys():
+                    strings[text] = "        " + json.dumps(text)
+                piece = pieces[d] = (
+                    f"        {json.dumps(d.agent)}: " + _strings(
+                        map(str, d.sorted_literals()), 4), texts)
+            parts.append(piece)
+        formulas = sorted(frozenset().union(*(texts for _, texts in parts)))
+        if ep.report is None:
+            left = "null"
+        else:
+            lines = []
+            for agent in sorted(ep.report.per_agent):
+                key = (agent, ep.report.unreached(agent))
+                line = unreached.get(key)
+                if line is None:
+                    line = unreached[key] = (f"        {json.dumps(agent)}: "
+                                             + _strings(sorted(key[1]), 4))
+                lines.append(line)
+            left = _members(lines, "{}", 3)
+        decisions = _members([line for line, _ in parts], "{}", 3)
+        extension = _members([strings[f] for f in formulas], "[]", 3)
+        entries.append(
+            "    {\n"
+            f'      "consistent": {json.dumps(ep.extension.consistent)},\n'
+            f'      "decisions": {decisions},\n'
+            f'      "extension": {extension},\n'
+            f'      "unreached": {left}\n'
+            "    }")
+    return entries
 
 
 def _report(spec_name: str, command: str, **sections) -> dict:
@@ -179,11 +240,25 @@ def _report(spec_name: str, command: str, **sections) -> dict:
 
 
 def _emit(config: RunConfig, lines: Callable[[], Iterable[str]],
-          report: Callable[[], dict]) -> None:
-    """Print the text lines, or the JSON report: only the builder of the
-    chosen format runs."""
+          report: Callable[[], dict],
+          entries: Callable[[], list[str]] = list) -> None:
+    """Print the text lines, or the JSON report: only the builders of the
+    chosen format run.
+
+    ``entries`` builds the report's profile entries (``_profile_entries``).
+    The report is encoded by one ``json.dumps`` call, and a non-empty
+    profiles array is spliced into it, in place of the empty one that
+    ``_report`` puts there: the one top-level key, two spaces in, which
+    nothing else matches, as encoded strings hold no newline.
+    """
     if config.output_format == "json":
-        print(json.dumps(report(), indent=2, sort_keys=True))
+        text = json.dumps(report(), indent=2, sort_keys=True)
+        profiles = entries()
+        if profiles:
+            text = text.replace(
+                '\n  "profiles": []',
+                '\n  "profiles": [\n' + ",\n".join(profiles) + "\n  ]", 1)
+        print(text)
     else:
         print("\n".join(lines()))
 
@@ -267,12 +342,15 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig,
         profile = DecisionProfile(tuple(
             Decision(a.id, frozenset(a.initial_decision))
             for a in spec.agents))
-        ep = evaluate_profile(spec, profile)
-        ext, report = ep.extension, ep.report
+        parts = tuple(agent_extension(spec, d.agent, d)
+                      for d in profile.decisions)
+        ep = evaluate_profile(spec, profile, parts)
     else:
         decision = _parse_decision(spec, agent, decision_text)
         profile = DecisionProfile((decision,))
-        ext, report = agent_extension(spec, agent, decision), None
+        parts = (agent_extension(spec, agent, decision),)
+        ep = EvaluatedProfile(profile, parts[0], None)
+    ext = ep.extension
 
     def lines() -> Iterator[str]:
         if agent is None:
@@ -282,8 +360,9 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig,
         flag = "consistent" if ext.consistent else "INCONSISTENT"
         yield "  {" + ", ".join(_extension_json(ext)) + "}"
         yield f"  {flag}; {ext.iterations} productive rounds"
-    _emit(config, lines, lambda: _report(spec.name, "extension", profiles=[
-        _profile_entry(spec, profile, ext, report)]))
+    _emit(config, lines, lambda: _report(spec.name, "extension"),
+          lambda: _profile_entries([ep], {
+              d.agent: {d: part} for d, part in zip(profile.decisions, parts)}))
     return EXIT_OK
 
 
@@ -307,17 +386,9 @@ def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig,
                 for a in spec.agent_ids:
                     unreached = ", ".join(sorted(ep.report.unreached(a)))
                     yield f"      unreached[{a}]: {unreached or '-'}"
-    _emit(config, lines, lambda: _report(spec.name, "profiles", profiles=[
-        _profile_entry(spec, ep.profile, ep.extension, ep.report)
-        for ep in shown]))
+    _emit(config, lines, lambda: _report(spec.name, "profiles"),
+          lambda: _profile_entries(shown, built))
     return EXIT_OK
-
-
-def _game_report(spec: AgentSystemSpec, game: GameSpecification,
-                 command: str, **sections) -> dict:
-    return _report(spec.name, command, profiles=[
-        _profile_entry(spec, ep.profile, ep.extension, ep.report)
-        for ep in game.profiles], **sections)
 
 
 def _cmd_solve(spec: AgentSystemSpec, config: RunConfig,
@@ -345,9 +416,10 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig,
             if w.decision is not None:
                 parts.append(f"deviation {w.decision}")
             yield f"  [{i}] {game.profiles[i].profile}: " + ", ".join(parts)
-    _emit(config, lines, lambda: _game_report(
-        spec, game, "solve",
-        solutions={concept: list(solution.profile_indexes)}))
+    _emit(config, lines, lambda: _report(
+        spec.name, "solve",
+        solutions={concept: list(solution.profile_indexes)}),
+        lambda: _profile_entries(game.profiles, game.feasible_decisions))
     return EXIT_OK
 
 
@@ -386,12 +458,13 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, family_name: str,
             yield f"  [{i}] {game.profiles[i].profile}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
-    _emit(config, lines, lambda: _game_report(
-        spec, game, "goals", solutions={"family": family_indexes},
+    _emit(config, lines, lambda: _report(
+        spec.name, "goals", solutions={"family": family_indexes},
         goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
                     "negative": sorted(map(format_formula, gs.negative)),
                     "generators": generators[gs]}
-                   for gs in goal_sets]))
+                   for gs in goal_sets]),
+        lambda: _profile_entries(game.profiles, game.feasible_decisions))
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ lifted unreached set wins.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -192,6 +193,42 @@ def is_feasible_profile(spec: AgentSystemSpec, profile: DecisionProfile) -> bool
     return joint_extension(spec, profile).consistent
 
 
+class _SharedStatuses:
+    """The desire statuses of one pass over a game's profiles.
+
+    An agent's status reads only the joint world mask and the profile's
+    values on the decision atoms of the agent's desire rules, so profiles
+    that agree on both share one ``AgentDesireStatus``, classified once.
+    ``known`` is keyed by agent index, a small id per distinct joint mask
+    and those values; ids, not masks, so each distinct mask is held once.
+    """
+
+    def __init__(self) -> None:
+        self.mask_ids: dict[int, int] = {}
+        self.known: dict[tuple[int, int, tuple[bool | None, ...]],
+                         AgentDesireStatus] = {}
+
+
+# The statuses shared by the call in progress (``_shared_desire_report``),
+# None outside one.  A context variable, not a parameter, so that
+# ``desire_report`` keeps its public signature and a pass still calls it
+# once per feasible profile.
+_SHARED: ContextVar[_SharedStatuses | None] = ContextVar(
+    "bdgame_shared_statuses", default=None)
+
+
+def _shared_desire_report(shared: _SharedStatuses, spec: AgentSystemSpec,
+                          profile: DecisionProfile,
+                          ext: Extension) -> DesireReport:
+    """``desire_report``, sharing statuses with the other calls given the
+    same ``shared``: one pass over one spec's profiles."""
+    token = _SHARED.set(shared)
+    try:
+        return desire_report(spec, profile, ext)
+    finally:
+        _SHARED.reset(token)
+
+
 def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
                   ext: Extension | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
@@ -201,7 +238,10 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
     extension's world mask against the world assignments where the query
     fails.  Those come from the spec's table (``AgentSystemSpec.desire_masks``)
     by the profile's values on the rule's decision atoms, and are
-    conditioned once per entry.
+    conditioned once per entry.  An agent's status is classified once per
+    distinct joint mask and values on its desire rules' decision atoms
+    within a pass over a game's profiles (``game.evaluate_product``), and
+    shared by the profiles that agree on both.
     Undefined on infeasible profiles: an inconsistent extension entails
     everything, which would make every desire reached and violated at once.
     """
@@ -210,35 +250,49 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
     if not ext.consistent:
         raise InfeasibleProfileError(
             f"profile {profile} has an inconsistent extension")
-    world = spec.mask_atoms
-    full = (1 << (1 << len(world))) - 1
+    shared = _SHARED.get() or _SharedStatuses()
     fixed = {lit.atom: lit.positive
              for d in profile.decisions for lit in d.literals}
     theory = ext.models
+    mask_id = shared.mask_ids.setdefault(theory, len(shared.mask_ids))
     per_agent = {}
-    for agent, rows in zip(spec.agents, spec.desire_masks):
-        unreached, reached, violated, inapplicable = set(), set(), set(), set()
-        for rule, atoms, table in rows:
-            values = tuple(fixed.get(a) for a in atoms)
-            failing = table.get(values)
-            if failing is None:
-                given = {a: v for a, v in zip(atoms, values) if v is not None}
-                failing = table[values] = tuple(
-                    full ^ conditioned_models(f, given, world) for f in
-                    (rule.antecedent, rule.consequent, Not(rule.consequent)))
-            antecedent, consequent, negated = failing
-            if theory & antecedent:
-                inapplicable.add(rule.id)
-            elif not theory & consequent:
-                reached.add(rule.id)
-            else:
-                unreached.add(rule.id)
-                if not theory & negated:
-                    violated.add(rule.id)
-        per_agent[agent.id] = AgentDesireStatus(
-            frozenset(unreached), frozenset(reached),
-            frozenset(violated), frozenset(inapplicable))
+    for index, (agent, (atoms, rows)) in enumerate(
+            zip(spec.agents, spec.desire_masks)):
+        key = (index, mask_id, tuple(map(fixed.get, atoms)))
+        status = shared.known.get(key)
+        if status is None:
+            status = shared.known[key] = _classify(
+                rows, fixed, theory, spec.mask_atoms)
+        per_agent[agent.id] = status
     return DesireReport(per_agent)
+
+
+def _classify(rows, fixed: Mapping[str, bool], theory: int,
+              world: tuple[str, ...]) -> AgentDesireStatus:
+    """One agent's desire status: ``rows`` are its entries of
+    ``AgentSystemSpec.desire_masks``, ``fixed`` the profile's decision
+    values and ``theory`` the joint world mask."""
+    unreached, reached, violated, inapplicable = set(), set(), set(), set()
+    for rule, atoms, table in rows:
+        values = tuple(map(fixed.get, atoms))
+        failing = table.get(values)
+        if failing is None:
+            full = (1 << (1 << len(world))) - 1
+            given = {a: v for a, v in zip(atoms, values) if v is not None}
+            failing = table[values] = tuple(
+                full ^ conditioned_models(f, given, world) for f in
+                (rule.antecedent, rule.consequent, Not(rule.consequent)))
+        antecedent, consequent, negated = failing
+        if theory & antecedent:
+            inapplicable.add(rule.id)
+        elif not theory & consequent:
+            reached.add(rule.id)
+        else:
+            unreached.add(rule.id)
+            if not theory & negated:
+                violated.add(rule.id)
+    return AgentDesireStatus(frozenset(unreached), frozenset(reached),
+                             frozenset(violated), frozenset(inapplicable))
 
 
 # ---------------------------------------------------------------------------

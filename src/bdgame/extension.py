@@ -165,5 +165,7 @@ def fixpoint_certificate(rules: Iterable[Rule], base: Iterable[Formula],
                                            max_atoms=max_atoms)
             if fired <= candidate:
                 least = candidate if least is None else least & candidate
-    assert least is not None  # base | consequents is always closed
+    if least is None:
+        raise RuntimeError("no closed superset found, yet base | "
+                           "consequents is always closed")
     return claimed_set == least

@@ -2,8 +2,15 @@
 
 The game of a specification pairs the jointly feasible profiles (drawn from
 the product of each agent's individually feasible decisions) with the
-per-agent preference orders induced by unreached desires.  Solution concepts
-are computed by brute force on small integer tables, numbered once per game:
+per-agent preference orders induced by unreached desires.  Being a product,
+its profiles share most of what they carry, and each shared piece is built
+once: each agent's extension of each feasible decision, kept on the game
+(``feasible_decisions``, without masks), and each agent's desire status,
+shared by the profiles that agree on the joint world mask and on the
+decision atoms of the agent's desire rules (``evaluate_product``).
+
+Solution concepts are computed by brute force on small integer tables,
+numbered once per game:
 
 - each agent's distinct unreached sets get ids, and one preference table
   per agent holds the lifted order (``set_geq``) between them, filled on
@@ -35,9 +42,9 @@ from math import prod
 from typing import Callable, Iterator
 
 from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, DesireReport, agent_extension,
-                       desire_report, enumerate_decisions, joint_extension,
-                       set_geq)
+                       DecisionProfile, DesireReport, _shared_desire_report,
+                       _SharedStatuses, agent_extension, enumerate_decisions,
+                       joint_extension, set_geq)
 from .errors import CombinatorialBoundError
 from .extension import Extension
 from .logic import Formula, format_formula
@@ -87,11 +94,21 @@ def evaluate_profile(spec: AgentSystemSpec, profile: DecisionProfile,
     The joint world mask lives only until the report is read: the kept
     extension has ``models=None``, so a game holds no mask per profile.
     """
+    return _evaluate(spec, profile, parts, _SharedStatuses())
+
+
+def _evaluate(spec: AgentSystemSpec, profile: DecisionProfile,
+              parts: tuple[Extension, ...] | None,
+              shared: _SharedStatuses) -> EvaluatedProfile:
     ext = joint_extension(spec, profile, parts)
-    report = desire_report(spec, profile, ext) if ext.consistent else None
-    return EvaluatedProfile(profile, Extension(
-        ext.base, ext.derived, ext.iterations, ext.consistent, models=None),
-        report)
+    report = (_shared_desire_report(shared, spec, profile, ext)
+              if ext.consistent else None)
+    return EvaluatedProfile(profile, _without_models(ext), report)
+
+
+def _without_models(ext: Extension) -> Extension:
+    return Extension(ext.base, ext.derived, ext.iterations, ext.consistent,
+                     models=None)
 
 
 class PreferenceTable:
@@ -130,7 +147,9 @@ class PreferenceTable:
 class GameSpecification:
     spec: AgentSystemSpec
     profiles: tuple[EvaluatedProfile, ...]  # feasible only, canonical order
-    feasible_decisions: dict[str, tuple[Decision, ...]]
+    # Per agent, its feasible decisions in canonical order, each with the
+    # agent's extension of it (``models=None``).
+    feasible_decisions: dict[str, dict[Decision, Extension]]
     # Per candidate profile, by mixed-radix index over feasible_decisions
     # (last agent fastest): its index in profiles, or -1 when infeasible.
     candidates: tuple[int, ...]
@@ -194,9 +213,7 @@ class GameSpecification:
         return {gs: tuple(m) for gs, m in members.items()}
 
     def unreached(self, index: int, agent_id: str) -> frozenset[str]:
-        report = self.profiles[index].report
-        assert report is not None
-        return report.unreached(agent_id)
+        return self.profiles[index].report.unreached(agent_id)
 
     def profile_geq(self, first: int, second: int, agent_id: str) -> bool:
         """first is at least as good as second for the agent."""
@@ -225,14 +242,19 @@ def evaluate_product(spec: AgentSystemSpec,
                      max_profiles: int = DEFAULT_PROFILE_CAP
                      ) -> Iterator[EvaluatedProfile]:
     """Evaluate every profile of the product of the agents' decisions, in
-    canonical order, from the agents' extensions of those decisions."""
+    canonical order, from the agents' extensions of those decisions.
+
+    The profiles of the pass share their agents' desire statuses
+    (``decision.desire_report``); the statuses' memo lives as long as the
+    pass."""
     total = prod(len(ds) for ds in decisions.values())
     if total > max_profiles:
         raise CombinatorialBoundError(
             f"{total} candidate profiles (cap {max_profiles})")
+    shared = _SharedStatuses()
     for combo in product(*(ds.items() for ds in decisions.values())):
         profile = DecisionProfile(tuple(d for d, _ in combo))
-        yield evaluate_profile(spec, profile, tuple(ext for _, ext in combo))
+        yield _evaluate(spec, profile, tuple(ext for _, ext in combo), shared)
 
 
 def derive_game(spec: AgentSystemSpec, *,
@@ -241,9 +263,10 @@ def derive_game(spec: AgentSystemSpec, *,
     """Enumerate feasible decisions per agent and keep jointly feasible profiles.
 
     Each agent's extension of each of its decisions is built once, for the
-    feasibility filter and every profile containing that decision.  Each
-    candidate profile is evaluated once, and everything downstream reads
-    that evaluation.
+    feasibility filter and every profile containing that decision, and the
+    game keeps it, without its mask, for the profile entries of the CLI's
+    JSON reports.  Each candidate profile is evaluated once, and everything
+    downstream reads that evaluation.
     """
     feasible = {
         agent: {d: ext for d, ext in built.items() if ext.consistent}
@@ -259,8 +282,9 @@ def derive_game(spec: AgentSystemSpec, *,
     return GameSpecification(
         spec=spec,
         profiles=tuple(profiles),
-        feasible_decisions={agent: tuple(ds)
-                            for agent, ds in feasible.items()},
+        feasible_decisions={
+            agent: {d: _without_models(ext) for d, ext in ds.items()}
+            for agent, ds in feasible.items()},
         candidates=tuple(candidates),
     )
 

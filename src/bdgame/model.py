@@ -126,18 +126,21 @@ class AgentSystemSpec:
         return self.world_atoms
 
     @cached_property
-    def desire_masks(self) -> tuple[tuple[tuple[Rule, tuple[str, ...], dict],
-                                          ...], ...]:
-        """Per agent, per desire rule: the rule, its decision atoms, and a
-        table from a profile's values on them to the rule's query masks,
-        filled by ``decision.desire_report``.  It lives and dies with the
-        spec."""
+    def desire_masks(self) -> tuple[tuple[tuple[str, ...], tuple[tuple[
+            Rule, tuple[str, ...], dict], ...]], ...]:
+        """Per agent: the decision atoms of its desire rules, and per desire
+        rule the rule, its decision atoms, and a table from a profile's
+        values on them to the rule's query masks, filled by
+        ``decision.desire_report``.  It lives and dies with the spec."""
         world = set(self.world_atoms)
-        return tuple(
-            tuple((r, tuple(sorted(
+        out = []
+        for agent in self.agents:
+            rows = tuple((r, tuple(sorted(
                 (atoms_of(r.antecedent) | atoms_of(r.consequent)) - world)),
                 {}) for r in agent.desires)
-            for agent in self.agents)
+            out.append((tuple(sorted({a for _, atoms, _ in rows
+                                      for a in atoms})), rows))
+        return tuple(out)
 
     def agent(self, agent_id: str) -> AgentSpec:
         for a in self.agents:
@@ -297,16 +300,16 @@ class _RawAgent:
 
 
 def _strip_comment(raw: str) -> str:
-    # '#' starts a comment except inside the quoted system name
-    out = []
-    quoted = False
-    for ch in raw:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+    # '#' starts a comment except inside the quoted system name: the
+    # unquoted pieces of the line are its even-numbered ones between '"'s
+    if "#" not in raw:
+        return raw.strip()
+    pieces = raw.split('"')
+    for k in range(0, len(pieces), 2):
+        cut = pieces[k].find("#")
+        if cut >= 0:
+            return '"'.join(pieces[:k] + [pieces[k][:cut]]).strip()
+    return raw.strip()
 
 
 def _split_rule(text: str, lineno: int) -> tuple[str, str]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +15,10 @@ from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import agent_extension
 from bdgame.game import agent_extensions, derive_game
-from bdgame.model import parse_spec
+from bdgame.goals import DECISION_RULES
+from bdgame.logic import format_formula
+from bdgame.model import format_spec, parse_spec
+from bdgame.verify import random_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -378,7 +382,8 @@ def test_text_mode_never_builds_the_report(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the JSON report was built in text mode")
 
-    monkeypatch.setattr(bdgame.cli, "_game_report", refuse)
+    monkeypatch.setattr(bdgame.cli, "_report", refuse)
+    monkeypatch.setattr(bdgame.cli, "_profile_entries", refuse)
     for argv, expected in TEXT_REPORTS.items():
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == expected
@@ -493,3 +498,142 @@ def test_validate_applies_the_atom_cap(monkeypatch, capsys):
         capsys.readouterr().err
     assert main(["validate", "--max-atoms", "32", str(WIDE_SPEC)]) == 0
     assert capsys.readouterr().out == "wide vocabulary: OK\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON reports: entries from shared pieces against one dump of the whole
+# ---------------------------------------------------------------------------
+
+def ref_profile_entry(ep):
+    """A profile's entry as a dict, built from the profile's own joint
+    extension and desire report."""
+    entry = {
+        "decisions": {d.agent: [str(lit) for lit in d.sorted_literals()]
+                      for d in ep.profile.decisions},
+        "extension": sorted(format_formula(f) for f in ep.extension.formulas),
+        "consistent": ep.extension.consistent,
+        "unreached": None,
+    }
+    if ep.report is not None:
+        entry["unreached"] = {a: sorted(status.unreached)
+                              for a, status in ep.report.per_agent.items()}
+    return entry
+
+
+def ref_emit(config, lines, report, entries=list):
+    """The report as one ``json.dumps`` of a dict that holds every entry."""
+    assert config.output_format == "json"
+    data = report()
+    data["profiles"] = entries()
+    print(json.dumps(data, indent=2, sort_keys=True))
+
+
+# Agent ids out of sorted order (uppercase sorts first), a non-ASCII name
+# with a '#' in it, and unreached sets of one and two desires.
+UNSORTED_AGENTS = """\
+system "Spiel für zwei — 博弈 #1"  # a comment
+option decision_mode = total-assignments
+agent zeta {
+  atoms z1 z2
+  priority ranked
+  belief z1 => p
+  belief z2 => !q
+  desire d_pq [rank=2]: true => p & q
+  desire d_r [rank=1]: z2 => !r
+}
+agent Mid {
+  atoms m
+  priority identity
+  belief m => q | r
+  desire true => q
+}
+agent alpha {
+  atoms x
+  priority identity
+  fact r
+  belief x => !p
+  desire x => p
+}
+world p q r
+"""
+
+# Each agent's only decision is feasible, their one profile is not.
+NOTHING_JOINTLY_FEASIBLE = """\
+system "nothing jointly feasible"
+agent x {
+  atoms a
+  belief a => p
+  desire true => p
+  initial a
+}
+agent y {
+  atoms c
+  belief c => !p
+  desire true => !p
+  initial c
+}
+world p
+"""
+
+
+def json_commands(spec):
+    yield ("extension",)
+    for agent in spec.agent_ids:
+        yield ("extension", "--agent", agent)
+    yield ("profiles",)
+    yield ("profiles", "--feasible-only")
+    for concept in CONCEPT_NAMES:
+        yield ("solve", "--concept", concept)
+    yield ("goals", "--family", "pareto")
+    yield ("goals", "--family", "pareto", "--via-goals")
+    for rule in DECISION_RULES:
+        yield ("goals", "--rule", rule)
+
+
+def test_json_reports_match_one_dump_of_the_whole_report(
+        tmp_path, monkeypatch, capsys):
+    paths = [fixture(name) for name in EXAMPLES]
+    for name, text in (("unsorted", UNSORTED_AGENTS),
+                       ("jointly", NOTHING_JOINTLY_FEASIBLE),
+                       ("nothing", NOTHING_FEASIBLE)):
+        paths.append(tmp_path / f"{name}.bdg")
+        paths[-1].write_text(text, encoding="utf-8")
+    rng = random.Random(4242)
+    for k in range(50):
+        paths.append(tmp_path / f"seeded{k}.bdg")
+        paths[-1].write_text(format_spec(random_spec(
+            rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
+            encoding="utf-8")
+    seen, unsorted_keys = Counter(), 0
+    for path in paths:
+        spec = parse_spec(Path(path).read_text(encoding="utf-8"))
+        agents_unsorted = list(spec.agent_ids) != sorted(spec.agent_ids)
+        for command in json_commands(spec):
+            argv = [*command, "--format", "json", str(path)]
+            code = main(argv)
+            got = capsys.readouterr()
+            with monkeypatch.context() as patched:
+                patched.setattr(bdgame.cli, "_emit", ref_emit)
+                patched.setattr(bdgame.cli, "_profile_entries", lambda eps, _:
+                                [ref_profile_entry(ep) for ep in eps])
+                assert main(argv) == code
+                assert capsys.readouterr() == got, argv
+            assert code == 0, got.err
+            report = json.loads(got.out)
+            entries = report["profiles"]
+            seen["reports"] += 1
+            seen["empty"] += not entries
+            seen["non-ascii"] += "\\u" in got.out
+            for entry in entries:
+                seen["entries"] += 1
+                seen["agents unsorted"] += agents_unsorted
+                seen["infeasible"] += entry["unreached"] is None
+                unsorted_keys += (list(entry["decisions"])
+                                  != sorted(entry["decisions"]))
+                seen["empty unreached"] += any(
+                    not u for u in (entry["unreached"] or {}).values())
+    assert seen["reports"] >= 59 * 12
+    assert seen["entries"] >= 5_000
+    assert min(seen.values()) >= 10, seen
+    # json.loads keeps the printed key order: every key list came out sorted.
+    assert unsorted_keys == 0

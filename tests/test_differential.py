@@ -34,6 +34,7 @@ from collections import Counter
 from itertools import islice, product
 from math import prod
 
+import bdgame.decision
 from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
                              DesireReport, agent_extension, desire_report,
                              enumerate_decisions, joint_extension)
@@ -290,6 +291,46 @@ def test_class_level_concepts_match_the_profile_loops():
     assert games == CLASS_SPECS
     assert excluded >= 1_500
     assert shared_goal_sets >= 200
+
+
+def test_desire_statuses_are_classified_once_per_distinct_input(
+        monkeypatch):
+    """An agent's desire status reads the joint world mask and the
+    profile's values on the decision atoms of the agent's desire rules, and
+    nothing else: within one game it is classified once per distinct
+    (agent, joint mask, values) and shared by the profiles that agree."""
+    calls = Counter()
+    classify = bdgame.decision._classify
+
+    def counting(*args):
+        calls["all"] += 1
+        return classify(*args)
+    monkeypatch.setattr(bdgame.decision, "_classify", counting)
+    games = shared = 0
+    for game in class_collapsing_games():
+        spec = game.spec
+        world = set(spec.world_atoms)
+        atoms = {a.id: set().union(*(
+            (atoms_of(r.antecedent) | atoms_of(r.consequent)) - world
+            for r in a.desires)) for a in spec.agents}
+        triples = {}
+        calls.clear()
+        for ep in derive_game(spec, max_profiles=CLASS_PROFILE_CAP).profiles:
+            mask = joint_extension(spec, ep.profile).models
+            values = {lit.atom: lit.positive
+                      for d in ep.profile.decisions for lit in d.literals}
+            for a in spec.agent_ids:
+                triple = (a, mask, frozenset((x, values.get(x))
+                                             for x in atoms[a]))
+                status = ep.report.per_agent[a]
+                assert triples.setdefault(triple, status) is status
+        assert calls["all"] == len(triples)
+        shared += len(game.profiles) * len(spec.agents) - len(triples)
+        games += 1
+        if games == CLASS_SPECS:
+            break
+    assert games == CLASS_SPECS
+    assert shared >= 1_000
 
 
 def swap_breaking_games():

@@ -1,13 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from bdgame import example_path
 from bdgame.errors import SpecSyntaxError
 from bdgame.extension import Rule
 from bdgame.logic import TRUE, Literal, Not, Var
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
-                          PriorityOrder, format_spec, is_valid, parse_spec,
-                          validate_spec)
+                          PriorityOrder, _strip_comment, format_spec,
+                          is_valid, parse_spec, validate_spec)
 from bdgame.verify import random_spec
 
 EXAMPLES = ["conflicting_beliefs", "single_agent_priorities",
@@ -83,6 +85,35 @@ def test_comments_and_blank_lines_ignored():
     spec = parse_spec(src)
     assert spec.name == "c"
     assert spec.agents[0].decision_atoms == ("a",)
+
+
+def ref_strip_comment(raw):
+    """The character loop ``_strip_comment`` replaced."""
+    out = []
+    quoted = False
+    for ch in raw:
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out).strip()
+
+
+def test_comment_stripping_matches_the_character_loop():
+    sources = [example_path(name).read_text(encoding="utf-8")
+               for name in EXAMPLES]
+    sources.append((Path(__file__).parent / "specs" /
+                    "wide_vocabulary.bdg").read_text(encoding="utf-8"))
+    rng = random.Random(11)
+    sources += [format_spec(random_spec(rng, max_agents=3)) + "  # end"
+                for _ in range(100)]
+    lines = [line for text in sources for line in text.splitlines()]
+    lines += ['system "a#b" # c', 'system "a#b', 'system "a # b" "#" x # y',
+              '"#"', "#", "", "   ", 'x"', "a # b # c", '""#']
+    assert sum("#" in line for line in lines) >= 100
+    for line in lines:
+        assert _strip_comment(line) == ref_strip_comment(line), line
 
 
 # ---------------------------------------------------------------------------
