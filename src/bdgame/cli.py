@@ -19,23 +19,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
-from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, agent_extension)
+from .decision import Decision, DecisionProfile, agent_extension
 from .errors import BdgameError
 from .extension import Extension
 from .game import (CONCEPTS, EvaluatedProfile, agent_extensions,
-                   derive_game, evaluate_product, evaluate_profile)
+                   derive_game, evaluate_product)
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
                     delta_goal_sets, pareto_via_goals, u_closure)
 from .logic import DEFAULT_MAX_ATOMS, format_formula, parse_literal
-from .model import (AgentSystemSpec, DecisionMode, parse_spec, validate_spec)
+from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
+                    AgentSystemSpec, DecisionMode, parse_spec, validate_spec)
 from .verify import (check_monotonicity, check_order_laws,
                      check_pipeline_equivalence, check_representation)
 
@@ -44,20 +43,6 @@ ENV_MAX_ATOMS = "BDGAME_MAX_ATOMS"
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    path: str
-    command: str
-    decision_mode: DecisionMode | None = None
-    output_format: str = "text"
-    infeasible_swaps: str = "skip"
-    max_atoms: int | None = None  # None: the environment, then the spec
-    max_decisions: int = DEFAULT_DECISION_CAP
-    max_profiles: int = DEFAULT_PROFILE_CAP
-    seed: int = 0
-    samples: int = 200
 
 
 def _positive_int(text: str) -> int:
@@ -91,11 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"{ENV_MAX_ATOMS}, which overrides the spec's "
                              f"option max_atoms (default {DEFAULT_MAX_ATOMS})")
     common.add_argument("--max-decisions", type=_positive_int,
-                        default=DEFAULT_DECISION_CAP,
-                        help="per-agent decision enumeration cap")
+                        help="per-agent decision enumeration cap "
+                             f"(default {DEFAULT_DECISION_CAP})")
     common.add_argument("--max-profiles", type=_positive_int,
-                        default=DEFAULT_PROFILE_CAP,
-                        help="profile enumeration cap")
+                        help="profile enumeration cap "
+                             f"(default {DEFAULT_PROFILE_CAP})")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the seeded suites")
     common.add_argument("--infeasible-swaps", choices=("skip", "fail"),
@@ -239,7 +224,7 @@ def _report(spec_name: str, command: str, **sections) -> dict:
     return report
 
 
-def _emit(config: RunConfig, lines: Callable[[], Iterable[str]],
+def _emit(output_format: str, lines: Callable[[], Iterable[str]],
           report: Callable[[], dict],
           entries: Callable[[], list[str]] = list) -> None:
     """Print the text lines, or the JSON report: only the builders of the
@@ -251,7 +236,7 @@ def _emit(config: RunConfig, lines: Callable[[], Iterable[str]],
     ``_report`` puts there: the one top-level key, two spaces in, which
     nothing else matches, as encoded strings hold no newline.
     """
-    if config.output_format == "json":
+    if output_format == "json":
         text = json.dumps(report(), indent=2, sort_keys=True)
         profiles = entries()
         if profiles:
@@ -277,16 +262,19 @@ def _max_atoms(flag: int | None) -> int | None:
         raise BdgameError(f"{ENV_MAX_ATOMS}: {exc}") from None
 
 
-def _load(config: RunConfig) -> AgentSystemSpec:
+def _load(args: argparse.Namespace) -> AgentSystemSpec:
+    """The spec at ``args.path``, with every spec-level flag applied."""
     try:
-        with open(config.path, encoding="utf-8") as handle:
+        with open(args.path, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise BdgameError(f"{config.path} is not UTF-8 text: {exc}") from None
+        raise BdgameError(f"{args.path} is not UTF-8 text: {exc}") from None
     spec = parse_spec(text)
-    mode = DecisionMode(config.decision_mode) if config.decision_mode else None
+    mode = DecisionMode(args.decision_mode) if args.decision_mode else None
     return spec.with_options(decision_mode=mode,
-                             max_atoms=_max_atoms(config.max_atoms))
+                             max_atoms=_max_atoms(args.max_atoms),
+                             max_decisions=args.max_decisions,
+                             max_profiles=args.max_profiles)
 
 
 def _require_valid(spec: AgentSystemSpec) -> None:
@@ -300,7 +288,7 @@ def _require_valid(spec: AgentSystemSpec) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(spec: AgentSystemSpec, config: RunConfig) -> int:
+def _cmd_validate(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     spec.check_atom_cap()
     violations = validate_spec(spec)
 
@@ -308,7 +296,7 @@ def _cmd_validate(spec: AgentSystemSpec, config: RunConfig) -> int:
         if not violations:
             yield f"{spec.name}: OK"
         yield from map(str, violations)
-    _emit(config, lines, lambda: _report(spec.name, "validate", checks=[
+    _emit(args.format, lines, lambda: _report(spec.name, "validate", checks=[
         {"name": v.code, "passed": False,
          "counterexample": {"agent": v.agent, "message": v.message,
                             "severity": v.severity}}
@@ -333,24 +321,25 @@ def _parse_decision(spec: AgentSystemSpec, agent_id: str,
     return Decision(agent_id, literals)
 
 
-def _cmd_extension(spec: AgentSystemSpec, config: RunConfig,
-                   agent: str | None, decision_text: str | None) -> int:
+def _cmd_extension(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
+    agent = args.agent
     if agent is None:
-        if decision_text is not None:
+        if args.decision is not None:
             raise BdgameError("--decision requires --agent")
-        profile = DecisionProfile(tuple(
-            Decision(a.id, frozenset(a.initial_decision))
-            for a in spec.agents))
-        parts = tuple(agent_extension(spec, d.agent, d)
-                      for d in profile.decisions)
-        ep = evaluate_profile(spec, profile, parts)
+        decisions = [Decision(a.id, frozenset(a.initial_decision))
+                     for a in spec.agents]
     else:
-        decision = _parse_decision(spec, agent, decision_text)
-        profile = DecisionProfile((decision,))
-        parts = (agent_extension(spec, agent, decision),)
-        ep = EvaluatedProfile(profile, parts[0], None)
-    ext = ep.extension
+        decision = _parse_decision(spec, agent, args.decision)
+        decisions = [decision]
+    built = {d.agent: {d: agent_extension(spec, d.agent, d)}
+             for d in decisions}
+    if agent is None:
+        (ep,) = evaluate_product(spec, built)
+    else:
+        ep = EvaluatedProfile(DecisionProfile((decision,)),
+                              built[agent][decision], None)
+    profile, ext = ep.profile, ep.extension
 
     def lines() -> Iterator[str]:
         if agent is None:
@@ -360,18 +349,16 @@ def _cmd_extension(spec: AgentSystemSpec, config: RunConfig,
         flag = "consistent" if ext.consistent else "INCONSISTENT"
         yield "  {" + ", ".join(_extension_json(ext)) + "}"
         yield f"  {flag}; {ext.iterations} productive rounds"
-    _emit(config, lines, lambda: _report(spec.name, "extension"),
-          lambda: _profile_entries([ep], {
-              d.agent: {d: part} for d, part in zip(profile.decisions, parts)}))
+    _emit(args.format, lines, lambda: _report(spec.name, "extension"),
+          lambda: _profile_entries([ep], built))
     return EXIT_OK
 
 
-def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig,
-                  feasible_only: bool) -> int:
+def _cmd_profiles(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
-    built = agent_extensions(spec, max_decisions=config.max_decisions)
-    shown = [ep for ep in evaluate_product(spec, built,
-                                           max_profiles=config.max_profiles)
+    feasible_only = args.feasible_only
+    built = agent_extensions(spec)
+    shown = [ep for ep in evaluate_product(spec, built)
              if ep.report is not None or not feasible_only]
 
     def lines() -> Iterator[str]:
@@ -386,18 +373,17 @@ def _cmd_profiles(spec: AgentSystemSpec, config: RunConfig,
                 for a in spec.agent_ids:
                     unreached = ", ".join(sorted(ep.report.unreached(a)))
                     yield f"      unreached[{a}]: {unreached or '-'}"
-    _emit(config, lines, lambda: _report(spec.name, "profiles"),
+    _emit(args.format, lines, lambda: _report(spec.name, "profiles"),
           lambda: _profile_entries(shown, built))
     return EXIT_OK
 
 
-def _cmd_solve(spec: AgentSystemSpec, config: RunConfig,
-               concept: str) -> int:
+def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
-    game = derive_game(spec, max_decisions=config.max_decisions,
-                       max_profiles=config.max_profiles)
+    concept = args.concept
+    game = derive_game(spec)
     solution = solve_game(game, concept,
-                          infeasible_swaps=config.infeasible_swaps)
+                          infeasible_swaps=args.infeasible_swaps)
 
     def lines() -> Iterator[str]:
         yield (f"{concept}: {len(solution.profile_indexes)} of "
@@ -416,23 +402,22 @@ def _cmd_solve(spec: AgentSystemSpec, config: RunConfig,
             if w.decision is not None:
                 parts.append(f"deviation {w.decision}")
             yield f"  [{i}] {game.profiles[i].profile}: " + ", ".join(parts)
-    _emit(config, lines, lambda: _report(
+    _emit(args.format, lines, lambda: _report(
         spec.name, "solve",
         solutions={concept: list(solution.profile_indexes)}),
         lambda: _profile_entries(game.profiles, game.feasible_decisions))
     return EXIT_OK
 
 
-def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, family_name: str,
-               via_goals: bool, rule_name: str | None) -> int:
+def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
+    family_name = _goals_family(args)
     _require_valid(spec)
-    game = derive_game(spec, max_decisions=config.max_decisions,
-                       max_profiles=config.max_profiles)
-    if rule_name is not None:
-        family = apply_decision_rule(spec, rule_name, game=game,
-                                     infeasible_swaps=config.infeasible_swaps)
-        label = f"decision rule {rule_name}"
-    elif via_goals:
+    game = derive_game(spec)
+    if args.rule is not None:
+        family = apply_decision_rule(spec, args.rule, game=game,
+                                     infeasible_swaps=args.infeasible_swaps)
+        label = f"decision rule {args.rule}"
+    elif args.via_goals:
         if family_name not in ("pareto", "all"):
             raise BdgameError("--via-goals supports --family pareto or all")
         result = pareto_via_goals(spec, game=game)
@@ -443,7 +428,7 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, family_name: str,
         label = f"{family_name} family (goals-first pipeline)"
     else:
         family = concept_family(spec, family_name, game=game,
-                                infeasible_swaps=config.infeasible_swaps)
+                                infeasible_swaps=args.infeasible_swaps)
         label = f"{family_name} family"
     goal_sets = delta_goal_sets(spec, family, game=game)
     family_indexes = sorted(map(game.index_of, family.profiles))
@@ -458,7 +443,7 @@ def _cmd_goals(spec: AgentSystemSpec, config: RunConfig, family_name: str,
             yield f"  [{i}] {game.profiles[i].profile}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
-    _emit(config, lines, lambda: _report(
+    _emit(args.format, lines, lambda: _report(
         spec.name, "goals", solutions={"family": family_indexes},
         goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
                     "negative": sorted(map(format_formula, gs.negative)),
@@ -482,13 +467,14 @@ def _goals_family(args: argparse.Namespace) -> str:
     return args.family or "all"
 
 
-def _cmd_check(spec: AgentSystemSpec, config: RunConfig, prop: str) -> int:
+def _cmd_check(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
+    prop = args.property
     if prop == "representation":
-        result = check_representation(spec, seed=config.seed)
+        result = check_representation(spec, seed=args.seed)
     elif prop == "monotonicity":
-        result = check_monotonicity(spec, seed=config.seed,
-                                    samples=config.samples)
+        result = check_monotonicity(spec, seed=args.seed,
+                                    samples=args.samples)
     elif prop == "order-laws":
         result = check_order_laws()
     else:
@@ -496,45 +482,21 @@ def _cmd_check(spec: AgentSystemSpec, config: RunConfig, prop: str) -> int:
     entry = {"name": result.name, "passed": result.passed}
     if result.counterexample is not None:
         entry["counterexample"] = result.counterexample
-    _emit(config, lambda: [str(result)],
+    _emit(args.format, lambda: [str(result)],
           lambda: _report(spec.name, "check", checks=[entry]))
     return EXIT_OK if result.passed else EXIT_VIOLATIONS
 
 
+_COMMANDS = {"validate": _cmd_validate, "extension": _cmd_extension,
+             "profiles": _cmd_profiles, "solve": _cmd_solve,
+             "goals": _cmd_goals, "check": _cmd_check}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        path=args.path,
-        command=args.command,
-        decision_mode=getattr(args, "decision_mode", None),
-        output_format=args.format,
-        infeasible_swaps=args.infeasible_swaps,
-        max_atoms=args.max_atoms,
-        max_decisions=args.max_decisions,
-        max_profiles=args.max_profiles,
-        seed=args.seed,
-        samples=getattr(args, "samples", 200),
-    )
     try:
-        spec = _load(config)
-        if args.command == "validate":
-            return _cmd_validate(spec, config)
-        if args.command == "extension":
-            return _cmd_extension(spec, config, args.agent, args.decision)
-        if args.command == "profiles":
-            return _cmd_profiles(spec, config, args.feasible_only)
-        if args.command == "solve":
-            return _cmd_solve(spec, config, args.concept)
-        if args.command == "goals":
-            return _cmd_goals(spec, config, _goals_family(args),
-                              args.via_goals, args.rule)
-        if args.command == "check":
-            return _cmd_check(spec, config, getattr(args, "property"))
-        raise AssertionError(f"unhandled command {args.command}")
-    except OSError as exc:
-        print(f"bdgame: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except BdgameError as exc:
+        return _COMMANDS[args.command](_load(args), args)
+    except (OSError, BdgameError) as exc:
         print(f"bdgame: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

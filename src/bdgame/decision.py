@@ -18,6 +18,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
@@ -25,10 +26,9 @@ from .errors import (CombinatorialBoundError, CrossAgentRuleError,
 from .extension import Extension, extension
 from .logic import (Formula, Literal, Not, conditioned_models,
                     literal_sort_key)
-from .model import AgentSystemSpec, DecisionMode, PriorityOrder
-
-DEFAULT_DECISION_CAP = 4096
-DEFAULT_PROFILE_CAP = 1 << 16
+# The caps' defaults live with the spec; their names stay importable here.
+from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
+                    AgentSystemSpec, DecisionMode, PriorityOrder)
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,22 @@ class DesireReport:
         return self.per_agent[agent].unreached
 
 
-def enumerate_decisions(spec: AgentSystemSpec, agent_id: str, *,
-                        max_decisions: int = DEFAULT_DECISION_CAP
-                        ) -> tuple[Decision, ...]:
+def enumerate_decisions(spec: AgentSystemSpec,
+                        agent_id: str) -> tuple[Decision, ...]:
     """All candidate decisions of the configured mode, canonically ordered.
 
     Every candidate contains the agent's initial decision.  An agent with no
-    decision atoms has exactly one (empty) decision.
+    decision atoms has exactly one (empty) decision.  More candidates than
+    ``spec.max_decisions`` raise ``CombinatorialBoundError``.
     """
     agent = spec.agent(agent_id)
     atoms = tuple(sorted(agent.decision_atoms))
     mode = spec.decision_mode
     count = (3 if mode is DecisionMode.LITERAL_SUBSETS else 2) ** len(atoms)
-    if count > max_decisions:
+    if count > spec.max_decisions:
         raise CombinatorialBoundError(
             f"agent '{agent_id}' has {count} candidate decisions "
-            f"(cap {max_decisions})")
+            f"(cap {spec.max_decisions})")
     if mode is DecisionMode.POSITIVE_SUBSETS:
         per_atom = [(Literal(a), None) for a in atoms]
     elif mode is DecisionMode.TOTAL_ASSIGNMENTS:
@@ -123,20 +123,18 @@ def enumerate_decisions(spec: AgentSystemSpec, agent_id: str, *,
     return tuple(out)
 
 
-def enumerate_profiles(spec: AgentSystemSpec, *,
-                       max_decisions: int = DEFAULT_DECISION_CAP,
-                       max_profiles: int = DEFAULT_PROFILE_CAP
-                       ) -> tuple[DecisionProfile, ...]:
+def enumerate_profiles(spec: AgentSystemSpec) -> tuple[DecisionProfile, ...]:
     """Cartesian product of the agents' candidate decisions, in agent order."""
-    per_agent = [enumerate_decisions(spec, a.id, max_decisions=max_decisions)
-                 for a in spec.agents]
-    total = 1
-    for ds in per_agent:
-        total *= len(ds)
-    if total > max_profiles:
-        raise CombinatorialBoundError(
-            f"{total} candidate profiles (cap {max_profiles})")
+    per_agent = [enumerate_decisions(spec, a.id) for a in spec.agents]
+    _check_profile_cap(spec, prod(map(len, per_agent)))
     return tuple(DecisionProfile(combo) for combo in product(*per_agent))
+
+
+def _check_profile_cap(spec: AgentSystemSpec, count: int) -> None:
+    """Refuse more candidate profiles than ``spec.max_profiles``."""
+    if count > spec.max_profiles:
+        raise CombinatorialBoundError(
+            f"{count} candidate profiles (cap {spec.max_profiles})")
 
 
 def agent_extension(spec: AgentSystemSpec, agent_id: str,

@@ -46,7 +46,7 @@ class Extension:
     the fixpoint, with the fixed literals substituted (see ``extension``).
     A joint extension (``decision.joint_extension``) carries the AND of its
     parts' masks, which all range over the world atoms; the one a game
-    keeps per profile carries None (``game.evaluate_profile``).  It takes
+    keeps per profile carries None (``game.evaluate_product``).  It takes
     no part in equality.
     """
 

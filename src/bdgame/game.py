@@ -41,11 +41,10 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterator
 
-from .decision import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP, Decision,
-                       DecisionProfile, DesireReport, _shared_desire_report,
+from .decision import (Decision, DecisionProfile, DesireReport,
+                       _check_profile_cap, _shared_desire_report,
                        _SharedStatuses, agent_extension, enumerate_decisions,
                        joint_extension, set_geq)
-from .errors import CombinatorialBoundError
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec, PriorityOrder
@@ -83,27 +82,6 @@ class EvaluatedProfile:
     profile: DecisionProfile
     extension: Extension
     report: DesireReport | None  # None when the profile is infeasible
-
-
-def evaluate_profile(spec: AgentSystemSpec, profile: DecisionProfile,
-                     parts: tuple[Extension, ...] | None = None
-                     ) -> EvaluatedProfile:
-    """The joint extension and desire report of one profile; ``parts`` are
-    the agents' extensions of its decisions, as for ``joint_extension``.
-
-    The joint world mask lives only until the report is read: the kept
-    extension has ``models=None``, so a game holds no mask per profile.
-    """
-    return _evaluate(spec, profile, parts, _SharedStatuses())
-
-
-def _evaluate(spec: AgentSystemSpec, profile: DecisionProfile,
-              parts: tuple[Extension, ...] | None,
-              shared: _SharedStatuses) -> EvaluatedProfile:
-    ext = joint_extension(spec, profile, parts)
-    report = (_shared_desire_report(shared, spec, profile, ext)
-              if ext.consistent else None)
-    return EvaluatedProfile(profile, _without_models(ext), report)
 
 
 def _without_models(ext: Extension) -> Extension:
@@ -226,54 +204,53 @@ class GameSpecification:
                 and not self.profile_geq(second, first, agent_id))
 
 
-def agent_extensions(spec: AgentSystemSpec, *,
-                     max_decisions: int = DEFAULT_DECISION_CAP
+def agent_extensions(spec: AgentSystemSpec
                      ) -> dict[str, dict[Decision, Extension]]:
     """Each agent's extension of each of its candidate decisions, built
     once, in agent order and canonical decision order."""
     return {agent.id: {d: agent_extension(spec, agent.id, d)
-                       for d in enumerate_decisions(
-                           spec, agent.id, max_decisions=max_decisions)}
+                       for d in enumerate_decisions(spec, agent.id)}
             for agent in spec.agents}
 
 
 def evaluate_product(spec: AgentSystemSpec,
-                     decisions: dict[str, dict[Decision, Extension]], *,
-                     max_profiles: int = DEFAULT_PROFILE_CAP
+                     decisions: dict[str, dict[Decision, Extension]]
                      ) -> Iterator[EvaluatedProfile]:
     """Evaluate every profile of the product of the agents' decisions, in
-    canonical order, from the agents' extensions of those decisions.
+    canonical order, from the agents' extensions of those decisions: its
+    joint extension and, when that is consistent, its desire report.
 
     The profiles of the pass share their agents' desire statuses
     (``decision.desire_report``); the statuses' memo lives as long as the
-    pass."""
-    total = prod(len(ds) for ds in decisions.values())
-    if total > max_profiles:
-        raise CombinatorialBoundError(
-            f"{total} candidate profiles (cap {max_profiles})")
+    pass.  The joint world mask lives only until the report is read: the
+    kept extension has ``models=None``, so a game holds no mask per
+    profile.
+    """
+    _check_profile_cap(spec, prod(len(ds) for ds in decisions.values()))
     shared = _SharedStatuses()
     for combo in product(*(ds.items() for ds in decisions.values())):
         profile = DecisionProfile(tuple(d for d, _ in combo))
-        yield _evaluate(spec, profile, tuple(ext for _, ext in combo), shared)
+        ext = joint_extension(spec, profile, tuple(e for _, e in combo))
+        report = (_shared_desire_report(shared, spec, profile, ext)
+                  if ext.consistent else None)
+        yield EvaluatedProfile(profile, _without_models(ext), report)
 
 
-def derive_game(spec: AgentSystemSpec, *,
-                max_decisions: int = DEFAULT_DECISION_CAP,
-                max_profiles: int = DEFAULT_PROFILE_CAP) -> GameSpecification:
+def derive_game(spec: AgentSystemSpec) -> GameSpecification:
     """Enumerate feasible decisions per agent and keep jointly feasible profiles.
 
     Each agent's extension of each of its decisions is built once, for the
     feasibility filter and every profile containing that decision, and the
     game keeps it, without its mask, for the profile entries of the CLI's
     JSON reports.  Each candidate profile is evaluated once, and everything
-    downstream reads that evaluation.
+    downstream reads that evaluation.  The enumeration caps are the spec's
+    (``max_decisions``, ``max_profiles``).
     """
     feasible = {
         agent: {d: ext for d, ext in built.items() if ext.consistent}
-        for agent, built in agent_extensions(
-            spec, max_decisions=max_decisions).items()}
+        for agent, built in agent_extensions(spec).items()}
     profiles, candidates = [], []
-    for ep in evaluate_product(spec, feasible, max_profiles=max_profiles):
+    for ep in evaluate_product(spec, feasible):
         if ep.report is None:
             candidates.append(-1)
         else:

@@ -21,6 +21,9 @@ from .logic import (DEFAULT_MAX_ATOMS, Atom, Formula, Literal, Vocabulary,
                     in_sublanguage, literal_sort_key, parse_formula,
                     parse_literal)
 
+DEFAULT_DECISION_CAP = 4096
+DEFAULT_PROFILE_CAP = 1 << 16
+
 
 class DecisionMode(str, Enum):
     """Shape of the candidate decision space of each agent.
@@ -88,6 +91,11 @@ class AgentSystemSpec:
     world_atoms: tuple[str, ...]
     decision_mode: DecisionMode = DecisionMode.POSITIVE_SUBSETS
     max_atoms: int = DEFAULT_MAX_ATOMS
+    # Enumeration caps: per agent on candidate decisions, and on candidate
+    # profiles.  A cap decides whether an answer is attempted, never what
+    # it is, so the caps take no part in equality or hashing.
+    max_decisions: int = field(default=DEFAULT_DECISION_CAP, compare=False)
+    max_profiles: int = field(default=DEFAULT_PROFILE_CAP, compare=False)
 
     @cached_property
     def vocabulary(self) -> Vocabulary:
@@ -155,13 +163,15 @@ class AgentSystemSpec:
         return tuple(r for a in self.agents for r in a.desires)
 
     def with_options(self, decision_mode: DecisionMode | None = None,
-                     max_atoms: int | None = None) -> "AgentSystemSpec":
-        out = self
-        if decision_mode is not None:
-            out = replace(out, decision_mode=decision_mode)
-        if max_atoms is not None:
-            out = replace(out, max_atoms=max_atoms)
-        return out
+                     max_atoms: int | None = None,
+                     max_decisions: int | None = None,
+                     max_profiles: int | None = None) -> "AgentSystemSpec":
+        """The spec with the given options set; None keeps a field."""
+        changes = {name: value for name, value in (
+            ("decision_mode", decision_mode), ("max_atoms", max_atoms),
+            ("max_decisions", max_decisions), ("max_profiles", max_profiles))
+            if value is not None}
+        return replace(self, **changes) if changes else self
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,27 @@ def test_non_positive_counts_and_caps_are_rejected(argv, capsys):
     assert "PASS" not in capsys.readouterr().out
 
 
+# cooperation: 4 candidate decisions per agent, 3 of them feasible, so 16
+# candidate profiles and 9 from feasible decisions.
+@pytest.mark.parametrize("command, profiles", [
+    (("solve", "--concept", "nash"), 9),
+    (("goals",), 9),
+    (("profiles",), 16),
+    (("check", "--property", "representation"), 9),
+    (("check", "--property", "pipeline-equivalence"), 9),
+])
+def test_enumeration_caps_hold_on_every_command(command, profiles, capsys):
+    path = fixture("cooperation")
+    assert main([*command, "--max-profiles", "2", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bdgame: {profiles} candidate profiles (cap 2)\n"
+    assert main([*command, "--max-decisions", "1", path]) == 2
+    assert capsys.readouterr().err == (
+        "bdgame: agent 'alpha1' has 4 candidate decisions (cap 1)\n")
+    assert main([*command, "--max-profiles", str(profiles), path]) == 0
+
+
 def test_decision_mode_override():
     result = run_cli("profiles", "--decision-mode", "total-assignments",
                      "--format", "json", fixture("interdependence"))
@@ -520,9 +541,9 @@ def ref_profile_entry(ep):
     return entry
 
 
-def ref_emit(config, lines, report, entries=list):
+def ref_emit(output_format, lines, report, entries=list):
     """The report as one ``json.dumps`` of a dict that holds every entry."""
-    assert config.output_format == "json"
+    assert output_format == "json"
     data = report()
     data["profiles"] = entries()
     print(json.dumps(data, indent=2, sort_keys=True))

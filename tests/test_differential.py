@@ -217,7 +217,8 @@ def seeded_games():
     for _ in range(LARGE_SPECS):
         spec = random_spec(rng, max_agents=3, max_decision_atoms=4)
         try:
-            yield spec, derive_game(spec, max_profiles=LARGE_PROFILE_CAP)
+            yield spec, derive_game(
+                spec.with_options(max_profiles=LARGE_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
 
@@ -261,7 +262,8 @@ def class_collapsing_games():
         spec = random_spec(rng, max_agents=3, max_decision_atoms=4,
                            max_rules=6, world_atoms=("p", "q", "r"))
         try:
-            game = derive_game(spec, max_profiles=CLASS_PROFILE_CAP)
+            game = derive_game(
+                spec.with_options(max_profiles=CLASS_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
         classes = len(game.classes)
@@ -315,7 +317,8 @@ def test_desire_statuses_are_classified_once_per_distinct_input(
             for r in a.desires)) for a in spec.agents}
         triples = {}
         calls.clear()
-        for ep in derive_game(spec, max_profiles=CLASS_PROFILE_CAP).profiles:
+        for ep in derive_game(spec.with_options(
+                max_profiles=CLASS_PROFILE_CAP)).profiles:
             mask = joint_extension(spec, ep.profile).models
             values = {lit.atom: lit.positive
                       for d in ep.profile.decisions for lit in d.literals}
@@ -420,7 +423,8 @@ def test_conditioned_route_matches_the_full_vocabulary():
                     assert not got.consistent
                     seen["contradictory decisions"] += 1
             try:
-                game = derive_game(spec, max_profiles=CONDITIONED_PROFILE_CAP)
+                game = derive_game(
+                    spec.with_options(max_profiles=CONDITIONED_PROFILE_CAP))
             except CombinatorialBoundError:
                 continue
             feasible = {ep.profile for ep in game.profiles}
@@ -534,7 +538,8 @@ def test_goals_layer_matches_the_profile_route():
         spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                            max_rules=4)
         try:
-            game = derive_game(spec, max_profiles=GOALS_PROFILE_CAP)
+            game = derive_game(
+                spec.with_options(max_profiles=GOALS_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
         if not game.profiles:
@@ -651,7 +656,8 @@ def test_goal_basedness_matches_one_entailment_per_goal():
         spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                            max_rules=4)
         try:
-            game = derive_game(spec, max_profiles=GOALS_PROFILE_CAP)
+            game = derive_game(
+                spec.with_options(max_profiles=GOALS_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
         if not game.profiles:

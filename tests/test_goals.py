@@ -24,7 +24,8 @@ from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
                           syntactic_goal_sets, u_closure)
 from bdgame.logic import TRUE, And, Not, Var, parse_formula
 from bdgame.model import parse_spec
-from bdgame.verify import check_representation, random_spec
+from bdgame.verify import (check_pipeline_equivalence, check_representation,
+                           random_spec)
 
 from conftest import profile
 
@@ -168,6 +169,20 @@ def test_syntactic_cap():
     spec = parse_spec(f'agent x {{\n  atoms a\n{rules}\n}}\nworld p\n')
     with pytest.raises(CombinatorialBoundError):
         list(iter_syntactic_goal_sets(spec))
+
+
+def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
+    # cooperation's feasible decisions make 9 candidate profiles.
+    first = derive_game(cooperation).profiles[0].profile
+    capped, fits = (cooperation.with_options(max_profiles=n) for n in (8, 9))
+    for call in (check_representation, check_pipeline_equivalence,
+                 lambda spec: u_closure(spec, [first])):
+        with pytest.raises(CombinatorialBoundError,
+                           match=r"^9 candidate profiles \(cap 8\)$"):
+            call(capped)
+    assert check_representation(fits).passed
+    assert check_pipeline_equivalence(fits).passed
+    assert first in u_closure(fits, [first]).profiles
 
 
 # ---------------------------------------------------------------------------

@@ -231,3 +231,13 @@ def test_options_round_trip():
     assert spec.decision_mode is DecisionMode.LITERAL_SUBSETS
     assert spec.max_atoms == 12
     assert parse_spec(format_spec(spec)) == spec
+
+
+def test_enumeration_caps_take_no_part_in_equality():
+    spec = parse_spec('agent x {\n  atoms a\n}\n')
+    capped = spec.with_options(max_decisions=3, max_profiles=5)
+    assert (capped.max_decisions, capped.max_profiles) == (3, 5)
+    assert spec.with_options() is spec
+    assert format_spec(capped) == format_spec(spec)
+    assert parse_spec(format_spec(capped)) == capped == spec
+    assert hash(capped) == hash(spec)
