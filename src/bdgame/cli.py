@@ -20,7 +20,8 @@ import json
 import os
 import sys
 from functools import lru_cache
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
@@ -146,7 +147,7 @@ def _members(lines: list[str], brackets: str, depth: int) -> str:
 def _strings(texts: Iterable[str], depth: int) -> str:
     """A JSON array of strings, ``depth`` levels deep."""
     pad = "  " * (depth + 1)
-    return _members([pad + json.dumps(t) for t in texts], "[]", depth)
+    return _members([pad + _quote(t) for t in texts], "[]", depth)
 
 
 def _profile_entries(evaluated: Iterable[EvaluatedProfile],
@@ -157,56 +158,67 @@ def _profile_entries(evaluated: Iterable[EvaluatedProfile],
     of each agent's decision), ``extension`` (the joint extension's
     formulas, sorted) and ``unreached`` (each agent's unreached desires,
     or null for an infeasible profile).  ``extensions`` holds each agent's
-    extension of each decision of the profiles.
+    extension of each decision of the profiles, keyed by the decision
+    objects the profiles hold.
 
     A report's profiles share most of their pieces, and each piece is
-    encoded once per report: each decision's literal list, each agent
-    extension's formula texts and each distinct unreached set's list.  A
-    joint extension is the union of its agents' extensions, and
-    ``format_formula`` is one-to-one, so a profile's formula list is the
-    sorted union of its parts' texts.  Keys are sorted as ``sort_keys``
-    sorts them.
+    encoded once per report: each formula text's line, the texts numbered
+    in sorted order; each decision's member line in "decisions" and the
+    numbers of its extension's texts; and each desire report's end of
+    the entry (the game's profiles share report objects), from one line
+    per agent and unreached set.  A joint extension is the union of its
+    agents' extensions, and ``format_formula`` is one-to-one, so a
+    profile's formula list is the sorted union of its parts' numbers, and
+    no joint formula set is built.  Keys are sorted as ``sort_keys`` sorts
+    them.  The memos keyed by object id hold the object (``extensions``
+    holds the decisions), so no id is reused while they live.
     """
-    # Per decision: its member line in "decisions", its extension's texts.
-    pieces: dict[Decision, tuple[str, frozenset[str]]] = {}
-    strings: dict[str, str] = {}
+    # Per decision: the decision, its agent, its extension's texts.
+    parts = [(d, agent, {format_formula(f) for f in ext.formulas})
+             for agent, decisions in extensions.items()
+             for d, ext in decisions.items()]
+    ordered = sorted({text for _, _, own in parts for text in own})
+    number = {text: n for n, text in enumerate(ordered)}
+    lines = ["        " + _quote(text) for text in ordered]
+    # By decision id: its agent, its member line, its texts' numbers.
+    pieces = {id(d): (agent, f"        {_quote(agent)}: "
+                      + _strings(map(str, d.sorted_literals()), 4),
+                      frozenset(map(number.__getitem__, own)))
+              for d, agent, own in parts}
     unreached: dict[tuple[str, frozenset[str]], str] = {}
+    # By report id: the report and the end of the entries that print it.
+    tails: dict[int, tuple[object, str]] = {}
     entries = []
     for ep in evaluated:
-        parts = []
-        for d in sorted(ep.profile.decisions, key=attrgetter("agent")):
-            piece = pieces.get(d)
-            if piece is None:
-                texts = frozenset(format_formula(f) for f in
-                                  extensions[d.agent][d].formulas)
-                for text in texts - strings.keys():
-                    strings[text] = "        " + json.dumps(text)
-                piece = pieces[d] = (
-                    f"        {json.dumps(d.agent)}: " + _strings(
-                        map(str, d.sorted_literals()), 4), texts)
-            parts.append(piece)
-        formulas = sorted(frozenset().union(*(texts for _, texts in parts)))
-        if ep.report is None:
-            left = "null"
-        else:
-            lines = []
-            for agent in sorted(ep.report.per_agent):
-                key = (agent, ep.report.unreached(agent))
-                line = unreached.get(key)
-                if line is None:
-                    line = unreached[key] = (f"        {json.dumps(agent)}: "
-                                             + _strings(sorted(key[1]), 4))
-                lines.append(line)
-            left = _members(lines, "{}", 3)
-        decisions = _members([line for line, _ in parts], "{}", 3)
-        extension = _members([strings[f] for f in formulas], "[]", 3)
-        entries.append(
-            "    {\n"
-            f'      "consistent": {json.dumps(ep.extension.consistent)},\n'
-            f'      "decisions": {decisions},\n'
-            f'      "extension": {extension},\n'
-            f'      "unreached": {left}\n'
-            "    }")
+        chosen = [pieces[id(d)] for d in ep.profile.decisions]
+        if len(chosen) > 1:
+            chosen.sort(key=itemgetter(0))
+        numbers = sorted(chosen[0][2].union(*[c[2] for c in chosen[1:]]))
+        report = ep.report
+        tail = tails.get(id(report))
+        if tail is None:
+            if report is None:
+                left = "null"
+            else:
+                agent_lines = []
+                for agent in sorted(report.per_agent):
+                    key = (agent, report.unreached(agent))
+                    line = unreached.get(key)
+                    if line is None:
+                        line = unreached[key] = (
+                            f"        {_quote(agent)}: "
+                            + _strings(sorted(key[1]), 4))
+                    agent_lines.append(line)
+                left = _members(agent_lines, "{}", 3)
+            tail = tails[id(report)] = (
+                report, f',\n      "unreached": {left}\n    }}')
+        decisions = ",\n".join([c[1] for c in chosen])
+        formulas = ("[\n" + ",\n".join([lines[n] for n in numbers])
+                    + "\n      ]" if numbers else "[]")
+        consistent = "true" if ep.extension.consistent else "false"
+        entries.append(f'    {{\n      "consistent": {consistent},\n'
+                       f'      "decisions": {{\n{decisions}\n      }},\n'
+                       f'      "extension": {formulas}{tail[1]}')
     return entries
 
 

@@ -14,7 +14,6 @@ lifted unreached set wins.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -23,9 +22,9 @@ from typing import Iterable, Mapping
 
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
-from .extension import Extension, extension
+from .extension import Extension
 from .logic import (Formula, Literal, Not, conditioned_models,
-                    literal_sort_key)
+                    consistent_literals, literal_sort_key)
 # The caps' defaults live with the spec; their names stay importable here.
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
                     AgentSystemSpec, DecisionMode, PriorityOrder)
@@ -145,10 +144,54 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
     literals substituted.  Other agents' decisions are invisible here: a
     belief rule whose antecedent mentions a foreign decision atom only
     fires if it holds for every value of that atom.
+
+    It equals ``extension.extension`` of the agent's beliefs on that base,
+    and runs on the spec's compiled table (``AgentSystemSpec.belief_masks``):
+    the facts and consequents are compiled once per agent, each antecedent
+    once per distinct value tuple on its decision atoms, and rules fire by
+    consequent number.  Decision literals with both polarities of an atom
+    have no model: the theory is inconsistent and every rule fires.
     """
-    agent = spec.agent(agent_id)
-    return extension(agent.beliefs, agent.facts, atoms=spec.mask_atoms,
-                     max_atoms=spec.max_atoms, fixed=decision.literals)
+    try:
+        (facts, facts_mask, consequents, consequent_masks, fact_bits, rules,
+         derived_sets) = spec.belief_masks[agent_id]
+    except KeyError:
+        raise KeyError(f"no agent '{agent_id}'") from None
+    world = spec.mask_atoms
+    values = {lit.atom: lit.positive for lit in decision.literals}
+    failing = []
+    for antecedent, number, atoms, table in rules:
+        key = tuple(map(values.get, atoms))
+        fails = table.get(key)
+        if fails is None:
+            given = {a: v for a, v in zip(atoms, key) if v is not None}
+            fails = table[key] = ((1 << (1 << len(world))) - 1) ^ \
+                conditioned_models(antecedent, given, world)
+        failing.append((1 << number, fails))
+    theory = facts_mask if consistent_literals(decision.literals) else 0
+    fired = fact_bits  # consequents in the theory, by number
+    rounds = 0
+    while True:  # each productive round adds one of len(consequents)
+        new = 0
+        for bit, fails in failing:
+            if not theory & fails:
+                new |= bit
+        new &= ~fired
+        if not new:
+            break
+        fired |= new
+        for number, mask in enumerate(consequent_masks):
+            if new >> number & 1:
+                theory &= mask
+        rounds += 1
+    derived_bits = fired & ~fact_bits
+    derived = derived_sets.get(derived_bits)
+    if derived is None:
+        derived = derived_sets[derived_bits] = frozenset(
+            f for number, f in enumerate(consequents)
+            if derived_bits >> number & 1)
+    return Extension(facts | decision.formulas(), derived, rounds,
+                     theory != 0, theory)
 
 
 def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
@@ -159,27 +202,16 @@ def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
     agent order, for a caller that has built them with ``agent_extension``
     already; by default they are built here.  The agents' decision atoms
     are disjoint, so the union's model mask over the world atoms is the AND
-    of the parts' masks, and it is consistent iff that is not empty.
-    ``iterations`` is the largest per-agent round count.
+    of the parts' masks, and it is consistent iff that is not empty.  The
+    union's formula sets are built only when read (``Extension.joint``).
     """
     if parts is None:
         parts = tuple(agent_extension(spec, a.id, profile.decision_for(a.id))
                       for a in spec.agents)
-    base: set[Formula] = set()
-    derived: set[Formula] = set()
     joint = -1  # every assignment
     for ext in parts:
-        base |= ext.base
-        derived |= ext.derived
         joint &= ext.models
-    derived -= base
-    return Extension(
-        base=frozenset(base),
-        derived=frozenset(derived),
-        iterations=max((ext.iterations for ext in parts), default=0),
-        consistent=joint != 0,
-        models=joint,
-    )
+    return Extension.joint(parts, joint != 0)
 
 
 def is_feasible_decision(spec: AgentSystemSpec, agent_id: str,
@@ -191,44 +223,36 @@ def is_feasible_profile(spec: AgentSystemSpec, profile: DecisionProfile) -> bool
     return joint_extension(spec, profile).consistent
 
 
-class _SharedStatuses:
-    """The desire statuses of one pass over a game's profiles.
+class SharedStatuses:
+    """Desire statuses shared by the reports of one pass over a spec's
+    profiles (``game.evaluate_product``); the memos die with the object.
 
     An agent's status reads only the joint world mask and the profile's
     values on the decision atoms of the agent's desire rules, so profiles
     that agree on both share one ``AgentDesireStatus``, classified once.
-    ``known`` is keyed by agent index, a small id per distinct joint mask
-    and those values; ids, not masks, so each distinct mask is held once.
+    Masks are numbered once, and every other memo is keyed by small ints
+    and value tuples, never by masks or formulas:
+
+    - ``mask_ids`` numbers the distinct joint masks, so each is held once;
+    - ``known`` holds a status per (agent index, mask id, those values);
+    - ``codes`` holds one rule's outcome (``_classify``) per (rule number,
+      mask id, values on the rule's decision atoms);
+    - ``statuses`` interns statuses by their rules' outcomes, and
+      ``reports`` reports by the ids of their agents' statuses.
     """
 
     def __init__(self) -> None:
         self.mask_ids: dict[int, int] = {}
         self.known: dict[tuple[int, int, tuple[bool | None, ...]],
                          AgentDesireStatus] = {}
-
-
-# The statuses shared by the call in progress (``_shared_desire_report``),
-# None outside one.  A context variable, not a parameter, so that
-# ``desire_report`` keeps its public signature and a pass still calls it
-# once per feasible profile.
-_SHARED: ContextVar[_SharedStatuses | None] = ContextVar(
-    "bdgame_shared_statuses", default=None)
-
-
-def _shared_desire_report(shared: _SharedStatuses, spec: AgentSystemSpec,
-                          profile: DecisionProfile,
-                          ext: Extension) -> DesireReport:
-    """``desire_report``, sharing statuses with the other calls given the
-    same ``shared``: one pass over one spec's profiles."""
-    token = _SHARED.set(shared)
-    try:
-        return desire_report(spec, profile, ext)
-    finally:
-        _SHARED.reset(token)
+        self.codes: dict[tuple[int, int, tuple[bool | None, ...]], int] = {}
+        self.statuses: dict[tuple[int, ...], AgentDesireStatus] = {}
+        self.reports: dict[tuple[int, ...], DesireReport] = {}
 
 
 def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
-                  ext: Extension | None = None) -> DesireReport:
+                  ext: Extension | None = None,
+                  shared: SharedStatuses | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
 
     ``ext`` is the profile's joint extension, built here by default.  Each
@@ -236,10 +260,9 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
     extension's world mask against the world assignments where the query
     fails.  Those come from the spec's table (``AgentSystemSpec.desire_masks``)
     by the profile's values on the rule's decision atoms, and are
-    conditioned once per entry.  An agent's status is classified once per
-    distinct joint mask and values on its desire rules' decision atoms
-    within a pass over a game's profiles (``game.evaluate_product``), and
-    shared by the profiles that agree on both.
+    conditioned once per entry.  The reports given one ``shared`` classify
+    each agent's status once per distinct joint mask and values on its
+    desire rules' decision atoms, and share it (``SharedStatuses``).
     Undefined on infeasible profiles: an inconsistent extension entails
     everything, which would make every desire reached and violated at once.
     """
@@ -248,49 +271,76 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
     if not ext.consistent:
         raise InfeasibleProfileError(
             f"profile {profile} has an inconsistent extension")
-    shared = _SHARED.get() or _SharedStatuses()
+    if shared is None:
+        shared = SharedStatuses()
     fixed = {lit.atom: lit.positive
              for d in profile.decisions for lit in d.literals}
     theory = ext.models
     mask_id = shared.mask_ids.setdefault(theory, len(shared.mask_ids))
-    per_agent = {}
-    for index, (agent, (atoms, rows)) in enumerate(
-            zip(spec.agents, spec.desire_masks)):
+    statuses = []
+    for index, (atoms, rows) in enumerate(spec.desire_masks):
         key = (index, mask_id, tuple(map(fixed.get, atoms)))
         status = shared.known.get(key)
         if status is None:
             status = shared.known[key] = _classify(
-                rows, fixed, theory, spec.mask_atoms)
-        per_agent[agent.id] = status
-    return DesireReport(per_agent)
+                rows, fixed, mask_id, theory, spec.mask_atoms, shared)
+        statuses.append(status)
+    # Statuses are interned, so equal reports have the same statuses.
+    key = tuple(map(id, statuses))
+    report = shared.reports.get(key)
+    if report is None:
+        report = shared.reports[key] = DesireReport(
+            dict(zip(spec.agent_ids, statuses)))
+    return report
 
 
-def _classify(rows, fixed: Mapping[str, bool], theory: int,
-              world: tuple[str, ...]) -> AgentDesireStatus:
+# A rule's outcome against a joint extension (``_classify``).
+_INAPPLICABLE, _REACHED, _UNREACHED, _VIOLATED = range(4)
+
+
+def _classify(rows, fixed: Mapping[str, bool], mask_id: int, theory: int,
+              world: tuple[str, ...],
+              shared: SharedStatuses) -> AgentDesireStatus:
     """One agent's desire status: ``rows`` are its entries of
     ``AgentSystemSpec.desire_masks``, ``fixed`` the profile's decision
-    values and ``theory`` the joint world mask."""
-    unreached, reached, violated, inapplicable = set(), set(), set(), set()
-    for rule, atoms, table in rows:
+    values, ``theory`` the joint world mask and ``mask_id`` its number in
+    ``shared``.  Each rule's outcome is decided once per (rule number, mask
+    id, values on the rule's decision atoms); a violated desire is
+    unreached too."""
+    codes = shared.codes
+    outcomes = []
+    for number, rule, atoms, table in rows:
         values = tuple(map(fixed.get, atoms))
-        failing = table.get(values)
-        if failing is None:
-            full = (1 << (1 << len(world))) - 1
-            given = {a: v for a, v in zip(atoms, values) if v is not None}
-            failing = table[values] = tuple(
-                full ^ conditioned_models(f, given, world) for f in
-                (rule.antecedent, rule.consequent, Not(rule.consequent)))
-        antecedent, consequent, negated = failing
-        if theory & antecedent:
-            inapplicable.add(rule.id)
-        elif not theory & consequent:
-            reached.add(rule.id)
-        else:
-            unreached.add(rule.id)
-            if not theory & negated:
-                violated.add(rule.id)
-    return AgentDesireStatus(frozenset(unreached), frozenset(reached),
-                             frozenset(violated), frozenset(inapplicable))
+        key = (number, mask_id, values)
+        code = codes.get(key)
+        if code is None:
+            failing = table.get(values)
+            if failing is None:
+                full = (1 << (1 << len(world))) - 1
+                given = {a: v for a, v in zip(atoms, values) if v is not None}
+                failing = table[values] = tuple(
+                    full ^ conditioned_models(f, given, world) for f in
+                    (rule.antecedent, rule.consequent, Not(rule.consequent)))
+            antecedent, consequent, negated = failing
+            if theory & antecedent:
+                code = _INAPPLICABLE
+            elif not theory & consequent:
+                code = _REACHED
+            else:
+                code = _UNREACHED if theory & negated else _VIOLATED
+            codes[key] = code
+        outcomes.append(number * 4 + code)
+    outcomes = tuple(outcomes)
+    status = shared.statuses.get(outcomes)
+    if status is None:
+        sets: tuple[set[str], ...] = (set(), set(), set(), set())
+        for (_, rule, _, _), outcome in zip(rows, outcomes):
+            sets[outcome & 3].add(rule.id)
+        inapplicable, reached, unreached, violated = sets
+        status = shared.statuses[outcomes] = AgentDesireStatus(
+            frozenset(unreached | violated), frozenset(reached),
+            frozenset(violated), frozenset(inapplicable))
+    return status
 
 
 # ---------------------------------------------------------------------------

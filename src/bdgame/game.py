@@ -5,9 +5,10 @@ the product of each agent's individually feasible decisions) with the
 per-agent preference orders induced by unreached desires.  Being a product,
 its profiles share most of what they carry, and each shared piece is built
 once: each agent's extension of each feasible decision, kept on the game
-(``feasible_decisions``, without masks), and each agent's desire status,
-shared by the profiles that agree on the joint world mask and on the
-decision atoms of the agent's desire rules (``evaluate_product``).
+(``feasible_decisions``) as the parts of the profiles' joint extensions,
+which build their formula sets only when read, and each agent's desire
+status, shared by the profiles that agree on the joint world mask and on
+the decision atoms of the agent's desire rules (``evaluate_product``).
 
 Solution concepts are computed by brute force on small integer tables,
 numbered once per game:
@@ -21,10 +22,12 @@ numbered once per game:
 
 Pareto, strong Pareto and dominant compare the indistinguishability
 classes (profiles with equal unreached sets for every agent, which no
-preference tells apart); Nash reaches each deviation by index arithmetic
-and one lookup.  Every exclusion carries a witness that can be re-validated
-against the definitions, which ``profile_geq`` and ``strictly_better``
-keep: they decide by ``set_geq`` on the unreached sets, not by the tables.
+preference tells apart) through per-agent bitsets over the classes
+(``class_bitsets``); Nash reaches each deviation by index arithmetic and
+one lookup, and searches once per (agent, row, own unreached id).  Every
+exclusion carries a witness that can be re-validated against the
+definitions, which ``profile_geq`` and ``strictly_better`` keep: they
+decide by ``set_geq`` on the unreached sets, not by the tables.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
@@ -42,9 +45,9 @@ from math import prod
 from typing import Callable, Iterator
 
 from .decision import (Decision, DecisionProfile, DesireReport,
-                       _check_profile_cap, _shared_desire_report,
-                       _SharedStatuses, agent_extension, enumerate_decisions,
-                       joint_extension, set_geq)
+                       SharedStatuses, _check_profile_cap, agent_extension,
+                       desire_report, enumerate_decisions, joint_extension,
+                       set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec, PriorityOrder
@@ -84,11 +87,6 @@ class EvaluatedProfile:
     report: DesireReport | None  # None when the profile is infeasible
 
 
-def _without_models(ext: Extension) -> Extension:
-    return Extension(ext.base, ext.derived, ext.iterations, ext.consistent,
-                     models=None)
-
-
 class PreferenceTable:
     """One agent's preferences over a game's profiles, on small integers.
 
@@ -103,22 +101,19 @@ class PreferenceTable:
                  sets: tuple[frozenset[str], ...],
                  order: PriorityOrder) -> None:
         self.ids = ids
-        self._sets = sets
+        self.sets = sets
         self._order = order
         self._known: dict[int, bool] = {}
 
     def geq(self, x: int, y: int) -> bool:
         if x == y:
             return True
-        key = x * len(self._sets) + y
+        key = x * len(self.sets) + y
         known = self._known.get(key)
         if known is None:
-            known = self._known[key] = set_geq(self._sets[y], self._sets[x],
+            known = self._known[key] = set_geq(self.sets[y], self.sets[x],
                                                self._order)
         return known
-
-    def better(self, x: int, y: int) -> bool:
-        return self.geq(x, y) and not self.geq(y, x)
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ class GameSpecification:
     spec: AgentSystemSpec
     profiles: tuple[EvaluatedProfile, ...]  # feasible only, canonical order
     # Per agent, its feasible decisions in canonical order, each with the
-    # agent's extension of it (``models=None``).
+    # agent's extension of it: the parts of the profiles' joint extensions.
     feasible_decisions: dict[str, dict[Decision, Extension]]
     # Per candidate profile, by mixed-radix index over feasible_decisions
     # (last agent fastest): its index in profiles, or -1 when infeasible.
@@ -167,6 +162,28 @@ class GameSpecification:
         for i, c in enumerate(self.class_ids):
             members[c].append(i)
         return tuple(map(tuple, members))
+
+    @cached_property
+    def class_bitsets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class, per agent, two bitsets over the classes (bit k for
+        class k): the classes the agent finds at least as good as this one,
+        and those this one is at least as good as.  They are built per
+        unreached id, from each agent's whole ``PreferenceTable``."""
+        firsts = [members[0] for members in self.classes]
+        per_agent = []
+        for table in self.preferences:
+            # The classes with each unreached id.
+            holding = [0] * len(table.sets)
+            for k, i in enumerate(firsts):
+                holding[table.ids[i]] |= 1 << k
+            ids = range(len(holding))
+            up = [sum(holding[y] for y in ids if table.geq(y, x))
+                  for x in ids]
+            down = [sum(holding[y] for y in ids if table.geq(x, y))
+                    for x in ids]
+            per_agent.append([(up[table.ids[i]], down[table.ids[i]])
+                              for i in firsts])
+        return tuple(zip(*per_agent))
 
     @cached_property
     def goal_sets(self) -> tuple[GoalSet, ...]:
@@ -220,20 +237,58 @@ def evaluate_product(spec: AgentSystemSpec,
     canonical order, from the agents' extensions of those decisions: its
     joint extension and, when that is consistent, its desire report.
 
-    The profiles of the pass share their agents' desire statuses
-    (``decision.desire_report``); the statuses' memo lives as long as the
-    pass.  The joint world mask lives only until the report is read: the
-    kept extension has ``models=None``, so a game holds no mask per
-    profile.
+    Per profile only what differs is built: the profile, its joint
+    extension, which holds its parts and no mask or formula set
+    (``Extension.joint``), and the ``EvaluatedProfile``.  A report reads
+    only the joint world mask and the profile's values on the decision
+    atoms of the desire rules.  So before the loop each decision gets one
+    int: the id of its extension's mask and the id of its values on those
+    atoms, each among its agent's, in mixed radix over the agents.  A
+    profile's ints add up to the ids of its parts' masks and of its values;
+    the first profile with given part masks numbers their joint mask, and
+    the first with a given (joint mask, values) gets its report from
+    ``desire_report``, which later ones share.  Desire statuses are shared
+    through one ``SharedStatuses``.  Every memo dies with the pass.
     """
     _check_profile_cap(spec, prod(len(ds) for ds in decisions.values()))
-    shared = _SharedStatuses()
-    for combo in product(*(ds.items() for ds in decisions.values())):
-        profile = DecisionProfile(tuple(d for d, _ in combo))
-        ext = joint_extension(spec, profile, tuple(e for _, e in combo))
-        report = (_shared_desire_report(shared, spec, profile, ext)
-                  if ext.consistent else None)
-        yield EvaluatedProfile(profile, _without_models(ext), report)
+    desire_atoms = {a for atoms, _ in spec.desire_masks for a in atoms}
+    columns = []  # per agent: its decisions, their extensions, mask codes
+    value_codes = []  # per agent: its decisions' desire-value codes
+    mask_radix = value_radix = 1
+    for ds in decisions.values():
+        mask_ids: dict[int, int] = {}
+        value_ids: dict[frozenset, int] = {}
+        columns.append((tuple(ds), tuple(ds.values()), [
+            mask_radix * mask_ids.setdefault(ext.models, len(mask_ids))
+            for ext in ds.values()]))
+        value_codes.append([value_radix * value_ids.setdefault(frozenset(
+            lit for lit in d.literals if lit.atom in desire_atoms),
+            len(value_ids)) for d in ds])
+        mask_radix *= len(mask_ids) or 1
+        value_radix *= len(value_ids) or 1
+    codes = [[m * value_radix + v for m, v in zip(masks, vs)]
+             for (_, _, masks), vs in zip(columns, value_codes)]
+    shared = SharedStatuses()
+    joint_ids: dict[int, int] = {}
+    reports: dict[int, DesireReport] = {}
+    for chosen, parts, code in zip(product(*(c[0] for c in columns)),
+                                   product(*(c[1] for c in columns)),
+                                   product(*codes)):
+        profile = DecisionProfile(chosen)
+        ext = joint_extension(spec, profile, parts)
+        if not ext.consistent:
+            yield EvaluatedProfile(profile, ext, None)
+            continue
+        masks, values = divmod(sum(code), value_radix)
+        mask_id = joint_ids.get(masks)
+        if mask_id is None:
+            mask_id = joint_ids[masks] = shared.mask_ids.setdefault(
+                ext.models, len(shared.mask_ids))
+        key = mask_id * value_radix + values
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = desire_report(spec, profile, ext, shared)
+        yield EvaluatedProfile(profile, ext, report)
 
 
 def derive_game(spec: AgentSystemSpec) -> GameSpecification:
@@ -241,10 +296,10 @@ def derive_game(spec: AgentSystemSpec) -> GameSpecification:
 
     Each agent's extension of each of its decisions is built once, for the
     feasibility filter and every profile containing that decision, and the
-    game keeps it, without its mask, for the profile entries of the CLI's
-    JSON reports.  Each candidate profile is evaluated once, and everything
-    downstream reads that evaluation.  The enumeration caps are the spec's
-    (``max_decisions``, ``max_profiles``).
+    game keeps it: the profiles' joint extensions are made of these parts,
+    and the CLI's JSON reports print them.  Each candidate profile is
+    evaluated once, and everything downstream reads that evaluation.  The
+    enumeration caps are the spec's (``max_decisions``, ``max_profiles``).
     """
     feasible = {
         agent: {d: ext for d, ext in built.items() if ext.consistent}
@@ -259,9 +314,7 @@ def derive_game(spec: AgentSystemSpec) -> GameSpecification:
     return GameSpecification(
         spec=spec,
         profiles=tuple(profiles),
-        feasible_decisions={
-            agent: {d: _without_models(ext) for d, ext in ds.items()}
-            for agent, ds in feasible.items()},
+        feasible_decisions=feasible,
         candidates=tuple(candidates),
     )
 
@@ -289,26 +342,29 @@ class SolutionReport:
     witnesses: dict[int, ExclusionWitness]
 
 
-def _unbeaten(game: GameSpecification, concept: str,
-              beats: Callable[[int, int], ExclusionWitness | None]
-              ) -> SolutionReport:
-    """Profiles that no other profile beats.  ``beats(j, i)`` is the witness
-    that profile j excludes profile i, or None.
+def _by_classes(game: GameSpecification, concept: str,
+                excluding: Callable[[int], int],
+                agent: Callable[[int, int], str] | None = None
+                ) -> SolutionReport:
+    """Profiles of the classes that no class excludes.  ``excluding(c)`` is
+    the bitset of the classes that exclude class c, read off
+    ``game.class_bitsets``; ``agent(c, k)``, when given, names the agent
+    the witness that class k excludes class c names.
 
     The concepts built on this compare profiles only through their unreached
-    sets, so ``beats`` is asked once per pair of classes, of their first
-    members, and profiles of one class never exclude each other.  The first
-    excluding class holds the first excluding profile in canonical order,
-    its first member, which is the witness.
+    sets, so profiles of one class never exclude each other, and a class's
+    first member stands for it.  The lowest excluding class holds the first
+    excluding profile in canonical order, its first member, which is the
+    witness.
     """
     included, witnesses = [], {}
-    for members in game.classes:
-        for others in game.classes:
-            witness = (None if others is members
-                       else beats(others[0], members[0]))
-            if witness is not None:
-                witnesses.update(dict.fromkeys(members, witness))
-                break
+    for c, members in enumerate(game.classes):
+        bits = excluding(c)
+        if bits:
+            k = (bits & -bits).bit_length() - 1
+            witnesses.update(dict.fromkeys(members, ExclusionWitness(
+                agent=None if agent is None else agent(c, k),
+                other=game.classes[k][0])))
         else:
             included.extend(members)
     return SolutionReport(concept, tuple(sorted(included)),
@@ -317,24 +373,29 @@ def _unbeaten(game: GameSpecification, concept: str,
 
 def pareto(game: GameSpecification) -> SolutionReport:
     """Profiles no feasible alternative strictly improves for every agent."""
-    tables = game.preferences
+    rows = game.class_bitsets
+    everything = (1 << len(rows)) - 1
 
-    def beats(j: int, i: int) -> ExclusionWitness | None:
-        return (ExclusionWitness(other=j) if all(
-            t.better(t.ids[j], t.ids[i]) for t in tables) else None)
-    return _unbeaten(game, PARETO, beats)
+    def excluding(c: int) -> int:
+        bits = everything
+        for up, down in rows[c]:
+            bits &= up & ~down
+        return bits
+    return _by_classes(game, PARETO, excluding)
 
 
 def strongly_pareto(game: GameSpecification) -> SolutionReport:
     """Profiles with no alternative weakly better for all, strictly for some."""
-    tables = game.preferences
+    rows = game.class_bitsets
+    everything = (1 << len(rows)) - 1
 
-    def beats(j: int, i: int) -> ExclusionWitness | None:
-        return (ExclusionWitness(other=j)
-                if all(t.geq(t.ids[j], t.ids[i]) for t in tables)
-                and any(t.better(t.ids[j], t.ids[i]) for t in tables)
-                else None)
-    return _unbeaten(game, STRONG_PARETO, beats)
+    def excluding(c: int) -> int:
+        weakly = equal = everything
+        for up, down in rows[c]:
+            weakly &= up
+            equal &= down
+        return weakly & ~equal
+    return _by_classes(game, STRONG_PARETO, excluding)
 
 
 def dominant(game: GameSpecification) -> SolutionReport:
@@ -350,14 +411,19 @@ def dominant(game: GameSpecification) -> SolutionReport:
     candidate is not at least as good as the excluding profile.
     """
     agents = game.spec.agent_ids
-    tables = game.preferences
+    rows = game.class_bitsets
+    everything = (1 << len(rows)) - 1
 
-    def beats(j: int, i: int) -> ExclusionWitness | None:
-        agent = next((a for a, t in zip(agents, tables)
-                      if not t.geq(t.ids[i], t.ids[j])), None)
-        return None if agent is None else ExclusionWitness(agent=agent,
-                                                           other=j)
-    return _unbeaten(game, DOMINANT, beats)
+    def excluding(c: int) -> int:
+        bits = 0
+        for _, down in rows[c]:
+            bits |= everything & ~down
+        return bits
+
+    def agent(c: int, k: int) -> str:
+        return next(a for a, (_, down) in zip(agents, rows[c])
+                    if not down >> k & 1)
+    return _by_classes(game, DOMINANT, excluding, agent)
 
 
 def nash(game: GameSpecification, *,
@@ -369,35 +435,51 @@ def nash(game: GameSpecification, *,
     default policy and fail the candidate under the fail policy.  A
     deviation is found by index arithmetic: replacing the agent's digit in
     the candidate's mixed-radix index, then one lookup in ``candidates``.
+
+    An agent's deviations from a candidate are those of its row (the other
+    agents' digits), and which of them wins depends only on the candidate's
+    own unreached id: the candidate's own decision is never infeasible and
+    never better than itself.  So the search runs once per (agent, row, own
+    id), and the candidates that share all three share its result.
     """
+    fail = infeasible_swaps == FAIL
     agents = game.spec.agent_ids
     radixes = [len(game.feasible_decisions[a]) for a in agents]
     strides = [prod(radixes[k + 1:]) for k in range(len(agents))]
     candidates = game.candidates
+
+    def first_deviation(agent_id: str, prefs: PreferenceTable,
+                        deviations: tuple[Decision, ...], stride: int,
+                        base: int, own: int) -> ExclusionWitness | None:
+        for k, deviation in enumerate(deviations):
+            deviated = candidates[base + k * stride]
+            if deviated < 0:
+                if fail:
+                    return ExclusionWitness(agent=agent_id,
+                                            decision=deviation)
+            elif not prefs.geq(own, prefs.ids[deviated]):
+                return ExclusionWitness(agent=agent_id, other=deviated,
+                                        decision=deviation)
+        return None
+
+    searches = [(agent_id, prefs, tuple(game.feasible_decisions[agent_id]),
+                 radix, stride, {})
+                for agent_id, prefs, radix, stride in zip(
+                    agents, game.preferences, radixes, strides)]
     included, witnesses = [], {}
     for c, i in enumerate(candidates):
         if i < 0:
             continue
         witness = None
-        for agent_id, prefs, radix, stride in zip(
-                agents, game.preferences, radixes, strides):
-            digit = c // stride % radix
-            base = c - digit * stride
+        for agent_id, prefs, deviations, radix, stride, known in searches:
+            base = c - c // stride % radix * stride
             own = prefs.ids[i]
-            for k, deviation in enumerate(game.feasible_decisions[agent_id]):
-                if k == digit:
-                    continue
-                deviated = candidates[base + k * stride]
-                if deviated < 0:
-                    if infeasible_swaps == FAIL:
-                        witness = ExclusionWitness(agent=agent_id,
-                                                   decision=deviation)
-                        break
-                    continue
-                if not prefs.geq(own, prefs.ids[deviated]):
-                    witness = ExclusionWitness(agent=agent_id, other=deviated,
-                                               decision=deviation)
-                    break
+            key = (base, own)
+            if key in known:
+                witness = known[key]
+            else:
+                witness = known[key] = first_deviation(
+                    agent_id, prefs, deviations, stride, base, own)
             if witness is not None:
                 break
         if witness is None:

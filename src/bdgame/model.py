@@ -13,11 +13,13 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
 from .extension import Rule
 from .logic import (DEFAULT_MAX_ATOMS, Atom, Formula, Literal, Vocabulary,
-                    atoms_of, consistent, consistent_literals, format_formula,
+                    atoms_of, conditioned_models, consistent,
+                    consistent_literals, format_formula,
                     in_sublanguage, literal_sort_key, parse_formula,
                     parse_literal)
 
@@ -84,6 +86,23 @@ class AgentSpec:
         return frozenset(r.id for r in self.desires)
 
 
+class BeliefMasks(NamedTuple):
+    """One agent's facts and belief rules compiled over the world atoms
+    (``AgentSystemSpec.belief_masks``)."""
+
+    facts: frozenset[Formula]
+    facts_mask: int  # the AND of the facts' masks
+    consequents: tuple[Formula, ...]  # distinct, numbered by position
+    consequent_masks: tuple[int, ...]
+    fact_bits: int  # the numbers of the consequents that are facts
+    # Per belief rule: its antecedent, its consequent's number, the decision
+    # atoms of its antecedent, and a table from a decision's values on them
+    # to the world assignments where the antecedent fails.
+    rules: tuple[tuple[Formula, int, tuple[str, ...], dict], ...]
+    # From the bits of a set of consequent numbers to their formulas.
+    derived: dict[int, frozenset[Formula]]
+
+
 @dataclass(frozen=True)
 class AgentSystemSpec:
     name: str
@@ -135,20 +154,53 @@ class AgentSystemSpec:
 
     @cached_property
     def desire_masks(self) -> tuple[tuple[tuple[str, ...], tuple[tuple[
-            Rule, tuple[str, ...], dict], ...]], ...]:
+            int, Rule, tuple[str, ...], dict], ...]], ...]:
         """Per agent: the decision atoms of its desire rules, and per desire
-        rule the rule, its decision atoms, and a table from a profile's
-        values on them to the rule's query masks, filled by
-        ``decision.desire_report``.  It lives and dies with the spec."""
+        rule its number (spec-wide, from 0), the rule, its decision atoms,
+        and a table from a profile's values on them to the rule's query
+        masks, filled by ``decision.desire_report``.  It lives and dies
+        with the spec."""
         world = set(self.world_atoms)
         out = []
+        number = 0
         for agent in self.agents:
-            rows = tuple((r, tuple(sorted(
-                (atoms_of(r.antecedent) | atoms_of(r.consequent)) - world)),
-                {}) for r in agent.desires)
-            out.append((tuple(sorted({a for _, atoms, _ in rows
-                                      for a in atoms})), rows))
+            rows = []
+            for r in agent.desires:
+                rows.append((number, r, tuple(sorted(
+                    (atoms_of(r.antecedent) | atoms_of(r.consequent))
+                    - world)), {}))
+                number += 1
+            out.append((tuple(sorted({a for _, _, atoms, _ in rows
+                                      for a in atoms})), tuple(rows)))
         return tuple(out)
+
+    @cached_property
+    def belief_masks(self) -> dict[str, BeliefMasks]:
+        """Per agent id, its facts and belief rules compiled over the world
+        atoms (``mask_atoms``) for ``decision.agent_extension``.  Its tables
+        are filled there; all of it lives and dies with the spec."""
+        world = self.mask_atoms  # refuses facts and consequents off it
+        world_set = set(world)
+
+        def compiled(f: Formula) -> int:
+            return conditioned_models(f, {}, world, quantify=False)
+        out = {}
+        for agent in self.agents:
+            facts_mask = (1 << (1 << len(world))) - 1
+            for f in agent.facts:
+                facts_mask &= compiled(f)
+            numbers: dict[Formula, int] = {}
+            rules = tuple((r.antecedent,
+                           numbers.setdefault(r.consequent, len(numbers)),
+                           tuple(sorted(atoms_of(r.antecedent) - world_set)),
+                           {}) for r in agent.beliefs)
+            facts = frozenset(agent.facts)
+            out[agent.id] = BeliefMasks(
+                facts, facts_mask, tuple(numbers),
+                tuple(map(compiled, numbers)),
+                sum(1 << n for f, n in numbers.items() if f in facts),
+                rules, {})
+        return out
 
     def agent(self, agent_id: str) -> AgentSpec:
         for a in self.agents:

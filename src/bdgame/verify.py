@@ -8,11 +8,11 @@ results carry the first counterexample found.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, count, permutations, product
 from typing import Iterator, Sequence
 
-from .decision import set_geq, set_preference
+from .decision import set_geq
 from .extension import Rule, extension, fixpoint_certificate
 from .game import derive_game, dominant, nash, pareto, strongly_pareto
 from .goals import (_closure_indexes, _feasible_violations,
@@ -20,8 +20,8 @@ from .goals import (_closure_indexes, _feasible_violations,
                     concept_family, heuristic_goals, pareto_via_goals)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, atoms_of,
                     mask_entails, models)
-from .model import (IDENTITY, RANKED, AgentSpec, AgentSystemSpec,
-                    DecisionMode, PriorityOrder)
+from .model import (IDENTITY, AgentSpec, AgentSystemSpec, DecisionMode,
+                    PriorityOrder)
 
 
 NOTHING_TO_CHECK = "nothing to check: no feasible profile"

@@ -11,9 +11,11 @@ import pytest
 import bdgame.cli
 import bdgame.decision
 import bdgame.game
+import bdgame.goals
 from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import agent_extension
+from bdgame.extension import Extension
 from bdgame.game import agent_extensions, derive_game
 from bdgame.goals import DECISION_RULES
 from bdgame.logic import format_formula
@@ -658,3 +660,46 @@ def test_json_reports_match_one_dump_of_the_whole_report(
     assert min(seen.values()) >= 10, seen
     # json.loads keeps the printed key order: every key list came out sorted.
     assert unsorted_keys == 0
+
+
+def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
+        tmp_path, monkeypatch, capsys):
+    """A profile's joint extension builds its formula sets when first read
+    (``Extension.joint``).  A JSON ``solve`` reads none: its entries print
+    the agents' extensions.  ``goals --via-goals`` reads those of the
+    profiles whose goal-basedness it decides, and no other."""
+    joined, decided = set(), set()
+    join, goal_based = Extension._join, bdgame.goals._goal_based
+
+    def counting_join(ext):
+        joined.add(id(ext))
+        join(ext)
+
+    def recording(spec, ep, goals):
+        decided.add(id(ep.extension))
+        return goal_based(spec, ep, goals)
+    monkeypatch.setattr(Extension, "_join", counting_join)
+    monkeypatch.setattr(bdgame.goals, "_goal_based", recording)
+    paths = [fixture(name) for name in EXAMPLES]
+    rng = random.Random(2020)
+    for k in range(20):
+        paths.append(tmp_path / f"seeded{k}.bdg")
+        paths[-1].write_text(format_spec(random_spec(
+            rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
+            encoding="utf-8")
+    built = solved = 0
+    for path in paths:
+        for concept in CONCEPT_NAMES:
+            assert main(["solve", "--concept", concept, "--format", "json",
+                         str(path)]) == 0
+            solved += len(json.loads(capsys.readouterr().out)["profiles"])
+            assert joined == set()
+        # Ids are compared within one run, while its game holds them.
+        assert main(["goals", "--family", "pareto", "--via-goals",
+                     "--format", "json", str(path)]) == 0
+        capsys.readouterr()
+        assert joined <= decided
+        built += len(joined)
+        joined.clear()
+        decided.clear()
+    assert solved >= 1_000 and built >= 200

@@ -7,11 +7,14 @@ scratch for each profile, desire reports and goal sets decided by
 entailment on it, and one loop over profiles per concept.  The library
 answers extension and desire queries on masks over the world atoms with
 the decision literals substituted, shares each agent extension between
-profiles, solves the three exclusion concepts on indistinguishability
-classes through one shared loop, reads every preference off per-agent
-tables over unreached-set ids, finds Nash deviations by mixed-radix index,
-and reads goal sets off the desire reports; all of it must agree with
-these references on every extension, report, index, witness and goal set.
+profiles, builds a joint extension's formula sets only when read (its
+reference is the eager union of its parts), solves the three exclusion
+concepts on indistinguishability classes through per-agent bitsets over
+the classes, reads every preference off per-agent tables over
+unreached-set ids, finds Nash deviations by mixed-radix index, once per
+row and own unreached id, and reads goal sets off the desire reports; all
+of it must agree with these references on every extension, report,
+index, witness and goal set.
 The references compare profiles by ``profile_geq``, which decides by
 ``set_geq`` on the unreached sets, and find deviations with
 ``with_decision`` and ``index_of``: none of them reads the tables.
@@ -39,7 +42,7 @@ from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
                              DesireReport, agent_extension, desire_report,
                              enumerate_decisions, joint_extension)
 from bdgame.errors import CombinatorialBoundError
-from bdgame.extension import (applicable_consequents, extension,
+from bdgame.extension import (Extension, applicable_consequents, extension,
                               fixpoint_certificate)
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
@@ -67,6 +70,35 @@ GOALS_SPECS = 60
 GOALS_PROFILE_CAP = 64
 ORACLE_SPECS = 80
 FIXPOINT_RULES = 6  # the certificate tries every subset of consequents
+
+
+def ref_joint_extension(parts):
+    """A joint extension built eagerly: the union of its parts' formula
+    sets, the AND of their masks, the largest round count."""
+    base, derived, joint = set(), set(), -1
+    for ext in parts:
+        base |= ext.base
+        derived |= ext.derived
+        joint &= ext.models
+    derived -= base
+    return Extension(frozenset(base), frozenset(derived),
+                     max((ext.iterations for ext in parts), default=0),
+                     joint != 0, joint)
+
+
+def assert_joint_extension_matches_the_eager_union(ext, parts):
+    eager = ref_joint_extension(parts)
+    assert ext == eager and eager == ext
+    assert hash(ext) == hash(eager)
+    assert (ext.models, ext.formulas) == (eager.models, eager.formulas)
+
+
+def assert_game_extensions_match_the_eager_unions(game):
+    for ep in game.profiles:
+        assert_joint_extension_matches_the_eager_union(ep.extension, tuple(
+            game.feasible_decisions[d.agent][d]
+            for d in ep.profile.decisions))
+    return len(game.profiles)
 
 
 def ref_pareto(game):
@@ -288,6 +320,7 @@ def test_class_level_concepts_match_the_profile_loops():
             got = nash(game, infeasible_swaps=policy)
             assert (got.profile_indexes, got.witnesses) == \
                 ref_nash(game, policy)
+        assert_game_extensions_match_the_eager_unions(game)
         if games == CLASS_SPECS:
             break
     assert games == CLASS_SPECS
@@ -383,7 +416,8 @@ def test_atom_patterns_match_the_division_formula():
 def test_conditioned_route_matches_the_full_vocabulary():
     """Agent extensions, joint feasibility and desire reports on world masks
     against extensions and entailment over the whole vocabulary, in every
-    decision mode."""
+    decision mode; joint extensions, which build their formula sets when
+    read, against the eager union of their parts."""
     rng = random.Random(20021001)
     seen = Counter()
     for _ in range(CONDITIONED_SPECS):
@@ -430,14 +464,22 @@ def test_conditioned_route_matches_the_full_vocabulary():
             feasible = {ep.profile for ep in game.profiles}
             for combo in product(*candidates):
                 joint = joint_extension(spec, DecisionProfile(combo))
+                assert_joint_extension_matches_the_eager_union(
+                    joint, tuple(agent_extension(spec, d.agent, d)
+                                 for d in combo))
+                seen["joint extensions"] += 1
                 assert joint.consistent == consistent(
                     joint.formulas, atoms=vocabulary)
                 assert joint.consistent == (DecisionProfile(combo) in feasible)
+            seen["game extensions"] += \
+                assert_game_extensions_match_the_eager_unions(game)
             for ep in game.profiles:
                 assert ep.report == ref_desire_report(spec, ep.extension)
                 seen[f"desire reports, {mode.value}"] += 1
     assert seen["foreign belief antecedent"] >= 50
     assert seen["agent extensions"] >= 6_000
+    assert seen["joint extensions"] >= 7_000
+    assert seen["game extensions"] >= 5_000
     assert seen["contradictory decisions"] >= 1_000
     for mode in DecisionMode:
         assert seen[f"desire reports, {mode.value}"] >= 800

@@ -12,7 +12,7 @@ from bdgame.decision import (Decision, DecisionProfile, agent_extension,
 from bdgame.game import (FAIL, SKIP, GameSpecification, derive_game,
                          dominant, nash, pareto, solve, strongly_pareto)
 from bdgame.logic import Literal, Not, Var
-from bdgame.model import parse_spec
+from bdgame.model import DecisionMode, parse_spec
 from bdgame.verify import check_game_laws, random_spec
 
 from conftest import profile
@@ -267,6 +267,34 @@ def test_the_game_keeps_no_world_mask_per_profile():
         tracemalloc.stop()
     assert profiles == 256
     assert kept < 8 << 20
+
+
+def test_the_game_retains_under_a_kibibyte_per_profile():
+    """Profiles share their agents' extensions and desire reports, and a
+    joint extension holds only its parts until its formula sets are read:
+    4 agents of 3 decision atoms, 4,096 profiles."""
+    rng = random.Random(7)
+    while True:
+        spec = random_spec(rng, max_agents=4, max_decision_atoms=3,
+                           max_rules=6,
+                           world_atoms=("p", "q", "r", "s", "t", "u"))
+        if len(spec.agents) == 4 and all(
+                len(a.decision_atoms) == 3 for a in spec.agents):
+            break
+    spec = spec.with_options(decision_mode=DecisionMode.TOTAL_ASSIGNMENTS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        game = derive_game(spec)
+        profiles = len(game.profiles)
+        holding = tracemalloc.get_traced_memory()[0]
+        del game
+        gc.collect()
+        kept = holding - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert profiles == 4_096
+    assert kept < profiles * 1024
 
 
 def seeded_games():

@@ -16,3 +16,30 @@ def test_the_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Names a module imports only so that callers can import them from it.
+RE_EXPORTS = {"__init__.py": None,  # the package's public surface
+              "decision.py": {"DEFAULT_DECISION_CAP", "DEFAULT_PROFILE_CAP"}}
+
+
+def test_the_library_imports_nothing_it_does_not_use():
+    unused = []
+    for path in SOURCES:
+        exempt = RE_EXPORTS.get(path.name, set())
+        if exempt is None:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items()
+                   if name not in read and name not in exempt
+                   and name != "annotations"]
+    assert unused == []
