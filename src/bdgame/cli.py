@@ -19,9 +19,9 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
@@ -130,144 +130,142 @@ def _build_parser() -> argparse.ArgumentParser:
 # Report assembly
 # ---------------------------------------------------------------------------
 
-def _extension_json(ext: Extension) -> list[str]:
-    return sorted(format_formula(f) for f in ext.formulas)
-
-
 def _members(lines: list[str], brackets: str, depth: int) -> str:
     """A JSON array or object ``depth`` levels deep, as ``json.dumps`` with
-    ``indent=2`` prints it, from its member lines (indented one level
-    deeper)."""
+    ``indent=2`` prints it, from its member lines (one level deeper)."""
     if not lines:
         return brackets
     return (brackets[0] + "\n" + ",\n".join(lines) + "\n" + "  " * depth
             + brackets[1])
 
 
-def _strings(texts: Iterable[str], depth: int) -> str:
-    """A JSON array of strings, ``depth`` levels deep."""
-    pad = "  " * (depth + 1)
-    return _members([pad + _quote(t) for t in texts], "[]", depth)
+def _member(key: str, texts: Iterable[str]) -> str:
+    """The line of a string array keyed ``key`` in an entry's object."""
+    return (f"        {_quote(key)}: "
+            + _members(["          " + _quote(t) for t in texts], "[]", 4))
+
+
+class _Pieces:
+    """One report's pieces, read by both renderers, from each agent's
+    extension of each decision the report's profiles hold (``extensions``,
+    keyed by those objects).  Each kind of piece is built when a renderer
+    first asks for it: formula texts, numbered in sorted order; by decision
+    id, its extension's numbers, its literals and text form, and its JSON
+    member line; by agent and unreached set, its line in either format.  A
+    joint extension is the union of its agents' extensions, and
+    ``format_formula`` is one-to-one, so a profile's formulas are the
+    sorted union of its parts' numbers: no joint formula set is built.  The
+    objects behind the ids live as long as the table, so no id is reused."""
+
+    def __init__(self, extensions: Mapping[str, Mapping[Decision, Extension]]
+                 ) -> None:
+        parts = [(d, {format_formula(f) for f in ext.formulas})
+                 for decisions in extensions.values()
+                 for d, ext in decisions.items()]
+        self.texts = sorted(set().union(*[texts for _, texts in parts]))
+        number = {text: n for n, text in enumerate(self.texts)}
+        self.numbers = {id(d): frozenset(map(number.__getitem__, texts))
+                        for d, texts in parts}
+        self.decisions = {id(d): d for d, _ in parts}
+        self.unreached_member = cache(
+            lambda agent, ids: _member(agent, sorted(ids)))
+        self.unreached_text = cache(lambda agent, ids: (
+            f"      unreached[{agent}]: {', '.join(sorted(ids)) or '-'}"))
+
+    @cached_property
+    def literals(self) -> dict[int, str]:
+        return {i: str(d) for i, d in self.decisions.items()}
+
+    @cached_property
+    def text(self) -> dict[int, str]:
+        return {i: f"{d.agent}={self.literals[i]}"
+                for i, d in self.decisions.items()}
+
+    def joint_numbers(self, profile: DecisionProfile) -> list[int]:
+        own = [self.numbers[id(d)] for d in profile.decisions]
+        return sorted(own[0].union(*own[1:]))
+
+    def profile_text(self, profile: DecisionProfile) -> str:
+        """``str(profile)``, from its decisions' texts."""
+        text = self.text
+        return "<" + ", ".join([text[id(d)] for d in profile.decisions]) + ">"
+
+    def extension_text(self, profile: DecisionProfile) -> str:
+        texts = map(self.texts.__getitem__, self.joint_numbers(profile))
+        return "{" + ", ".join(texts) + "}"
+
+    def entries(self, evaluated: Iterable[EvaluatedProfile]) -> Iterator[str]:
+        """Each profile's JSON entry, keys sorted, as ``json.dumps`` prints
+        it in the ``profiles`` array: ``consistent``, ``decisions``,
+        ``extension`` and ``unreached`` (null for an infeasible profile).
+        An entry's end is kept per desire report, which profiles share."""
+        members = {i: _member(d.agent, map(str, d.sorted_literals()))
+                   for i, d in self.decisions.items()}
+        lines = ["        " + _quote(text) for text in self.texts]
+        unreached, by_agent = self.unreached_member, attrgetter("agent")
+        ends: dict[int, tuple[object, str]] = {}
+        for ep in evaluated:
+            decisions = sorted(ep.profile.decisions, key=by_agent)
+            numbers = self.joint_numbers(ep.profile)
+            report = ep.report
+            end = ends.get(id(report))
+            if end is None:
+                left = "null" if report is None else _members(
+                    [unreached(a, report.unreached(a))
+                     for a in sorted(report.per_agent)], "{}", 3)
+                end = ends[id(report)] = (
+                    report, f',\n      "unreached": {left}\n    }}')
+            formulas = ("[\n" + ",\n".join([lines[n] for n in numbers])
+                        + "\n      ]" if numbers else "[]")
+            yield ('    {\n      "consistent": '
+                   + ("true" if ep.extension.consistent else "false")
+                   + ',\n      "decisions": {\n'
+                   + ",\n".join([members[id(d)] for d in decisions])
+                   + f'\n      }},\n      "extension": {formulas}{end[1]}')
 
 
 def _profile_entries(evaluated: Iterable[EvaluatedProfile],
                      extensions: Mapping[str, Mapping[Decision, Extension]]
-                     ) -> list[str]:
-    """Each profile's JSON entry, as the report's ``json.dumps`` prints it
-    in the ``profiles`` array: ``consistent``, ``decisions`` (the literals
-    of each agent's decision), ``extension`` (the joint extension's
-    formulas, sorted) and ``unreached`` (each agent's unreached desires,
-    or null for an infeasible profile).  ``extensions`` holds each agent's
-    extension of each decision of the profiles, keyed by the decision
-    objects the profiles hold.
-
-    A report's profiles share most of their pieces, and each piece is
-    encoded once per report: each formula text's line, the texts numbered
-    in sorted order; each decision's member line in "decisions" and the
-    numbers of its extension's texts; and each desire report's end of
-    the entry (the game's profiles share report objects), from one line
-    per agent and unreached set.  A joint extension is the union of its
-    agents' extensions, and ``format_formula`` is one-to-one, so a
-    profile's formula list is the sorted union of its parts' numbers, and
-    no joint formula set is built.  Keys are sorted as ``sort_keys`` sorts
-    them.  The memos keyed by object id hold the object (``extensions``
-    holds the decisions), so no id is reused while they live.
-    """
-    # Per decision: the decision, its agent, its extension's texts.
-    parts = [(d, agent, {format_formula(f) for f in ext.formulas})
-             for agent, decisions in extensions.items()
-             for d, ext in decisions.items()]
-    ordered = sorted({text for _, _, own in parts for text in own})
-    number = {text: n for n, text in enumerate(ordered)}
-    lines = ["        " + _quote(text) for text in ordered]
-    # By decision id: its agent, its member line, its texts' numbers.
-    pieces = {id(d): (agent, f"        {_quote(agent)}: "
-                      + _strings(map(str, d.sorted_literals()), 4),
-                      frozenset(map(number.__getitem__, own)))
-              for d, agent, own in parts}
-    unreached: dict[tuple[str, frozenset[str]], str] = {}
-    # By report id: the report and the end of the entries that print it.
-    tails: dict[int, tuple[object, str]] = {}
-    entries = []
-    for ep in evaluated:
-        chosen = [pieces[id(d)] for d in ep.profile.decisions]
-        if len(chosen) > 1:
-            chosen.sort(key=itemgetter(0))
-        numbers = sorted(chosen[0][2].union(*[c[2] for c in chosen[1:]]))
-        report = ep.report
-        tail = tails.get(id(report))
-        if tail is None:
-            if report is None:
-                left = "null"
-            else:
-                agent_lines = []
-                for agent in sorted(report.per_agent):
-                    key = (agent, report.unreached(agent))
-                    line = unreached.get(key)
-                    if line is None:
-                        line = unreached[key] = (
-                            f"        {_quote(agent)}: "
-                            + _strings(sorted(key[1]), 4))
-                    agent_lines.append(line)
-                left = _members(agent_lines, "{}", 3)
-            tail = tails[id(report)] = (
-                report, f',\n      "unreached": {left}\n    }}')
-        decisions = ",\n".join([c[1] for c in chosen])
-        formulas = ("[\n" + ",\n".join([lines[n] for n in numbers])
-                    + "\n      ]" if numbers else "[]")
-        consistent = "true" if ep.extension.consistent else "false"
-        entries.append(f'    {{\n      "consistent": {consistent},\n'
-                       f'      "decisions": {{\n{decisions}\n      }},\n'
-                       f'      "extension": {formulas}{tail[1]}')
-    return entries
+                     ) -> Iterator[str]:
+    """Each profile's JSON entry, built as it is read."""
+    return _Pieces(extensions).entries(evaluated)
 
 
 def _report(spec_name: str, command: str, **sections) -> dict:
     """The JSON report: every section present, empty unless given."""
-    report = {
-        "system": spec_name,
-        "command": command,
-        "profiles": [],
-        "solutions": {},
-        "goal_sets": [],
-        "checks": [],
-    }
-    report.update(sections)
-    return report
+    return {"system": spec_name, "command": command, "profiles": [],
+            "solutions": {}, "goal_sets": [], "checks": [], **sections}
 
 
 def _emit(output_format: str, lines: Callable[[], Iterable[str]],
           report: Callable[[], dict],
-          entries: Callable[[], list[str]] = list) -> None:
-    """Print the text lines, or the JSON report: only the builders of the
-    chosen format run.
-
-    ``entries`` builds the report's profile entries (``_profile_entries``).
-    The report is encoded by one ``json.dumps`` call, and a non-empty
-    profiles array is spliced into it, in place of the empty one that
-    ``_report`` puts there: the one top-level key, two spaces in, which
-    nothing else matches, as encoded strings hold no newline.
-    """
+          entries: Callable[[], Iterable[str]] = list) -> None:
+    """Write the text lines, or the JSON report, to stdout as they are
+    built; only the builders of the chosen format run.  The JSON report is
+    one ``json.dumps`` of ``report()`` with ``entries()`` written into its
+    profiles array, the one top-level key two spaces in (strings encoded
+    by ``json.dumps`` hold no newline)."""
+    write = sys.stdout.write
     if output_format == "json":
         text = json.dumps(report(), indent=2, sort_keys=True)
-        profiles = entries()
-        if profiles:
-            text = text.replace(
-                '\n  "profiles": []',
-                '\n  "profiles": [\n' + ",\n".join(profiles) + "\n  ]", 1)
-        print(text)
+        head, empty, tail = text.partition('\n  "profiles": []')
+        write(head)
+        opened = False
+        for entry in entries():
+            write((",\n" if opened else '\n  "profiles": [\n') + entry)
+            opened = True
+        write(("\n  ]" if opened else empty) + tail + "\n")
     else:
-        print("\n".join(lines()))
+        for line in lines():
+            write(line + "\n")
 
 
 def _max_atoms(flag: int | None) -> int | None:
     """The atom cap set by the flag, else by the environment; None leaves
     the spec's option (or the default) in force."""
-    if flag is not None:
-        return flag
     env = os.environ.get(ENV_MAX_ATOMS)
-    if env is None:
-        return None
+    if flag is not None or env is None:
+        return flag
     try:
         return _positive_int(env)
     except argparse.ArgumentTypeError as exc:
@@ -281,12 +279,9 @@ def _load(args: argparse.Namespace) -> AgentSystemSpec:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise BdgameError(f"{args.path} is not UTF-8 text: {exc}") from None
-    spec = parse_spec(text)
-    mode = DecisionMode(args.decision_mode) if args.decision_mode else None
-    return spec.with_options(decision_mode=mode,
-                             max_atoms=_max_atoms(args.max_atoms),
-                             max_decisions=args.max_decisions,
-                             max_profiles=args.max_profiles)
+    return parse_spec(text).with_options(
+        decision_mode=args.decision_mode, max_atoms=_max_atoms(args.max_atoms),
+        max_decisions=args.max_decisions, max_profiles=args.max_profiles)
 
 
 def _require_valid(spec: AgentSystemSpec) -> None:
@@ -336,30 +331,28 @@ def _parse_decision(spec: AgentSystemSpec, agent_id: str,
 def _cmd_extension(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
     agent = args.agent
-    if agent is None:
-        if args.decision is not None:
-            raise BdgameError("--decision requires --agent")
-        decisions = [Decision(a.id, frozenset(a.initial_decision))
-                     for a in spec.agents]
-    else:
-        decision = _parse_decision(spec, agent, args.decision)
-        decisions = [decision]
+    if agent is None and args.decision is not None:
+        raise BdgameError("--decision requires --agent")
+    decisions = [_parse_decision(spec, a, args.decision)
+                 for a in (spec.agent_ids if agent is None else (agent,))]
     built = {d.agent: {d: agent_extension(spec, d.agent, d)}
              for d in decisions}
     if agent is None:
         (ep,) = evaluate_product(spec, built)
     else:
-        ep = EvaluatedProfile(DecisionProfile((decision,)),
-                              built[agent][decision], None)
+        ep = EvaluatedProfile(DecisionProfile(tuple(decisions)),
+                              built[agent][decisions[0]], None)
     profile, ext = ep.profile, ep.extension
 
     def lines() -> Iterator[str]:
+        pieces = _Pieces(built)
         if agent is None:
-            yield f"joint extension of the initial profile {profile}:"
+            yield ("joint extension of the initial profile "
+                   f"{pieces.profile_text(profile)}:")
         else:
-            yield f"extension for {agent}, decision {decision}:"
+            yield f"extension for {agent}, decision {decisions[0]}:"
         flag = "consistent" if ext.consistent else "INCONSISTENT"
-        yield "  {" + ", ".join(_extension_json(ext)) + "}"
+        yield "  " + pieces.extension_text(profile)
         yield f"  {flag}; {ext.iterations} productive rounds"
     _emit(args.format, lines, lambda: _report(spec.name, "extension"),
           lambda: _profile_entries([ep], built))
@@ -374,17 +367,16 @@ def _cmd_profiles(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
              if ep.report is not None or not feasible_only]
 
     def lines() -> Iterator[str]:
+        pieces = _Pieces(built)
         yield (f"{len(shown)} profiles"
                + (" (feasible only)" if feasible_only else "") + ":")
         for i, ep in enumerate(shown):
             flag = "ok" if ep.extension.consistent else "INFEASIBLE"
-            yield f"  [{i}] {ep.profile} {flag}"
-            yield ("      extension {"
-                   + ", ".join(_extension_json(ep.extension)) + "}")
+            yield f"  [{i}] {pieces.profile_text(ep.profile)} {flag}"
+            yield "      extension " + pieces.extension_text(ep.profile)
             if ep.report is not None:
                 for a in spec.agent_ids:
-                    unreached = ", ".join(sorted(ep.report.unreached(a)))
-                    yield f"      unreached[{a}]: {unreached or '-'}"
+                    yield pieces.unreached_text(a, ep.report.unreached(a))
     _emit(args.format, lines, lambda: _report(spec.name, "profiles"),
           lambda: _profile_entries(shown, built))
     return EXIT_OK
@@ -398,22 +390,24 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                           infeasible_swaps=args.infeasible_swaps)
 
     def lines() -> Iterator[str]:
+        pieces = _Pieces(game.feasible_decisions)
+
+        def profile(i: int) -> str:
+            return f"[{i}] {pieces.profile_text(game.profiles[i].profile)}"
         yield (f"{concept}: {len(solution.profile_indexes)} of "
                f"{len(game.profiles)} feasible profiles")
         for i in solution.profile_indexes:
-            yield f"  [{i}] {game.profiles[i].profile}"
+            yield "  " + profile(i)
         if solution.witnesses:
             yield "excluded:"
         for i in sorted(solution.witnesses):
             w = solution.witnesses[i]
-            parts = []
-            if w.agent is not None:
-                parts.append(f"agent {w.agent}")
+            parts = [f"agent {w.agent}"] if w.agent is not None else []
             if w.other is not None:
-                parts.append(f"see [{w.other}] {game.profiles[w.other].profile}")
+                parts.append("see " + profile(w.other))
             if w.decision is not None:
-                parts.append(f"deviation {w.decision}")
-            yield f"  [{i}] {game.profiles[i].profile}: " + ", ".join(parts)
+                parts.append(f"deviation {pieces.literals[id(w.decision)]}")
+            yield f"  {profile(i)}: " + ", ".join(parts)
     _emit(args.format, lines, lambda: _report(
         spec.name, "solve",
         solutions={concept: list(solution.profile_indexes)}),
@@ -449,10 +443,11 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
         generators[game.goal_sets[i]].append(i)
 
     def lines() -> Iterator[str]:
+        pieces = _Pieces(game.feasible_decisions)
         yield (f"{label}: {len(family.profiles)} profiles, "
                f"{len(goal_sets)} goal sets")
         for i in family_indexes:
-            yield f"  [{i}] {game.profiles[i].profile}"
+            yield f"  [{i}] {pieces.profile_text(game.profiles[i].profile)}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
     _emit(args.format, lines, lambda: _report(
@@ -472,8 +467,8 @@ def _goals_family(args: argparse.Namespace) -> str:
                             ("--all", args.all),
                             ("--via-goals", args.via_goals)):
             if given:
-                raise BdgameError(f"--rule selects its own family; "
-                                  f"drop {flag}")
+                raise BdgameError(
+                    f"--rule selects its own family; drop {flag}")
     if args.all and args.family is not None:
         raise BdgameError("--all is short for --family all; give one of them")
     return args.family or "all"

@@ -116,6 +116,16 @@ class AgentSystemSpec:
     max_decisions: int = field(default=DEFAULT_DECISION_CAP, compare=False)
     max_profiles: int = field(default=DEFAULT_PROFILE_CAP, compare=False)
 
+    def __post_init__(self) -> None:
+        # A mode may be given by its name; enumeration and printing read
+        # the enum, so the name is coerced here and an unknown one refused.
+        try:
+            mode = DecisionMode(self.decision_mode)
+        except ValueError:
+            raise BdgameError(
+                f"unknown decision_mode '{self.decision_mode}'") from None
+        object.__setattr__(self, "decision_mode", mode)
+
     @cached_property
     def vocabulary(self) -> Vocabulary:
         atoms = [Atom(name, agent.id)
@@ -214,7 +224,7 @@ class AgentSystemSpec:
     def all_desires(self) -> tuple[Rule, ...]:
         return tuple(r for a in self.agents for r in a.desires)
 
-    def with_options(self, decision_mode: DecisionMode | None = None,
+    def with_options(self, decision_mode: DecisionMode | str | None = None,
                      max_atoms: int | None = None,
                      max_decisions: int | None = None,
                      max_profiles: int | None = None) -> "AgentSystemSpec":

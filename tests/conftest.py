@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from bdgame import load_example
 from bdgame.decision import Decision, DecisionProfile
 from bdgame.logic import Literal
+from bdgame.model import DecisionMode
+from bdgame.verify import random_spec
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +51,17 @@ def profile(**decisions):
             for n in names)
         parts.append(Decision(agent, literals))
     return DecisionProfile(tuple(parts))
+
+
+def four_by_three_spec():
+    """The first seeded draw with 4 agents of 3 decision atoms each, in
+    total-assignments mode: 4,096 profiles."""
+    rng = random.Random(7)
+    while True:
+        spec = random_spec(rng, max_agents=4, max_decision_atoms=3,
+                           max_rules=6,
+                           world_atoms=("p", "q", "r", "s", "t", "u"))
+        if len(spec.agents) == 4 and all(
+                len(a.decision_atoms) == 3 for a in spec.agents):
+            return spec.with_options(
+                decision_mode=DecisionMode.TOTAL_ASSIGNMENTS)

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,13 +16,19 @@ import bdgame.game
 import bdgame.goals
 from bdgame import example_path
 from bdgame.cli import _build_parser, main
-from bdgame.decision import agent_extension
+from bdgame.decision import (Decision, DecisionProfile, agent_extension,
+                             joint_extension)
 from bdgame.extension import Extension
-from bdgame.game import agent_extensions, derive_game
-from bdgame.goals import DECISION_RULES
+from bdgame.game import agent_extensions, derive_game, evaluate_product
+from bdgame.game import solve as solve_game
+from bdgame.goals import (DECISION_RULES, apply_decision_rule,
+                          concept_family, delta_goal_sets, pareto_via_goals,
+                          u_closure)
 from bdgame.logic import format_formula
 from bdgame.model import format_spec, parse_spec
 from bdgame.verify import random_spec
+
+from conftest import four_by_three_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -452,9 +460,10 @@ def test_output_is_independent_of_the_hash_seed():
              for command, formats in (
                  *((("solve", "--concept", c), ((), ("--format", "json")))
                    for c in CONCEPT_NAMES),
-                 (("goals",), (("--format", "json"),)))
+                 (("goals",), ((), ("--format", "json"))),
+                 (("profiles",), ((),)), (("extension",), ((),)))
              for fmt in formats]
-    assert len(argvs) == 6 * 9
+    assert len(argvs) == 6 * 12
     src = str(Path(bdgame.cli.__file__).parents[1])
     outputs = []
     for seed in ("0", "1"):
@@ -666,7 +675,8 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         tmp_path, monkeypatch, capsys):
     """A profile's joint extension builds its formula sets when first read
     (``Extension.joint``).  A JSON ``solve`` reads none: its entries print
-    the agents' extensions.  ``goals --via-goals`` reads those of the
+    the agents' extensions, and so do the text ``solve``, ``profiles`` and
+    ``extension`` reports.  ``goals --via-goals`` reads those of the
     profiles whose goal-basedness it decides, and no other."""
     joined, decided = set(), set()
     join, goal_based = Extension._join, bdgame.goals._goal_based
@@ -687,13 +697,18 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         paths[-1].write_text(format_spec(random_spec(
             rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
             encoding="utf-8")
-    built = solved = 0
+    built = solved = texts = 0
     for path in paths:
         for concept in CONCEPT_NAMES:
             assert main(["solve", "--concept", concept, "--format", "json",
                          str(path)]) == 0
             solved += len(json.loads(capsys.readouterr().out)["profiles"])
             assert joined == set()
+        for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
+                        ("profiles",), ("extension",)):
+            assert main([*command, str(path)]) == 0
+            texts += capsys.readouterr().out.count("\n")
+            assert joined == set(), command
         # Ids are compared within one run, while its game holds them.
         assert main(["goals", "--family", "pareto", "--via-goals",
                      "--format", "json", str(path)]) == 0
@@ -702,4 +717,181 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         built += len(joined)
         joined.clear()
         decided.clear()
-    assert solved >= 1_000 and built >= 200
+    assert solved >= 1_000 and built >= 200 and texts >= 2_000
+
+
+# ---------------------------------------------------------------------------
+# Text reports: the shared pieces against per-profile formatting
+# ---------------------------------------------------------------------------
+
+def ref_text(spec, command):
+    """The text report of ``command`` on ``spec``, each profile formatted
+    on its own with ``str`` and its joint extension's formulas sorted."""
+    args = _build_parser().parse_args([*command, "spec.bdg"])
+
+    def formulas(ext):
+        return ("{" + ", ".join(sorted(format_formula(f)
+                                       for f in ext.formulas)) + "}")
+    lines = []
+    if args.command == "extension":
+        if args.agent is None:
+            profile = DecisionProfile(tuple(
+                Decision(a.id, frozenset(a.initial_decision))
+                for a in spec.agents))
+            ext = joint_extension(spec, profile)
+            lines.append(f"joint extension of the initial profile {profile}:")
+        else:
+            decision = Decision(args.agent, frozenset(
+                spec.agent(args.agent).initial_decision))
+            ext = agent_extension(spec, args.agent, decision)
+            lines.append(f"extension for {args.agent}, decision {decision}:")
+        flag = "consistent" if ext.consistent else "INCONSISTENT"
+        lines.append("  " + formulas(ext))
+        lines.append(f"  {flag}; {ext.iterations} productive rounds")
+    elif args.command == "profiles":
+        shown = [ep for ep in evaluate_product(spec, agent_extensions(spec))
+                 if ep.report is not None or not args.feasible_only]
+        lines.append(f"{len(shown)} profiles"
+                     + (" (feasible only)" if args.feasible_only else "")
+                     + ":")
+        for i, ep in enumerate(shown):
+            flag = "ok" if ep.extension.consistent else "INFEASIBLE"
+            lines.append(f"  [{i}] {ep.profile} {flag}")
+            lines.append("      extension " + formulas(ep.extension))
+            if ep.report is not None:
+                for a in spec.agent_ids:
+                    unreached = ", ".join(sorted(ep.report.unreached(a)))
+                    lines.append(f"      unreached[{a}]: {unreached or '-'}")
+    elif args.command == "solve":
+        game = derive_game(spec)
+        solution = solve_game(game, args.concept,
+                              infeasible_swaps=args.infeasible_swaps)
+        lines.append(f"{args.concept}: {len(solution.profile_indexes)} of "
+                     f"{len(game.profiles)} feasible profiles")
+        for i in solution.profile_indexes:
+            lines.append(f"  [{i}] {game.profiles[i].profile}")
+        if solution.witnesses:
+            lines.append("excluded:")
+        for i in sorted(solution.witnesses):
+            w = solution.witnesses[i]
+            parts = []
+            if w.agent is not None:
+                parts.append(f"agent {w.agent}")
+            if w.other is not None:
+                parts.append(
+                    f"see [{w.other}] {game.profiles[w.other].profile}")
+            if w.decision is not None:
+                parts.append(f"deviation {w.decision}")
+            lines.append(f"  [{i}] {game.profiles[i].profile}: "
+                         + ", ".join(parts))
+    else:
+        game = derive_game(spec)
+        name = args.family or "all"
+        if args.rule is not None:
+            family = apply_decision_rule(
+                spec, args.rule, game=game,
+                infeasible_swaps=args.infeasible_swaps)
+            label = f"decision rule {args.rule}"
+        elif args.via_goals:
+            result = pareto_via_goals(spec, game=game)
+            family = (result.pareto_family if name == "pareto" else u_closure(
+                spec, [game.profiles[i].profile for i in result.pool],
+                game=game))
+            label = f"{name} family (goals-first pipeline)"
+        else:
+            family = concept_family(spec, name, game=game,
+                                    infeasible_swaps=args.infeasible_swaps)
+            label = f"{name} family"
+        goal_sets = delta_goal_sets(spec, family, game=game)
+        indexes = sorted(map(game.index_of, family.profiles))
+        lines.append(f"{label}: {len(family.profiles)} profiles, "
+                     f"{len(goal_sets)} goal sets")
+        for i in indexes:
+            lines.append(f"  [{i}] {game.profiles[i].profile}")
+        for gi, gs in enumerate(goal_sets):
+            generators = [i for i in indexes if game.goal_sets[i] == gs]
+            lines.append(f"  goal set {gi}: {gs} from profiles {generators}")
+    return "\n".join(lines) + "\n"
+
+
+def test_text_reports_match_per_profile_formatting(tmp_path, capsys):
+    paths = [fixture(name) for name in EXAMPLES]
+    for name, text in (("unsorted", UNSORTED_AGENTS),
+                       ("jointly", NOTHING_JOINTLY_FEASIBLE),
+                       ("nothing", NOTHING_FEASIBLE)):
+        paths.append(tmp_path / f"{name}.bdg")
+        paths[-1].write_text(text, encoding="utf-8")
+    rng = random.Random(4242)
+    for k in range(50):
+        paths.append(tmp_path / f"seeded{k}.bdg")
+        paths[-1].write_text(format_spec(random_spec(
+            rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
+            encoding="utf-8")
+    seen = Counter()
+    for path in paths:
+        spec = parse_spec(Path(path).read_text(encoding="utf-8"))
+        for command in json_commands(spec):
+            assert main([*command, str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == ref_text(spec, command), (command, path)
+            seen[command[0]] += 1
+            seen["lines"] += out.count("\n")
+            seen["inconsistent"] += "INCONSISTENT" in out
+            seen["infeasible"] += "INFEASIBLE" in out
+            seen["excluded"] += "excluded:" in out
+    assert seen["lines"] >= 10_000
+    assert min(seen.values()) >= 5, seen
+
+
+def four_by_three_file(tmp_path):
+    path = tmp_path / "four_by_three.bdg"
+    path.write_text(format_spec(four_by_three_spec()), encoding="utf-8")
+    return str(path)
+
+
+class Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--concept", "nash", "--format", "json"), ("profiles",)])
+def test_reports_are_written_as_they_are_built(command, tmp_path,
+                                               monkeypatch):
+    """Writing a report costs its game and its pieces, not the report:
+    4,096 profiles, about 3 MiB of JSON, into a stdout that keeps
+    nothing."""
+    monkeypatch.delenv("BDGAME_MAX_ATOMS", raising=False)
+    path = four_by_three_file(tmp_path)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main([*command, path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("command", [
+    ("profiles",), ("solve", "--concept", "nash", "--format", "json")])
+def test_a_reader_that_closes_early_ends_in_one_error_line(command, tmp_path):
+    path = four_by_three_file(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "BDGAME_MAX_ATOMS"}
+    env["PYTHONPATH"] = str(Path(bdgame.cli.__file__).parents[1])
+    child = subprocess.Popen([sys.executable, "-m", "bdgame", *command, path],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err.startswith("bdgame: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err

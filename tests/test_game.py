@@ -12,10 +12,10 @@ from bdgame.decision import (Decision, DecisionProfile, agent_extension,
 from bdgame.game import (FAIL, SKIP, GameSpecification, derive_game,
                          dominant, nash, pareto, solve, strongly_pareto)
 from bdgame.logic import Literal, Not, Var
-from bdgame.model import DecisionMode, parse_spec
+from bdgame.model import parse_spec
 from bdgame.verify import check_game_laws, random_spec
 
-from conftest import profile
+from conftest import four_by_three_spec, profile
 
 
 def names(game, indexes):
@@ -273,15 +273,7 @@ def test_the_game_retains_under_a_kibibyte_per_profile():
     """Profiles share their agents' extensions and desire reports, and a
     joint extension holds only its parts until its formula sets are read:
     4 agents of 3 decision atoms, 4,096 profiles."""
-    rng = random.Random(7)
-    while True:
-        spec = random_spec(rng, max_agents=4, max_decision_atoms=3,
-                           max_rules=6,
-                           world_atoms=("p", "q", "r", "s", "t", "u"))
-        if len(spec.agents) == 4 and all(
-                len(a.decision_atoms) == 3 for a in spec.agents):
-            break
-    spec = spec.with_options(decision_mode=DecisionMode.TOTAL_ASSIGNMENTS)
+    spec = four_by_three_spec()
     gc.collect()
     tracemalloc.start()
     try:

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from bdgame import example_path
-from bdgame.errors import SpecSyntaxError
+from bdgame.decision import enumerate_decisions
+from bdgame.errors import BdgameError, SpecSyntaxError
 from bdgame.extension import Rule
 from bdgame.logic import TRUE, Literal, Not, Var
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
@@ -231,6 +232,23 @@ def test_options_round_trip():
     assert spec.decision_mode is DecisionMode.LITERAL_SUBSETS
     assert spec.max_atoms == 12
     assert parse_spec(format_spec(spec)) == spec
+
+
+def test_decision_mode_given_by_name_is_the_enum():
+    spec = parse_spec(example_path("prisoners").read_text(encoding="utf-8"))
+    by_name = spec.with_options(decision_mode="total-assignments")
+    by_enum = spec.with_options(decision_mode=DecisionMode.TOTAL_ASSIGNMENTS)
+    assert by_name.decision_mode is DecisionMode.TOTAL_ASSIGNMENTS
+    assert by_name == by_enum and hash(by_name) == hash(by_enum)
+    for agent in spec.agents:
+        (atom,) = agent.decision_atoms
+        assert [d.literals for d in enumerate_decisions(by_name, agent.id)] \
+            == [{Literal(atom)}, {Literal(atom, False)}]
+    assert parse_spec(format_spec(by_name)) == by_name
+    with pytest.raises(BdgameError, match="unknown decision_mode 'bogus'"):
+        spec.with_options(decision_mode="bogus")
+    with pytest.raises(BdgameError, match="unknown decision_mode"):
+        AgentSystemSpec(spec.name, spec.agents, spec.world_atoms, "bogus")
 
 
 def test_enumeration_caps_take_no_part_in_equality():
