@@ -13,21 +13,22 @@ the decision atoms of the agent's desire rules (``evaluate_product``).
 Solution concepts are computed by brute force on small integer tables,
 numbered once per game:
 
-- each agent's distinct unreached sets get ids, and one preference table
-  per agent holds the lifted order (``set_geq``) between them, filled on
-  first ask (``PreferenceTable``);
+- per agent, its order (``orders``): each profile's unreached-set id, and
+  per id the bitset of the ids it is at least as good as, each ordered
+  pair of distinct sets decided once by ``set_geq``;
 - each candidate profile has a mixed-radix index over the agents' feasible
   decisions (last agent fastest, the order of ``itertools.product``), and
   ``candidates`` maps it to its feasible index, or -1.
 
-Pareto, strong Pareto and dominant compare the indistinguishability
-classes (profiles with equal unreached sets for every agent, which no
-preference tells apart) through per-agent bitsets over the classes
-(``class_bitsets``); Nash reaches each deviation by index arithmetic and
-one lookup, and searches once per (agent, row, own unreached id).  Every
-exclusion carries a witness that can be re-validated against the
-definitions, which ``profile_geq`` and ``strictly_better`` keep: they
-decide by ``set_geq`` on the unreached sets, not by the tables.
+Every concept reads ``orders``.  Pareto, strong Pareto and dominant
+compare the indistinguishability classes (profiles with equal unreached
+sets for every agent, which no preference tells apart) through per-agent
+bitsets over the classes read off it (``class_bitsets``); Nash reaches
+each deviation by index arithmetic and one lookup, and searches once per
+(agent, row, own unreached id).  Every exclusion carries a witness that
+can be re-validated against the definitions, which ``profile_geq`` and
+``strictly_better`` keep: they decide by ``set_geq`` on the unreached
+sets, not by the tables.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
@@ -50,7 +51,7 @@ from .decision import (Decision, DecisionProfile, DesireReport,
                        set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
-from .model import AgentSystemSpec, PriorityOrder
+from .model import AgentSystemSpec
 
 SKIP = "skip"
 FAIL = "fail"
@@ -87,35 +88,6 @@ class EvaluatedProfile:
     report: DesireReport | None  # None when the profile is infeasible
 
 
-class PreferenceTable:
-    """One agent's preferences over a game's profiles, on small integers.
-
-    ``ids[i]`` numbers profile i's unreached set among the agent's distinct
-    ones, in order of first appearance.  ``geq(x, y)`` is whether a profile
-    with set x is at least as good for the agent as one with set y.  Equal
-    ids are; any other pair is decided by ``set_geq`` on its first ask, and
-    the answer is kept, so no pair costs more than one call.
-    """
-
-    def __init__(self, ids: tuple[int, ...],
-                 sets: tuple[frozenset[str], ...],
-                 order: PriorityOrder) -> None:
-        self.ids = ids
-        self.sets = sets
-        self._order = order
-        self._known: dict[int, bool] = {}
-
-    def geq(self, x: int, y: int) -> bool:
-        if x == y:
-            return True
-        key = x * len(self.sets) + y
-        known = self._known.get(key)
-        if known is None:
-            known = self._known[key] = set_geq(self.sets[y], self.sets[x],
-                                               self._order)
-        return known
-
-
 @dataclass(frozen=True)
 class GameSpecification:
     spec: AgentSystemSpec
@@ -135,25 +107,32 @@ class GameSpecification:
         return {ep.profile: i for i, ep in enumerate(self.profiles)}
 
     @cached_property
-    def preferences(self) -> tuple[PreferenceTable, ...]:
-        """One preference table per agent, in agent order."""
-        tables = []
+    def orders(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per agent, in agent order: each profile's unreached-set id (the
+        agent's distinct sets numbered in order of first appearance), and
+        per id x a bitset whose bit y is set when a profile with set x is at
+        least as good for the agent as one with set y.  Each ordered pair of
+        distinct sets is decided once, by ``set_geq``."""
+        orders = []
         for agent in self.spec.agents:
             sets: dict[frozenset[str], int] = {}
             ids = tuple(sets.setdefault(ep.report.unreached(agent.id),
                                         len(sets))
                         for ep in self.profiles)
-            tables.append(PreferenceTable(ids, tuple(sets), agent.priority))
-        return tuple(tables)
+            geq = tuple(sum(1 << y for y, worse in enumerate(sets) if x == y
+                            or set_geq(worse, better, agent.priority))
+                        for x, better in enumerate(sets))
+            orders.append((ids, geq))
+        return tuple(orders)
 
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
         """Each profile's indistinguishability class: profiles share a class
         iff every agent has the same unreached set in both.  Classes are
         numbered in the order of their first members."""
-        ids: dict[tuple[int, ...], int] = {}
-        return tuple(ids.setdefault(key, len(ids)) for key in
-                     zip(*(table.ids for table in self.preferences)))
+        numbered: dict[tuple[int, ...], int] = {}
+        return tuple(numbered.setdefault(key, len(numbered)) for key in
+                     zip(*(ids for ids, _ in self.orders)))
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -167,36 +146,39 @@ class GameSpecification:
     def class_bitsets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per class, per agent, two bitsets over the classes (bit k for
         class k): the classes the agent finds at least as good as this one,
-        and those this one is at least as good as.  They are built per
-        unreached id, from each agent's whole ``PreferenceTable``."""
+        and those this one is at least as good as.  They are read off each
+        agent's ``orders`` per unreached id: ``down`` is the id's row,
+        ``up`` the transpose."""
         firsts = [members[0] for members in self.classes]
         per_agent = []
-        for table in self.preferences:
+        for ids, geq in self.orders:
             # The classes with each unreached id.
-            holding = [0] * len(table.sets)
+            holding = [0] * len(geq)
             for k, i in enumerate(firsts):
-                holding[table.ids[i]] |= 1 << k
-            ids = range(len(holding))
-            up = [sum(holding[y] for y in ids if table.geq(y, x))
-                  for x in ids]
-            down = [sum(holding[y] for y in ids if table.geq(x, y))
-                    for x in ids]
-            per_agent.append([(up[table.ids[i]], down[table.ids[i]])
-                              for i in firsts])
+                holding[ids[i]] |= 1 << k
+            sets = range(len(geq))
+            up = [sum(holding[y] for y in sets if geq[y] >> x & 1)
+                  for x in sets]
+            down = [sum(holding[y] for y in sets if row >> y & 1)
+                    for row in geq]
+            per_agent.append([(up[ids[i]], down[ids[i]]) for i in firsts])
         return tuple(zip(*per_agent))
 
     @cached_property
     def goal_sets(self) -> tuple[GoalSet, ...]:
         """Each profile's goal set, read off its desire report: the
         consequents of the desires it reaches and the antecedents of those
-        it leaves inapplicable, over every agent's desires."""
+        it leaves inapplicable, over every agent's desires.  Each distinct
+        report is read once; the profiles sharing it share its goal set."""
         rules = [(a.id, r) for a in self.spec.agents for r in a.desires]
-        return tuple(GoalSet(
+        reports = {id(ep.report): ep.report for ep in self.profiles}
+        read = {key: GoalSet(
             frozenset(r.consequent for a, r in rules
-                      if r.id in ep.report.per_agent[a].reached),
+                      if r.id in report.per_agent[a].reached),
             frozenset(r.antecedent for a, r in rules
-                      if r.id in ep.report.per_agent[a].inapplicable))
-            for ep in self.profiles)
+                      if r.id in report.per_agent[a].inapplicable))
+            for key, report in reports.items()}
+        return tuple(read[id(ep.report)] for ep in self.profiles)
 
     @cached_property
     def goal_set_members(self) -> dict[GoalSet, tuple[int, ...]]:
@@ -430,11 +412,11 @@ def nash(game: GameSpecification, *,
          infeasible_swaps: str = SKIP) -> SolutionReport:
     """Profiles where no agent has a strictly better unilateral deviation.
 
-    Deviations range over the agent's individually feasible decisions;
-    deviations that make the joint profile infeasible are skipped under the
-    default policy and fail the candidate under the fail policy.  A
-    deviation is found by index arithmetic: replacing the agent's digit in
-    the candidate's mixed-radix index, then one lookup in ``candidates``.
+    Deviations range over the agent's feasible decisions; those that make
+    the profile infeasible are skipped (``skip``, the default) or fail the
+    candidate (``fail``); another policy raises ``ValueError``.  A deviation
+    is one digit of the candidate's mixed-radix index replaced, one lookup
+    in ``candidates`` and one bit of the agent's ``orders``.
 
     An agent's deviations from a candidate are those of its row (the other
     agents' digits), and which of them wins depends only on the candidate's
@@ -442,44 +424,47 @@ def nash(game: GameSpecification, *,
     never better than itself.  So the search runs once per (agent, row, own
     id), and the candidates that share all three share its result.
     """
+    if infeasible_swaps not in (SKIP, FAIL):
+        raise ValueError(
+            f"unknown infeasible_swaps policy '{infeasible_swaps}'")
     fail = infeasible_swaps == FAIL
     agents = game.spec.agent_ids
     radixes = [len(game.feasible_decisions[a]) for a in agents]
     strides = [prod(radixes[k + 1:]) for k in range(len(agents))]
     candidates = game.candidates
 
-    def first_deviation(agent_id: str, prefs: PreferenceTable,
+    def first_deviation(agent_id: str, ids: tuple[int, ...], row: int,
                         deviations: tuple[Decision, ...], stride: int,
-                        base: int, own: int) -> ExclusionWitness | None:
+                        base: int) -> ExclusionWitness | None:
         for k, deviation in enumerate(deviations):
             deviated = candidates[base + k * stride]
             if deviated < 0:
                 if fail:
                     return ExclusionWitness(agent=agent_id,
                                             decision=deviation)
-            elif not prefs.geq(own, prefs.ids[deviated]):
+            elif not row >> ids[deviated] & 1:
                 return ExclusionWitness(agent=agent_id, other=deviated,
                                         decision=deviation)
         return None
 
-    searches = [(agent_id, prefs, tuple(game.feasible_decisions[agent_id]),
+    searches = [(agent_id, ids, geq, tuple(game.feasible_decisions[agent_id]),
                  radix, stride, {})
-                for agent_id, prefs, radix, stride in zip(
-                    agents, game.preferences, radixes, strides)]
+                for agent_id, (ids, geq), radix, stride in zip(
+                    agents, game.orders, radixes, strides)]
     included, witnesses = [], {}
     for c, i in enumerate(candidates):
         if i < 0:
             continue
         witness = None
-        for agent_id, prefs, deviations, radix, stride, known in searches:
+        for agent_id, ids, geq, deviations, radix, stride, known in searches:
             base = c - c // stride % radix * stride
-            own = prefs.ids[i]
+            own = ids[i]
             key = (base, own)
             if key in known:
                 witness = known[key]
             else:
                 witness = known[key] = first_deviation(
-                    agent_id, prefs, deviations, stride, base, own)
+                    agent_id, ids, geq[own], deviations, stride, base)
             if witness is not None:
                 break
         if witness is None:

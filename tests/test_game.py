@@ -11,6 +11,7 @@ from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              enumerate_decisions, set_geq)
 from bdgame.game import (FAIL, SKIP, GameSpecification, derive_game,
                          dominant, nash, pareto, solve, strongly_pareto)
+from bdgame.goals import apply_decision_rule
 from bdgame.logic import Literal, Not, Var
 from bdgame.model import parse_spec
 from bdgame.verify import check_game_laws, random_spec
@@ -156,6 +157,17 @@ def test_nash_infeasible_swaps_policies(interdependence):
     blocked = game.index_of(profile(alpha1=[], alpha2=["b"]))
     assert blocked in relaxed.profile_indexes
     assert blocked not in strict.profile_indexes
+
+
+def test_an_unknown_infeasible_swaps_policy_is_refused(interdependence):
+    game = derive_game(interdependence)
+    for call, policy in (
+            (lambda p: nash(game, infeasible_swaps=p), "bogus"),
+            (lambda p: solve(game, "nash", infeasible_swaps=p), "FAIL"),
+            (lambda p: apply_decision_rule(interdependence, "nash-else-pareto",
+                                           infeasible_swaps=p), "nope")):
+        with pytest.raises(ValueError, match=f"policy '{policy}'"):
+            call(policy)
 
 
 def test_solution_sets_invariant_under_renaming(prisoners):
@@ -330,6 +342,38 @@ def test_concepts_decide_each_pair_of_unreached_sets_once(monkeypatch):
             assert {first, second} <= distinct[order]
         decided += len(asked)
     assert games >= 150 and decided >= 1_000
+
+
+def test_orders_match_the_definition():
+    """Each bit of each agent's order is ``profile_geq`` on every ordered
+    pair of feasible profiles, and ``class_bitsets`` reads the same bits.
+    ``profile_geq`` depends only on the two unreached sets, so the ids are
+    checked per profile and the bits once per ordered pair of ids."""
+    games = pairs = covered = 0
+    for game in seeded_games():
+        games += 1
+        firsts = [members[0] for members in game.classes]
+        for k, (agent, (ids, geq)) in enumerate(zip(game.spec.agent_ids,
+                                                    game.orders)):
+            sets: dict[int, frozenset[str]] = {}
+            first_of: dict[int, int] = {}
+            for i, x in enumerate(ids):
+                assert sets.setdefault(x, game.unreached(i, agent)) == \
+                    game.unreached(i, agent)
+                first_of.setdefault(x, i)
+            assert sorted(sets) == list(range(len(geq)))
+            assert len(set(sets.values())) == len(sets)
+            for x, i in first_of.items():
+                for y, j in first_of.items():
+                    assert geq[x] >> y & 1 == game.profile_geq(i, j, agent)
+            pairs += len(sets) ** 2
+            covered += len(ids) ** 2
+            for c, x in enumerate(firsts):
+                up, down = game.class_bitsets[c][k]
+                for d, y in enumerate(firsts):
+                    assert down >> d & 1 == geq[ids[x]] >> ids[y] & 1
+                    assert up >> d & 1 == geq[ids[y]] >> ids[x] & 1
+    assert games >= 150 and pairs >= 4_000 and covered >= 1_000_000
 
 
 def test_nash_builds_no_profile_and_looks_none_up(monkeypatch,

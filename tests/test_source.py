@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import bdgame
+from mutants import MUTANTS, ROOT
 
 SOURCES = sorted(Path(bdgame.__file__).parent.glob("*.py"))
 
@@ -43,3 +44,19 @@ def test_the_library_imports_nothing_it_does_not_use():
                    if name not in read and name not in exempt
                    and name != "annotations"]
     assert unused == []
+
+
+def test_every_mutant_applies_once_and_names_existing_tests():
+    # The catalogue of tests/mutants.py runs in CI; this keeps it in step
+    # with the source and the tests it names.
+    assert len(MUTANTS) >= 5
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES}
+    for mutant in MUTANTS:
+        assert sources[mutant.module].count(mutant.snippet) == 1, mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(
+                encoding="utf-8"), test
