@@ -20,16 +20,17 @@ import json
 import os
 import sys
 from functools import cache, cached_property, lru_cache
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
-from .decision import Decision, DecisionProfile, agent_extension
+from .decision import Decision, DecisionProfile, DesireReport, agent_extension
 from .errors import BdgameError
 from .extension import Extension
-from .game import (CONCEPTS, EvaluatedProfile, agent_extensions,
-                   derive_game, evaluate_product)
+from .game import (CONCEPTS, EvaluatedProfile, GameSpecification,
+                   agent_extensions, derive_game, evaluate_product)
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
                     delta_goal_sets, pareto_via_goals, u_closure)
@@ -181,8 +182,8 @@ class _Pieces:
         return {i: f"{d.agent}={self.literals[i]}"
                 for i, d in self.decisions.items()}
 
-    def joint_numbers(self, profile: DecisionProfile) -> list[int]:
-        own = [self.numbers[id(d)] for d in profile.decisions]
+    def joint_numbers(self, decisions: tuple[Decision, ...]) -> list[int]:
+        own = [self.numbers[id(d)] for d in decisions]
         return sorted(own[0].union(*own[1:]))
 
     def profile_text(self, profile: DecisionProfile) -> str:
@@ -191,23 +192,26 @@ class _Pieces:
         return "<" + ", ".join([text[id(d)] for d in profile.decisions]) + ">"
 
     def extension_text(self, profile: DecisionProfile) -> str:
-        texts = map(self.texts.__getitem__, self.joint_numbers(profile))
+        texts = map(self.texts.__getitem__,
+                    self.joint_numbers(profile.decisions))
         return "{" + ", ".join(texts) + "}"
 
-    def entries(self, evaluated: Iterable[EvaluatedProfile]) -> Iterator[str]:
+    def entries(self, rows: Iterable[tuple[tuple[Decision, ...], bool,
+                                           DesireReport | None]]
+                ) -> Iterator[str]:
         """Each profile's JSON entry, keys sorted, as ``json.dumps`` prints
-        it in the ``profiles`` array: ``consistent``, ``decisions``,
-        ``extension`` and ``unreached`` (null for an infeasible profile).
-        An entry's end is kept per desire report, which profiles share."""
+        it in the ``profiles`` array, from its decisions, its consistency
+        flag and its report: ``consistent``, ``decisions``, ``extension``
+        and ``unreached`` (null for an infeasible profile).  An entry's end
+        is kept per desire report, which profiles share."""
         members = {i: _member(d.agent, map(str, d.sorted_literals()))
                    for i, d in self.decisions.items()}
         lines = ["        " + _quote(text) for text in self.texts]
         unreached, by_agent = self.unreached_member, attrgetter("agent")
         ends: dict[int, tuple[object, str]] = {}
-        for ep in evaluated:
-            decisions = sorted(ep.profile.decisions, key=by_agent)
-            numbers = self.joint_numbers(ep.profile)
-            report = ep.report
+        for chosen, consistent, report in rows:
+            decisions = sorted(chosen, key=by_agent)
+            numbers = self.joint_numbers(chosen)
             end = ends.get(id(report))
             if end is None:
                 left = "null" if report is None else _members(
@@ -218,7 +222,7 @@ class _Pieces:
             formulas = ("[\n" + ",\n".join([lines[n] for n in numbers])
                         + "\n      ]" if numbers else "[]")
             yield ('    {\n      "consistent": '
-                   + ("true" if ep.extension.consistent else "false")
+                   + ("true" if consistent else "false")
                    + ',\n      "decisions": {\n'
                    + ",\n".join([members[id(d)] for d in decisions])
                    + f'\n      }},\n      "extension": {formulas}{end[1]}')
@@ -228,7 +232,20 @@ def _profile_entries(evaluated: Iterable[EvaluatedProfile],
                      extensions: Mapping[str, Mapping[Decision, Extension]]
                      ) -> Iterator[str]:
     """Each profile's JSON entry, built as it is read."""
-    return _Pieces(extensions).entries(evaluated)
+    return _Pieces(extensions).entries(
+        (ep.profile.decisions, ep.extension.consistent, ep.report)
+        for ep in evaluated)
+
+
+def _game_entries(game: GameSpecification) -> Iterator[str]:
+    """Each feasible profile's JSON entry, from the game's columns, built as
+    it is read: its decisions are its candidate's digits, its unreached
+    sets its report's.  No profile object is built."""
+    decisions = game.feasible_decisions
+    return _Pieces(decisions).entries(
+        (chosen, True, game.reports[i]) for chosen, i in zip(
+            product(*map(tuple, decisions.values())), game.candidates)
+        if i >= 0)
 
 
 def _report(spec_name: str, command: str, **sections) -> dict:
@@ -411,7 +428,7 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _emit(args.format, lines, lambda: _report(
         spec.name, "solve",
         solutions={concept: list(solution.profile_indexes)}),
-        lambda: _profile_entries(game.profiles, game.feasible_decisions))
+        lambda: _game_entries(game))
     return EXIT_OK
 
 
@@ -456,7 +473,7 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                     "negative": sorted(map(format_formula, gs.negative)),
                     "generators": generators[gs]}
                    for gs in goal_sets]),
-        lambda: _profile_entries(game.profiles, game.feasible_decisions))
+        lambda: _game_entries(game))
     return EXIT_OK
 
 

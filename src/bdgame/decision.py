@@ -224,35 +224,41 @@ def is_feasible_profile(spec: AgentSystemSpec, profile: DecisionProfile) -> bool
 
 
 class SharedStatuses:
-    """Desire statuses shared by the reports of one pass over a spec's
-    profiles (``game.evaluate_product``); the memos die with the object.
+    """The desire statuses of one pass over a spec's profiles
+    (``game.derive_game``), and the memos behind them; all of it dies with
+    the object.  Every memo is keyed by small ints and value tuples, never
+    by masks or formulas; the pass numbers the joint masks:
 
-    An agent's status reads only the joint world mask and the profile's
-    values on the decision atoms of the agent's desire rules, so profiles
-    that agree on both share one ``AgentDesireStatus``, classified once.
-    Masks are numbered once, and every other memo is keyed by small ints
-    and value tuples, never by masks or formulas:
-
-    - ``mask_ids`` numbers the distinct joint masks, so each is held once;
-    - ``known`` holds a status per (agent index, mask id, those values);
+    - ``known`` holds, per agent in spec order, its status by an int key
+      that the pass makes of a joint mask id and a code of the profile's
+      values on the decision atoms of the agent's desire rules, the only
+      inputs of a status; ``classify`` fills it;
     - ``codes`` holds one rule's outcome (``_classify``) per (rule number,
       mask id, values on the rule's decision atoms);
-    - ``statuses`` interns statuses by their rules' outcomes, and
-      ``reports`` reports by the ids of their agents' statuses.
+    - ``statuses`` interns statuses by their rules' outcomes, so equal
+      statuses are one object.
     """
 
-    def __init__(self) -> None:
-        self.mask_ids: dict[int, int] = {}
-        self.known: dict[tuple[int, int, tuple[bool | None, ...]],
-                         AgentDesireStatus] = {}
+    def __init__(self, spec: AgentSystemSpec) -> None:
+        self.spec = spec
+        self.known: list[dict[int, AgentDesireStatus]] = [
+            {} for _ in spec.desire_masks]
         self.codes: dict[tuple[int, int, tuple[bool | None, ...]], int] = {}
         self.statuses: dict[tuple[int, ...], AgentDesireStatus] = {}
-        self.reports: dict[tuple[int, ...], DesireReport] = {}
+
+    def classify(self, agent: int, key: int, fixed: Mapping[str, bool],
+                 mask_id: int, theory: int) -> AgentDesireStatus:
+        """The status of the agent numbered ``agent`` under ``key``, not yet
+        known: classified against the joint mask ``theory``, numbered
+        ``mask_id``, and the profile's decision values ``fixed``."""
+        _, rows = self.spec.desire_masks[agent]
+        status = self.known[agent][key] = _classify(
+            rows, fixed, mask_id, theory, self.spec.mask_atoms, self)
+        return status
 
 
 def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
-                  ext: Extension | None = None,
-                  shared: SharedStatuses | None = None) -> DesireReport:
+                  ext: Extension | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
 
     ``ext`` is the profile's joint extension, built here by default.  Each
@@ -260,38 +266,22 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
     extension's world mask against the world assignments where the query
     fails.  Those come from the spec's table (``AgentSystemSpec.desire_masks``)
     by the profile's values on the rule's decision atoms, and are
-    conditioned once per entry.  The reports given one ``shared`` classify
-    each agent's status once per distinct joint mask and values on its
-    desire rules' decision atoms, and share it (``SharedStatuses``).
-    Undefined on infeasible profiles: an inconsistent extension entails
-    everything, which would make every desire reached and violated at once.
+    conditioned once per entry (``_classify``, which the game's product
+    pass shares).  Undefined on infeasible profiles: an inconsistent
+    extension entails everything, which would make every desire reached
+    and violated at once.
     """
     if ext is None:
         ext = joint_extension(spec, profile)
     if not ext.consistent:
         raise InfeasibleProfileError(
             f"profile {profile} has an inconsistent extension")
-    if shared is None:
-        shared = SharedStatuses()
     fixed = {lit.atom: lit.positive
              for d in profile.decisions for lit in d.literals}
-    theory = ext.models
-    mask_id = shared.mask_ids.setdefault(theory, len(shared.mask_ids))
-    statuses = []
-    for index, (atoms, rows) in enumerate(spec.desire_masks):
-        key = (index, mask_id, tuple(map(fixed.get, atoms)))
-        status = shared.known.get(key)
-        if status is None:
-            status = shared.known[key] = _classify(
-                rows, fixed, mask_id, theory, spec.mask_atoms, shared)
-        statuses.append(status)
-    # Statuses are interned, so equal reports have the same statuses.
-    key = tuple(map(id, statuses))
-    report = shared.reports.get(key)
-    if report is None:
-        report = shared.reports[key] = DesireReport(
-            dict(zip(spec.agent_ids, statuses)))
-    return report
+    theory, shared = ext.models, SharedStatuses(spec)
+    return DesireReport({
+        agent: _classify(rows, fixed, 0, theory, spec.mask_atoms, shared)
+        for agent, (_, rows) in zip(spec.agent_ids, spec.desire_masks)})
 
 
 # A rule's outcome against a joint extension (``_classify``).
@@ -368,12 +358,24 @@ def set_geq(first: Iterable[str], second: Iterable[str],
     ``first`` is at least as high as ``second`` when every rule in
     ``second - first`` is outranked by some rule in ``first - second``.
     With the identity order this degenerates to the superset relation.
+    Nothing lost is an answer, and so is a loss with nothing gained; only
+    then is the order asked.
     """
     first_set, second_set = frozenset(first), frozenset(second)
+    losses = second_set - first_set
+    if not losses:
+        return True
     gains = first_set - second_set
-    return all(
-        any(order.strictly_preferred(g, loss) for g in gains)
-        for loss in second_set - first_set)
+    if not gains:
+        return False
+    preferred = order.strictly_preferred
+    for loss in losses:
+        for g in gains:
+            if preferred(g, loss):
+                break
+        else:
+            return False
+    return True
 
 
 def set_preference(first: Iterable[str], second: Iterable[str],

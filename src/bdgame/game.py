@@ -3,22 +3,31 @@
 The game of a specification pairs the jointly feasible profiles (drawn from
 the product of each agent's individually feasible decisions) with the
 per-agent preference orders induced by unreached desires.  Being a product,
-its profiles share most of what they carry, and each shared piece is built
-once: each agent's extension of each feasible decision, kept on the game
-(``feasible_decisions``) as the parts of the profiles' joint extensions,
-which build their formula sets only when read, and each agent's desire
-status, shared by the profiles that agree on the joint world mask and on
-the decision atoms of the agent's desire rules (``evaluate_product``).
+a game is stored as columns, not as one object per profile.  Each candidate
+profile has a mixed-radix index over the agents' feasible decisions (last
+agent fastest, the order of ``itertools.product``), and every fact the
+solver needs about it is a function of that index.  One pass over the
+product (``_product_columns``) fills three columns:
+
+- ``candidates``: per candidate profile, its feasible index, or -1;
+- ``positions``: per feasible profile, its candidate index;
+- ``reports``: per feasible profile, its desire report.
+
+Shared pieces are built once: each agent's extension of each feasible
+decision, kept on the game (``feasible_decisions``) as the parts of the
+profiles' joint extensions, and each agent's desire status, shared by the
+profiles that agree on the joint world mask and on the decision atoms of
+the agent's desire rules, as are the reports made of equal statuses.  The
+object view, ``profiles`` (an ``EvaluatedProfile`` per feasible profile),
+is built from the columns when first read; the concepts, the goal-set
+table and the JSON reports read the columns, and the oracles, the goals
+layer and the text reports read the objects.
 
 Solution concepts are computed by brute force on small integer tables,
-numbered once per game:
-
-- per agent, its order (``orders``): each profile's unreached-set id, and
-  per id the bitset of the ids it is at least as good as, each ordered
-  pair of distinct sets decided once by ``set_geq``;
-- each candidate profile has a mixed-radix index over the agents' feasible
-  decisions (last agent fastest, the order of ``itertools.product``), and
-  ``candidates`` maps it to its feasible index, or -1.
+numbered once per game from the ``reports`` column: per agent, its order
+(``orders``), each profile's unreached-set id and per id the bitset of the
+ids it is at least as good as, each ordered pair of distinct sets decided
+once by ``set_geq``.
 
 Every concept reads ``orders``.  Pareto, strong Pareto and dominant
 compare the indistinguishability classes (profiles with equal unreached
@@ -34,7 +43,8 @@ Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
 The ``infeasible_swaps`` policy decides whether such Nash deviations are
 skipped (the default: an impossible profile neither rewards nor punishes
-anyone) or fail the candidate.
+anyone) or fail the candidate.  Any other policy is refused, whichever
+the concept.
 """
 
 from __future__ import annotations
@@ -43,12 +53,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .decision import (Decision, DecisionProfile, DesireReport,
                        SharedStatuses, _check_profile_cap, agent_extension,
-                       desire_report, enumerate_decisions, joint_extension,
-                       set_geq)
+                       enumerate_decisions, joint_extension, set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec
@@ -91,20 +100,44 @@ class EvaluatedProfile:
 @dataclass(frozen=True)
 class GameSpecification:
     spec: AgentSystemSpec
-    profiles: tuple[EvaluatedProfile, ...]  # feasible only, canonical order
     # Per agent, its feasible decisions in canonical order, each with the
     # agent's extension of it: the parts of the profiles' joint extensions.
     feasible_decisions: dict[str, dict[Decision, Extension]]
     # Per candidate profile, by mixed-radix index over feasible_decisions
-    # (last agent fastest): its index in profiles, or -1 when infeasible.
+    # (last agent fastest): its feasible index, or -1 when infeasible.
     candidates: tuple[int, ...]
-
-    def index_of(self, profile: DecisionProfile) -> int | None:
-        return self._index.get(profile)
+    # Per feasible profile, in canonical order: its candidate index ...
+    positions: tuple[int, ...]
+    # ... and its desire report; profiles share equal reports.
+    reports: tuple[DesireReport, ...]
 
     @cached_property
-    def _index(self) -> dict[DecisionProfile, int]:
-        return {ep.profile: i for i, ep in enumerate(self.profiles)}
+    def profiles(self) -> tuple[EvaluatedProfile, ...]:
+        """The feasible profiles' object view, in canonical order, built
+        from the columns when first read and then kept."""
+        return tuple(ep for ep in _evaluated(
+            self.feasible_decisions, self.candidates, self.reports)
+            if ep.report is not None)
+
+    def index_of(self, profile: DecisionProfile) -> int | None:
+        """The profile's feasible index, from its digits; None when it is
+        not a feasible profile of the game."""
+        if len(profile.decisions) != len(self._digits):
+            return None
+        c = 0
+        for digits, d in zip(self._digits, profile.decisions):
+            digit = digits.get(d)
+            if digit is None:
+                return None
+            c = c * len(digits) + digit
+        i = self.candidates[c]
+        return i if i >= 0 else None
+
+    @cached_property
+    def _digits(self) -> tuple[dict[Decision, int], ...]:
+        """Per agent, each feasible decision's digit."""
+        return tuple({d: k for k, d in enumerate(ds)}
+                     for ds in self.feasible_decisions.values())
 
     @cached_property
     def orders(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -116,9 +149,9 @@ class GameSpecification:
         orders = []
         for agent in self.spec.agents:
             sets: dict[frozenset[str], int] = {}
-            ids = tuple(sets.setdefault(ep.report.unreached(agent.id),
+            ids = tuple(sets.setdefault(report.unreached(agent.id),
                                         len(sets))
-                        for ep in self.profiles)
+                        for report in self.reports)
             geq = tuple(sum(1 << y for y, worse in enumerate(sets) if x == y
                             or set_geq(worse, better, agent.priority))
                         for x, better in enumerate(sets))
@@ -171,14 +204,14 @@ class GameSpecification:
         it leaves inapplicable, over every agent's desires.  Each distinct
         report is read once; the profiles sharing it share its goal set."""
         rules = [(a.id, r) for a in self.spec.agents for r in a.desires]
-        reports = {id(ep.report): ep.report for ep in self.profiles}
+        reports = {id(report): report for report in self.reports}
         read = {key: GoalSet(
             frozenset(r.consequent for a, r in rules
                       if r.id in report.per_agent[a].reached),
             frozenset(r.antecedent for a, r in rules
                       if r.id in report.per_agent[a].inapplicable))
             for key, report in reports.items()}
-        return tuple(read[id(ep.report)] for ep in self.profiles)
+        return tuple(read[id(report)] for report in self.reports)
 
     @cached_property
     def goal_set_members(self) -> dict[GoalSet, tuple[int, ...]]:
@@ -190,7 +223,7 @@ class GameSpecification:
         return {gs: tuple(m) for gs, m in members.items()}
 
     def unreached(self, index: int, agent_id: str) -> frozenset[str]:
-        return self.profiles[index].report.unreached(agent_id)
+        return self.reports[index].unreached(agent_id)
 
     def profile_geq(self, first: int, second: int, agent_id: str) -> bool:
         """first is at least as good as second for the agent."""
@@ -212,65 +245,134 @@ def agent_extensions(spec: AgentSystemSpec
             for agent in spec.agents}
 
 
+def _product_columns(spec: AgentSystemSpec,
+                     decisions: dict[str, dict[Decision, Extension]]
+                     ) -> tuple[tuple[int, ...], tuple[int, ...],
+                                tuple[DesireReport, ...]]:
+    """The one pass over the product of the agents' decisions, in canonical
+    order, from the agents' extensions of those decisions: per candidate
+    profile its feasible index or -1 (``candidates``), and per feasible
+    profile its candidate index (``positions``) and its desire report.
+
+    No profile object is built.  A profile's joint mask is the AND of its
+    parts' masks, and an agent's desire status reads only the joint mask
+    and the profile's values on the decision atoms of the agent's desire
+    rules.  So before the loop each decision gets one int: the id of its
+    extension's mask among its agent's, in mixed radix over the agents,
+    above one bit field per agent of the spec, which holds the id of the
+    decision's values on that agent's desire atoms, in mixed radix too.  A
+    profile's ints add up without carries to the id of its parts' masks
+    and, in each field, the id of its values on that agent's desire atoms.
+
+    The first profile with given part masks decides joint consistency with
+    ``joint_extension`` and numbers the joint mask; an agent's status is
+    classified once per (joint mask id, that agent's field) and interned
+    by its outcomes, and a report once per tuple of its statuses.  Every
+    memo dies with the pass.
+    """
+    lists = [tuple(ds) for ds in decisions.values()]
+    _check_profile_cap(spec, prod(map(len, lists)))
+    codes = [[0] * len(ds) for ds in lists]
+    fields = []  # per agent of the spec: its field's bits
+    offset = 0
+    for atoms, _ in spec.desire_masks:
+        radix = 1
+        for ds, column in zip(lists, codes):
+            value_ids: dict[frozenset, int] = {}
+            for j, d in enumerate(ds):
+                column[j] += radix * value_ids.setdefault(frozenset(
+                    lit for lit in d.literals if lit.atom in atoms),
+                    len(value_ids)) << offset
+            radix *= len(value_ids) or 1
+        width = (radix - 1).bit_length()
+        fields.append((1 << width) - 1 << offset)
+        offset += width
+    radix = 1
+    for ds, column in zip(decisions.values(), codes):
+        part_ids: dict[int, int] = {}
+        for j, ext in enumerate(ds.values()):
+            column[j] += radix * part_ids.setdefault(
+                ext.models, len(part_ids)) << offset
+        radix *= len(part_ids) or 1
+
+    shared = SharedStatuses(spec)
+    slots = tuple(zip(range(len(fields)), fields, shared.known))
+    mask_ids: dict[int, int] = {}  # numbers the distinct joint masks
+    theories: list[int] = []  # the joint masks, by id
+    joint_ids: dict[int, int] = {}  # by the ids of the parts' masks
+    interned: dict[tuple[int, ...], DesireReport] = {}
+    agents = spec.agent_ids
+    candidates: list[int] = []
+    positions: list[int] = []
+    reports: list[DesireReport] = []
+    for c, (decided, code) in enumerate(zip(product(*lists),
+                                            product(*codes))):
+        total = sum(code)
+        joint = joint_ids.get(total >> offset)
+        if joint is None:
+            ext = joint_extension(spec, DecisionProfile(decided), tuple(
+                ds[d] for ds, d in zip(decisions.values(), decided)))
+            joint = -1
+            if ext.consistent:
+                theory = ext.models
+                joint = mask_ids.setdefault(theory, len(mask_ids))
+                if joint == len(theories):
+                    theories.append(theory)
+            joint_ids[total >> offset] = joint
+        if joint < 0:
+            candidates.append(-1)
+            continue
+        base = joint << offset
+        fixed = None
+        statuses = []
+        for agent, bits, known in slots:
+            key = base | total & bits
+            status = known.get(key)
+            if status is None:
+                if fixed is None:
+                    fixed = {lit.atom: lit.positive
+                             for d in decided for lit in d.literals}
+                status = shared.classify(agent, key, fixed, joint,
+                                         theories[joint])
+            statuses.append(status)
+        key = tuple(map(id, statuses))
+        report = interned.get(key)
+        if report is None:
+            report = interned[key] = DesireReport(dict(zip(agents, statuses)))
+        candidates.append(len(reports))
+        positions.append(c)
+        reports.append(report)
+    return tuple(candidates), tuple(positions), tuple(reports)
+
+
+def _evaluated(decisions: dict[str, dict[Decision, Extension]],
+               candidates: Sequence[int], reports: Sequence[DesireReport]
+               ) -> Iterator[EvaluatedProfile]:
+    """The object view of every candidate profile, in canonical order, from
+    the columns of ``_product_columns``: its profile, its joint extension
+    (its parts and its consistency flag, ``Extension.joint``) and its
+    report, None when the profile is infeasible.  One loop over the
+    product."""
+    for chosen, parts, i in zip(
+            product(*map(tuple, decisions.values())),
+            product(*(tuple(ds.values()) for ds in decisions.values())),
+            candidates):
+        feasible = i >= 0
+        yield EvaluatedProfile(DecisionProfile(chosen),
+                               Extension.joint(parts, feasible),
+                               reports[i] if feasible else None)
+
+
 def evaluate_product(spec: AgentSystemSpec,
                      decisions: dict[str, dict[Decision, Extension]]
                      ) -> Iterator[EvaluatedProfile]:
     """Evaluate every profile of the product of the agents' decisions, in
     canonical order, from the agents' extensions of those decisions: its
-    joint extension and, when that is consistent, its desire report.
-
-    Per profile only what differs is built: the profile, its joint
-    extension, which holds its parts and no mask or formula set
-    (``Extension.joint``), and the ``EvaluatedProfile``.  A report reads
-    only the joint world mask and the profile's values on the decision
-    atoms of the desire rules.  So before the loop each decision gets one
-    int: the id of its extension's mask and the id of its values on those
-    atoms, each among its agent's, in mixed radix over the agents.  A
-    profile's ints add up to the ids of its parts' masks and of its values;
-    the first profile with given part masks numbers their joint mask, and
-    the first with a given (joint mask, values) gets its report from
-    ``desire_report``, which later ones share.  Desire statuses are shared
-    through one ``SharedStatuses``.  Every memo dies with the pass.
-    """
-    _check_profile_cap(spec, prod(len(ds) for ds in decisions.values()))
-    desire_atoms = {a for atoms, _ in spec.desire_masks for a in atoms}
-    columns = []  # per agent: its decisions, their extensions, mask codes
-    value_codes = []  # per agent: its decisions' desire-value codes
-    mask_radix = value_radix = 1
-    for ds in decisions.values():
-        mask_ids: dict[int, int] = {}
-        value_ids: dict[frozenset, int] = {}
-        columns.append((tuple(ds), tuple(ds.values()), [
-            mask_radix * mask_ids.setdefault(ext.models, len(mask_ids))
-            for ext in ds.values()]))
-        value_codes.append([value_radix * value_ids.setdefault(frozenset(
-            lit for lit in d.literals if lit.atom in desire_atoms),
-            len(value_ids)) for d in ds])
-        mask_radix *= len(mask_ids) or 1
-        value_radix *= len(value_ids) or 1
-    codes = [[m * value_radix + v for m, v in zip(masks, vs)]
-             for (_, _, masks), vs in zip(columns, value_codes)]
-    shared = SharedStatuses()
-    joint_ids: dict[int, int] = {}
-    reports: dict[int, DesireReport] = {}
-    for chosen, parts, code in zip(product(*(c[0] for c in columns)),
-                                   product(*(c[1] for c in columns)),
-                                   product(*codes)):
-        profile = DecisionProfile(chosen)
-        ext = joint_extension(spec, profile, parts)
-        if not ext.consistent:
-            yield EvaluatedProfile(profile, ext, None)
-            continue
-        masks, values = divmod(sum(code), value_radix)
-        mask_id = joint_ids.get(masks)
-        if mask_id is None:
-            mask_id = joint_ids[masks] = shared.mask_ids.setdefault(
-                ext.models, len(shared.mask_ids))
-        key = mask_id * value_radix + values
-        report = reports.get(key)
-        if report is None:
-            report = reports[key] = desire_report(spec, profile, ext, shared)
-        yield EvaluatedProfile(profile, ext, report)
+    joint extension and, when that is consistent, its desire report.  The
+    product pass of ``derive_game`` fills the columns; this is their
+    object view."""
+    candidates, _, reports = _product_columns(spec, decisions)
+    return _evaluated(decisions, candidates, reports)
 
 
 def derive_game(spec: AgentSystemSpec) -> GameSpecification:
@@ -279,26 +381,18 @@ def derive_game(spec: AgentSystemSpec) -> GameSpecification:
     Each agent's extension of each of its decisions is built once, for the
     feasibility filter and every profile containing that decision, and the
     game keeps it: the profiles' joint extensions are made of these parts,
-    and the CLI's JSON reports print them.  Each candidate profile is
-    evaluated once, and everything downstream reads that evaluation.  The
-    enumeration caps are the spec's (``max_decisions``, ``max_profiles``).
+    and the CLI's JSON reports print them.  One pass over the product
+    fills the game's columns (``_product_columns``), and everything
+    downstream reads them.  The enumeration caps are the spec's
+    (``max_decisions``, ``max_profiles``).
     """
     feasible = {
         agent: {d: ext for d, ext in built.items() if ext.consistent}
         for agent, built in agent_extensions(spec).items()}
-    profiles, candidates = [], []
-    for ep in evaluate_product(spec, feasible):
-        if ep.report is None:
-            candidates.append(-1)
-        else:
-            candidates.append(len(profiles))
-            profiles.append(ep)
-    return GameSpecification(
-        spec=spec,
-        profiles=tuple(profiles),
-        feasible_decisions=feasible,
-        candidates=tuple(candidates),
-    )
+    candidates, positions, reports = _product_columns(spec, feasible)
+    return GameSpecification(spec=spec, feasible_decisions=feasible,
+                             candidates=candidates, positions=positions,
+                             reports=reports)
 
 
 @dataclass(frozen=True)
@@ -424,10 +518,7 @@ def nash(game: GameSpecification, *,
     never better than itself.  So the search runs once per (agent, row, own
     id), and the candidates that share all three share its result.
     """
-    if infeasible_swaps not in (SKIP, FAIL):
-        raise ValueError(
-            f"unknown infeasible_swaps policy '{infeasible_swaps}'")
-    fail = infeasible_swaps == FAIL
+    fail = _fails_on_infeasible_swaps(infeasible_swaps)
     agents = game.spec.agent_ids
     radixes = [len(game.feasible_decisions[a]) for a in agents]
     strides = [prod(radixes[k + 1:]) for k in range(len(agents))]
@@ -452,9 +543,7 @@ def nash(game: GameSpecification, *,
                 for agent_id, (ids, geq), radix, stride in zip(
                     agents, game.orders, radixes, strides)]
     included, witnesses = [], {}
-    for c, i in enumerate(candidates):
-        if i < 0:
-            continue
+    for i, c in enumerate(game.positions):
         witness = None
         for agent_id, ids, geq, deviations, radix, stride, known in searches:
             base = c - c // stride % radix * stride
@@ -474,10 +563,22 @@ def nash(game: GameSpecification, *,
     return SolutionReport(NASH, tuple(included), witnesses)
 
 
+def _fails_on_infeasible_swaps(infeasible_swaps: str) -> bool:
+    """Whether the policy fails a Nash candidate on a deviation that breaks
+    joint feasibility; a policy other than ``skip`` or ``fail`` raises
+    ``ValueError``."""
+    if infeasible_swaps not in (SKIP, FAIL):
+        raise ValueError(
+            f"unknown infeasible_swaps policy '{infeasible_swaps}'")
+    return infeasible_swaps == FAIL
+
+
 def solve(game: GameSpecification, concept: str, *,
           infeasible_swaps: str = SKIP) -> SolutionReport:
     """Dispatch by concept name; ``infeasible_swaps`` only affects nash,
-    the one concept whose quantifier can leave the feasible set."""
+    the one concept whose quantifier can leave the feasible set, but an
+    unknown policy is refused for every concept."""
+    _fails_on_infeasible_swaps(infeasible_swaps)
     if concept == PARETO:
         return pareto(game)
     if concept == STRONG_PARETO:

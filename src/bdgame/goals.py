@@ -36,8 +36,9 @@ from .decision import DecisionProfile
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
-from .game import (EvaluatedProfile, GameSpecification, GoalSet, derive_game,
-                   goal_set_key, nash, pareto, solve)
+from .game import (EvaluatedProfile, GameSpecification, GoalSet,
+                   _fails_on_infeasible_swaps, derive_game, goal_set_key,
+                   nash, pareto, solve)
 from .logic import Formula, in_sublanguage, mask_entails, models
 from .model import AgentSystemSpec
 
@@ -321,8 +322,10 @@ def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
     bd-rational: the Pareto profiles.  nash-else-pareto: the Nash profiles
     (under the ``infeasible_swaps`` policy) when any exist, otherwise the
     Pareto profiles.  Closing the result keeps rules blind to distinctions
-    between indistinguishable profiles.
+    between indistinguishable profiles.  An unknown policy is refused under
+    every rule.
     """
+    _fails_on_infeasible_swaps(infeasible_swaps)
     if game is None:
         game = derive_game(spec)
     if rule_name == BD_RATIONAL:
@@ -338,7 +341,9 @@ def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
 def concept_family(spec: AgentSystemSpec, concept: str, *,
                    game: GameSpecification | None = None,
                    infeasible_swaps: str = "skip") -> ProfileFamily:
-    """The U-closure of a solution concept's profiles (or of all feasible)."""
+    """The U-closure of a solution concept's profiles (or of all feasible).
+    An unknown ``infeasible_swaps`` policy is refused for every family."""
+    _fails_on_infeasible_swaps(infeasible_swaps)
     if game is None:
         game = derive_game(spec)
     if concept == "all":

@@ -77,11 +77,79 @@ MUTANTS = (
            "if infeasible_swaps not in (SKIP, FAIL):",
            "if False:",
            ("tests/test_game.py::"
-            "test_an_unknown_infeasible_swaps_policy_is_refused",)),
+            "test_an_unknown_infeasible_swaps_policy_is_refused",
+            "tests/test_game.py::"
+            "test_an_unknown_policy_is_refused_where_nash_is_never_asked")),
+    Mutant("policy-unchecked-off-nash", "game.py",
+           "    _fails_on_infeasible_swaps(infeasible_swaps)\n"
+           "    if concept == PARETO:",
+           "    if concept == PARETO:",
+           ("tests/test_game.py::"
+            "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),
+    Mutant("policy-unchecked-for-the-feasible-family", "goals.py",
+           "    _fails_on_infeasible_swaps(infeasible_swaps)\n"
+           "    if game is None:\n"
+           "        game = derive_game(spec)\n"
+           "    if concept == \"all\":",
+           "    if game is None:\n"
+           "        game = derive_game(spec)\n"
+           "    if concept == \"all\":",
+           ("tests/test_game.py::"
+            "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),
+    Mutant("status-memo-keyed-without-values", "game.py",
+           "key = base | total & bits",
+           "key = base",
+           ("tests/test_differential.py::"
+            "test_desire_statuses_are_classified_once_per_distinct_input",
+            "tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions")),
+    Mutant("value-code-not-scaled-by-radix", "game.py",
+           "column[j] += radix * value_ids.setdefault(",
+           "column[j] += value_ids.setdefault(",
+           ("tests/test_differential.py::"
+            "test_desire_statuses_are_classified_once_per_distinct_input",
+            "tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions")),
+    Mutant("mask-code-not-scaled-by-radix", "game.py",
+           "column[j] += radix * part_ids.setdefault(",
+           "column[j] += part_ids.setdefault(",
+           ("tests/test_game.py::"
+            "test_joint_consistency_is_decided_once_per_part_masks",)),
+    Mutant("joint-memo-keyed-by-the-whole-code", "game.py",
+           "joint = joint_ids.get(total >> offset)",
+           "joint = joint_ids.get(total)",
+           ("tests/test_game.py::"
+            "test_joint_consistency_is_decided_once_per_part_masks",
+            "tests/test_cli.py::"
+            "test_json_solve_reads_the_columns_and_builds_no_profile_objects"
+            )),
+    Mutant("reports-column-read-one-off", "game.py",
+           "reports[i] if feasible else None",
+           "reports[i - 1] if feasible else None",
+           ("tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions",)),
+    Mutant("json-entries-read-one-report-off", "cli.py",
+           "(chosen, True, game.reports[i])",
+           "(chosen, True, game.reports[i - 1])",
+           ("tests/test_cli.py::"
+            "test_json_reports_match_one_dump_of_the_whole_report",)),
+    Mutant("json-entries-from-the-object-view", "cli.py",
+           "        lambda: _game_entries(game))\n    return EXIT_OK\n\n\n"
+           "def _cmd_goals",
+           "        lambda: _profile_entries(game.profiles, "
+           "game.feasible_decisions))\n    return EXIT_OK\n\n\n"
+           "def _cmd_goals",
+           ("tests/test_cli.py::"
+            "test_json_solve_reads_the_columns_and_builds_no_profile_objects",
+            )),
+    Mutant("set-geq-early-exit-inverted", "decision.py",
+           "    if not gains:\n        return False",
+           "    if not gains:\n        return True",
+           ("tests/test_decision.py::test_set_geq_matches_its_definition",)),
     Mutant("goal-set-built-per-profile", "game.py",
-           "return tuple(read[id(ep.report)] for ep in self.profiles)",
-           "return tuple(GoalSet(read[id(ep.report)].positive, "
-           "read[id(ep.report)].negative) for ep in self.profiles)",
+           "return tuple(read[id(report)] for report in self.reports)",
+           "return tuple(GoalSet(read[id(report)].positive, "
+           "read[id(report)].negative) for report in self.reports)",
            ("tests/test_goals.py::test_each_goal_set_is_built_once_per_game",
             )),
 )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from bdgame.cli import _build_parser, main
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              joint_extension)
 from bdgame.extension import Extension
-from bdgame.game import agent_extensions, derive_game, evaluate_product
+from bdgame.game import (EvaluatedProfile, agent_extensions, derive_game,
+                         evaluate_product)
 from bdgame.game import solve as solve_game
 from bdgame.goals import (DECISION_RULES, apply_decision_rule,
                           concept_family, delta_goal_sets, pareto_via_goals,
@@ -415,6 +417,7 @@ def test_text_mode_never_builds_the_report(monkeypatch, capsys):
 
     monkeypatch.setattr(bdgame.cli, "_report", refuse)
     monkeypatch.setattr(bdgame.cli, "_profile_entries", refuse)
+    monkeypatch.setattr(bdgame.cli, "_game_entries", refuse)
     for argv, expected in TEXT_REPORTS.items():
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == expected
@@ -648,6 +651,9 @@ def test_json_reports_match_one_dump_of_the_whole_report(
                 patched.setattr(bdgame.cli, "_emit", ref_emit)
                 patched.setattr(bdgame.cli, "_profile_entries", lambda eps, _:
                                 [ref_profile_entry(ep) for ep in eps])
+                patched.setattr(bdgame.cli, "_game_entries", lambda game:
+                                [ref_profile_entry(ep)
+                                 for ep in game.profiles])
                 assert main(argv) == code
                 assert capsys.readouterr() == got, argv
             assert code == 0, got.err
@@ -718,6 +724,49 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         joined.clear()
         decided.clear()
     assert solved >= 1_000 and built >= 200 and texts >= 2_000
+
+
+def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
+        tmp_path, monkeypatch, capsys):
+    """A JSON ``solve`` prints its entries from the game's columns: it
+    builds no ``EvaluatedProfile``, and a ``DecisionProfile`` only where
+    the product pass decides joint consistency, once per distinct
+    combination of the parts' masks."""
+    paths = [fixture(name) for name in EXAMPLES]
+    rng = random.Random(2021)
+    for k in range(30):
+        paths.append(tmp_path / f"seeded{k}.bdg")
+        paths[-1].write_text(format_spec(random_spec(
+            rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
+            encoding="utf-8")
+    combinations = []
+    for path in paths:
+        game = derive_game(parse_spec(Path(path).read_text(encoding="utf-8")))
+        combinations.append(len({
+            tuple(ext.models for ext in parts) for parts in product(
+                *(ds.values() for ds in game.feasible_decisions.values()))}))
+    built = Counter()
+    init = DecisionProfile.__init__
+
+    def counting(self, *args, **kwargs):
+        built["profiles"] += 1
+        init(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON solve built an EvaluatedProfile")
+    monkeypatch.setattr(DecisionProfile, "__init__", counting)
+    monkeypatch.setattr(EvaluatedProfile, "__init__", refuse)
+    entries = shared = 0
+    for path, distinct in zip(paths, combinations):
+        for concept in CONCEPT_NAMES:
+            built.clear()
+            assert main(["solve", "--concept", concept, "--format", "json",
+                         str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert built["profiles"] <= distinct
+            entries += len(report["profiles"])
+            shared += len(report["profiles"]) - built["profiles"]
+    assert entries >= 1_200 and shared >= 1_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -191,6 +193,43 @@ def test_identity_mode_is_superset():
     for x in subsets:
         for y in subsets:
             assert set_geq(x, y, IDENT) == (y <= x)
+
+
+def ref_set_geq(first, second, order):
+    """The lifted order as first written, without early exits: every loss
+    is outranked by some gain."""
+    first_set, second_set = frozenset(first), frozenset(second)
+    gains = first_set - second_set
+    return all(
+        any(order.strictly_preferred(g, loss) for g in gains)
+        for loss in second_set - first_set)
+
+
+def test_set_geq_matches_its_definition():
+    rng = random.Random(2002)
+    answers = Counter()
+    for _ in range(300):
+        ids = [f"d{k}" for k in range(rng.randint(0, 6))]
+        # Ranks drawn from a small range, so ties are common.
+        orders = (PriorityOrder.ranked({d: rng.randint(0, 3) for d in ids}),
+                  PriorityOrder.identity(ids))
+        for _ in range(20):
+            first = rng.sample(ids, rng.randint(0, len(ids)))
+            second = rng.sample(ids, rng.randint(0, len(ids)))
+            for order in orders:
+                expected = ref_set_geq(first, second, order)
+                assert set_geq(first, second, order) == expected
+                losses = set(second) - set(first)
+                gains = set(first) - set(second)
+                answers[expected, bool(losses), bool(gains),
+                        order.mode] += 1
+    # Both answers with losses and gains under both modes, and the two
+    # early exits.
+    for mode in ("ranked", "identity"):
+        assert answers[False, True, True, mode] >= 100
+        assert answers[True, False, True, mode] >= 100
+        assert answers[False, True, False, mode] >= 100
+    assert answers[True, True, True, "ranked"] >= 100
 
 
 def test_cross_agent_rule_ids_rejected():

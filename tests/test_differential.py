@@ -274,6 +274,17 @@ def test_concepts_and_goal_sets_match_the_definitions():
             got = nash(game, infeasible_swaps=policy)
             assert (got.profile_indexes, got.witnesses) == \
                 ref_nash(game, policy)
+        # The columns and their object view agree, and every candidate's
+        # feasible index points back at its position.
+        assert [ep.report for ep in game.profiles] == list(game.reports)
+        assert [i for i in game.candidates if i >= 0] == \
+            list(range(len(game.profiles)))
+        assert [game.candidates[c] for c in game.positions] == \
+            list(range(len(game.profiles)))
+        for chosen, i in zip(product(*map(
+                tuple, game.feasible_decisions.values())), game.candidates):
+            assert game.index_of(DecisionProfile(chosen)) == \
+                (i if i >= 0 else None)
         for ep in game.profiles:
             fresh = joint_extension(spec, ep.profile)
             assert ep.extension == fresh

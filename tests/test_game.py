@@ -2,16 +2,19 @@ import gc
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
 import bdgame.decision
 import bdgame.game
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
-                             enumerate_decisions, set_geq)
-from bdgame.game import (FAIL, SKIP, GameSpecification, derive_game,
-                         dominant, nash, pareto, solve, strongly_pareto)
-from bdgame.goals import apply_decision_rule
+                             desire_report, enumerate_decisions,
+                             joint_extension, set_geq)
+from bdgame.game import (DOMINANT, FAIL, PARETO, SKIP, STRONG_PARETO,
+                         GameSpecification, derive_game, dominant, nash,
+                         pareto, solve, strongly_pareto)
+from bdgame.goals import apply_decision_rule, concept_family
 from bdgame.logic import Literal, Not, Var
 from bdgame.model import parse_spec
 from bdgame.verify import check_game_laws, random_spec
@@ -170,6 +173,21 @@ def test_an_unknown_infeasible_swaps_policy_is_refused(interdependence):
             call(policy)
 
 
+def test_an_unknown_policy_is_refused_where_nash_is_never_asked(prisoners):
+    game = derive_game(prisoners)
+    calls = [lambda p, c=c: solve(game, c, infeasible_swaps=p)
+             for c in (PARETO, STRONG_PARETO, DOMINANT)]
+    calls += [lambda p, f=f: concept_family(prisoners, f, game=game,
+                                            infeasible_swaps=p)
+              for f in ("all", PARETO)]
+    calls.append(lambda p: apply_decision_rule(
+        prisoners, "bd-rational", game=game, infeasible_swaps=p))
+    for call in calls:
+        with pytest.raises(ValueError, match="policy 'bogus'"):
+            call("bogus")
+        call(FAIL)
+
+
 def test_solution_sets_invariant_under_renaming(prisoners):
     renamed = parse_spec("""
 system "renamed"
@@ -299,6 +317,84 @@ def test_the_game_retains_under_a_kibibyte_per_profile():
         tracemalloc.stop()
     assert profiles == 4_096
     assert kept < profiles * 1024
+
+
+def test_a_game_whose_profiles_are_unread_retains_its_columns_only():
+    """Until ``profiles`` is read, the game holds its columns, the agents'
+    extensions and the shared desire reports: under 128 bytes per profile
+    on 4 agents of 3 decision atoms, 4,096 profiles.  A full collection
+    before each reading drops what the interpreter's free lists keep."""
+    spec = four_by_three_spec()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        game = derive_game(spec)
+        gc.collect()
+        profiles = len(game.reports)
+        unread = "profiles" not in vars(game)
+        holding = tracemalloc.get_traced_memory()[0]
+        del game
+        gc.collect()
+        kept = holding - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert profiles == 4_096 and unread
+    assert kept < profiles * 128
+
+
+def varied_mask_spec(rng):
+    """Two or three agents of two decision atoms, each atom with a belief
+    about the world, so every agent's decisions hold several distinct
+    masks and some profiles are jointly infeasible."""
+    atoms, world = iter("abcdefgh"), ("p", "q", "r")
+    lines = ["option decision_mode = positive-subsets"]
+    for k in range(rng.randint(2, 3)):
+        own = [next(atoms), next(atoms)]
+        lines += [f"agent x{k} {{", "  atoms " + " ".join(own)]
+        for a in own:
+            effects = [rng.choice(("", "!")) + w
+                       for w in rng.sample(world, rng.randint(1, 2))]
+            lines.append(f"  belief {a} => {' | '.join(effects)}")
+        lines += [f"  desire {rng.choice(own)} => {rng.choice(world)}",
+                  "}"]
+    return parse_spec("\n".join(lines + ["world p q r", ""]))
+
+
+def test_joint_consistency_is_decided_once_per_part_masks(monkeypatch):
+    """The product pass calls ``joint_extension`` once per distinct tuple
+    of part masks, and its columns agree with a fresh joint extension and
+    desire report of every candidate."""
+    decided = Counter()
+
+    def counting(spec, profile, parts=None):
+        decided[tuple(ext.models for ext in parts)] += 1
+        return joint_extension(spec, profile, parts)
+
+    monkeypatch.setattr(bdgame.game, "joint_extension", counting)
+    rng = random.Random(12)
+    shared = infeasible = 0
+    for _ in range(60):
+        spec = varied_mask_spec(rng)
+        decided.clear()
+        game = derive_game(spec)
+        assert all(len({ext.models for ext in ds.values()}) >= 2
+                   for ds in game.feasible_decisions.values())
+        combinations = set()
+        for combo, i in zip(product(*(
+                ds.items() for ds in game.feasible_decisions.values())),
+                game.candidates):
+            decisions, parts = zip(*combo)
+            combinations.add(tuple(ext.models for ext in parts))
+            profile = DecisionProfile(decisions)
+            fresh = joint_extension(spec, profile)
+            assert (i >= 0) == fresh.consistent
+            if i >= 0:
+                assert game.reports[i] == desire_report(spec, profile, fresh)
+            infeasible += i < 0
+        assert set(decided) == combinations
+        assert set(decided.values()) == {1}
+        shared += len(game.candidates) - len(combinations)
+    assert shared >= 400 and infeasible >= 200
 
 
 def seeded_games():

@@ -326,7 +326,9 @@ def with_profile(game, index, **changes):
     """A copy of the game with one evaluated profile's fields replaced."""
     profiles = list(game.profiles)
     profiles[index] = dataclasses.replace(profiles[index], **changes)
-    return dataclasses.replace(game, profiles=tuple(profiles))
+    copy = dataclasses.replace(game)
+    vars(copy)["profiles"] = tuple(profiles)
+    return copy
 
 
 def shared_goal_set_game():
