@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
 from .extension import Extension
-from .logic import (Formula, Literal, Not, conditioned_models,
+from .logic import (Formula, Literal, conditioned_models,
                     consistent_literals, literal_sort_key)
 # The caps' defaults live with the spec; their names stay importable here.
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
@@ -140,46 +140,48 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
                     decision: Decision) -> Extension:
     """The agent's own belief extension of its facts plus one decision.
 
-    Its model mask ranges over the world atoms, with the decision's
-    literals substituted.  Other agents' decisions are invisible here: a
-    belief rule whose antecedent mentions a foreign decision atom only
-    fires if it holds for every value of that atom.
+    Its model mask ranges over the world atoms a theory can constrain
+    (``AgentSystemSpec.mask_atoms``), with the decision's literals
+    substituted.  A belief rule whose antecedent mentions any other atom
+    (one of the decision's unset atoms, another agent's, or a world atom no
+    theory constrains) only fires if it holds for every value of that atom.
 
     It equals ``extension.extension`` of the agent's beliefs on that base,
     and runs on the spec's compiled table (``AgentSystemSpec.belief_masks``):
     the facts and consequents are compiled once per agent, each antecedent
     once per distinct value tuple on its decision atoms, and rules fire by
-    consequent number.  Decision literals with both polarities of an atom
-    have no model: the theory is inconsistent and every rule fires.
+    consequent number; a rule whose consequent is in is not tested again.
+    Decision literals with both polarities of an atom have no model: the
+    theory is inconsistent and every rule fires.
     """
     try:
         (facts, facts_mask, consequents, consequent_masks, fact_bits, rules,
          derived_sets) = spec.belief_masks[agent_id]
     except KeyError:
         raise KeyError(f"no agent '{agent_id}'") from None
-    world = spec.mask_atoms
     values = {lit.atom: lit.positive for lit in decision.literals}
-    failing = []
+    pending = []  # the rules whose consequent is not in the theory
     for antecedent, number, atoms, table in rules:
         key = tuple(map(values.get, atoms))
-        fails = table.get(key)
-        if fails is None:
+        holds = table.get(key)
+        if holds is None:
             given = {a: v for a, v in zip(atoms, key) if v is not None}
-            fails = table[key] = ((1 << (1 << len(world))) - 1) ^ \
-                conditioned_models(antecedent, given, world)
-        failing.append((1 << number, fails))
+            holds = table[key] = conditioned_models(
+                antecedent, given, spec.mask_atoms)[0]
+        if not fact_bits >> number & 1:
+            pending.append((1 << number, holds))
     theory = facts_mask if consistent_literals(decision.literals) else 0
     fired = fact_bits  # consequents in the theory, by number
     rounds = 0
     while True:  # each productive round adds one of len(consequents)
         new = 0
-        for bit, fails in failing:
-            if not theory & fails:
+        for bit, holds in pending:
+            if theory & holds == theory:
                 new |= bit
-        new &= ~fired
         if not new:
             break
         fired |= new
+        pending = [rule for rule in pending if not rule[0] & fired]
         for number, mask in enumerate(consequent_masks):
             if new >> number & 1:
                 theory &= mask
@@ -263,13 +265,12 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
 
     ``ext`` is the profile's joint extension, built here by default.  Each
     antecedent, consequent or negated-consequent query is one AND of the
-    extension's world mask against the world assignments where the query
-    fails.  Those come from the spec's table (``AgentSystemSpec.desire_masks``)
-    by the profile's values on the rule's decision atoms, and are
-    conditioned once per entry (``_classify``, which the game's product
-    pass shares).  Undefined on infeasible profiles: an inconsistent
-    extension entails everything, which would make every desire reached
-    and violated at once.
+    extension's world mask with a model mask of the rule's.  Those come
+    from the spec's table (``AgentSystemSpec.desire_masks``) by the
+    profile's values on the rule's decision atoms, and are conditioned
+    once per entry (``_classify``, which the game's product pass shares).
+    Undefined on infeasible profiles: an inconsistent extension entails
+    everything, which would make every desire reached and violated at once.
     """
     if ext is None:
         ext = joint_extension(spec, profile)
@@ -296,7 +297,9 @@ def _classify(rows, fixed: Mapping[str, bool], mask_id: int, theory: int,
     values, ``theory`` the joint world mask and ``mask_id`` its number in
     ``shared``.  Each rule's outcome is decided once per (rule number, mask
     id, values on the rule's decision atoms); a violated desire is
-    unreached too."""
+    unreached too.  A query is entailed iff it holds for every value of the
+    atoms outside the mask universe, which no theory constrains; so the
+    negated consequent is entailed iff the consequent holds for none."""
     codes = shared.codes
     outcomes = []
     for number, rule, atoms, table in rows:
@@ -304,20 +307,19 @@ def _classify(rows, fixed: Mapping[str, bool], mask_id: int, theory: int,
         key = (number, mask_id, values)
         code = codes.get(key)
         if code is None:
-            failing = table.get(values)
-            if failing is None:
-                full = (1 << (1 << len(world))) - 1
+            holding = table.get(values)
+            if holding is None:
                 given = {a: v for a, v in zip(atoms, values) if v is not None}
-                failing = table[values] = tuple(
-                    full ^ conditioned_models(f, given, world) for f in
-                    (rule.antecedent, rule.consequent, Not(rule.consequent)))
-            antecedent, consequent, negated = failing
-            if theory & antecedent:
+                holding = table[values] = (
+                    conditioned_models(rule.antecedent, given, world)[0],
+                    *conditioned_models(rule.consequent, given, world))
+            antecedent, consequent, possible = holding
+            if theory & antecedent != theory:
                 code = _INAPPLICABLE
-            elif not theory & consequent:
+            elif theory & consequent == theory:
                 code = _REACHED
             else:
-                code = _UNREACHED if theory & negated else _VIOLATED
+                code = _UNREACHED if theory & possible else _VIOLATED
             codes[key] = code
         outcomes.append(number * 4 + code)
     outcomes = tuple(outcomes)

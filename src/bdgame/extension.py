@@ -42,7 +42,7 @@ class Extension:
     all applicable rules fire in each round, so the count is deterministic.
     ``models`` is the model mask of the formulas over the atom universe of
     the fixpoint (an agent's extension, ``decision.agent_extension``, has
-    its decision's literals substituted and ranges over the world atoms).
+    its decision's literals substituted and ranges over ``spec.mask_atoms``).
 
     A joint extension (``Extension.joint``, built per profile by
     ``decision.joint_extension``) holds only its parts, the agents'
@@ -182,11 +182,11 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
         atoms, max_atoms)
 
     def premise(f: Formula) -> int:
-        return conditioned_models(f, {}, universe, quantify=False)
+        return conditioned_models(f, {}, universe, quantify=False)[0]
 
     full = theory = premise(TRUE)
     # Where each antecedent fails: the theory entails it iff they are apart.
-    failing = tuple(full ^ conditioned_models(r.antecedent, {}, universe)
+    failing = tuple(full ^ conditioned_models(r.antecedent, {}, universe)[0]
                     for r in rules)
     current = set(base_set)
     for f in base_set:

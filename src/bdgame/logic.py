@@ -14,8 +14,10 @@ both entailment and consistency.  A theory queried many times has its model
 mask built once by ``models`` and then answers each query with one AND
 (``mask_entails``); ``entails`` and ``consistent`` go through the same two.
 The solver's own queries use ``conditioned_models``: masks over the world
-atoms only, with a profile's decision literals substituted and the decision
-atoms it leaves free quantified universally.
+atoms a theory can constrain, with a profile's decision literals
+substituted and every other atom quantified, universally for entailment
+and existentially for its negation.  No theory mentions those atoms, so
+quantifying them (forgetting, Lin & Reiter 1994) is exact.
 
 There is one compiler (``_conditioned``) behind all of these, and no mask
 cache: a mask lives as long as the call or the caller that built it.  Only
@@ -485,28 +487,36 @@ def _conditioned(f: Formula, values: Mapping[str, bool],
 
 
 def conditioned_models(f: Formula, fixed: Mapping[str, bool],
-                       world: Sequence[str], *, quantify: bool = True) -> int:
+                       world: Sequence[str], *,
+                       quantify: bool = True) -> tuple[int, int]:
     """The assignments to ``world`` under which ``f`` holds with the atoms
-    in ``fixed`` set to their values and for every value of its other
-    atoms: a model mask over ``world``.
+    in ``fixed`` set to their values, for every value of its other (free)
+    atoms and for some value of them: two model masks over ``world``.
 
     A theory made of the fixed literals and formulas over ``world`` leaves
-    every other atom free, so it entails ``f`` iff its model mask ``m``
-    over ``world`` (its formulas conditioned the same way) has
-    ``m & ~conditioned_models(f, fixed, world) == 0``.  A formula of such
-    a theory is conditioned with ``quantify=False``: an atom outside
-    ``world`` and ``fixed`` then raises UndeclaredAtomError.
+    every free atom unconstrained, so with ``(every, some)`` returned, its
+    model mask ``m`` over ``world`` entails ``f`` iff ``m & every == m``,
+    and entails ``!f`` iff ``m & some == 0``.  A free atom joins the
+    universe at the top position the first time the compile meets it, and
+    the compile starts again; the masks then fold each top half onto the
+    bottom half, by AND and by OR.  With ``quantify=False``, for a
+    theory's own formulas, the first free atom raises UndeclaredAtomError.
     """
-    world = tuple(world)
-    try:
-        return _conditioned(f, fixed, world, (1 << (1 << len(world))) - 1)
-    except _FreeAtom as free:
-        if not quantify:
-            raise UndeclaredAtomError(str(free)) from None
-        # For all values of the free atom: the AND of both substitutions.
-        name = str(free)
-        return (conditioned_models(f, {**fixed, name: False}, world)
-                & conditioned_models(f, {**fixed, name: True}, world))
+    universe = tuple(world)
+    while True:
+        try:
+            every = some = _conditioned(f, fixed, universe,
+                                        (1 << (1 << len(universe))) - 1)
+            break
+        except _FreeAtom as free:
+            if not quantify:
+                raise UndeclaredAtomError(str(free)) from None
+            universe += (str(free),)
+    for top in reversed(range(len(world), len(universe))):
+        half = 1 << top  # the assignments where the top atom is false
+        low = (1 << half) - 1
+        every, some = every & low & every >> half, some & low | some >> half
+    return every, some
 
 
 # ---------------------------------------------------------------------------

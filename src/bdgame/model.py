@@ -87,8 +87,9 @@ class AgentSpec:
 
 
 class BeliefMasks(NamedTuple):
-    """One agent's facts and belief rules compiled over the world atoms
-    (``AgentSystemSpec.belief_masks``)."""
+    """One agent's facts and belief rules compiled over the spec's mask
+    universe (``AgentSystemSpec.belief_masks``), as model masks; an
+    antecedent's holds where it holds for every value of its free atoms."""
 
     facts: frozenset[Formula]
     facts_mask: int  # the AND of the facts' masks
@@ -97,7 +98,7 @@ class BeliefMasks(NamedTuple):
     fact_bits: int  # the numbers of the consequents that are facts
     # Per belief rule: its antecedent, its consequent's number, the decision
     # atoms of its antecedent, and a table from a decision's values on them
-    # to the world assignments where the antecedent fails.
+    # to the antecedent's mask.
     rules: tuple[tuple[Formula, int, tuple[str, ...], dict], ...]
     # From the bits of a set of consequent numbers to their formulas.
     derived: dict[int, frozenset[Formula]]
@@ -146,30 +147,37 @@ class AgentSystemSpec:
 
     @cached_property
     def mask_atoms(self) -> tuple[str, ...]:
-        """The world atoms: the universe of the solver's model masks.
+        """The world atoms that some fact or belief consequent mentions, in
+        declared order: the universe of the solver's model masks.
 
-        The atom cap still counts the declared vocabulary.  A spec whose
-        facts or belief consequents mention decision atoms is refused:
-        masks over the world atoms would answer it wrongly.
+        An extension holds only facts, decision literals and fired
+        consequents, so no theory constrains any other atom, and a query is
+        entailed iff it holds for every value of those atoms.  The atom cap
+        still counts the declared vocabulary.  A spec whose facts or belief
+        consequents mention decision atoms is refused: masks over world
+        atoms would answer it wrongly.
         """
         self.check_atom_cap()
+        constrained: set[str] = set()
         for agent in self.agents:
             for f in agent.facts + tuple(r.consequent for r in agent.beliefs):
-                if not in_sublanguage(f, self.vocabulary, "world"):
+                names = atoms_of(f)
+                if any(map(self.vocabulary.owner, names)):
                     raise BdgameError(
                         f"agent {agent.id}: {format_formula(f)} mentions "
                         "decision atoms, but facts and belief consequents "
                         "must be world formulas")
-        return self.world_atoms
+                constrained |= names
+        return tuple(a for a in self.world_atoms if a in constrained)
 
     @cached_property
     def desire_masks(self) -> tuple[tuple[tuple[str, ...], tuple[tuple[
             int, Rule, tuple[str, ...], dict], ...]], ...]:
         """Per agent: the decision atoms of its desire rules, and per desire
         rule its number (spec-wide, from 0), the rule, its decision atoms,
-        and a table from a profile's values on them to the rule's query
-        masks, filled by ``decision.desire_report``.  It lives and dies
-        with the spec."""
+        and a table from a profile's values on them to the rule's model
+        masks over ``mask_atoms`` (``decision._classify`` fills it).  It
+        lives and dies with the spec."""
         world = set(self.world_atoms)
         out = []
         number = 0
@@ -186,14 +194,14 @@ class AgentSystemSpec:
 
     @cached_property
     def belief_masks(self) -> dict[str, BeliefMasks]:
-        """Per agent id, its facts and belief rules compiled over the world
-        atoms (``mask_atoms``) for ``decision.agent_extension``.  Its tables
+        """Per agent id, its facts and belief rules compiled over
+        ``mask_atoms`` for ``decision.agent_extension``.  Its tables
         are filled there; all of it lives and dies with the spec."""
         world = self.mask_atoms  # refuses facts and consequents off it
-        world_set = set(world)
+        world_set = set(self.world_atoms)
 
         def compiled(f: Formula) -> int:
-            return conditioned_models(f, {}, world, quantify=False)
+            return conditioned_models(f, {}, world, quantify=False)[0]
         out = {}
         for agent in self.agents:
             facts_mask = (1 << (1 << len(world))) - 1

@@ -146,6 +146,48 @@ MUTANTS = (
            "    if not gains:\n        return False",
            "    if not gains:\n        return True",
            ("tests/test_decision.py::test_set_geq_matches_its_definition",)),
+    Mutant("belief-consequents-left-out-of-the-universe", "model.py",
+           "constrained |= names",
+           "constrained |= names if f in agent.facts else set()",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("free-atom-widened-at-the-bottom", "logic.py",
+           "universe += (str(free),)",
+           "universe = (str(free),) + universe",
+           ("tests/test_logic.py::"
+            "test_conditioned_masks_match_enumeration_over_the_free_atoms",
+            "tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified")),
+    Mutant("exists-folded-by-and", "logic.py",
+           "some & low | some >> half",
+           "some & low & some >> half",
+           ("tests/test_logic.py::"
+            "test_conditioned_masks_match_enumeration_over_the_free_atoms",
+            "tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified")),
+    Mutant("violation-read-off-the-every-mask", "decision.py",
+           "code = _UNREACHED if theory & possible else _VIOLATED",
+           "code = _UNREACHED if theory & consequent else _VIOLATED",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("antecedent-entailment-read-as-overlap", "decision.py",
+           "if theory & antecedent != theory:",
+           "if not theory & antecedent:",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("fact-consequent-skip-inverted", "decision.py",
+           "if not fact_bits >> number & 1:",
+           "if fact_bits >> number & 1:",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "

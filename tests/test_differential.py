@@ -5,8 +5,9 @@ The reference bodies below are the brute-force definitions: extensions
 computed over the whole vocabulary, the joint extension rebuilt from
 scratch for each profile, desire reports and goal sets decided by
 entailment on it, and one loop over profiles per concept.  The library
-answers extension and desire queries on masks over the world atoms with
-the decision literals substituted, shares each agent extension between
+answers extension and desire queries on masks over the world atoms that a
+fact or belief consequent mentions, with the decision literals substituted
+and every other atom quantified, shares each agent extension between
 profiles, builds a joint extension's formula sets only when read (its
 reference is the eager union of its parts), solves the three exclusion
 concepts on indistinguishability classes through per-agent bitsets over
@@ -66,6 +67,7 @@ CLASS_PROFILE_CAP = 256
 SWAP_DRAWS = 1_500  # keeping the games where a swap breaks feasibility
 CONDITIONED_SPECS = 150  # each in all three decision modes
 CONDITIONED_PROFILE_CAP = 64
+UNCONSTRAINED_SPECS = 400  # each in all three decision modes
 GOALS_SPECS = 60
 GOALS_PROFILE_CAP = 64
 ORACLE_SPECS = 80
@@ -496,6 +498,66 @@ def test_conditioned_route_matches_the_full_vocabulary():
         assert seen[f"desire reports, {mode.value}"] >= 800
     for mode in (DecisionMode.POSITIVE_SUBSETS, DecisionMode.LITERAL_SUBSETS):
         assert seen[f"free atoms, {mode.value}"] >= 1_000
+
+
+def test_world_atoms_no_theory_constrains_are_quantified():
+    """The mask universe holds the world atoms that some fact or belief
+    consequent mentions; a world atom met only in desires or belief
+    antecedents is quantified like a free decision atom.  Agent extensions
+    and desire reports against extensions and entailment over the whole
+    vocabulary, in every decision mode."""
+    rng = random.Random(20021121)
+    seen = Counter()
+    for _ in range(UNCONSTRAINED_SPECS):
+        drawn = random_spec(rng, max_agents=2, max_decision_atoms=2,
+                            max_rules=6, world_atoms=("p", "q", "r", "s"))
+        constrained = set().union(*map(atoms_of, [
+            *(f for a in drawn.agents for f in a.facts),
+            *(r.consequent for r in drawn.all_beliefs())]))
+        assert drawn.mask_atoms == tuple(
+            a for a in drawn.world_atoms if a in constrained)
+        outside = set(drawn.world_atoms) - constrained
+        seen["world atoms outside the universe"] += len(outside)
+        seen["in belief antecedents"] += sum(
+            bool(atoms_of(r.antecedent) & outside)
+            for r in drawn.all_beliefs())
+        quantified = [r for r in drawn.all_desires() if outside & (
+            atoms_of(r.antecedent) | atoms_of(r.consequent))]
+        seen["in desires"] += len(quantified)
+        for mode in DecisionMode:
+            spec = drawn.with_options(decision_mode=mode)
+            vocabulary = spec.vocabulary.names
+            for agent in spec.agents:
+                for decision in enumerate_decisions(spec, agent.id):
+                    got = agent_extension(spec, agent.id, decision)
+                    assert got == extension(
+                        agent.beliefs, frozenset(agent.facts)
+                        | decision.formulas(), atoms=vocabulary,
+                        max_atoms=spec.max_atoms)
+                    assert got.models >> (1 << len(spec.mask_atoms)) == 0
+                    seen["agent extensions"] += 1
+            try:
+                game = derive_game(
+                    spec.with_options(max_profiles=CONDITIONED_PROFILE_CAP))
+            except CombinatorialBoundError:
+                continue
+            for ep in game.profiles:
+                expected = ref_desire_report(spec, ep.extension)
+                assert ep.report == expected
+                assert desire_report(spec, ep.profile) == expected
+                for rule in quantified:
+                    status = expected.per_agent[rule.owner]
+                    for outcome in ("reached", "violated", "unreached"):
+                        seen[outcome] += rule.id in getattr(status, outcome)
+                seen[f"desire reports, {mode.value}"] += 1
+    assert seen["world atoms outside the universe"] >= 500
+    assert seen["in belief antecedents"] >= 100
+    assert seen["in desires"] >= 250
+    assert seen["agent extensions"] >= 6_000
+    for mode in DecisionMode:
+        assert seen[f"desire reports, {mode.value}"] >= 1_500
+    for outcome in ("reached", "violated", "unreached"):
+        assert seen[outcome] >= 100, (outcome, seen)
 
 
 class RefGoals:

@@ -261,6 +261,7 @@ TWENTY_WORLD_ATOMS = """system "twenty world atoms"
 option decision_mode = positive-subsets
 agent alpha {
   atoms a1 a2 a3 a4
+  fact w10 | w11 | w12 | w13 | w14
   belief a1 => w0
   belief a2 => w1 | w2
   belief a3 & a4 => !w3
@@ -270,6 +271,7 @@ agent alpha {
 }
 agent beta {
   atoms b1 b2 b3 b4
+  fact w15 | w16 | w17 | w18
   belief b1 => w5
   belief b2 => w6 & w7
   belief b3 => !w8
@@ -282,13 +284,17 @@ world """ + " ".join(f"w{k}" for k in range(20)) + "\n"
 
 def test_the_game_keeps_no_world_mask_per_profile():
     """A joint world mask over 20 atoms is 128 KiB; 256 of them would be
-    32 MiB.  The game keeps the desire reports and drops the masks."""
+    32 MiB.  The game keeps the desire reports and drops the masks.  Every
+    world atom is in a fact or belief consequent, so every mask ranges over
+    all 20."""
     spec = parse_spec(TWENTY_WORLD_ATOMS).with_options(max_atoms=32)
+    assert len(spec.mask_atoms) == 20
     gc.collect()
     tracemalloc.start()
     try:
         game = derive_game(spec)
         profiles = len(game.profiles)
+        gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         del game
         gc.collect()
@@ -309,6 +315,7 @@ def test_the_game_retains_under_a_kibibyte_per_profile():
     try:
         game = derive_game(spec)
         profiles = len(game.profiles)
+        gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         del game
         gc.collect()

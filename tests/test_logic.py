@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
                            VocabularyLimitError)
-from bdgame.logic import (FALSE, TRUE, And, Atom, Implies, Literal, Not, Or,
-                          Var, Vocabulary, atoms_of, consistent, entails,
-                          evaluate, format_formula, in_sublanguage,
-                          mask_entails, models, parse_formula, parse_literal)
+from bdgame.logic import (FALSE, TRUE, And, Atom, Const, Implies, Literal,
+                          Not, Or, Var, Vocabulary, atoms_of,
+                          conditioned_models, consistent, entails, evaluate,
+                          format_formula, in_sublanguage, mask_entails,
+                          models, parse_formula, parse_literal)
+from bdgame.verify import random_formula
 
 ATOMS = ["a", "b", "p", "q", "r", "s"]
 
@@ -191,6 +194,64 @@ def test_theory_masks_refuse_atoms_outside_the_universe():
     with pytest.raises(UndeclaredAtomError, match="zzz"):
         mask_entails(theory, Or(Var("p"), Var("zzz")), ["p"])
     assert mask_entails(0, Var("zzz"), ["p"])  # no model: nothing to test
+
+
+WORLD = ("p", "q", "r", "s")
+DECISIONS = ("a", "b")
+
+
+def first_free_atom(f, fixed, world):
+    """The leftmost atom of ``f`` outside ``world`` and ``fixed``, or None:
+    the atom a compile that walks left operands first meets first."""
+    if isinstance(f, Var):
+        return None if f.name in world or f.name in fixed else f.name
+    if isinstance(f, Const):
+        return None
+    if isinstance(f, Not):
+        return first_free_atom(f.operand, fixed, world)
+    return first_free_atom(f.left, fixed, world) or \
+        first_free_atom(f.right, fixed, world)
+
+
+def test_conditioned_masks_match_enumeration_over_the_free_atoms():
+    """``conditioned_models`` against ``evaluate`` on every assignment to
+    the world and the free atoms: the first mask holds where the formula
+    holds for every value of the free atoms, the second where it holds for
+    some.  With ``quantify=False`` the first free atom met is named."""
+    rng = random.Random(20020521)
+    seen = Counter()
+    for _ in range(1_500):
+        world = tuple(a for a in WORLD if rng.random() < 0.5) \
+            if rng.random() < 0.85 else ()
+        fixed = {a: rng.random() < 0.5 for a in DECISIONS
+                 if rng.random() < 0.4}
+        f = random_formula(rng, WORLD + DECISIONS, rng.randint(0, 3))
+        free = sorted(atoms_of(f) - set(world) - set(fixed))
+        every, some = conditioned_models(f, fixed, world)
+        for k, point in enumerate(_assignments(world)):
+            values = [evaluate(f, {**point, **fixed, **rest})
+                      for rest in _assignments(free)]
+            assert (every >> k & 1, some >> k & 1) == (all(values),
+                                                       any(values))
+        assert every >> (1 << len(world)) == some >> (1 << len(world)) == 0
+        first = first_free_atom(f, fixed, world)
+        if first is None:
+            assert conditioned_models(f, fixed, world, quantify=False) == \
+                (every, every)
+        else:
+            with pytest.raises(UndeclaredAtomError) as exc:
+                conditioned_models(f, fixed, world, quantify=False)
+            assert exc.value.name == first
+        seen["no free atom" if not free else "free atoms"] += 1
+        seen["free decision atoms"] += bool(set(free) & set(DECISIONS))
+        seen["free world atoms"] += bool(set(free) & set(WORLD))
+        seen["several free atoms"] += len(free) >= 2
+        seen["empty world"] += not world
+        seen["every differs from some"] += every != some
+    for case in ("no free atom", "free atoms", "free decision atoms",
+                 "free world atoms", "several free atoms", "empty world",
+                 "every differs from some"):
+        assert seen[case] >= 150, (case, seen)
 
 
 def test_entailment_keeps_no_masks():
