@@ -23,14 +23,14 @@ from functools import cache, cached_property, lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .decision import Decision, DecisionProfile, DesireReport, agent_extension
+from .decision import (Decision, DecisionProfile, DesireReport,
+                       agent_extension, joint_extension)
 from .errors import BdgameError
 from .extension import Extension
-from .game import (CONCEPTS, EvaluatedProfile, GameSpecification,
-                   agent_extensions, derive_game, evaluate_product)
+from .game import CONCEPTS, _product_columns, agent_extensions, derive_game
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
                     delta_goal_sets, pareto_via_goals, u_closure)
@@ -146,20 +146,24 @@ def _member(key: str, texts: Iterable[str]) -> str:
             + _members(["          " + _quote(t) for t in texts], "[]", 4))
 
 
+Extensions = Mapping[str, Mapping[Decision, Extension]]
+
+
 class _Pieces:
     """One report's pieces, read by both renderers, from each agent's
     extension of each decision the report's profiles hold (``extensions``,
-    keyed by those objects).  Each kind of piece is built when a renderer
-    first asks for it: formula texts, numbered in sorted order; by decision
-    id, its extension's numbers, its literals and text form, and its JSON
-    member line; by agent and unreached set, its line in either format.  A
-    joint extension is the union of its agents' extensions, and
-    ``format_formula`` is one-to-one, so a profile's formulas are the
-    sorted union of its parts' numbers: no joint formula set is built.  The
-    objects behind the ids live as long as the table, so no id is reused."""
+    keyed by those objects), for profiles given by their decisions (a
+    candidate's digits, or ``GameSpecification.profile``).  Each kind of
+    piece is built when a renderer first asks for it: formula texts,
+    numbered in sorted order; by decision id, its extension's numbers, its
+    literals and text form, and its JSON member line; by agent and
+    unreached set, its line in either format.  A joint extension is the
+    union of its agents' extensions, and ``format_formula`` is one-to-one,
+    so a profile's formulas are the sorted union of its parts' numbers: no
+    joint extension is built.  The objects behind the ids live as long as
+    the table, so no id is reused."""
 
-    def __init__(self, extensions: Mapping[str, Mapping[Decision, Extension]]
-                 ) -> None:
+    def __init__(self, extensions: Extensions) -> None:
         parts = [(d, {format_formula(f) for f in ext.formulas})
                  for decisions in extensions.values()
                  for d, ext in decisions.items()]
@@ -186,14 +190,13 @@ class _Pieces:
         own = [self.numbers[id(d)] for d in decisions]
         return sorted(own[0].union(*own[1:]))
 
-    def profile_text(self, profile: DecisionProfile) -> str:
-        """``str(profile)``, from its decisions' texts."""
+    def profile_text(self, decisions: tuple[Decision, ...]) -> str:
+        """``str`` of the profile of ``decisions``, from their texts."""
         text = self.text
-        return "<" + ", ".join([text[id(d)] for d in profile.decisions]) + ">"
+        return "<" + ", ".join([text[id(d)] for d in decisions]) + ">"
 
-    def extension_text(self, profile: DecisionProfile) -> str:
-        texts = map(self.texts.__getitem__,
-                    self.joint_numbers(profile.decisions))
+    def extension_text(self, decisions: tuple[Decision, ...]) -> str:
+        texts = map(self.texts.__getitem__, self.joint_numbers(decisions))
         return "{" + ", ".join(texts) + "}"
 
     def entries(self, rows: Iterable[tuple[tuple[Decision, ...], bool,
@@ -228,24 +231,16 @@ class _Pieces:
                    + f'\n      }},\n      "extension": {formulas}{end[1]}')
 
 
-def _profile_entries(evaluated: Iterable[EvaluatedProfile],
-                     extensions: Mapping[str, Mapping[Decision, Extension]]
-                     ) -> Iterator[str]:
-    """Each profile's JSON entry, built as it is read."""
-    return _Pieces(extensions).entries(
-        (ep.profile.decisions, ep.extension.consistent, ep.report)
-        for ep in evaluated)
-
-
-def _game_entries(game: GameSpecification) -> Iterator[str]:
-    """Each feasible profile's JSON entry, from the game's columns, built as
-    it is read: its decisions are its candidate's digits, its unreached
-    sets its report's.  No profile object is built."""
-    decisions = game.feasible_decisions
+def _entries(decisions: Extensions, candidates: Sequence[int],
+             reports: Sequence[DesireReport | None],
+             feasible_only: bool = True) -> Iterator[str]:
+    """Each candidate's JSON entry, built as it is read from the columns of
+    a product pass over ``decisions`` (``game._product_columns``);
+    infeasible candidates are left out when ``feasible_only``."""
     return _Pieces(decisions).entries(
-        (chosen, True, game.reports[i]) for chosen, i in zip(
-            product(*map(tuple, decisions.values())), game.candidates)
-        if i >= 0)
+        (chosen, i >= 0, reports[i] if i >= 0 else None)
+        for chosen, i in zip(product(*map(tuple, decisions.values())),
+                             candidates) if i >= 0 or not feasible_only)
 
 
 def _report(spec_name: str, command: str, **sections) -> dict:
@@ -350,29 +345,30 @@ def _cmd_extension(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     agent = args.agent
     if agent is None and args.decision is not None:
         raise BdgameError("--decision requires --agent")
-    decisions = [_parse_decision(spec, a, args.decision)
-                 for a in (spec.agent_ids if agent is None else (agent,))]
+    decisions = tuple(_parse_decision(spec, a, args.decision)
+                      for a in (spec.agent_ids if agent is None else (agent,)))
     built = {d.agent: {d: agent_extension(spec, d.agent, d)}
              for d in decisions}
+    parts = tuple(built[d.agent][d] for d in decisions)
     if agent is None:
-        (ep,) = evaluate_product(spec, built)
-    else:
-        ep = EvaluatedProfile(DecisionProfile(tuple(decisions)),
-                              built[agent][decisions[0]], None)
-    profile, ext = ep.profile, ep.extension
+        ext = joint_extension(spec, DecisionProfile(decisions), parts)
+        candidates, _, reports = _product_columns(spec, built)
+    else:  # one agent's own extension has no desire report
+        ext = parts[0]
+        candidates, reports = (0 if ext.consistent else -1,), (None,)
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(built)
         if agent is None:
             yield ("joint extension of the initial profile "
-                   f"{pieces.profile_text(profile)}:")
+                   f"{pieces.profile_text(decisions)}:")
         else:
             yield f"extension for {agent}, decision {decisions[0]}:"
         flag = "consistent" if ext.consistent else "INCONSISTENT"
-        yield "  " + pieces.extension_text(profile)
+        yield "  " + pieces.extension_text(decisions)
         yield f"  {flag}; {ext.iterations} productive rounds"
     _emit(args.format, lines, lambda: _report(spec.name, "extension"),
-          lambda: _profile_entries([ep], built))
+          lambda: _entries(built, candidates, reports, feasible_only=False))
     return EXIT_OK
 
 
@@ -380,22 +376,25 @@ def _cmd_profiles(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
     feasible_only = args.feasible_only
     built = agent_extensions(spec)
-    shown = [ep for ep in evaluate_product(spec, built)
-             if ep.report is not None or not feasible_only]
+    candidates, _, reports = _product_columns(spec, built)
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(built)
-        yield (f"{len(shown)} profiles"
+        count = len(reports) if feasible_only else len(candidates)
+        yield (f"{count} profiles"
                + (" (feasible only)" if feasible_only else "") + ":")
-        for i, ep in enumerate(shown):
-            flag = "ok" if ep.extension.consistent else "INFEASIBLE"
-            yield f"  [{i}] {pieces.profile_text(ep.profile)} {flag}"
-            yield "      extension " + pieces.extension_text(ep.profile)
-            if ep.report is not None:
+        shown = ((chosen, i) for chosen, i in zip(
+            product(*map(tuple, built.values())), candidates)
+            if i >= 0 or not feasible_only)
+        for k, (chosen, i) in enumerate(shown):
+            flag = "ok" if i >= 0 else "INFEASIBLE"
+            yield f"  [{k}] {pieces.profile_text(chosen)} {flag}"
+            yield "      extension " + pieces.extension_text(chosen)
+            if i >= 0:
                 for a in spec.agent_ids:
-                    yield pieces.unreached_text(a, ep.report.unreached(a))
+                    yield pieces.unreached_text(a, reports[i].unreached(a))
     _emit(args.format, lines, lambda: _report(spec.name, "profiles"),
-          lambda: _profile_entries(shown, built))
+          lambda: _entries(built, candidates, reports, feasible_only))
     return EXIT_OK
 
 
@@ -410,9 +409,9 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
         pieces = _Pieces(game.feasible_decisions)
 
         def profile(i: int) -> str:
-            return f"[{i}] {pieces.profile_text(game.profiles[i].profile)}"
+            return f"[{i}] {pieces.profile_text(game.profile(i).decisions)}"
         yield (f"{concept}: {len(solution.profile_indexes)} of "
-               f"{len(game.profiles)} feasible profiles")
+               f"{len(game.positions)} feasible profiles")
         for i in solution.profile_indexes:
             yield "  " + profile(i)
         if solution.witnesses:
@@ -428,7 +427,8 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _emit(args.format, lines, lambda: _report(
         spec.name, "solve",
         solutions={concept: list(solution.profile_indexes)}),
-        lambda: _game_entries(game))
+        lambda: _entries(game.feasible_decisions, game.candidates,
+                         game.reports))
     return EXIT_OK
 
 
@@ -445,9 +445,7 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
             raise BdgameError("--via-goals supports --family pareto or all")
         result = pareto_via_goals(spec, game=game)
         family = (result.pareto_family if family_name == "pareto" else
-                  u_closure(spec,
-                            [game.profiles[i].profile for i in result.pool],
-                            game=game))
+                  u_closure(spec, map(game.profile, result.pool), game=game))
         label = f"{family_name} family (goals-first pipeline)"
     else:
         family = concept_family(spec, family_name, game=game,
@@ -464,7 +462,7 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
         yield (f"{label}: {len(family.profiles)} profiles, "
                f"{len(goal_sets)} goal sets")
         for i in family_indexes:
-            yield f"  [{i}] {pieces.profile_text(game.profiles[i].profile)}"
+            yield f"  [{i}] {pieces.profile_text(game.profile(i).decisions)}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
     _emit(args.format, lines, lambda: _report(
@@ -473,7 +471,8 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                     "negative": sorted(map(format_formula, gs.negative)),
                     "generators": generators[gs]}
                    for gs in goal_sets]),
-        lambda: _game_entries(game))
+        lambda: _entries(game.feasible_decisions, game.candidates,
+                         game.reports))
     return EXIT_OK
 
 

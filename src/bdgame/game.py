@@ -17,11 +17,9 @@ Shared pieces are built once: each agent's extension of each feasible
 decision, kept on the game (``feasible_decisions``) as the parts of the
 profiles' joint extensions, and each agent's desire status, shared by the
 profiles that agree on the joint world mask and on the decision atoms of
-the agent's desire rules, as are the reports made of equal statuses.  The
-object view, ``profiles`` (an ``EvaluatedProfile`` per feasible profile),
-is built from the columns when first read; the concepts, the goal-set
-table and the JSON reports read the columns, and the oracles, the goals
-layer and the text reports read the objects.
+the agent's desire rules, as are the reports made of equal statuses.
+Everything downstream reads the columns; ``profile`` decodes a profile
+object from its candidate's digits where one is asked for, and keeps none.
 
 Solution concepts are computed by brute force on small integer tables,
 numbered once per game from the ``reports`` column: per agent, its order
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from .decision import (Decision, DecisionProfile, DesireReport,
                        SharedStatuses, _check_profile_cap, agent_extension,
@@ -91,13 +89,6 @@ def goal_set_key(gs: GoalSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class EvaluatedProfile:
-    profile: DecisionProfile
-    extension: Extension
-    report: DesireReport | None  # None when the profile is infeasible
-
-
-@dataclass(frozen=True)
 class GameSpecification:
     spec: AgentSystemSpec
     # Per agent, its feasible decisions in canonical order, each with the
@@ -111,13 +102,13 @@ class GameSpecification:
     # ... and its desire report; profiles share equal reports.
     reports: tuple[DesireReport, ...]
 
-    @cached_property
-    def profiles(self) -> tuple[EvaluatedProfile, ...]:
-        """The feasible profiles' object view, in canonical order, built
-        from the columns when first read and then kept."""
-        return tuple(ep for ep in _evaluated(
-            self.feasible_decisions, self.candidates, self.reports)
-            if ep.report is not None)
+    def profile(self, index: int) -> DecisionProfile:
+        """Feasible profile ``index``, decoded from its candidate's digits
+        (the inverse of ``index_of``); built per call and not kept."""
+        c = self.positions[index]
+        return DecisionProfile(tuple([
+            decisions[c // stride % radix]
+            for decisions, _, stride, radix in self._digits]))
 
     def index_of(self, profile: DecisionProfile) -> int | None:
         """The profile's feasible index, from its digits; None when it is
@@ -125,19 +116,24 @@ class GameSpecification:
         if len(profile.decisions) != len(self._digits):
             return None
         c = 0
-        for digits, d in zip(self._digits, profile.decisions):
+        for (_, digits, stride, _), d in zip(self._digits, profile.decisions):
             digit = digits.get(d)
             if digit is None:
                 return None
-            c = c * len(digits) + digit
+            c += digit * stride
         i = self.candidates[c]
         return i if i >= 0 else None
 
     @cached_property
-    def _digits(self) -> tuple[dict[Decision, int], ...]:
-        """Per agent, each feasible decision's digit."""
-        return tuple({d: k for k, d in enumerate(ds)}
-                     for ds in self.feasible_decisions.values())
+    def _digits(self) -> tuple[tuple[tuple[Decision, ...],
+                                     dict[Decision, int], int, int], ...]:
+        """Per agent, its feasible decisions by digit, each one's digit, and
+        its digit's stride and radix in a candidate index (last agent
+        fastest)."""
+        lists = [tuple(ds) for ds in self.feasible_decisions.values()]
+        return tuple((ds, {d: k for k, d in enumerate(ds)},
+                      prod(map(len, lists[k + 1:])), len(ds))
+                     for k, ds in enumerate(lists))
 
     @cached_property
     def orders(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -345,43 +341,13 @@ def _product_columns(spec: AgentSystemSpec,
     return tuple(candidates), tuple(positions), tuple(reports)
 
 
-def _evaluated(decisions: dict[str, dict[Decision, Extension]],
-               candidates: Sequence[int], reports: Sequence[DesireReport]
-               ) -> Iterator[EvaluatedProfile]:
-    """The object view of every candidate profile, in canonical order, from
-    the columns of ``_product_columns``: its profile, its joint extension
-    (its parts and its consistency flag, ``Extension.joint``) and its
-    report, None when the profile is infeasible.  One loop over the
-    product."""
-    for chosen, parts, i in zip(
-            product(*map(tuple, decisions.values())),
-            product(*(tuple(ds.values()) for ds in decisions.values())),
-            candidates):
-        feasible = i >= 0
-        yield EvaluatedProfile(DecisionProfile(chosen),
-                               Extension.joint(parts, feasible),
-                               reports[i] if feasible else None)
-
-
-def evaluate_product(spec: AgentSystemSpec,
-                     decisions: dict[str, dict[Decision, Extension]]
-                     ) -> Iterator[EvaluatedProfile]:
-    """Evaluate every profile of the product of the agents' decisions, in
-    canonical order, from the agents' extensions of those decisions: its
-    joint extension and, when that is consistent, its desire report.  The
-    product pass of ``derive_game`` fills the columns; this is their
-    object view."""
-    candidates, _, reports = _product_columns(spec, decisions)
-    return _evaluated(decisions, candidates, reports)
-
-
 def derive_game(spec: AgentSystemSpec) -> GameSpecification:
     """Enumerate feasible decisions per agent and keep jointly feasible profiles.
 
     Each agent's extension of each of its decisions is built once, for the
     feasibility filter and every profile containing that decision, and the
     game keeps it: the profiles' joint extensions are made of these parts,
-    and the CLI's JSON reports print them.  One pass over the product
+    and the CLI's reports print them.  One pass over the product
     fills the game's columns (``_product_columns``), and everything
     downstream reads them.  The enumeration caps are the spec's
     (``max_decisions``, ``max_profiles``).
@@ -519,9 +485,6 @@ def nash(game: GameSpecification, *,
     id), and the candidates that share all three share its result.
     """
     fail = _fails_on_infeasible_swaps(infeasible_swaps)
-    agents = game.spec.agent_ids
-    radixes = [len(game.feasible_decisions[a]) for a in agents]
-    strides = [prod(radixes[k + 1:]) for k in range(len(agents))]
     candidates = game.candidates
 
     def first_deviation(agent_id: str, ids: tuple[int, ...], row: int,
@@ -538,10 +501,9 @@ def nash(game: GameSpecification, *,
                                         decision=deviation)
         return None
 
-    searches = [(agent_id, ids, geq, tuple(game.feasible_decisions[agent_id]),
-                 radix, stride, {})
-                for agent_id, (ids, geq), radix, stride in zip(
-                    agents, game.orders, radixes, strides)]
+    searches = [(agent_id, ids, geq, deviations, radix, stride, {})
+                for agent_id, (ids, geq), (deviations, _, stride, radix)
+                in zip(game.spec.agent_ids, game.orders, game._digits)]
     included, witnesses = [], {}
     for i, c in enumerate(game.positions):
         witness = None

@@ -7,10 +7,12 @@ desires never triggered.  Goal sets are defined per indistinguishability
 class, so the machinery here works on U-closed families: sets of feasible
 profiles closed under equality of per-agent unreached sets.
 
-Everything here reads the game: its goal-set table (``goal_sets``), the
-generators of each distinct goal set (``goal_set_members``) and its
-classes (``class_ids``).  Called without a game, a function derives one; a
-profile outside the game raises InfeasibleProfileError.
+Everything here reads the game by feasible index: its goal-set table
+(``goal_sets``), the generators of each distinct goal set
+(``goal_set_members``), its classes (``class_ids``) and, where a family or
+a violation names a profile, ``profile``.  Called without a game, a
+function derives one; a profile outside the game raises
+InfeasibleProfileError.
 
 Work is done per distinct goal set where the theory allows it: profiles
 that generate the same goal set leave the same desires unreached.
@@ -29,16 +31,16 @@ that generate the same goal set leave the same desires unreached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .decision import DecisionProfile
+from .decision import DecisionProfile, joint_extension
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
-from .game import (EvaluatedProfile, GameSpecification, GoalSet,
-                   _fails_on_infeasible_swaps, derive_game, goal_set_key,
-                   nash, pareto, solve)
+from .game import (GameSpecification, GoalSet, _fails_on_infeasible_swaps,
+                   derive_game, goal_set_key, nash, pareto, solve)
 from .logic import Formula, in_sublanguage, mask_entails, models
 from .model import AgentSystemSpec
 
@@ -83,8 +85,8 @@ def _closure_indexes(game: GameSpecification,
 
 def _closure(game: GameSpecification,
              indexes: Iterable[int]) -> ProfileFamily:
-    return ProfileFamily(tuple(game.profiles[i].profile
-                               for i in _closure_indexes(game, indexes)),
+    return ProfileFamily(tuple(map(game.profile,
+                                   _closure_indexes(game, indexes))),
                          u_closed=True)
 
 
@@ -129,13 +131,17 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
         game.goal_sets[_index(game, p)] for p in family.profiles)
 
 
-def _goal_based(spec: AgentSystemSpec, ep: EvaluatedProfile,
-                goals: GoalSet) -> bool:
+def _goal_based(game: GameSpecification, index: int, goals: GoalSet) -> bool:
+    """Feasible profile ``index`` is goal-based for ``goals``, by entailment
+    over the whole vocabulary on its joint extension, built and dropped."""
     if not goals.positive and not goals.negative:
         return True  # nothing to ask: skip the 2^|V|-bit theory mask
+    spec, profile = game.spec, game.profile(index)
+    parts = tuple(ds[d] for ds, d in zip(game.feasible_decisions.values(),
+                                         profile.decisions))
+    ext = joint_extension(spec, profile, parts)
     atoms = spec.vocabulary.names
-    theory = models(ep.extension.formulas, atoms=atoms,
-                    max_atoms=spec.max_atoms)
+    theory = models(ext.formulas, atoms=atoms, max_atoms=spec.max_atoms)
     return (all(mask_entails(theory, g, atoms) for g in goals.positive)
             and not any(mask_entails(theory, g, atoms)
                         for g in goals.negative))
@@ -149,7 +155,7 @@ def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
     desire reports)."""
     if game is None:
         game = derive_game(spec)
-    return _goal_based(spec, game.profiles[_index(game, profile)], goals)
+    return _goal_based(game, _index(game, profile), goals)
 
 
 def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
@@ -207,19 +213,10 @@ class CheckReport:
 GoalBased = Callable[[int, GoalSet], bool]
 
 
-def _goal_based_memo(spec: AgentSystemSpec,
-                     game: GameSpecification) -> GoalBased:
-    """``_goal_based`` by feasible index, deciding each (index, goal set)
-    pair at most once, for as long as the returned function lives."""
-    known: dict[tuple[int, GoalSet], bool] = {}
-
-    def goal_based(i: int, goals: GoalSet) -> bool:
-        key = (i, goals)
-        answer = known.get(key)
-        if answer is None:
-            answer = known[key] = _goal_based(spec, game.profiles[i], goals)
-        return answer
-    return goal_based
+def _goal_based_memo(game: GameSpecification) -> GoalBased:
+    """``_goal_based`` on the game, deciding each (index, goal set) pair at
+    most once, for as long as the returned function lives."""
+    return cache(partial(_goal_based, game))
 
 
 def _representation_violations(game: GameSpecification,
@@ -229,20 +226,21 @@ def _representation_violations(game: GameSpecification,
     in family order, then direction (b) in canonical order."""
     violations: list[RepresentationViolation] = []
     for i in members:
-        ep, gs = game.profiles[i], game.goal_sets[i]
+        gs = game.goal_sets[i]
         if not goal_based(i, gs):
+            profile = game.profile(i)
             violations.append(RepresentationViolation(
-                "member-without-goal-set", ep.profile, gs,
-                f"{ep.profile} is not goal-based for its own goal set {gs}"))
+                "member-without-goal-set", profile, gs,
+                f"{profile} is not goal-based for its own goal set {gs}"))
     inside = set(members)
     outside = sorted(
         j for gs in {game.goal_sets[i] for i in members}
         for j in game.goal_set_members[gs] if j not in inside)
     for j in outside:
-        ep, gs = game.profiles[j], game.goal_sets[j]
+        profile, gs = game.profile(j), game.goal_sets[j]
         violations.append(RepresentationViolation(
-            "goal-based-outside-family", ep.profile, gs,
-            f"{ep.profile} generates the family goal set {gs} but is "
+            "goal-based-outside-family", profile, gs,
+            f"{profile} generates the family goal set {gs} but is "
             f"missing from the family"))
     return tuple(violations)
 
@@ -256,7 +254,7 @@ def _feasible_violations(game: GameSpecification, goal_based: GoalBased
             # Its own goal set first: direction (a) has decided that pair.
             if not (goal_based(i, game.goal_sets[i])
                     or any(goal_based(i, gs) for gs in goal_sets)):
-                profile = game.profiles[i].profile
+                profile = game.profile(i)
                 violations.append(RepresentationViolation(
                     "member-without-goal-set", profile, None,
                     f"{profile} is not goal-based for any goal set of its "
@@ -289,7 +287,7 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
         game = derive_game(spec)
     members = [_index(game, p) for p in family.profiles]
     violations = _representation_violations(game, members,
-                                            _goal_based_memo(spec, game))
+                                            _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
 
@@ -306,7 +304,7 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
     """
     if game is None:
         game = derive_game(spec)
-    violations = _feasible_violations(game, _goal_based_memo(spec, game))
+    violations = _feasible_violations(game, _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
 
@@ -347,7 +345,7 @@ def concept_family(spec: AgentSystemSpec, concept: str, *,
     if game is None:
         game = derive_game(spec)
     if concept == "all":
-        return _closure(game, range(len(game.profiles)))
+        return _closure(game, range(len(game.positions)))
     report = solve(game, concept, infeasible_swaps=infeasible_swaps)
     return _closure(game, report.profile_indexes)
 
@@ -401,13 +399,14 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
                 and gs.negative <= desire_antecedents):
             raise RuntimeError(
                 f"feasible goal set {gs} holds a goal of no desire rule")
+    feasible = range(len(game.positions))
     pool = tuple(
-        i for i, ep in enumerate(game.profiles)
-        if any(_goal_based(spec, ep, gs)
+        i for i in feasible
+        if any(_goal_based(game, i, gs)
                for gs in (game.goal_sets[i], *feasible_goal_sets)))
     agents = spec.agent_ids
     unreached = [tuple(game.unreached(i, a) for a in agents)
-                 for i in range(len(game.profiles))]
+                 for i in feasible]
     groups: dict[GoalSet, list[int]] = {}
     for i in pool:
         groups.setdefault(game.goal_sets[i], []).append(i)
@@ -415,8 +414,8 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
         for i in others:
             if unreached[i] != unreached[first]:
                 raise RuntimeError(
-                    f"{game.profiles[first].profile} and "
-                    f"{game.profiles[i].profile} generate the goal set {gs} "
+                    f"{game.profile(first)} and "
+                    f"{game.profile(i)} generate the goal set {gs} "
                     f"but leave different desires unreached")
     firsts = [members[0] for members in groups.values()]
 
@@ -429,7 +428,7 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
         feasible_goal_sets=feasible_goal_sets,
         pool=pool,
         pareto_family=ProfileFamily(
-            tuple(ep.profile for ep, u in zip(game.profiles, unreached)
+            tuple(game.profile(i) for i, u in enumerate(unreached)
                   if u in maximal), u_closed=True),
     )
 

@@ -312,7 +312,7 @@ def check_game_laws(seed: int = 0, samples: int = 60) -> CheckResult:
             detail = "strongly-Pareto not within Pareto"
         elif not set(d.profile_indexes) <= set(n.profile_indexes):
             detail = "dominant not within Nash"
-        elif game.profiles and not p.profile_indexes:
+        elif game.positions and not p.profile_indexes:
             detail = "Pareto empty on a nonempty game"
         else:
             for i, w in p.witnesses.items():
@@ -364,7 +364,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     """
     rng = random.Random(seed)
     game = derive_game(spec)
-    size = len(game.profiles)
+    size = len(game.positions)
     if not size:
         return CheckResult("representation", False, 0, NOTHING_TO_CHECK)
     families = [game.classes[c] for c in game.class_ids]
@@ -372,7 +372,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     for _ in range(family_samples):
         subset = rng.sample(range(size), rng.randint(1, size))
         families.append(_closure_indexes(game, subset))
-    goal_based = _goal_based_memo(spec, game)
+    goal_based = _goal_based_memo(game)
     passed: set[tuple[int, ...]] = set()
     for checked, members in enumerate(families, 1):
         if members in passed:
@@ -381,7 +381,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
         if violations:
             return CheckResult(
                 "representation", False, checked, str(violations[0]),
-                {"family": [str(game.profiles[i].profile) for i in members]})
+                {"family": [str(game.profile(i)) for i in members]})
         passed.add(members)
     violations = _feasible_violations(game, goal_based)
     if violations:
@@ -436,7 +436,7 @@ def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
     """Profile-first and goals-first Pareto families must coincide; a spec
     without a feasible profile fails, as there is nothing to compare."""
     game = derive_game(spec)
-    if not game.profiles:
+    if not game.positions:
         return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
     closed = concept_family(spec, "pareto", game=game)
     via = pareto_via_goals(spec, game=game)

@@ -1,9 +1,14 @@
 import random
+from itertools import product
+from typing import NamedTuple
 
 import pytest
 
 from bdgame import load_example
-from bdgame.decision import Decision, DecisionProfile
+from bdgame.decision import (Decision, DecisionProfile, DesireReport,
+                             agent_extension, desire_report,
+                             enumerate_decisions, joint_extension)
+from bdgame.extension import Extension
 from bdgame.logic import Literal
 from bdgame.model import DecisionMode
 from bdgame.verify import random_spec
@@ -65,3 +70,39 @@ def four_by_three_spec():
                 len(a.decision_atoms) == 3 for a in spec.agents):
             return spec.with_options(
                 decision_mode=DecisionMode.TOTAL_ASSIGNMENTS)
+
+
+class Evaluated(NamedTuple):
+    """A profile with its joint extension and, when that is consistent,
+    its desire report."""
+
+    profile: DecisionProfile
+    extension: Extension
+    report: DesireReport | None
+
+
+def evaluated_profiles(spec, *, feasible_only=True):
+    """The definitional object view of a spec's profiles, the reference
+    for whatever the library reads off the game's columns: every profile
+    of ``itertools.product`` over the agents' ``enumerate_decisions``, in
+    canonical order, with a fresh ``joint_extension`` and, when that is
+    consistent, a fresh ``desire_report``.  The jointly inconsistent ones
+    are left out unless ``feasible_only`` is false.  The feasible ones,
+    in order, are the game's feasible profiles by index."""
+    per_agent = []
+    for agent in spec.agents:
+        decisions = enumerate_decisions(spec, agent.id)
+        if feasible_only:  # a profile with an inconsistent part is too
+            decisions = [d for d in decisions if agent_extension(
+                spec, agent.id, d).consistent]
+        per_agent.append(decisions)
+    out = []
+    for chosen in product(*per_agent):
+        profile = DecisionProfile(chosen)
+        ext = joint_extension(spec, profile)
+        if ext.consistent:
+            out.append(Evaluated(profile, ext,
+                                 desire_report(spec, profile, ext)))
+        elif not feasible_only:
+            out.append(Evaluated(profile, ext, None))
+    return out

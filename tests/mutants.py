@@ -124,24 +124,59 @@ MUTANTS = (
             "test_json_solve_reads_the_columns_and_builds_no_profile_objects"
             )),
     Mutant("reports-column-read-one-off", "game.py",
-           "reports[i] if feasible else None",
-           "reports[i - 1] if feasible else None",
+           "return self.reports[index].unreached(agent_id)",
+           "return self.reports[index - 1].unreached(agent_id)",
            ("tests/test_differential.py::"
             "test_concepts_and_goal_sets_match_the_definitions",)),
+    Mutant("profile-decoded-with-the-last-agent-slowest", "game.py",
+           "        return DecisionProfile(tuple([\n"
+           "            decisions[c // stride % radix]\n"
+           "            for decisions, _, stride, radix in self._digits]))",
+           "        lists = [ds for ds, _, _, _ in self._digits]\n"
+           "        return DecisionProfile(tuple([\n"
+           "            decisions[c // prod(map(len, lists[:k]))"
+           " % len(decisions)]\n"
+           "            for k, decisions in enumerate(lists)]))",
+           ("tests/test_game.py::"
+            "test_profile_decodes_the_candidate_digits_and_inverts_index_of",
+            "tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions")),
     Mutant("json-entries-read-one-report-off", "cli.py",
-           "(chosen, True, game.reports[i])",
-           "(chosen, True, game.reports[i - 1])",
+           "reports[i] if i >= 0 else None",
+           "reports[i - 1] if i >= 0 else None",
+           ("tests/test_cli.py::"
+            "test_json_reports_match_one_dump_of_the_whole_report",)),
+    Mutant("entries-flag-an-infeasible-candidate-consistent", "cli.py",
+           "(chosen, i >= 0, ",
+           "(chosen, i >= -1, ",
+           ("tests/test_cli.py::"
+            "test_json_reports_match_one_dump_of_the_whole_report",)),
+    Mutant("entries-keep-infeasible-candidates-in-a-game-report", "cli.py",
+           "candidates) if i >= 0 or not feasible_only)",
+           "candidates) if i >= -1 or not feasible_only)",
            ("tests/test_cli.py::"
             "test_json_reports_match_one_dump_of_the_whole_report",)),
     Mutant("json-entries-from-the-object-view", "cli.py",
-           "        lambda: _game_entries(game))\n    return EXIT_OK\n\n\n"
-           "def _cmd_goals",
-           "        lambda: _profile_entries(game.profiles, "
-           "game.feasible_decisions))\n    return EXIT_OK\n\n\n"
-           "def _cmd_goals",
+           "        lambda: _entries(game.feasible_decisions, game.candidates,"
+           "\n                         game.reports))\n"
+           "    return EXIT_OK\n\n\ndef _cmd_goals",
+           "        lambda: _Pieces(game.feasible_decisions).entries(\n"
+           "            (game.profile(i).decisions, True, report)\n"
+           "            for i, report in enumerate(game.reports)))\n"
+           "    return EXIT_OK\n\n\ndef _cmd_goals",
            ("tests/test_cli.py::"
             "test_json_solve_reads_the_columns_and_builds_no_profile_objects",
             )),
+    Mutant("goal-based-joins-the-first-part-twice", "goals.py",
+           "ext = joint_extension(spec, profile, parts)",
+           "ext = joint_extension(spec, profile, parts[:-1] + parts[:1])",
+           ("tests/test_differential.py::"
+            "test_goal_basedness_matches_one_entailment_per_goal",)),
+    Mutant("all-family-drops-the-last-profile", "goals.py",
+           "return _closure(game, range(len(game.positions)))",
+           "return _closure(game, range(len(game.positions) - 1))",
+           ("tests/test_differential.py::"
+            "test_goals_layer_matches_the_profile_route",)),
     Mutant("set-geq-early-exit-inverted", "decision.py",
            "    if not gains:\n        return False",
            "    if not gains:\n        return True",

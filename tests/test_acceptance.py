@@ -117,7 +117,7 @@ def test_05_opposed_interests_table(opposed_interests):
             assert compare_profiles(spec, better, worse, agent) == \
                 ProfileComparison.BETTER
     assert dominant(game).profile_indexes == ()
-    assert [str(game.profiles[i].profile)
+    assert [str(game.profile(i))
             for i in nash(game).profile_indexes] == \
         ["<alpha1={a}, alpha2={!b}>"]
     passed(5, "full four-row table, both preference chains, empty dominant "
@@ -126,10 +126,10 @@ def test_05_opposed_interests_table(opposed_interests):
 
 def test_06_prisoners_equilibria(prisoners):
     game = derive_game(prisoners)
-    assert [str(game.profiles[i].profile)
+    assert [str(game.profile(i))
             for i in nash(game).profile_indexes] == \
         ["<alpha1={!a}, alpha2={!b}>"]
-    assert {str(game.profiles[i].profile)
+    assert {str(game.profile(i))
             for i in pareto(game).profile_indexes} == {
         "<alpha1={a}, alpha2={b}>", "<alpha1={a}, alpha2={!b}>",
         "<alpha1={!a}, alpha2={b}>"}
@@ -199,7 +199,7 @@ def test_12_pipeline_equivalence(conflicting_beliefs,
     count = 0
     while count < 100:
         spec = random_spec(rng, max_rules=3)
-        if not derive_game(spec).profiles:
+        if not derive_game(spec).positions:
             continue
         result = check_pipeline_equivalence(spec)
         assert result.passed, result.counterexample

@@ -18,19 +18,18 @@ import bdgame.goals
 from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
-                             joint_extension)
+                             desire_report, joint_extension)
 from bdgame.extension import Extension
-from bdgame.game import (EvaluatedProfile, agent_extensions, derive_game,
-                         evaluate_product)
+from bdgame.game import agent_extensions, derive_game
 from bdgame.game import solve as solve_game
-from bdgame.goals import (DECISION_RULES, apply_decision_rule,
-                          concept_family, delta_goal_sets, pareto_via_goals,
-                          u_closure)
+from bdgame.goals import (DECISION_RULES, ProfileFamily,
+                          apply_decision_rule, concept_family,
+                          delta_goal_sets, pareto_via_goals, u_closure)
 from bdgame.logic import format_formula
 from bdgame.model import format_spec, parse_spec
 from bdgame.verify import random_spec
 
-from conftest import four_by_three_spec
+from conftest import Evaluated, evaluated_profiles, four_by_three_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -416,8 +415,7 @@ def test_text_mode_never_builds_the_report(monkeypatch, capsys):
         raise AssertionError("the JSON report was built in text mode")
 
     monkeypatch.setattr(bdgame.cli, "_report", refuse)
-    monkeypatch.setattr(bdgame.cli, "_profile_entries", refuse)
-    monkeypatch.setattr(bdgame.cli, "_game_entries", refuse)
+    monkeypatch.setattr(bdgame.cli, "_entries", refuse)
     for argv, expected in TEXT_REPORTS.items():
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == expected
@@ -516,7 +514,7 @@ def test_wide_vocabulary_solves_on_world_masks(monkeypatch, capsys):
         assert len(report["profiles"]) == 576
         assert report["solutions"][concept]
     wide = spec.with_options(max_atoms=32)
-    assert len(derive_game(wide).profiles) == 576
+    assert len(derive_game(wide).positions) == 576
     # The masks that remain are the agent extensions', over the world
     # atoms that a fact or belief consequent mentions.
     built = agent_extensions(wide)
@@ -553,6 +551,26 @@ def ref_profile_entry(ep):
         entry["unreached"] = {a: sorted(status.unreached)
                               for a, status in ep.report.per_agent.items()}
     return entry
+
+
+def ref_evaluated(spec, command):
+    """The profiles the report of ``command`` on ``spec`` holds, from the
+    reference view: for ``extension``, the initial profile, or one agent's
+    initial decision with its own extension and no report; every candidate
+    profile for ``profiles``; the feasible ones otherwise."""
+    args = _build_parser().parse_args([*command, "spec.bdg"])
+    if args.command == "extension":
+        profile = DecisionProfile(tuple(
+            Decision(a.id, frozenset(a.initial_decision))
+            for a in spec.agents if args.agent in (None, a.id)))
+        if args.agent is not None:
+            return [Evaluated(profile, agent_extension(
+                spec, args.agent, profile.decisions[0]), None)]
+        ext = joint_extension(spec, profile)
+        return [Evaluated(profile, ext, desire_report(spec, profile, ext)
+                          if ext.consistent else None)]
+    every = args.command == "profiles" and not args.feasible_only
+    return evaluated_profiles(spec, feasible_only=not every)
 
 
 def ref_emit(output_format, lines, report, entries=list):
@@ -647,13 +665,12 @@ def test_json_reports_match_one_dump_of_the_whole_report(
             argv = [*command, "--format", "json", str(path)]
             code = main(argv)
             got = capsys.readouterr()
+            expected = [ref_profile_entry(ep)
+                        for ep in ref_evaluated(spec, command)]
             with monkeypatch.context() as patched:
                 patched.setattr(bdgame.cli, "_emit", ref_emit)
-                patched.setattr(bdgame.cli, "_profile_entries", lambda eps, _:
-                                [ref_profile_entry(ep) for ep in eps])
-                patched.setattr(bdgame.cli, "_game_entries", lambda game:
-                                [ref_profile_entry(ep)
-                                 for ep in game.profiles])
+                patched.setattr(bdgame.cli, "_entries",
+                                lambda *args, **kwargs: expected)
                 assert main(argv) == code
                 assert capsys.readouterr() == got, argv
             assert code == 0, got.err
@@ -682,18 +699,23 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
     """A profile's joint extension builds its formula sets when first read
     (``Extension.joint``).  A JSON ``solve`` reads none: its entries print
     the agents' extensions, and so do the text ``solve``, ``profiles`` and
-    ``extension`` reports.  ``goals --via-goals`` reads those of the
-    profiles whose goal-basedness it decides, and no other."""
-    joined, decided = set(), set()
+    ``extension`` reports.  ``goals --via-goals`` reads those of the joint
+    extensions its goal-basedness oracle joins, at most one per decision,
+    and no other."""
+    joined, deciding = Counter(), []
     join, goal_based = Extension._join, bdgame.goals._goal_based
 
     def counting_join(ext):
-        joined.add(id(ext))
+        joined["inside" if deciding else "outside"] += 1
         join(ext)
 
-    def recording(spec, ep, goals):
-        decided.add(id(ep.extension))
-        return goal_based(spec, ep, goals)
+    def recording(game, index, goals):
+        deciding.append(index)
+        try:
+            return goal_based(game, index, goals)
+        finally:
+            deciding.pop()
+            joined["decided"] += 1
     monkeypatch.setattr(Extension, "_join", counting_join)
     monkeypatch.setattr(bdgame.goals, "_goal_based", recording)
     paths = [fixture(name) for name in EXAMPLES]
@@ -709,29 +731,31 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
             assert main(["solve", "--concept", concept, "--format", "json",
                          str(path)]) == 0
             solved += len(json.loads(capsys.readouterr().out)["profiles"])
-            assert joined == set()
+            assert not joined
         for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
                         ("profiles",), ("extension",)):
             assert main([*command, str(path)]) == 0
             texts += capsys.readouterr().out.count("\n")
-            assert joined == set(), command
-        # Ids are compared within one run, while its game holds them.
+            assert not joined, command
         assert main(["goals", "--family", "pareto", "--via-goals",
                      "--format", "json", str(path)]) == 0
         capsys.readouterr()
-        assert joined <= decided
-        built += len(joined)
+        assert joined["outside"] == 0
+        assert joined["inside"] <= joined["decided"]
+        built += joined["inside"]
         joined.clear()
-        decided.clear()
     assert solved >= 1_000 and built >= 200 and texts >= 2_000
 
 
 def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         tmp_path, monkeypatch, capsys):
     """A JSON ``solve`` prints its entries from the game's columns: it
-    builds no ``EvaluatedProfile``, and a ``DecisionProfile`` only where
-    the product pass decides joint consistency, once per distinct
-    combination of the parts' masks."""
+    builds a ``DecisionProfile`` only where the product pass decides joint
+    consistency, once per distinct combination of the parts' masks.  Given
+    its game, no ``solve`` report, text or JSON, of any concept, and no
+    text ``goals --family pareto`` report builds a joint extension
+    (``Extension.joint``): the text reports print each profile from the
+    decisions of ``GameSpecification.profile``."""
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2021)
     for k in range(30):
@@ -745,18 +769,28 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         combinations.append(len({
             tuple(ext.models for ext in parts) for parts in product(
                 *(ds.values() for ds in game.feasible_decisions.values()))}))
-    built = Counter()
-    init = DecisionProfile.__init__
+    built, deriving = Counter(), []
+    init, joint = DecisionProfile.__init__, Extension.joint.__func__
 
     def counting(self, *args, **kwargs):
         built["profiles"] += 1
         init(self, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a JSON solve built an EvaluatedProfile")
+    def derive(spec):
+        deriving.append(spec)
+        try:
+            return derive_game(spec)
+        finally:
+            deriving.pop()
+
+    def refuse(cls, parts, consistent):
+        if not deriving:
+            raise AssertionError("a report built a joint extension")
+        return joint(cls, parts, consistent)
     monkeypatch.setattr(DecisionProfile, "__init__", counting)
-    monkeypatch.setattr(EvaluatedProfile, "__init__", refuse)
-    entries = shared = 0
+    monkeypatch.setattr(bdgame.cli, "derive_game", derive)
+    monkeypatch.setattr(Extension, "joint", classmethod(refuse))
+    entries = shared = texts = 0
     for path, distinct in zip(paths, combinations):
         for concept in CONCEPT_NAMES:
             built.clear()
@@ -766,7 +800,11 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
             assert built["profiles"] <= distinct
             entries += len(report["profiles"])
             shared += len(report["profiles"]) - built["profiles"]
-    assert entries >= 1_200 and shared >= 1_000
+        for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
+                        ("goals", "--family", "pareto")):
+            assert main([*command, str(path)]) == 0
+            texts += capsys.readouterr().out.count("\n")
+    assert entries >= 1_200 and shared >= 1_000 and texts >= 1_500
 
 
 # ---------------------------------------------------------------------------
@@ -774,32 +812,29 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
 # ---------------------------------------------------------------------------
 
 def ref_text(spec, command):
-    """The text report of ``command`` on ``spec``, each profile formatted
-    on its own with ``str`` and its joint extension's formulas sorted."""
+    """The text report of ``command`` on ``spec``, from the reference view
+    (``ref_evaluated``): each profile formatted on its own with ``str`` and
+    its joint extension's formulas sorted."""
     args = _build_parser().parse_args([*command, "spec.bdg"])
+    shown = ref_evaluated(spec, command)
 
     def formulas(ext):
         return ("{" + ", ".join(sorted(format_formula(f)
                                        for f in ext.formulas)) + "}")
     lines = []
     if args.command == "extension":
+        (ep,) = shown
         if args.agent is None:
-            profile = DecisionProfile(tuple(
-                Decision(a.id, frozenset(a.initial_decision))
-                for a in spec.agents))
-            ext = joint_extension(spec, profile)
-            lines.append(f"joint extension of the initial profile {profile}:")
+            lines.append(
+                f"joint extension of the initial profile {ep.profile}:")
         else:
-            decision = Decision(args.agent, frozenset(
-                spec.agent(args.agent).initial_decision))
-            ext = agent_extension(spec, args.agent, decision)
-            lines.append(f"extension for {args.agent}, decision {decision}:")
+            lines.append(f"extension for {args.agent}, decision "
+                         f"{ep.profile.decisions[0]}:")
+        ext = ep.extension
         flag = "consistent" if ext.consistent else "INCONSISTENT"
         lines.append("  " + formulas(ext))
         lines.append(f"  {flag}; {ext.iterations} productive rounds")
     elif args.command == "profiles":
-        shown = [ep for ep in evaluate_product(spec, agent_extensions(spec))
-                 if ep.report is not None or not args.feasible_only]
         lines.append(f"{len(shown)} profiles"
                      + (" (feasible only)" if args.feasible_only else "")
                      + ":")
@@ -816,9 +851,9 @@ def ref_text(spec, command):
         solution = solve_game(game, args.concept,
                               infeasible_swaps=args.infeasible_swaps)
         lines.append(f"{args.concept}: {len(solution.profile_indexes)} of "
-                     f"{len(game.profiles)} feasible profiles")
+                     f"{len(shown)} feasible profiles")
         for i in solution.profile_indexes:
-            lines.append(f"  [{i}] {game.profiles[i].profile}")
+            lines.append(f"  [{i}] {shown[i].profile}")
         if solution.witnesses:
             lines.append("excluded:")
         for i in sorted(solution.witnesses):
@@ -827,12 +862,10 @@ def ref_text(spec, command):
             if w.agent is not None:
                 parts.append(f"agent {w.agent}")
             if w.other is not None:
-                parts.append(
-                    f"see [{w.other}] {game.profiles[w.other].profile}")
+                parts.append(f"see [{w.other}] {shown[w.other].profile}")
             if w.decision is not None:
                 parts.append(f"deviation {w.decision}")
-            lines.append(f"  [{i}] {game.profiles[i].profile}: "
-                         + ", ".join(parts))
+            lines.append(f"  [{i}] {shown[i].profile}: " + ", ".join(parts))
     else:
         game = derive_game(spec)
         name = args.family or "all"
@@ -844,9 +877,12 @@ def ref_text(spec, command):
         elif args.via_goals:
             result = pareto_via_goals(spec, game=game)
             family = (result.pareto_family if name == "pareto" else u_closure(
-                spec, [game.profiles[i].profile for i in result.pool],
-                game=game))
+                spec, [shown[i].profile for i in result.pool], game=game))
             label = f"{name} family (goals-first pipeline)"
+        elif name == "all":
+            family = ProfileFamily(tuple(ep.profile for ep in shown),
+                                   u_closed=True)
+            label = "all family"
         else:
             family = concept_family(spec, name, game=game,
                                     infeasible_swaps=args.infeasible_swaps)
@@ -856,7 +892,7 @@ def ref_text(spec, command):
         lines.append(f"{label}: {len(family.profiles)} profiles, "
                      f"{len(goal_sets)} goal sets")
         for i in indexes:
-            lines.append(f"  [{i}] {game.profiles[i].profile}")
+            lines.append(f"  [{i}] {shown[i].profile}")
         for gi, gs in enumerate(goal_sets):
             generators = [i for i in indexes if game.goal_sets[i] == gs]
             lines.append(f"  goal set {gi}: {gs} from profiles {generators}")

@@ -18,7 +18,12 @@ of it must agree with these references on every extension, report,
 index, witness and goal set.
 The references compare profiles by ``profile_geq``, which decides by
 ``set_geq`` on the unreached sets, and find deviations with
-``with_decision`` and ``index_of``: none of them reads the tables.
+``with_decision`` and ``index_of``: none of them reads the tables.  The
+game keeps no profile objects; its profiles by index
+(``GameSpecification.profile``), its reports and the joint extensions the
+oracles join from its parts are held to the definitional object view of
+``conftest.evaluated_profiles``, fresh joint extensions and desire
+reports of every jointly consistent profile.
 
 The goals layer reads the game's goal-set table and closes families by
 class id.  Its reference is the older route: closure by per-agent
@@ -48,8 +53,9 @@ from bdgame.extension import (Extension, applicable_consequents, extension,
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
 from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
-                          delta_goal_sets, feasible_representation_check,
-                          fragment_check, goal_set_key, goal_set_of,
+                          concept_family, delta_goal_sets,
+                          feasible_representation_check, fragment_check,
+                          goal_set_key, goal_set_of,
                           heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
                           representation_check, u_closure)
@@ -58,6 +64,8 @@ from bdgame.logic import (And, Not, Var, _atom_pattern, atoms_of, consistent,
 from bdgame.model import DecisionMode, format_spec
 from bdgame.verify import (CheckResult, check_heuristic_fragment,
                            random_formula, random_spec, random_theory)
+
+from conftest import evaluated_profiles
 
 SMALL_SPECS = 450
 LARGE_SPECS = 600  # up to 3 agents x 4 decision atoms each
@@ -96,19 +104,23 @@ def assert_joint_extension_matches_the_eager_union(ext, parts):
 
 
 def assert_game_extensions_match_the_eager_unions(game):
-    for ep in game.profiles:
-        assert_joint_extension_matches_the_eager_union(ep.extension, tuple(
-            game.feasible_decisions[d.agent][d]
-            for d in ep.profile.decisions))
-    return len(game.profiles)
+    """The joint extension of each feasible profile joined from the game's
+    parts, as the oracles join it, against the eager union of the parts."""
+    for i in range(len(game.positions)):
+        profile = game.profile(i)
+        parts = tuple(game.feasible_decisions[d.agent][d]
+                      for d in profile.decisions)
+        assert_joint_extension_matches_the_eager_union(
+            joint_extension(game.spec, profile, parts), parts)
+    return len(game.positions)
 
 
 def ref_pareto(game):
     agents = game.spec.agent_ids
     included, witnesses = [], {}
-    for i in range(len(game.profiles)):
+    for i in range(len(game.positions)):
         witness = next(
-            (j for j in range(len(game.profiles)) if j != i
+            (j for j in range(len(game.positions)) if j != i
              and all(game.strictly_better(j, i, a) for a in agents)),
             None)
         if witness is None:
@@ -121,9 +133,9 @@ def ref_pareto(game):
 def ref_strongly_pareto(game):
     agents = game.spec.agent_ids
     included, witnesses = [], {}
-    for i in range(len(game.profiles)):
+    for i in range(len(game.positions)):
         witness = next(
-            (j for j in range(len(game.profiles)) if j != i
+            (j for j in range(len(game.positions)) if j != i
              and all(game.profile_geq(j, i, a) for a in agents)
              and any(game.strictly_better(j, i, a) for a in agents)),
             None)
@@ -137,9 +149,9 @@ def ref_strongly_pareto(game):
 def ref_dominant(game):
     agents = game.spec.agent_ids
     included, witnesses = [], {}
-    for i in range(len(game.profiles)):
+    for i in range(len(game.positions)):
         witness = next(
-            ((j, a) for j in range(len(game.profiles)) if j != i
+            ((j, a) for j in range(len(game.positions)) if j != i
              for a in agents if not game.profile_geq(i, j, a)),
             None)
         if witness is None:
@@ -152,7 +164,7 @@ def ref_dominant(game):
 
 def ref_nash(game, infeasible_swaps):
     included, witnesses = [], {}
-    for i, candidate in enumerate(game.profiles):
+    for i, candidate in enumerate(evaluated_profiles(game.spec)):
         witness = None
         for agent_id in game.spec.agent_ids:
             current = candidate.profile.decision_for(agent_id)
@@ -224,15 +236,16 @@ def ref_pareto_via_goals(spec, game):
     profile is kept unless another pool profile strictly improves on it
     for every agent, and the kept ones are closed."""
     feasible_goal_sets = sorted(set(game.goal_sets), key=goal_set_key)
+    feasible = evaluated_profiles(game.spec)
     pool = tuple(
-        i for i, ep in enumerate(game.profiles)
+        i for i, ep in enumerate(feasible)
         if any(is_goal_based(spec, ep.profile, gs, game=game)
                for gs in (game.goal_sets[i], *feasible_goal_sets)))
     agents = spec.agent_ids
     best = [i for i in pool
             if not any(all(game.strictly_better(j, i, a) for a in agents)
                        for j in pool if j != i)]
-    return pool, u_closure(spec, [game.profiles[i].profile for i in best],
+    return pool, u_closure(spec, [feasible[i].profile for i in best],
                            game=game)
 
 
@@ -266,7 +279,8 @@ def test_concepts_and_goal_sets_match_the_definitions():
         if len(spec.agents) == 3:
             three_agent_specs += 1
             widest = max(widest, *(len(a.decision_atoms) for a in spec.agents))
-        profiles += len(game.profiles)
+        feasible = evaluated_profiles(game.spec)
+        profiles += len(feasible)
         for solve, reference in ((pareto, ref_pareto),
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
@@ -276,21 +290,23 @@ def test_concepts_and_goal_sets_match_the_definitions():
             got = nash(game, infeasible_swaps=policy)
             assert (got.profile_indexes, got.witnesses) == \
                 ref_nash(game, policy)
-        # The columns and their object view agree, and every candidate's
+        # The columns agree with the reference view, and every candidate's
         # feasible index points back at its position.
-        assert [ep.report for ep in game.profiles] == list(game.reports)
+        assert [ep.report for ep in feasible] == list(game.reports)
         assert [i for i in game.candidates if i >= 0] == \
-            list(range(len(game.profiles)))
+            list(range(len(feasible)))
         assert [game.candidates[c] for c in game.positions] == \
-            list(range(len(game.profiles)))
+            list(range(len(feasible)))
         for chosen, i in zip(product(*map(
                 tuple, game.feasible_decisions.values())), game.candidates):
             assert game.index_of(DecisionProfile(chosen)) == \
                 (i if i >= 0 else None)
-        for ep in game.profiles:
-            fresh = joint_extension(spec, ep.profile)
-            assert ep.extension == fresh
-            assert ep.report == ref_desire_report(spec, fresh)
+        for i, ep in enumerate(feasible):
+            assert game.profile(i) == ep.profile
+            parts = tuple(game.feasible_decisions[d.agent][d]
+                          for d in ep.profile.decisions)
+            assert joint_extension(spec, ep.profile, parts) == ep.extension
+            assert game.reports[i] == ref_desire_report(spec, ep.extension)
             expected = ref_goal_set(spec, ep.extension)
             assert goal_set_of(spec, ep.profile, game=game) == expected
             assert goal_set_of(spec, ep.profile) == expected
@@ -312,8 +328,8 @@ def class_collapsing_games():
         except CombinatorialBoundError:
             continue
         classes = len(game.classes)
-        if len(game.profiles) >= 128 and 16 <= classes <= \
-                len(game.profiles) // 4:
+        if len(game.positions) >= 128 and 16 <= classes <= \
+                len(game.positions) // 4:
             yield game
 
 
@@ -362,19 +378,21 @@ def test_desire_statuses_are_classified_once_per_distinct_input(
             (atoms_of(r.antecedent) | atoms_of(r.consequent)) - world
             for r in a.desires)) for a in spec.agents}
         triples = {}
+        feasible = evaluated_profiles(spec)
         calls.clear()
-        for ep in derive_game(spec.with_options(
-                max_profiles=CLASS_PROFILE_CAP)).profiles:
-            mask = joint_extension(spec, ep.profile).models
+        fresh = derive_game(spec.with_options(max_profiles=CLASS_PROFILE_CAP))
+        assert len(fresh.reports) == len(feasible)
+        for ep, report in zip(feasible, fresh.reports):
+            mask = ep.extension.models
             values = {lit.atom: lit.positive
                       for d in ep.profile.decisions for lit in d.literals}
             for a in spec.agent_ids:
                 triple = (a, mask, frozenset((x, values.get(x))
                                              for x in atoms[a]))
-                status = ep.report.per_agent[a]
+                status = report.per_agent[a]
                 assert triples.setdefault(triple, status) is status
         assert calls["all"] == len(triples)
-        shared += len(game.profiles) * len(spec.agents) - len(triples)
+        shared += len(game.positions) * len(spec.agents) - len(triples)
         games += 1
         if games == CLASS_SPECS:
             break
@@ -393,7 +411,7 @@ def swap_breaking_games():
                            max_rules=4, world_atoms=("p",))
         game = derive_game(spec)
         candidates = prod(map(len, game.feasible_decisions.values()))
-        if 0 < len(game.profiles) < candidates:
+        if 0 < len(game.positions) < candidates:
             yield game
 
 
@@ -474,7 +492,7 @@ def test_conditioned_route_matches_the_full_vocabulary():
                     spec.with_options(max_profiles=CONDITIONED_PROFILE_CAP))
             except CombinatorialBoundError:
                 continue
-            feasible = {ep.profile for ep in game.profiles}
+            feasible = {game.profile(i) for i in range(len(game.positions))}
             for combo in product(*candidates):
                 joint = joint_extension(spec, DecisionProfile(combo))
                 assert_joint_extension_matches_the_eager_union(
@@ -486,8 +504,9 @@ def test_conditioned_route_matches_the_full_vocabulary():
                 assert joint.consistent == (DecisionProfile(combo) in feasible)
             seen["game extensions"] += \
                 assert_game_extensions_match_the_eager_unions(game)
-            for ep in game.profiles:
-                assert ep.report == ref_desire_report(spec, ep.extension)
+            for ep, report in zip(evaluated_profiles(game.spec),
+                                  game.reports):
+                assert report == ref_desire_report(spec, ep.extension)
                 seen[f"desire reports, {mode.value}"] += 1
     assert seen["foreign belief antecedent"] >= 50
     assert seen["agent extensions"] >= 6_000
@@ -541,9 +560,10 @@ def test_world_atoms_no_theory_constrains_are_quantified():
                     spec.with_options(max_profiles=CONDITIONED_PROFILE_CAP))
             except CombinatorialBoundError:
                 continue
-            for ep in game.profiles:
+            for ep, report in zip(evaluated_profiles(game.spec),
+                                  game.reports):
                 expected = ref_desire_report(spec, ep.extension)
-                assert ep.report == expected
+                assert report == expected
                 assert desire_report(spec, ep.profile) == expected
                 for rule in quantified:
                     status = expected.per_agent[rule.owner]
@@ -569,10 +589,11 @@ class RefGoals:
     def __init__(self, spec, game):
         self.spec, self.game = spec, game
         self.ext, self.signature, self.goal_set = {}, {}, {}
-        for ep in game.profiles:
-            ext = joint_extension(spec, ep.profile)
-            report = desire_report(spec, ep.profile, ext)
-            self.ext[ep.profile] = ext
+        self.feasible = []
+        for ep in evaluated_profiles(game.spec):
+            report = ep.report
+            self.feasible.append(ep.profile)
+            self.ext[ep.profile] = ep.extension
             self.signature[ep.profile] = tuple(
                 (a.id, tuple(sorted(report.unreached(a.id))))
                 for a in spec.agents)
@@ -599,8 +620,7 @@ class RefGoals:
 
     def closure(self, members):
         wanted = {self.signature[p] for p in members}
-        return tuple(ep.profile for ep in self.game.profiles
-                     if self.signature[ep.profile] in wanted)
+        return tuple(p for p in self.feasible if self.signature[p] in wanted)
 
     def goal_sets(self, profiles):
         seen = dict.fromkeys(self.goal_set[p] for p in profiles)
@@ -615,22 +635,21 @@ class RefGoals:
                     "member-without-goal-set", p, gs,
                     f"{p} is not goal-based for its own goal set {gs}"))
         goal_sets, members = set(self.goal_sets(profiles)), set(profiles)
-        for ep in self.game.profiles:
-            if ep.profile in members:
+        for p in self.feasible:
+            if p in members:
                 continue
-            gs = self.goal_set[ep.profile]
+            gs = self.goal_set[p]
             if gs in goal_sets:
                 violations.append(RepresentationViolation(
-                    "goal-based-outside-family", ep.profile, gs,
-                    f"{ep.profile} generates the family goal set {gs} but "
+                    "goal-based-outside-family", p, gs,
+                    f"{p} generates the family goal set {gs} but "
                     f"is missing from the family"))
         return tuple(violations)
 
     def feasible_representation(self):
         classes = {}
-        for ep in self.game.profiles:
-            classes.setdefault(self.signature[ep.profile], []).append(
-                ep.profile)
+        for p in self.feasible:
+            classes.setdefault(self.signature[p], []).append(p)
         violations = []
         for members in classes.values():
             goal_sets = self.goal_sets(members)
@@ -657,11 +676,11 @@ def test_goals_layer_matches_the_profile_route():
                 spec.with_options(max_profiles=GOALS_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
-        if not game.profiles:
+        if not game.positions:
             continue
         seen["games"] += 1
         ref = RefGoals(spec, game)
-        feasible = [ep.profile for ep in game.profiles]
+        feasible = ref.feasible
         drawn = [rng.sample(feasible, rng.randint(1, len(feasible)))
                  for _ in range(4)]
         families = [ProfileFamily(tuple(subset), u_closed=True)
@@ -682,6 +701,11 @@ def test_goals_layer_matches_the_profile_route():
             seen["outside the family"] += len(expected)
         assert feasible_representation_check(spec, game=game).violations \
             == ref.feasible_representation()
+        everything = concept_family(spec, "all", game=game)
+        assert everything.u_closed
+        assert everything.profiles == tuple(feasible)
+        seen["last profile alone in its class"] += \
+            ref.closure(feasible[-1:]) == tuple(feasible[-1:])
         # Called without a game, each derives one; the answers are the same.
         assert u_closure(spec, drawn[0]).profiles == ref.closure(drawn[0])
         assert goal_set_of(spec, feasible[-1]) == ref.goal_set[feasible[-1]]
@@ -691,6 +715,7 @@ def test_goals_layer_matches_the_profile_route():
     assert seen["families"] >= 1_500
     assert seen["outside the family"] >= 1_000
     assert seen["classes with several goal sets"] >= 25
+    assert seen["last profile alone in its class"] >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -775,23 +800,24 @@ def test_goal_basedness_matches_one_entailment_per_goal():
                 spec.with_options(max_profiles=GOALS_PROFILE_CAP))
         except CombinatorialBoundError:
             continue
-        if not game.profiles:
+        if not game.positions:
             continue
         seen["games"] += 1
+        feasible = evaluated_profiles(game.spec)
         vocabulary = spec.vocabulary.names
         drawn = [GoalSet(random_theory(rng, vocabulary, rng.randint(0, 2)),
                          random_theory(rng, vocabulary, rng.randint(0, 2)))
                  for _ in range(6)]
         goal_sets = (set(game.goal_sets) | set(drawn)
                      | set(islice(iter_syntactic_goal_sets(spec), 8)))
-        for ep in game.profiles:
+        for ep in feasible:
             for gs in goal_sets:
                 expected = ref_goal_based(spec, ep.extension, gs)
                 assert is_goal_based(spec, ep.profile, gs,
                                      game=game) == expected
                 seen[expected] += 1
         assert pareto_via_goals(spec, game=game).pool == tuple(
-            i for i, ep in enumerate(game.profiles)
+            i for i, ep in enumerate(feasible)
             if any(ref_goal_based(spec, ep.extension, gs)
                    for gs in (game.goal_sets[i], *game.goal_sets)))
     assert seen[True] >= 2_000 and seen[False] >= 8_000

@@ -14,46 +14,53 @@ from bdgame.decision import (Decision, DecisionProfile, agent_extension,
 from bdgame.game import (DOMINANT, FAIL, PARETO, SKIP, STRONG_PARETO,
                          GameSpecification, derive_game, dominant, nash,
                          pareto, solve, strongly_pareto)
+from bdgame.errors import CombinatorialBoundError
 from bdgame.goals import apply_decision_rule, concept_family
 from bdgame.logic import Literal, Not, Var
-from bdgame.model import parse_spec
+from bdgame.model import DecisionMode, parse_spec
 from bdgame.verify import check_game_laws, random_spec
 
-from conftest import four_by_three_spec, profile
+from conftest import evaluated_profiles, four_by_three_spec, profile
 
 
 def names(game, indexes):
-    return {str(game.profiles[i].profile) for i in indexes}
+    """The indexed feasible profiles, printed from the reference view."""
+    feasible = evaluated_profiles(game.spec)
+    return {str(feasible[i].profile) for i in indexes}
 
 
 def test_derive_game_keeps_only_jointly_feasible(interdependence):
     game = derive_game(interdependence)
-    profiles = {str(ep.profile) for ep in game.profiles}
+    feasible = evaluated_profiles(interdependence)
+    profiles = {str(ep.profile) for ep in feasible}
     assert "<alpha1={a}, alpha2={b}>" not in profiles
     assert "<alpha1={}, alpha2={b}>" in profiles
-    assert len(game.profiles) == 3
+    assert len(game.positions) == len(feasible) == 3
     # every kept profile is componentwise feasible by construction
-    for ep in game.profiles:
+    for i, ep in enumerate(feasible):
+        assert game.profile(i) == ep.profile
         for d in ep.profile.decisions:
             assert d in game.feasible_decisions[d.agent]
 
 
 def test_derive_game_outcomes(opposed_interests):
     game = derive_game(opposed_interests)
-    assert len(game.profiles) == 4
+    feasible = evaluated_profiles(opposed_interests)
+    assert len(game.positions) == len(feasible) == 4
     world = {"p", "q"}
     outcomes = [
         {s for s in map(str, ep.extension.formulas) if s.lstrip("!") in world}
-        for ep in game.profiles]
+        for ep in feasible]
     assert outcomes == [{"p", "q"}, {"p", "!q"}, {"!p", "q"}, {"!p", "!q"}]
+    assert [ep.report for ep in feasible] == list(game.reports)
 
 
 def test_desire_free_spec_has_empty_unreached():
     spec = parse_spec('agent x {\n  atoms a\n  belief a => p\n}\nworld p\n')
     game = derive_game(spec)
-    assert game.profiles
-    for ep in game.profiles:
-        assert ep.report.unreached("x") == set()
+    assert game.reports
+    for report in game.reports:
+        assert report.unreached("x") == set()
 
 
 def test_pareto_prisoners(prisoners):
@@ -65,15 +72,14 @@ def test_pareto_prisoners(prisoners):
     excluded = set(report.witnesses)
     assert names(game, excluded) == {"<alpha1={!a}, alpha2={!b}>"}
     witness = next(iter(report.witnesses.values()))
-    assert str(game.profiles[witness.other].profile) == \
-        "<alpha1={a}, alpha2={b}>"
+    assert names(game, [witness.other]) == {"<alpha1={a}, alpha2={b}>"}
 
 
 def test_pareto_single_profile():
     spec = parse_spec('agent x {\n  atoms a\n  desire d: true => a\n'
                       '  initial a\n}\n')
     game = derive_game(spec)
-    assert len(game.profiles) == 1
+    assert len(game.positions) == 1
     assert pareto(game).profile_indexes == (0,)
 
 
@@ -102,7 +108,7 @@ def test_indistinguishable_profiles_share_strong_pareto_status():
         'agent x {\n  atoms a b\n  desire d: true => p\n}\nworld p\n')
     game = derive_game(spec)
     chosen = set(strongly_pareto(game).profile_indexes)
-    assert chosen == set(range(len(game.profiles))) or not chosen
+    assert chosen == set(range(len(game.positions))) or not chosen
 
 
 def test_dominant_empty_on_opposed_interests(opposed_interests):
@@ -147,7 +153,7 @@ def test_nash_opposed_interests(opposed_interests):
 def test_every_profile_nash_when_no_desires():
     spec = parse_spec('agent x {\n  atoms a\n}\nagent y {\n  atoms b\n}\n')
     game = derive_game(spec)
-    assert len(nash(game).profile_indexes) == len(game.profiles) == 4
+    assert len(nash(game).profile_indexes) == len(game.positions) == 4
 
 
 def test_nash_infeasible_swaps_policies(interdependence):
@@ -211,10 +217,11 @@ agent beta1 {
     twin = derive_game(renamed)
 
     def shape(game, report):
+        feasible = evaluated_profiles(game.spec)
         out = set()
         for i in report.profile_indexes:
             out.add(frozenset(
-                lit.positive for d in game.profiles[i].profile.decisions
+                lit.positive for d in feasible[i].profile.decisions
                 for lit in d.literals))
         return out
 
@@ -233,7 +240,7 @@ def test_pareto_nonempty_on_random_games():
     for _ in range(80):
         spec = random_spec(rng)
         game = derive_game(spec)
-        if game.profiles:
+        if game.positions:
             assert pareto(game).profile_indexes
 
 
@@ -293,7 +300,7 @@ def test_the_game_keeps_no_world_mask_per_profile():
     tracemalloc.start()
     try:
         game = derive_game(spec)
-        profiles = len(game.profiles)
+        profiles = len(game.positions)
         gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         del game
@@ -306,15 +313,15 @@ def test_the_game_keeps_no_world_mask_per_profile():
 
 
 def test_the_game_retains_under_a_kibibyte_per_profile():
-    """Profiles share their agents' extensions and desire reports, and a
-    joint extension holds only its parts until its formula sets are read:
-    4 agents of 3 decision atoms, 4,096 profiles."""
+    """Profiles share their agents' extensions and desire reports, and the
+    game holds no joint extension: 4 agents of 3 decision atoms, 4,096
+    profiles."""
     spec = four_by_three_spec()
     gc.collect()
     tracemalloc.start()
     try:
         game = derive_game(spec)
-        profiles = len(game.profiles)
+        profiles = len(game.positions)
         gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         del game
@@ -326,26 +333,28 @@ def test_the_game_retains_under_a_kibibyte_per_profile():
     assert kept < profiles * 1024
 
 
-def test_a_game_whose_profiles_are_unread_retains_its_columns_only():
-    """Until ``profiles`` is read, the game holds its columns, the agents'
-    extensions and the shared desire reports: under 128 bytes per profile
-    on 4 agents of 3 decision atoms, 4,096 profiles.  A full collection
-    before each reading drops what the interpreter's free lists keep."""
+def test_a_game_retains_its_columns_only_after_its_profiles_are_read():
+    """The game holds its columns, the agents' extensions and the shared
+    desire reports, and decoding every profile (``profile``) keeps none of
+    them: under 128 bytes per profile on 4 agents of 3 decision atoms,
+    4,096 profiles.  A full collection before each reading drops what the
+    interpreter's free lists keep."""
     spec = four_by_three_spec()
     gc.collect()
     tracemalloc.start()
     try:
         game = derive_game(spec)
-        gc.collect()
         profiles = len(game.reports)
-        unread = "profiles" not in vars(game)
+        for i in range(profiles):
+            assert game.index_of(game.profile(i)) == i
+        gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         del game
         gc.collect()
         kept = holding - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert profiles == 4_096 and unread
+    assert profiles == 4_096
     assert kept < profiles * 128
 
 
@@ -404,13 +413,49 @@ def test_joint_consistency_is_decided_once_per_part_masks(monkeypatch):
     assert shared >= 400 and infeasible >= 200
 
 
+def test_profile_decodes_the_candidate_digits_and_inverts_index_of():
+    """``profile(i)`` is the i-th jointly consistent profile of the product
+    of the agents' candidate decisions, consistency decided by a fresh
+    joint extension, and ``index_of`` maps it back to i, in every decision
+    mode."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(300):
+        drawn = random_spec(rng, max_agents=3, max_decision_atoms=2,
+                            max_rules=4)
+        for mode in DecisionMode:
+            spec = drawn.with_options(decision_mode=mode, max_profiles=256)
+            try:
+                game = derive_game(spec)
+            except CombinatorialBoundError:
+                continue
+            consistent = []
+            for chosen in product(*(enumerate_decisions(spec, a.id)
+                                    for a in spec.agents)):
+                candidate = DecisionProfile(chosen)
+                if joint_extension(spec, candidate).consistent:
+                    consistent.append(candidate)
+                else:
+                    seen["infeasible"] += 1
+            assert len(game.positions) == len(consistent)
+            for i, expected in enumerate(consistent):
+                assert game.profile(i) == expected
+                assert game.index_of(game.profile(i)) == i
+            seen[mode] += 1
+            seen["profiles"] += len(consistent)
+            seen["several agents"] += len(spec.agents) > 1
+    assert min(seen[mode] for mode in DecisionMode) >= 250
+    assert seen["infeasible"] >= 3_000 and seen["profiles"] >= 15_000
+    assert seen["several agents"] >= 500
+
+
 def seeded_games():
     rng = random.Random(20261018)
     for _ in range(300):
         spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                            max_rules=5)
         game = derive_game(spec)
-        if len(game.profiles) > 1:
+        if len(game.positions) > 1:
             yield game
 
 
@@ -436,8 +481,8 @@ def test_concepts_decide_each_pair_of_unreached_sets_once(monkeypatch):
         all_concepts(game)
         all_concepts(game)  # the tables are kept with the game
         distinct = {
-            id(agent.priority): {ep.report.unreached(agent.id)
-                                 for ep in game.profiles}
+            id(agent.priority): {report.unreached(agent.id)
+                                 for report in game.reports}
             for agent in game.spec.agents}
         for (order, first, second), calls in asked.items():
             assert calls == 1

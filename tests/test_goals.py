@@ -27,7 +27,7 @@ from bdgame.model import parse_spec
 from bdgame.verify import (check_pipeline_equivalence, check_representation,
                            random_spec)
 
-from conftest import profile
+from conftest import evaluated_profiles, profile
 
 P, Q = Var("p"), Var("q")
 
@@ -43,7 +43,8 @@ SHARED_SPEC_SRC = 'agent x {\n  atoms a b\n  desire d: true => a\n}\n'
 
 def test_closure_is_a_fixpoint(opposed_interests):
     game = derive_game(opposed_interests)
-    first = u_closure(opposed_interests, [game.profiles[0].profile],
+    first = u_closure(opposed_interests,
+                      [evaluated_profiles(opposed_interests)[0].profile],
                       game=game)
     again = u_closure(opposed_interests, first.profiles, game=game)
     assert again.profiles == first.profiles
@@ -52,7 +53,7 @@ def test_closure_is_a_fixpoint(opposed_interests):
 
 def test_closure_of_distinct_signature_is_singleton(opposed_interests):
     game = derive_game(opposed_interests)
-    for ep in game.profiles:
+    for ep in evaluated_profiles(opposed_interests):
         family = u_closure(opposed_interests, [ep.profile], game=game)
         assert family.profiles == (ep.profile,)
 
@@ -91,8 +92,8 @@ def test_prisoners_goal_set(prisoners):
 
 def test_desire_free_spec_has_the_empty_goal_set():
     spec = parse_spec('agent x {\n  atoms a\n  belief a => p\n}\nworld p\n')
-    game = derive_game(spec)
-    family = ProfileFamily(tuple(ep.profile for ep in game.profiles),
+    family = ProfileFamily(tuple(ep.profile
+                                 for ep in evaluated_profiles(spec)),
                            u_closed=True)
     assert delta_goal_sets(spec, family) == (
         GoalSet(frozenset(), frozenset()),)
@@ -173,7 +174,7 @@ def test_syntactic_cap():
 
 def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
     # cooperation's feasible decisions make 9 candidate profiles.
-    first = derive_game(cooperation).profiles[0].profile
+    first = evaluated_profiles(cooperation)[0].profile
     capped, fits = (cooperation.with_options(max_profiles=n) for n in (8, 9))
     for call in (check_representation, check_pipeline_equivalence,
                  lambda spec: u_closure(spec, [first])):
@@ -224,7 +225,8 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     while True:
         spec = random_spec(rng, max_agents=3)
         game = derive_game(spec)
-        if len(game.profiles) >= 16 and len(game.classes) < len(game.profiles):
+        size = len(game.positions)
+        if size >= 16 and len(game.classes) < size:
             break
     built = []
 
@@ -233,17 +235,17 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
         return GoalSet(positive, negative)
 
     monkeypatch.setattr(bdgame.game, "GoalSet", counting)
-    reports = len({id(ep.report) for ep in game.profiles})
+    reports = len({id(report) for report in game.reports})
     assert check_representation(spec).passed  # derives a game of its own
     assert len(built) == reports
     built.clear()
-    everything = ProfileFamily(tuple(ep.profile for ep in game.profiles),
-                               u_closed=True)
+    feasible = [ep.profile for ep in evaluated_profiles(spec)]
+    everything = ProfileFamily(tuple(feasible), u_closed=True)
     assert representation_check(spec, everything, game=game).passed
     assert feasible_representation_check(spec, game=game).passed
     pareto_via_goals(spec, game=game)
-    for ep in game.profiles:
-        goal_set_of(spec, ep.profile, game=game)
+    for p in feasible:
+        goal_set_of(spec, p, game=game)
     assert len(built) == reports
 
 
@@ -293,8 +295,9 @@ def test_nash_else_pareto_falls_back_to_pareto():
     if nash(game).profile_indexes:
         assert family.profiles
     else:
+        feasible = evaluated_profiles(spec)
         closed_pareto = u_closure(
-            spec, [game.profiles[i].profile
+            spec, [feasible[i].profile
                    for i in pareto(game).profile_indexes], game=game)
         assert set(family.profiles) == set(closed_pareto.profiles)
 
@@ -305,8 +308,9 @@ def test_pipeline_equivalence_on_fixtures(
     for spec in (single_agent_priorities, interdependence, cooperation,
                  prisoners, opposed_interests):
         game = derive_game(spec)
+        feasible = evaluated_profiles(spec)
         direct = u_closure(
-            spec, [game.profiles[i].profile
+            spec, [feasible[i].profile
                    for i in pareto(game).profile_indexes], game=game)
         via = pareto_via_goals(spec, game=game)
         assert set(via.pareto_family.profiles) == set(direct.profiles)
@@ -315,20 +319,21 @@ def test_pipeline_equivalence_on_fixtures(
 def test_goals_first_pool_is_all_feasible(prisoners):
     game = derive_game(prisoners)
     result = pareto_via_goals(prisoners, game=game)
-    assert set(result.pool) == set(range(len(game.profiles)))
+    assert set(result.pool) == set(range(len(game.positions)))
 
 
 # ---------------------------------------------------------------------------
 # Per goal set: the memo, the comparisons, broken invariants
 # ---------------------------------------------------------------------------
 
-def with_profile(game, index, **changes):
-    """A copy of the game with one evaluated profile's fields replaced."""
-    profiles = list(game.profiles)
-    profiles[index] = dataclasses.replace(profiles[index], **changes)
-    copy = dataclasses.replace(game)
-    vars(copy)["profiles"] = tuple(profiles)
-    return copy
+def with_part(game, index, other):
+    """A copy of a one-agent game in which feasible profile ``index``'s
+    decision has the extension of profile ``other``'s: the part its joint
+    extension is made of, which only the oracles read."""
+    (agent, decisions), = game.feasible_decisions.items()
+    (mine,), (theirs,) = (game.profile(i).decisions for i in (index, other))
+    return dataclasses.replace(game, feasible_decisions={
+        agent: {**decisions, mine: decisions[theirs]}})
 
 
 def shared_goal_set_game():
@@ -338,8 +343,8 @@ def shared_goal_set_game():
         spec = random_spec(rng, max_agents=3)
         game = derive_game(spec)
         distinct = len(set(game.goal_sets))
-        if (len(game.profiles) >= 16 and 4 <= distinct
-                <= len(game.profiles) // 4 and len(game.classes) < distinct):
+        if (len(game.positions) >= 16 and 4 <= distinct
+                <= len(game.positions) // 4 and len(game.classes) < distinct):
             return spec, game
 
 
@@ -352,13 +357,14 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
     shared = game.goal_sets[ab]
     assert game.goal_sets[a] == shared and shared.positive
     # {a, b} keeps its goal set but no longer entails its positive goal a.
-    broken = with_profile(game, ab, extension=game.profiles[b].extension)
+    broken = with_part(game, ab, b)
     expected = RepresentationViolation(
         "member-without-goal-set", profile(x=["a", "b"]), shared,
         f"{profile(x=['a', 'b'])} is not goal-based for its own goal set "
         f"{shared}")
-    for members in ((ab, a), (a, ab), range(len(game.profiles))):
-        family = ProfileFamily(tuple(game.profiles[i].profile
+    feasible = evaluated_profiles(spec)
+    for members in ((ab, a), (a, ab), range(len(feasible))):
+        family = ProfileFamily(tuple(feasible[i].profile
                                      for i in members), u_closed=True)
         assert representation_check(spec, family, game=broken).violations \
             == (expected,)
@@ -378,7 +384,7 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
     game = derive_game(spec)
     ab, empty = game.index_of(profile(x=["a", "b"])), \
         game.index_of(profile(x=[]))
-    broken = with_profile(game, ab, extension=game.profiles[empty].extension)
+    broken = with_part(game, ab, empty)
     family = u_closure(spec, [profile(x=["a", "b"])], game=broken)
     assert len(family.profiles) == 3
     assert [v.profile for v in representation_check(
@@ -392,16 +398,16 @@ def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     asked = Counter()
     decide = bdgame.goals._goal_based
 
-    def counting(spec, ep, goals):
-        asked[ep.profile, goals] += 1
-        return decide(spec, ep, goals)
+    def counting(game, index, goals):
+        asked[game.profile(index), goals] += 1
+        return decide(game, index, goals)
 
     monkeypatch.setattr(bdgame.goals, "_goal_based", counting)
     assert check_representation(spec).passed
     # Each profile is decided on its own goal set, once; that settles the
     # feasible check too.
-    assert set(asked) == {(ep.profile, gs)
-                          for ep, gs in zip(game.profiles, game.goal_sets)}
+    assert set(asked) == {(ep.profile, gs) for ep, gs in zip(
+        evaluated_profiles(spec), game.goal_sets)}
     assert max(asked.values()) == 1
 
 
@@ -425,8 +431,9 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
     assert len(set(compared)) <= len(firsts) * (len(firsts) - 1)
     # The route orders goal sets without the tables, the classes or pareto.
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
+    feasible = evaluated_profiles(spec)
     assert set(result.pareto_family.profiles) == set(u_closure(
-        spec, [game.profiles[i].profile
+        spec, [feasible[i].profile
                for i in pareto(game).profile_indexes], game=game).profiles)
 
 

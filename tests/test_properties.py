@@ -15,6 +15,8 @@ from bdgame.verify import (check_extension_laws, check_game_laws,
                            check_pipeline_equivalence, check_representation,
                            check_representation_corpus, random_spec)
 
+from conftest import evaluated_profiles
+
 
 def unreached_signature(spec, report):
     """Hashable per-agent unreached-set tuple; equal iff indistinguishable."""
@@ -28,7 +30,7 @@ def feasible_games(seed, count, **kwargs):
     while produced < count:
         spec = random_spec(rng, **kwargs)
         game = derive_game(spec)
-        if game.profiles:
+        if game.positions:
             produced += 1
             yield spec, game
 
@@ -51,9 +53,11 @@ def test_game_laws_seeded():
 
 def test_feasible_profile_implies_feasible_components():
     for spec, game in feasible_games(5150, 40):
-        for ep in game.profiles:
-            assert is_feasible_profile(spec, ep.profile)
-            for d in ep.profile.decisions:
+        profiles = [game.profile(i) for i in range(len(game.positions))]
+        assert profiles == [ep.profile for ep in evaluated_profiles(spec)]
+        for p in profiles:
+            assert is_feasible_profile(spec, p)
+            for d in p.decisions:
                 assert is_feasible_decision(spec, d.agent, d)
 
 
@@ -61,8 +65,8 @@ def test_strict_subset_of_unreached_improves():
     for spec, game in feasible_games(6021, 40):
         for a in spec.agent_ids:
             order = spec.agent(a).priority
-            for i in range(len(game.profiles)):
-                for j in range(len(game.profiles)):
+            for i in range(len(game.positions)):
+                for j in range(len(game.positions)):
                     ui = game.unreached(i, a)
                     uj = game.unreached(j, a)
                     if ui < uj:
@@ -74,7 +78,7 @@ def test_strict_subset_of_unreached_improves():
 
 def test_violated_is_subset_of_unreached():
     for spec, game in feasible_games(7332, 40):
-        for ep in game.profiles:
+        for ep in evaluated_profiles(spec):
             report = desire_report(spec, ep.profile)
             for a in spec.agent_ids:
                 status = report.per_agent[a]
@@ -87,8 +91,8 @@ def test_violated_is_subset_of_unreached():
 def test_u_closure_is_idempotent_and_monotone():
     rng = random.Random(88)
     for spec, game in feasible_games(88, 30):
-        members = rng.sample([ep.profile for ep in game.profiles],
-                             rng.randint(1, len(game.profiles)))
+        feasible = [ep.profile for ep in evaluated_profiles(spec)]
+        members = rng.sample(feasible, rng.randint(1, len(feasible)))
         closed = u_closure(spec, members, game=game)
         assert set(members) <= set(closed.profiles)
         again = u_closure(spec, closed.profiles, game=game)
@@ -105,7 +109,7 @@ def test_decision_rule_families_are_u_closed():
             signatures = {
                 unreached_signature(spec, desire_report(spec, p))
                 for p in family.profiles}
-            for ep in game.profiles:
+            for ep in evaluated_profiles(spec):
                 sig = unreached_signature(spec, desire_report(spec, ep.profile))
                 assert (sig in signatures) == (ep.profile in family.profiles)
 
@@ -114,7 +118,7 @@ def test_goal_set_components_come_from_desires():
     for spec, game in feasible_games(9771, 40):
         consequents = {r.consequent for r in spec.all_desires()}
         antecedents = {r.antecedent for r in spec.all_desires()}
-        for ep in game.profiles:
+        for ep in evaluated_profiles(spec):
             gs = goal_set_of(spec, ep.profile)
             assert gs.positive <= consequents
             assert gs.negative <= antecedents
@@ -123,7 +127,7 @@ def test_goal_set_components_come_from_desires():
 def test_equal_goal_sets_force_equal_unreached_sets():
     for spec, game in feasible_games(3141, 40):
         by_goal_set = {}
-        for ep in game.profiles:
+        for ep in evaluated_profiles(spec):
             gs = goal_set_of(spec, ep.profile)
             sig = unreached_signature(spec, desire_report(spec, ep.profile))
             by_goal_set.setdefault(gs, set()).add(sig)
@@ -140,8 +144,9 @@ def test_pipeline_equivalence_seeded():
 def test_nash_profiles_survive_deviation_recheck():
     for spec, game in feasible_games(1618, 40):
         report = nash(game)
+        feasible = evaluated_profiles(spec)
         for i in report.profile_indexes:
-            candidate = game.profiles[i].profile
+            candidate = feasible[i].profile
             for a in spec.agent_ids:
                 for deviation in game.feasible_decisions[a]:
                     j = game.index_of(candidate.with_decision(deviation))
