@@ -202,18 +202,26 @@ def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
 
     ``parts`` are the agents' extensions of the profile's decisions, in
     agent order, for a caller that has built them with ``agent_extension``
-    already; by default they are built here.  The agents' decision atoms
-    are disjoint, so the union's model mask over the world atoms is the AND
-    of the parts' masks, and it is consistent iff that is not empty.  The
-    union's formula sets are built only when read (``Extension.joint``).
+    already; by default they are built here.  The base is the union of the
+    parts' bases, the derived set the union of their derived sets less that
+    base, and ``iterations`` the largest part's count.  The agents'
+    decision atoms are disjoint, so the union's model mask over the world
+    atoms is the AND of the parts' masks, and it is consistent iff that is
+    not empty.
     """
     if parts is None:
         parts = tuple(agent_extension(spec, a.id, profile.decision_for(a.id))
                       for a in spec.agents)
-    joint = -1  # every assignment
+    base: set[Formula] = set()
+    derived: set[Formula] = set()
+    theory = -1  # every assignment
     for ext in parts:
-        joint &= ext.models
-    return Extension.joint(parts, joint != 0)
+        base |= ext.base
+        derived |= ext.derived
+        theory &= ext.models
+    return Extension(frozenset(base), frozenset(derived - base),
+                     max((ext.iterations for ext in parts), default=0),
+                     theory != 0, theory)
 
 
 def is_feasible_decision(spec: AgentSystemSpec, agent_id: str,

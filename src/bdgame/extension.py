@@ -9,7 +9,7 @@ Inconsistent extensions are legal outputs; they are flagged, not rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -35,6 +35,7 @@ class Rule:
         return f"{self.id}: {self.antecedent} => {self.consequent}"
 
 
+@dataclass(frozen=True, slots=True)
 class Extension:
     """Result of closing a base theory under a rule set.
 
@@ -42,107 +43,21 @@ class Extension:
     all applicable rules fire in each round, so the count is deterministic.
     ``models`` is the model mask of the formulas over the atom universe of
     the fixpoint (an agent's extension, ``decision.agent_extension``, has
-    its decision's literals substituted and ranges over ``spec.mask_atoms``).
-
-    A joint extension (``Extension.joint``, built per profile by
-    ``decision.joint_extension``) holds only its parts, the agents'
-    extensions, and its consistency flag.  Its sets are built from the
-    parts when first read and then kept: the base is the union of the
-    parts' bases, the derived set the union of their derived sets less
-    that base, and ``iterations`` the largest part's count.  Its
-    ``models``, the AND of the parts' masks, is computed on every read, so
-    it holds no mask of its own.
-
-    Equality and hashing are by value, on (base, derived, iterations,
-    consistent), so a joint extension equals an eagerly built one with the
-    same sets; ``models`` takes no part in them.  Instances are immutable.
+    its decision's literals substituted and ranges over ``spec.mask_atoms``;
+    a joint extension, ``decision.joint_extension``, holds the AND of its
+    parts' masks).  ``models`` takes no part in equality or hashing, so
+    extensions built over different universes compare by their sets alone.
     """
 
-    __slots__ = ("_base", "_derived", "_iterations", "_consistent",
-                 "_models", "_parts")
-
-    def __init__(self, base: frozenset[Formula], derived: frozenset[Formula],
-                 iterations: int, consistent: bool,
-                 models: int | None = None) -> None:
-        self._base = base
-        self._derived = derived
-        self._iterations = iterations
-        self._consistent = consistent
-        self._models = models
-        self._parts: tuple[Extension, ...] | None = None
-
-    @classmethod
-    def joint(cls, parts: tuple["Extension", ...],
-              consistent: bool) -> "Extension":
-        """The union of ``parts``, whose masks range over one universe and
-        whose AND is nonempty iff ``consistent``; nothing is built yet."""
-        ext = cls.__new__(cls)
-        ext._base = ext._derived = ext._iterations = ext._models = None
-        ext._consistent = consistent
-        ext._parts = parts
-        return ext
-
-    def _join(self) -> None:
-        """Build a joint extension's formula sets from its parts."""
-        base: set[Formula] = set()
-        derived: set[Formula] = set()
-        for part in self._parts:
-            base |= part.base
-            derived |= part.derived
-        self._base = frozenset(base)
-        self._derived = frozenset(derived - base)
-
-    @property
-    def base(self) -> frozenset[Formula]:
-        if self._base is None:
-            self._join()
-        return self._base
-
-    @property
-    def derived(self) -> frozenset[Formula]:
-        if self._derived is None:
-            self._join()
-        return self._derived
-
-    @property
-    def iterations(self) -> int:
-        if self._iterations is None:
-            self._iterations = max((p.iterations for p in self._parts),
-                                   default=0)
-        return self._iterations
-
-    @property
-    def consistent(self) -> bool:
-        return self._consistent
-
-    @property
-    def models(self) -> int | None:
-        if self._parts is None:
-            return self._models
-        mask = -1  # every assignment
-        for part in self._parts:
-            mask &= part.models
-        return mask
+    base: frozenset[Formula]
+    derived: frozenset[Formula]
+    iterations: int
+    consistent: bool
+    models: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def formulas(self) -> frozenset[Formula]:
         return self.base | self.derived
-
-    def _key(self) -> tuple:
-        return (self.base, self.derived, self.iterations, self.consistent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"Extension(base={self.base!r}, derived={self.derived!r}, "
-                f"iterations={self.iterations!r}, "
-                f"consistent={self.consistent!r})")
 
 
 def applicable_consequents(rules: Iterable[Rule], theory: Iterable[Formula], *,

@@ -15,9 +15,11 @@ product (``_product_columns``) fills three columns:
 
 Shared pieces are built once: each agent's extension of each feasible
 decision, kept on the game (``feasible_decisions``) as the parts of the
-profiles' joint extensions, and each agent's desire status, shared by the
-profiles that agree on the joint world mask and on the decision atoms of
-the agent's desire rules, as are the reports made of equal statuses.
+profiles' joint extensions; each joint mask, the AND of its parts' masks,
+which decides joint consistency once per distinct tuple of them; and each
+agent's desire status, shared by the profiles that agree on the joint
+world mask and on the decision atoms of the agent's desire rules, as are
+the reports made of equal statuses.
 Everything downstream reads the columns; ``profile`` decodes a profile
 object from its candidate's digits where one is asked for, and keeps none.
 
@@ -55,7 +57,7 @@ from typing import Callable
 
 from .decision import (Decision, DecisionProfile, DesireReport,
                        SharedStatuses, _check_profile_cap, agent_extension,
-                       enumerate_decisions, joint_extension, set_geq)
+                       enumerate_decisions, set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec
@@ -260,13 +262,14 @@ def _product_columns(spec: AgentSystemSpec,
     profile's ints add up without carries to the id of its parts' masks
     and, in each field, the id of its values on that agent's desire atoms.
 
-    The first profile with given part masks decides joint consistency with
-    ``joint_extension`` and numbers the joint mask; an agent's status is
+    The first profile with given part masks ANDs them, which decides joint
+    consistency, and numbers the joint mask; an agent's status is
     classified once per (joint mask id, that agent's field) and interned
     by its outcomes, and a report once per tuple of its statuses.  Every
     memo dies with the pass.
     """
-    lists = [tuple(ds) for ds in decisions.values()]
+    extensions = tuple(decisions.values())
+    lists = [tuple(ds) for ds in extensions]
     _check_profile_cap(spec, prod(map(len, lists)))
     codes = [[0] * len(ds) for ds in lists]
     fields = []  # per agent of the spec: its field's bits
@@ -284,7 +287,7 @@ def _product_columns(spec: AgentSystemSpec,
         fields.append((1 << width) - 1 << offset)
         offset += width
     radix = 1
-    for ds, column in zip(decisions.values(), codes):
+    for ds, column in zip(extensions, codes):
         part_ids: dict[int, int] = {}
         for j, ext in enumerate(ds.values()):
             column[j] += radix * part_ids.setdefault(
@@ -306,14 +309,12 @@ def _product_columns(spec: AgentSystemSpec,
         total = sum(code)
         joint = joint_ids.get(total >> offset)
         if joint is None:
-            ext = joint_extension(spec, DecisionProfile(decided), tuple(
-                ds[d] for ds, d in zip(decisions.values(), decided)))
-            joint = -1
-            if ext.consistent:
-                theory = ext.models
-                joint = mask_ids.setdefault(theory, len(mask_ids))
-                if joint == len(theories):
-                    theories.append(theory)
+            theory = -1  # every assignment
+            for ds, d in zip(extensions, decided):
+                theory &= ds[d].models
+            joint = mask_ids.setdefault(theory, len(mask_ids)) if theory else -1
+            if joint == len(theories):
+                theories.append(theory)
             joint_ids[total >> offset] = joint
         if joint < 0:
             candidates.append(-1)

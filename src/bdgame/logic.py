@@ -190,7 +190,16 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# The deepest a formula may nest, counting the parenthesis pairs and
+# operators on one path down to an atom: parsing and every walk of a
+# formula then stay far inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
+    # Rule methods take the nesting of their position and return their
+    # formula with its own nesting; ``nest`` checks both, to stop recursion
+    # on the way down and operator chains on the way up.
     def __init__(self, tokens: list[tuple[str, int]], length: int,
                  vocabulary: Vocabulary | None):
         self.tokens = tokens
@@ -210,67 +219,81 @@ class _Parser:
         self.index += 1
         return tok
 
+    @staticmethod
+    def nest(nesting: int, at: int) -> int:
+        if nesting > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_NESTING} levels", at)
+        return nesting
+
     def parse(self) -> Formula:
-        f = self.implication()
+        f, _ = self.implication(0)
         tok = self.peek()
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected token '{tok[0]}'", tok[1])
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def implication(self, depth: int) -> tuple[Formula, int]:
+        left, height = self.disjunction(depth)
         tok = self.peek()
         if tok is not None and tok[0] == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
+            at = self.next()[1]
+            right, below = self.implication(self.nest(depth + 1, at))
+            return Implies(left, right), self.nest(max(height, below) + 1, at)
+        return left, height
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self, depth: int) -> tuple[Formula, int]:
+        f, height = self.conjunction(depth)
         while (tok := self.peek()) is not None and tok[0] == "|":
             self.next()
-            f = Or(f, self.conjunction())
-        return f
+            right, below = self.conjunction(depth)
+            f = Or(f, right)
+            height = self.nest(max(height, below) + 1, tok[1])
+        return f, height
 
-    def conjunction(self) -> Formula:
-        f = self.negation()
+    def conjunction(self, depth: int) -> tuple[Formula, int]:
+        f, height = self.negation(depth)
         while (tok := self.peek()) is not None and tok[0] == "&":
             self.next()
-            f = And(f, self.negation())
-        return f
+            right, below = self.negation(depth)
+            f = And(f, right)
+            height = self.nest(max(height, below) + 1, tok[1])
+        return f, height
 
-    def negation(self) -> Formula:
+    def negation(self, depth: int) -> tuple[Formula, int]:
         tok = self.peek()
         if tok is not None and tok[0] == "!":
             self.next()
-            return Not(self.negation())
-        return self.primary()
+            f, height = self.negation(self.nest(depth + 1, tok[1]))
+            return Not(f), self.nest(height + 1, tok[1])
+        return self.primary(depth)
 
-    def primary(self) -> Formula:
+    def primary(self, depth: int) -> tuple[Formula, int]:
         text, at = self.next()
         if text == "(":
-            f = self.implication()
+            f, height = self.implication(self.nest(depth + 1, at))
             closing = self.next()
             if closing[0] != ")":
                 raise FormulaSyntaxError("expected ')'", closing[1])
-            return f
+            return f, self.nest(height + 1, at)
         if text == "true":
-            return TRUE
+            return TRUE, 0
         if text == "false":
-            return FALSE
+            return FALSE, 0
         if _IDENT_RE.fullmatch(text):
             if self.vocabulary is not None and text not in self.vocabulary:
                 raise UndeclaredAtomError(text)
-            return Var(text)
+            return Var(text), 0
         raise FormulaSyntaxError(f"unexpected token '{text}'", at)
 
 
 def parse_formula(text: str, vocabulary: Vocabulary | None = None) -> Formula:
     """Parse formula source text against a vocabulary.
 
-    Raises FormulaSyntaxError with the offending column, or
-    UndeclaredAtomError for identifiers missing from the vocabulary.
-    With ``vocabulary=None`` any identifier is accepted.
+    Raises FormulaSyntaxError with the offending column, also for a
+    formula nested deeper than ``MAX_NESTING``, or UndeclaredAtomError for
+    identifiers missing from the vocabulary.  With ``vocabulary=None`` any
+    identifier is accepted.
     """
     return _Parser(_tokenize(text), len(text), vocabulary).parse()
 

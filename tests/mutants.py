@@ -114,15 +114,41 @@ MUTANTS = (
            "column[j] += radix * part_ids.setdefault(",
            "column[j] += part_ids.setdefault(",
            ("tests/test_game.py::"
-            "test_joint_consistency_is_decided_once_per_part_masks",)),
-    Mutant("joint-memo-keyed-by-the-whole-code", "game.py",
-           "joint = joint_ids.get(total >> offset)",
-           "joint = joint_ids.get(total)",
-           ("tests/test_game.py::"
-            "test_joint_consistency_is_decided_once_per_part_masks",
-            "tests/test_cli.py::"
-            "test_json_solve_reads_the_columns_and_builds_no_profile_objects"
+            "test_columns_agree_with_a_fresh_joint_extension_"
+            "of_every_candidate",
             )),
+    Mutant("joint-mask-of-the-last-part-alone", "game.py",
+           "theory &= ds[d].models",
+           "theory = ds[d].models",
+           ("tests/test_game.py::"
+            "test_columns_agree_with_a_fresh_joint_extension_"
+            "of_every_candidate",
+            "tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions")),
+    Mutant("joint-derived-keeps-the-base", "decision.py",
+           "frozenset(derived - base)",
+           "frozenset(derived)",
+           ("tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary",)),
+    Mutant("joint-iterations-summed", "decision.py",
+           "max((ext.iterations for ext in parts), default=0)",
+           "sum(ext.iterations for ext in parts)",
+           ("tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary",)),
+    Mutant("extension-equality-reads-the-mask", "extension.py",
+           "field(default=None, compare=False, repr=False)",
+           "field(default=None, repr=False)",
+           ("tests/test_extension.py::"
+            "test_extensions_compare_and_hash_by_their_sets_not_their_masks",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("nesting-bound-one-level-late", "logic.py",
+           "if nesting > MAX_NESTING:",
+           "if nesting > MAX_NESTING + 1:",
+           ("tests/test_logic.py::"
+            "test_nesting_counts_parentheses_and_operators_up_to_the_bound",
+            "tests/test_cli.py::"
+            "test_formulas_nest_up_to_the_bound_and_no_deeper")),
     Mutant("reports-column-read-one-off", "game.py",
            "return self.reports[index].unreached(agent_id)",
            "return self.reports[index - 1].unreached(agent_id)",

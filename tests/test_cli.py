@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,13 +18,12 @@ from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              desire_report, joint_extension)
-from bdgame.extension import Extension
 from bdgame.game import agent_extensions, derive_game
 from bdgame.game import solve as solve_game
 from bdgame.goals import (DECISION_RULES, ProfileFamily,
                           apply_decision_rule, concept_family,
                           delta_goal_sets, pareto_via_goals, u_closure)
-from bdgame.logic import format_formula
+from bdgame.logic import MAX_NESTING, format_formula
 from bdgame.model import format_spec, parse_spec
 from bdgame.verify import random_spec
 
@@ -123,6 +121,37 @@ def test_parse_error_goes_to_stderr(tmp_path):
     result = run_cli("validate", str(bad))
     assert result.returncode == 2
     assert "line 3" in result.stderr
+
+
+NESTED_SHAPES = {
+    "parentheses": lambda n: "(" * n + "b" + ")" * n,
+    "negations": lambda n: "!" * n + "b",
+    "conjunctions": lambda n: " & ".join(["b"] * (n + 1)),
+    "implications": lambda n: " -> ".join(["b"] * (n + 1)),
+}
+
+
+def test_formulas_nest_up_to_the_bound_and_no_deeper(tmp_path, capsys):
+    """A desire formula nested ``MAX_NESTING`` deep runs through every
+    command that walks it; one level more is a syntax error on its line,
+    exit 2, never a RecursionError."""
+    commands = (("validate",), ("solve", "--concept", "nash"),
+                ("goals", "--via-goals", "--family", "pareto"),
+                ("check", "--property", "representation"))
+    spec = tmp_path / "deep.bdg"
+    for shape, nested in NESTED_SHAPES.items():
+        for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+            spec.write_text(
+                "agent alpha1 {\n  atoms a\n  desire d1: true => a\n}\n"
+                "agent alpha2 {\n  atoms b\n"
+                f"  desire d2: true => {nested(depth)}\n}}\n",
+                encoding="utf-8")
+            for command in commands:
+                assert main([*command, str(spec)]) == code, (shape, depth)
+                err = capsys.readouterr().err
+                if code:
+                    assert err.startswith("bdgame: line 7: formula nested "
+                                          "deeper than"), err
 
 
 def test_profiles_feasible_only(tmp_path):
@@ -696,18 +725,18 @@ def test_json_reports_match_one_dump_of_the_whole_report(
 
 def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         tmp_path, monkeypatch, capsys):
-    """A profile's joint extension builds its formula sets when first read
-    (``Extension.joint``).  A JSON ``solve`` reads none: its entries print
-    the agents' extensions, and so do the text ``solve``, ``profiles`` and
-    ``extension`` reports.  ``goals --via-goals`` reads those of the joint
-    extensions its goal-basedness oracle joins, at most one per decision,
-    and no other."""
+    """``joint_extension`` builds a profile's joint formula sets.  No
+    ``solve`` report, text or JSON, and no ``profiles`` report calls it:
+    their entries print the agents' extensions.  The text ``extension``
+    report calls it once, for the flag and round count it prints, and
+    ``goals --via-goals`` at most once per goal-basedness decision of its
+    oracle, and nowhere else."""
     joined, deciding = Counter(), []
-    join, goal_based = Extension._join, bdgame.goals._goal_based
+    goal_based = bdgame.goals._goal_based
 
-    def counting_join(ext):
+    def counting(spec, profile, parts=None):
         joined["inside" if deciding else "outside"] += 1
-        join(ext)
+        return joint_extension(spec, profile, parts)
 
     def recording(game, index, goals):
         deciding.append(index)
@@ -716,7 +745,8 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         finally:
             deciding.pop()
             joined["decided"] += 1
-    monkeypatch.setattr(Extension, "_join", counting_join)
+    for module in (bdgame.goals, bdgame.cli):
+        monkeypatch.setattr(module, "joint_extension", counting)
     monkeypatch.setattr(bdgame.goals, "_goal_based", recording)
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2020)
@@ -733,10 +763,14 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
             solved += len(json.loads(capsys.readouterr().out)["profiles"])
             assert not joined
         for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
-                        ("profiles",), ("extension",)):
+                        ("profiles",)):
             assert main([*command, str(path)]) == 0
             texts += capsys.readouterr().out.count("\n")
             assert not joined, command
+        assert main(["extension", str(path)]) == 0
+        texts += capsys.readouterr().out.count("\n")
+        assert joined == {"outside": 1}
+        joined.clear()
         assert main(["goals", "--family", "pareto", "--via-goals",
                      "--format", "json", str(path)]) == 0
         capsys.readouterr()
@@ -749,13 +783,13 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
 
 def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         tmp_path, monkeypatch, capsys):
-    """A JSON ``solve`` prints its entries from the game's columns: it
-    builds a ``DecisionProfile`` only where the product pass decides joint
-    consistency, once per distinct combination of the parts' masks.  Given
-    its game, no ``solve`` report, text or JSON, of any concept, and no
-    text ``goals --family pareto`` report builds a joint extension
-    (``Extension.joint``): the text reports print each profile from the
-    decisions of ``GameSpecification.profile``."""
+    """A JSON ``solve`` prints its entries from the game's columns and
+    builds no ``DecisionProfile``: the product pass decides joint
+    consistency by ANDing the parts' masks.  No ``solve`` report, text or
+    JSON, of any concept, and no text ``goals --family pareto`` report
+    calls ``joint_extension``, at any of its bindings: the text reports
+    print each profile from the decisions of
+    ``GameSpecification.profile``."""
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2021)
     for k in range(30):
@@ -763,48 +797,32 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         paths[-1].write_text(format_spec(random_spec(
             rng, max_agents=3, max_decision_atoms=2, max_rules=4)),
             encoding="utf-8")
-    combinations = []
-    for path in paths:
-        game = derive_game(parse_spec(Path(path).read_text(encoding="utf-8")))
-        combinations.append(len({
-            tuple(ext.models for ext in parts) for parts in product(
-                *(ds.values() for ds in game.feasible_decisions.values()))}))
-    built, deriving = Counter(), []
-    init, joint = DecisionProfile.__init__, Extension.joint.__func__
+    built = Counter()
+    init = DecisionProfile.__init__
 
     def counting(self, *args, **kwargs):
         built["profiles"] += 1
         init(self, *args, **kwargs)
 
-    def derive(spec):
-        deriving.append(spec)
-        try:
-            return derive_game(spec)
-        finally:
-            deriving.pop()
-
-    def refuse(cls, parts, consistent):
-        if not deriving:
-            raise AssertionError("a report built a joint extension")
-        return joint(cls, parts, consistent)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report built a joint extension")
     monkeypatch.setattr(DecisionProfile, "__init__", counting)
-    monkeypatch.setattr(bdgame.cli, "derive_game", derive)
-    monkeypatch.setattr(Extension, "joint", classmethod(refuse))
-    entries = shared = texts = 0
-    for path, distinct in zip(paths, combinations):
+    for module in (bdgame.decision, bdgame.goals, bdgame.cli):
+        monkeypatch.setattr(module, "joint_extension", refuse)
+    entries = texts = 0
+    for path in paths:
         for concept in CONCEPT_NAMES:
             built.clear()
             assert main(["solve", "--concept", concept, "--format", "json",
                          str(path)]) == 0
             report = json.loads(capsys.readouterr().out)
-            assert built["profiles"] <= distinct
+            assert built["profiles"] == 0
             entries += len(report["profiles"])
-            shared += len(report["profiles"]) - built["profiles"]
         for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
                         ("goals", "--family", "pareto")):
             assert main([*command, str(path)]) == 0
             texts += capsys.readouterr().out.count("\n")
-    assert entries >= 1_200 and shared >= 1_000 and texts >= 1_500
+    assert entries >= 1_200 and texts >= 1_500
 
 
 # ---------------------------------------------------------------------------

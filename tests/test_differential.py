@@ -8,10 +8,9 @@ entailment on it, and one loop over profiles per concept.  The library
 answers extension and desire queries on masks over the world atoms that a
 fact or belief consequent mentions, with the decision literals substituted
 and every other atom quantified, shares each agent extension between
-profiles, builds a joint extension's formula sets only when read (its
-reference is the eager union of its parts), solves the three exclusion
-concepts on indistinguishability classes through per-agent bitsets over
-the classes, reads every preference off per-agent tables over
+profiles, joins a profile's joint extension from those parts, solves the
+three exclusion concepts on indistinguishability classes through per-agent
+bitsets over the classes, reads every preference off per-agent tables over
 unreached-set ids, finds Nash deviations by mixed-radix index, once per
 row and own unreached id, and reads goal sets off the desire reports; all
 of it must agree with these references on every extension, report,
@@ -82,36 +81,40 @@ ORACLE_SPECS = 80
 FIXPOINT_RULES = 6  # the certificate tries every subset of consequents
 
 
-def ref_joint_extension(parts):
-    """A joint extension built eagerly: the union of its parts' formula
-    sets, the AND of their masks, the largest round count."""
-    base, derived, joint = set(), set(), -1
-    for ext in parts:
-        base |= ext.base
-        derived |= ext.derived
-        joint &= ext.models
-    derived -= base
-    return Extension(frozenset(base), frozenset(derived),
+def ref_joint_extension(spec, profile):
+    """A joint extension by its definition: each agent's extension of its
+    facts and decision over the whole vocabulary, the union of their
+    formula sets, the largest round count, and consistency decided on the
+    union over the whole vocabulary.  Its ``models`` is left unset: the
+    library's ranges over a narrower universe."""
+    vocabulary = spec.vocabulary.names
+    parts = [extension(agent.beliefs, frozenset(agent.facts)
+                       | profile.decision_for(agent.id).formulas(),
+                       atoms=vocabulary, max_atoms=spec.max_atoms)
+             for agent in spec.agents]
+    base = frozenset().union(*(ext.base for ext in parts))
+    derived = frozenset().union(*(ext.derived for ext in parts)) - base
+    return Extension(base, derived,
                      max((ext.iterations for ext in parts), default=0),
-                     joint != 0, joint)
+                     consistent(base | derived, atoms=vocabulary,
+                                max_atoms=spec.max_atoms))
 
 
-def assert_joint_extension_matches_the_eager_union(ext, parts):
-    eager = ref_joint_extension(parts)
-    assert ext == eager and eager == ext
-    assert hash(ext) == hash(eager)
-    assert (ext.models, ext.formulas) == (eager.models, eager.formulas)
+def assert_joint_extension_matches_the_definition(spec, ext, profile):
+    ref = ref_joint_extension(spec, profile)
+    assert (ext.base, ext.derived, ext.iterations, ext.consistent) == \
+        (ref.base, ref.derived, ref.iterations, ref.consistent)
 
 
-def assert_game_extensions_match_the_eager_unions(game):
+def assert_game_extensions_match_the_definition(game):
     """The joint extension of each feasible profile joined from the game's
-    parts, as the oracles join it, against the eager union of the parts."""
+    parts, as the oracles join it, against its definition."""
     for i in range(len(game.positions)):
         profile = game.profile(i)
         parts = tuple(game.feasible_decisions[d.agent][d]
                       for d in profile.decisions)
-        assert_joint_extension_matches_the_eager_union(
-            joint_extension(game.spec, profile, parts), parts)
+        assert_joint_extension_matches_the_definition(
+            game.spec, joint_extension(game.spec, profile, parts), profile)
     return len(game.positions)
 
 
@@ -349,7 +352,7 @@ def test_class_level_concepts_match_the_profile_loops():
             got = nash(game, infeasible_swaps=policy)
             assert (got.profile_indexes, got.witnesses) == \
                 ref_nash(game, policy)
-        assert_game_extensions_match_the_eager_unions(game)
+        assert_game_extensions_match_the_definition(game)
         if games == CLASS_SPECS:
             break
     assert games == CLASS_SPECS
@@ -447,8 +450,8 @@ def test_atom_patterns_match_the_division_formula():
 def test_conditioned_route_matches_the_full_vocabulary():
     """Agent extensions, joint feasibility and desire reports on world masks
     against extensions and entailment over the whole vocabulary, in every
-    decision mode; joint extensions, which build their formula sets when
-    read, against the eager union of their parts."""
+    decision mode; joint extensions against their definition, the union
+    of the agents' extensions over the whole vocabulary."""
     rng = random.Random(20021001)
     seen = Counter()
     for _ in range(CONDITIONED_SPECS):
@@ -494,16 +497,14 @@ def test_conditioned_route_matches_the_full_vocabulary():
                 continue
             feasible = {game.profile(i) for i in range(len(game.positions))}
             for combo in product(*candidates):
-                joint = joint_extension(spec, DecisionProfile(combo))
-                assert_joint_extension_matches_the_eager_union(
-                    joint, tuple(agent_extension(spec, d.agent, d)
-                                 for d in combo))
+                profile = DecisionProfile(combo)
+                joint = joint_extension(spec, profile)
+                assert_joint_extension_matches_the_definition(
+                    spec, joint, profile)
                 seen["joint extensions"] += 1
-                assert joint.consistent == consistent(
-                    joint.formulas, atoms=vocabulary)
-                assert joint.consistent == (DecisionProfile(combo) in feasible)
+                assert joint.consistent == (profile in feasible)
             seen["game extensions"] += \
-                assert_game_extensions_match_the_eager_unions(game)
+                assert_game_extensions_match_the_definition(game)
             for ep, report in zip(evaluated_profiles(game.spec),
                                   game.reports):
                 assert report == ref_desire_report(spec, ep.extension)

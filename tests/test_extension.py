@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 from bdgame.extension import (Rule, applicable_consequents, extension,
                               fixpoint_certificate)
@@ -38,6 +39,17 @@ def test_extension_without_rules_is_the_base():
     assert ext.formulas == base
     assert ext.iterations == 0
     assert ext.consistent
+
+
+def test_extensions_compare_and_hash_by_their_sets_not_their_masks():
+    """One extension over two universes: equal and equally hashed, though
+    the masks differ; a different round count tells them apart."""
+    narrow = extension(CONFLICT_RULES[:1], [A])
+    wide = extension(CONFLICT_RULES[:1], [A], atoms=("a", "b", "p"))
+    assert narrow.models != wide.models
+    assert narrow == wide and hash(narrow) == hash(wide)
+    assert "models" not in repr(narrow)
+    assert replace(narrow, iterations=narrow.iterations + 1) != narrow
 
 
 def test_extension_fires_on_entailed_decision_atoms():

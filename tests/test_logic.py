@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
                            VocabularyLimitError)
-from bdgame.logic import (FALSE, TRUE, And, Atom, Const, Implies, Literal,
-                          Not, Or, Var, Vocabulary, atoms_of,
+from bdgame.logic import (FALSE, MAX_NESTING, TRUE, And, Atom, Const,
+                          Implies, Literal, Not, Or, Var, Vocabulary, atoms_of,
                           conditioned_models, consistent, entails, evaluate,
                           format_formula, in_sublanguage, mask_entails,
                           models, parse_formula, parse_literal)
@@ -77,6 +77,30 @@ def test_syntax_error_carries_position():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("p & ")
     assert exc.value.position == 4
+
+
+def test_nesting_counts_parentheses_and_operators_up_to_the_bound():
+    """Parenthesis pairs and operators nested in one another count
+    together; at ``MAX_NESTING`` a formula parses and prints back, one
+    level deeper it is a syntax error at the level that goes past."""
+    n, half = MAX_NESTING, MAX_NESTING // 2
+    shapes = {
+        "parentheses": lambda k: "(" * k + "p" + ")" * k,
+        "negations": lambda k: "!" * k + "p",
+        "conjunctions": lambda k: " & ".join(["p"] * (k + 1)),
+        "disjunctions": lambda k: " | ".join(["p"] * (k + 1)),
+        "implications": lambda k: " -> ".join(["p"] * (k + 1)),
+        "mixed": lambda k: "!(" * half + "q & " * (k - 2 * half) + "p"
+                           + ")" * half,
+    }
+    for shape, nested in shapes.items():
+        f = parse_formula(nested(n))
+        assert parse_formula(format_formula(f)) == f, shape
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula(nested(n + 1))
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("(" * (n + 1) + "p" + ")" * (n + 1))
+    assert exc.value.position == n
 
 
 def test_reserved_words_rejected_as_atom_names():
