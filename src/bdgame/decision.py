@@ -196,13 +196,14 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
                      theory != 0, theory)
 
 
-def joint_extension(spec: AgentSystemSpec, profile: DecisionProfile,
+def joint_extension(spec: AgentSystemSpec,
+                    profile: DecisionProfile | None = None,
                     parts: tuple[Extension, ...] | None = None) -> Extension:
     """Union of the per-agent belief extensions, with a joint consistency flag.
 
     ``parts`` are the agents' extensions of the profile's decisions, in
     agent order, for a caller that has built them with ``agent_extension``
-    already; by default they are built here.  The base is the union of the
+    already; without them they are built here from ``profile``.  The base is the union of the
     parts' bases, the derived set the union of their derived sets less that
     base, and ``iterations`` the largest part's count.  The agents'
     decision atoms are disjoint, so the union's model mask over the world

@@ -15,9 +15,9 @@ product (``_product_columns``) fills three columns:
 
 Shared pieces are built once: each agent's extension of each feasible
 decision, kept on the game (``feasible_decisions``) as the parts of the
-profiles' joint extensions; each joint mask, the AND of its parts' masks,
-which decides joint consistency once per distinct tuple of them; and each
-agent's desire status, shared by the profiles that agree on the joint
+profiles' joint extensions; each joint extension (``joint_extension``),
+which decides joint consistency once per distinct tuple of part masks; and
+each agent's desire status, shared by the profiles that agree on the joint
 world mask and on the decision atoms of the agent's desire rules, as are
 the reports made of equal statuses.
 Everything downstream reads the columns; ``profile`` decodes a profile
@@ -57,7 +57,7 @@ from typing import Callable
 
 from .decision import (Decision, DecisionProfile, DesireReport,
                        SharedStatuses, _check_profile_cap, agent_extension,
-                       enumerate_decisions, set_geq)
+                       enumerate_decisions, joint_extension, set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec
@@ -262,14 +262,13 @@ def _product_columns(spec: AgentSystemSpec,
     profile's ints add up without carries to the id of its parts' masks
     and, in each field, the id of its values on that agent's desire atoms.
 
-    The first profile with given part masks ANDs them, which decides joint
-    consistency, and numbers the joint mask; an agent's status is
-    classified once per (joint mask id, that agent's field) and interned
-    by its outcomes, and a report once per tuple of its statuses.  Every
-    memo dies with the pass.
+    The first profile with given part masks decides joint consistency with
+    ``joint_extension`` of its parts, with no profile object, and numbers
+    the joint mask; an agent's status is classified once per (joint mask
+    id, that agent's field) and interned by its outcomes, and a report once
+    per tuple of its statuses.  Every memo dies with the pass.
     """
-    extensions = tuple(decisions.values())
-    lists = [tuple(ds) for ds in extensions]
+    lists = [tuple(ds) for ds in decisions.values()]
     _check_profile_cap(spec, prod(map(len, lists)))
     codes = [[0] * len(ds) for ds in lists]
     fields = []  # per agent of the spec: its field's bits
@@ -287,7 +286,7 @@ def _product_columns(spec: AgentSystemSpec,
         fields.append((1 << width) - 1 << offset)
         offset += width
     radix = 1
-    for ds, column in zip(extensions, codes):
+    for ds, column in zip(decisions.values(), codes):
         part_ids: dict[int, int] = {}
         for j, ext in enumerate(ds.values()):
             column[j] += radix * part_ids.setdefault(
@@ -309,12 +308,12 @@ def _product_columns(spec: AgentSystemSpec,
         total = sum(code)
         joint = joint_ids.get(total >> offset)
         if joint is None:
-            theory = -1  # every assignment
-            for ds, d in zip(extensions, decided):
-                theory &= ds[d].models
-            joint = mask_ids.setdefault(theory, len(mask_ids)) if theory else -1
+            ext = joint_extension(spec, parts=tuple(
+                ds[d] for ds, d in zip(decisions.values(), decided)))
+            joint = mask_ids.setdefault(ext.models, len(mask_ids)) \
+                if ext.consistent else -1
             if joint == len(theories):
-                theories.append(theory)
+                theories.append(ext.models)
             joint_ids[total >> offset] = joint
         if joint < 0:
             candidates.append(-1)

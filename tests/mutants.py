@@ -114,15 +114,17 @@ MUTANTS = (
            "column[j] += radix * part_ids.setdefault(",
            "column[j] += part_ids.setdefault(",
            ("tests/test_game.py::"
-            "test_columns_agree_with_a_fresh_joint_extension_"
-            "of_every_candidate",
-            )),
-    Mutant("joint-mask-of-the-last-part-alone", "game.py",
-           "theory &= ds[d].models",
-           "theory = ds[d].models",
+            "test_joint_consistency_is_decided_once_per_part_masks",)),
+    Mutant("joint-memo-keyed-by-the-whole-code", "game.py",
+           "joint = joint_ids.get(total >> offset)",
+           "joint = joint_ids.get(total)",
            ("tests/test_game.py::"
-            "test_columns_agree_with_a_fresh_joint_extension_"
-            "of_every_candidate",
+            "test_joint_consistency_is_decided_once_per_part_masks",)),
+    Mutant("joint-mask-of-the-last-part-alone", "decision.py",
+           "theory &= ext.models",
+           "theory = ext.models",
+           ("tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary",
             "tests/test_differential.py::"
             "test_concepts_and_goal_sets_match_the_definitions")),
     Mutant("joint-derived-keeps-the-base", "decision.py",

@@ -725,16 +725,18 @@ def test_json_reports_match_one_dump_of_the_whole_report(
 
 def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         tmp_path, monkeypatch, capsys):
-    """``joint_extension`` builds a profile's joint formula sets.  No
-    ``solve`` report, text or JSON, and no ``profiles`` report calls it:
-    their entries print the agents' extensions.  The text ``extension``
-    report calls it once, for the flag and round count it prints, and
-    ``goals --via-goals`` at most once per goal-basedness decision of its
-    oracle, and nowhere else."""
+    """``joint_extension`` builds a profile's joint formula sets.  Outside
+    the game's product pass, which calls it once per distinct tuple of part
+    masks (``test_game``), no ``solve`` report, text or JSON, and no
+    ``profiles`` report calls it: their entries print the agents'
+    extensions.  The text ``extension`` report calls it once, for the
+    formulas, flag and round count it prints, and ``goals --via-goals`` at
+    most once per goal-basedness decision of its oracle, and nowhere
+    else."""
     joined, deciding = Counter(), []
     goal_based = bdgame.goals._goal_based
 
-    def counting(spec, profile, parts=None):
+    def counting(spec, profile=None, parts=None):
         joined["inside" if deciding else "outside"] += 1
         return joint_extension(spec, profile, parts)
 
@@ -745,7 +747,7 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         finally:
             deciding.pop()
             joined["decided"] += 1
-    for module in (bdgame.goals, bdgame.cli):
+    for module in (bdgame.decision, bdgame.goals, bdgame.cli):
         monkeypatch.setattr(module, "joint_extension", counting)
     monkeypatch.setattr(bdgame.goals, "_goal_based", recording)
     paths = [fixture(name) for name in EXAMPLES]
@@ -785,11 +787,11 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         tmp_path, monkeypatch, capsys):
     """A JSON ``solve`` prints its entries from the game's columns and
     builds no ``DecisionProfile``: the product pass decides joint
-    consistency by ANDing the parts' masks.  No ``solve`` report, text or
-    JSON, of any concept, and no text ``goals --family pareto`` report
-    calls ``joint_extension``, at any of its bindings: the text reports
-    print each profile from the decisions of
-    ``GameSpecification.profile``."""
+    consistency with ``joint_extension`` of the parts alone.  No ``solve``
+    report, text or JSON, of any concept, and no text ``goals --family
+    pareto`` report calls ``joint_extension`` outside that pass, at the
+    ``decision``, ``goals`` or ``cli`` binding: the text reports print each
+    profile from the decisions of ``GameSpecification.profile``."""
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2021)
     for k in range(30):

@@ -376,15 +376,24 @@ def varied_mask_spec(rng):
     return parse_spec("\n".join(lines + ["world p q r", ""]))
 
 
-def test_columns_agree_with_a_fresh_joint_extension_of_every_candidate():
-    """The product pass's columns agree with a fresh joint extension and
-    desire report of every candidate, on games where many candidates share
-    a tuple of part masks (the pass decides each tuple once, by its mask
-    ids) and many are infeasible."""
+def test_joint_consistency_is_decided_once_per_part_masks(monkeypatch):
+    """The product pass calls ``joint_extension`` once per distinct tuple
+    of part masks, with the parts and no profile object, and its columns
+    agree with a fresh joint extension and desire report of every
+    candidate."""
+    decided = Counter()
+
+    def counting(spec, profile=None, parts=None):
+        assert profile is None
+        decided[tuple(ext.models for ext in parts)] += 1
+        return joint_extension(spec, profile, parts)
+
+    monkeypatch.setattr(bdgame.game, "joint_extension", counting)
     rng = random.Random(12)
     shared = infeasible = 0
     for _ in range(60):
         spec = varied_mask_spec(rng)
+        decided.clear()
         game = derive_game(spec)
         assert all(len({ext.models for ext in ds.values()}) >= 2
                    for ds in game.feasible_decisions.values())
@@ -400,6 +409,8 @@ def test_columns_agree_with_a_fresh_joint_extension_of_every_candidate():
             if i >= 0:
                 assert game.reports[i] == desire_report(spec, profile, fresh)
             infeasible += i < 0
+        assert set(decided) == combinations
+        assert set(decided.values()) == {1}
         shared += len(game.candidates) - len(combinations)
     assert shared >= 400 and infeasible >= 200
 
