@@ -32,8 +32,8 @@ from .errors import BdgameError
 from .extension import Extension
 from .game import CONCEPTS, _product_columns, agent_extensions, derive_game
 from .game import solve as solve_game
-from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
-                    delta_goal_sets, pareto_via_goals, u_closure)
+from .goals import (DECISION_RULES, _closure, apply_decision_rule,
+                    concept_family, delta_goal_sets, pareto_via_goals)
 from .logic import DEFAULT_MAX_ATOMS, format_formula, parse_literal
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
                     AgentSystemSpec, DecisionMode, parse_spec, validate_spec)
@@ -445,28 +445,27 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
             raise BdgameError("--via-goals supports --family pareto or all")
         result = pareto_via_goals(spec, game=game)
         family = (result.pareto_family if family_name == "pareto" else
-                  u_closure(spec, map(game.profile, result.pool), game=game))
+                  _closure(game, result.pool))
         label = f"{family_name} family (goals-first pipeline)"
     else:
         family = concept_family(spec, family_name, game=game,
                                 infeasible_swaps=args.infeasible_swaps)
         label = f"{family_name} family"
     goal_sets = delta_goal_sets(spec, family, game=game)
-    family_indexes = sorted(map(game.index_of, family.profiles))
     generators = {gs: [] for gs in goal_sets}
-    for i in family_indexes:
+    for i in family.profile_indexes:
         generators[game.goal_sets[i]].append(i)
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(game.feasible_decisions)
-        yield (f"{label}: {len(family.profiles)} profiles, "
+        yield (f"{label}: {len(family.profile_indexes)} profiles, "
                f"{len(goal_sets)} goal sets")
-        for i in family_indexes:
+        for i in family.profile_indexes:
             yield f"  [{i}] {pieces.profile_text(game.profile(i).decisions)}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
     _emit(args.format, lines, lambda: _report(
-        spec.name, "goals", solutions={"family": family_indexes},
+        spec.name, "goals", solutions={"family": family.profile_indexes},
         goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
                     "negative": sorted(map(format_formula, gs.negative)),
                     "generators": generators[gs]}

@@ -234,40 +234,6 @@ def is_feasible_profile(spec: AgentSystemSpec, profile: DecisionProfile) -> bool
     return joint_extension(spec, profile).consistent
 
 
-class SharedStatuses:
-    """The desire statuses of one pass over a spec's profiles
-    (``game.derive_game``), and the memos behind them; all of it dies with
-    the object.  Every memo is keyed by small ints and value tuples, never
-    by masks or formulas; the pass numbers the joint masks:
-
-    - ``known`` holds, per agent in spec order, its status by an int key
-      that the pass makes of a joint mask id and a code of the profile's
-      values on the decision atoms of the agent's desire rules, the only
-      inputs of a status; ``classify`` fills it;
-    - ``codes`` holds one rule's outcome (``_classify``) per (rule number,
-      mask id, values on the rule's decision atoms);
-    - ``statuses`` interns statuses by their rules' outcomes, so equal
-      statuses are one object.
-    """
-
-    def __init__(self, spec: AgentSystemSpec) -> None:
-        self.spec = spec
-        self.known: list[dict[int, AgentDesireStatus]] = [
-            {} for _ in spec.desire_masks]
-        self.codes: dict[tuple[int, int, tuple[bool | None, ...]], int] = {}
-        self.statuses: dict[tuple[int, ...], AgentDesireStatus] = {}
-
-    def classify(self, agent: int, key: int, fixed: Mapping[str, bool],
-                 mask_id: int, theory: int) -> AgentDesireStatus:
-        """The status of the agent numbered ``agent`` under ``key``, not yet
-        known: classified against the joint mask ``theory``, numbered
-        ``mask_id``, and the profile's decision values ``fixed``."""
-        _, rows = self.spec.desire_masks[agent]
-        status = self.known[agent][key] = _classify(
-            rows, fixed, mask_id, theory, self.spec.mask_atoms, self)
-        return status
-
-
 def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
                   ext: Extension | None = None) -> DesireReport:
     """Classify every agent's desires against the joint extension.
@@ -288,9 +254,9 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
             f"profile {profile} has an inconsistent extension")
     fixed = {lit.atom: lit.positive
              for d in profile.decisions for lit in d.literals}
-    theory, shared = ext.models, SharedStatuses(spec)
+    theory, statuses = ext.models, {}
     return DesireReport({
-        agent: _classify(rows, fixed, 0, theory, spec.mask_atoms, shared)
+        agent: _classify(rows, fixed, theory, spec.mask_atoms, statuses)
         for agent, (_, rows) in zip(spec.agent_ids, spec.desire_masks)})
 
 
@@ -298,47 +264,44 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
 _INAPPLICABLE, _REACHED, _UNREACHED, _VIOLATED = range(4)
 
 
-def _classify(rows, fixed: Mapping[str, bool], mask_id: int, theory: int,
+def _classify(rows, fixed: Mapping[str, bool], theory: int,
               world: tuple[str, ...],
-              shared: SharedStatuses) -> AgentDesireStatus:
+              statuses: dict[tuple[int, ...], AgentDesireStatus]
+              ) -> AgentDesireStatus:
     """One agent's desire status: ``rows`` are its entries of
     ``AgentSystemSpec.desire_masks``, ``fixed`` the profile's decision
-    values, ``theory`` the joint world mask and ``mask_id`` its number in
-    ``shared``.  Each rule's outcome is decided once per (rule number, mask
-    id, values on the rule's decision atoms); a violated desire is
+    values and ``theory`` the joint world mask.  A violated desire is
     unreached too.  A query is entailed iff it holds for every value of the
     atoms outside the mask universe, which no theory constrains; so the
-    negated consequent is entailed iff the consequent holds for none."""
-    codes = shared.codes
+    negated consequent is entailed iff the consequent holds for none.
+    Statuses are interned in ``statuses`` by their rules' spec-wide
+    numbers and outcomes, so one dict serves every agent and equal statuses
+    are one object."""
     outcomes = []
     for number, rule, atoms, table in rows:
         values = tuple(map(fixed.get, atoms))
-        key = (number, mask_id, values)
-        code = codes.get(key)
-        if code is None:
-            holding = table.get(values)
-            if holding is None:
-                given = {a: v for a, v in zip(atoms, values) if v is not None}
-                holding = table[values] = (
-                    conditioned_models(rule.antecedent, given, world)[0],
-                    *conditioned_models(rule.consequent, given, world))
-            antecedent, consequent, possible = holding
-            if theory & antecedent != theory:
-                code = _INAPPLICABLE
-            elif theory & consequent == theory:
-                code = _REACHED
-            else:
-                code = _UNREACHED if theory & possible else _VIOLATED
-            codes[key] = code
+        holding = table.get(values)
+        if holding is None:
+            given = {a: v for a, v in zip(atoms, values) if v is not None}
+            holding = table[values] = (
+                conditioned_models(rule.antecedent, given, world)[0],
+                *conditioned_models(rule.consequent, given, world))
+        antecedent, consequent, possible = holding
+        if theory & antecedent != theory:
+            code = _INAPPLICABLE
+        elif theory & consequent == theory:
+            code = _REACHED
+        else:
+            code = _UNREACHED if theory & possible else _VIOLATED
         outcomes.append(number * 4 + code)
     outcomes = tuple(outcomes)
-    status = shared.statuses.get(outcomes)
+    status = statuses.get(outcomes)
     if status is None:
         sets: tuple[set[str], ...] = (set(), set(), set(), set())
         for (_, rule, _, _), outcome in zip(rows, outcomes):
             sets[outcome & 3].add(rule.id)
         inapplicable, reached, unreached, violated = sets
-        status = shared.statuses[outcomes] = AgentDesireStatus(
+        status = statuses[outcomes] = AgentDesireStatus(
             frozenset(unreached | violated), frozenset(reached),
             frozenset(violated), frozenset(inapplicable))
     return status

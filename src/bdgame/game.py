@@ -55,9 +55,10 @@ from itertools import product
 from math import prod
 from typing import Callable
 
-from .decision import (Decision, DecisionProfile, DesireReport,
-                       SharedStatuses, _check_profile_cap, agent_extension,
-                       enumerate_decisions, joint_extension, set_geq)
+from .decision import (AgentDesireStatus, Decision, DecisionProfile,
+                       DesireReport, _check_profile_cap, _classify,
+                       agent_extension, enumerate_decisions, joint_extension,
+                       set_geq)
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec
@@ -271,9 +272,11 @@ def _product_columns(spec: AgentSystemSpec,
     lists = [tuple(ds) for ds in decisions.values()]
     _check_profile_cap(spec, prod(map(len, lists)))
     codes = [[0] * len(ds) for ds in lists]
-    fields = []  # per agent of the spec: its field's bits
+    # Per agent of the spec: its desire rows, its field's bits, and its
+    # statuses by joint mask id and field value.
+    slots = []
     offset = 0
-    for atoms, _ in spec.desire_masks:
+    for atoms, rows in spec.desire_masks:
         radix = 1
         for ds, column in zip(lists, codes):
             value_ids: dict[frozenset, int] = {}
@@ -283,7 +286,7 @@ def _product_columns(spec: AgentSystemSpec,
                     len(value_ids)) << offset
             radix *= len(value_ids) or 1
         width = (radix - 1).bit_length()
-        fields.append((1 << width) - 1 << offset)
+        slots.append((rows, (1 << width) - 1 << offset, {}))
         offset += width
     radix = 1
     for ds, column in zip(decisions.values(), codes):
@@ -293,11 +296,10 @@ def _product_columns(spec: AgentSystemSpec,
                 ext.models, len(part_ids)) << offset
         radix *= len(part_ids) or 1
 
-    shared = SharedStatuses(spec)
-    slots = tuple(zip(range(len(fields)), fields, shared.known))
+    statuses: dict[tuple[int, ...], AgentDesireStatus] = {}  # interned
     mask_ids: dict[int, int] = {}  # numbers the distinct joint masks
-    theories: list[int] = []  # the joint masks, by id
-    joint_ids: dict[int, int] = {}  # by the ids of the parts' masks
+    # By the parts' mask ids: the joint mask's id (-1 if empty) and mask.
+    joints: dict[int, tuple[int, int]] = {}
     interned: dict[tuple[int, ...], DesireReport] = {}
     agents = spec.agent_ids
     candidates: list[int] = []
@@ -306,35 +308,34 @@ def _product_columns(spec: AgentSystemSpec,
     for c, (decided, code) in enumerate(zip(product(*lists),
                                             product(*codes))):
         total = sum(code)
-        joint = joint_ids.get(total >> offset)
+        joint = joints.get(total >> offset)
         if joint is None:
             ext = joint_extension(spec, parts=tuple(
                 ds[d] for ds, d in zip(decisions.values(), decided)))
-            joint = mask_ids.setdefault(ext.models, len(mask_ids)) \
-                if ext.consistent else -1
-            if joint == len(theories):
-                theories.append(ext.models)
-            joint_ids[total >> offset] = joint
-        if joint < 0:
+            joint = joints[total >> offset] = (mask_ids.setdefault(
+                ext.models, len(mask_ids)) if ext.consistent else -1,
+                ext.models)
+        mask_id, theory = joint
+        if mask_id < 0:
             candidates.append(-1)
             continue
-        base = joint << offset
+        base = mask_id << offset
         fixed = None
-        statuses = []
-        for agent, bits, known in slots:
+        chosen = []
+        for rows, bits, known in slots:
             key = base | total & bits
             status = known.get(key)
             if status is None:
                 if fixed is None:
                     fixed = {lit.atom: lit.positive
                              for d in decided for lit in d.literals}
-                status = shared.classify(agent, key, fixed, joint,
-                                         theories[joint])
-            statuses.append(status)
-        key = tuple(map(id, statuses))
+                status = known[key] = _classify(
+                    rows, fixed, theory, spec.mask_atoms, statuses)
+            chosen.append(status)
+        key = tuple(map(id, chosen))
         report = interned.get(key)
         if report is None:
-            report = interned[key] = DesireReport(dict(zip(agents, statuses)))
+            report = interned[key] = DesireReport(dict(zip(agents, chosen)))
         candidates.append(len(reports))
         positions.append(c)
         reports.append(report)

@@ -9,10 +9,10 @@ profiles closed under equality of per-agent unreached sets.
 
 Everything here reads the game by feasible index: its goal-set table
 (``goal_sets``), the generators of each distinct goal set
-(``goal_set_members``), its classes (``class_ids``) and, where a family or
-a violation names a profile, ``profile``.  Called without a game, a
-function derives one; a profile outside the game raises
-InfeasibleProfileError.
+(``goal_set_members``), its classes (``class_ids``) and, where a violation
+names a profile, ``profile``; a family holds feasible indexes, as a
+solution does.  Called without a game, a function derives one; a profile
+or a family index outside the game raises InfeasibleProfileError.
 
 Work is done per distinct goal set where the theory allows it: profiles
 that generate the same goal set leave the same desires unreached.
@@ -53,13 +53,15 @@ DECISION_RULES = (BD_RATIONAL, NASH_ELSE_PARETO)
 
 @dataclass(frozen=True)
 class ProfileFamily:
-    """A set of feasible decision profiles, possibly U-closed.
+    """A set of feasible decision profiles by feasible index (numbered as
+    in ``SolutionReport.profile_indexes``), possibly U-closed.
 
     The ``u_closed`` flag is trusted by consumers; build families through
-    ``u_closure`` or ``apply_decision_rule`` to have it set truthfully.
+    ``u_closure`` or ``apply_decision_rule`` to have it set truthfully and
+    the indexes in canonical order.
     """
 
-    profiles: tuple[DecisionProfile, ...]
+    profile_indexes: tuple[int, ...]
     u_closed: bool = False
 
 
@@ -75,19 +77,26 @@ def _index(game: GameSpecification, profile: DecisionProfile) -> int:
     return index
 
 
-def _closure_indexes(game: GameSpecification,
-                     indexes: Iterable[int]) -> tuple[int, ...]:
-    """The union of the classes of the indexed profiles, in canonical
-    order."""
-    wanted = {game.class_ids[i] for i in indexes}
-    return tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted)))
+def _members(game: GameSpecification,
+             family: ProfileFamily) -> tuple[int, ...]:
+    """The family's indexes, each a feasible profile of the game."""
+    size = len(game.positions)
+    for i in family.profile_indexes:
+        if not 0 <= i < size:
+            raise InfeasibleProfileError(
+                f"family index {i} is outside the game's {size} feasible "
+                f"profiles")
+    return family.profile_indexes
 
 
 def _closure(game: GameSpecification,
              indexes: Iterable[int]) -> ProfileFamily:
-    return ProfileFamily(tuple(map(game.profile,
-                                   _closure_indexes(game, indexes))),
-                         u_closed=True)
+    """The U-closure of the indexed profiles: the union of their classes,
+    in canonical order."""
+    wanted = {game.class_ids[i] for i in indexes}
+    return ProfileFamily(
+        tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted))),
+        u_closed=True)
 
 
 def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
@@ -96,8 +105,8 @@ def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
 
     Two feasible profiles are indistinguishable when every agent has the
     same unreached set in both.  That is an equivalence, so the closure is
-    the union of the members' classes (``game.class_ids``); the result
-    follows the canonical profile order.
+    the union of the members' classes (``game.class_ids``).  The members
+    are profiles; the result holds feasible indexes, in canonical order.
     """
     if game is None:
         game = derive_game(spec)
@@ -127,8 +136,8 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
             "goal sets are defined per U-closed family; close it first")
     if game is None:
         game = derive_game(spec)
-    return _sorted_goal_sets(
-        game.goal_sets[_index(game, p)] for p in family.profiles)
+    return _sorted_goal_sets(map(game.goal_sets.__getitem__,
+                                 _members(game, family)))
 
 
 def _goal_based(game: GameSpecification, index: int, goals: GoalSet) -> bool:
@@ -285,8 +294,7 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
         raise NotUClosedError("representation requires a U-closed family")
     if game is None:
         game = derive_game(spec)
-    members = [_index(game, p) for p in family.profiles]
-    violations = _representation_violations(game, members,
+    violations = _representation_violations(game, _members(game, family),
                                             _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
@@ -428,8 +436,8 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
         feasible_goal_sets=feasible_goal_sets,
         pool=pool,
         pareto_family=ProfileFamily(
-            tuple(game.profile(i) for i, u in enumerate(unreached)
-                  if u in maximal), u_closed=True),
+            tuple(i for i, u in enumerate(unreached) if u in maximal),
+            u_closed=True),
     )
 
 

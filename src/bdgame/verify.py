@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 from .decision import set_geq
 from .extension import Rule, extension, fixpoint_certificate
 from .game import derive_game, dominant, nash, pareto, strongly_pareto
-from .goals import (_closure_indexes, _feasible_violations,
-                    _goal_based_memo, _representation_violations,
-                    concept_family, heuristic_goals, pareto_via_goals)
+from .goals import (_closure, _feasible_violations, _goal_based_memo,
+                    _representation_violations, concept_family,
+                    heuristic_goals, pareto_via_goals)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, atoms_of,
                     mask_entails, models)
 from .model import (IDENTITY, AgentSpec, AgentSystemSpec, DecisionMode,
@@ -371,7 +371,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     families.append(tuple(range(size)))
     for _ in range(family_samples):
         subset = rng.sample(range(size), rng.randint(1, size))
-        families.append(_closure_indexes(game, subset))
+        families.append(_closure(game, subset).profile_indexes)
     goal_based = _goal_based_memo(game)
     passed: set[tuple[int, ...]] = set()
     for checked, members in enumerate(families, 1):
@@ -438,14 +438,13 @@ def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
     game = derive_game(spec)
     if not game.positions:
         return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
-    closed = concept_family(spec, "pareto", game=game)
-    via = pareto_via_goals(spec, game=game)
-    if set(closed.profiles) != set(via.pareto_family.profiles):
+    closed = concept_family(spec, "pareto", game=game).profile_indexes
+    via = pareto_via_goals(spec, game=game).pareto_family.profile_indexes
+    if closed != via:  # both in canonical order
         return CheckResult(
             "pipeline-equivalence", False, 1, "families differ",
-            {"profile-first": sorted(str(p) for p in closed.profiles),
-             "goals-first": sorted(str(p)
-                                   for p in via.pareto_family.profiles)})
+            {"profile-first": sorted(str(game.profile(i)) for i in closed),
+             "goals-first": sorted(str(game.profile(i)) for i in via)})
     return CheckResult("pipeline-equivalence", True, 1)
 
 

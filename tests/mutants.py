@@ -116,8 +116,8 @@ MUTANTS = (
            ("tests/test_game.py::"
             "test_joint_consistency_is_decided_once_per_part_masks",)),
     Mutant("joint-memo-keyed-by-the-whole-code", "game.py",
-           "joint = joint_ids.get(total >> offset)",
-           "joint = joint_ids.get(total)",
+           "joint = joints.get(total >> offset)",
+           "joint = joints.get(total)",
            ("tests/test_game.py::"
             "test_joint_consistency_is_decided_once_per_part_masks",)),
     Mutant("joint-mask-of-the-last-part-alone", "decision.py",
@@ -205,6 +205,29 @@ MUTANTS = (
            "return _closure(game, range(len(game.positions) - 1))",
            ("tests/test_differential.py::"
             "test_goals_layer_matches_the_profile_route",)),
+    Mutant("family-guard-admits-the-end", "goals.py",
+           "if not 0 <= i < size:",
+           "if not 0 <= i <= size:",
+           ("tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[len]",)),
+    Mutant("family-guard-admits-negative-indexes", "goals.py",
+           "if not 0 <= i < size:",
+           "if not i < size:",
+           ("tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[minus-one]",)),
+    Mutant("closure-left-in-class-order", "goals.py",
+           "tuple(sorted(chain.from_iterable("
+           "game.classes[c] for c in wanted)))",
+           "tuple(chain.from_iterable(game.classes[c] for c in wanted))",
+           ("tests/test_differential.py::"
+            "test_goals_layer_matches_the_profile_route",)),
+    Mutant("statuses-interned-without-the-rule-number", "decision.py",
+           "outcomes.append(number * 4 + code)",
+           "outcomes.append(code)",
+           ("tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary",
+            "tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions")),
     Mutant("set-geq-early-exit-inverted", "decision.py",
            "    if not gains:\n        return False",
            "    if not gains:\n        return True",

@@ -18,7 +18,7 @@ from bdgame import example_path
 from bdgame.cli import _build_parser, main
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              desire_report, joint_extension)
-from bdgame.game import agent_extensions, derive_game
+from bdgame.game import GameSpecification, agent_extensions, derive_game
 from bdgame.game import solve as solve_game
 from bdgame.goals import (DECISION_RULES, ProfileFamily,
                           apply_decision_rule, concept_family,
@@ -787,11 +787,14 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
         tmp_path, monkeypatch, capsys):
     """A JSON ``solve`` prints its entries from the game's columns and
     builds no ``DecisionProfile``: the product pass decides joint
-    consistency with ``joint_extension`` of the parts alone.  No ``solve``
-    report, text or JSON, of any concept, and no text ``goals --family
-    pareto`` report calls ``joint_extension`` outside that pass, at the
-    ``decision``, ``goals`` or ``cli`` binding: the text reports print each
-    profile from the decisions of ``GameSpecification.profile``."""
+    consistency with ``joint_extension`` of the parts alone.  Nor does a
+    JSON ``goals`` report, of any family or rule: a family holds feasible
+    indexes, and no report looks a profile up with ``index_of``.  No
+    ``solve`` report, text or JSON, of any concept, and no text ``goals
+    --family pareto`` report calls ``joint_extension`` outside that pass,
+    at the ``decision``, ``goals`` or ``cli`` binding: the text reports
+    print each profile from the decisions of ``GameSpecification.profile``.
+    """
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2021)
     for k in range(30):
@@ -808,10 +811,14 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
 
     def refuse(*args, **kwargs):
         raise AssertionError("a report built a joint extension")
+
+    def look_up(*args, **kwargs):
+        raise AssertionError("a report looked a profile up")
     monkeypatch.setattr(DecisionProfile, "__init__", counting)
+    monkeypatch.setattr(GameSpecification, "index_of", look_up)
     for module in (bdgame.decision, bdgame.goals, bdgame.cli):
         monkeypatch.setattr(module, "joint_extension", refuse)
-    entries = texts = 0
+    entries = texts = members = 0
     for path in paths:
         for concept in CONCEPT_NAMES:
             built.clear()
@@ -820,11 +827,19 @@ def test_json_solve_reads_the_columns_and_builds_no_profile_objects(
             report = json.loads(capsys.readouterr().out)
             assert built["profiles"] == 0
             entries += len(report["profiles"])
+        for flags in (*(("--family", f) for f in (*CONCEPT_NAMES, "all")),
+                      *(("--rule", r) for r in DECISION_RULES)):
+            built.clear()
+            assert main(["goals", *flags, "--format", "json",
+                         str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert built["profiles"] == 0, flags
+            members += len(report["solutions"]["family"])
         for command in (*(("solve", "--concept", c) for c in CONCEPT_NAMES),
                         ("goals", "--family", "pareto")):
             assert main([*command, str(path)]) == 0
             texts += capsys.readouterr().out.count("\n")
-    assert entries >= 1_200 and texts >= 1_500
+    assert entries >= 1_200 and texts >= 1_500 and members >= 1_500
 
 
 # ---------------------------------------------------------------------------
@@ -900,16 +915,15 @@ def ref_text(spec, command):
                 spec, [shown[i].profile for i in result.pool], game=game))
             label = f"{name} family (goals-first pipeline)"
         elif name == "all":
-            family = ProfileFamily(tuple(ep.profile for ep in shown),
-                                   u_closed=True)
+            family = ProfileFamily(tuple(range(len(shown))), u_closed=True)
             label = "all family"
         else:
             family = concept_family(spec, name, game=game,
                                     infeasible_swaps=args.infeasible_swaps)
             label = f"{name} family"
         goal_sets = delta_goal_sets(spec, family, game=game)
-        indexes = sorted(map(game.index_of, family.profiles))
-        lines.append(f"{label}: {len(family.profiles)} profiles, "
+        indexes = sorted(family.profile_indexes)
+        lines.append(f"{label}: {len(indexes)} profiles, "
                      f"{len(goal_sets)} goal sets")
         for i in indexes:
             lines.append(f"  [{i}] {shown[i].profile}")

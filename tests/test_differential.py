@@ -43,6 +43,7 @@ from itertools import islice, product
 from math import prod
 
 import bdgame.decision
+import bdgame.game
 from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
                              DesireReport, agent_extension, desire_report,
                              enumerate_decisions, joint_extension)
@@ -372,7 +373,8 @@ def test_desire_statuses_are_classified_once_per_distinct_input(
     def counting(*args):
         calls["all"] += 1
         return classify(*args)
-    monkeypatch.setattr(bdgame.decision, "_classify", counting)
+    for module in (bdgame.decision, bdgame.game):
+        monkeypatch.setattr(module, "_classify", counting)
     games = shared = 0
     for game in class_collapsing_games():
         spec = game.spec
@@ -682,20 +684,25 @@ def test_goals_layer_matches_the_profile_route():
         seen["games"] += 1
         ref = RefGoals(spec, game)
         feasible = ref.feasible
+        index = {p: i for i, p in enumerate(feasible)}
+
+        def members(family):
+            return tuple(feasible[i] for i in family.profile_indexes)
         drawn = [rng.sample(feasible, rng.randint(1, len(feasible)))
                  for _ in range(4)]
-        families = [ProfileFamily(tuple(subset), u_closed=True)
+        families = [ProfileFamily(tuple(index[p] for p in subset),
+                                  u_closed=True)
                     for subset in drawn]  # flagged closed, often not
         for subset in [[p] for p in feasible] + [feasible] + drawn:
             closed = u_closure(spec, subset, game=game)
             assert closed.u_closed
-            assert closed.profiles == ref.closure(subset)
+            assert members(closed) == ref.closure(subset)
             assert delta_goal_sets(spec, closed, game=game) == \
-                ref.goal_sets(closed.profiles)
+                ref.goal_sets(members(closed))
             families.append(closed)
         for family in families:
             got = representation_check(spec, family, game=game)
-            expected = ref.representation(family.profiles)
+            expected = ref.representation(members(family))
             assert got.violations == expected
             assert got.passed == (not expected)
             seen["families"] += 1
@@ -704,11 +711,11 @@ def test_goals_layer_matches_the_profile_route():
             == ref.feasible_representation()
         everything = concept_family(spec, "all", game=game)
         assert everything.u_closed
-        assert everything.profiles == tuple(feasible)
+        assert members(everything) == tuple(feasible)
         seen["last profile alone in its class"] += \
             ref.closure(feasible[-1:]) == tuple(feasible[-1:])
         # Called without a game, each derives one; the answers are the same.
-        assert u_closure(spec, drawn[0]).profiles == ref.closure(drawn[0])
+        assert members(u_closure(spec, drawn[0])) == ref.closure(drawn[0])
         assert goal_set_of(spec, feasible[-1]) == ref.goal_set[feasible[-1]]
         for members in game.classes:
             if len({ref.goal_set[feasible[i]] for i in members}) > 1:

@@ -37,31 +37,44 @@ TWIN_SPEC_SRC = ('agent x {\n  atoms a b\n  desire d: true => p\n}\n'
 SHARED_SPEC_SRC = 'agent x {\n  atoms a b\n  desire d: true => a\n}\n'
 
 
+def index_of(spec, p):
+    """Profile ``p``'s feasible index in the definitional view."""
+    return [ep.profile for ep in evaluated_profiles(spec)].index(p)
+
+
+def decoded(spec, family):
+    """The family's profiles, printed, decoded by the definitional view."""
+    feasible = evaluated_profiles(spec)
+    return [str(feasible[i].profile) for i in family.profile_indexes]
+
+
 # ---------------------------------------------------------------------------
 # U-closure
 # ---------------------------------------------------------------------------
 
 def test_closure_is_a_fixpoint(opposed_interests):
     game = derive_game(opposed_interests)
-    first = u_closure(opposed_interests,
-                      [evaluated_profiles(opposed_interests)[0].profile],
-                      game=game)
-    again = u_closure(opposed_interests, first.profiles, game=game)
-    assert again.profiles == first.profiles
-    assert first.u_closed
+    feasible = [ep.profile for ep in evaluated_profiles(opposed_interests)]
+    first = u_closure(opposed_interests, [feasible[0]], game=game)
+    again = u_closure(opposed_interests,
+                      [feasible[i] for i in first.profile_indexes], game=game)
+    assert again.profile_indexes == first.profile_indexes
+    assert 0 in first.profile_indexes and first.u_closed
 
 
 def test_closure_of_distinct_signature_is_singleton(opposed_interests):
     game = derive_game(opposed_interests)
-    for ep in evaluated_profiles(opposed_interests):
+    for i, ep in enumerate(evaluated_profiles(opposed_interests)):
         family = u_closure(opposed_interests, [ep.profile], game=game)
-        assert family.profiles == (ep.profile,)
+        assert family.profile_indexes == (i,)
 
 
 def test_closure_adds_indistinguishable_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
     family = u_closure(spec, [profile(x=["a"])])
-    assert len(family.profiles) == 4  # every decision leaves p unreached
+    # every decision leaves p unreached
+    assert family.profile_indexes == tuple(range(4))
+    assert len(evaluated_profiles(spec)) == 4
 
 
 def test_closure_rejects_infeasible_members(interdependence):
@@ -76,7 +89,7 @@ def test_closure_rejects_infeasible_members(interdependence):
 def test_cooperation_goal_set(cooperation):
     target = profile(alpha1=["a"], alpha2=["c"])
     family = u_closure(cooperation, [target])
-    assert family.profiles == (target,)
+    assert family.profile_indexes == (index_of(cooperation, target),)
     assert delta_goal_sets(cooperation, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
 
@@ -92,18 +105,36 @@ def test_prisoners_goal_set(prisoners):
 
 def test_desire_free_spec_has_the_empty_goal_set():
     spec = parse_spec('agent x {\n  atoms a\n  belief a => p\n}\nworld p\n')
-    family = ProfileFamily(tuple(ep.profile
-                                 for ep in evaluated_profiles(spec)),
+    family = ProfileFamily(tuple(range(len(evaluated_profiles(spec)))),
                            u_closed=True)
     assert delta_goal_sets(spec, family) == (
         GoalSet(frozenset(), frozenset()),)
 
 
 def test_goal_sets_require_closed_family(cooperation):
-    family = ProfileFamily((profile(alpha1=["a"], alpha2=["c"]),),
-                           u_closed=False)
+    family = ProfileFamily(
+        (index_of(cooperation, profile(alpha1=["a"], alpha2=["c"])),),
+        u_closed=False)
     with pytest.raises(NotUClosedError):
         delta_goal_sets(cooperation, family)
+
+
+@pytest.mark.parametrize("outside", [lambda size: -1, lambda size: size,
+                                     lambda size: size + 1],
+                         ids=["minus-one", "len", "len-plus-one"])
+def test_family_indexes_outside_the_game_are_refused(outside, cooperation):
+    # As a profile outside the game is: -1 would read the last profile.
+    game = derive_game(cooperation)
+    size = len(game.positions)
+    inside = ProfileFamily(tuple(range(size)), u_closed=True)
+    assert delta_goal_sets(cooperation, inside, game=game)
+    assert representation_check(cooperation, inside, game=game).passed
+    family = ProfileFamily((0, outside(size)), u_closed=True)
+    for check in (delta_goal_sets, representation_check):
+        with pytest.raises(InfeasibleProfileError,
+                           match=rf"^family index {outside(size)} is outside "
+                                 rf"the game's {size} feasible profiles$"):
+            check(cooperation, family, game=game)
 
 
 def test_untriggered_antecedents_become_negative_goals(
@@ -183,7 +214,7 @@ def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
             call(capped)
     assert check_representation(fits).passed
     assert check_pipeline_equivalence(fits).passed
-    assert first in u_closure(fits, [first]).profiles
+    assert 0 in u_closure(fits, [first]).profile_indexes
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +229,7 @@ def test_prisoners_nash_family_representation(prisoners):
 
 def test_unclosed_family_reports_the_missing_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
-    lying = ProfileFamily((profile(x=["a"]),), u_closed=True)
+    lying = ProfileFamily((index_of(spec, profile(x=["a"])),), u_closed=True)
     report = representation_check(spec, lying)
     assert not report.passed
     assert {v.direction for v in report.violations} == \
@@ -207,7 +238,8 @@ def test_unclosed_family_reports_the_missing_twin():
 
 
 def test_representation_requires_closed_flag(prisoners):
-    family = ProfileFamily((profile(alpha1=["!a"], alpha2=["!b"]),))
+    family = ProfileFamily(
+        (index_of(prisoners, profile(alpha1=["!a"], alpha2=["!b"])),))
     with pytest.raises(NotUClosedError):
         representation_check(prisoners, family)
 
@@ -240,7 +272,7 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     assert len(built) == reports
     built.clear()
     feasible = [ep.profile for ep in evaluated_profiles(spec)]
-    everything = ProfileFamily(tuple(feasible), u_closed=True)
+    everything = ProfileFamily(tuple(range(len(feasible))), u_closed=True)
     assert representation_check(spec, everything, game=game).passed
     assert feasible_representation_check(spec, game=game).passed
     pareto_via_goals(spec, game=game)
@@ -262,16 +294,15 @@ def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):
 
 def test_nash_else_pareto_prisoners(prisoners):
     family = apply_decision_rule(prisoners, "nash-else-pareto")
-    assert [str(p) for p in family.profiles] == \
-        ["<alpha1={!a}, alpha2={!b}>"]
+    assert decoded(prisoners, family) == ["<alpha1={!a}, alpha2={!b}>"]
     assert family.u_closed
 
 
 def test_bd_rational_prisoners(prisoners):
     family = apply_decision_rule(prisoners, "bd-rational")
-    assert {str(p) for p in family.profiles} == {
+    assert decoded(prisoners, family) == [
         "<alpha1={a}, alpha2={b}>", "<alpha1={a}, alpha2={!b}>",
-        "<alpha1={!a}, alpha2={b}>"}
+        "<alpha1={!a}, alpha2={b}>"]
 
 
 def test_decision_rules_on_single_profile_game():
@@ -279,7 +310,7 @@ def test_decision_rules_on_single_profile_game():
                       '  initial a\n}\n')
     for rule in ("bd-rational", "nash-else-pareto"):
         family = apply_decision_rule(spec, rule)
-        assert [str(p) for p in family.profiles] == ["<x={a}>"]
+        assert decoded(spec, family) == ["<x={a}>"]
 
 
 def test_nash_else_pareto_falls_back_to_pareto():
@@ -293,13 +324,13 @@ def test_nash_else_pareto_falls_back_to_pareto():
     from bdgame.game import nash
     family = apply_decision_rule(spec, "nash-else-pareto")
     if nash(game).profile_indexes:
-        assert family.profiles
+        assert family.profile_indexes
     else:
         feasible = evaluated_profiles(spec)
         closed_pareto = u_closure(
             spec, [feasible[i].profile
                    for i in pareto(game).profile_indexes], game=game)
-        assert set(family.profiles) == set(closed_pareto.profiles)
+        assert family.profile_indexes == closed_pareto.profile_indexes
 
 
 def test_pipeline_equivalence_on_fixtures(
@@ -313,7 +344,7 @@ def test_pipeline_equivalence_on_fixtures(
             spec, [feasible[i].profile
                    for i in pareto(game).profile_indexes], game=game)
         via = pareto_via_goals(spec, game=game)
-        assert set(via.pareto_family.profiles) == set(direct.profiles)
+        assert via.pareto_family.profile_indexes == direct.profile_indexes
 
 
 def test_goals_first_pool_is_all_feasible(prisoners):
@@ -364,8 +395,7 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
         f"{shared}")
     feasible = evaluated_profiles(spec)
     for members in ((ab, a), (a, ab), range(len(feasible))):
-        family = ProfileFamily(tuple(feasible[i].profile
-                                     for i in members), u_closed=True)
+        family = ProfileFamily(tuple(members), u_closed=True)
         assert representation_check(spec, family, game=broken).violations \
             == (expected,)
     monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
@@ -386,7 +416,7 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
         game.index_of(profile(x=[]))
     broken = with_part(game, ab, empty)
     family = u_closure(spec, [profile(x=["a", "b"])], game=broken)
-    assert len(family.profiles) == 3
+    assert len(family.profile_indexes) == 3
     assert [v.profile for v in representation_check(
         spec, family, game=broken).violations] == [profile(x=["a", "b"])]
     # Not goal-based for its own goal set, but for its class's other one.
@@ -432,9 +462,10 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
     # The route orders goal sets without the tables, the classes or pareto.
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
     feasible = evaluated_profiles(spec)
-    assert set(result.pareto_family.profiles) == set(u_closure(
+    assert result.pareto_family.profile_indexes == u_closure(
         spec, [feasible[i].profile
-               for i in pareto(game).profile_indexes], game=game).profiles)
+               for i in pareto(game).profile_indexes],
+        game=game).profile_indexes
 
 
 def tampered_games():

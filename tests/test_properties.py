@@ -94,11 +94,12 @@ def test_u_closure_is_idempotent_and_monotone():
         feasible = [ep.profile for ep in evaluated_profiles(spec)]
         members = rng.sample(feasible, rng.randint(1, len(feasible)))
         closed = u_closure(spec, members, game=game)
-        assert set(members) <= set(closed.profiles)
-        again = u_closure(spec, closed.profiles, game=game)
-        assert set(again.profiles) == set(closed.profiles)
+        inside = [feasible[i] for i in closed.profile_indexes]
+        assert set(members) <= set(inside)
+        again = u_closure(spec, inside, game=game)
+        assert again.profile_indexes == closed.profile_indexes
         smaller = u_closure(spec, members[:1], game=game)
-        assert set(smaller.profiles) <= set(closed.profiles)
+        assert set(smaller.profile_indexes) <= set(closed.profile_indexes)
 
 
 def test_decision_rule_families_are_u_closed():
@@ -106,12 +107,14 @@ def test_decision_rule_families_are_u_closed():
         for rule in ("bd-rational", "nash-else-pareto"):
             family = apply_decision_rule(spec, rule, game=game)
             assert family.u_closed
+            feasible = evaluated_profiles(spec)
             signatures = {
-                unreached_signature(spec, desire_report(spec, p))
-                for p in family.profiles}
-            for ep in evaluated_profiles(spec):
+                unreached_signature(spec, desire_report(spec,
+                                                        feasible[i].profile))
+                for i in family.profile_indexes}
+            for i, ep in enumerate(feasible):
                 sig = unreached_signature(spec, desire_report(spec, ep.profile))
-                assert (sig in signatures) == (ep.profile in family.profiles)
+                assert (sig in signatures) == (i in family.profile_indexes)
 
 
 def test_goal_set_components_come_from_desires():
