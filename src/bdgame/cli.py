@@ -521,6 +521,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, BdgameError) as exc:
         print(f"bdgame: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        # A backstop for specs the caps admit but memory does not, such as
+        # truth tables over 30 world atoms.
+        print("bdgame: out of memory (lower caps refuse such a spec up "
+              "front)", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

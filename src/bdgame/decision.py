@@ -161,13 +161,14 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
         raise KeyError(f"no agent '{agent_id}'") from None
     values = {lit.atom: lit.positive for lit in decision.literals}
     pending = []  # the rules whose consequent is not in the theory
-    for antecedent, number, atoms, table in rules:
+    for antecedent, number, atoms, outside, table in rules:
         key = tuple(map(values.get, atoms))
         holds = table.get(key)
         if holds is None:
             given = {a: v for a, v in zip(atoms, key) if v is not None}
             holds = table[key] = conditioned_models(
-                antecedent, given, spec.mask_atoms)[0]
+                antecedent, given, spec.mask_atoms,
+                [a for a in outside if a not in given])[0]
         if not fact_bits >> number & 1:
             pending.append((1 << number, holds))
     theory = facts_mask if consistent_literals(decision.literals) else 0
@@ -278,14 +279,15 @@ def _classify(rows, fixed: Mapping[str, bool], theory: int,
     numbers and outcomes, so one dict serves every agent and equal statuses
     are one object."""
     outcomes = []
-    for number, rule, atoms, table in rows:
+    for number, rule, atoms, outside, table in rows:
         values = tuple(map(fixed.get, atoms))
         holding = table.get(values)
         if holding is None:
             given = {a: v for a, v in zip(atoms, values) if v is not None}
+            free = [[a for a in off if a not in given] for off in outside]
             holding = table[values] = (
-                conditioned_models(rule.antecedent, given, world)[0],
-                *conditioned_models(rule.consequent, given, world))
+                conditioned_models(rule.antecedent, given, world, free[0])[0],
+                *conditioned_models(rule.consequent, given, world, free[1]))
         antecedent, consequent, possible = holding
         if theory & antecedent != theory:
             code = _INAPPLICABLE
@@ -298,7 +300,7 @@ def _classify(rows, fixed: Mapping[str, bool], theory: int,
     status = statuses.get(outcomes)
     if status is None:
         sets: tuple[set[str], ...] = (set(), set(), set(), set())
-        for (_, rule, _, _), outcome in zip(rows, outcomes):
+        for (_, rule, _, _, _), outcome in zip(rows, outcomes):
             sets[outcome & 3].add(rule.id)
         inapplicable, reached, unreached, violated = sets
         status = statuses[outcomes] = AgentDesireStatus(

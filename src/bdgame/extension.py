@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, _universe,
+from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, _universe, atoms_of,
                     conditioned_models, mask_entails, models)
 
 
@@ -97,12 +97,14 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
         atoms, max_atoms)
 
     def premise(f: Formula) -> int:
-        return conditioned_models(f, {}, universe, quantify=False)[0]
+        return conditioned_models(f, {}, universe)[0]
 
     full = theory = premise(TRUE)
     # Where each antecedent fails: the theory entails it iff they are apart.
-    failing = tuple(full ^ conditioned_models(r.antecedent, {}, universe)[0]
-                    for r in rules)
+    inside = set(universe)
+    failing = tuple(full ^ conditioned_models(
+        r.antecedent, {}, universe,
+        sorted(atoms_of(r.antecedent) - inside))[0] for r in rules)
     current = set(base_set)
     for f in base_set:
         theory &= premise(f)

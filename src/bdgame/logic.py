@@ -15,14 +15,14 @@ mask built once by ``models`` and then answers each query with one AND
 (``mask_entails``); ``entails`` and ``consistent`` go through the same two.
 The solver's own queries use ``conditioned_models``: masks over the world
 atoms a theory can constrain, with a profile's decision literals
-substituted and every other atom quantified, universally for entailment
-and existentially for its negation.  No theory mentions those atoms, so
-quantifying them (forgetting, Lin & Reiter 1994) is exact.
+substituted and the atoms the caller names free quantified, universally
+for entailment and existentially for its negation.  No theory mentions
+those atoms, so quantifying them (forgetting, Lin & Reiter 1994) is exact.
 
 There is one compiler (``_conditioned``) behind all of these, and no mask
 cache: a mask lives as long as the call or the caller that built it.  Only
 the per-atom truth tables (``_atom_pattern``) are kept, one per (atom
-position, universe size).
+position, universe size), for the life of the process.
 """
 
 from __future__ import annotations
@@ -172,23 +172,12 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 # Grammar: atoms [a-zA-Z][a-zA-Z0-9_]*; constants true/false; operators
 # ! & | -> and parentheses; precedence ! > & > | > ->; -> right-associative.
 
-_TOKEN_RE = re.compile(r"\s*(->|[!&|()]|[a-zA-Z][a-zA-Z0-9_]*)")
+# One token per match: an operator, a parenthesis or an identifier in group
+# 1, or a stray character in group 2.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()]|[a-zA-Z][a-zA-Z0-9_]*)|(\S))")
 
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
+# The binary operators: binding strength and node.
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
 
 # The deepest a formula may nest, counting the parenthesis pairs and
 # operators on one path down to an atom: parsing and every walk of a
@@ -196,95 +185,65 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 MAX_NESTING = 100
 
 
-class _Parser:
-    # Rule methods take the nesting of their position and return their
-    # formula with its own nesting; ``nest`` checks both, to stop recursion
-    # on the way down and operator chains on the way up.
-    def __init__(self, tokens: list[tuple[str, int]], length: int,
-                 vocabulary: Vocabulary | None):
-        self.tokens = tokens
-        self.length = length
-        self.vocabulary = vocabulary
-        self.index = 0
+def _nest(nesting: int, at: int) -> int:
+    if nesting > MAX_NESTING:
+        raise FormulaSyntaxError(
+            f"formula nested deeper than {MAX_NESTING} levels", at)
+    return nesting
 
-    def peek(self) -> tuple[str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
 
-    def next(self) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of formula", self.length)
-        self.index += 1
-        return tok
+# Both readers take the token index and the nesting of their position, and
+# return their formula, its own nesting and the index after it; ``_nest``
+# checks the depth on the way down and the height on the way up.
 
-    @staticmethod
-    def nest(nesting: int, at: int) -> int:
-        if nesting > MAX_NESTING:
+def _operand(tokens: list[tuple[str, int]], i: int, depth: int,
+             vocabulary: Vocabulary | None) -> tuple[Formula, int, int]:
+    text, at = tokens[i]
+    if text == "!":
+        f, height, i = _operand(tokens, i + 1, _nest(depth + 1, at),
+                                vocabulary)
+        return Not(f), _nest(height + 1, at), i
+    if text == "(":
+        f, height, i = _expression(tokens, i + 1, _nest(depth + 1, at), 1,
+                                   vocabulary)
+        closing, closing_at = tokens[i]
+        if closing != ")":
             raise FormulaSyntaxError(
-                f"formula nested deeper than {MAX_NESTING} levels", at)
-        return nesting
-
-    def parse(self) -> Formula:
-        f, _ = self.implication(0)
-        tok = self.peek()
-        if tok is not None:
-            raise FormulaSyntaxError(f"unexpected token '{tok[0]}'", tok[1])
-        return f
-
-    def implication(self, depth: int) -> tuple[Formula, int]:
-        left, height = self.disjunction(depth)
-        tok = self.peek()
-        if tok is not None and tok[0] == "->":
-            at = self.next()[1]
-            right, below = self.implication(self.nest(depth + 1, at))
-            return Implies(left, right), self.nest(max(height, below) + 1, at)
-        return left, height
-
-    def disjunction(self, depth: int) -> tuple[Formula, int]:
-        f, height = self.conjunction(depth)
-        while (tok := self.peek()) is not None and tok[0] == "|":
-            self.next()
-            right, below = self.conjunction(depth)
-            f = Or(f, right)
-            height = self.nest(max(height, below) + 1, tok[1])
-        return f, height
-
-    def conjunction(self, depth: int) -> tuple[Formula, int]:
-        f, height = self.negation(depth)
-        while (tok := self.peek()) is not None and tok[0] == "&":
-            self.next()
-            right, below = self.negation(depth)
-            f = And(f, right)
-            height = self.nest(max(height, below) + 1, tok[1])
-        return f, height
-
-    def negation(self, depth: int) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok is not None and tok[0] == "!":
-            self.next()
-            f, height = self.negation(self.nest(depth + 1, tok[1]))
-            return Not(f), self.nest(height + 1, tok[1])
-        return self.primary(depth)
-
-    def primary(self, depth: int) -> tuple[Formula, int]:
-        text, at = self.next()
-        if text == "(":
-            f, height = self.implication(self.nest(depth + 1, at))
-            closing = self.next()
-            if closing[0] != ")":
-                raise FormulaSyntaxError("expected ')'", closing[1])
-            return f, self.nest(height + 1, at)
-        if text == "true":
-            return TRUE, 0
-        if text == "false":
-            return FALSE, 0
-        if _IDENT_RE.fullmatch(text):
-            if self.vocabulary is not None and text not in self.vocabulary:
-                raise UndeclaredAtomError(text)
-            return Var(text), 0
+                "expected ')'" if closing else "unexpected end of formula",
+                closing_at)
+        return f, _nest(height + 1, at), i + 1
+    if text == "true":
+        return TRUE, 0, i + 1
+    if text == "false":
+        return FALSE, 0, i + 1
+    if not text:
+        raise FormulaSyntaxError("unexpected end of formula", at)
+    if text == ")" or text in _BINARY:
         raise FormulaSyntaxError(f"unexpected token '{text}'", at)
+    if vocabulary is not None and text not in vocabulary:
+        raise UndeclaredAtomError(text)
+    return Var(text), 0, i + 1
+
+
+def _expression(tokens: list[tuple[str, int]], i: int, depth: int,
+                lowest: int, vocabulary: Vocabulary | None
+                ) -> tuple[Formula, int, int]:
+    # Precedence climbing: the operators binding at least ``lowest``.
+    left, height, i = _operand(tokens, i, depth, vocabulary)
+    while True:
+        text, at = tokens[i]
+        binary = _BINARY.get(text)
+        if binary is None or binary[0] < lowest:
+            return left, height, i
+        strength, node = binary
+        if node is Implies:  # right-associative, one level deeper
+            right, below, i = _expression(tokens, i + 1, _nest(depth + 1, at),
+                                          strength, vocabulary)
+        else:
+            right, below, i = _expression(tokens, i + 1, depth, strength + 1,
+                                          vocabulary)
+        left = node(left, right)
+        height = _nest(max(height, below) + 1, at)
 
 
 def parse_formula(text: str, vocabulary: Vocabulary | None = None) -> Formula:
@@ -295,7 +254,18 @@ def parse_formula(text: str, vocabulary: Vocabulary | None = None) -> Formula:
     identifiers missing from the vocabulary.  With ``vocabulary=None`` any
     identifier is accepted.
     """
-    return _Parser(_tokenize(text), len(text), vocabulary).parse()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            raise FormulaSyntaxError(
+                f"unexpected character {m.group(2)!r}", m.start(2))
+        tokens.append((m.group(1), m.start(1)))
+    tokens.append(("", len(text)))  # the end
+    f, _, i = _expression(tokens, 0, 0, 1, vocabulary)
+    text, at = tokens[i]
+    if text:
+        raise FormulaSyntaxError(f"unexpected token '{text}'", at)
+    return f
 
 
 _PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Var: 5, Const: 5}
@@ -422,13 +392,10 @@ def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
 def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...]) -> int:
     full = (1 << (1 << len(universe))) - 1
     mask = full
-    try:
-        for f in formulas:
-            mask &= _conditioned(f, {}, universe, full)
-            if mask == 0:
-                break
-    except _FreeAtom as free:
-        raise UndeclaredAtomError(str(free)) from None
+    for f in formulas:
+        mask &= _conditioned(f, {}, universe, full)
+        if mask == 0:
+            break
     return mask
 
 
@@ -450,13 +417,9 @@ def mask_entails(theory: int, conclusion: Formula,
     satisfies the conclusion."""
     if theory == 0:
         return True
-    try:
-        # Only the theory's assignments are tested, so the conclusion is
-        # compiled within them: no all-ones mask is built per query.
-        return theory & ~_conditioned(conclusion, {}, tuple(atoms),
-                                      theory) == 0
-    except _FreeAtom as free:
-        raise UndeclaredAtomError(str(free)) from None
+    # Only the theory's assignments are tested, so the conclusion is
+    # compiled within them: no all-ones mask is built per query.
+    return theory & ~_conditioned(conclusion, {}, tuple(atoms), theory) == 0
 
 
 def entails(premises: Iterable[Formula], conclusion: Formula, *,
@@ -479,14 +442,11 @@ def consistent(premises: Iterable[Formula], *,
     return models(premises, atoms=atoms, max_atoms=max_atoms) != 0
 
 
-class _FreeAtom(Exception):
-    """An atom neither in the world nor fixed; carries its name."""
-
-
 def _conditioned(f: Formula, values: Mapping[str, bool],
                  world: tuple[str, ...], full: int) -> int:
     # The one formula compiler.  Negation complements within ``full``; the
     # result agrees with the formula's mask on every assignment in ``full``.
+    # An atom neither in ``values`` nor in the universe is undeclared.
     kind = type(f)
     if kind is Var:
         value = values.get(f.name)
@@ -495,7 +455,7 @@ def _conditioned(f: Formula, values: Mapping[str, bool],
         try:
             return _atom_pattern(world.index(f.name), len(world))
         except ValueError:
-            raise _FreeAtom(f.name) from None
+            raise UndeclaredAtomError(f.name) from None
     if kind is Not:
         return full ^ _conditioned(f.operand, values, world, full)
     if kind is Const:
@@ -510,31 +470,24 @@ def _conditioned(f: Formula, values: Mapping[str, bool],
 
 
 def conditioned_models(f: Formula, fixed: Mapping[str, bool],
-                       world: Sequence[str], *,
-                       quantify: bool = True) -> tuple[int, int]:
+                       world: Sequence[str],
+                       free: Sequence[str] = ()) -> tuple[int, int]:
     """The assignments to ``world`` under which ``f`` holds with the atoms
-    in ``fixed`` set to their values, for every value of its other (free)
+    in ``fixed`` set to their values, for every value of the ``free``
     atoms and for some value of them: two model masks over ``world``.
 
     A theory made of the fixed literals and formulas over ``world`` leaves
     every free atom unconstrained, so with ``(every, some)`` returned, its
     model mask ``m`` over ``world`` entails ``f`` iff ``m & every == m``,
-    and entails ``!f`` iff ``m & some == 0``.  A free atom joins the
-    universe at the top position the first time the compile meets it, and
-    the compile starts again; the masks then fold each top half onto the
-    bottom half, by AND and by OR.  With ``quantify=False``, for a
-    theory's own formulas, the first free atom raises UndeclaredAtomError.
+    and entails ``!f`` iff ``m & some == 0``.  The compile runs once over
+    ``world`` and then ``free``; the masks then fold each free atom's top
+    half onto the bottom half, by AND and by OR, so the order of ``free``
+    does not matter.  An atom of ``f`` in none of ``world``, ``fixed`` and
+    ``free`` raises UndeclaredAtomError.
     """
-    universe = tuple(world)
-    while True:
-        try:
-            every = some = _conditioned(f, fixed, universe,
-                                        (1 << (1 << len(universe))) - 1)
-            break
-        except _FreeAtom as free:
-            if not quantify:
-                raise UndeclaredAtomError(str(free)) from None
-            universe += (str(free),)
+    universe = tuple(world) + tuple(free)
+    every = some = _conditioned(f, fixed, universe,
+                                (1 << (1 << len(universe))) - 1)
     for top in reversed(range(len(world), len(universe))):
         half = 1 << top  # the assignments where the top atom is false
         low = (1 << half) - 1

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
 from .extension import Rule
-from .logic import (DEFAULT_MAX_ATOMS, Atom, Formula, Literal, Vocabulary,
-                    atoms_of, conditioned_models, consistent,
-                    consistent_literals, format_formula,
+from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Atom, Formula,
+                    Literal, Vocabulary, atoms_of, conditioned_models,
+                    consistent, consistent_literals, format_formula,
                     in_sublanguage, literal_sort_key, parse_formula,
                     parse_literal)
 
@@ -97,9 +97,11 @@ class BeliefMasks(NamedTuple):
     consequent_masks: tuple[int, ...]
     fact_bits: int  # the numbers of the consequents that are facts
     # Per belief rule: its antecedent, its consequent's number, the decision
-    # atoms of its antecedent, and a table from a decision's values on them
-    # to the antecedent's mask.
-    rules: tuple[tuple[Formula, int, tuple[str, ...], dict], ...]
+    # atoms of its antecedent, the antecedent's atoms outside the universe,
+    # and a table from a decision's values on the decision atoms to the
+    # antecedent's mask.
+    rules: tuple[tuple[Formula, int, tuple[str, ...], tuple[str, ...], dict],
+                 ...]
     # From the bits of a set of consequent numbers to their formulas.
     derived: dict[int, frozenset[Formula]]
 
@@ -172,23 +174,30 @@ class AgentSystemSpec:
 
     @cached_property
     def desire_masks(self) -> tuple[tuple[tuple[str, ...], tuple[tuple[
-            int, Rule, tuple[str, ...], dict], ...]], ...]:
+            int, Rule, tuple[str, ...], tuple[tuple[str, ...], tuple[
+                str, ...]], dict], ...]], ...]:
         """Per agent: the decision atoms of its desire rules, and per desire
         rule its number (spec-wide, from 0), the rule, its decision atoms,
-        and a table from a profile's values on them to the rule's model
-        masks over ``mask_atoms`` (``decision._classify`` fills it).  It
-        lives and dies with the spec."""
+        the atoms of its antecedent and of its consequent outside
+        ``mask_atoms``, and a table from a profile's values on the decision
+        atoms to the rule's model masks over ``mask_atoms``
+        (``decision._classify`` fills it).  It lives and dies with the
+        spec."""
         world = set(self.world_atoms)
+        masked = set(self.mask_atoms)
         out = []
         number = 0
         for agent in self.agents:
             rows = []
             for r in agent.desires:
-                rows.append((number, r, tuple(sorted(
-                    (atoms_of(r.antecedent) | atoms_of(r.consequent))
-                    - world)), {}))
+                antecedent = atoms_of(r.antecedent)
+                consequent = atoms_of(r.consequent)
+                rows.append((number, r,
+                             tuple(sorted((antecedent | consequent) - world)),
+                             (tuple(sorted(antecedent - masked)),
+                              tuple(sorted(consequent - masked))), {}))
                 number += 1
-            out.append((tuple(sorted({a for _, _, atoms, _ in rows
+            out.append((tuple(sorted({a for _, _, atoms, _, _ in rows
                                       for a in atoms})), tuple(rows)))
         return tuple(out)
 
@@ -198,26 +207,29 @@ class AgentSystemSpec:
         ``mask_atoms`` for ``decision.agent_extension``.  Its tables
         are filled there; all of it lives and dies with the spec."""
         world = self.mask_atoms  # refuses facts and consequents off it
-        world_set = set(self.world_atoms)
+        world_set, masked = set(self.world_atoms), set(world)
 
         def compiled(f: Formula) -> int:
-            return conditioned_models(f, {}, world, quantify=False)[0]
+            return conditioned_models(f, {}, world)[0]
         out = {}
         for agent in self.agents:
             facts_mask = (1 << (1 << len(world))) - 1
             for f in agent.facts:
                 facts_mask &= compiled(f)
             numbers: dict[Formula, int] = {}
-            rules = tuple((r.antecedent,
-                           numbers.setdefault(r.consequent, len(numbers)),
-                           tuple(sorted(atoms_of(r.antecedent) - world_set)),
-                           {}) for r in agent.beliefs)
+            rules = []
+            for r in agent.beliefs:
+                names = atoms_of(r.antecedent)
+                rules.append((r.antecedent,
+                              numbers.setdefault(r.consequent, len(numbers)),
+                              tuple(sorted(names - world_set)),
+                              tuple(sorted(names - masked)), {}))
             facts = frozenset(agent.facts)
             out[agent.id] = BeliefMasks(
                 facts, facts_mask, tuple(numbers),
                 tuple(map(compiled, numbers)),
                 sum(1 << n for f, n in numbers.items() if f in facts),
-                rules, {})
+                tuple(rules), {})
         return out
 
     def agent(self, agent_id: str) -> AgentSpec:
@@ -349,7 +361,6 @@ def is_valid(spec: AgentSystemSpec) -> bool:
 # ids.  Ranks are required exactly when the agent declares `priority ranked`
 # (enforced by validate_spec, which reports missing or duplicate ranks).
 
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*$")
 _LABEL_RE = re.compile(
     r"(?:(?P<id>[a-zA-Z][a-zA-Z0-9_]*)\s*)?(?:\[\s*rank\s*=\s*(?P<rank>-?\d+)\s*\])?$")
 
@@ -392,6 +403,22 @@ def _strip_comment(raw: str) -> str:
     return raw.strip()
 
 
+def _declare(names: str, declared: set[str], lineno: int) -> list[str]:
+    """The atom names of an ``atoms`` or ``world`` line, each a new
+    identifier and no reserved word; ``declared`` holds every name so far."""
+    atoms = names.split()
+    for atom in atoms:
+        if not _IDENT_RE.fullmatch(atom):
+            raise SpecSyntaxError(f"bad atom name '{atom}'", lineno)
+        if atom in _RESERVED:
+            raise SpecSyntaxError(
+                f"'{atom}' is a reserved word, not an atom name", lineno)
+        if atom in declared:
+            raise SpecSyntaxError(f"duplicate atom '{atom}'", lineno)
+        declared.add(atom)
+    return atoms
+
+
 def _split_rule(text: str, lineno: int) -> tuple[str, str]:
     parts = text.split("=>")
     if len(parts) != 2:
@@ -408,6 +435,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
     name = ""
     options: dict[str, object] = {}
     world: list[str] = []
+    declared: set[str] = set()  # every atom name, decision or world
     raw_agents: list[_RawAgent] = []
     current: _RawAgent | None = None
 
@@ -420,7 +448,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
                 raw_agents.append(current)
                 current = None
                 continue
-            _parse_agent_line(current, line, lineno)
+            _parse_agent_line(current, line, lineno, declared)
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -442,10 +470,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
                 raise SpecSyntaxError(f"duplicate agent '{m.group(1)}'", lineno)
             current = _RawAgent(m.group(1), lineno)
         elif head == "world":
-            for atom in rest.split():
-                if not _NAME_RE.match(atom):
-                    raise SpecSyntaxError(f"bad atom name '{atom}'", lineno)
-                world.append(atom)
+            world += _declare(rest, declared, lineno)
         else:
             raise SpecSyntaxError(f"unknown declaration '{head}'", lineno)
 
@@ -476,14 +501,12 @@ def _parse_option(key: str, value: str, lineno: int):
     raise SpecSyntaxError(f"unknown option '{key}'", lineno)
 
 
-def _parse_agent_line(agent: _RawAgent, line: str, lineno: int) -> None:
+def _parse_agent_line(agent: _RawAgent, line: str, lineno: int,
+                      declared: set[str]) -> None:
     head, _, rest = line.partition(" ")
     rest = rest.strip()
     if head == "atoms":
-        for atom in rest.split():
-            if not _NAME_RE.match(atom):
-                raise SpecSyntaxError(f"bad atom name '{atom}'", lineno)
-            agent.atoms.append(atom)
+        agent.atoms += _declare(rest, declared, lineno)
     elif head == "priority":
         if rest not in (RANKED, IDENTITY):
             raise SpecSyntaxError(
@@ -516,10 +539,7 @@ def _resolve(name: str, options: dict, world: list[str],
              raw_agents: list[_RawAgent]) -> AgentSystemSpec:
     atoms = [Atom(n, a.id) for a in raw_agents for n in a.atoms]
     atoms += [Atom(n, None) for n in world]
-    try:
-        vocab = Vocabulary(atoms)
-    except ValueError as exc:
-        raise SpecSyntaxError(str(exc)) from None
+    vocab = Vocabulary(atoms)  # the names were checked line by line
 
     def formula(source: str, lineno: int) -> Formula:
         try:

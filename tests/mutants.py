@@ -240,12 +240,43 @@ MUTANTS = (
             "tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary")),
     Mutant("free-atom-widened-at-the-bottom", "logic.py",
-           "universe += (str(free),)",
-           "universe = (str(free),) + universe",
+           "universe = tuple(world) + tuple(free)",
+           "universe = tuple(free) + tuple(world)",
            ("tests/test_logic.py::"
             "test_conditioned_masks_match_enumeration_over_the_free_atoms",
             "tests/test_differential.py::"
             "test_world_atoms_no_theory_constrains_are_quantified")),
+    Mutant("implication-parsed-left-associative", "logic.py",
+           "_nest(depth + 1, at),\n"
+           "                                          strength, vocabulary)",
+           "_nest(depth + 1, at),\n"
+           "                                          strength + 1, vocabulary)",
+           ("tests/test_logic.py::test_implication_is_right_associative",)),
+    Mutant("conjunction-binds-like-disjunction", "logic.py",
+           '"&": (3, And)',
+           '"&": (2, And)',
+           ("tests/test_logic.py::test_precedence_reference_tree",)),
+    Mutant("desire-free-atoms-leave-out-unconstrained-world-atoms",
+           "model.py",
+           "(tuple(sorted(antecedent - masked)),\n"
+           "                              tuple(sorted(consequent - masked)))",
+           "(tuple(sorted(antecedent - world)),\n"
+           "                              tuple(sorted(consequent - world)))",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("belief-free-atoms-leave-out-unconstrained-world-atoms",
+           "model.py",
+           "tuple(sorted(names - masked)), {}))",
+           "tuple(sorted(names - world_set)), {}))",
+           ("tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified",)),
+    Mutant("extension-antecedent-free-atoms-dropped", "extension.py",
+           "sorted(atoms_of(r.antecedent) - inside)",
+           "()",
+           ("tests/test_extension.py::"
+            "test_antecedent_atoms_outside_the_universe_are_quantified",)),
     Mutant("exists-folded-by-and", "logic.py",
            "some & low | some >> half",
            "some & low & some >> half",

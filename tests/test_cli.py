@@ -1014,3 +1014,34 @@ def test_a_reader_that_closes_early_ends_in_one_error_line(command, tmp_path):
     assert child.wait(timeout=60) == 2
     assert err.startswith("bdgame: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_running_out_of_memory_ends_in_one_error_line(tmp_path):
+    """A spec the atom cap admits but whose truth tables do not fit: 30
+    world atoms that facts mention, in a child limited to 512 MiB of
+    address space."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "oversized.bdg"
+    path.write_text(
+        "agent x {\n  atoms a b\n"
+        + "".join(f"  fact w{i} | w{i + 1}\n" for i in range(29))
+        + "  desire a => w0\n}\n"
+        "agent y {\n  atoms c d\n  desire c => w1\n}\n"
+        "world " + " ".join(f"w{i}" for i in range(30)) + "\n",
+        encoding="utf-8")
+    limit = 512 << 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {k: v for k, v in os.environ.items() if k != "BDGAME_MAX_ATOMS"}
+    env["PYTHONPATH"] = str(Path(bdgame.cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "bdgame", "solve", "--concept", "nash",
+         "--max-atoms", "40", str(path)],
+        capture_output=True, text=True, env=env,
+        preexec_fn=limit_address_space, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("bdgame: ") and \
+        run.stderr.count("\n") == 1, run.stderr
+    assert "Traceback" not in run.stderr

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 from bdgame.extension import (Rule, applicable_consequents, extension,
                               fixpoint_certificate)
-from bdgame.logic import TRUE, And, Not, Var
+from bdgame.logic import TRUE, And, Not, Or, Var
 from bdgame.verify import (check_extension_laws, check_fixpoint_agreement,
                            random_rules, random_theory)
 
@@ -50,6 +50,19 @@ def test_extensions_compare_and_hash_by_their_sets_not_their_masks():
     assert narrow == wide and hash(narrow) == hash(wide)
     assert "models" not in repr(narrow)
     assert replace(narrow, iterations=narrow.iterations + 1) != narrow
+
+
+def test_antecedent_atoms_outside_the_universe_are_quantified():
+    """An antecedent atom outside ``atoms`` is one the theory leaves free:
+    its rule fires iff the antecedent holds for every value of that atom,
+    as over a universe that holds it."""
+    x = Var("x")
+    rules = [Rule("r1", TRUE, P, "belief", "a1"),
+             Rule("r2", Or(P, x), Q, "belief", "a1"),
+             Rule("r3", And(Q, x), Not(P), "belief", "a1")]
+    narrow = extension(rules, [], atoms=("p", "q"))
+    assert narrow.formulas == {P, Q}
+    assert narrow == extension(rules, [], atoms=("p", "q", "x"))
 
 
 def test_extension_fires_on_entailed_decision_atoms():

@@ -54,6 +54,7 @@ def test_rule_arrow_is_not_formula_syntax():
 def test_precedence_reference_tree():
     got = parse_formula("a & !q | r", vocab())
     assert got == Or(And(Var("a"), Not(Var("q"))), Var("r"))
+    assert parse_formula("p | q & r") == Or(Var("p"), And(Var("q"), Var("r")))
 
 
 def test_implication_is_right_associative():
@@ -79,21 +80,24 @@ def test_syntax_error_carries_position():
     assert exc.value.position == 4
 
 
+# Formulas nested ``k`` levels deep, one shape each.
+NESTED = {
+    "parentheses": lambda k: "(" * k + "p" + ")" * k,
+    "negations": lambda k: "!" * k + "p",
+    "conjunctions": lambda k: " & ".join(["p"] * (k + 1)),
+    "disjunctions": lambda k: " | ".join(["p"] * (k + 1)),
+    "implications": lambda k: " -> ".join(["p"] * (k + 1)),
+    "mixed": lambda k: "!(" * (MAX_NESTING // 2) + "q & " * (
+        k - 2 * (MAX_NESTING // 2)) + "p" + ")" * (MAX_NESTING // 2),
+}
+
+
 def test_nesting_counts_parentheses_and_operators_up_to_the_bound():
     """Parenthesis pairs and operators nested in one another count
     together; at ``MAX_NESTING`` a formula parses and prints back, one
     level deeper it is a syntax error at the level that goes past."""
-    n, half = MAX_NESTING, MAX_NESTING // 2
-    shapes = {
-        "parentheses": lambda k: "(" * k + "p" + ")" * k,
-        "negations": lambda k: "!" * k + "p",
-        "conjunctions": lambda k: " & ".join(["p"] * (k + 1)),
-        "disjunctions": lambda k: " | ".join(["p"] * (k + 1)),
-        "implications": lambda k: " -> ".join(["p"] * (k + 1)),
-        "mixed": lambda k: "!(" * half + "q & " * (k - 2 * half) + "p"
-                           + ")" * half,
-    }
-    for shape, nested in shapes.items():
+    n = MAX_NESTING
+    for shape, nested in NESTED.items():
         f = parse_formula(nested(n))
         assert parse_formula(format_formula(f)) == f, shape
         with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
@@ -101,6 +105,76 @@ def test_nesting_counts_parentheses_and_operators_up_to_the_bound():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("(" * (n + 1) + "p" + ")" * (n + 1))
     assert exc.value.position == n
+
+
+DEEPER = "formula nested deeper than 100 levels"
+
+# Malformed formulas with the message and the column (from 0) of the
+# FormulaSyntaxError each one raises.  A stray character is reported before
+# any error of the tokens around it; the nesting bound is checked at the
+# token where the depth (on the way down) or the height (on the way up)
+# goes past it.
+MALFORMED = [
+    ("p $ q", "unexpected character '$'", 2),
+    ("p & q#", "unexpected character '#'", 5),
+    ("@", "unexpected character '@'", 0),
+    ("p = q", "unexpected character '='", 2),
+    ("p - q", "unexpected character '-'", 2),
+    ("p <- q", "unexpected character '<'", 2),
+    ("1p", "unexpected character '1'", 0),
+    ("_p", "unexpected character '_'", 0),
+    ("p & \u00e9", "unexpected character '\u00e9'", 4),
+    ("p q $", "unexpected character '$'", 4),
+    ("b => p", "unexpected character '='", 2),
+    ("p =>", "unexpected character '='", 2),
+    ("", "unexpected end of formula", 0),
+    ("   ", "unexpected end of formula", 3),
+    ("(p & q", "unexpected end of formula", 6),
+    ("((p)", "unexpected end of formula", 4),
+    ("p)", "unexpected token ')'", 1),
+    ("(p))", "unexpected token ')'", 3),
+    ("()", "unexpected token ')'", 1),
+    ("(p | q)) & (r", "unexpected token ')'", 7),
+    ("(p q)", "expected ')'", 3),
+    ("p & (q | )", "unexpected token ')'", 9),
+    ("!", "unexpected end of formula", 1),
+    ("!!", "unexpected end of formula", 2),
+    ("!)", "unexpected token ')'", 1),
+    ("p & !", "unexpected end of formula", 5),
+    ("&", "unexpected token '&'", 0),
+    ("p &", "unexpected end of formula", 3),
+    ("p & & q", "unexpected token '&'", 4),
+    ("p |", "unexpected end of formula", 3),
+    ("| p", "unexpected token '|'", 0),
+    ("p ->", "unexpected end of formula", 4),
+    ("-> p", "unexpected token '->'", 0),
+    ("p -> -> q", "unexpected token '->'", 5),
+    ("p -> q ->", "unexpected end of formula", 9),
+    ("p & q | -> r", "unexpected token '->'", 8),
+    ("p q", "unexpected token 'q'", 2),
+    ("true p", "unexpected token 'p'", 5),
+    ("p (q)", "unexpected token '('", 2),
+    ("(p) q", "unexpected token 'q'", 4),
+    ("!p q", "unexpected token 'q'", 3),
+    (NESTED["parentheses"](MAX_NESTING + 1), DEEPER, 100),
+    (NESTED["negations"](MAX_NESTING + 1), DEEPER, 100),
+    (NESTED["conjunctions"](MAX_NESTING + 1), DEEPER, 402),
+    (NESTED["disjunctions"](MAX_NESTING + 1), DEEPER, 402),
+    (NESTED["implications"](MAX_NESTING + 1), DEEPER, 502),
+    (NESTED["mixed"](MAX_NESTING + 1), DEEPER, 0),
+    ("(" * (MAX_NESTING + 1) + "p", DEEPER, 100),
+    (NESTED["conjunctions"](MAX_NESTING + 1) + " )", DEEPER, 402),
+]
+
+
+@pytest.mark.parametrize("text,message,column", MALFORMED,
+                         ids=[f"{k}" for k in range(len(MALFORMED))])
+def test_malformed_formulas_name_the_error_and_its_column(text, message,
+                                                          column):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text, vocab())
+    assert (str(exc.value), exc.value.position) == (
+        f"{message} (at column {column + 1})", column)
 
 
 def test_reserved_words_rejected_as_atom_names():
@@ -241,7 +315,8 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
     """``conditioned_models`` against ``evaluate`` on every assignment to
     the world and the free atoms: the first mask holds where the formula
     holds for every value of the free atoms, the second where it holds for
-    some.  With ``quantify=False`` the first free atom met is named."""
+    some, whatever their order.  With no free atoms given, the first atom
+    met outside the world and the fixed ones is named."""
     rng = random.Random(20020521)
     seen = Counter()
     for _ in range(1_500):
@@ -251,7 +326,9 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
                  if rng.random() < 0.4}
         f = random_formula(rng, WORLD + DECISIONS, rng.randint(0, 3))
         free = sorted(atoms_of(f) - set(world) - set(fixed))
-        every, some = conditioned_models(f, fixed, world)
+        every, some = conditioned_models(f, fixed, world, free)
+        assert conditioned_models(f, fixed, world, free[::-1]) == (every,
+                                                                   some)
         for k, point in enumerate(_assignments(world)):
             values = [evaluate(f, {**point, **fixed, **rest})
                       for rest in _assignments(free)]
@@ -260,11 +337,10 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
         assert every >> (1 << len(world)) == some >> (1 << len(world)) == 0
         first = first_free_atom(f, fixed, world)
         if first is None:
-            assert conditioned_models(f, fixed, world, quantify=False) == \
-                (every, every)
+            assert conditioned_models(f, fixed, world) == (every, every)
         else:
             with pytest.raises(UndeclaredAtomError) as exc:
-                conditioned_models(f, fixed, world, quantify=False)
+                conditioned_models(f, fixed, world)
             assert exc.value.name == first
         seen["no free atom" if not free else "free atoms"] += 1
         seen["free decision atoms"] += bool(set(free) & set(DECISIONS))

@@ -47,6 +47,23 @@ def test_duplicate_atom_across_agents_rejected():
         parse_spec(src)
 
 
+@pytest.mark.parametrize("src,message", [
+    ("agent x {\n  atoms a\n}\nworld p p\n", "line 4: duplicate atom 'p'"),
+    ("agent x {\n  atoms a\n}\nworld a\n", "line 4: duplicate atom 'a'"),
+    ("world p\nagent x {\n  atoms a p\n}\n", "line 3: duplicate atom 'p'"),
+    ("agent x {\n  atoms a\n}\nworld true p\n",
+     "line 4: 'true' is a reserved word, not an atom name"),
+    ("agent x {\n  atoms false\n}\n",
+     "line 2: 'false' is a reserved word, not an atom name"),
+    ("agent x {\n  atoms a\n}\nworld p 2q\n", "line 4: bad atom name '2q'"),
+], ids=["world-twice", "decision-then-world", "world-then-decision",
+        "world-reserved", "decision-reserved", "bad-name"])
+def test_atom_declarations_name_their_line(src, message):
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_spec(src)
+    assert str(exc.value) == message
+
+
 def test_duplicate_rule_id_rejected():
     src = (
         'agent x {\n  atoms a\n  desire d1: true => a\n'
