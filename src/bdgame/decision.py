@@ -23,8 +23,7 @@ from typing import Iterable, Mapping
 from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
 from .extension import Extension
-from .logic import (Formula, Literal, conditioned_models,
-                    consistent_literals, literal_sort_key)
+from .logic import Formula, Literal, consistent_literals, literal_sort_key
 # The caps' defaults live with the spec; their names stay importable here.
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
                     AgentSystemSpec, DecisionMode, PriorityOrder)
@@ -147,34 +146,26 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
     theory constrains) only fires if it holds for every value of that atom.
 
     It equals ``extension.extension`` of the agent's beliefs on that base,
-    and runs on the spec's compiled table (``AgentSystemSpec.belief_masks``):
-    the facts and consequents are compiled once per agent, each antecedent
-    once per distinct value tuple on its decision atoms, and rules fire by
-    consequent number; a rule whose consequent is in is not tested again.
-    Decision literals with both polarities of an atom have no model: the
-    theory is inconsistent and every rule fires.
+    and runs on the agent's record of ``AgentSystemSpec.compiled``: the
+    facts and consequents are compiled once per agent, each antecedent's
+    ``RuleEntry`` once per distinct value tuple on its decision atoms, and
+    rules fire by consequent number; a rule whose consequent is in is not
+    tested again, and one concluding a fact has no row.  Decision literals
+    with both polarities of an atom have no model: the theory is
+    inconsistent and every rule fires.
     """
     try:
-        (facts, facts_mask, consequents, consequent_masks, fact_bits, rules,
-         derived_sets) = spec.belief_masks[agent_id]
+        record = spec.compiled[agent_id]
     except KeyError:
         raise KeyError(f"no agent '{agent_id}'") from None
     values = {lit.atom: lit.positive for lit in decision.literals}
     pending = []  # the rules whose consequent is not in the theory
-    for antecedent, number, atoms, outside, table in rules:
-        key = tuple(map(values.get, atoms))
-        holds = table.get(key)
-        if holds is None:
-            given = {a: v for a, v in zip(atoms, key) if v is not None}
-            holds = table[key] = conditioned_models(
-                antecedent, given, spec.mask_atoms,
-                [a for a in outside if a not in given])[0]
-        if not fact_bits >> number & 1:
-            pending.append((1 << number, holds))
-    theory = facts_mask if consistent_literals(decision.literals) else 0
-    fired = fact_bits  # consequents in the theory, by number
-    rounds = 0
-    while True:  # each productive round adds one of len(consequents)
+    for entry, bit in record.beliefs:
+        key = tuple(map(values.get, entry.atoms))
+        pending.append((bit, (entry.table.get(key) or entry.compile(key))[0]))
+    theory = record.facts_mask if consistent_literals(decision.literals) else 0
+    fired = rounds = 0  # consequents in the theory, by number
+    while True:  # each productive round adds one of the consequents
         new = 0
         for bit, holds in pending:
             if theory & holds == theory:
@@ -183,17 +174,16 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
             break
         fired |= new
         pending = [rule for rule in pending if not rule[0] & fired]
-        for number, mask in enumerate(consequent_masks):
+        for number, mask in enumerate(record.consequent_masks):
             if new >> number & 1:
                 theory &= mask
         rounds += 1
-    derived_bits = fired & ~fact_bits
-    derived = derived_sets.get(derived_bits)
+    derived = record.derived.get(fired)
     if derived is None:
-        derived = derived_sets[derived_bits] = frozenset(
-            f for number, f in enumerate(consequents)
-            if derived_bits >> number & 1)
-    return Extension(facts | decision.formulas(), derived, rounds,
+        derived = record.derived[fired] = frozenset(
+            f for number, f in enumerate(record.consequents)
+            if fired >> number & 1)
+    return Extension(record.facts | decision.formulas(), derived, rounds,
                      theory != 0, theory)
 
 
@@ -241,10 +231,9 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
 
     ``ext`` is the profile's joint extension, built here by default.  Each
     antecedent, consequent or negated-consequent query is one AND of the
-    extension's world mask with a model mask of the rule's.  Those come
-    from the spec's table (``AgentSystemSpec.desire_masks``) by the
-    profile's values on the rule's decision atoms, and are conditioned
-    once per entry (``_classify``, which the game's product pass shares).
+    extension's world mask with a model mask of the rule's ``RuleEntry``
+    (``AgentSystemSpec.compiled``), read by the profile's values on the
+    rule's decision atoms (``_classify``, which the product pass shares).
     Undefined on infeasible profiles: an inconsistent extension entails
     everything, which would make every desire reached and violated at once.
     """
@@ -257,8 +246,8 @@ def desire_report(spec: AgentSystemSpec, profile: DecisionProfile,
              for d in profile.decisions for lit in d.literals}
     theory, statuses = ext.models, {}
     return DesireReport({
-        agent: _classify(rows, fixed, theory, spec.mask_atoms, statuses)
-        for agent, (_, rows) in zip(spec.agent_ids, spec.desire_masks)})
+        agent: _classify(record.desires, fixed, theory, statuses)
+        for agent, record in spec.compiled.items()})
 
 
 # A rule's outcome against a joint extension (``_classify``).
@@ -266,29 +255,22 @@ _INAPPLICABLE, _REACHED, _UNREACHED, _VIOLATED = range(4)
 
 
 def _classify(rows, fixed: Mapping[str, bool], theory: int,
-              world: tuple[str, ...],
               statuses: dict[tuple[int, ...], AgentDesireStatus]
               ) -> AgentDesireStatus:
-    """One agent's desire status: ``rows`` are its entries of
-    ``AgentSystemSpec.desire_masks``, ``fixed`` the profile's decision
-    values and ``theory`` the joint world mask.  A violated desire is
-    unreached too.  A query is entailed iff it holds for every value of the
-    atoms outside the mask universe, which no theory constrains; so the
-    negated consequent is entailed iff the consequent holds for none.
-    Statuses are interned in ``statuses`` by their rules' spec-wide
-    numbers and outcomes, so one dict serves every agent and equal statuses
-    are one object."""
+    """One agent's desire status: ``rows`` are the desire rows of its record
+    in ``AgentSystemSpec.compiled``, whose entries are compiled on a miss,
+    ``fixed`` the profile's decision values and ``theory`` the joint world
+    mask.  A violated desire is unreached too.  A query is entailed iff it
+    holds for every value of the atoms outside the mask universe, which no
+    theory constrains; so the negated consequent is entailed iff the
+    consequent holds for none.  Statuses are interned in ``statuses`` by
+    their rules' spec-wide numbers and outcomes, so one dict serves every
+    agent and equal statuses are one object."""
     outcomes = []
-    for number, rule, atoms, outside, table in rows:
-        values = tuple(map(fixed.get, atoms))
-        holding = table.get(values)
-        if holding is None:
-            given = {a: v for a, v in zip(atoms, values) if v is not None}
-            free = [[a for a in off if a not in given] for off in outside]
-            holding = table[values] = (
-                conditioned_models(rule.antecedent, given, world, free[0])[0],
-                *conditioned_models(rule.consequent, given, world, free[1]))
-        antecedent, consequent, possible = holding
+    for number, _, entry in rows:
+        key = tuple(map(fixed.get, entry.atoms))
+        antecedent, _, consequent, possible = (entry.table.get(key)
+                                               or entry.compile(key))
         if theory & antecedent != theory:
             code = _INAPPLICABLE
         elif theory & consequent == theory:
@@ -300,8 +282,8 @@ def _classify(rows, fixed: Mapping[str, bool], theory: int,
     status = statuses.get(outcomes)
     if status is None:
         sets: tuple[set[str], ...] = (set(), set(), set(), set())
-        for (_, rule, _, _, _), outcome in zip(rows, outcomes):
-            sets[outcome & 3].add(rule.id)
+        for (_, rule_id, _), outcome in zip(rows, outcomes):
+            sets[outcome & 3].add(rule_id)
         inapplicable, reached, unreached, violated = sets
         status = statuses[outcomes] = AgentDesireStatus(
             frozenset(unreached | violated), frozenset(reached),

@@ -256,12 +256,14 @@ def _product_columns(spec: AgentSystemSpec,
     No profile object is built.  A profile's joint mask is the AND of its
     parts' masks, and an agent's desire status reads only the joint mask
     and the profile's values on the decision atoms of the agent's desire
-    rules.  So before the loop each decision gets one int: the id of its
-    extension's mask among its agent's, in mixed radix over the agents,
-    above one bit field per agent of the spec, which holds the id of the
-    decision's values on that agent's desire atoms, in mixed radix too.  A
-    profile's ints add up without carries to the id of its parts' masks
-    and, in each field, the id of its values on that agent's desire atoms.
+    rules (``desires`` and ``desire_atoms`` of the agent's record in
+    ``AgentSystemSpec.compiled``).  So before the loop each decision gets
+    one int: the id of its extension's mask among its agent's, in mixed
+    radix over the agents, above one bit field per agent of the spec, which
+    holds the id of the decision's values on that agent's desire atoms, in
+    mixed radix too.  A profile's ints add up without carries to the id of
+    its parts' masks and, in each field, the id of its values on that
+    agent's desire atoms.
 
     The first profile with given part masks decides joint consistency with
     ``joint_extension`` of its parts, with no profile object, and numbers
@@ -276,7 +278,8 @@ def _product_columns(spec: AgentSystemSpec,
     # statuses by joint mask id and field value.
     slots = []
     offset = 0
-    for atoms, rows in spec.desire_masks:
+    for record in spec.compiled.values():
+        atoms = record.desire_atoms
         radix = 1
         for ds, column in zip(lists, codes):
             value_ids: dict[frozenset, int] = {}
@@ -286,7 +289,7 @@ def _product_columns(spec: AgentSystemSpec,
                     len(value_ids)) << offset
             radix *= len(value_ids) or 1
         width = (radix - 1).bit_length()
-        slots.append((rows, (1 << width) - 1 << offset, {}))
+        slots.append((record.desires, (1 << width) - 1 << offset, {}))
         offset += width
     radix = 1
     for ds, column in zip(decisions.values(), codes):
@@ -329,8 +332,8 @@ def _product_columns(spec: AgentSystemSpec,
                 if fixed is None:
                     fixed = {lit.atom: lit.positive
                              for d in decided for lit in d.literals}
-                status = known[key] = _classify(
-                    rows, fixed, theory, spec.mask_atoms, statuses)
+                status = known[key] = _classify(rows, fixed, theory,
+                                                statuses)
             chosen.append(status)
         key = tuple(map(id, chosen))
         report = interned.get(key)

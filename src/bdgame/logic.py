@@ -18,6 +18,7 @@ atoms a theory can constrain, with a profile's decision literals
 substituted and the atoms the caller names free quantified, universally
 for entailment and existentially for its negation.  No theory mentions
 those atoms, so quantifying them (forgetting, Lin & Reiter 1994) is exact.
+A rule's formulas keep their masks per profile values in a ``RuleEntry``.
 
 There is one compiler (``_conditioned``) behind all of these, and no mask
 cache: a mask lives as long as the call or the caller that built it.  Only
@@ -471,7 +472,7 @@ def _conditioned(f: Formula, values: Mapping[str, bool],
 
 def conditioned_models(f: Formula, fixed: Mapping[str, bool],
                        world: Sequence[str],
-                       free: Sequence[str] = ()) -> tuple[int, int]:
+                       free: Iterable[str] = ()) -> tuple[int, int]:
     """The assignments to ``world`` under which ``f`` holds with the atoms
     in ``fixed`` set to their values, for every value of the ``free``
     atoms and for some value of them: two model masks over ``world``.
@@ -493,6 +494,38 @@ def conditioned_models(f: Formula, fixed: Mapping[str, bool],
         low = (1 << half) - 1
         every, some = every & low & every >> half, some & low | some >> half
     return every, some
+
+
+class RuleEntry:
+    """One rule's formulas (a belief's antecedent, or a desire's antecedent
+    and consequent) compiled over the mask universe ``world``, once per
+    value tuple on ``atoms``, their atoms outside the declared
+    ``world_atoms``.  ``outside`` holds the set of each formula's atoms
+    outside ``world``, which a theory over ``world`` leaves free.  ``table``
+    maps a profile's values on ``atoms`` (None where unset) to each
+    formula's ``(every, some)`` masks of ``conditioned_models``, in formula
+    order; callers look a key up there and call ``compile`` on a miss.
+    """
+
+    __slots__ = ("formulas", "world", "atoms", "outside", "table")
+
+    def __init__(self, formulas: tuple[Formula, ...], world: tuple[str, ...],
+                 world_atoms: frozenset[str]):
+        self.formulas, self.world, self.table = formulas, world, {}
+        self.outside = outside = tuple([atoms_of(f).difference(world)
+                                        for f in formulas])
+        self.atoms = tuple(frozenset().union(*outside) - world_atoms)
+
+    def compile(self, key: tuple[bool | None, ...]) -> tuple[int, ...]:
+        """Enter the masks of ``key`` in ``table``, with the atoms it sets
+        fixed and the ones outside ``world`` it leaves unset free."""
+        given = {a: v for a, v in zip(self.atoms, key) if v is not None}
+        masks = ()
+        for f, outside in zip(self.formulas, self.outside):
+            masks += conditioned_models(f, given, self.world,
+                                        outside.difference(given))
+        self.table[key] = masks
+        return masks
 
 
 # ---------------------------------------------------------------------------

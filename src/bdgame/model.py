@@ -18,10 +18,10 @@ from typing import NamedTuple
 from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
 from .extension import Rule
 from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Atom, Formula,
-                    Literal, Vocabulary, atoms_of, conditioned_models,
-                    consistent, consistent_literals, format_formula,
-                    in_sublanguage, literal_sort_key, parse_formula,
-                    parse_literal)
+                    Literal, RuleEntry, Vocabulary, atoms_of,
+                    conditioned_models, consistent, consistent_literals,
+                    format_formula, in_sublanguage, literal_sort_key,
+                    parse_formula, parse_literal)
 
 DEFAULT_DECISION_CAP = 4096
 DEFAULT_PROFILE_CAP = 1 << 16
@@ -86,22 +86,22 @@ class AgentSpec:
         return frozenset(r.id for r in self.desires)
 
 
-class BeliefMasks(NamedTuple):
-    """One agent's facts and belief rules compiled over the spec's mask
-    universe (``AgentSystemSpec.belief_masks``), as model masks; an
-    antecedent's holds where it holds for every value of its free atoms."""
+class CompiledAgent(NamedTuple):
+    """One agent's facts and rules compiled over the spec's mask universe
+    (``AgentSystemSpec.compiled``), as model masks and rule entries."""
 
     facts: frozenset[Formula]
     facts_mask: int  # the AND of the facts' masks
-    consequents: tuple[Formula, ...]  # distinct, numbered by position
+    # The distinct consequents of the rules in ``beliefs``, by number.
+    consequents: tuple[Formula, ...]
     consequent_masks: tuple[int, ...]
-    fact_bits: int  # the numbers of the consequents that are facts
-    # Per belief rule: its antecedent, its consequent's number, the decision
-    # atoms of its antecedent, the antecedent's atoms outside the universe,
-    # and a table from a decision's values on the decision atoms to the
-    # antecedent's mask.
-    rules: tuple[tuple[Formula, int, tuple[str, ...], tuple[str, ...], dict],
-                 ...]
+    # Per belief rule that concludes no fact (one that does adds nothing):
+    # its antecedent's entry and the bit of its consequent's number.
+    beliefs: tuple[tuple[RuleEntry, int], ...]
+    # Per desire rule: its number (spec-wide, from 0), its id, and the
+    # entry of its antecedent and consequent.
+    desires: tuple[tuple[int, str, RuleEntry], ...]
+    desire_atoms: frozenset[str]  # the decision atoms of the desire rules
     # From the bits of a set of consequent numbers to their formulas.
     derived: dict[int, frozenset[Formula]]
 
@@ -173,63 +173,37 @@ class AgentSystemSpec:
         return tuple(a for a in self.world_atoms if a in constrained)
 
     @cached_property
-    def desire_masks(self) -> tuple[tuple[tuple[str, ...], tuple[tuple[
-            int, Rule, tuple[str, ...], tuple[tuple[str, ...], tuple[
-                str, ...]], dict], ...]], ...]:
-        """Per agent: the decision atoms of its desire rules, and per desire
-        rule its number (spec-wide, from 0), the rule, its decision atoms,
-        the atoms of its antecedent and of its consequent outside
-        ``mask_atoms``, and a table from a profile's values on the decision
-        atoms to the rule's model masks over ``mask_atoms``
-        (``decision._classify`` fills it).  It lives and dies with the
-        spec."""
-        world = set(self.world_atoms)
-        masked = set(self.mask_atoms)
-        out = []
-        number = 0
-        for agent in self.agents:
-            rows = []
-            for r in agent.desires:
-                antecedent = atoms_of(r.antecedent)
-                consequent = atoms_of(r.consequent)
-                rows.append((number, r,
-                             tuple(sorted((antecedent | consequent) - world)),
-                             (tuple(sorted(antecedent - masked)),
-                              tuple(sorted(consequent - masked))), {}))
-                number += 1
-            out.append((tuple(sorted({a for _, _, atoms, _, _ in rows
-                                      for a in atoms})), tuple(rows)))
-        return tuple(out)
-
-    @cached_property
-    def belief_masks(self) -> dict[str, BeliefMasks]:
-        """Per agent id, its facts and belief rules compiled over
-        ``mask_atoms`` for ``decision.agent_extension``.  Its tables
-        are filled there; all of it lives and dies with the spec."""
+    def compiled(self) -> dict[str, CompiledAgent]:
+        """Per agent id, in agent order, its facts and rules compiled over
+        ``mask_atoms``: the facts and consequents here, each rule entry's
+        keys where ``decision.agent_extension`` or ``decision._classify``
+        first asks for them.  All of it lives and dies with the spec."""
         world = self.mask_atoms  # refuses facts and consequents off it
-        world_set, masked = set(self.world_atoms), set(world)
+        world_atoms = frozenset(self.world_atoms)
 
-        def compiled(f: Formula) -> int:
+        def mask(f: Formula) -> int:
             return conditioned_models(f, {}, world)[0]
         out = {}
+        number = 0
         for agent in self.agents:
+            facts = frozenset(agent.facts)
             facts_mask = (1 << (1 << len(world))) - 1
             for f in agent.facts:
-                facts_mask &= compiled(f)
+                facts_mask &= mask(f)
             numbers: dict[Formula, int] = {}
-            rules = []
-            for r in agent.beliefs:
-                names = atoms_of(r.antecedent)
-                rules.append((r.antecedent,
-                              numbers.setdefault(r.consequent, len(numbers)),
-                              tuple(sorted(names - world_set)),
-                              tuple(sorted(names - masked)), {}))
-            facts = frozenset(agent.facts)
-            out[agent.id] = BeliefMasks(
-                facts, facts_mask, tuple(numbers),
-                tuple(map(compiled, numbers)),
-                sum(1 << n for f, n in numbers.items() if f in facts),
-                tuple(rules), {})
+            beliefs = tuple(
+                (RuleEntry((r.antecedent,), world, world_atoms),
+                 1 << numbers.setdefault(r.consequent, len(numbers)))
+                for r in agent.beliefs if r.consequent not in facts)
+            desires = tuple(
+                (number + k, r.id, RuleEntry((r.antecedent, r.consequent),
+                                             world, world_atoms))
+                for k, r in enumerate(agent.desires))
+            number += len(desires)
+            out[agent.id] = CompiledAgent(
+                facts, facts_mask, tuple(numbers), tuple(map(mask, numbers)),
+                beliefs, desires, frozenset().union(
+                    *(entry.atoms for _, _, entry in desires)), {})
         return out
 
     def agent(self, agent_id: str) -> AgentSpec:

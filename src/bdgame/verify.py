@@ -35,6 +35,10 @@ class CheckResult:
     details: str = ""
     counterexample: dict | None = None
 
+    def __post_init__(self) -> None:
+        if self.passed and self.checked <= 0:  # examined nothing: no pass
+            self.passed, self.details = False, "nothing to check: no instance"
+
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.details})" if self.details else ""

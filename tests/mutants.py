@@ -256,22 +256,18 @@ MUTANTS = (
            '"&": (3, And)',
            '"&": (2, And)',
            ("tests/test_logic.py::test_precedence_reference_tree",)),
-    Mutant("desire-free-atoms-leave-out-unconstrained-world-atoms",
-           "model.py",
-           "(tuple(sorted(antecedent - masked)),\n"
-           "                              tuple(sorted(consequent - masked)))",
-           "(tuple(sorted(antecedent - world)),\n"
-           "                              tuple(sorted(consequent - world)))",
+    Mutant("free-atoms-leave-out-unconstrained-world-atoms", "logic.py",
+           "atoms_of(f).difference(world)",
+           "atoms_of(f).difference(world_atoms)",
            ("tests/test_differential.py::"
             "test_world_atoms_no_theory_constrains_are_quantified",
             "tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary")),
-    Mutant("belief-free-atoms-leave-out-unconstrained-world-atoms",
-           "model.py",
-           "tuple(sorted(names - masked)), {}))",
-           "tuple(sorted(names - world_set)), {}))",
+    Mutant("entry-given-leaves-false-values-free", "logic.py",
+           "for a, v in zip(self.atoms, key) if v is not None}",
+           "for a, v in zip(self.atoms, key) if v}",
            ("tests/test_differential.py::"
-            "test_world_atoms_no_theory_constrains_are_quantified",)),
+            "test_conditioned_route_matches_the_full_vocabulary",)),
     Mutant("extension-antecedent-free-atoms-dropped", "extension.py",
            "sorted(atoms_of(r.antecedent) - inside)",
            "()",
@@ -298,13 +294,20 @@ MUTANTS = (
             "test_world_atoms_no_theory_constrains_are_quantified",
             "tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary")),
-    Mutant("fact-consequent-skip-inverted", "decision.py",
-           "if not fact_bits >> number & 1:",
-           "if fact_bits >> number & 1:",
+    Mutant("fact-consequent-skip-inverted", "model.py",
+           "for r in agent.beliefs if r.consequent not in facts)",
+           "for r in agent.beliefs if r.consequent in facts)",
            ("tests/test_differential.py::"
             "test_world_atoms_no_theory_constrains_are_quantified",
             "tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary")),
+    Mutant("feasible-check-drops-its-violations", "goals.py",
+           "violations.append(RepresentationViolation(\n"
+           "                    \"member-without-goal-set\", profile, None,",
+           "(RepresentationViolation(\n"
+           "                    \"member-without-goal-set\", profile, None,",
+           ("tests/test_goals.py::"
+            "test_the_feasible_check_reports_a_profile_without_goal_sets",)),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from bdgame.decision import (Decision, ProfileComparison, SetComparison,
-                             compare_profiles, desire_report,
+                             compare_profiles, compare_unreached,
+                             desire_report,
                              enumerate_decisions, enumerate_profiles,
                              is_feasible_decision, is_feasible_profile,
                              joint_extension, set_geq, set_preference)
@@ -193,6 +194,12 @@ def test_identity_mode_is_superset():
     for x in subsets:
         for y in subsets:
             assert set_geq(x, y, IDENT) == (y <= x)
+    # Neither of two disjoint sets outranks the other.
+    order = PriorityOrder.identity(["d1", "d2"])
+    assert set_preference({"d1"}, {"d2"}, order) == \
+        SetComparison.INCOMPARABLE
+    assert compare_unreached({"d1"}, {"d2"}, order) == \
+        ProfileComparison.INCOMPARABLE
 
 
 def ref_set_geq(first, second, order):
@@ -292,3 +299,13 @@ def test_indistinguishable_profiles_compare_equal():
     for agent in ("x",):
         assert compare_profiles(spec, first, second, agent) == \
             ProfileComparison.EQUAL
+
+
+def test_disjoint_unreached_desires_are_incomparable_under_identity():
+    spec = parse_spec('agent x {\n  atoms a b\n  desire d1: true => a\n'
+                      '  desire d2: true => b\n}\n')
+    first, second = profile(x=["a"]), profile(x=["b"])
+    assert desire_report(spec, first).unreached("x") == {"d2"}
+    assert desire_report(spec, second).unreached("x") == {"d1"}
+    assert compare_profiles(spec, first, second, "x") == \
+        ProfileComparison.INCOMPARABLE

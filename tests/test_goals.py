@@ -423,6 +423,22 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
     assert feasible_representation_check(spec, game=broken).passed
 
 
+def test_the_feasible_check_reports_a_profile_without_goal_sets():
+    # With the part of {b}, {a, b} no longer entails a: it is goal-based
+    # for neither <+{a}, -{}> nor <+{}, -{b}>.
+    spec = parse_spec(
+        'agent x {\n  atoms a b\n  desire d: b => a\n}\n')
+    game = derive_game(spec)
+    ab, b = (game.index_of(profile(x=names)) for names in (["a", "b"], ["b"]))
+    report = feasible_representation_check(spec,
+                                           game=with_part(game, ab, b))
+    assert not report.passed
+    assert report.violations == (RepresentationViolation(
+        "member-without-goal-set", profile(x=["a", "b"]), None,
+        f"{profile(x=['a', 'b'])} is not goal-based for any goal set of its "
+        f"indistinguishability class"),)
+
+
 def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     spec, game = shared_goal_set_game()
     asked = Counter()

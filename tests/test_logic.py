@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
                            VocabularyLimitError)
 from bdgame.logic import (FALSE, MAX_NESTING, TRUE, And, Atom, Const,
-                          Implies, Literal, Not, Or, Var, Vocabulary, atoms_of,
-                          conditioned_models, consistent, entails, evaluate,
-                          format_formula, in_sublanguage, mask_entails,
-                          models, parse_formula, parse_literal)
+                          Implies, Literal, Not, Or, RuleEntry, Var,
+                          Vocabulary, atoms_of, conditioned_models,
+                          consistent, entails, evaluate, format_formula,
+                          in_sublanguage, mask_entails, models,
+                          parse_formula, parse_literal)
 from bdgame.verify import random_formula
 
 ATOMS = ["a", "b", "p", "q", "r", "s"]
@@ -352,6 +353,23 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
                  "free world atoms", "several free atoms", "empty world",
                  "every differs from some"):
         assert seen[case] >= 150, (case, seen)
+
+
+def test_a_rule_entry_fixes_the_set_atoms_and_frees_the_unset_ones():
+    # d is a decision atom, p a world atom of the mask universe, and q one
+    # outside it.
+    f, g = parse_formula("d & q | p"), parse_formula("!d -> q")
+    entry = RuleEntry((f, g), ("p",), frozenset({"p", "q"}))
+    assert entry.atoms == ("d",)
+    assert entry.outside == ({"d", "q"}, {"d", "q"})
+    for key, given, free in (((True,), {"d": True}, ["q"]),
+                             ((False,), {"d": False}, ["q"]),
+                             ((None,), {}, ["d", "q"])):
+        masks = entry.compile(key)
+        assert masks == (*conditioned_models(f, given, ("p",), free),
+                         *conditioned_models(g, given, ("p",), free))
+        assert entry.table[key] is masks
+    assert len(entry.table) == 3
 
 
 def test_entailment_keeps_no_masks():

@@ -1,19 +1,25 @@
 """Algebraic laws and cross-module invariants on seeded random instances."""
 
 import random
+from dataclasses import replace
 from importlib import resources
+
+import pytest
 
 import bdgame.goals
 import bdgame.verify
 from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
-from bdgame.game import derive_game, nash, pareto
+from bdgame.cli import _COMMANDS, _build_parser
+from bdgame.game import CONCEPTS, derive_game, nash, pareto, solve
 from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
+from bdgame.model import DecisionMode
 from bdgame.verify import (check_extension_laws, check_game_laws,
-                           check_heuristic_fragment, check_order_laws,
-                           check_pipeline_equivalence, check_representation,
-                           check_representation_corpus, random_spec)
+                           check_heuristic_fragment, check_monotonicity,
+                           check_order_laws, check_pipeline_equivalence,
+                           check_representation, check_representation_corpus,
+                           random_spec)
 
 from conftest import evaluated_profiles
 
@@ -177,6 +183,17 @@ def test_checks_that_examine_nothing_do_not_pass(monkeypatch):
     assert not result.passed and result.checked == 0
 
 
+@pytest.mark.parametrize("suite", [
+    check_extension_laws, check_game_laws,
+    lambda samples: check_monotonicity(load_example("prisoners"),
+                                       samples=samples)],
+    ids=["extension-laws", "game-laws", "monotonicity"])
+def test_sampled_suites_without_samples_do_not_pass(suite):
+    result = suite(samples=0)
+    assert not result.passed and result.checked == 0
+    assert str(result).endswith("(nothing to check: no instance)")
+
+
 def test_representation_corpus_skips_specs_without_feasible_profiles(
         monkeypatch):
     results = []
@@ -191,6 +208,69 @@ def test_representation_corpus_skips_specs_without_feasible_profiles(
     assert corpus.passed and corpus.checked == 10
     skipped = [r for r in results if not r.checked]
     assert len(results) == 11 and len(skipped) == 1
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: atoms no formula mentions change nothing
+# ---------------------------------------------------------------------------
+
+METAMORPHIC_SPECS = 200
+
+
+def metamorphic_specs(seed):
+    """Seeded random specs with a feasible profile, each in all three
+    decision modes."""
+    rng = random.Random(seed)
+    produced = 0
+    while produced < METAMORPHIC_SPECS:
+        spec = random_spec(rng)
+        if derive_game(spec).positions:
+            produced += 1
+            for mode in DecisionMode:
+                yield spec.with_options(decision_mode=mode)
+
+
+def without(atom, indexes, game):
+    """The game's profiles at ``indexes``, with ``atom`` dropped from their
+    decisions."""
+    return {tuple(frozenset(lit for lit in d.literals if lit.atom != atom)
+                  for d in game.profile(i).decisions) for i in indexes}
+
+
+def test_an_idle_decision_atom_changes_no_concept_and_no_goal_set():
+    # A decision atom no rule mentions splits every decision of its agent
+    # into copies that no desire, belief or priority tells apart.
+    rng = random.Random(41)
+    for spec in metamorphic_specs(40):
+        owner = rng.randrange(len(spec.agents))
+        idle = replace(spec, agents=tuple(
+            replace(a, decision_atoms=a.decision_atoms + ("z",))
+            if k == owner else a for k, a in enumerate(spec.agents)))
+        game, twin = derive_game(spec), derive_game(idle)
+        assert len(twin.positions) > len(game.positions)
+        for concept in CONCEPTS:
+            assert without("z", solve(twin, concept).profile_indexes,
+                           twin) == without(
+                "z", solve(game, concept).profile_indexes, game), concept
+        assert set(twin.goal_sets) == set(game.goal_sets)
+
+
+def test_an_idle_world_atom_leaves_the_json_reports_byte_identical(capsys):
+    # The commands run on the spec objects, as ``main`` runs them once it
+    # has read the file; each concept's arguments are parsed once.
+    parser = _build_parser()
+    runs = [[(argv[0], parser.parse_args([*argv, "-", "--format", "json"]))
+             for argv in (["profiles"], ["solve", "--concept", concept],
+                          ["goals", "--family", concept])]
+            for concept in CONCEPTS]
+    for k, spec in enumerate(metamorphic_specs(42)):
+        idle = replace(spec, world_atoms=spec.world_atoms + ("w",))
+        for command, args in runs[k % len(runs)]:
+            printed = []
+            for s in (spec, idle):
+                assert _COMMANDS[command](s, args) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], (command, format_spec(spec))
 
 
 def test_equal_specs_hash_equal():

@@ -56,6 +56,11 @@ def test_every_mutant_applies_once_and_names_existing_tests():
     for mutant in MUTANTS:
         assert sources[mutant.module].count(mutant.snippet) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
+        # A replacement that does not parse fails every test, so the runner
+        # would count it killed whatever the tests check.
+        ast.parse(sources[mutant.module].replace(mutant.snippet,
+                                                 mutant.replacement),
+                  filename=f"{mutant.module} under {mutant.name}")
         for test in mutant.tests:
             path, _, name = test.partition("::")
             name = name.partition("[")[0]  # a parametrized test's id
