@@ -414,10 +414,11 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                f"{len(game.positions)} feasible profiles")
         for i in solution.profile_indexes:
             yield "  " + profile(i)
-        if solution.witnesses:
+        if len(solution.profile_indexes) < len(game.positions):
             yield "excluded:"
-        for i in sorted(solution.witnesses):
-            w = solution.witnesses[i]
+        for i, w in enumerate(solution.witness):
+            if w is None:
+                continue
             parts = [f"agent {w.agent}"] if w.agent is not None else []
             if w.other is not None:
                 parts.append("see " + profile(w.other))

@@ -34,10 +34,11 @@ compare the indistinguishability classes (profiles with equal unreached
 sets for every agent, which no preference tells apart) through per-agent
 bitsets over the classes read off it (``class_bitsets``); Nash reaches
 each deviation by index arithmetic and one lookup, and searches once per
-(agent, row, own unreached id).  Every exclusion carries a witness that
-can be re-validated against the definitions, which ``profile_geq`` and
-``strictly_better`` keep: they decide by ``set_geq`` on the unreached
-sets, not by the tables.
+(agent, row, own unreached id).  A solution is one column over the
+feasible profiles: None for a profile in it, else a witness of its
+exclusion that can be re-validated against the definitions, which
+``profile_geq`` and ``strictly_better`` keep: they decide by ``set_geq``
+on the unreached sets, not by the tables.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
@@ -51,8 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, count, product, repeat
 from math import prod
+from operator import is_
 from typing import Callable
 
 from .decision import (AgentDesireStatus, Decision, DecisionProfile,
@@ -367,13 +369,14 @@ def derive_game(spec: AgentSystemSpec) -> GameSpecification:
 
 @dataclass(frozen=True)
 class ExclusionWitness:
-    """Why a profile fails a concept.
+    """Why a profile fails a concept: one entry of a solution's column.
 
     For pareto/strong-pareto: ``other`` is a profile improving on the
     candidate.  For dominant: the candidate's component for ``agent`` is not
     weakly best against profile ``other``.  For nash: ``agent`` gains by
     deviating to ``decision`` (reaching ``other`` when that profile is
-    feasible, None under the fail policy).
+    feasible, None under the fail policy).  Profiles excluded for the same
+    reason may share one witness object.
     """
 
     agent: str | None = None
@@ -383,17 +386,26 @@ class ExclusionWitness:
 
 @dataclass(frozen=True)
 class SolutionReport:
+    """A concept's verdict as one column over the feasible profiles, in
+    canonical order: ``witness[i]`` is None when profile i is in the
+    solution, else the ExclusionWitness that excludes it."""
+
     concept: str
-    profile_indexes: tuple[int, ...]
-    witnesses: dict[int, ExclusionWitness]
+    witness: tuple[ExclusionWitness | None, ...]
+
+    @cached_property
+    def profile_indexes(self) -> tuple[int, ...]:
+        """The solution's feasible indexes, in canonical order: where the
+        column holds None."""
+        return tuple(compress(count(), map(is_, self.witness, repeat(None))))
 
 
 def _by_classes(game: GameSpecification, concept: str,
                 excluding: Callable[[int], int],
                 agent: Callable[[int, int], str] | None = None
                 ) -> SolutionReport:
-    """Profiles of the classes that no class excludes.  ``excluding(c)`` is
-    the bitset of the classes that exclude class c, read off
+    """The column of a concept decided per class.  ``excluding(c)`` is the
+    bitset of the classes that exclude class c, read off
     ``game.class_bitsets``; ``agent(c, k)``, when given, names the agent
     the witness that class k excludes class c names.
 
@@ -401,20 +413,21 @@ def _by_classes(game: GameSpecification, concept: str,
     sets, so profiles of one class never exclude each other, and a class's
     first member stands for it.  The lowest excluding class holds the first
     excluding profile in canonical order, its first member, which is the
-    witness.
+    witness.  Each class gets one witness or None, which its members share
+    through ``game.class_ids``.
     """
-    included, witnesses = [], {}
-    for c, members in enumerate(game.classes):
+    per_class: list[ExclusionWitness | None] = []
+    for c in range(len(game.classes)):
         bits = excluding(c)
         if bits:
             k = (bits & -bits).bit_length() - 1
-            witnesses.update(dict.fromkeys(members, ExclusionWitness(
+            per_class.append(ExclusionWitness(
                 agent=None if agent is None else agent(c, k),
-                other=game.classes[k][0])))
+                other=game.classes[k][0]))
         else:
-            included.extend(members)
-    return SolutionReport(concept, tuple(sorted(included)),
-                          dict(sorted(witnesses.items())))
+            per_class.append(None)
+    return SolutionReport(concept,
+                          tuple(map(per_class.__getitem__, game.class_ids)))
 
 
 def pareto(game: GameSpecification) -> SolutionReport:
@@ -486,7 +499,9 @@ def nash(game: GameSpecification, *,
     agents' digits), and which of them wins depends only on the candidate's
     own unreached id: the candidate's own decision is never infeasible and
     never better than itself.  So the search runs once per (agent, row, own
-    id), and the candidates that share all three share its result.
+    id), and the candidates that share all three share its result.  Each
+    candidate, in canonical order, appends the first agent's witness, or
+    None when no agent has one, to the column.
     """
     fail = _fails_on_infeasible_swaps(infeasible_swaps)
     candidates = game.candidates
@@ -508,7 +523,7 @@ def nash(game: GameSpecification, *,
     searches = [(agent_id, ids, geq, deviations, radix, stride, {})
                 for agent_id, (ids, geq), (deviations, _, stride, radix)
                 in zip(game.spec.agent_ids, game.orders, game._digits)]
-    included, witnesses = [], {}
+    column = []
     for i, c in enumerate(game.positions):
         witness = None
         for agent_id, ids, geq, deviations, radix, stride, known in searches:
@@ -522,11 +537,8 @@ def nash(game: GameSpecification, *,
                     agent_id, ids, geq[own], deviations, stride, base)
             if witness is not None:
                 break
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = witness
-    return SolutionReport(NASH, tuple(included), witnesses)
+        column.append(witness)
+    return SolutionReport(NASH, tuple(column))
 
 
 def _fails_on_infeasible_swaps(infeasible_swaps: str) -> bool:

@@ -35,7 +35,7 @@ from functools import cache, partial
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .decision import DecisionProfile, joint_extension
+from .decision import DecisionProfile
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
@@ -142,15 +142,16 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
 
 def _goal_based(game: GameSpecification, index: int, goals: GoalSet) -> bool:
     """Feasible profile ``index`` is goal-based for ``goals``, by entailment
-    over the whole vocabulary on its joint extension, built and dropped."""
+    over the whole vocabulary on its joint formula set: the union of the
+    formula sets of its parts (``game.feasible_decisions``), joined here and
+    not by the solver's ``joint_extension``, and dropped after the call."""
     if not goals.positive and not goals.negative:
         return True  # nothing to ask: skip the 2^|V|-bit theory mask
     spec, profile = game.spec, game.profile(index)
-    parts = tuple(ds[d] for ds, d in zip(game.feasible_decisions.values(),
-                                         profile.decisions))
-    ext = joint_extension(spec, profile, parts)
+    formulas = frozenset().union(*(ds[d].formulas for ds, d in zip(
+        game.feasible_decisions.values(), profile.decisions)))
     atoms = spec.vocabulary.names
-    theory = models(ext.formulas, atoms=atoms, max_atoms=spec.max_atoms)
+    theory = models(formulas, atoms=atoms, max_atoms=spec.max_atoms)
     return (all(mask_entails(theory, g, atoms) for g in goals.positive)
             and not any(mask_entails(theory, g, atoms)
                         for g in goals.negative))

@@ -19,8 +19,8 @@ The references compare profiles by ``profile_geq``, which decides by
 ``set_geq`` on the unreached sets, and find deviations with
 ``with_decision`` and ``index_of``: none of them reads the tables.  The
 game keeps no profile objects; its profiles by index
-(``GameSpecification.profile``), its reports and the joint extensions the
-oracles join from its parts are held to the definitional object view of
+(``GameSpecification.profile``), its reports and the joint extensions
+joined from its parts are held to the definitional object view of
 ``conftest.evaluated_profiles``, fresh joint extensions and desire
 reports of every jointly consistent profile.
 
@@ -109,7 +109,7 @@ def assert_joint_extension_matches_the_definition(spec, ext, profile):
 
 def assert_game_extensions_match_the_definition(game):
     """The joint extension of each feasible profile joined from the game's
-    parts, as the oracles join it, against its definition."""
+    parts, as the product pass joins it, against its definition."""
     for i in range(len(game.positions)):
         profile = game.profile(i)
         parts = tuple(game.feasible_decisions[d.agent][d]
@@ -121,53 +121,46 @@ def assert_game_extensions_match_the_definition(game):
 
 def ref_pareto(game):
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
+    column = []
     for i in range(len(game.positions)):
         witness = next(
             (j for j in range(len(game.positions)) if j != i
              and all(game.strictly_better(j, i, a) for a in agents)),
             None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(other=witness)
-    return tuple(included), witnesses
+        column.append(None if witness is None
+                      else ExclusionWitness(other=witness))
+    return tuple(column)
 
 
 def ref_strongly_pareto(game):
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
+    column = []
     for i in range(len(game.positions)):
         witness = next(
             (j for j in range(len(game.positions)) if j != i
              and all(game.profile_geq(j, i, a) for a in agents)
              and any(game.strictly_better(j, i, a) for a in agents)),
             None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(other=witness)
-    return tuple(included), witnesses
+        column.append(None if witness is None
+                      else ExclusionWitness(other=witness))
+    return tuple(column)
 
 
 def ref_dominant(game):
     agents = game.spec.agent_ids
-    included, witnesses = [], {}
+    column = []
     for i in range(len(game.positions)):
         witness = next(
             ((j, a) for j in range(len(game.positions)) if j != i
              for a in agents if not game.profile_geq(i, j, a)),
             None)
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = ExclusionWitness(agent=witness[1],
-                                            other=witness[0])
-    return tuple(included), witnesses
+        column.append(None if witness is None else ExclusionWitness(
+            agent=witness[1], other=witness[0]))
+    return tuple(column)
 
 
 def ref_nash(game, infeasible_swaps):
-    included, witnesses = [], {}
+    column = []
     for i, candidate in enumerate(evaluated_profiles(game.spec)):
         witness = None
         for agent_id in game.spec.agent_ids:
@@ -189,11 +182,16 @@ def ref_nash(game, infeasible_swaps):
                     break
             if witness is not None:
                 break
-        if witness is None:
-            included.append(i)
-        else:
-            witnesses[i] = witness
-    return tuple(included), witnesses
+        column.append(witness)
+    return tuple(column)
+
+
+def assert_column_matches(got, column):
+    """A solution is the reference column, one entry per feasible profile,
+    and its indexes are where that column holds None."""
+    assert got.witness == column
+    assert got.profile_indexes == tuple(
+        i for i, w in enumerate(column) if w is None)
 
 
 def ref_desire_report(spec, ext):
@@ -288,12 +286,10 @@ def test_concepts_and_goal_sets_match_the_definitions():
         for solve, reference in ((pareto, ref_pareto),
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
-            got = solve(game)
-            assert (got.profile_indexes, got.witnesses) == reference(game)
+            assert_column_matches(solve(game), reference(game))
         for policy in (SKIP, FAIL):
-            got = nash(game, infeasible_swaps=policy)
-            assert (got.profile_indexes, got.witnesses) == \
-                ref_nash(game, policy)
+            assert_column_matches(nash(game, infeasible_swaps=policy),
+                                  ref_nash(game, policy))
         # The columns agree with the reference view, and every candidate's
         # feasible index points back at its position.
         assert [ep.report for ep in feasible] == list(game.reports)
@@ -347,12 +343,11 @@ def test_class_level_concepts_match_the_profile_loops():
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
             got = solve(game)
-            assert (got.profile_indexes, got.witnesses) == reference(game)
-            excluded += len(got.witnesses)
+            assert_column_matches(got, reference(game))
+            excluded += sum(w is not None for w in got.witness)
         for policy in (SKIP, FAIL):
-            got = nash(game, infeasible_swaps=policy)
-            assert (got.profile_indexes, got.witnesses) == \
-                ref_nash(game, policy)
+            assert_column_matches(nash(game, infeasible_swaps=policy),
+                                  ref_nash(game, policy))
         assert_game_extensions_match_the_definition(game)
         if games == CLASS_SPECS:
             break
@@ -428,10 +423,9 @@ def test_nash_matches_the_profile_loop_where_swaps_break_feasibility():
         unequal += len(set(map(len, game.feasible_decisions.values()))) > 1
         for policy in (SKIP, FAIL):
             got = nash(game, infeasible_swaps=policy)
-            assert (got.profile_indexes, got.witnesses) == \
-                ref_nash(game, policy)
-        decision_only += sum(w.other is None
-                             for w in got.witnesses.values())
+            assert_column_matches(got, ref_nash(game, policy))
+        decision_only += sum(w is not None and w.other is None
+                             for w in got.witness)
     assert games >= 25 and three_agent >= 15 and unequal >= 25
     assert decision_only >= 600
 

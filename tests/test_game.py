@@ -69,9 +69,10 @@ def test_pareto_prisoners(prisoners):
     assert names(game, report.profile_indexes) == {
         "<alpha1={a}, alpha2={b}>", "<alpha1={a}, alpha2={!b}>",
         "<alpha1={!a}, alpha2={b}>"}
-    excluded = set(report.witnesses)
+    assert len(report.witness) == len(game.positions)
+    excluded = [i for i, w in enumerate(report.witness) if w is not None]
     assert names(game, excluded) == {"<alpha1={!a}, alpha2={!b}>"}
-    witness = next(iter(report.witnesses.values()))
+    witness = report.witness[excluded[0]]
     assert names(game, [witness.other]) == {"<alpha1={a}, alpha2={b}>"}
 
 
@@ -138,7 +139,7 @@ def test_nash_prisoners(prisoners):
         "<alpha1={!a}, alpha2={!b}>"}
     # mutual cooperation fails because defecting improves the defector
     coop = game.index_of(profile(alpha1=["a"], alpha2=["b"]))
-    witness = report.witnesses[coop]
+    witness = report.witness[coop]
     assert witness.decision in (
         Decision("alpha1", frozenset({Literal("a", False)})),
         Decision("alpha2", frozenset({Literal("b", False)})))
@@ -536,5 +537,6 @@ def test_nash_builds_no_profile_and_looks_none_up(monkeypatch,
     excluded = 0
     for game in [derive_game(interdependence), *seeded_games()]:
         for policy in (SKIP, FAIL):
-            excluded += len(nash(game, infeasible_swaps=policy).witnesses)
+            excluded += sum(w is not None for w in nash(
+                game, infeasible_swaps=policy).witness)
     assert excluded >= 1_000

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,17 +12,19 @@ import pytest
 import bdgame.game
 import bdgame.goals
 import bdgame.verify
+from bdgame import example_path, load_example
 from bdgame.decision import desire_report
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
-from bdgame.game import GameSpecification, derive_game, pareto
-from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
-                          apply_decision_rule,
-                          delta_goal_sets, feasible_representation_check,
-                          fragment_check, goal_set_of, heuristic_goals,
-                          is_goal_based, iter_syntactic_goal_sets,
-                          pareto_via_goals, representation_check,
-                          syntactic_goal_sets, u_closure)
+from bdgame.game import CONCEPTS, GameSpecification, derive_game, pareto
+from bdgame.goals import (DECISION_RULES, GoalSet, ProfileFamily,
+                          RepresentationViolation, apply_decision_rule,
+                          concept_family, delta_goal_sets,
+                          feasible_representation_check, fragment_check,
+                          goal_set_of, heuristic_goals, is_goal_based,
+                          iter_syntactic_goal_sets, pareto_via_goals,
+                          representation_check, syntactic_goal_sets,
+                          u_closure)
 from bdgame.logic import TRUE, And, Not, Var, parse_formula
 from bdgame.model import parse_spec
 from bdgame.verify import (check_pipeline_equivalence, check_representation,
@@ -530,6 +533,34 @@ def test_goals_first_raises_on_a_broken_invariant_without_asserts():
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stdout) == (0, "raised\nraised\n"), \
         run.stderr
+
+
+EXAMPLES = sorted(p.name.removesuffix(".bdg") for p in
+                  example_path("prisoners").parent.glob("*.bdg"))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_entry_points_called_without_a_game_derive_the_same_one(name):
+    """Every goals entry point, called with ``game=None``, answers as it
+    does when handed ``derive_game(spec)``."""
+    spec = load_example(name)
+    game = derive_game(spec)
+    profiles = [game.profile(i) for i in range(len(game.positions))]
+    everything = ProfileFamily(tuple(range(len(profiles))), u_closed=True)
+    calls = [
+        partial(u_closure, spec, profiles),
+        partial(delta_goal_sets, spec, everything),
+        partial(representation_check, spec, everything),
+        partial(feasible_representation_check, spec),
+        partial(pareto_via_goals, spec),
+        *(partial(concept_family, spec, c) for c in ("all", *CONCEPTS)),
+        *(partial(apply_decision_rule, spec, r) for r in DECISION_RULES),
+        *(partial(goal_set_of, spec, p) for p in profiles),
+        *(partial(is_goal_based, spec, p, gs) for p in profiles
+          for gs in game.goal_set_members)]
+    assert len(EXAMPLES) == 6 and profiles
+    for call in calls:
+        assert call() == call(game=game), call
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from importlib import resources
+from itertools import starmap
 
 import pytest
 
@@ -12,7 +13,8 @@ from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
 from bdgame.cli import _COMMANDS, _build_parser
-from bdgame.game import CONCEPTS, derive_game, nash, pareto, solve
+from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
+                         derive_game, nash, pareto, solve)
 from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
 from bdgame.model import DecisionMode
 from bdgame.verify import (check_extension_laws, check_game_laws,
@@ -55,6 +57,37 @@ def test_order_laws_exhaustive():
 def test_game_laws_seeded():
     result = check_game_laws(seed=1234, samples=80)
     assert result.passed, result
+
+
+def excluded_by_itself(i, w):
+    return w and replace(w, other=i)
+
+
+@pytest.mark.parametrize("name, rewrite, detail", [
+    ("pareto", lambda i, w: w or ExclusionWitness(other=i),
+     "Pareto empty on a nonempty game"),
+    ("strongly_pareto", lambda i, w: None,
+     "strongly-Pareto not within Pareto"),
+    ("dominant", lambda i, w: None, "dominant not within Nash"),
+    ("pareto", excluded_by_itself, "stale Pareto witness"),
+    ("strongly_pareto", excluded_by_itself, "stale strongly-Pareto witness"),
+    ("dominant", excluded_by_itself, "stale dominant witness"),
+    ("nash", excluded_by_itself, "stale Nash witness")],
+    ids=["pareto-empty", "strong-pareto-outside-pareto",
+         "dominant-outside-nash", "stale-pareto", "stale-strong-pareto",
+         "stale-dominant", "stale-nash"])
+def test_game_laws_name_a_broken_column(monkeypatch, name, rewrite, detail):
+    """One concept's column rewritten entry by entry: the single pass over
+    the four columns reports the law it breaks."""
+    concept = getattr(bdgame.verify, name)
+
+    def broken(game):
+        report = concept(game)
+        return SolutionReport(report.concept, tuple(
+            starmap(rewrite, enumerate(report.witness))))
+    monkeypatch.setattr(bdgame.verify, name, broken)
+    result = check_game_laws(seed=1234, samples=80)
+    assert not result.passed and result.details == detail, result
 
 
 def test_feasible_profile_implies_feasible_components():
