@@ -34,7 +34,8 @@ from .game import CONCEPTS, _product_columns, agent_extensions, derive_game
 from .game import solve as solve_game
 from .goals import (DECISION_RULES, _closure, apply_decision_rule,
                     concept_family, delta_goal_sets, pareto_via_goals)
-from .logic import DEFAULT_MAX_ATOMS, format_formula, parse_literal
+from .logic import (DEFAULT_MAX_ATOMS, format_formula, formula_printer,
+                    parse_literal)
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
                     AgentSystemSpec, DecisionMode, parse_spec, validate_spec)
 from .verify import (check_monotonicity, check_order_laws,
@@ -465,10 +466,11 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
             yield f"  [{i}] {pieces.profile_text(game.profile(i).decisions)}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
+    text = formula_printer()
     _emit(args.format, lines, lambda: _report(
         spec.name, "goals", solutions={"family": family.profile_indexes},
-        goal_sets=[{"positive": sorted(map(format_formula, gs.positive)),
-                    "negative": sorted(map(format_formula, gs.negative)),
+        goal_sets=[{"positive": sorted(map(text, gs.positive)),
+                    "negative": sorted(map(text, gs.negative)),
                     "generators": generators[gs]}
                    for gs in goal_sets]),
         lambda: _entries(game.feasible_decisions, game.candidates,

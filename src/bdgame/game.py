@@ -87,10 +87,12 @@ class GoalSet:
         return f"<+{{{pos}}}, -{{{neg}}}>"
 
 
-def goal_set_key(gs: GoalSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The goal set's formulas, printed and sorted: the canonical order."""
-    return (tuple(sorted(format_formula(f) for f in gs.positive)),
-            tuple(sorted(format_formula(f) for f in gs.negative)))
+def goal_set_key(gs: GoalSet, text: Callable[[Formula], str] = format_formula
+                 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The goal set's formulas, printed by ``text`` and sorted: the
+    canonical order."""
+    return (tuple(sorted(map(text, gs.positive))),
+            tuple(sorted(map(text, gs.negative))))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,12 @@ that generate the same goal set leave the same desires unreached.
   singleton closures.  One check decides each (profile, goal set) pair by
   entailment at most once, in a memo that lives as long as the check;
   ``verify.check_representation`` shares one memo between all its families.
+
+Goal-basedness is decided by entailment over the whole vocabulary, one
+``_goal_decider`` per call: it compiles each profile's theory as the AND of
+its parts' masks, again only from the first agent whose decision changed
+since the last profile asked about, and each distinct goal formula once.
+No mask outlives the call.
 """
 
 from __future__ import annotations
@@ -35,13 +41,13 @@ from functools import cache, partial
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .decision import DecisionProfile
+from .decision import DecisionProfile, set_geq
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
 from .game import (GameSpecification, GoalSet, _fails_on_infeasible_swaps,
                    derive_game, goal_set_key, nash, pareto, solve)
-from .logic import Formula, in_sublanguage, mask_entails, models
+from .logic import Formula, formula_printer, in_sublanguage, models
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -66,7 +72,10 @@ class ProfileFamily:
 
 
 def _sorted_goal_sets(goal_sets: Iterable[GoalSet]) -> tuple[GoalSet, ...]:
-    return tuple(sorted(dict.fromkeys(goal_sets), key=goal_set_key))
+    """The distinct goal sets in canonical order, each formula printed once
+    per call."""
+    return tuple(sorted(dict.fromkeys(goal_sets),
+                        key=partial(goal_set_key, text=formula_printer())))
 
 
 def _index(game: GameSpecification, profile: DecisionProfile) -> int:
@@ -140,21 +149,62 @@ def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
                                  _members(game, family)))
 
 
-def _goal_based(game: GameSpecification, index: int, goals: GoalSet) -> bool:
-    """Feasible profile ``index`` is goal-based for ``goals``, by entailment
-    over the whole vocabulary on its joint formula set: the union of the
-    formula sets of its parts (``game.feasible_decisions``), joined here and
-    not by the solver's ``joint_extension``, and dropped after the call."""
-    if not goals.positive and not goals.negative:
-        return True  # nothing to ask: skip the 2^|V|-bit theory mask
-    spec, profile = game.spec, game.profile(index)
-    formulas = frozenset().union(*(ds[d].formulas for ds, d in zip(
-        game.feasible_decisions.values(), profile.decisions)))
-    atoms = spec.vocabulary.names
-    theory = models(formulas, atoms=atoms, max_atoms=spec.max_atoms)
-    return (all(mask_entails(theory, g, atoms) for g in goals.positive)
-            and not any(mask_entails(theory, g, atoms)
-                        for g in goals.negative))
+GoalBased = Callable[[int, GoalSet], bool]
+
+
+def _goal_decider(game: GameSpecification) -> GoalBased:
+    """One goal-basedness decider on the game: ``decide(index, goals)``
+    tells whether feasible profile ``index`` is goal-based for ``goals``,
+    by entailment over the whole vocabulary on its joint formula set, the
+    union of the formula sets of its parts (``game.feasible_decisions``).
+
+    The models of a union of formula sets are the AND of their models, so
+    the theory mask is the AND of the parts' ``models`` masks, each part
+    compiled ``within`` the AND of the parts before it, with no formula set
+    joined and no ``joint_extension`` built.  The decider keeps those
+    prefix ANDs for the last profile asked about, one per agent, so only
+    the parts from the first agent whose decision changed are compiled
+    again; and it compiles each distinct goal formula once, so that a goal
+    is entailed iff ``theory & goal == theory``.  All of it dies with the
+    decider."""
+    spec = game.spec
+    atoms, bound = spec.vocabulary.names, spec.max_atoms
+    parts = [tuple(ds.values()) for ds in game.feasible_decisions.values()]
+    radixes = [(stride, radix) for _, _, stride, radix in game._digits]
+    digits: list[int] = []  # the last profile's digit per agent ...
+    prefix: list[int] = []  # ... and the AND of its parts' masks up to it
+    goal_masks: dict[Formula, int] = {}
+
+    def theory(index: int) -> int:
+        c = game.positions[index]
+        wanted = [c // stride % radix for stride, radix in radixes]
+        k = 0
+        while k < len(digits) and digits[k] == wanted[k]:
+            k += 1
+        del digits[k:], prefix[k:]
+        for decisions, digit in zip(parts[k:], wanted[k:]):
+            prefix.append(models(decisions[digit].formulas, atoms=atoms,
+                                 max_atoms=bound,
+                                 within=prefix[-1] if prefix else None))
+            digits.append(digit)
+        if not prefix:  # no agent, no part: every assignment
+            return models((), atoms=atoms, max_atoms=bound)
+        return prefix[-1]
+
+    def entailed(mask: int, goal: Formula) -> bool:
+        compiled = goal_masks.get(goal)
+        if compiled is None:
+            compiled = goal_masks[goal] = models((goal,), atoms=atoms,
+                                                 max_atoms=bound)
+        return mask & compiled == mask
+
+    def decide(index: int, goals: GoalSet) -> bool:
+        if not goals.positive and not goals.negative:
+            return True  # nothing to ask: skip the 2^|V|-bit theory mask
+        mask = theory(index)
+        return (all(entailed(mask, g) for g in goals.positive)
+                and not any(entailed(mask, g) for g in goals.negative))
+    return decide
 
 
 def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
@@ -165,7 +215,7 @@ def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
     desire reports)."""
     if game is None:
         game = derive_game(spec)
-    return _goal_based(game, _index(game, profile), goals)
+    return _goal_decider(game)(_index(game, profile), goals)
 
 
 def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
@@ -220,13 +270,10 @@ class CheckReport:
     violations: tuple[RepresentationViolation, ...] = ()
 
 
-GoalBased = Callable[[int, GoalSet], bool]
-
-
 def _goal_based_memo(game: GameSpecification) -> GoalBased:
-    """``_goal_based`` on the game, deciding each (index, goal set) pair at
-    most once, for as long as the returned function lives."""
-    return cache(partial(_goal_based, game))
+    """One ``_goal_decider`` on the game, deciding each (index, goal set)
+    pair at most once, for as long as the returned function lives."""
+    return cache(_goal_decider(game))
 
 
 def _representation_violations(game: GameSpecification,
@@ -381,22 +428,25 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
     by the goal set each member generates.  Equal goal sets force equal
     unreached sets (see ``representation_check``), so the first member of a
     group stands for its goal set: a goal set is maximal when no other
-    group's first member strictly improves on its first member for every
-    agent (``strictly_better``).  Maximal joint goal sets first, profiles
-    second: the family is every feasible profile that leaves the same
-    desires unreached as a maximal goal set's members, which is the
-    U-closure of the pool profiles no pool profile improves on.  Agrees
-    with the profile-first route on the resulting Pareto family.
+    group's first member leaves unreached sets strictly better for every
+    agent.  The distinct unreached tuples of the first members are ranked
+    with each agent's ordered pair of distinct sets among them decided once
+    by ``set_geq``.  Maximal joint goal sets first, profiles second: the
+    family is every feasible profile that leaves the same desires
+    unreached as a maximal goal set's members, which is the U-closure of
+    the pool profiles no pool profile improves on.  Agrees with the
+    profile-first route on the resulting Pareto family.
 
     It checks goal-basedness by entailment, independently of the desire
-    reports, and orders goal sets without the preference tables, the
-    classes or ``game.pareto``.  It does not check the goal sets, which are
-    read off the same desire reports as the preferences.  Every feasible
-    profile is goal-based for its own goal set (representation direction
-    (a)), so that one is tried first and the pool is the whole feasible set
-    unless that direction fails.  A goal set with a goal of no desire rule,
-    or a goal set whose pool members leave different desires unreached,
-    raises RuntimeError, under ``python -O`` as well.
+    reports, with one ``_goal_decider`` for the whole pool, and orders goal
+    sets without the preference tables, the classes or ``game.pareto``.  It
+    does not check the goal sets, which are read off the same desire
+    reports as the preferences.  Every feasible profile is goal-based for
+    its own goal set (representation direction (a)), so that one is tried
+    first and the pool is the whole feasible set unless that direction
+    fails.  A goal set with a goal of no desire rule, or a goal set whose
+    pool members leave different desires unreached, raises RuntimeError,
+    under ``python -O`` as well.
     """
     if game is None:
         game = derive_game(spec)
@@ -409,10 +459,9 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
             raise RuntimeError(
                 f"feasible goal set {gs} holds a goal of no desire rule")
     feasible = range(len(game.positions))
-    pool = tuple(
-        i for i in feasible
-        if any(_goal_based(game, i, gs)
-               for gs in (game.goal_sets[i], *feasible_goal_sets)))
+    decide = _goal_decider(game)
+    pool = tuple(i for i in feasible if decide(i, game.goal_sets[i])
+                 or any(decide(i, gs) for gs in feasible_goal_sets))
     agents = spec.agent_ids
     unreached = [tuple(game.unreached(i, a) for a in agents)
                  for i in feasible]
@@ -426,13 +475,25 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
                     f"{game.profile(first)} and "
                     f"{game.profile(i)} generate the goal set {gs} "
                     f"but leave different desires unreached")
-    firsts = [members[0] for members in groups.values()]
-
-    def improves(first: int, second: int) -> bool:
-        return all(game.strictly_better(first, second, a) for a in agents)
-
-    maximal = {unreached[i] for i in firsts
-               if not any(improves(j, i) for j in firsts if j != i)}
+    # The distinct unreached tuples of the groups' first members, ranked:
+    # per tuple, a bitset of the other tuples that improve on it, strictly
+    # better for every agent.  Per agent, each ordered pair of its distinct
+    # sets among the tuples is decided once.
+    tuples = tuple(dict.fromkeys(unreached[members[0]]
+                                 for members in groups.values()))
+    improving = [(1 << len(tuples)) - 1 ^ 1 << j for j in range(len(tuples))]
+    for k, agent in enumerate(spec.agents):
+        holding: dict[frozenset[str], int] = {}  # the tuples with each set
+        for j, u in enumerate(tuples):
+            holding[u[k]] = holding.get(u[k], 0) | 1 << j
+        geq = {(x, y) for x in holding for y in holding
+               if x != y and set_geq(y, x, agent.priority)}
+        above = {y: sum(bits for x, bits in holding.items()
+                        if (x, y) in geq and (y, x) not in geq)
+                 for y in holding}
+        for j, u in enumerate(tuples):
+            improving[j] &= above[u[k]]
+    maximal = {u for u, bits in zip(tuples, improving) if not bits}
     return GoalsFirstResult(
         feasible_goal_sets=feasible_goal_sets,
         pool=pool,

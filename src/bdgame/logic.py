@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormulaSyntaxError, UndeclaredAtomError, VocabularyLimitError
 
@@ -296,6 +296,21 @@ def format_formula(f: Formula) -> str:
     return _format(f, 0)
 
 
+def formula_printer() -> Callable[[Formula], str]:
+    """``format_formula`` with a memo for one caller: each formula object is
+    printed once and found again by ``id``, which costs less than hashing
+    the formula.  The memo keeps every formula it printed, so no id in it
+    is reused while it lives; it dies with the caller's reference."""
+    texts: dict[int, tuple[Formula, str]] = {}
+
+    def text(f: Formula) -> str:
+        entry = texts.get(id(f))
+        if entry is None:
+            entry = texts[id(f)] = (f, _format(f, 0))
+        return entry[1]
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Literals
 # ---------------------------------------------------------------------------
@@ -390,11 +405,14 @@ def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
     return atoms
 
 
-def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...]) -> int:
-    full = (1 << (1 << len(universe))) - 1
-    mask = full
+def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...],
+            mask: int | None = None) -> int:
+    if mask is None:
+        mask = (1 << (1 << len(universe))) - 1
+    # Each formula is compiled within the assignments left, which are all
+    # the AND keeps of it.
     for f in formulas:
-        mask &= _conditioned(f, {}, universe, full)
+        mask &= _conditioned(f, {}, universe, mask)
         if mask == 0:
             break
     return mask
@@ -402,14 +420,18 @@ def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...]) -> int:
 
 def models(formulas: Iterable[Formula], *,
            atoms: Sequence[str] | None = None,
-           max_atoms: int = DEFAULT_MAX_ATOMS) -> int:
+           max_atoms: int = DEFAULT_MAX_ATOMS,
+           within: int | None = None) -> int:
     """The assignments satisfying every formula, as a bitmask over the
-    universe (``atoms``, by default the atoms of the formulas).
+    universe (``atoms``, by default the atoms of the formulas); with
+    ``within``, a model mask over the same universe, only those in it.
 
-    Build it once for a theory and query it with ``mask_entails``.
+    Build it once for a theory and query it with ``mask_entails``.  A
+    theory that grows by parts is built part by part ``within`` the mask
+    of the parts before: the models of a union are the AND of the models.
     """
     formulas = tuple(formulas)
-    return _models(formulas, _universe(formulas, atoms, max_atoms))
+    return _models(formulas, _universe(formulas, atoms, max_atoms), within)
 
 
 def mask_entails(theory: int, conclusion: Formula,

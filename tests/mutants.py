@@ -234,10 +234,49 @@ MUTANTS = (
             "test_json_solve_reads_the_columns_and_builds_no_profile_objects",
             )),
     Mutant("goal-based-leaves-out-the-last-part", "goals.py",
-           "game.feasible_decisions.values(), profile.decisions)))",
-           "game.feasible_decisions.values(), profile.decisions[:-1])))",
+           "zip(parts[k:], wanted[k:])",
+           "zip(parts[k:-1], wanted[k:-1])",
            ("tests/test_differential.py::"
             "test_goal_basedness_matches_one_entailment_per_goal",)),
+    Mutant("goal-prefix-kept-when-an-earlier-agent-changed", "goals.py",
+           "digits[k] == wanted[k]",
+           "digits[-1] == wanted[-1]",
+           ("tests/test_differential.py::"
+            "test_goal_basedness_matches_one_entailment_per_goal",)),
+    Mutant("negative-goal-decided-as-positive", "goals.py",
+           "and not any(entailed(mask, g) for g in goals.negative))",
+           "and all(entailed(mask, g) for g in goals.negative))",
+           ("tests/test_differential.py::"
+            "test_goal_basedness_matches_one_entailment_per_goal",
+            "tests/test_goals.py::"
+            "test_true_as_negative_goal_matches_nothing")),
+    Mutant("models-ignore-within", "logic.py",
+           "    if mask is None:\n"
+           "        mask = (1 << (1 << len(universe))) - 1",
+           "    mask = (1 << (1 << len(universe))) - 1",
+           ("tests/test_logic.py::"
+            "test_theory_masks_agree_with_assignment_enumeration",
+            "tests/test_differential.py::"
+            "test_goal_basedness_matches_one_entailment_per_goal")),
+    Mutant("goal-mask-compiled-without-the-goal", "goals.py",
+           "models((goal,), atoms=atoms,",
+           "models((), atoms=atoms,",
+           ("tests/test_differential.py::"
+            "test_goal_basedness_matches_one_entailment_per_goal",)),
+    Mutant("ranking-skips-the-first-unreached-tuple", "goals.py",
+           "zip(tuples, improving)",
+           "zip(tuples[1:], improving[1:])",
+           ("tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions",
+            "tests/test_differential.py::"
+            "test_class_level_concepts_match_the_profile_loops")),
+    Mutant("ranking-reads-each-pair-backwards", "goals.py",
+           "if x != y and set_geq(y, x, agent.priority)}",
+           "if x != y and set_geq(x, y, agent.priority)}",
+           ("tests/test_differential.py::"
+            "test_concepts_and_goal_sets_match_the_definitions",
+            "tests/test_goals.py::test_pipeline_equivalence_on_fixtures"
+            )),
     Mutant("all-family-drops-the-last-profile", "goals.py",
            "return _closure(game, range(len(game.positions)))",
            "return _closure(game, range(len(game.positions) - 1))",

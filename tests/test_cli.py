@@ -731,21 +731,25 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
     ``profiles`` report calls it: their entries print the agents'
     extensions.  The text ``extension`` report calls it once, for the
     formulas, flag and round count it prints.  ``goals --via-goals`` never
-    calls it: its goal-basedness oracle joins the parts' formula sets
-    itself, so that it checks the pass without leaning on it."""
+    calls it: its goal-basedness decider ANDs the parts' masks itself, so
+    that it checks the pass without leaning on it."""
     joined, decided = Counter(), Counter()
-    goal_based = bdgame.goals._goal_based
+    goal_decider = bdgame.goals._goal_decider
 
     def counting(spec, profile=None, parts=None):
         joined["calls"] += 1
         return joint_extension(spec, profile, parts)
 
-    def recording(game, index, goals):
-        decided[bool(goals.positive or goals.negative)] += 1
-        return goal_based(game, index, goals)
+    def recording(game):
+        decide = goal_decider(game)
+
+        def recorded(index, goals):
+            decided[bool(goals.positive or goals.negative)] += 1
+            return decide(index, goals)
+        return recorded
     for module in (bdgame.decision, bdgame.cli):
         monkeypatch.setattr(module, "joint_extension", counting)
-    monkeypatch.setattr(bdgame.goals, "_goal_based", recording)
+    monkeypatch.setattr(bdgame.goals, "_goal_decider", recording)
     paths = [fixture(name) for name in EXAMPLES]
     rng = random.Random(2020)
     for k in range(20):
@@ -774,7 +778,7 @@ def test_json_runs_build_joint_formula_sets_only_where_goals_read_them(
         capsys.readouterr()
         assert not joined
     # Goal-basedness decisions with a goal to entail, which the oracle
-    # answers from a theory mask of the joined formula sets.
+    # answers from the AND of the parts' masks.
     assert solved >= 1_000 and decided[True] >= 200 and texts >= 2_000
 
 

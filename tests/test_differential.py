@@ -53,7 +53,7 @@ from bdgame.extension import (Extension, applicable_consequents, extension,
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
 from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
-                          concept_family, delta_goal_sets,
+                          _goal_decider, concept_family, delta_goal_sets,
                           feasible_representation_check, fragment_check,
                           goal_set_key, goal_set_of,
                           heuristic_goals, is_goal_based,
@@ -791,38 +791,52 @@ def ref_check_heuristic_fragment(seed, samples):
 def test_goal_basedness_matches_one_entailment_per_goal():
     """Every feasible profile against its game's goal sets, some syntactic
     goal sets and random ones over the vocabulary; and the goals-first
-    pool, which is built from the same check."""
+    pool, which is built from the same check.  In each decision mode, one
+    shared decider is also asked every pair in shuffled profile order, so
+    that a prefix of masks kept from the wrong profile shows."""
     rng = random.Random(20021101)
     seen = Counter()
-    while seen["games"] < ORACLE_SPECS:
+    while seen["specs"] < ORACLE_SPECS:
         spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                            max_rules=4)
-        try:
-            game = derive_game(
-                spec.with_options(max_profiles=GOALS_PROFILE_CAP))
-        except CombinatorialBoundError:
-            continue
-        if not game.positions:
-            continue
-        seen["games"] += 1
-        feasible = evaluated_profiles(game.spec)
         vocabulary = spec.vocabulary.names
         drawn = [GoalSet(random_theory(rng, vocabulary, rng.randint(0, 2)),
                          random_theory(rng, vocabulary, rng.randint(0, 2)))
                  for _ in range(6)]
-        goal_sets = (set(game.goal_sets) | set(drawn)
-                     | set(islice(iter_syntactic_goal_sets(spec), 8)))
-        for ep in feasible:
-            for gs in goal_sets:
-                expected = ref_goal_based(spec, ep.extension, gs)
-                assert is_goal_based(spec, ep.profile, gs,
-                                     game=game) == expected
-                seen[expected] += 1
-        assert pareto_via_goals(spec, game=game).pool == tuple(
-            i for i, ep in enumerate(feasible)
-            if any(ref_goal_based(spec, ep.extension, gs)
-                   for gs in (game.goal_sets[i], *game.goal_sets)))
+        games = 0
+        for mode in DecisionMode:
+            try:
+                game = derive_game(spec.with_options(
+                    decision_mode=mode, max_profiles=GOALS_PROFILE_CAP))
+            except CombinatorialBoundError:
+                continue
+            if not game.positions:
+                continue
+            seen[mode] += 1
+            games += 1
+            feasible = evaluated_profiles(game.spec)
+            goal_sets = (set(game.goal_sets) | set(drawn)
+                         | set(islice(iter_syntactic_goal_sets(spec), 8)))
+            expected = {}
+            for i, ep in enumerate(feasible):
+                for gs in goal_sets:
+                    expected[i, gs] = ref_goal_based(spec, ep.extension, gs)
+                    assert is_goal_based(spec, ep.profile, gs,
+                                         game=game) == expected[i, gs]
+                    seen[expected[i, gs]] += 1
+            asked = sorted(expected, key=lambda pair: (pair[0],
+                                                       str(pair[1])))
+            rng.shuffle(asked)
+            decide = _goal_decider(game)
+            for i, gs in asked:
+                assert decide(i, gs) == expected[i, gs], (i, gs)
+            assert pareto_via_goals(spec, game=game).pool == tuple(
+                i for i in range(len(feasible))
+                if any(expected[i, gs]
+                       for gs in (game.goal_sets[i], *game.goal_sets)))
+        seen["specs"] += games > 0
     assert seen[True] >= 2_000 and seen[False] >= 8_000
+    assert all(seen[mode] >= ORACLE_SPECS // 4 for mode in DecisionMode)
 
 
 def test_rule_firing_and_certificates_match_one_entailment_per_rule():

@@ -16,7 +16,7 @@ from bdgame import example_path, load_example
 from bdgame.decision import desire_report
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
-from bdgame.game import CONCEPTS, GameSpecification, derive_game, pareto
+from bdgame.game import CONCEPTS, derive_game, pareto
 from bdgame.goals import (DECISION_RULES, GoalSet, ProfileFamily,
                           RepresentationViolation, apply_decision_rule,
                           concept_family, delta_goal_sets,
@@ -445,13 +445,17 @@ def test_the_feasible_check_reports_a_profile_without_goal_sets():
 def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     spec, game = shared_goal_set_game()
     asked = Counter()
-    decide = bdgame.goals._goal_based
+    goal_decider = bdgame.goals._goal_decider
 
-    def counting(game, index, goals):
-        asked[game.profile(index), goals] += 1
-        return decide(game, index, goals)
+    def counting(game):
+        decide = goal_decider(game)
 
-    monkeypatch.setattr(bdgame.goals, "_goal_based", counting)
+        def counted(index, goals):
+            asked[game.profile(index), goals] += 1
+            return decide(index, goals)
+        return counted
+
+    monkeypatch.setattr(bdgame.goals, "_goal_decider", counting)
     assert check_representation(spec).passed
     # Each profile is decided on its own goal set, once; that settles the
     # feasible check too.
@@ -464,20 +468,25 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
         monkeypatch):
     spec, game = shared_goal_set_game()
     firsts = {game.goal_sets.index(gs) for gs in game.goal_sets}
-    compared = []
-    definition = GameSpecification.strictly_better
+    # Per agent, the distinct unreached sets of the goal sets' generators.
+    # Desire ids are the agent's own, so a pair of distinct sets names its
+    # agent.
+    sets = [{game.unreached(i, a) for i in firsts} for a in spec.agent_ids]
+    compared = Counter()
+    definition = bdgame.goals.set_geq
 
-    def counting(self, first, second, agent_id):
-        compared.append((first, second))
-        return definition(self, first, second, agent_id)
+    def counting(worse, better, order):
+        compared[better, worse] += 1
+        return definition(worse, better, order)
 
-    monkeypatch.setattr(GameSpecification, "strictly_better", counting)
+    monkeypatch.setattr(bdgame.goals, "set_geq", counting)
     fresh = derive_game(spec)
     result = pareto_via_goals(spec, game=fresh)
-    assert compared
-    for first, second in compared:
-        assert {first, second} <= firsts and first != second
-    assert len(set(compared)) <= len(firsts) * (len(firsts) - 1)
+    assert compared and max(compared.values()) == 1
+    for better, worse in compared:
+        assert better != worse
+        assert any({better, worse} <= mine for mine in sets)
+    assert len(compared) <= sum(len(mine) * (len(mine) - 1) for mine in sets)
     # The route orders goal sets without the tables, the classes or pareto.
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
     feasible = evaluated_profiles(spec)

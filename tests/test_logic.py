@@ -280,6 +280,10 @@ def test_theory_masks_agree_with_assignment_enumeration(premises, clash,
     satisfying = [k for k, assignment in enumerate(_assignments(ATOMS))
                   if all(evaluate(p, assignment) for p in premises)]
     assert theory == sum(1 << k for k in satisfying)
+    # Built part by part: the second half within the models of the first.
+    half = len(premises) // 2
+    assert models(premises[half:], atoms=ATOMS, within=models(
+        premises[:half], atoms=ATOMS)) == theory
     assignments = list(_assignments(ATOMS))
     for query in queries:
         assert mask_entails(theory, query, ATOMS) == all(
