@@ -10,11 +10,12 @@ Inconsistent extensions are legal outputs; they are flagged, not rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .logic import (DEFAULT_MAX_ATOMS, TRUE, Formula, _universe, atoms_of,
-                    conditioned_models, mask_entails, models)
+from .logic import (DEFAULT_MAX_ATOMS, Formula, _models, _universe, atoms_of,
+                    conditioned_models, model_builder)
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,10 @@ def applicable_consequents(rules: Iterable[Rule], theory: Iterable[Formula], *,
     universe = _universe(
         [*theory, *(f for r in rules for f in (r.antecedent, r.consequent))],
         atoms, max_atoms)
-    mask = models(theory, atoms=universe, max_atoms=max_atoms)
+    build = model_builder(universe, max_atoms)
+    mask = build(theory)
     return frozenset(r.consequent for r in rules
-                     if mask_entails(mask, r.antecedent, universe))
+                     if build((r.antecedent,), mask) == mask)
 
 
 def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
@@ -96,18 +98,17 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
         [*base_set, *(f for r in rules for f in (r.antecedent, r.consequent))],
         atoms, max_atoms)
 
-    def premise(f: Formula) -> int:
-        return conditioned_models(f, {}, universe)[0]
-
-    full = theory = premise(TRUE)
+    patterns: dict[tuple[int, int], int] = {}  # for every compile below
+    build = partial(_models, universe, patterns)  # ``models`` over universe
+    full = theory = build(())
     # Where each antecedent fails: the theory entails it iff they are apart.
     inside = set(universe)
     failing = tuple(full ^ conditioned_models(
         r.antecedent, {}, universe,
-        sorted(atoms_of(r.antecedent) - inside))[0] for r in rules)
+        sorted(atoms_of(r.antecedent) - inside), patterns)[0] for r in rules)
     current = set(base_set)
     for f in base_set:
-        theory &= premise(f)
+        theory &= build((f,))
     rounds = 0
     for _ in range(len(rules) + 1):
         new = {r.consequent for r, fails in zip(rules, failing)
@@ -116,7 +117,7 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
             break
         current |= new
         for f in new:
-            theory &= premise(f)
+            theory &= build((f,))
         rounds += 1
     else:
         raise AssertionError("fixpoint not reached within len(rules)+1 rounds")

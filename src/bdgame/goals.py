@@ -47,7 +47,7 @@ from .errors import (CombinatorialBoundError, InfeasibleProfileError,
 from .extension import extension
 from .game import (GameSpecification, GoalSet, _fails_on_infeasible_swaps,
                    derive_game, goal_set_key, nash, pareto, solve)
-from .logic import Formula, formula_printer, in_sublanguage, models
+from .logic import Formula, formula_printer, in_sublanguage, model_builder
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -159,16 +159,18 @@ def _goal_decider(game: GameSpecification) -> GoalBased:
     union of the formula sets of its parts (``game.feasible_decisions``).
 
     The models of a union of formula sets are the AND of their models, so
-    the theory mask is the AND of the parts' ``models`` masks, each part
-    compiled ``within`` the AND of the parts before it, with no formula set
-    joined and no ``joint_extension`` built.  The decider keeps those
+    the theory mask is the AND of the parts' masks, each part compiled
+    within the AND of the parts before it, with no formula set joined and
+    no ``joint_extension`` built.  The decider keeps those
     prefix ANDs for the last profile asked about, one per agent, so only
     the parts from the first agent whose decision changed are compiled
     again; and it compiles each distinct goal formula once, so that a goal
-    is entailed iff ``theory & goal == theory``.  All of it dies with the
+    is entailed iff ``theory & goal == theory``.  Every mask is compiled
+    by one ``logic.model_builder`` over the vocabulary, so the atom
+    patterns are built once for the decider.  All of it dies with the
     decider."""
     spec = game.spec
-    atoms, bound = spec.vocabulary.names, spec.max_atoms
+    build = model_builder(spec.vocabulary.names, spec.max_atoms)
     parts = [tuple(ds.values()) for ds in game.feasible_decisions.values()]
     radixes = [(stride, radix) for _, _, stride, radix in game._digits]
     digits: list[int] = []  # the last profile's digit per agent ...
@@ -183,19 +185,17 @@ def _goal_decider(game: GameSpecification) -> GoalBased:
             k += 1
         del digits[k:], prefix[k:]
         for decisions, digit in zip(parts[k:], wanted[k:]):
-            prefix.append(models(decisions[digit].formulas, atoms=atoms,
-                                 max_atoms=bound,
-                                 within=prefix[-1] if prefix else None))
+            prefix.append(build(decisions[digit].formulas,
+                                prefix[-1] if prefix else None))
             digits.append(digit)
         if not prefix:  # no agent, no part: every assignment
-            return models((), atoms=atoms, max_atoms=bound)
+            return build(())
         return prefix[-1]
 
     def entailed(mask: int, goal: Formula) -> bool:
         compiled = goal_masks.get(goal)
         if compiled is None:
-            compiled = goal_masks[goal] = models((goal,), atoms=atoms,
-                                                 max_atoms=bound)
+            compiled = goal_masks[goal] = build((goal,))
         return mask & compiled == mask
 
     def decide(index: int, goals: GoalSet) -> bool:

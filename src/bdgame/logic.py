@@ -10,9 +10,10 @@ enumeration over a finite atom universe.  Each formula is compiled to an
 integer bitmask with one bit per assignment, so entailment checks reduce to
 a handful of big-integer operations.  The universe defaults to the atoms
 occurring in the query, which coincides with full-vocabulary semantics for
-both entailment and consistency.  A theory queried many times has its model
-mask built once by ``models`` and then answers each query with one AND
-(``mask_entails``); ``entails`` and ``consistent`` go through the same two.
+both entailment and consistency.  ``models`` builds a theory's model mask,
+and ``entails`` and ``consistent`` go through it.  A caller that queries
+one universe many times takes a ``model_builder``: it builds the theory's
+mask once and then answers each query with one AND.
 The solver's own queries use ``conditioned_models``: masks over the world
 atoms a theory can constrain, with a profile's decision literals
 substituted and the atoms the caller names free quantified, universally
@@ -21,16 +22,20 @@ those atoms, so quantifying them (forgetting, Lin & Reiter 1994) is exact.
 A rule's formulas keep their masks per profile values in a ``RuleEntry``.
 
 There is one compiler (``_conditioned``) behind all of these, and no mask
-cache: a mask lives as long as the call or the caller that built it.  Only
-the per-atom truth tables (``_atom_pattern``) are kept, one per (atom
-position, universe size), for the life of the process.
+cache.  A mask lives as long as the call or the caller that built it, and
+so do the per-atom truth tables it is built from: each compile draws them
+from a table that its caller owns, keyed by (atom position, universe
+width) and filled on first use.  ``models``, ``entails`` and
+``consistent`` own one table per call, a ``model_builder`` owns one for
+its caller, and ``conditioned_models`` and ``RuleEntry`` take their
+caller's.  No table lives at module level.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormulaSyntaxError, UndeclaredAtomError, VocabularyLimitError
@@ -377,7 +382,6 @@ def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
     return not evaluate(f.left, assignment) or evaluate(f.right, assignment)
 
 
-@lru_cache(maxsize=None)
 def _atom_pattern(i: int, n: int) -> int:
     # Bit k of the mask is the truth value in assignment k, where atom i is
     # true iff bit i of k is set: runs of 2^i ones repeated with period
@@ -405,44 +409,41 @@ def _universe(formulas: Iterable[Formula], atoms: Sequence[str] | None,
     return atoms
 
 
-def _models(formulas: tuple[Formula, ...], universe: tuple[str, ...],
-            mask: int | None = None) -> int:
+def _models(universe: tuple[str, ...], patterns: dict[tuple[int, int], int],
+            formulas: Iterable[Formula], mask: int | None = None) -> int:
     if mask is None:
         mask = (1 << (1 << len(universe))) - 1
     # Each formula is compiled within the assignments left, which are all
-    # the AND keeps of it.
+    # the AND keeps of it; once none is left, nothing more is compiled.
     for f in formulas:
-        mask &= _conditioned(f, {}, universe, mask)
         if mask == 0:
             break
+        mask &= _conditioned(f, {}, universe, mask, patterns)
     return mask
 
 
 def models(formulas: Iterable[Formula], *,
            atoms: Sequence[str] | None = None,
-           max_atoms: int = DEFAULT_MAX_ATOMS,
-           within: int | None = None) -> int:
+           max_atoms: int = DEFAULT_MAX_ATOMS) -> int:
     """The assignments satisfying every formula, as a bitmask over the
-    universe (``atoms``, by default the atoms of the formulas); with
-    ``within``, a model mask over the same universe, only those in it.
-
-    Build it once for a theory and query it with ``mask_entails``.  A
-    theory that grows by parts is built part by part ``within`` the mask
-    of the parts before: the models of a union are the AND of the models.
+    universe (``atoms``, by default the atoms of the formulas).  A theory
+    queried many times is built with ``model_builder``.
     """
     formulas = tuple(formulas)
-    return _models(formulas, _universe(formulas, atoms, max_atoms), within)
+    return _models(_universe(formulas, atoms, max_atoms), {}, formulas)
 
 
-def mask_entails(theory: int, conclusion: Formula,
-                 atoms: Sequence[str]) -> bool:
-    """True iff every assignment in ``theory``, a model mask over ``atoms``,
-    satisfies the conclusion."""
-    if theory == 0:
-        return True
-    # Only the theory's assignments are tested, so the conclusion is
-    # compiled within them: no all-ones mask is built per query.
-    return theory & ~_conditioned(conclusion, {}, tuple(atoms), theory) == 0
+def model_builder(atoms: Sequence[str], max_atoms: int) -> partial[int]:
+    """``models`` over one universe for one caller: ``build(formulas,
+    within=None)`` is the mask of the assignments in ``within`` (a model
+    mask over ``atoms``; by default all of them) satisfying every formula.
+
+    A theory that grows by parts is built part by part within the mask of
+    the parts before, since the models of a union are the AND of the
+    models; and a theory ``m`` entails ``f`` iff ``build((f,), m) == m``.
+    The atom patterns are built on first use and kept for later calls, so
+    they die with the caller's reference."""
+    return partial(_models, _universe((), atoms, max_atoms), {})
 
 
 def entails(premises: Iterable[Formula], conclusion: Formula, *,
@@ -453,9 +454,10 @@ def entails(premises: Iterable[Formula], conclusion: Formula, *,
     True iff every assignment satisfying all premises satisfies the
     conclusion; an inconsistent premise set entails everything.
     """
-    premises = tuple(premises)
-    universe = _universe(premises + (conclusion,), atoms, max_atoms)
-    return mask_entails(_models(premises, universe), conclusion, universe)
+    # No assignment satisfies the premises and the conclusion's negation,
+    # which is compiled within the premises' assignments.
+    return models((*premises, Not(conclusion)), atoms=atoms,
+                  max_atoms=max_atoms) == 0
 
 
 def consistent(premises: Iterable[Formula], *,
@@ -466,25 +468,31 @@ def consistent(premises: Iterable[Formula], *,
 
 
 def _conditioned(f: Formula, values: Mapping[str, bool],
-                 world: tuple[str, ...], full: int) -> int:
+                 world: tuple[str, ...], full: int,
+                 patterns: dict[tuple[int, int], int]) -> int:
     # The one formula compiler.  Negation complements within ``full``; the
     # result agrees with the formula's mask on every assignment in ``full``.
-    # An atom neither in ``values`` nor in the universe is undeclared.
+    # An atom neither in ``values`` nor in the universe is undeclared.  An
+    # atom's truth table is looked up in ``patterns`` by its position and
+    # the universe's width, and built there on a miss.
     kind = type(f)
     if kind is Var:
         value = values.get(f.name)
         if value is not None:
             return full if value else 0
         try:
-            return _atom_pattern(world.index(f.name), len(world))
+            key = world.index(f.name), len(world)
         except ValueError:
             raise UndeclaredAtomError(f.name) from None
+        if key not in patterns:
+            patterns[key] = _atom_pattern(*key)
+        return patterns[key]
     if kind is Not:
-        return full ^ _conditioned(f.operand, values, world, full)
+        return full ^ _conditioned(f.operand, values, world, full, patterns)
     if kind is Const:
         return full if f.value else 0
-    left = _conditioned(f.left, values, world, full)
-    right = _conditioned(f.right, values, world, full)
+    left = _conditioned(f.left, values, world, full, patterns)
+    right = _conditioned(f.right, values, world, full, patterns)
     if kind is And:
         return left & right
     if kind is Or:
@@ -493,8 +501,9 @@ def _conditioned(f: Formula, values: Mapping[str, bool],
 
 
 def conditioned_models(f: Formula, fixed: Mapping[str, bool],
-                       world: Sequence[str],
-                       free: Iterable[str] = ()) -> tuple[int, int]:
+                       world: Sequence[str], free: Iterable[str],
+                       patterns: dict[tuple[int, int], int]
+                       ) -> tuple[int, int]:
     """The assignments to ``world`` under which ``f`` holds with the atoms
     in ``fixed`` set to their values, for every value of the ``free``
     atoms and for some value of them: two model masks over ``world``.
@@ -506,11 +515,13 @@ def conditioned_models(f: Formula, fixed: Mapping[str, bool],
     ``world`` and then ``free``; the masks then fold each free atom's top
     half onto the bottom half, by AND and by OR, so the order of ``free``
     does not matter.  An atom of ``f`` in none of ``world``, ``fixed`` and
-    ``free`` raises UndeclaredAtomError.
+    ``free`` raises UndeclaredAtomError.  The atom patterns come from the
+    caller's table ``patterns`` (an empty dict for a table of this call
+    alone), which serves compiles over any universe and width.
     """
     universe = tuple(world) + tuple(free)
     every = some = _conditioned(f, fixed, universe,
-                                (1 << (1 << len(universe))) - 1)
+                                (1 << (1 << len(universe))) - 1, patterns)
     for top in reversed(range(len(world), len(universe))):
         half = 1 << top  # the assignments where the top atom is false
         low = (1 << half) - 1
@@ -527,13 +538,17 @@ class RuleEntry:
     maps a profile's values on ``atoms`` (None where unset) to each
     formula's ``(every, some)`` masks of ``conditioned_models``, in formula
     order; callers look a key up there and call ``compile`` on a miss.
+    Every compile draws its atom patterns from ``patterns``, the table of
+    the entry's owner.
     """
 
-    __slots__ = ("formulas", "world", "atoms", "outside", "table")
+    __slots__ = ("formulas", "world", "atoms", "outside", "table", "patterns")
 
     def __init__(self, formulas: tuple[Formula, ...], world: tuple[str, ...],
-                 world_atoms: frozenset[str]):
+                 world_atoms: frozenset[str],
+                 patterns: dict[tuple[int, int], int]):
         self.formulas, self.world, self.table = formulas, world, {}
+        self.patterns = patterns
         self.outside = outside = tuple([atoms_of(f).difference(world)
                                         for f in formulas])
         self.atoms = tuple(frozenset().union(*outside) - world_atoms)
@@ -544,8 +559,8 @@ class RuleEntry:
         given = {a: v for a, v in zip(self.atoms, key) if v is not None}
         masks = ()
         for f, outside in zip(self.formulas, self.outside):
-            masks += conditioned_models(f, given, self.world,
-                                        outside.difference(given))
+            masks += conditioned_models(
+                f, given, self.world, outside.difference(given), self.patterns)
         self.table[key] = masks
         return masks
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
 from .extension import Rule
 from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Atom, Formula,
-                    Literal, RuleEntry, Vocabulary, atoms_of,
-                    conditioned_models, consistent, consistent_literals,
+                    Literal, RuleEntry, Vocabulary, _models, atoms_of,
+                    consistent, consistent_literals,
                     format_formula, in_sublanguage, literal_sort_key,
                     parse_formula, parse_literal)
 
@@ -177,31 +177,31 @@ class AgentSystemSpec:
         """Per agent id, in agent order, its facts and rules compiled over
         ``mask_atoms``: the facts and consequents here, each rule entry's
         keys where ``decision.agent_extension`` or ``decision._classify``
-        first asks for them.  All of it lives and dies with the spec."""
+        first asks for them.  All of it lives and dies with the spec, and
+        so does the one table of atom patterns that every compile draws
+        on."""
         world = self.mask_atoms  # refuses facts and consequents off it
         world_atoms = frozenset(self.world_atoms)
-
-        def mask(f: Formula) -> int:
-            return conditioned_models(f, {}, world)[0]
+        patterns: dict[tuple[int, int], int] = {}
+        build = partial(_models, world, patterns)  # ``models`` over world
         out = {}
         number = 0
         for agent in self.agents:
             facts = frozenset(agent.facts)
-            facts_mask = (1 << (1 << len(world))) - 1
-            for f in agent.facts:
-                facts_mask &= mask(f)
+            facts_mask = build(agent.facts)
             numbers: dict[Formula, int] = {}
             beliefs = tuple(
-                (RuleEntry((r.antecedent,), world, world_atoms),
+                (RuleEntry((r.antecedent,), world, world_atoms, patterns),
                  1 << numbers.setdefault(r.consequent, len(numbers)))
                 for r in agent.beliefs if r.consequent not in facts)
             desires = tuple(
                 (number + k, r.id, RuleEntry((r.antecedent, r.consequent),
-                                             world, world_atoms))
+                                             world, world_atoms, patterns))
                 for k, r in enumerate(agent.desires))
             number += len(desires)
             out[agent.id] = CompiledAgent(
-                facts, facts_mask, tuple(numbers), tuple(map(mask, numbers)),
+                facts, facts_mask, tuple(numbers),
+                tuple(build((f,)) for f in numbers),
                 beliefs, desires, frozenset().union(
                     *(entry.atoms for _, _, entry in desires)), {})
         return out

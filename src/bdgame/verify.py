@@ -18,8 +18,8 @@ from .game import derive_game, dominant, nash, pareto, strongly_pareto
 from .goals import (_closure, _feasible_violations, _goal_based_memo,
                     _representation_violations, concept_family,
                     heuristic_goals, pareto_via_goals)
-from .logic import (And, Formula, Implies, Not, Or, TRUE, Var, mask_entails,
-                    models)
+from .logic import (And, Formula, Implies, Not, Or, TRUE, Var,
+                    model_builder)
 from .model import (IDENTITY, AgentSpec, AgentSystemSpec, DecisionMode,
                     PriorityOrder)
 
@@ -479,14 +479,13 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
         if not fragment_check(spec):
             continue
         examined += 1
-        atoms = spec.vocabulary.names
-        pool = heuristic_goals(spec)
-        theory = models(pool, atoms=atoms, max_atoms=spec.max_atoms)
+        build = model_builder(spec.vocabulary.names, spec.max_atoms)
+        theory = build(heuristic_goals(spec))
         game = derive_game(spec)
         ok = True
         for gs in game.goal_sets:
             for goal in gs.positive:
-                if not mask_entails(theory, goal, atoms):
+                if build((goal,), theory) != theory:
                     ok = False
                     if first_miss is None:
                         first_miss = {"spec": format_spec(spec),

@@ -259,8 +259,8 @@ MUTANTS = (
             "tests/test_differential.py::"
             "test_goal_basedness_matches_one_entailment_per_goal")),
     Mutant("goal-mask-compiled-without-the-goal", "goals.py",
-           "models((goal,), atoms=atoms,",
-           "models((), atoms=atoms,",
+           "build((goal,))",
+           "build(())",
            ("tests/test_differential.py::"
             "test_goal_basedness_matches_one_entailment_per_goal",)),
     Mutant("ranking-skips-the-first-unreached-tuple", "goals.py",
@@ -350,6 +350,35 @@ MUTANTS = (
            "()",
            ("tests/test_extension.py::"
             "test_antecedent_atoms_outside_the_universe_are_quantified",)),
+    Mutant("pattern-table-shared-between-widths", "logic.py",
+           "if key not in patterns:\n"
+           "            patterns[key] = _atom_pattern(*key)\n"
+           "        return patterns[key]",
+           "if key[0] not in patterns:\n"
+           "            patterns[key[0]] = _atom_pattern(*key)\n"
+           "        return patterns[key[0]]",
+           ("tests/test_logic.py::"
+            "test_a_rule_entry_fixes_the_set_atoms_and_frees_the_unset_ones",
+            "tests/test_differential.py::"
+            "test_world_atoms_no_theory_constrains_are_quantified")),
+    Mutant("pattern-built-a-width-short", "logic.py",
+           "_atom_pattern(*key)",
+           "_atom_pattern(key[0], key[1] - 1)",
+           ("tests/test_logic.py::"
+            "test_theory_masks_agree_with_assignment_enumeration",
+            "tests/test_logic.py::"
+            "test_conditioned_masks_match_enumeration_over_the_free_atoms")),
+    Mutant("builder-patterns-per-call", "logic.py",
+           "return partial(_models, _universe((), atoms, max_atoms), {})",
+           "return lambda formulas, within=None: _models(\n"
+           "        _universe((), atoms, max_atoms), {}, formulas, within)",
+           ("tests/test_goals.py::"
+            "test_a_decider_builds_each_atom_pattern_once",)),
+    Mutant("spec-patterns-per-rule-entry", "model.py",
+           "RuleEntry((r.antecedent,), world, world_atoms, patterns)",
+           "RuleEntry((r.antecedent,), world, world_atoms, {})",
+           ("tests/test_model.py::"
+            "test_a_spec_builds_each_atom_pattern_once",)),
     Mutant("exists-folded-by-and", "logic.py",
            "some & low | some >> half",
            "some & low & some >> half",

@@ -440,7 +440,7 @@ def division_pattern(i, n):
 def test_atom_patterns_match_the_division_formula():
     for n in range(1, 17):
         for i in range(n):
-            assert _atom_pattern.__wrapped__(i, n) == division_pattern(i, n)
+            assert _atom_pattern(i, n) == division_pattern(i, n)
 
 
 def test_conditioned_route_matches_the_full_vocabulary():

@@ -11,6 +11,7 @@ import pytest
 
 import bdgame.game
 import bdgame.goals
+import bdgame.logic
 import bdgame.verify
 from bdgame import example_path, load_example
 from bdgame.decision import desire_report
@@ -462,6 +463,30 @@ def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     assert set(asked) == {(ep.profile, gs) for ep, gs in zip(
         evaluated_profiles(spec), game.goal_sets)}
     assert max(asked.values()) == 1
+
+
+def test_a_decider_builds_each_atom_pattern_once(monkeypatch):
+    """The decider owns one table of atom patterns over the vocabulary:
+    every profile's parts and every goal are compiled from it, so no
+    pattern is built twice."""
+    spec = load_example("cooperation")
+    game = derive_game(spec)
+    built = []
+    pattern = bdgame.logic._atom_pattern
+
+    def recording(i, n):
+        built.append((i, n))
+        return pattern(i, n)
+
+    monkeypatch.setattr(bdgame.logic, "_atom_pattern", recording)
+    decide = bdgame.goals._goal_decider(game)
+    goals = GoalSet(frozenset({And(P, Q)}), frozenset({Not(P)}))
+    for index in range(len(game.positions)):
+        decide(index, goals)
+        decide(index, game.goal_sets[index])
+    assert len(game.positions) == 8
+    assert sorted(built) == [(i, len(spec.vocabulary))
+                             for i in range(len(spec.vocabulary))]
 
 
 def test_goals_first_compares_first_members_of_distinct_goal_sets(

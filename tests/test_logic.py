@@ -1,21 +1,26 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdgame.logic
 from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
                            VocabularyLimitError)
 from bdgame.logic import (FALSE, MAX_NESTING, TRUE, And, Atom, Const,
                           Implies, Literal, Not, Or, RuleEntry, Var,
                           Vocabulary, atoms_of, conditioned_models,
                           consistent, entails, evaluate, format_formula,
-                          in_sublanguage, mask_entails, models,
-                          parse_formula, parse_literal)
+                          in_sublanguage, model_builder, models, parse_formula,
+                          parse_literal)
 from bdgame.verify import random_formula
 
 ATOMS = ["a", "b", "p", "q", "r", "s"]
@@ -282,21 +287,22 @@ def test_theory_masks_agree_with_assignment_enumeration(premises, clash,
     assert theory == sum(1 << k for k in satisfying)
     # Built part by part: the second half within the models of the first.
     half = len(premises) // 2
-    assert models(premises[half:], atoms=ATOMS, within=models(
-        premises[:half], atoms=ATOMS)) == theory
+    build = model_builder(ATOMS, len(ATOMS))
+    assert build(premises[half:], build(premises[:half])) == theory
+    # Queried: the theory entails a query iff the query keeps all of it.
     assignments = list(_assignments(ATOMS))
     for query in queries:
-        assert mask_entails(theory, query, ATOMS) == all(
+        assert (build((query,), theory) == theory) == all(
             evaluate(query, assignments[k]) for k in satisfying)
 
 
 def test_theory_masks_refuse_atoms_outside_the_universe():
     with pytest.raises(UndeclaredAtomError, match="zzz"):
         models([Var("p"), Var("zzz")], atoms=["p"])
-    theory = models([Var("p")], atoms=["p"])
+    build = model_builder(["p"], 1)
     with pytest.raises(UndeclaredAtomError, match="zzz"):
-        mask_entails(theory, Or(Var("p"), Var("zzz")), ["p"])
-    assert mask_entails(0, Var("zzz"), ["p"])  # no model: nothing to test
+        build((Or(Var("p"), Var("zzz")),), build((Var("p"),)))
+    assert build((Var("zzz"),), 0) == 0  # no model: nothing to test
 
 
 WORLD = ("p", "q", "r", "s")
@@ -331,9 +337,9 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
                  if rng.random() < 0.4}
         f = random_formula(rng, WORLD + DECISIONS, rng.randint(0, 3))
         free = sorted(atoms_of(f) - set(world) - set(fixed))
-        every, some = conditioned_models(f, fixed, world, free)
-        assert conditioned_models(f, fixed, world, free[::-1]) == (every,
-                                                                   some)
+        every, some = conditioned_models(f, fixed, world, free, {})
+        assert conditioned_models(f, fixed, world, free[::-1], {}) == (
+            every, some)
         for k, point in enumerate(_assignments(world)):
             values = [evaluate(f, {**point, **fixed, **rest})
                       for rest in _assignments(free)]
@@ -342,10 +348,11 @@ def test_conditioned_masks_match_enumeration_over_the_free_atoms():
         assert every >> (1 << len(world)) == some >> (1 << len(world)) == 0
         first = first_free_atom(f, fixed, world)
         if first is None:
-            assert conditioned_models(f, fixed, world) == (every, every)
+            assert conditioned_models(f, fixed, world, (), {}) == (every,
+                                                                   every)
         else:
             with pytest.raises(UndeclaredAtomError) as exc:
-                conditioned_models(f, fixed, world)
+                conditioned_models(f, fixed, world, (), {})
             assert exc.value.name == first
         seen["no free atom" if not free else "free atoms"] += 1
         seen["free decision atoms"] += bool(set(free) & set(DECISIONS))
@@ -363,15 +370,15 @@ def test_a_rule_entry_fixes_the_set_atoms_and_frees_the_unset_ones():
     # d is a decision atom, p a world atom of the mask universe, and q one
     # outside it.
     f, g = parse_formula("d & q | p"), parse_formula("!d -> q")
-    entry = RuleEntry((f, g), ("p",), frozenset({"p", "q"}))
+    entry = RuleEntry((f, g), ("p",), frozenset({"p", "q"}), {})
     assert entry.atoms == ("d",)
     assert entry.outside == ({"d", "q"}, {"d", "q"})
     for key, given, free in (((True,), {"d": True}, ["q"]),
                              ((False,), {"d": False}, ["q"]),
                              ((None,), {}, ["d", "q"])):
         masks = entry.compile(key)
-        assert masks == (*conditioned_models(f, given, ("p",), free),
-                         *conditioned_models(g, given, ("p",), free))
+        assert masks == (*conditioned_models(f, given, ("p",), free, {}),
+                         *conditioned_models(g, given, ("p",), free, {}))
         assert entry.table[key] is masks
     assert len(entry.table) == 3
 
@@ -386,7 +393,7 @@ def test_entailment_keeps_no_masks():
                for i, j, k in itertools.product(range(16), repeat=3)
                if len({i, j, k}) == 3][:1500]
     assert len(set(queries)) == 1500
-    entails(premises, queries[0], atoms=names)  # builds the atom patterns
+    entails(premises, queries[0], atoms=names)  # a first call's one-offs
     gc.collect()
     tracemalloc.start()
     try:
@@ -398,6 +405,43 @@ def test_entailment_keeps_no_masks():
     finally:
         tracemalloc.stop()
     assert kept < 1 << 20
+
+
+# Prints the answer of one entailment over 24 atoms whose premise mentions
+# every atom, so that the call builds 2 MiB truth tables for all of them,
+# and RSS in bytes before and after it.
+RSS_AROUND_ENTAILMENT = """
+import os
+from functools import reduce
+from bdgame.logic import Implies, Or, Var, entails
+
+def rss():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+names = [f"x{i}" for i in range(24)]
+before = rss()
+answer = entails([reduce(Or, map(Var, names))],
+                 Implies(Var("x0"), Var("x23")))
+print(answer, before, rss())
+"""
+
+
+def test_entailment_gives_its_truth_tables_back():
+    """No truth table outlives the call that built it: in a child process,
+    RSS after one entailment over 24 atoms is within 30 MiB of RSS
+    before it."""
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("RSS is read from /proc/self/statm")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(bdgame.logic.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", RSS_AROUND_ENTAILMENT],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    answer, before, after = run.stdout.split()
+    assert answer == "False"
+    before, after = int(before), int(after)
+    assert abs(after - before) < 30 << 20, (before >> 20, after >> 20)
 
 
 def test_consistent_iff_not_entails_false():

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import bdgame.logic
 from bdgame import example_path
 from bdgame.decision import enumerate_decisions
 from bdgame.errors import BdgameError, SpecSyntaxError
 from bdgame.extension import Rule
+from bdgame.game import derive_game
 from bdgame.logic import TRUE, Literal, Not, Var
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
                           PriorityOrder, _strip_comment, format_spec,
@@ -276,3 +278,30 @@ def test_enumeration_caps_take_no_part_in_equality():
     assert format_spec(capped) == format_spec(spec)
     assert parse_spec(format_spec(capped)) == capped == spec
     assert hash(capped) == hash(spec)
+
+
+def test_a_spec_builds_each_atom_pattern_once(monkeypatch):
+    """The spec owns one table of atom patterns, keyed by position and
+    width: the facts, the consequents and every rule entry's compiles,
+    with antecedent atoms left free or not, draw on it, so no pattern is
+    built twice."""
+    spec = parse_spec(
+        "option decision_mode = literal-subsets\n"
+        "agent x {\n  atoms a b\n  fact p | q\n  belief a & q & r => p\n"
+        "  desire b | r => q\n}\n"
+        "agent y {\n  atoms c\n  belief c | p => q\n"
+        "  desire true => !c -> r\n}\n"
+        "world p q r\n")
+    built = []
+    pattern = bdgame.logic._atom_pattern
+
+    def recording(i, n):
+        built.append((i, n))
+        return pattern(i, n)
+
+    monkeypatch.setattr(bdgame.logic, "_atom_pattern", recording)
+    derive_game(spec)  # every agent extension and desire report
+    assert spec.mask_atoms == ("p", "q")
+    # Width 2 over p and q, 3 with r free, 4 with r and a decision free.
+    assert {n for _, n in built} == {2, 3, 4}
+    assert len(built) == len(set(built))

@@ -13,10 +13,12 @@ from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
 from bdgame.cli import _COMMANDS, _build_parser
+from bdgame.extension import Rule
 from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
                          derive_game, nash, pareto, solve)
 from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
-from bdgame.model import DecisionMode
+from bdgame.logic import TRUE
+from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
 from bdgame.verify import (check_extension_laws, check_game_laws,
                            check_heuristic_fragment, check_monotonicity,
                            check_order_laws, check_pipeline_equivalence,
@@ -244,7 +246,7 @@ def test_representation_corpus_skips_specs_without_feasible_profiles(
 
 
 # ---------------------------------------------------------------------------
-# Metamorphic relations: atoms no formula mentions change nothing
+# Metamorphic relations: spec changes the definitions say change nothing
 # ---------------------------------------------------------------------------
 
 METAMORPHIC_SPECS = 200
@@ -304,6 +306,40 @@ def test_an_idle_world_atom_leaves_the_json_reports_byte_identical(capsys):
                 assert _COMMANDS[command](s, args) == 0
                 printed.append(capsys.readouterr().out)
             assert printed[0] == printed[1], (command, format_spec(spec))
+
+
+def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
+        capsys):
+    # A desire ``true => true`` is reached under every profile, so it never
+    # enters an unreached set, and desires add nothing to extensions; ranked
+    # lowest (or under the identity order) it outranks no desire either.
+    # So every unreached set, every comparison of two of them and every
+    # solution stays as it was.
+    parser = _build_parser()
+    runs = [parser.parse_args(["solve", "--concept", concept, "-",
+                               "--format", "json"]) for concept in CONCEPTS]
+    rng = random.Random(43)
+    for spec in metamorphic_specs(44):
+        owner = rng.randrange(len(spec.agents))
+        agent = spec.agents[owner]
+        always = Rule(f"{agent.id}_always", TRUE, TRUE, "desire", agent.id)
+        if agent.priority.mode == RANKED:
+            ranks = agent.priority.ranks
+            priority = PriorityOrder.ranked(
+                {**ranks, always.id: min(ranks.values(), default=1) - 1})
+        else:
+            priority = PriorityOrder.identity(
+                agent.priority.rule_ids | {always.id})
+        twin = replace(spec, agents=tuple(
+            replace(a, desires=a.desires + (always,), priority=priority)
+            if k == owner else a for k, a in enumerate(spec.agents)))
+        assert validate_spec(twin) == []
+        for args in runs:
+            printed = []
+            for s in (spec, twin):
+                assert _COMMANDS["solve"](s, args) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], (args.concept, format_spec(spec))
 
 
 def test_equal_specs_hash_equal():
