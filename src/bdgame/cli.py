@@ -439,21 +439,21 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
     game = derive_game(spec)
     if args.rule is not None:
-        family = apply_decision_rule(spec, args.rule, game=game,
+        family = apply_decision_rule(game, args.rule,
                                      infeasible_swaps=args.infeasible_swaps)
         label = f"decision rule {args.rule}"
     elif args.via_goals:
         if family_name not in ("pareto", "all"):
             raise BdgameError("--via-goals supports --family pareto or all")
-        result = pareto_via_goals(spec, game=game)
+        result = pareto_via_goals(game)
         family = (result.pareto_family if family_name == "pareto" else
                   _closure(game, result.pool))
         label = f"{family_name} family (goals-first pipeline)"
     else:
-        family = concept_family(spec, family_name, game=game,
+        family = concept_family(game, family_name,
                                 infeasible_swaps=args.infeasible_swaps)
         label = f"{family_name} family"
-    goal_sets = delta_goal_sets(spec, family, game=game)
+    goal_sets = delta_goal_sets(game, family)
     generators = {gs: [] for gs in goal_sets}
     for i in family.profile_indexes:
         generators[game.goal_sets[i]].append(i)

@@ -7,12 +7,14 @@ desires never triggered.  Goal sets are defined per indistinguishability
 class, so the machinery here works on U-closed families: sets of feasible
 profiles closed under equality of per-agent unreached sets.
 
+Every entry point takes the game first and reads the spec as
+``game.spec``, so the desires and the goal sets come from one derivation.
 Everything here reads the game by feasible index: its goal-set table
 (``goal_sets``), the generators of each distinct goal set
 (``goal_set_members``), its classes (``class_ids``) and, where a violation
 names a profile, ``profile``; a family holds feasible indexes, as a
-solution does.  Called without a game, a function derives one; a profile
-or a family index outside the game raises InfeasibleProfileError.
+solution does.  A profile or a family index outside the game raises
+InfeasibleProfileError.
 
 Work is done per distinct goal set where the theory allows it: profiles
 that generate the same goal set leave the same desires unreached.
@@ -46,7 +48,7 @@ from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
 from .game import (GameSpecification, GoalSet, _fails_on_infeasible_swaps,
-                   derive_game, goal_set_key, nash, pareto, solve)
+                   goal_set_key, nash, pareto, solve)
 from .logic import Formula, formula_printer, in_sublanguage, model_builder
 from .model import AgentSystemSpec
 
@@ -108,8 +110,8 @@ def _closure(game: GameSpecification,
         u_closed=True)
 
 
-def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
-              game: GameSpecification | None = None) -> ProfileFamily:
+def u_closure(game: GameSpecification,
+              family: Iterable[DecisionProfile]) -> ProfileFamily:
     """Smallest superset closed under indistinguishability.
 
     Two feasible profiles are indistinguishable when every agent has the
@@ -117,13 +119,10 @@ def u_closure(spec: AgentSystemSpec, family: Iterable[DecisionProfile], *,
     the union of the members' classes (``game.class_ids``).  The members
     are profiles; the result holds feasible indexes, in canonical order.
     """
-    if game is None:
-        game = derive_game(spec)
     return _closure(game, (_index(game, p) for p in family))
 
 
-def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile, *,
-                game: GameSpecification | None = None) -> GoalSet:
+def goal_set_of(game: GameSpecification, profile: DecisionProfile) -> GoalSet:
     """The goal set one feasible profile generates from the joint desire pool.
 
     Desires of every agent contribute: positive goals are consequents of
@@ -131,20 +130,15 @@ def goal_set_of(spec: AgentSystemSpec, profile: DecisionProfile, *,
     does not entail.  Unreached-but-triggered desires contribute nothing.
     Read off the game's goal-set table (``GameSpecification.goal_sets``).
     """
-    if game is None:
-        game = derive_game(spec)
     return game.goal_sets[_index(game, profile)]
 
 
-def delta_goal_sets(spec: AgentSystemSpec, family: ProfileFamily, *,
-                    game: GameSpecification | None = None
-                    ) -> tuple[GoalSet, ...]:
+def delta_goal_sets(game: GameSpecification,
+                    family: ProfileFamily) -> tuple[GoalSet, ...]:
     """The deduplicated goal sets generated by the members of a U-closed family."""
     if not family.u_closed:
         raise NotUClosedError(
             "goal sets are defined per U-closed family; close it first")
-    if game is None:
-        game = derive_game(spec)
     return _sorted_goal_sets(map(game.goal_sets.__getitem__,
                                  _members(game, family)))
 
@@ -207,14 +201,11 @@ def _goal_decider(game: GameSpecification) -> GoalBased:
     return decide
 
 
-def is_goal_based(spec: AgentSystemSpec, profile: DecisionProfile,
-                  goals: GoalSet, *,
-                  game: GameSpecification | None = None) -> bool:
+def is_goal_based(game: GameSpecification, profile: DecisionProfile,
+                  goals: GoalSet) -> bool:
     """The joint extension entails every positive goal and no negative goal
     (decided by entailment over the whole vocabulary, independently of the
     desire reports)."""
-    if game is None:
-        game = derive_game(spec)
     return _goal_decider(game)(_index(game, profile), goals)
 
 
@@ -319,8 +310,8 @@ def _feasible_violations(game: GameSpecification, goal_based: GoalBased
     return tuple(violations)
 
 
-def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
-                         game: GameSpecification | None = None) -> CheckReport:
+def representation_check(game: GameSpecification,
+                         family: ProfileFamily) -> CheckReport:
     """Brute-force both directions of the family/goal-set correspondence.
 
     (a) every member is goal-based for the goal set it generates;
@@ -340,16 +331,12 @@ def representation_check(spec: AgentSystemSpec, family: ProfileFamily, *,
     """
     if not family.u_closed:
         raise NotUClosedError("representation requires a U-closed family")
-    if game is None:
-        game = derive_game(spec)
     violations = _representation_violations(game, _members(game, family),
                                             _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
 
-def feasible_representation_check(spec: AgentSystemSpec, *,
-                                  game: GameSpecification | None = None
-                                  ) -> CheckReport:
+def feasible_representation_check(game: GameSpecification) -> CheckReport:
     """Every feasible profile is goal-based for a goal set of its own class.
 
     The closure of a singleton is the minimal U-closed witness, so checking
@@ -358,8 +345,6 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
     goal-basedness is only defined on consistent extensions.  Each profile
     tries its own goal set first.
     """
-    if game is None:
-        game = derive_game(spec)
     violations = _feasible_violations(game, _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
@@ -368,8 +353,7 @@ def feasible_representation_check(spec: AgentSystemSpec, *,
 # Decision rules
 # ---------------------------------------------------------------------------
 
-def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
-                        game: GameSpecification | None = None,
+def apply_decision_rule(game: GameSpecification, rule_name: str, *,
                         infeasible_swaps: str = "skip") -> ProfileFamily:
     """Select profiles by a named societal rule; the output is U-closed.
 
@@ -380,8 +364,6 @@ def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
     every rule.
     """
     _fails_on_infeasible_swaps(infeasible_swaps)
-    if game is None:
-        game = derive_game(spec)
     if rule_name == BD_RATIONAL:
         picked = pareto(game).profile_indexes
     elif rule_name == NASH_ELSE_PARETO:
@@ -392,14 +374,11 @@ def apply_decision_rule(spec: AgentSystemSpec, rule_name: str, *,
     return _closure(game, picked)
 
 
-def concept_family(spec: AgentSystemSpec, concept: str, *,
-                   game: GameSpecification | None = None,
+def concept_family(game: GameSpecification, concept: str, *,
                    infeasible_swaps: str = "skip") -> ProfileFamily:
     """The U-closure of a solution concept's profiles (or of all feasible).
     An unknown ``infeasible_swaps`` policy is refused for every family."""
     _fails_on_infeasible_swaps(infeasible_swaps)
-    if game is None:
-        game = derive_game(spec)
     if concept == "all":
         return _closure(game, range(len(game.positions)))
     report = solve(game, concept, infeasible_swaps=infeasible_swaps)
@@ -417,9 +396,7 @@ class GoalsFirstResult:
     pareto_family: ProfileFamily
 
 
-def pareto_via_goals(spec: AgentSystemSpec, *,
-                     game: GameSpecification | None = None
-                     ) -> GoalsFirstResult:
+def pareto_via_goals(game: GameSpecification) -> GoalsFirstResult:
     """Compute the Pareto family through joint goals instead of profiles.
 
     Route: collect the feasible joint goal sets (those some feasible
@@ -448,8 +425,7 @@ def pareto_via_goals(spec: AgentSystemSpec, *,
     pool members leave different desires unreached, raises RuntimeError,
     under ``python -O`` as well.
     """
-    if game is None:
-        game = derive_game(spec)
+    spec = game.spec
     desire_consequents = {r.consequent for r in spec.all_desires()}
     desire_antecedents = {r.antecedent for r in spec.all_desires()}
     feasible_goal_sets = _sorted_goal_sets(game.goal_sets)

@@ -424,8 +424,8 @@ def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
     game = derive_game(spec)
     if not game.positions:
         return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
-    closed = concept_family(spec, "pareto", game=game).profile_indexes
-    via = pareto_via_goals(spec, game=game).pareto_family.profile_indexes
+    closed = concept_family(game, "pareto").profile_indexes
+    via = pareto_via_goals(game).pareto_family.profile_indexes
     if closed != via:  # both in canonical order
         return CheckResult(
             "pipeline-equivalence", False, 1, "families differ",

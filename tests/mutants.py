@@ -92,11 +92,7 @@ MUTANTS = (
             "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),
     Mutant("policy-unchecked-for-the-feasible-family", "goals.py",
            "    _fails_on_infeasible_swaps(infeasible_swaps)\n"
-           "    if game is None:\n"
-           "        game = derive_game(spec)\n"
            "    if concept == \"all\":",
-           "    if game is None:\n"
-           "        game = derive_game(spec)\n"
            "    if concept == \"all\":",
            ("tests/test_game.py::"
             "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),

@@ -147,8 +147,9 @@ def test_07_cooperation_goal_set(cooperation):
     report = desire_report(cooperation, target)
     assert report.unreached("alpha1") == set()
     assert report.unreached("alpha2") == set()
-    family = u_closure(cooperation, [target])
-    assert delta_goal_sets(cooperation, family) == (
+    game = derive_game(cooperation)
+    family = u_closure(game, [target])
+    assert delta_goal_sets(game, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
     passed(7, "cooperative profile reaches everything; goal set <{p & q}, {}>")
 

@@ -907,22 +907,21 @@ def ref_text(spec, command):
         name = args.family or "all"
         if args.rule is not None:
             family = apply_decision_rule(
-                spec, args.rule, game=game,
-                infeasible_swaps=args.infeasible_swaps)
+                game, args.rule, infeasible_swaps=args.infeasible_swaps)
             label = f"decision rule {args.rule}"
         elif args.via_goals:
-            result = pareto_via_goals(spec, game=game)
+            result = pareto_via_goals(game)
             family = (result.pareto_family if name == "pareto" else u_closure(
-                spec, [shown[i].profile for i in result.pool], game=game))
+                game, [shown[i].profile for i in result.pool]))
             label = f"{name} family (goals-first pipeline)"
         elif name == "all":
             family = ProfileFamily(tuple(range(len(shown))), u_closed=True)
             label = "all family"
         else:
-            family = concept_family(spec, name, game=game,
+            family = concept_family(game, name,
                                     infeasible_swaps=args.infeasible_swaps)
             label = f"{name} family"
-        goal_sets = delta_goal_sets(spec, family, game=game)
+        goal_sets = delta_goal_sets(game, family)
         indexes = sorted(family.profile_indexes)
         lines.append(f"{label}: {len(indexes)} profiles, "
                      f"{len(goal_sets)} goal sets")

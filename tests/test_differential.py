@@ -233,7 +233,7 @@ def ref_goal_set(spec, ext):
     return GoalSet(frozenset(positive), frozenset(negative))
 
 
-def ref_pareto_via_goals(spec, game):
+def ref_pareto_via_goals(game):
     """The goals-first pool and family by the profile-pair loop: a pool
     profile is kept unless another pool profile strictly improves on it
     for every agent, and the kept ones are closed."""
@@ -241,20 +241,19 @@ def ref_pareto_via_goals(spec, game):
     feasible = evaluated_profiles(game.spec)
     pool = tuple(
         i for i, ep in enumerate(feasible)
-        if any(is_goal_based(spec, ep.profile, gs, game=game)
+        if any(is_goal_based(game, ep.profile, gs)
                for gs in (game.goal_sets[i], *feasible_goal_sets)))
-    agents = spec.agent_ids
+    agents = game.spec.agent_ids
     best = [i for i in pool
             if not any(all(game.strictly_better(j, i, a) for a in agents)
                        for j in pool if j != i)]
-    return pool, u_closure(spec, [feasible[i].profile for i in best],
-                           game=game)
+    return pool, u_closure(game, [feasible[i].profile for i in best])
 
 
-def assert_goals_first_matches_the_pair_loop(spec, game):
+def assert_goals_first_matches_the_pair_loop(game):
     """Returns how many of the game's goal sets have several generators."""
-    got = pareto_via_goals(spec, game=game)
-    assert (got.pool, got.pareto_family) == ref_pareto_via_goals(spec, game)
+    got = pareto_via_goals(game)
+    assert (got.pool, got.pareto_family) == ref_pareto_via_goals(game)
     return sum(n >= 2 for n in Counter(game.goal_sets).values())
 
 
@@ -276,8 +275,7 @@ def test_concepts_and_goal_sets_match_the_definitions():
     specs = three_agent_specs = widest = profiles = shared_goal_sets = 0
     for spec, game in seeded_games():
         specs += 1
-        shared_goal_sets += assert_goals_first_matches_the_pair_loop(spec,
-                                                                     game)
+        shared_goal_sets += assert_goals_first_matches_the_pair_loop(game)
         if len(spec.agents) == 3:
             three_agent_specs += 1
             widest = max(widest, *(len(a.decision_atoms) for a in spec.agents))
@@ -308,8 +306,7 @@ def test_concepts_and_goal_sets_match_the_definitions():
             assert joint_extension(spec, ep.profile, parts) == ep.extension
             assert game.reports[i] == ref_desire_report(spec, ep.extension)
             expected = ref_goal_set(spec, ep.extension)
-            assert goal_set_of(spec, ep.profile, game=game) == expected
-            assert goal_set_of(spec, ep.profile) == expected
+            assert goal_set_of(game, ep.profile) == expected
     assert specs >= 500
     assert three_agent_specs >= 25 and widest == 4
     assert profiles >= 6_000
@@ -337,8 +334,7 @@ def test_class_level_concepts_match_the_profile_loops():
     games = excluded = shared_goal_sets = 0
     for game in class_collapsing_games():
         games += 1
-        shared_goal_sets += assert_goals_first_matches_the_pair_loop(
-            game.spec, game)
+        shared_goal_sets += assert_goals_first_matches_the_pair_loop(game)
         for solve, reference in ((pareto, ref_pareto),
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
@@ -688,29 +684,26 @@ def test_goals_layer_matches_the_profile_route():
                                   u_closed=True)
                     for subset in drawn]  # flagged closed, often not
         for subset in [[p] for p in feasible] + [feasible] + drawn:
-            closed = u_closure(spec, subset, game=game)
+            closed = u_closure(game, subset)
             assert closed.u_closed
             assert members(closed) == ref.closure(subset)
-            assert delta_goal_sets(spec, closed, game=game) == \
+            assert delta_goal_sets(game, closed) == \
                 ref.goal_sets(members(closed))
             families.append(closed)
         for family in families:
-            got = representation_check(spec, family, game=game)
+            got = representation_check(game, family)
             expected = ref.representation(members(family))
             assert got.violations == expected
             assert got.passed == (not expected)
             seen["families"] += 1
             seen["outside the family"] += len(expected)
-        assert feasible_representation_check(spec, game=game).violations \
+        assert feasible_representation_check(game).violations \
             == ref.feasible_representation()
-        everything = concept_family(spec, "all", game=game)
+        everything = concept_family(game, "all")
         assert everything.u_closed
         assert members(everything) == tuple(feasible)
         seen["last profile alone in its class"] += \
             ref.closure(feasible[-1:]) == tuple(feasible[-1:])
-        # Called without a game, each derives one; the answers are the same.
-        assert members(u_closure(spec, drawn[0])) == ref.closure(drawn[0])
-        assert goal_set_of(spec, feasible[-1]) == ref.goal_set[feasible[-1]]
         for members in game.classes:
             if len({ref.goal_set[feasible[i]] for i in members}) > 1:
                 seen["classes with several goal sets"] += 1
@@ -821,8 +814,8 @@ def test_goal_basedness_matches_one_entailment_per_goal():
             for i, ep in enumerate(feasible):
                 for gs in goal_sets:
                     expected[i, gs] = ref_goal_based(spec, ep.extension, gs)
-                    assert is_goal_based(spec, ep.profile, gs,
-                                         game=game) == expected[i, gs]
+                    assert is_goal_based(game, ep.profile,
+                                         gs) == expected[i, gs]
                     seen[expected[i, gs]] += 1
             asked = sorted(expected, key=lambda pair: (pair[0],
                                                        str(pair[1])))
@@ -830,7 +823,7 @@ def test_goal_basedness_matches_one_entailment_per_goal():
             decide = _goal_decider(game)
             for i, gs in asked:
                 assert decide(i, gs) == expected[i, gs], (i, gs)
-            assert pareto_via_goals(spec, game=game).pool == tuple(
+            assert pareto_via_goals(game).pool == tuple(
                 i for i in range(len(feasible))
                 if any(expected[i, gs]
                        for gs in (game.goal_sets[i], *game.goal_sets)))

@@ -174,7 +174,7 @@ def test_an_unknown_infeasible_swaps_policy_is_refused(interdependence):
     for call, policy in (
             (lambda p: nash(game, infeasible_swaps=p), "bogus"),
             (lambda p: solve(game, "nash", infeasible_swaps=p), "FAIL"),
-            (lambda p: apply_decision_rule(interdependence, "nash-else-pareto",
+            (lambda p: apply_decision_rule(game, "nash-else-pareto",
                                            infeasible_swaps=p), "nope")):
         with pytest.raises(ValueError, match=f"policy '{policy}'"):
             call(policy)
@@ -184,11 +184,10 @@ def test_an_unknown_policy_is_refused_where_nash_is_never_asked(prisoners):
     game = derive_game(prisoners)
     calls = [lambda p, c=c: solve(game, c, infeasible_swaps=p)
              for c in (PARETO, STRONG_PARETO, DOMINANT)]
-    calls += [lambda p, f=f: concept_family(prisoners, f, game=game,
-                                            infeasible_swaps=p)
+    calls += [lambda p, f=f: concept_family(game, f, infeasible_swaps=p)
               for f in ("all", PARETO)]
     calls.append(lambda p: apply_decision_rule(
-        prisoners, "bd-rational", game=game, infeasible_swaps=p))
+        game, "bd-rational", infeasible_swaps=p))
     for call in calls:
         with pytest.raises(ValueError, match="policy 'bogus'"):
             call("bogus")

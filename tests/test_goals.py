@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,20 +12,19 @@ import bdgame.game
 import bdgame.goals
 import bdgame.logic
 import bdgame.verify
-from bdgame import example_path, load_example
-from bdgame.decision import desire_report
+from bdgame import load_example
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
-from bdgame.game import CONCEPTS, derive_game, pareto
-from bdgame.goals import (DECISION_RULES, GoalSet, ProfileFamily,
+from bdgame.game import derive_game, pareto
+from bdgame.goals import (GoalSet, ProfileFamily,
                           RepresentationViolation, apply_decision_rule,
-                          concept_family, delta_goal_sets,
+                          delta_goal_sets,
                           feasible_representation_check, fragment_check,
                           goal_set_of, heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
                           representation_check, syntactic_goal_sets,
                           u_closure)
-from bdgame.logic import TRUE, And, Not, Var, parse_formula
+from bdgame.logic import TRUE, And, Not, Var
 from bdgame.model import parse_spec
 from bdgame.verify import (check_pipeline_equivalence, check_representation,
                            random_spec)
@@ -59,9 +57,8 @@ def decoded(spec, family):
 def test_closure_is_a_fixpoint(opposed_interests):
     game = derive_game(opposed_interests)
     feasible = [ep.profile for ep in evaluated_profiles(opposed_interests)]
-    first = u_closure(opposed_interests, [feasible[0]], game=game)
-    again = u_closure(opposed_interests,
-                      [feasible[i] for i in first.profile_indexes], game=game)
+    first = u_closure(game, [feasible[0]])
+    again = u_closure(game, [feasible[i] for i in first.profile_indexes])
     assert again.profile_indexes == first.profile_indexes
     assert 0 in first.profile_indexes and first.u_closed
 
@@ -69,13 +66,13 @@ def test_closure_is_a_fixpoint(opposed_interests):
 def test_closure_of_distinct_signature_is_singleton(opposed_interests):
     game = derive_game(opposed_interests)
     for i, ep in enumerate(evaluated_profiles(opposed_interests)):
-        family = u_closure(opposed_interests, [ep.profile], game=game)
+        family = u_closure(game, [ep.profile])
         assert family.profile_indexes == (i,)
 
 
 def test_closure_adds_indistinguishable_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
-    family = u_closure(spec, [profile(x=["a"])])
+    family = u_closure(derive_game(spec), [profile(x=["a"])])
     # every decision leaves p unreached
     assert family.profile_indexes == tuple(range(4))
     assert len(evaluated_profiles(spec)) == 4
@@ -83,7 +80,8 @@ def test_closure_adds_indistinguishable_twin():
 
 def test_closure_rejects_infeasible_members(interdependence):
     with pytest.raises(InfeasibleProfileError):
-        u_closure(interdependence, [profile(alpha1=["a"], alpha2=["b"])])
+        u_closure(derive_game(interdependence),
+                  [profile(alpha1=["a"], alpha2=["b"])])
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +90,17 @@ def test_closure_rejects_infeasible_members(interdependence):
 
 def test_cooperation_goal_set(cooperation):
     target = profile(alpha1=["a"], alpha2=["c"])
-    family = u_closure(cooperation, [target])
+    game = derive_game(cooperation)
+    family = u_closure(game, [target])
     assert family.profile_indexes == (index_of(cooperation, target),)
-    assert delta_goal_sets(cooperation, family) == (
+    assert delta_goal_sets(game, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
 
 
 def test_prisoners_goal_set(prisoners):
-    family = u_closure(prisoners, [profile(alpha1=["!a"], alpha2=["!b"])])
-    (gs,) = delta_goal_sets(prisoners, family)
+    game = derive_game(prisoners)
+    family = u_closure(game, [profile(alpha1=["!a"], alpha2=["!b"])])
+    (gs,) = delta_goal_sets(game, family)
     a, b = Var("a"), Var("b")
     assert gs == GoalSet(
         frozenset({Not(And(a, Not(b))), Not(And(Not(a), b))}),
@@ -111,7 +111,7 @@ def test_desire_free_spec_has_the_empty_goal_set():
     spec = parse_spec('agent x {\n  atoms a\n  belief a => p\n}\nworld p\n')
     family = ProfileFamily(tuple(range(len(evaluated_profiles(spec)))),
                            u_closed=True)
-    assert delta_goal_sets(spec, family) == (
+    assert delta_goal_sets(derive_game(spec), family) == (
         GoalSet(frozenset(), frozenset()),)
 
 
@@ -120,7 +120,7 @@ def test_goal_sets_require_closed_family(cooperation):
         (index_of(cooperation, profile(alpha1=["a"], alpha2=["c"])),),
         u_closed=False)
     with pytest.raises(NotUClosedError):
-        delta_goal_sets(cooperation, family)
+        delta_goal_sets(derive_game(cooperation), family)
 
 
 @pytest.mark.parametrize("outside", [lambda size: -1, lambda size: size,
@@ -131,19 +131,20 @@ def test_family_indexes_outside_the_game_are_refused(outside, cooperation):
     game = derive_game(cooperation)
     size = len(game.positions)
     inside = ProfileFamily(tuple(range(size)), u_closed=True)
-    assert delta_goal_sets(cooperation, inside, game=game)
-    assert representation_check(cooperation, inside, game=game).passed
+    assert delta_goal_sets(game, inside)
+    assert representation_check(game, inside).passed
     family = ProfileFamily((0, outside(size)), u_closed=True)
     for check in (delta_goal_sets, representation_check):
         with pytest.raises(InfeasibleProfileError,
                            match=rf"^family index {outside(size)} is outside "
                                  rf"the game's {size} feasible profiles$"):
-            check(cooperation, family, game=game)
+            check(game, family)
 
 
 def test_untriggered_antecedents_become_negative_goals(
         single_agent_priorities):
-    gs = goal_set_of(single_agent_priorities, profile(alpha1=["a"]))
+    gs = goal_set_of(derive_game(single_agent_priorities),
+                     profile(alpha1=["a"]))
     # d is undecided, so the d => q desire is untriggered
     assert Var("d") in gs.negative
     assert gs.positive == {Var("a")}
@@ -154,27 +155,29 @@ def test_untriggered_antecedents_become_negative_goals(
 # ---------------------------------------------------------------------------
 
 def test_empty_goal_set_matches_everything(cooperation):
+    game = derive_game(cooperation)
     empty = GoalSet(frozenset(), frozenset())
-    assert is_goal_based(cooperation, profile(alpha1=["a"], alpha2=["c"]),
-                         empty)
-    assert is_goal_based(cooperation, profile(alpha1=[], alpha2=[]), empty)
+    assert is_goal_based(game, profile(alpha1=["a"], alpha2=["c"]), empty)
+    assert is_goal_based(game, profile(alpha1=[], alpha2=[]), empty)
 
 
 def test_cooperation_profile_is_goal_based(cooperation):
+    game = derive_game(cooperation)
     gs = GoalSet(frozenset({And(P, Q)}), frozenset())
-    assert is_goal_based(cooperation, profile(alpha1=["a"], alpha2=["c"]), gs)
-    assert not is_goal_based(cooperation, profile(alpha1=[], alpha2=[]), gs)
+    assert is_goal_based(game, profile(alpha1=["a"], alpha2=["c"]), gs)
+    assert not is_goal_based(game, profile(alpha1=[], alpha2=[]), gs)
 
 
 def test_true_as_negative_goal_matches_nothing(cooperation):
     gs = GoalSet(frozenset(), frozenset({TRUE}))
-    assert not is_goal_based(cooperation, profile(alpha1=["a"], alpha2=["c"]),
-                             gs)
+    assert not is_goal_based(derive_game(cooperation),
+                             profile(alpha1=["a"], alpha2=["c"]), gs)
 
 
 def test_goal_based_requires_feasible_profile(interdependence):
     with pytest.raises(InfeasibleProfileError):
-        is_goal_based(interdependence, profile(alpha1=["a"], alpha2=["b"]),
+        is_goal_based(derive_game(interdependence),
+                      profile(alpha1=["a"], alpha2=["b"]),
                       GoalSet(frozenset(), frozenset()))
 
 
@@ -209,16 +212,13 @@ def test_syntactic_cap():
 
 def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
     # cooperation's feasible decisions make 9 candidate profiles.
-    first = evaluated_profiles(cooperation)[0].profile
     capped, fits = (cooperation.with_options(max_profiles=n) for n in (8, 9))
-    for call in (check_representation, check_pipeline_equivalence,
-                 lambda spec: u_closure(spec, [first])):
+    for call in (check_representation, check_pipeline_equivalence):
         with pytest.raises(CombinatorialBoundError,
                            match=r"^9 candidate profiles \(cap 8\)$"):
             call(capped)
     assert check_representation(fits).passed
     assert check_pipeline_equivalence(fits).passed
-    assert 0 in u_closure(fits, [first]).profile_indexes
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +226,16 @@ def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
 # ---------------------------------------------------------------------------
 
 def test_prisoners_nash_family_representation(prisoners):
-    family = apply_decision_rule(prisoners, "nash-else-pareto")
-    report = representation_check(prisoners, family)
+    game = derive_game(prisoners)
+    family = apply_decision_rule(game, "nash-else-pareto")
+    report = representation_check(game, family)
     assert report.passed, report.violations
 
 
 def test_unclosed_family_reports_the_missing_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
     lying = ProfileFamily((index_of(spec, profile(x=["a"])),), u_closed=True)
-    report = representation_check(spec, lying)
+    report = representation_check(derive_game(spec), lying)
     assert not report.passed
     assert {v.direction for v in report.violations} == \
         {"goal-based-outside-family"}
@@ -245,7 +246,7 @@ def test_representation_requires_closed_flag(prisoners):
     family = ProfileFamily(
         (index_of(prisoners, profile(alpha1=["!a"], alpha2=["!b"])),))
     with pytest.raises(NotUClosedError):
-        representation_check(prisoners, family)
+        representation_check(derive_game(prisoners), family)
 
 
 def test_feasible_representation_on_fixtures(
@@ -253,7 +254,7 @@ def test_feasible_representation_on_fixtures(
         opposed_interests):
     for spec in (single_agent_priorities, interdependence, cooperation,
                  prisoners, opposed_interests):
-        assert feasible_representation_check(spec).passed
+        assert feasible_representation_check(derive_game(spec)).passed
 
 
 def test_each_goal_set_is_built_once_per_game(monkeypatch):
@@ -277,11 +278,11 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     built.clear()
     feasible = [ep.profile for ep in evaluated_profiles(spec)]
     everything = ProfileFamily(tuple(range(len(feasible))), u_closed=True)
-    assert representation_check(spec, everything, game=game).passed
-    assert feasible_representation_check(spec, game=game).passed
-    pareto_via_goals(spec, game=game)
+    assert representation_check(game, everything).passed
+    assert feasible_representation_check(game).passed
+    pareto_via_goals(game)
     for p in feasible:
-        goal_set_of(spec, p, game=game)
+        goal_set_of(game, p)
     assert len(built) == reports
 
 
@@ -289,7 +290,7 @@ def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):
     game = derive_game(interdependence)
     assert game.index_of(profile(alpha1=["a"], alpha2=["b"])) is None
     with pytest.raises(InfeasibleProfileError):
-        goal_set_of(interdependence, profile(alpha1=["a"], alpha2=["b"]))
+        goal_set_of(game, profile(alpha1=["a"], alpha2=["b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +298,13 @@ def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):
 # ---------------------------------------------------------------------------
 
 def test_nash_else_pareto_prisoners(prisoners):
-    family = apply_decision_rule(prisoners, "nash-else-pareto")
+    family = apply_decision_rule(derive_game(prisoners), "nash-else-pareto")
     assert decoded(prisoners, family) == ["<alpha1={!a}, alpha2={!b}>"]
     assert family.u_closed
 
 
 def test_bd_rational_prisoners(prisoners):
-    family = apply_decision_rule(prisoners, "bd-rational")
+    family = apply_decision_rule(derive_game(prisoners), "bd-rational")
     assert decoded(prisoners, family) == [
         "<alpha1={a}, alpha2={b}>", "<alpha1={a}, alpha2={!b}>",
         "<alpha1={!a}, alpha2={b}>"]
@@ -313,7 +314,7 @@ def test_decision_rules_on_single_profile_game():
     spec = parse_spec('agent x {\n  atoms a\n  desire d: true => a\n'
                       '  initial a\n}\n')
     for rule in ("bd-rational", "nash-else-pareto"):
-        family = apply_decision_rule(spec, rule)
+        family = apply_decision_rule(derive_game(spec), rule)
         assert decoded(spec, family) == ["<x={a}>"]
 
 
@@ -326,14 +327,13 @@ def test_nash_else_pareto_falls_back_to_pareto():
         'agent y {\n  atoms b\n  desire dy: true => !(a & b)\n}\n')
     game = derive_game(spec)
     from bdgame.game import nash
-    family = apply_decision_rule(spec, "nash-else-pareto")
+    family = apply_decision_rule(game, "nash-else-pareto")
     if nash(game).profile_indexes:
         assert family.profile_indexes
     else:
         feasible = evaluated_profiles(spec)
         closed_pareto = u_closure(
-            spec, [feasible[i].profile
-                   for i in pareto(game).profile_indexes], game=game)
+            game, [feasible[i].profile for i in pareto(game).profile_indexes])
         assert family.profile_indexes == closed_pareto.profile_indexes
 
 
@@ -345,15 +345,14 @@ def test_pipeline_equivalence_on_fixtures(
         game = derive_game(spec)
         feasible = evaluated_profiles(spec)
         direct = u_closure(
-            spec, [feasible[i].profile
-                   for i in pareto(game).profile_indexes], game=game)
-        via = pareto_via_goals(spec, game=game)
+            game, [feasible[i].profile for i in pareto(game).profile_indexes])
+        via = pareto_via_goals(game)
         assert via.pareto_family.profile_indexes == direct.profile_indexes
 
 
 def test_goals_first_pool_is_all_feasible(prisoners):
     game = derive_game(prisoners)
-    result = pareto_via_goals(prisoners, game=game)
+    result = pareto_via_goals(game)
     assert set(result.pool) == set(range(len(game.positions)))
 
 
@@ -400,8 +399,7 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
     feasible = evaluated_profiles(spec)
     for members in ((ab, a), (a, ab), range(len(feasible))):
         family = ProfileFamily(tuple(members), u_closed=True)
-        assert representation_check(spec, family, game=broken).violations \
-            == (expected,)
+        assert representation_check(broken, family).violations == (expected,)
     monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
     result = check_representation(spec)
     assert not result.passed
@@ -419,12 +417,12 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
     ab, empty = game.index_of(profile(x=["a", "b"])), \
         game.index_of(profile(x=[]))
     broken = with_part(game, ab, empty)
-    family = u_closure(spec, [profile(x=["a", "b"])], game=broken)
+    family = u_closure(broken, [profile(x=["a", "b"])])
     assert len(family.profile_indexes) == 3
     assert [v.profile for v in representation_check(
-        spec, family, game=broken).violations] == [profile(x=["a", "b"])]
+        broken, family).violations] == [profile(x=["a", "b"])]
     # Not goal-based for its own goal set, but for its class's other one.
-    assert feasible_representation_check(spec, game=broken).passed
+    assert feasible_representation_check(broken).passed
 
 
 def test_the_feasible_check_reports_a_profile_without_goal_sets():
@@ -434,8 +432,7 @@ def test_the_feasible_check_reports_a_profile_without_goal_sets():
         'agent x {\n  atoms a b\n  desire d: b => a\n}\n')
     game = derive_game(spec)
     ab, b = (game.index_of(profile(x=names)) for names in (["a", "b"], ["b"]))
-    report = feasible_representation_check(spec,
-                                           game=with_part(game, ab, b))
+    report = feasible_representation_check(with_part(game, ab, b))
     assert not report.passed
     assert report.violations == (RepresentationViolation(
         "member-without-goal-set", profile(x=["a", "b"]), None,
@@ -506,7 +503,7 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
 
     monkeypatch.setattr(bdgame.goals, "set_geq", counting)
     fresh = derive_game(spec)
-    result = pareto_via_goals(spec, game=fresh)
+    result = pareto_via_goals(fresh)
     assert compared and max(compared.values()) == 1
     for better, worse in compared:
         assert better != worse
@@ -516,9 +513,8 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
     feasible = evaluated_profiles(spec)
     assert result.pareto_family.profile_indexes == u_closure(
-        spec, [feasible[i].profile
-               for i in pareto(game).profile_indexes],
-        game=game).profile_indexes
+        game, [feasible[i].profile
+               for i in pareto(game).profile_indexes]).profile_indexes
 
 
 def tampered_games():
@@ -530,7 +526,7 @@ def tampered_games():
     vars(foreign)["goal_sets"] = tuple(
         GoalSet(gs.positive | {Var("b")}, gs.negative)
         for gs in game.goal_sets)
-    yield spec, foreign, "holds a goal of no desire rule"
+    yield foreign, "holds a goal of no desire rule"
     # {b} claims the goal set of {a}, which reaches the desire {b} leaves
     # unreached: one goal set, two unreached sets.
     claimed = dataclasses.replace(game)
@@ -538,13 +534,13 @@ def tampered_games():
     vars(claimed)["goal_sets"] = tuple(
         game.goal_sets[a] if i == b else gs
         for i, gs in enumerate(game.goal_sets))
-    yield spec, claimed, "leave different desires unreached"
+    yield claimed, "leave different desires unreached"
 
 
 def test_goals_first_raises_on_a_broken_invariant():
-    for spec, game, message in tampered_games():
+    for game, message in tampered_games():
         with pytest.raises(RuntimeError, match=message):
-            pareto_via_goals(spec, game=game)
+            pareto_via_goals(game)
 
 
 def test_goals_first_raises_on_a_broken_invariant_without_asserts():
@@ -554,9 +550,9 @@ def test_goals_first_raises_on_a_broken_invariant_without_asserts():
         "    sys.exit('asserts are on')\n"
         "from bdgame.goals import pareto_via_goals\n"
         "from test_goals import tampered_games\n"
-        "for spec, game, message in tampered_games():\n"
+        "for game, message in tampered_games():\n"
         "    try:\n"
-        "        pareto_via_goals(spec, game=game)\n"
+        "        pareto_via_goals(game)\n"
         "        print('returned')\n"
         "    except RuntimeError as exc:\n"
         "        print('raised' if message in str(exc) else exc)\n")
@@ -567,34 +563,6 @@ def test_goals_first_raises_on_a_broken_invariant_without_asserts():
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stdout) == (0, "raised\nraised\n"), \
         run.stderr
-
-
-EXAMPLES = sorted(p.name.removesuffix(".bdg") for p in
-                  example_path("prisoners").parent.glob("*.bdg"))
-
-
-@pytest.mark.parametrize("name", EXAMPLES)
-def test_entry_points_called_without_a_game_derive_the_same_one(name):
-    """Every goals entry point, called with ``game=None``, answers as it
-    does when handed ``derive_game(spec)``."""
-    spec = load_example(name)
-    game = derive_game(spec)
-    profiles = [game.profile(i) for i in range(len(game.positions))]
-    everything = ProfileFamily(tuple(range(len(profiles))), u_closed=True)
-    calls = [
-        partial(u_closure, spec, profiles),
-        partial(delta_goal_sets, spec, everything),
-        partial(representation_check, spec, everything),
-        partial(feasible_representation_check, spec),
-        partial(pareto_via_goals, spec),
-        *(partial(concept_family, spec, c) for c in ("all", *CONCEPTS)),
-        *(partial(apply_decision_rule, spec, r) for r in DECISION_RULES),
-        *(partial(goal_set_of, spec, p) for p in profiles),
-        *(partial(is_goal_based, spec, p, gs) for p in profiles
-          for gs in game.goal_set_members)]
-    assert len(EXAMPLES) == 6 and profiles
-    for call in calls:
-        assert call() == call(game=game), call
 
 
 # ---------------------------------------------------------------------------

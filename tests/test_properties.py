@@ -14,8 +14,8 @@ from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile, joint_extension, set_geq)
 from bdgame.cli import _COMMANDS, _build_parser
 from bdgame.extension import Rule
-from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
-                         derive_game, nash, pareto, solve)
+from bdgame.game import (CONCEPTS, FAIL, SKIP, ExclusionWitness,
+                         SolutionReport, derive_game, nash, pareto, solve)
 from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
 from bdgame.logic import TRUE
 from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
@@ -23,7 +23,7 @@ from bdgame.verify import (check_extension_laws, check_game_laws,
                            check_heuristic_fragment, check_monotonicity,
                            check_order_laws, check_pipeline_equivalence,
                            check_representation, check_representation_corpus,
-                           random_spec)
+                           random_formula, random_spec)
 
 from conftest import evaluated_profiles
 
@@ -134,19 +134,19 @@ def test_u_closure_is_idempotent_and_monotone():
     for spec, game in feasible_games(88, 30):
         feasible = [ep.profile for ep in evaluated_profiles(spec)]
         members = rng.sample(feasible, rng.randint(1, len(feasible)))
-        closed = u_closure(spec, members, game=game)
+        closed = u_closure(game, members)
         inside = [feasible[i] for i in closed.profile_indexes]
         assert set(members) <= set(inside)
-        again = u_closure(spec, inside, game=game)
+        again = u_closure(game, inside)
         assert again.profile_indexes == closed.profile_indexes
-        smaller = u_closure(spec, members[:1], game=game)
+        smaller = u_closure(game, members[:1])
         assert set(smaller.profile_indexes) <= set(closed.profile_indexes)
 
 
 def test_decision_rule_families_are_u_closed():
     for spec, game in feasible_games(4242, 30):
         for rule in ("bd-rational", "nash-else-pareto"):
-            family = apply_decision_rule(spec, rule, game=game)
+            family = apply_decision_rule(game, rule)
             assert family.u_closed
             feasible = evaluated_profiles(spec)
             signatures = {
@@ -163,7 +163,7 @@ def test_goal_set_components_come_from_desires():
         consequents = {r.consequent for r in spec.all_desires()}
         antecedents = {r.antecedent for r in spec.all_desires()}
         for ep in evaluated_profiles(spec):
-            gs = goal_set_of(spec, ep.profile)
+            gs = goal_set_of(game, ep.profile)
             assert gs.positive <= consequents
             assert gs.negative <= antecedents
 
@@ -172,7 +172,7 @@ def test_equal_goal_sets_force_equal_unreached_sets():
     for spec, game in feasible_games(3141, 40):
         by_goal_set = {}
         for ep in evaluated_profiles(spec):
-            gs = goal_set_of(spec, ep.profile)
+            gs = goal_set_of(game, ep.profile)
             sig = unreached_signature(spec, desire_report(spec, ep.profile))
             by_goal_set.setdefault(gs, set()).add(sig)
         for gs, signatures in by_goal_set.items():
@@ -252,13 +252,13 @@ def test_representation_corpus_skips_specs_without_feasible_profiles(
 METAMORPHIC_SPECS = 200
 
 
-def metamorphic_specs(seed):
+def metamorphic_specs(seed, max_agents=2):
     """Seeded random specs with a feasible profile, each in all three
     decision modes."""
     rng = random.Random(seed)
     produced = 0
     while produced < METAMORPHIC_SPECS:
-        spec = random_spec(rng)
+        spec = random_spec(rng, max_agents=max_agents)
         if derive_game(spec).positions:
             produced += 1
             for mode in DecisionMode:
@@ -290,22 +290,33 @@ def test_an_idle_decision_atom_changes_no_concept_and_no_goal_set():
         assert set(twin.goal_sets) == set(game.goal_sets)
 
 
-def test_an_idle_world_atom_leaves_the_json_reports_byte_identical(capsys):
-    # The commands run on the spec objects, as ``main`` runs them once it
-    # has read the file; each concept's arguments are parsed once.
+def json_runs():
+    """Per concept, the parsed arguments of ``profiles``, ``solve`` and
+    ``goals`` in JSON.  The commands run on the spec objects, as ``main``
+    runs them once it has read the file; each concept's arguments are
+    parsed once, and a test rotates through the concepts spec by spec."""
     parser = _build_parser()
-    runs = [[(argv[0], parser.parse_args([*argv, "-", "--format", "json"]))
+    return [[(argv[0], parser.parse_args([*argv, "-", "--format", "json"]))
              for argv in (["profiles"], ["solve", "--concept", concept],
                           ["goals", "--family", concept])]
             for concept in CONCEPTS]
+
+
+def assert_same_reports(spec, twin, runs, capsys):
+    """Each run prints the same bytes on ``spec`` and on ``twin``."""
+    for command, args in runs:
+        printed = []
+        for s in (spec, twin):
+            assert _COMMANDS[command](s, args) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1], (args, format_spec(twin))
+
+
+def test_an_idle_world_atom_leaves_the_json_reports_byte_identical(capsys):
+    runs = json_runs()
     for k, spec in enumerate(metamorphic_specs(42)):
         idle = replace(spec, world_atoms=spec.world_atoms + ("w",))
-        for command, args in runs[k % len(runs)]:
-            printed = []
-            for s in (spec, idle):
-                assert _COMMANDS[command](s, args) == 0
-                printed.append(capsys.readouterr().out)
-            assert printed[0] == printed[1], (command, format_spec(spec))
+        assert_same_reports(spec, idle, runs[k % len(runs)], capsys)
 
 
 def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
@@ -316,8 +327,9 @@ def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
     # So every unreached set, every comparison of two of them and every
     # solution stays as it was.
     parser = _build_parser()
-    runs = [parser.parse_args(["solve", "--concept", concept, "-",
-                               "--format", "json"]) for concept in CONCEPTS]
+    runs = [("solve", parser.parse_args(["solve", "--concept", concept, "-",
+                                         "--format", "json"]))
+            for concept in CONCEPTS]
     rng = random.Random(43)
     for spec in metamorphic_specs(44):
         owner = rng.randrange(len(spec.agents))
@@ -334,12 +346,66 @@ def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
             replace(a, desires=a.desires + (always,), priority=priority)
             if k == owner else a for k, a in enumerate(spec.agents)))
         assert validate_spec(twin) == []
-        for args in runs:
-            printed = []
-            for s in (spec, twin):
-                assert _COMMANDS["solve"](s, args) == 0
-                printed.append(capsys.readouterr().out)
-            assert printed[0] == printed[1], (args.concept, format_spec(spec))
+        assert_same_reports(spec, twin, runs, capsys)
+
+
+def test_a_belief_concluding_a_fact_leaves_the_json_reports_byte_identical(
+        capsys):
+    # A belief ``phi => f`` whose consequent is one of its agent's facts
+    # adds no formula when it fires: ``f`` is in the agent's base already.
+    # It gets no row in ``AgentSystemSpec.compiled`` and ``f``'s atoms are
+    # constrained already, so ``mask_atoms`` stays as it was too.
+    runs = json_runs()
+    rng = random.Random(45)
+    compared = 0
+    for k, spec in enumerate(metamorphic_specs(46, max_agents=3)):
+        holders = [i for i, a in enumerate(spec.agents) if a.facts]
+        if not holders:
+            continue
+        owner = rng.choice(holders)
+        agent = spec.agents[owner]
+        belief = Rule(f"{agent.id}_known",
+                      random_formula(rng, spec.vocabulary.names),
+                      rng.choice(agent.facts), "belief", agent.id)
+        twin = replace(spec, agents=tuple(
+            replace(a, beliefs=a.beliefs + (belief,)) if i == owner else a
+            for i, a in enumerate(spec.agents)))
+        assert validate_spec(twin) == []
+        assert twin.mask_atoms == spec.mask_atoms
+        assert_same_reports(spec, twin, runs[k % len(runs)], capsys)
+        compared += 1
+    assert compared >= 300
+
+
+def solution_decisions(game, concept, policy):
+    """A concept's solution, each profile read as the set of its agents'
+    decisions, whatever order the agents come in."""
+    solution = solve(game, concept, infeasible_swaps=policy)
+    return {frozenset(game.profile(i).decisions)
+            for i in solution.profile_indexes}
+
+
+def test_permuting_the_agents_changes_no_solution_and_no_goal_set():
+    # The concepts quantify over every agent and the goal sets pool every
+    # agent's desires, so neither reads the order the agents are listed in.
+    rng = random.Random(47)
+    permuted = 0
+    for spec in metamorphic_specs(48, max_agents=3):
+        if len(spec.agents) < 2:
+            continue
+        agents = tuple(rng.sample(spec.agents, len(spec.agents)))
+        if agents == spec.agents:
+            agents = agents[::-1]
+        game, twin = derive_game(spec), derive_game(replace(spec,
+                                                            agents=agents))
+        for concept in CONCEPTS:
+            for policy in (SKIP, FAIL):
+                assert solution_decisions(twin, concept, policy) == \
+                    solution_decisions(game, concept, policy), \
+                    (concept, policy, format_spec(spec))
+        assert set(twin.goal_sets) == set(game.goal_sets)
+        permuted += 1
+    assert permuted >= 300
 
 
 def test_equal_specs_hash_equal():

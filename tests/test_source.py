@@ -19,6 +19,18 @@ def test_the_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_the_cli_and_the_checks_derive_a_game():
+    # Everything below them takes the game it reads, so no layer derives
+    # a second game from a spec that may not be the one the game came from.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    callers = {name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and "derive_game" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))}
+    assert callers == {"cli.py", "verify.py"}
+
+
 # Names a module imports only so that callers can import them from it.
 RE_EXPORTS = {"__init__.py": None,  # the package's public surface
               "decision.py": {"DEFAULT_DECISION_CAP", "DEFAULT_PROFILE_CAP"}}
