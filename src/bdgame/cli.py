@@ -26,14 +26,14 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .decision import (Decision, DecisionProfile, DesireReport,
-                       agent_extension, joint_extension)
+from .decision import (Decision, DesireReport, agent_extension,
+                       joint_extension)
 from .errors import BdgameError
 from .extension import Extension
 from .game import CONCEPTS, _product_columns, agent_extensions, derive_game
 from .game import solve as solve_game
-from .goals import (DECISION_RULES, _closure, apply_decision_rule,
-                    concept_family, delta_goal_sets, pareto_via_goals)
+from .goals import (DECISION_RULES, apply_decision_rule, concept_family,
+                    delta_goal_sets, pareto_via_goals, u_closure)
 from .logic import (DEFAULT_MAX_ATOMS, format_formula, formula_printer,
                     parse_literal)
 from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
@@ -352,7 +352,7 @@ def _cmd_extension(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
              for d in decisions}
     parts = tuple(built[d.agent][d] for d in decisions)
     if agent is None:
-        ext = joint_extension(spec, DecisionProfile(decisions), parts)
+        ext = joint_extension(spec, parts=parts)
         candidates, _, reports = _product_columns(spec, built)
     else:  # one agent's own extension has no desire report
         ext = parts[0]
@@ -447,7 +447,7 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
             raise BdgameError("--via-goals supports --family pareto or all")
         result = pareto_via_goals(game)
         family = (result.pareto_family if family_name == "pareto" else
-                  _closure(game, result.pool))
+                  u_closure(game, result.pool))
         label = f"{family_name} family (goals-first pipeline)"
     else:
         family = concept_family(game, family_name,

@@ -12,9 +12,10 @@ Every entry point takes the game first and reads the spec as
 Everything here reads the game by feasible index: its goal-set table
 (``goal_sets``), the generators of each distinct goal set
 (``goal_set_members``), its classes (``class_ids``) and, where a violation
-names a profile, ``profile``; a family holds feasible indexes, as a
-solution does.  A profile or a family index outside the game raises
-InfeasibleProfileError.
+names a profile, ``profile``.  No entry point takes a profile: a family
+holds feasible indexes, as a solution does, ``u_closure`` and
+``is_goal_based`` take them, and ``game.index_of`` turns a profile into
+one.  An index outside the game raises InfeasibleProfileError.
 
 Work is done per distinct goal set where the theory allows it: profiles
 that generate the same goal set leave the same desires unreached.
@@ -80,57 +81,33 @@ def _sorted_goal_sets(goal_sets: Iterable[GoalSet]) -> tuple[GoalSet, ...]:
                         key=partial(goal_set_key, text=formula_printer())))
 
 
-def _index(game: GameSpecification, profile: DecisionProfile) -> int:
-    index = game.index_of(profile)
-    if index is None:
-        raise InfeasibleProfileError(
-            f"profile {profile} is not a feasible profile of the game")
-    return index
-
-
 def _members(game: GameSpecification,
-             family: ProfileFamily) -> tuple[int, ...]:
-    """The family's indexes, each a feasible profile of the game."""
+             indexes: Iterable[int]) -> tuple[int, ...]:
+    """The indexes, each refused unless it numbers a feasible profile of
+    the game (``-1`` as well: it would read the last one)."""
+    members = tuple(indexes)
     size = len(game.positions)
-    for i in family.profile_indexes:
+    for i in members:
         if not 0 <= i < size:
             raise InfeasibleProfileError(
                 f"family index {i} is outside the game's {size} feasible "
                 f"profiles")
-    return family.profile_indexes
-
-
-def _closure(game: GameSpecification,
-             indexes: Iterable[int]) -> ProfileFamily:
-    """The U-closure of the indexed profiles: the union of their classes,
-    in canonical order."""
-    wanted = {game.class_ids[i] for i in indexes}
-    return ProfileFamily(
-        tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted))),
-        u_closed=True)
+    return members
 
 
 def u_closure(game: GameSpecification,
-              family: Iterable[DecisionProfile]) -> ProfileFamily:
+              indexes: Iterable[int]) -> ProfileFamily:
     """Smallest superset closed under indistinguishability.
 
     Two feasible profiles are indistinguishable when every agent has the
     same unreached set in both.  That is an equivalence, so the closure is
     the union of the members' classes (``game.class_ids``).  The members
-    are profiles; the result holds feasible indexes, in canonical order.
+    and the result are feasible indexes; the result is in canonical order.
     """
-    return _closure(game, (_index(game, p) for p in family))
-
-
-def goal_set_of(game: GameSpecification, profile: DecisionProfile) -> GoalSet:
-    """The goal set one feasible profile generates from the joint desire pool.
-
-    Desires of every agent contribute: positive goals are consequents of
-    jointly reached desires, negative goals are antecedents the extension
-    does not entail.  Unreached-but-triggered desires contribute nothing.
-    Read off the game's goal-set table (``GameSpecification.goal_sets``).
-    """
-    return game.goal_sets[_index(game, profile)]
+    wanted = {game.class_ids[i] for i in _members(game, indexes)}
+    return ProfileFamily(
+        tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted))),
+        u_closed=True)
 
 
 def delta_goal_sets(game: GameSpecification,
@@ -140,7 +117,7 @@ def delta_goal_sets(game: GameSpecification,
         raise NotUClosedError(
             "goal sets are defined per U-closed family; close it first")
     return _sorted_goal_sets(map(game.goal_sets.__getitem__,
-                                 _members(game, family)))
+                                 _members(game, family.profile_indexes)))
 
 
 GoalBased = Callable[[int, GoalSet], bool]
@@ -201,17 +178,15 @@ def _goal_decider(game: GameSpecification) -> GoalBased:
     return decide
 
 
-def is_goal_based(game: GameSpecification, profile: DecisionProfile,
+def is_goal_based(game: GameSpecification, index: int,
                   goals: GoalSet) -> bool:
-    """The joint extension entails every positive goal and no negative goal
-    (decided by entailment over the whole vocabulary, independently of the
-    desire reports)."""
-    return _goal_decider(game)(_index(game, profile), goals)
+    """The joint extension of feasible profile ``index`` entails every
+    positive goal and no negative goal (decided by entailment over the
+    whole vocabulary, independently of the desire reports)."""
+    return _goal_decider(game)(*_members(game, (index,)), goals)
 
 
-def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
-                             max_subset_rules: int = DEFAULT_SUBSET_CAP
-                             ) -> Iterator[GoalSet]:
+def iter_syntactic_goal_sets(spec: AgentSystemSpec) -> Iterator[GoalSet]:
     """Goal sets generated by subsets of the joint desire pool, lazily.
 
     Each subset contributes its consequents as positive goals and its
@@ -219,10 +194,10 @@ def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
     suppressed.
     """
     desires = spec.all_desires()
-    if len(desires) > max_subset_rules:
+    if len(desires) > DEFAULT_SUBSET_CAP:
         raise CombinatorialBoundError(
             f"{len(desires)} desires exceed the goal-subset cap "
-            f"{max_subset_rules}")
+            f"{DEFAULT_SUBSET_CAP}")
     seen: set[GoalSet] = set()
     for size in range(len(desires) + 1):
         for chosen in combinations(desires, size):
@@ -233,11 +208,8 @@ def iter_syntactic_goal_sets(spec: AgentSystemSpec, *,
                 yield gs
 
 
-def syntactic_goal_sets(spec: AgentSystemSpec, *,
-                        max_subset_rules: int = DEFAULT_SUBSET_CAP
-                        ) -> tuple[GoalSet, ...]:
-    return _sorted_goal_sets(
-        iter_syntactic_goal_sets(spec, max_subset_rules=max_subset_rules))
+def syntactic_goal_sets(spec: AgentSystemSpec) -> tuple[GoalSet, ...]:
+    return _sorted_goal_sets(iter_syntactic_goal_sets(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +303,8 @@ def representation_check(game: GameSpecification,
     """
     if not family.u_closed:
         raise NotUClosedError("representation requires a U-closed family")
-    violations = _representation_violations(game, _members(game, family),
-                                            _goal_based_memo(game))
+    violations = _representation_violations(
+        game, _members(game, family.profile_indexes), _goal_based_memo(game))
     return CheckReport(not violations, violations)
 
 
@@ -371,7 +343,7 @@ def apply_decision_rule(game: GameSpecification, rule_name: str, *,
                   or pareto(game).profile_indexes)
     else:
         raise ValueError(f"unknown decision rule '{rule_name}'")
-    return _closure(game, picked)
+    return u_closure(game, picked)
 
 
 def concept_family(game: GameSpecification, concept: str, *,
@@ -380,9 +352,9 @@ def concept_family(game: GameSpecification, concept: str, *,
     An unknown ``infeasible_swaps`` policy is refused for every family."""
     _fails_on_infeasible_swaps(infeasible_swaps)
     if concept == "all":
-        return _closure(game, range(len(game.positions)))
+        return u_closure(game, range(len(game.positions)))
     report = solve(game, concept, infeasible_swaps=infeasible_swaps)
-    return _closure(game, report.profile_indexes)
+    return u_closure(game, report.profile_indexes)
 
 
 # ---------------------------------------------------------------------------

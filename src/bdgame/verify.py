@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 from .decision import set_geq
 from .extension import Rule, extension, fixpoint_certificate
 from .game import derive_game, dominant, nash, pareto, strongly_pareto
-from .goals import (_closure, _feasible_violations, _goal_based_memo,
+from .goals import (_feasible_violations, _goal_based_memo,
                     _representation_violations, concept_family,
-                    heuristic_goals, pareto_via_goals)
+                    heuristic_goals, pareto_via_goals, u_closure)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var,
                     model_builder)
 from .model import (IDENTITY, AgentSpec, AgentSystemSpec, DecisionMode,
@@ -357,7 +357,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     families.append(tuple(range(size)))
     for _ in range(family_samples):
         subset = rng.sample(range(size), rng.randint(1, size))
-        families.append(_closure(game, subset).profile_indexes)
+        families.append(u_closure(game, subset).profile_indexes)
     goal_based = _goal_based_memo(game)
     passed: set[tuple[int, ...]] = set()
     for checked, members in enumerate(families, 1):

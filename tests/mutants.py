@@ -274,8 +274,8 @@ MUTANTS = (
             "tests/test_goals.py::test_pipeline_equivalence_on_fixtures"
             )),
     Mutant("all-family-drops-the-last-profile", "goals.py",
-           "return _closure(game, range(len(game.positions)))",
-           "return _closure(game, range(len(game.positions) - 1))",
+           "return u_closure(game, range(len(game.positions)))",
+           "return u_closure(game, range(len(game.positions) - 1))",
            ("tests/test_differential.py::"
             "test_goals_layer_matches_the_profile_route",)),
     Mutant("family-guard-admits-the-end", "goals.py",
@@ -288,6 +288,20 @@ MUTANTS = (
            "if not i < size:",
            ("tests/test_goals.py::"
             "test_family_indexes_outside_the_game_are_refused[minus-one]",)),
+    Mutant("closure-reads-indexes-unchecked", "goals.py",
+           "wanted = {game.class_ids[i] for i in _members(game, indexes)}",
+           "wanted = {game.class_ids[i] for i in indexes}",
+           ("tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[minus-one]",
+            "tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[len]")),
+    Mutant("goal-based-reads-its-index-unchecked", "goals.py",
+           "return _goal_decider(game)(*_members(game, (index,)), goals)",
+           "return _goal_decider(game)(index, goals)",
+           ("tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[minus-one]",
+            "tests/test_goals.py::"
+            "test_family_indexes_outside_the_game_are_refused[len]")),
     Mutant("closure-left-in-class-order", "goals.py",
            "tuple(sorted(chain.from_iterable("
            "game.classes[c] for c in wanted)))",

@@ -148,7 +148,7 @@ def test_07_cooperation_goal_set(cooperation):
     assert report.unreached("alpha1") == set()
     assert report.unreached("alpha2") == set()
     game = derive_game(cooperation)
-    family = u_closure(game, [target])
+    family = u_closure(game, [game.index_of(target)])
     assert delta_goal_sets(game, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
     passed(7, "cooperative profile reaches everything; goal set <{p & q}, {}>")

@@ -911,8 +911,8 @@ def ref_text(spec, command):
             label = f"decision rule {args.rule}"
         elif args.via_goals:
             result = pareto_via_goals(game)
-            family = (result.pareto_family if name == "pareto" else u_closure(
-                game, [shown[i].profile for i in result.pool]))
+            family = (result.pareto_family if name == "pareto" else
+                      u_closure(game, result.pool))
             label = f"{name} family (goals-first pipeline)"
         elif name == "all":
             family = ProfileFamily(tuple(range(len(shown))), u_closed=True)

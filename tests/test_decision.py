@@ -13,8 +13,7 @@ from bdgame.decision import (Decision, ProfileComparison, SetComparison,
 from bdgame.errors import (CombinatorialBoundError, CrossAgentRuleError,
                            InfeasibleProfileError)
 from bdgame.logic import Literal, Not, Var
-from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
-                          PriorityOrder, parse_spec)
+from bdgame.model import PriorityOrder, parse_spec
 
 from conftest import profile
 

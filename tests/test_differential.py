@@ -55,8 +55,7 @@ from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
 from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
                           _goal_decider, concept_family, delta_goal_sets,
                           feasible_representation_check, fragment_check,
-                          goal_set_key, goal_set_of,
-                          heuristic_goals, is_goal_based,
+                          goal_set_key, heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
                           representation_check, u_closure)
 from bdgame.logic import (And, Not, Var, _atom_pattern, atoms_of, consistent,
@@ -240,14 +239,14 @@ def ref_pareto_via_goals(game):
     feasible_goal_sets = sorted(set(game.goal_sets), key=goal_set_key)
     feasible = evaluated_profiles(game.spec)
     pool = tuple(
-        i for i, ep in enumerate(feasible)
-        if any(is_goal_based(game, ep.profile, gs)
+        i for i in range(len(feasible))
+        if any(is_goal_based(game, i, gs)
                for gs in (game.goal_sets[i], *feasible_goal_sets)))
     agents = game.spec.agent_ids
     best = [i for i in pool
             if not any(all(game.strictly_better(j, i, a) for a in agents)
                        for j in pool if j != i)]
-    return pool, u_closure(game, [feasible[i].profile for i in best])
+    return pool, u_closure(game, best)
 
 
 def assert_goals_first_matches_the_pair_loop(game):
@@ -306,7 +305,7 @@ def test_concepts_and_goal_sets_match_the_definitions():
             assert joint_extension(spec, ep.profile, parts) == ep.extension
             assert game.reports[i] == ref_desire_report(spec, ep.extension)
             expected = ref_goal_set(spec, ep.extension)
-            assert goal_set_of(game, ep.profile) == expected
+            assert game.goal_sets[i] == expected
     assert specs >= 500
     assert three_agent_specs >= 25 and widest == 4
     assert profiles >= 6_000
@@ -674,19 +673,19 @@ def test_goals_layer_matches_the_profile_route():
         seen["games"] += 1
         ref = RefGoals(spec, game)
         feasible = ref.feasible
-        index = {p: i for i, p in enumerate(feasible)}
+        indexes = range(len(feasible))
 
         def members(family):
             return tuple(feasible[i] for i in family.profile_indexes)
-        drawn = [rng.sample(feasible, rng.randint(1, len(feasible)))
+        drawn = [rng.sample(indexes, rng.randint(1, len(feasible)))
                  for _ in range(4)]
-        families = [ProfileFamily(tuple(index[p] for p in subset),
-                                  u_closed=True)
+        families = [ProfileFamily(tuple(subset), u_closed=True)
                     for subset in drawn]  # flagged closed, often not
-        for subset in [[p] for p in feasible] + [feasible] + drawn:
+        for subset in [[i] for i in indexes] + [indexes] + drawn:
             closed = u_closure(game, subset)
             assert closed.u_closed
-            assert members(closed) == ref.closure(subset)
+            assert members(closed) == \
+                ref.closure([feasible[i] for i in subset])
             assert delta_goal_sets(game, closed) == \
                 ref.goal_sets(members(closed))
             families.append(closed)
@@ -814,8 +813,7 @@ def test_goal_basedness_matches_one_entailment_per_goal():
             for i, ep in enumerate(feasible):
                 for gs in goal_sets:
                     expected[i, gs] = ref_goal_based(spec, ep.extension, gs)
-                    assert is_goal_based(game, ep.profile,
-                                         gs) == expected[i, gs]
+                    assert is_goal_based(game, i, gs) == expected[i, gs]
                     seen[expected[i, gs]] += 1
             asked = sorted(expected, key=lambda pair: (pair[0],
                                                        str(pair[1])))

@@ -16,7 +16,7 @@ from bdgame.game import (DOMINANT, FAIL, PARETO, SKIP, STRONG_PARETO,
                          pareto, solve, strongly_pareto)
 from bdgame.errors import CombinatorialBoundError
 from bdgame.goals import apply_decision_rule, concept_family
-from bdgame.logic import Literal, Not, Var
+from bdgame.logic import Literal
 from bdgame.model import DecisionMode, parse_spec
 from bdgame.verify import check_game_laws, random_spec
 

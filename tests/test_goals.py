@@ -20,7 +20,7 @@ from bdgame.goals import (GoalSet, ProfileFamily,
                           RepresentationViolation, apply_decision_rule,
                           delta_goal_sets,
                           feasible_representation_check, fragment_check,
-                          goal_set_of, heuristic_goals, is_goal_based,
+                          heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
                           representation_check, syntactic_goal_sets,
                           u_closure)
@@ -56,32 +56,26 @@ def decoded(spec, family):
 
 def test_closure_is_a_fixpoint(opposed_interests):
     game = derive_game(opposed_interests)
-    feasible = [ep.profile for ep in evaluated_profiles(opposed_interests)]
-    first = u_closure(game, [feasible[0]])
-    again = u_closure(game, [feasible[i] for i in first.profile_indexes])
+    first = u_closure(game, [0])
+    again = u_closure(game, first.profile_indexes)
     assert again.profile_indexes == first.profile_indexes
     assert 0 in first.profile_indexes and first.u_closed
 
 
 def test_closure_of_distinct_signature_is_singleton(opposed_interests):
     game = derive_game(opposed_interests)
-    for i, ep in enumerate(evaluated_profiles(opposed_interests)):
-        family = u_closure(game, [ep.profile])
+    for i in range(len(evaluated_profiles(opposed_interests))):
+        family = u_closure(game, [i])
         assert family.profile_indexes == (i,)
 
 
 def test_closure_adds_indistinguishable_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
-    family = u_closure(derive_game(spec), [profile(x=["a"])])
+    family = u_closure(derive_game(spec),
+                       [index_of(spec, profile(x=["a"]))])
     # every decision leaves p unreached
     assert family.profile_indexes == tuple(range(4))
     assert len(evaluated_profiles(spec)) == 4
-
-
-def test_closure_rejects_infeasible_members(interdependence):
-    with pytest.raises(InfeasibleProfileError):
-        u_closure(derive_game(interdependence),
-                  [profile(alpha1=["a"], alpha2=["b"])])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +85,7 @@ def test_closure_rejects_infeasible_members(interdependence):
 def test_cooperation_goal_set(cooperation):
     target = profile(alpha1=["a"], alpha2=["c"])
     game = derive_game(cooperation)
-    family = u_closure(game, [target])
+    family = u_closure(game, [index_of(cooperation, target)])
     assert family.profile_indexes == (index_of(cooperation, target),)
     assert delta_goal_sets(game, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
@@ -99,7 +93,8 @@ def test_cooperation_goal_set(cooperation):
 
 def test_prisoners_goal_set(prisoners):
     game = derive_game(prisoners)
-    family = u_closure(game, [profile(alpha1=["!a"], alpha2=["!b"])])
+    family = u_closure(
+        game, [index_of(prisoners, profile(alpha1=["!a"], alpha2=["!b"]))])
     (gs,) = delta_goal_sets(game, family)
     a, b = Var("a"), Var("b")
     assert gs == GoalSet(
@@ -127,24 +122,32 @@ def test_goal_sets_require_closed_family(cooperation):
                                      lambda size: size + 1],
                          ids=["minus-one", "len", "len-plus-one"])
 def test_family_indexes_outside_the_game_are_refused(outside, cooperation):
-    # As a profile outside the game is: -1 would read the last profile.
+    # Every index from outside is checked: -1 would read the last profile,
+    # and the empty goal set is decided without reading the index at all.
     game = derive_game(cooperation)
     size = len(game.positions)
+    empty = GoalSet(frozenset(), frozenset())
     inside = ProfileFamily(tuple(range(size)), u_closed=True)
     assert delta_goal_sets(game, inside)
     assert representation_check(game, inside).passed
-    family = ProfileFamily((0, outside(size)), u_closed=True)
-    for check in (delta_goal_sets, representation_check):
+    assert u_closure(game, range(size)) == inside
+    assert is_goal_based(game, size - 1, empty)
+    index = outside(size)
+    family = ProfileFamily((0, index), u_closed=True)
+    for call in (lambda: delta_goal_sets(game, family),
+                 lambda: representation_check(game, family),
+                 lambda: u_closure(game, family.profile_indexes),
+                 lambda: is_goal_based(game, index, empty)):
         with pytest.raises(InfeasibleProfileError,
-                           match=rf"^family index {outside(size)} is outside "
+                           match=rf"^family index {index} is outside "
                                  rf"the game's {size} feasible profiles$"):
-            check(game, family)
+            call()
 
 
 def test_untriggered_antecedents_become_negative_goals(
         single_agent_priorities):
-    gs = goal_set_of(derive_game(single_agent_priorities),
-                     profile(alpha1=["a"]))
+    gs = derive_game(single_agent_priorities).goal_sets[
+        index_of(single_agent_priorities, profile(alpha1=["a"]))]
     # d is undecided, so the d => q desire is untriggered
     assert Var("d") in gs.negative
     assert gs.positive == {Var("a")}
@@ -157,28 +160,25 @@ def test_untriggered_antecedents_become_negative_goals(
 def test_empty_goal_set_matches_everything(cooperation):
     game = derive_game(cooperation)
     empty = GoalSet(frozenset(), frozenset())
-    assert is_goal_based(game, profile(alpha1=["a"], alpha2=["c"]), empty)
-    assert is_goal_based(game, profile(alpha1=[], alpha2=[]), empty)
+    for p in (profile(alpha1=["a"], alpha2=["c"]),
+              profile(alpha1=[], alpha2=[])):
+        assert is_goal_based(game, index_of(cooperation, p), empty)
 
 
 def test_cooperation_profile_is_goal_based(cooperation):
     game = derive_game(cooperation)
     gs = GoalSet(frozenset({And(P, Q)}), frozenset())
-    assert is_goal_based(game, profile(alpha1=["a"], alpha2=["c"]), gs)
-    assert not is_goal_based(game, profile(alpha1=[], alpha2=[]), gs)
+    assert is_goal_based(
+        game, index_of(cooperation, profile(alpha1=["a"], alpha2=["c"])), gs)
+    assert not is_goal_based(
+        game, index_of(cooperation, profile(alpha1=[], alpha2=[])), gs)
 
 
 def test_true_as_negative_goal_matches_nothing(cooperation):
     gs = GoalSet(frozenset(), frozenset({TRUE}))
-    assert not is_goal_based(derive_game(cooperation),
-                             profile(alpha1=["a"], alpha2=["c"]), gs)
-
-
-def test_goal_based_requires_feasible_profile(interdependence):
-    with pytest.raises(InfeasibleProfileError):
-        is_goal_based(derive_game(interdependence),
-                      profile(alpha1=["a"], alpha2=["b"]),
-                      GoalSet(frozenset(), frozenset()))
+    assert not is_goal_based(
+        derive_game(cooperation),
+        index_of(cooperation, profile(alpha1=["a"], alpha2=["c"])), gs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +281,13 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     assert representation_check(game, everything).passed
     assert feasible_representation_check(game).passed
     pareto_via_goals(game)
-    for p in feasible:
-        goal_set_of(game, p)
+    assert len(game.goal_sets) == len(feasible)
     assert len(built) == reports
 
 
 def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):
     game = derive_game(interdependence)
     assert game.index_of(profile(alpha1=["a"], alpha2=["b"])) is None
-    with pytest.raises(InfeasibleProfileError):
-        goal_set_of(game, profile(alpha1=["a"], alpha2=["b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +328,7 @@ def test_nash_else_pareto_falls_back_to_pareto():
     if nash(game).profile_indexes:
         assert family.profile_indexes
     else:
-        feasible = evaluated_profiles(spec)
-        closed_pareto = u_closure(
-            game, [feasible[i].profile for i in pareto(game).profile_indexes])
+        closed_pareto = u_closure(game, pareto(game).profile_indexes)
         assert family.profile_indexes == closed_pareto.profile_indexes
 
 
@@ -343,9 +338,7 @@ def test_pipeline_equivalence_on_fixtures(
     for spec in (single_agent_priorities, interdependence, cooperation,
                  prisoners, opposed_interests):
         game = derive_game(spec)
-        feasible = evaluated_profiles(spec)
-        direct = u_closure(
-            game, [feasible[i].profile for i in pareto(game).profile_indexes])
+        direct = u_closure(game, pareto(game).profile_indexes)
         via = pareto_via_goals(game)
         assert via.pareto_family.profile_indexes == direct.profile_indexes
 
@@ -417,7 +410,7 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
     ab, empty = game.index_of(profile(x=["a", "b"])), \
         game.index_of(profile(x=[]))
     broken = with_part(game, ab, empty)
-    family = u_closure(broken, [profile(x=["a", "b"])])
+    family = u_closure(broken, [ab])
     assert len(family.profile_indexes) == 3
     assert [v.profile for v in representation_check(
         broken, family).violations] == [profile(x=["a", "b"])]
@@ -511,10 +504,8 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
     assert len(compared) <= sum(len(mine) * (len(mine) - 1) for mine in sets)
     # The route orders goal sets without the tables, the classes or pareto.
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
-    feasible = evaluated_profiles(spec)
     assert result.pareto_family.profile_indexes == u_closure(
-        game, [feasible[i].profile
-               for i in pareto(game).profile_indexes]).profile_indexes
+        game, pareto(game).profile_indexes).profile_indexes
 
 
 def tampered_games():

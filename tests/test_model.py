@@ -9,7 +9,7 @@ from bdgame.decision import enumerate_decisions
 from bdgame.errors import BdgameError, SpecSyntaxError
 from bdgame.extension import Rule
 from bdgame.game import derive_game
-from bdgame.logic import TRUE, Literal, Not, Var
+from bdgame.logic import TRUE, Literal, Var
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
                           PriorityOrder, _strip_comment, format_spec,
                           is_valid, parse_spec, validate_spec)

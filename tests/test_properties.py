@@ -11,12 +11,12 @@ import bdgame.goals
 import bdgame.verify
 from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
-                             is_feasible_profile, joint_extension, set_geq)
+                             is_feasible_profile)
 from bdgame.cli import _COMMANDS, _build_parser
 from bdgame.extension import Rule
 from bdgame.game import (CONCEPTS, FAIL, SKIP, ExclusionWitness,
-                         SolutionReport, derive_game, nash, pareto, solve)
-from bdgame.goals import apply_decision_rule, goal_set_of, u_closure
+                         SolutionReport, derive_game, nash, solve)
+from bdgame.goals import apply_decision_rule, u_closure
 from bdgame.logic import TRUE
 from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
 from bdgame.verify import (check_extension_laws, check_game_laws,
@@ -132,10 +132,10 @@ def test_violated_is_subset_of_unreached():
 def test_u_closure_is_idempotent_and_monotone():
     rng = random.Random(88)
     for spec, game in feasible_games(88, 30):
-        feasible = [ep.profile for ep in evaluated_profiles(spec)]
+        feasible = range(len(evaluated_profiles(spec)))
         members = rng.sample(feasible, rng.randint(1, len(feasible)))
         closed = u_closure(game, members)
-        inside = [feasible[i] for i in closed.profile_indexes]
+        inside = closed.profile_indexes
         assert set(members) <= set(inside)
         again = u_closure(game, inside)
         assert again.profile_indexes == closed.profile_indexes
@@ -162,8 +162,8 @@ def test_goal_set_components_come_from_desires():
     for spec, game in feasible_games(9771, 40):
         consequents = {r.consequent for r in spec.all_desires()}
         antecedents = {r.antecedent for r in spec.all_desires()}
-        for ep in evaluated_profiles(spec):
-            gs = goal_set_of(game, ep.profile)
+        for i in range(len(evaluated_profiles(spec))):
+            gs = game.goal_sets[i]
             assert gs.positive <= consequents
             assert gs.negative <= antecedents
 
@@ -171,8 +171,8 @@ def test_goal_set_components_come_from_desires():
 def test_equal_goal_sets_force_equal_unreached_sets():
     for spec, game in feasible_games(3141, 40):
         by_goal_set = {}
-        for ep in evaluated_profiles(spec):
-            gs = goal_set_of(game, ep.profile)
+        for i, ep in enumerate(evaluated_profiles(spec)):
+            gs = game.goal_sets[i]
             sig = unreached_signature(spec, desire_report(spec, ep.profile))
             by_goal_set.setdefault(gs, set()).add(sig)
         for gs, signatures in by_goal_set.items():

@@ -6,7 +6,8 @@ from pathlib import Path
 import bdgame
 from mutants import MUTANTS, ROOT
 
-SOURCES = sorted(Path(bdgame.__file__).parent.glob("*.py"))
+LIBRARY = Path(bdgame.__file__).parent
+SOURCES = sorted(LIBRARY.glob("*.py"))
 
 
 def test_the_library_has_no_assert_statements():
@@ -36,9 +37,9 @@ RE_EXPORTS = {"__init__.py": None,  # the package's public surface
               "decision.py": {"DEFAULT_DECISION_CAP", "DEFAULT_PROFILE_CAP"}}
 
 
-def test_the_library_imports_nothing_it_does_not_use():
+def unused_imports(paths):
     unused = []
-    for path in SOURCES:
+    for path in paths:
         exempt = RE_EXPORTS.get(path.name, set())
         if exempt is None:
             continue
@@ -55,7 +56,32 @@ def test_the_library_imports_nothing_it_does_not_use():
                    for name, line in imported.items()
                    if name not in read and name not in exempt
                    and name != "annotations"]
-    assert unused == []
+    return unused
+
+
+def test_the_library_imports_nothing_it_does_not_use():
+    assert unused_imports(SOURCES) == []
+
+
+def test_the_tests_import_nothing_they_do_not_use():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(tests) >= 10
+    assert unused_imports(tests) == []
+
+
+def test_no_public_goals_function_takes_a_profile():
+    # Families, solutions and the goal-set table are columns over feasible
+    # indexes, and ``game.index_of`` is the one way from a profile to one.
+    tree = ast.parse((LIBRARY / "goals.py").read_text(encoding="utf-8"))
+    public = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    assert {"u_closure", "is_goal_based"} <= {f.name for f in public}
+    taking = [f"{f.name}({arg.arg})" for f in public
+              for arg in (f.args.posonlyargs + f.args.args
+                          + f.args.kwonlyargs)
+              if arg.arg == "profile" or "DecisionProfile" in ast.unparse(
+                  arg.annotation or ast.Constant(None))]
+    assert taking == []
 
 
 def test_every_mutant_applies_once_and_names_existing_tests():
