@@ -454,9 +454,7 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                                 infeasible_swaps=args.infeasible_swaps)
         label = f"{family_name} family"
     goal_sets = delta_goal_sets(game, family)
-    generators = {gs: [] for gs in goal_sets}
-    for i in family.profile_indexes:
-        generators[game.goal_sets[i]].append(i)
+    generators = {gs: list(game.goal_set_members[gs]) for gs in goal_sets}
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(game.feasible_decisions)

@@ -178,11 +178,8 @@ def agent_extension(spec: AgentSystemSpec, agent_id: str,
             if new >> number & 1:
                 theory &= mask
         rounds += 1
-    derived = record.derived.get(fired)
-    if derived is None:
-        derived = record.derived[fired] = frozenset(
-            f for number, f in enumerate(record.consequents)
-            if fired >> number & 1)
+    derived = frozenset(f for number, f in enumerate(record.consequents)
+                        if fired >> number & 1)
     return Extension(record.facts | decision.formulas(), derived, rounds,
                      theory != 0, theory)
 

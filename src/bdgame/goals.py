@@ -26,9 +26,10 @@ that generate the same goal set leave the same desires unreached.
 - The two representation checks verify, by brute force, that membership in
   a U-closed family and being goal-based for one of its goal sets are the
   same thing, and that feasibility alone is captured by the goal sets of
-  singleton closures.  One check decides each (profile, goal set) pair by
-  entailment at most once, in a memo that lives as long as the check;
-  ``verify.check_representation`` shares one memo between all its families.
+  singleton closures.  Direction (a) is a fact about one profile, whether
+  it is goal-based for its own goal set: ``representation_check`` asks it
+  once per member, and ``verify.check_representation`` once per feasible
+  profile, as a column that all its families read.
 
 Goal-basedness is decided by entailment over the whole vocabulary, one
 ``_goal_decider`` per call: it compiles each profile's theory as the AND of
@@ -40,7 +41,7 @@ No mask outlives the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,8 +49,8 @@ from .decision import DecisionProfile, set_geq
 from .errors import (CombinatorialBoundError, InfeasibleProfileError,
                      NotUClosedError)
 from .extension import extension
-from .game import (GameSpecification, GoalSet, _fails_on_infeasible_swaps,
-                   goal_set_key, nash, pareto, solve)
+from .game import (NASH, PARETO, GameSpecification, GoalSet,
+                   _fails_on_infeasible_swaps, goal_set_key, solve)
 from .logic import Formula, formula_printer, in_sublanguage, model_builder
 from .model import AgentSystemSpec
 
@@ -120,10 +121,7 @@ def delta_goal_sets(game: GameSpecification,
                                  _members(game, family.profile_indexes)))
 
 
-GoalBased = Callable[[int, GoalSet], bool]
-
-
-def _goal_decider(game: GameSpecification) -> GoalBased:
+def _goal_decider(game: GameSpecification) -> Callable[[int, GoalSet], bool]:
     """One goal-basedness decider on the game: ``decide(index, goals)``
     tells whether feasible profile ``index`` is goal-based for ``goals``,
     by entailment over the whole vocabulary on its joint formula set, the
@@ -233,22 +231,17 @@ class CheckReport:
     violations: tuple[RepresentationViolation, ...] = ()
 
 
-def _goal_based_memo(game: GameSpecification) -> GoalBased:
-    """One ``_goal_decider`` on the game, deciding each (index, goal set)
-    pair at most once, for as long as the returned function lives."""
-    return cache(_goal_decider(game))
-
-
 def _representation_violations(game: GameSpecification,
-                               members: Sequence[int], goal_based: GoalBased
+                               members: Sequence[int],
+                               held: Callable[[int], bool]
                                ) -> tuple[RepresentationViolation, ...]:
     """Both directions on a family given by feasible indexes: direction (a)
-    in family order, then direction (b) in canonical order."""
+    in family order, then direction (b) in canonical order.  ``held(i)``
+    tells whether feasible profile i is goal-based for its own goal set."""
     violations: list[RepresentationViolation] = []
     for i in members:
-        gs = game.goal_sets[i]
-        if not goal_based(i, gs):
-            profile = game.profile(i)
+        if not held(i):
+            profile, gs = game.profile(i), game.goal_sets[i]
             violations.append(RepresentationViolation(
                 "member-without-goal-set", profile, gs,
                 f"{profile} is not goal-based for its own goal set {gs}"))
@@ -262,23 +255,6 @@ def _representation_violations(game: GameSpecification,
             "goal-based-outside-family", profile, gs,
             f"{profile} generates the family goal set {gs} but is "
             f"missing from the family"))
-    return tuple(violations)
-
-
-def _feasible_violations(game: GameSpecification, goal_based: GoalBased
-                         ) -> tuple[RepresentationViolation, ...]:
-    violations: list[RepresentationViolation] = []
-    for members in game.classes:
-        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
-        for i in members:
-            # Its own goal set first: direction (a) has decided that pair.
-            if not (goal_based(i, game.goal_sets[i])
-                    or any(goal_based(i, gs) for gs in goal_sets)):
-                profile = game.profile(i)
-                violations.append(RepresentationViolation(
-                    "member-without-goal-set", profile, None,
-                    f"{profile} is not goal-based for any goal set of its "
-                    f"indistinguishability class"))
     return tuple(violations)
 
 
@@ -297,14 +273,17 @@ def representation_check(game: GameSpecification,
     profile reaching strictly more desires still satisfies the smaller goal
     set.
 
-    Direction (a) decides each (member, goal set) pair by entailment once;
-    direction (b) reads the generators of the family's goal sets off the
-    game (``goal_set_members``) instead of scanning every feasible profile.
+    Direction (a) asks one decider about each member and its own goal set,
+    once, as the members are distinct; direction (b) decides nothing: it
+    reads the generators of the family's goal sets off the game
+    (``goal_set_members``) instead of scanning every feasible profile.
     """
     if not family.u_closed:
         raise NotUClosedError("representation requires a U-closed family")
+    decide = _goal_decider(game)
     violations = _representation_violations(
-        game, _members(game, family.profile_indexes), _goal_based_memo(game))
+        game, _members(game, family.profile_indexes),
+        lambda i: decide(i, game.goal_sets[i]))
     return CheckReport(not violations, violations)
 
 
@@ -315,10 +294,23 @@ def feasible_representation_check(game: GameSpecification) -> CheckReport:
     each feasible profile against it decides representability by feasible
     goal sets.  Infeasible profiles cannot be goal-based for anything here:
     goal-basedness is only defined on consistent extensions.  Each profile
-    tries its own goal set first.
+    tries its own goal set first, then the class's other goal sets, with
+    one decider for the whole check.
     """
-    violations = _feasible_violations(game, _goal_based_memo(game))
-    return CheckReport(not violations, violations)
+    decide = _goal_decider(game)
+    violations: list[RepresentationViolation] = []
+    for members in game.classes:
+        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
+        for i in members:
+            own = game.goal_sets[i]
+            if not (decide(i, own) or any(decide(i, gs) for gs in goal_sets
+                                          if gs != own)):
+                profile = game.profile(i)
+                violations.append(RepresentationViolation(
+                    "member-without-goal-set", profile, None,
+                    f"{profile} is not goal-based for any goal set of its "
+                    f"indistinguishability class"))
+    return CheckReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +327,11 @@ def apply_decision_rule(game: GameSpecification, rule_name: str, *,
     between indistinguishable profiles.  An unknown policy is refused under
     every rule.
     """
-    _fails_on_infeasible_swaps(infeasible_swaps)
-    if rule_name == BD_RATIONAL:
-        picked = pareto(game).profile_indexes
-    elif rule_name == NASH_ELSE_PARETO:
-        picked = (nash(game, infeasible_swaps=infeasible_swaps).profile_indexes
-                  or pareto(game).profile_indexes)
-    else:
+    if rule_name not in DECISION_RULES:
         raise ValueError(f"unknown decision rule '{rule_name}'")
-    return u_closure(game, picked)
+    family = concept_family(game, NASH if rule_name == NASH_ELSE_PARETO
+                            else PARETO, infeasible_swaps=infeasible_swaps)
+    return family if family.profile_indexes else concept_family(game, PARETO)
 
 
 def concept_family(game: GameSpecification, concept: str, *,

@@ -102,8 +102,6 @@ class CompiledAgent(NamedTuple):
     # entry of its antecedent and consequent.
     desires: tuple[tuple[int, str, RuleEntry], ...]
     desire_atoms: frozenset[str]  # the decision atoms of the desire rules
-    # From the bits of a set of consequent numbers to their formulas.
-    derived: dict[int, frozenset[Formula]]
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ class AgentSystemSpec:
                 facts, facts_mask, tuple(numbers),
                 tuple(build((f,)) for f in numbers),
                 beliefs, desires, frozenset().union(
-                    *(entry.atoms for _, _, entry in desires)), {})
+                    *(entry.atoms for _, _, entry in desires)))
         return out
 
     def agent(self, agent_id: str) -> AgentSpec:
@@ -338,10 +336,6 @@ def is_valid(spec: AgentSystemSpec) -> bool:
 _LABEL_RE = re.compile(
     r"(?:(?P<id>[a-zA-Z][a-zA-Z0-9_]*)\s*)?(?:\[\s*rank\s*=\s*(?P<rank>-?\d+)\s*\])?$")
 
-_OPTION_VALUES = {
-    "decision_mode": {m.value: m for m in DecisionMode},
-}
-
 
 @dataclass
 class _RawRule:
@@ -460,8 +454,8 @@ def parse_spec(text: str) -> AgentSystemSpec:
 def _parse_option(key: str, value: str, lineno: int):
     if key == "decision_mode":
         try:
-            return _OPTION_VALUES[key][value]
-        except KeyError:
+            return DecisionMode(value)
+        except ValueError:
             raise SpecSyntaxError(
                 f"unknown decision_mode '{value}'", lineno) from None
     if key == "max_atoms":

@@ -424,6 +424,35 @@ MUTANTS = (
            "                    \"member-without-goal-set\", profile, None,",
            ("tests/test_goals.py::"
             "test_the_feasible_check_reports_a_profile_without_goal_sets",)),
+    Mutant("representation-column-read-off-the-next-profile", "verify.py",
+           "held = [decide(i, gs) for i, gs in enumerate(game.goal_sets)]",
+           "held = [decide(i, gs) for i, gs in enumerate(\n"
+           "        game.goal_sets[1:] + game.goal_sets[:1])]",
+           ("tests/test_goals.py::"
+            "test_representation_decides_each_profile_and_goal_set_once",
+            "tests/test_goals.py::"
+            "test_a_game_derived_inside_honours_the_spec_caps")),
+    Mutant("representation-check-asks-the-previous-goal-set", "goals.py",
+           "lambda i: decide(i, game.goal_sets[i]))",
+           "lambda i: decide(i, game.goal_sets[i - 1]))",
+           ("tests/test_goals.py::test_prisoners_nash_family_representation",
+            "tests/test_differential.py::"
+            "test_goals_layer_matches_the_profile_route")),
+    Mutant("feasible-fallback-retries-only-its-own-goal-set", "goals.py",
+           "if gs != own)",
+           "if gs == own)",
+           ("tests/test_goals.py::"
+            "test_feasible_check_tries_every_goal_set_of_the_class",)),
+    Mutant("feasible-fallback-asks-its-own-goal-set-again", "goals.py",
+           "if gs != own)",
+           "if True)",
+           ("tests/test_goals.py::"
+            "test_feasible_check_tries_every_goal_set_of_the_class",)),
+    Mutant("nash-else-pareto-never-falls-back", "goals.py",
+           "return family if family.profile_indexes else concept_family(",
+           "return family if True else concept_family(",
+           ("tests/test_goals.py::"
+            "test_nash_else_pareto_falls_back_when_no_profile_is_nash",)),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "

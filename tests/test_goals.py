@@ -15,7 +15,7 @@ import bdgame.verify
 from bdgame import load_example
 from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
                            NotUClosedError)
-from bdgame.game import derive_game, pareto
+from bdgame.game import derive_game, nash, pareto
 from bdgame.goals import (GoalSet, ProfileFamily,
                           RepresentationViolation, apply_decision_rule,
                           delta_goal_sets,
@@ -323,13 +323,26 @@ def test_nash_else_pareto_falls_back_to_pareto():
         'agent x {\n  atoms a\n  desire dx: true => a & b\n}\n'
         'agent y {\n  atoms b\n  desire dy: true => !(a & b)\n}\n')
     game = derive_game(spec)
-    from bdgame.game import nash
     family = apply_decision_rule(game, "nash-else-pareto")
     if nash(game).profile_indexes:
         assert family.profile_indexes
     else:
         closed_pareto = u_closure(game, pareto(game).profile_indexes)
         assert family.profile_indexes == closed_pareto.profile_indexes
+
+
+def test_nash_else_pareto_falls_back_when_no_profile_is_nash():
+    # Matching pennies: x wants the coins equal, y wants them different,
+    # so one of them gains by switching in every profile.
+    spec = parse_spec(
+        'option decision_mode = total-assignments\n'
+        'agent x {\n  atoms a\n  desire dx: true => (a & b) | (!a & !b)\n}\n'
+        'agent y {\n  atoms b\n  desire dy: true => (a & !b) | (!a & b)\n}\n')
+    game = derive_game(spec)
+    assert nash(game).profile_indexes == ()
+    family = apply_decision_rule(game, "nash-else-pareto")
+    assert family == u_closure(game, pareto(game).profile_indexes)
+    assert family.profile_indexes == (0, 1, 2, 3)
 
 
 def test_pipeline_equivalence_on_fixtures(
@@ -401,7 +414,7 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
         str(profile(x=["a", "b"])), str(profile(x=["a"]))}
 
 
-def test_feasible_check_tries_every_goal_set_of_the_class():
+def test_feasible_check_tries_every_goal_set_of_the_class(monkeypatch):
     # {}, {a} and {a, b} leave nothing unreached; {a, b} generates
     # <+{a}, -{}>, the other two <+{}, -{b}>.
     spec = parse_spec(
@@ -410,12 +423,28 @@ def test_feasible_check_tries_every_goal_set_of_the_class():
     ab, empty = game.index_of(profile(x=["a", "b"])), \
         game.index_of(profile(x=[]))
     broken = with_part(game, ab, empty)
+    shared = game.goal_sets[empty]
+    assert game.goal_sets[ab] != shared
     family = u_closure(broken, [ab])
     assert len(family.profile_indexes) == 3
     assert [v.profile for v in representation_check(
         broken, family).violations] == [profile(x=["a", "b"])]
-    # Not goal-based for its own goal set, but for its class's other one.
+    # Not goal-based for its own goal set, but for its class's other one,
+    # which one decider is asked after it; no pair is asked twice.
+    built, asked = spy_on_deciders(monkeypatch)
     assert feasible_representation_check(broken).passed
+    assert len(built) == 1 and asked[profile(x=["a", "b"]), shared] == 1
+    assert max(asked.values()) == 1
+    # check --property representation fails it on its first family, the
+    # class of {a, b}.
+    monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
+    result = check_representation(spec)
+    assert not result.passed and result.checked == 1
+    assert result.details == (
+        f"member-without-goal-set: {profile(x=['a', 'b'])} is not goal-based "
+        f"for its own goal set {game.goal_sets[ab]}")
+    assert result.counterexample == {"family": [
+        str(profile(x=names)) for names in (["a", "b"], ["a"], [])]}
 
 
 def test_the_feasible_check_reports_a_profile_without_goal_sets():
@@ -433,12 +462,14 @@ def test_the_feasible_check_reports_a_profile_without_goal_sets():
         f"indistinguishability class"),)
 
 
-def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
-    spec, game = shared_goal_set_game()
-    asked = Counter()
+def spy_on_deciders(monkeypatch):
+    """Count, where goals and verify build a ``_goal_decider``, the games
+    one is built on and the (profile, goal set) pairs each is asked."""
+    built, asked = [], Counter()
     goal_decider = bdgame.goals._goal_decider
 
     def counting(game):
+        built.append(game)
         decide = goal_decider(game)
 
         def counted(index, goals):
@@ -446,13 +477,28 @@ def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
             return decide(index, goals)
         return counted
 
-    monkeypatch.setattr(bdgame.goals, "_goal_decider", counting)
+    for module in (bdgame.goals, bdgame.verify):
+        monkeypatch.setattr(module, "_goal_decider", counting)
+    return built, asked
+
+
+def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
+    spec, game = shared_goal_set_game()
+    built, asked = spy_on_deciders(monkeypatch)
     assert check_representation(spec).passed
+    assert len(built) == 1
     # Each profile is decided on its own goal set, once; that settles the
     # feasible check too.
     assert set(asked) == {(ep.profile, gs) for ep, gs in zip(
         evaluated_profiles(spec), game.goal_sets)}
     assert max(asked.values()) == 1
+    # The goals layer's check asks the family of every profile the same.
+    own = Counter(asked)
+    built.clear()
+    asked.clear()
+    assert representation_check(game, u_closure(
+        game, range(len(game.positions)))).passed
+    assert len(built) == 1 and asked == own
 
 
 def test_a_decider_builds_each_atom_pattern_once(monkeypatch):

@@ -7,7 +7,6 @@ from itertools import starmap
 
 import pytest
 
-import bdgame.goals
 import bdgame.verify
 from bdgame import format_spec, load_example, parse_spec
 from bdgame.decision import (desire_report, is_feasible_decision,
@@ -19,11 +18,12 @@ from bdgame.game import (CONCEPTS, FAIL, SKIP, ExclusionWitness,
 from bdgame.goals import apply_decision_rule, u_closure
 from bdgame.logic import TRUE
 from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
-from bdgame.verify import (check_extension_laws, check_game_laws,
-                           check_heuristic_fragment, check_monotonicity,
-                           check_order_laws, check_pipeline_equivalence,
-                           check_representation, check_representation_corpus,
-                           random_formula, random_spec)
+from bdgame.verify import (CheckResult, check_extension_laws,
+                           check_game_laws, check_heuristic_fragment,
+                           check_monotonicity, check_order_laws,
+                           check_pipeline_equivalence, check_representation,
+                           check_representation_corpus, random_formula,
+                           random_spec)
 
 from conftest import evaluated_profiles
 
@@ -213,7 +213,7 @@ def test_checks_that_examine_nothing_do_not_pass(monkeypatch):
                    check_pipeline_equivalence(spec)):
         assert not result.passed and result.checked == 0
         assert "nothing to check: no feasible profile" in str(result)
-    monkeypatch.setattr(bdgame.goals, "fragment_check", lambda spec: False)
+    monkeypatch.setattr(bdgame.verify, "fragment_check", lambda spec: False)
     result = check_heuristic_fragment(seed=55, samples=5)
     assert not result.passed and result.checked == 0
 
@@ -243,6 +243,31 @@ def test_representation_corpus_skips_specs_without_feasible_profiles(
     assert corpus.passed and corpus.checked == 10
     skipped = [r for r in results if not r.checked]
     assert len(results) == 11 and len(skipped) == 1
+
+
+@pytest.mark.parametrize("failing, phase_samples", [(7, 1), (3_600 + 4, 2)],
+                         ids=["exhaustive-phase", "random-phase"])
+def test_representation_corpus_reports_the_spec_that_fails(
+        monkeypatch, failing, phase_samples):
+    # The exhaustive family holds 3,600 specs and samples one family per
+    # spec; the random phase follows with two.
+    specs, samples = [], []
+
+    def failing_at(spec, seed=0, family_samples=5):
+        specs.append(spec)
+        samples.append(family_samples)
+        if len(specs) == failing:
+            return CheckResult("representation", False, 1, "broken",
+                               {"family": ["<a1={a}, a2={c}>"]})
+        return CheckResult("representation", True, 1)
+
+    monkeypatch.setattr(bdgame.verify, "check_representation", failing_at)
+    result = check_representation_corpus(seed=0, samples=10)
+    assert len(specs) == failing and samples[-1] == phase_samples
+    assert not result.passed and result.checked == failing
+    assert result.details == "broken"
+    assert result.counterexample == {"spec": format_spec(specs[-1]),
+                                     "family": ["<a1={a}, a2={c}>"]}
 
 
 # ---------------------------------------------------------------------------
