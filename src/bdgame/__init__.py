@@ -9,17 +9,16 @@ from .decision import (Decision, DecisionProfile, DesireReport,
                        joint_extension, set_preference)
 from .errors import (BdgameError, CombinatorialBoundError,
                      CrossAgentRuleError, FormulaSyntaxError,
-                     InfeasibleProfileError, NotUClosedError, SpecSyntaxError,
+                     InfeasibleProfileError, SpecSyntaxError,
                      UndeclaredAtomError, VocabularyLimitError)
 from .extension import (Extension, Rule, applicable_consequents, extension,
                         fixpoint_certificate)
 from .game import (GameSpecification, SolutionReport, derive_game, dominant,
                    nash, pareto, solve, strongly_pareto)
-from .goals import (GoalSet, ProfileFamily, apply_decision_rule,
-                    delta_goal_sets, feasible_representation_check,
-                    fragment_check, heuristic_goals, is_goal_based,
-                    pareto_via_goals, representation_check,
-                    syntactic_goal_sets, u_closure)
+from .goals import (GoalSet, apply_decision_rule, delta_goal_sets,
+                    feasible_representation_check, fragment_check,
+                    heuristic_goals, is_goal_based, pareto_via_goals,
+                    representation_check, syntactic_goal_sets, u_closure)
 from .logic import (Atom, Formula, Literal, Vocabulary, atoms_of, consistent,
                     entails, format_formula, in_sublanguage, parse_formula)
 from .model import (AgentSpec, AgentSystemSpec, DecisionMode, PriorityOrder,

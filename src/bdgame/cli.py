@@ -443,8 +443,6 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                                      infeasible_swaps=args.infeasible_swaps)
         label = f"decision rule {args.rule}"
     elif args.via_goals:
-        if family_name not in ("pareto", "all"):
-            raise BdgameError("--via-goals supports --family pareto or all")
         result = pareto_via_goals(game)
         family = (result.pareto_family if family_name == "pareto" else
                   u_closure(game, result.pool))
@@ -458,15 +456,14 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(game.feasible_decisions)
-        yield (f"{label}: {len(family.profile_indexes)} profiles, "
-               f"{len(goal_sets)} goal sets")
-        for i in family.profile_indexes:
+        yield f"{label}: {len(family)} profiles, {len(goal_sets)} goal sets"
+        for i in family:
             yield f"  [{i}] {pieces.profile_text(game.profile(i).decisions)}"
         for gi, gs in enumerate(goal_sets):
             yield f"  goal set {gi}: {gs} from profiles {generators[gs]}"
     text = formula_printer()
     _emit(args.format, lines, lambda: _report(
-        spec.name, "goals", solutions={"family": family.profile_indexes},
+        spec.name, "goals", solutions={"family": family},
         goal_sets=[{"positive": sorted(map(text, gs.positive)),
                     "negative": sorted(map(text, gs.negative)),
                     "generators": generators[gs]}
@@ -477,7 +474,8 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
 
 
 def _goals_family(args: argparse.Namespace) -> str:
-    """The family ``goals`` reports; flags it would ignore are refused."""
+    """The family ``goals`` reports; flags it would ignore or cannot serve
+    are refused before the spec is validated or a game derived."""
     if args.rule is not None:
         for flag, given in (("--family", args.family is not None),
                             ("--all", args.all),
@@ -487,7 +485,10 @@ def _goals_family(args: argparse.Namespace) -> str:
                     f"--rule selects its own family; drop {flag}")
     if args.all and args.family is not None:
         raise BdgameError("--all is short for --family all; give one of them")
-    return args.family or "all"
+    family_name = args.family or "all"
+    if args.via_goals and family_name not in ("pareto", "all"):
+        raise BdgameError("--via-goals supports --family pareto or all")
+    return family_name
 
 
 def _cmd_check(spec: AgentSystemSpec, args: argparse.Namespace) -> int:

@@ -24,9 +24,7 @@ from .errors import (CombinatorialBoundError, CrossAgentRuleError,
                      InfeasibleProfileError)
 from .extension import Extension
 from .logic import Formula, Literal, consistent_literals, literal_sort_key
-# The caps' defaults live with the spec; their names stay importable here.
-from .model import (DEFAULT_DECISION_CAP, DEFAULT_PROFILE_CAP,
-                    AgentSystemSpec, DecisionMode, PriorityOrder)
+from .model import AgentSystemSpec, DecisionMode, PriorityOrder
 
 
 @dataclass(frozen=True)

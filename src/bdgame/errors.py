@@ -43,9 +43,5 @@ class InfeasibleProfileError(BdgameError):
     """Operation undefined on profiles with inconsistent extensions."""
 
 
-class NotUClosedError(BdgameError):
-    """Operation requires a family closed under indistinguishability."""
-
-
 class CrossAgentRuleError(BdgameError):
     """Rule ids passed to a preference query belong to another agent."""

@@ -10,12 +10,10 @@ Inconsistent extensions are legal outputs; they are flagged, not rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .logic import (DEFAULT_MAX_ATOMS, Formula, _models, _universe, atoms_of,
-                    conditioned_models, model_builder)
+from .logic import DEFAULT_MAX_ATOMS, Formula, _universe, model_builder
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,10 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
     productive rounds.
 
     The model masks range over ``atoms`` (by default the atoms of the base
-    and the rules).  Antecedent atoms outside them are left free by the
-    theory and quantified universally (see ``logic.conditioned_models``).
-    Every formula that enters the theory (the base and fired consequents)
-    must therefore be over ``atoms``; one that is not raises
-    UndeclaredAtomError.
+    and the rules).  The base, every antecedent and every fired consequent
+    must be over them; a formula that is not raises UndeclaredAtomError, as
+    an antecedent does in ``applicable_consequents`` and
+    ``fixpoint_certificate``.
     """
     rules = tuple(rules)
     base_set = frozenset(base)
@@ -98,14 +95,10 @@ def extension(rules: Iterable[Rule], base: Iterable[Formula], *,
         [*base_set, *(f for r in rules for f in (r.antecedent, r.consequent))],
         atoms, max_atoms)
 
-    patterns: dict[tuple[int, int], int] = {}  # for every compile below
-    build = partial(_models, universe, patterns)  # ``models`` over universe
+    build = model_builder(universe, max_atoms)
     full = theory = build(())
     # Where each antecedent fails: the theory entails it iff they are apart.
-    inside = set(universe)
-    failing = tuple(full ^ conditioned_models(
-        r.antecedent, {}, universe,
-        sorted(atoms_of(r.antecedent) - inside), patterns)[0] for r in rules)
+    failing = tuple(full ^ build((r.antecedent,)) for r in rules)
     current = set(base_set)
     for f in base_set:
         theory &= build((f,))

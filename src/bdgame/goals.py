@@ -4,7 +4,7 @@ A profile's goal set splits the joint desire pool by what its extension
 settles: positive goals are the consequents of desires reached jointly
 (antecedent and consequent entailed), negative goals are the antecedents of
 desires never triggered.  Goal sets are defined per indistinguishability
-class, so the machinery here works on U-closed families: sets of feasible
+class, so the paper's claims concern U-closed families: sets of feasible
 profiles closed under equality of per-agent unreached sets.
 
 Every entry point takes the game first and reads the spec as
@@ -13,9 +13,12 @@ Everything here reads the game by feasible index: its goal-set table
 (``goal_sets``), the generators of each distinct goal set
 (``goal_set_members``), its classes (``class_ids``) and, where a violation
 names a profile, ``profile``.  No entry point takes a profile: a family
-holds feasible indexes, as a solution does, ``u_closure`` and
-``is_goal_based`` take them, and ``game.index_of`` turns a profile into
-one.  An index outside the game raises InfeasibleProfileError.
+is a tuple of feasible indexes, as a solution's ``profile_indexes`` is.
+``u_closure``, ``concept_family``, ``apply_decision_rule`` and the
+goals-first pipeline return U-closed ones in canonical order;
+``delta_goal_sets`` and ``representation_check`` take any iterable of
+indexes, closed or not; and ``game.index_of`` turns a profile into one.
+An index outside the game raises InfeasibleProfileError.
 
 Work is done per distinct goal set where the theory allows it: profiles
 that generate the same goal set leave the same desires unreached.
@@ -46,8 +49,7 @@ from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .decision import DecisionProfile, set_geq
-from .errors import (CombinatorialBoundError, InfeasibleProfileError,
-                     NotUClosedError)
+from .errors import CombinatorialBoundError, InfeasibleProfileError
 from .extension import extension
 from .game import (NASH, PARETO, GameSpecification, GoalSet,
                    _fails_on_infeasible_swaps, goal_set_key, solve)
@@ -59,20 +61,6 @@ DEFAULT_SUBSET_CAP = 16
 BD_RATIONAL = "bd-rational"
 NASH_ELSE_PARETO = "nash-else-pareto"
 DECISION_RULES = (BD_RATIONAL, NASH_ELSE_PARETO)
-
-
-@dataclass(frozen=True)
-class ProfileFamily:
-    """A set of feasible decision profiles by feasible index (numbered as
-    in ``SolutionReport.profile_indexes``), possibly U-closed.
-
-    The ``u_closed`` flag is trusted by consumers; build families through
-    ``u_closure`` or ``apply_decision_rule`` to have it set truthfully and
-    the indexes in canonical order.
-    """
-
-    profile_indexes: tuple[int, ...]
-    u_closed: bool = False
 
 
 def _sorted_goal_sets(goal_sets: Iterable[GoalSet]) -> tuple[GoalSet, ...]:
@@ -97,8 +85,9 @@ def _members(game: GameSpecification,
 
 
 def u_closure(game: GameSpecification,
-              indexes: Iterable[int]) -> ProfileFamily:
-    """Smallest superset closed under indistinguishability.
+              indexes: Iterable[int]) -> tuple[int, ...]:
+    """Smallest superset closed under indistinguishability: the U-closed
+    family the paper's goal sets are defined on.
 
     Two feasible profiles are indistinguishable when every agent has the
     same unreached set in both.  That is an equivalence, so the closure is
@@ -106,19 +95,18 @@ def u_closure(game: GameSpecification,
     and the result are feasible indexes; the result is in canonical order.
     """
     wanted = {game.class_ids[i] for i in _members(game, indexes)}
-    return ProfileFamily(
-        tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted))),
-        u_closed=True)
+    return tuple(sorted(chain.from_iterable(game.classes[c] for c in wanted)))
 
 
 def delta_goal_sets(game: GameSpecification,
-                    family: ProfileFamily) -> tuple[GoalSet, ...]:
-    """The deduplicated goal sets generated by the members of a U-closed family."""
-    if not family.u_closed:
-        raise NotUClosedError(
-            "goal sets are defined per U-closed family; close it first")
+                    family: Iterable[int]) -> tuple[GoalSet, ...]:
+    """The paper's Delta: the deduplicated goal sets generated by the
+    members of a family of feasible indexes, in canonical order.
+
+    Delta concerns U-closed families (``u_closure`` makes one); on any
+    other family it is still the goal sets its members generate."""
     return _sorted_goal_sets(map(game.goal_sets.__getitem__,
-                                 _members(game, family.profile_indexes)))
+                                 _members(game, family)))
 
 
 def _goal_decider(game: GameSpecification) -> Callable[[int, GoalSet], bool]:
@@ -259,8 +247,9 @@ def _representation_violations(game: GameSpecification,
 
 
 def representation_check(game: GameSpecification,
-                         family: ProfileFamily) -> CheckReport:
-    """Brute-force both directions of the family/goal-set correspondence.
+                         family: Iterable[int]) -> CheckReport:
+    """Brute-force both directions of the family/goal-set correspondence
+    on a family of feasible indexes.
 
     (a) every member is goal-based for the goal set it generates;
     (b) every feasible profile that generates one of the family's goal sets
@@ -269,20 +258,20 @@ def representation_check(game: GameSpecification,
     Direction (b) matches on generated goal sets, not on mere satisfaction:
     a goal set leaves the untriggered antecedents and reached consequents of
     its generator recoverable, so equal goal sets force equal unreached sets
-    and U-closure makes (b) a theorem.  Satisfaction alone is too weak; a
-    profile reaching strictly more desires still satisfies the smaller goal
-    set.
+    and U-closure makes (b) a theorem on the U-closed families the paper's
+    claim is about (``u_closure`` makes one).  On a family that is not
+    closed, (b) names the profiles outside it that generate one of its goal
+    sets.  Satisfaction alone is too weak; a profile reaching strictly more
+    desires still satisfies the smaller goal set.
 
-    Direction (a) asks one decider about each member and its own goal set,
-    once, as the members are distinct; direction (b) decides nothing: it
-    reads the generators of the family's goal sets off the game
-    (``goal_set_members``) instead of scanning every feasible profile.
+    Direction (a) asks one decider about each member and its own goal
+    set; direction (b) decides nothing: it reads the generators of the
+    family's goal sets off the game (``goal_set_members``) instead of
+    scanning every feasible profile.
     """
-    if not family.u_closed:
-        raise NotUClosedError("representation requires a U-closed family")
     decide = _goal_decider(game)
     violations = _representation_violations(
-        game, _members(game, family.profile_indexes),
+        game, _members(game, family),
         lambda i: decide(i, game.goal_sets[i]))
     return CheckReport(not violations, violations)
 
@@ -318,7 +307,7 @@ def feasible_representation_check(game: GameSpecification) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def apply_decision_rule(game: GameSpecification, rule_name: str, *,
-                        infeasible_swaps: str = "skip") -> ProfileFamily:
+                        infeasible_swaps: str = "skip") -> tuple[int, ...]:
     """Select profiles by a named societal rule; the output is U-closed.
 
     bd-rational: the Pareto profiles.  nash-else-pareto: the Nash profiles
@@ -331,11 +320,11 @@ def apply_decision_rule(game: GameSpecification, rule_name: str, *,
         raise ValueError(f"unknown decision rule '{rule_name}'")
     family = concept_family(game, NASH if rule_name == NASH_ELSE_PARETO
                             else PARETO, infeasible_swaps=infeasible_swaps)
-    return family if family.profile_indexes else concept_family(game, PARETO)
+    return family or concept_family(game, PARETO)
 
 
 def concept_family(game: GameSpecification, concept: str, *,
-                   infeasible_swaps: str = "skip") -> ProfileFamily:
+                   infeasible_swaps: str = "skip") -> tuple[int, ...]:
     """The U-closure of a solution concept's profiles (or of all feasible).
     An unknown ``infeasible_swaps`` policy is refused for every family."""
     _fails_on_infeasible_swaps(infeasible_swaps)
@@ -351,9 +340,8 @@ def concept_family(game: GameSpecification, concept: str, *,
 
 @dataclass(frozen=True)
 class GoalsFirstResult:
-    feasible_goal_sets: tuple[GoalSet, ...]
     pool: tuple[int, ...]  # game indexes of the goal-based profiles
-    pareto_family: ProfileFamily
+    pareto_family: tuple[int, ...]  # U-closed, in canonical order
 
 
 def pareto_via_goals(game: GameSpecification) -> GoalsFirstResult:
@@ -431,11 +419,9 @@ def pareto_via_goals(game: GameSpecification) -> GoalsFirstResult:
             improving[j] &= above[u[k]]
     maximal = {u for u, bits in zip(tuples, improving) if not bits}
     return GoalsFirstResult(
-        feasible_goal_sets=feasible_goal_sets,
         pool=pool,
-        pareto_family=ProfileFamily(
-            tuple(i for i, u in enumerate(unreached) if u in maximal),
-            u_closed=True),
+        pareto_family=tuple(
+            i for i, u in enumerate(unreached) if u in maximal),
     )
 
 

@@ -359,7 +359,7 @@ def check_representation(spec: AgentSystemSpec, seed: int = 0,
     families.append(tuple(range(size)))
     for _ in range(family_samples):
         subset = rng.sample(range(size), rng.randint(1, size))
-        families.append(u_closure(game, subset).profile_indexes)
+        families.append(u_closure(game, subset))
     decide = _goal_decider(game)
     held = [decide(i, gs) for i, gs in enumerate(game.goal_sets)]
     passed: set[tuple[int, ...]] = set()
@@ -422,8 +422,8 @@ def check_pipeline_equivalence(spec: AgentSystemSpec) -> CheckResult:
     game = derive_game(spec)
     if not game.positions:
         return CheckResult("pipeline-equivalence", False, 0, NOTHING_TO_CHECK)
-    closed = concept_family(game, "pareto").profile_indexes
-    via = pareto_via_goals(game).pareto_family.profile_indexes
+    closed = concept_family(game, "pareto")
+    via = pareto_via_goals(game).pareto_family
     if closed != via:  # both in canonical order
         return CheckResult(
             "pipeline-equivalence", False, 1, "families differ",

@@ -355,11 +355,12 @@ MUTANTS = (
            "for a, v in zip(self.atoms, key) if v}",
            ("tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary",)),
-    Mutant("extension-antecedent-free-atoms-dropped", "extension.py",
-           "sorted(atoms_of(r.antecedent) - inside)",
-           "()",
-           ("tests/test_extension.py::"
-            "test_antecedent_atoms_outside_the_universe_are_quantified",)),
+    Mutant("extension-failing-masks-not-complemented", "extension.py",
+           "failing = tuple(full ^ build((r.antecedent,)) for r in rules)",
+           "failing = tuple(build((r.antecedent,)) for r in rules)",
+           ("tests/test_extension.py::test_extension_chains_in_two_rounds",
+            "tests/test_extension.py::"
+            "test_iterative_and_intersection_routes_agree_exhaustively")),
     Mutant("pattern-table-shared-between-widths", "logic.py",
            "if key not in patterns:\n"
            "            patterns[key] = _atom_pattern(*key)\n"
@@ -449,10 +450,24 @@ MUTANTS = (
            ("tests/test_goals.py::"
             "test_feasible_check_tries_every_goal_set_of_the_class",)),
     Mutant("nash-else-pareto-never-falls-back", "goals.py",
-           "return family if family.profile_indexes else concept_family(",
-           "return family if True else concept_family(",
+           "return family or concept_family(game, PARETO)",
+           "return family",
            ("tests/test_goals.py::"
-            "test_nash_else_pareto_falls_back_when_no_profile_is_nash",)),
+            "test_nash_else_pareto_keeps_nash_or_falls_back_to_pareto"
+            "[pennies-falls-back-to-pareto]",)),
+    Mutant("nash-else-pareto-always-falls-back", "goals.py",
+           "return family or concept_family(game, PARETO)",
+           "return concept_family(game, PARETO)",
+           ("tests/test_goals.py::"
+            "test_nash_else_pareto_keeps_nash_or_falls_back_to_pareto"
+            "[coin-keeps-nash]",
+            "tests/test_goals.py::test_nash_else_pareto_prisoners")),
+    Mutant("via-goals-family-unchecked", "cli.py",
+           "if args.via_goals and family_name not in",
+           "if False and family_name not in",
+           ("tests/test_cli.py::"
+            "test_goals_refuses_a_via_goals_family_before_deriving_the_game",
+            )),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "

@@ -20,9 +20,9 @@ from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              desire_report, joint_extension)
 from bdgame.game import GameSpecification, agent_extensions, derive_game
 from bdgame.game import solve as solve_game
-from bdgame.goals import (DECISION_RULES, ProfileFamily,
-                          apply_decision_rule, concept_family,
-                          delta_goal_sets, pareto_via_goals, u_closure)
+from bdgame.goals import (DECISION_RULES, apply_decision_rule,
+                          concept_family, delta_goal_sets, pareto_via_goals,
+                          u_closure)
 from bdgame.logic import MAX_NESTING, format_formula
 from bdgame.model import format_spec, parse_spec
 from bdgame.verify import random_spec
@@ -242,6 +242,17 @@ def test_goals_refuses_flags_it_would_drop(flags, dropped, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("bdgame: ") and dropped in captured.err
+
+
+def test_goals_refuses_a_via_goals_family_before_deriving_the_game(capsys):
+    # Under a cap of 1 the game cannot be derived: any other error means
+    # the spec was worked on before the flags were checked.
+    assert main(["goals", "--via-goals", "--family", "nash",
+                 "--max-profiles", "1", fixture("prisoners")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "bdgame: --via-goals supports --family pareto or all\n"
 
 
 def test_check_commands_pass():
@@ -915,14 +926,14 @@ def ref_text(spec, command):
                       u_closure(game, result.pool))
             label = f"{name} family (goals-first pipeline)"
         elif name == "all":
-            family = ProfileFamily(tuple(range(len(shown))), u_closed=True)
+            family = tuple(range(len(shown)))
             label = "all family"
         else:
             family = concept_family(game, name,
                                     infeasible_swaps=args.infeasible_swaps)
             label = f"{name} family"
         goal_sets = delta_goal_sets(game, family)
-        indexes = sorted(family.profile_indexes)
+        indexes = sorted(family)
         lines.append(f"{label}: {len(indexes)} profiles, "
                      f"{len(goal_sets)} goal sets")
         for i in indexes:

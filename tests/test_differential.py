@@ -52,8 +52,8 @@ from bdgame.extension import (Extension, applicable_consequents, extension,
                               fixpoint_certificate)
 from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
                          nash, pareto, strongly_pareto)
-from bdgame.goals import (GoalSet, ProfileFamily, RepresentationViolation,
-                          _goal_decider, concept_family, delta_goal_sets,
+from bdgame.goals import (GoalSet, RepresentationViolation, _goal_decider,
+                          concept_family, delta_goal_sets,
                           feasible_representation_check, fragment_check,
                           goal_set_key, heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
@@ -656,8 +656,8 @@ class RefGoals:
 
 def test_goals_layer_matches_the_profile_route():
     """Closures, goal sets and both representation checks on the game's
-    tables against the signature route, on closed families and on families
-    flagged closed that are not, so that direction (b) fires."""
+    tables against the signature route, on closed families and on drawn
+    families that are often not closed, so that direction (b) fires."""
     rng = random.Random(20021018)
     seen = Counter()
     while seen["games"] < GOALS_SPECS:
@@ -676,14 +676,12 @@ def test_goals_layer_matches_the_profile_route():
         indexes = range(len(feasible))
 
         def members(family):
-            return tuple(feasible[i] for i in family.profile_indexes)
+            return tuple(feasible[i] for i in family)
         drawn = [rng.sample(indexes, rng.randint(1, len(feasible)))
                  for _ in range(4)]
-        families = [ProfileFamily(tuple(subset), u_closed=True)
-                    for subset in drawn]  # flagged closed, often not
+        families = [tuple(subset) for subset in drawn]  # often not closed
         for subset in [[i] for i in indexes] + [indexes] + drawn:
             closed = u_closure(game, subset)
-            assert closed.u_closed
             assert members(closed) == \
                 ref.closure([feasible[i] for i in subset])
             assert delta_goal_sets(game, closed) == \
@@ -699,7 +697,6 @@ def test_goals_layer_matches_the_profile_route():
         assert feasible_representation_check(game).violations \
             == ref.feasible_representation()
         everything = concept_family(game, "all")
-        assert everything.u_closed
         assert members(everything) == tuple(feasible)
         seen["last profile alone in its class"] += \
             ref.closure(feasible[-1:]) == tuple(feasible[-1:])

@@ -1,6 +1,9 @@
 import random
 from dataclasses import replace
 
+import pytest
+
+from bdgame.errors import UndeclaredAtomError
 from bdgame.extension import (Rule, applicable_consequents, extension,
                               fixpoint_certificate)
 from bdgame.logic import TRUE, And, Not, Or, Var
@@ -52,17 +55,22 @@ def test_extensions_compare_and_hash_by_their_sets_not_their_masks():
     assert replace(narrow, iterations=narrow.iterations + 1) != narrow
 
 
-def test_antecedent_atoms_outside_the_universe_are_quantified():
-    """An antecedent atom outside ``atoms`` is one the theory leaves free:
-    its rule fires iff the antecedent holds for every value of that atom,
-    as over a universe that holds it."""
+def test_antecedent_atoms_outside_the_universe_are_refused():
+    """An antecedent atom outside ``atoms`` is refused by the fixpoint as
+    by both routes that check it; over a universe that holds the atom,
+    the rule fires iff the theory entails its antecedent."""
     x = Var("x")
     rules = [Rule("r1", TRUE, P, "belief", "a1"),
              Rule("r2", Or(P, x), Q, "belief", "a1"),
              Rule("r3", And(Q, x), Not(P), "belief", "a1")]
-    narrow = extension(rules, [], atoms=("p", "q"))
-    assert narrow.formulas == {P, Q}
-    assert narrow == extension(rules, [], atoms=("p", "q", "x"))
+    narrow = ("p", "q")
+    for call in (lambda: extension(rules, [], atoms=narrow),
+                 lambda: applicable_consequents(rules, [], atoms=narrow),
+                 lambda: fixpoint_certificate(rules, [], [P, Q],
+                                              atoms=narrow)):
+        with pytest.raises(UndeclaredAtomError, match="'x'"):
+            call()
+    assert extension(rules, [], atoms=("p", "q", "x")).formulas == {P, Q}
 
 
 def test_extension_fires_on_entailed_decision_atoms():

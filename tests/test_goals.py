@@ -13,12 +13,10 @@ import bdgame.goals
 import bdgame.logic
 import bdgame.verify
 from bdgame import load_example
-from bdgame.errors import (CombinatorialBoundError, InfeasibleProfileError,
-                           NotUClosedError)
+from bdgame.errors import CombinatorialBoundError, InfeasibleProfileError
 from bdgame.game import derive_game, nash, pareto
-from bdgame.goals import (GoalSet, ProfileFamily,
-                          RepresentationViolation, apply_decision_rule,
-                          delta_goal_sets,
+from bdgame.goals import (GoalSet, RepresentationViolation,
+                          apply_decision_rule, delta_goal_sets,
                           feasible_representation_check, fragment_check,
                           heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
@@ -47,7 +45,7 @@ def index_of(spec, p):
 def decoded(spec, family):
     """The family's profiles, printed, decoded by the definitional view."""
     feasible = evaluated_profiles(spec)
-    return [str(feasible[i].profile) for i in family.profile_indexes]
+    return [str(feasible[i].profile) for i in family]
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +55,16 @@ def decoded(spec, family):
 def test_closure_is_a_fixpoint(opposed_interests):
     game = derive_game(opposed_interests)
     first = u_closure(game, [0])
-    again = u_closure(game, first.profile_indexes)
-    assert again.profile_indexes == first.profile_indexes
-    assert 0 in first.profile_indexes and first.u_closed
+    again = u_closure(game, first)
+    assert again == first
+    assert 0 in first
 
 
 def test_closure_of_distinct_signature_is_singleton(opposed_interests):
     game = derive_game(opposed_interests)
     for i in range(len(evaluated_profiles(opposed_interests))):
         family = u_closure(game, [i])
-        assert family.profile_indexes == (i,)
+        assert family == (i,)
 
 
 def test_closure_adds_indistinguishable_twin():
@@ -74,7 +72,7 @@ def test_closure_adds_indistinguishable_twin():
     family = u_closure(derive_game(spec),
                        [index_of(spec, profile(x=["a"]))])
     # every decision leaves p unreached
-    assert family.profile_indexes == tuple(range(4))
+    assert family == tuple(range(4))
     assert len(evaluated_profiles(spec)) == 4
 
 
@@ -86,7 +84,7 @@ def test_cooperation_goal_set(cooperation):
     target = profile(alpha1=["a"], alpha2=["c"])
     game = derive_game(cooperation)
     family = u_closure(game, [index_of(cooperation, target)])
-    assert family.profile_indexes == (index_of(cooperation, target),)
+    assert family == (index_of(cooperation, target),)
     assert delta_goal_sets(game, family) == (
         GoalSet(frozenset({And(P, Q)}), frozenset()),)
 
@@ -104,18 +102,9 @@ def test_prisoners_goal_set(prisoners):
 
 def test_desire_free_spec_has_the_empty_goal_set():
     spec = parse_spec('agent x {\n  atoms a\n  belief a => p\n}\nworld p\n')
-    family = ProfileFamily(tuple(range(len(evaluated_profiles(spec)))),
-                           u_closed=True)
+    family = tuple(range(len(evaluated_profiles(spec))))
     assert delta_goal_sets(derive_game(spec), family) == (
         GoalSet(frozenset(), frozenset()),)
-
-
-def test_goal_sets_require_closed_family(cooperation):
-    family = ProfileFamily(
-        (index_of(cooperation, profile(alpha1=["a"], alpha2=["c"])),),
-        u_closed=False)
-    with pytest.raises(NotUClosedError):
-        delta_goal_sets(derive_game(cooperation), family)
 
 
 @pytest.mark.parametrize("outside", [lambda size: -1, lambda size: size,
@@ -127,16 +116,16 @@ def test_family_indexes_outside_the_game_are_refused(outside, cooperation):
     game = derive_game(cooperation)
     size = len(game.positions)
     empty = GoalSet(frozenset(), frozenset())
-    inside = ProfileFamily(tuple(range(size)), u_closed=True)
+    inside = tuple(range(size))
     assert delta_goal_sets(game, inside)
     assert representation_check(game, inside).passed
     assert u_closure(game, range(size)) == inside
     assert is_goal_based(game, size - 1, empty)
     index = outside(size)
-    family = ProfileFamily((0, index), u_closed=True)
+    family = (0, index)
     for call in (lambda: delta_goal_sets(game, family),
                  lambda: representation_check(game, family),
-                 lambda: u_closure(game, family.profile_indexes),
+                 lambda: u_closure(game, family),
                  lambda: is_goal_based(game, index, empty)):
         with pytest.raises(InfeasibleProfileError,
                            match=rf"^family index {index} is outside "
@@ -234,19 +223,12 @@ def test_prisoners_nash_family_representation(prisoners):
 
 def test_unclosed_family_reports_the_missing_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
-    lying = ProfileFamily((index_of(spec, profile(x=["a"])),), u_closed=True)
-    report = representation_check(derive_game(spec), lying)
+    unclosed = (index_of(spec, profile(x=["a"])),)
+    report = representation_check(derive_game(spec), unclosed)
     assert not report.passed
     assert {v.direction for v in report.violations} == \
         {"goal-based-outside-family"}
     assert len(report.violations) == 3
-
-
-def test_representation_requires_closed_flag(prisoners):
-    family = ProfileFamily(
-        (index_of(prisoners, profile(alpha1=["!a"], alpha2=["!b"])),))
-    with pytest.raises(NotUClosedError):
-        representation_check(derive_game(prisoners), family)
 
 
 def test_feasible_representation_on_fixtures(
@@ -277,7 +259,7 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     assert len(built) == reports
     built.clear()
     feasible = [ep.profile for ep in evaluated_profiles(spec)]
-    everything = ProfileFamily(tuple(range(len(feasible))), u_closed=True)
+    everything = tuple(range(len(feasible)))
     assert representation_check(game, everything).passed
     assert feasible_representation_check(game).passed
     pareto_via_goals(game)
@@ -295,9 +277,10 @@ def test_infeasible_profiles_stay_outside_goal_machinery(interdependence):
 # ---------------------------------------------------------------------------
 
 def test_nash_else_pareto_prisoners(prisoners):
-    family = apply_decision_rule(derive_game(prisoners), "nash-else-pareto")
+    game = derive_game(prisoners)
+    family = apply_decision_rule(game, "nash-else-pareto")
     assert decoded(prisoners, family) == ["<alpha1={!a}, alpha2={!b}>"]
-    assert family.u_closed
+    assert u_closure(game, family) == family
 
 
 def test_bd_rational_prisoners(prisoners):
@@ -315,34 +298,30 @@ def test_decision_rules_on_single_profile_game():
         assert decoded(spec, family) == ["<x={a}>"]
 
 
-def test_nash_else_pareto_falls_back_to_pareto():
-    # two agents with opposite tastes about a shared coin and no way to
-    # react: deviations exist, no equilibrium requirement binds
-    spec = parse_spec(
-        'option decision_mode = total-assignments\n'
-        'agent x {\n  atoms a\n  desire dx: true => a & b\n}\n'
-        'agent y {\n  atoms b\n  desire dy: true => !(a & b)\n}\n')
-    game = derive_game(spec)
-    family = apply_decision_rule(game, "nash-else-pareto")
-    if nash(game).profile_indexes:
-        assert family.profile_indexes
-    else:
-        closed_pareto = u_closure(game, pareto(game).profile_indexes)
-        assert family.profile_indexes == closed_pareto.profile_indexes
+# Two agents with opposite tastes about a shared coin: some profile is
+# Nash, so the rule keeps the Nash family.
+COIN_SPEC_SRC = (
+    'option decision_mode = total-assignments\n'
+    'agent x {\n  atoms a\n  desire dx: true => a & b\n}\n'
+    'agent y {\n  atoms b\n  desire dy: true => !(a & b)\n}\n')
+# Matching pennies: x wants the coins equal, y wants them different, so
+# one of them gains by switching in every profile and no profile is Nash.
+PENNIES_SPEC_SRC = (
+    'option decision_mode = total-assignments\n'
+    'agent x {\n  atoms a\n  desire dx: true => (a & b) | (!a & !b)\n}\n'
+    'agent y {\n  atoms b\n  desire dy: true => (a & !b) | (!a & b)\n}\n')
 
 
-def test_nash_else_pareto_falls_back_when_no_profile_is_nash():
-    # Matching pennies: x wants the coins equal, y wants them different,
-    # so one of them gains by switching in every profile.
-    spec = parse_spec(
-        'option decision_mode = total-assignments\n'
-        'agent x {\n  atoms a\n  desire dx: true => (a & b) | (!a & !b)\n}\n'
-        'agent y {\n  atoms b\n  desire dy: true => (a & !b) | (!a & b)\n}\n')
-    game = derive_game(spec)
-    assert nash(game).profile_indexes == ()
+@pytest.mark.parametrize("source, concept, expected", [
+    (COIN_SPEC_SRC, nash, (1, 2, 3)),
+    (PENNIES_SPEC_SRC, pareto, (0, 1, 2, 3)),
+], ids=["coin-keeps-nash", "pennies-falls-back-to-pareto"])
+def test_nash_else_pareto_keeps_nash_or_falls_back_to_pareto(
+        source, concept, expected):
+    game = derive_game(parse_spec(source))
     family = apply_decision_rule(game, "nash-else-pareto")
-    assert family == u_closure(game, pareto(game).profile_indexes)
-    assert family.profile_indexes == (0, 1, 2, 3)
+    assert family == u_closure(game, concept(game).profile_indexes)
+    assert family == expected
 
 
 def test_pipeline_equivalence_on_fixtures(
@@ -353,7 +332,7 @@ def test_pipeline_equivalence_on_fixtures(
         game = derive_game(spec)
         direct = u_closure(game, pareto(game).profile_indexes)
         via = pareto_via_goals(game)
-        assert via.pareto_family.profile_indexes == direct.profile_indexes
+        assert via.pareto_family == direct
 
 
 def test_goals_first_pool_is_all_feasible(prisoners):
@@ -404,7 +383,7 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
         f"{shared}")
     feasible = evaluated_profiles(spec)
     for members in ((ab, a), (a, ab), range(len(feasible))):
-        family = ProfileFamily(tuple(members), u_closed=True)
+        family = tuple(members)
         assert representation_check(broken, family).violations == (expected,)
     monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
     result = check_representation(spec)
@@ -426,7 +405,7 @@ def test_feasible_check_tries_every_goal_set_of_the_class(monkeypatch):
     shared = game.goal_sets[empty]
     assert game.goal_sets[ab] != shared
     family = u_closure(broken, [ab])
-    assert len(family.profile_indexes) == 3
+    assert len(family) == 3
     assert [v.profile for v in representation_check(
         broken, family).violations] == [profile(x=["a", "b"])]
     # Not goal-based for its own goal set, but for its class's other one,
@@ -550,8 +529,8 @@ def test_goals_first_compares_first_members_of_distinct_goal_sets(
     assert len(compared) <= sum(len(mine) * (len(mine) - 1) for mine in sets)
     # The route orders goal sets without the tables, the classes or pareto.
     assert not {"orders", "class_ids", "classes"} & set(vars(fresh))
-    assert result.pareto_family.profile_indexes == u_closure(
-        game, pareto(game).profile_indexes).profile_indexes
+    assert result.pareto_family == u_closure(
+        game, pareto(game).profile_indexes)
 
 
 def tampered_games():

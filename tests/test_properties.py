@@ -15,7 +15,8 @@ from bdgame.cli import _COMMANDS, _build_parser
 from bdgame.extension import Rule
 from bdgame.game import (CONCEPTS, FAIL, SKIP, ExclusionWitness,
                          SolutionReport, derive_game, nash, solve)
-from bdgame.goals import apply_decision_rule, u_closure
+from bdgame.goals import (DECISION_RULES, apply_decision_rule,
+                          concept_family, pareto_via_goals, u_closure)
 from bdgame.logic import TRUE
 from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
 from bdgame.verify import (CheckResult, check_extension_laws,
@@ -135,27 +136,34 @@ def test_u_closure_is_idempotent_and_monotone():
         feasible = range(len(evaluated_profiles(spec)))
         members = rng.sample(feasible, rng.randint(1, len(feasible)))
         closed = u_closure(game, members)
-        inside = closed.profile_indexes
-        assert set(members) <= set(inside)
-        again = u_closure(game, inside)
-        assert again.profile_indexes == closed.profile_indexes
-        smaller = u_closure(game, members[:1])
-        assert set(smaller.profile_indexes) <= set(closed.profile_indexes)
+        assert set(members) <= set(closed)
+        assert u_closure(game, closed) == closed
+        assert set(u_closure(game, members[:1])) <= set(closed)
 
 
 def test_decision_rule_families_are_u_closed():
+    # Every family the goals layer returns is its own U-closure, computed;
+    # a rule's family holds exactly the profiles whose unreached sets one
+    # of its members leaves.
     for spec, game in feasible_games(4242, 30):
-        for rule in ("bd-rational", "nash-else-pareto"):
+        families = [concept_family(game, concept, infeasible_swaps=policy)
+                    for concept in (*CONCEPTS, "all")
+                    for policy in (SKIP, FAIL)]
+        families += [apply_decision_rule(game, rule, infeasible_swaps=policy)
+                     for rule in DECISION_RULES for policy in (SKIP, FAIL)]
+        families.append(pareto_via_goals(game).pareto_family)
+        for family in families:
+            assert u_closure(game, family) == family
+        feasible = evaluated_profiles(spec)
+        for rule in DECISION_RULES:
             family = apply_decision_rule(game, rule)
-            assert family.u_closed
-            feasible = evaluated_profiles(spec)
             signatures = {
                 unreached_signature(spec, desire_report(spec,
                                                         feasible[i].profile))
-                for i in family.profile_indexes}
+                for i in family}
             for i, ep in enumerate(feasible):
                 sig = unreached_signature(spec, desire_report(spec, ep.profile))
-                assert (sig in signatures) == (i in family.profile_indexes)
+                assert (sig in signatures) == (i in family)
 
 
 def test_goal_set_components_come_from_desires():
