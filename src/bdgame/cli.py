@@ -84,12 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-profiles", type=_positive_int,
                         help="profile enumeration cap "
                              f"(default {DEFAULT_PROFILE_CAP})")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the seeded suites")
-    common.add_argument("--infeasible-swaps", choices=("skip", "fail"),
-                        default="skip",
-                        help="how nash treats deviations that break joint "
-                             "feasibility")
+    swaps = argparse.ArgumentParser(add_help=False)
+    swaps.add_argument("--infeasible-swaps", choices=("skip", "fail"),
+                       default="skip",
+                       help="how nash treats deviations that break joint "
+                            "feasibility")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common],
@@ -105,15 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="enumerate candidate decision profiles")
     p_prof.add_argument("--feasible-only", action="store_true",
                         help="drop infeasible profiles from the report")
-    p_solve = sub.add_parser("solve", parents=[common],
+    p_solve = sub.add_parser("solve", parents=[common, swaps],
                              help="compute a solution concept")
     p_solve.add_argument("--concept", choices=CONCEPTS, required=True)
-    p_goals = sub.add_parser("goals", parents=[common],
+    p_goals = sub.add_parser("goals", parents=[common, swaps],
                              help="goal sets of a profile family")
     p_goals.add_argument("--family", choices=CONCEPTS + ("all",),
                          help="which family to close and report (default all)")
-    p_goals.add_argument("--all", action="store_true",
-                         help="shorthand for --family all")
     p_goals.add_argument("--via-goals", action="store_true",
                          help="drive the family through the goals-first "
                               "pipeline (pareto or all only)")
@@ -124,8 +121,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--property", required=True,
                          choices=("representation", "monotonicity",
                                   "order-laws", "pipeline-equivalence"))
-    p_check.add_argument("--samples", type=_positive_int, default=200)
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="seed of the draws made by --property "
+                              "representation and monotonicity")
+    p_check.add_argument("--samples", type=_positive_int, default=200,
+                         help="samples drawn by --property monotonicity "
+                              "(default 200)")
     return parser
+
+
+def _fail_infeasible_swaps(args: argparse.Namespace) -> bool:
+    """``--infeasible-swaps`` of ``solve`` and ``goals`` as the library's
+    ``fail_infeasible_swaps``."""
+    return args.infeasible_swaps == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +412,7 @@ def _cmd_solve(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     concept = args.concept
     game = derive_game(spec)
     solution = solve_game(game, concept,
-                          infeasible_swaps=args.infeasible_swaps)
+                          fail_infeasible_swaps=_fail_infeasible_swaps(args))
 
     def lines() -> Iterator[str]:
         pieces = _Pieces(game.feasible_decisions)
@@ -439,8 +447,9 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
     _require_valid(spec)
     game = derive_game(spec)
     if args.rule is not None:
-        family = apply_decision_rule(game, args.rule,
-                                     infeasible_swaps=args.infeasible_swaps)
+        family = apply_decision_rule(
+            game, args.rule,
+            fail_infeasible_swaps=_fail_infeasible_swaps(args))
         label = f"decision rule {args.rule}"
     elif args.via_goals:
         result = pareto_via_goals(game)
@@ -448,8 +457,9 @@ def _cmd_goals(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
                   u_closure(game, result.pool))
         label = f"{family_name} family (goals-first pipeline)"
     else:
-        family = concept_family(game, family_name,
-                                infeasible_swaps=args.infeasible_swaps)
+        family = concept_family(
+            game, family_name,
+            fail_infeasible_swaps=_fail_infeasible_swaps(args))
         label = f"{family_name} family"
     goal_sets = delta_goal_sets(game, family)
     generators = {gs: list(game.goal_set_members[gs]) for gs in goal_sets}
@@ -478,13 +488,10 @@ def _goals_family(args: argparse.Namespace) -> str:
     are refused before the spec is validated or a game derived."""
     if args.rule is not None:
         for flag, given in (("--family", args.family is not None),
-                            ("--all", args.all),
                             ("--via-goals", args.via_goals)):
             if given:
                 raise BdgameError(
                     f"--rule selects its own family; drop {flag}")
-    if args.all and args.family is not None:
-        raise BdgameError("--all is short for --family all; give one of them")
     family_name = args.family or "all"
     if args.via_goals and family_name not in ("pareto", "all"):
         raise BdgameError("--via-goals supports --family pareto or all")

@@ -42,10 +42,9 @@ on the unreached sets, not by the tables.
 
 Swapping one agent's decision into a profile can produce a jointly
 infeasible profile even when both components are individually feasible.
-The ``infeasible_swaps`` policy decides whether such Nash deviations are
-skipped (the default: an impossible profile neither rewards nor punishes
-anyone) or fail the candidate.  Any other policy is refused, whichever
-the concept.
+Such Nash deviations are skipped by default (an impossible profile neither
+rewards nor punishes anyone); ``fail_infeasible_swaps=True`` makes them
+fail the candidate instead.
 """
 
 from __future__ import annotations
@@ -64,9 +63,6 @@ from .decision import (AgentDesireStatus, Decision, DecisionProfile,
 from .extension import Extension
 from .logic import Formula, format_formula
 from .model import AgentSystemSpec
-
-SKIP = "skip"
-FAIL = "fail"
 
 PARETO = "pareto"
 STRONG_PARETO = "strong-pareto"
@@ -488,12 +484,12 @@ def dominant(game: GameSpecification) -> SolutionReport:
 
 
 def nash(game: GameSpecification, *,
-         infeasible_swaps: str = SKIP) -> SolutionReport:
+         fail_infeasible_swaps: bool = False) -> SolutionReport:
     """Profiles where no agent has a strictly better unilateral deviation.
 
     Deviations range over the agent's feasible decisions; those that make
-    the profile infeasible are skipped (``skip``, the default) or fail the
-    candidate (``fail``); another policy raises ``ValueError``.  A deviation
+    the profile infeasible are skipped (the default) or, under
+    ``fail_infeasible_swaps``, fail the candidate.  A deviation
     is one digit of the candidate's mixed-radix index replaced, one lookup
     in ``candidates`` and one bit of the agent's ``orders``.
 
@@ -505,7 +501,6 @@ def nash(game: GameSpecification, *,
     candidate, in canonical order, appends the first agent's witness, or
     None when no agent has one, to the column.
     """
-    fail = _fails_on_infeasible_swaps(infeasible_swaps)
     candidates = game.candidates
 
     def first_deviation(agent_id: str, ids: tuple[int, ...], row: int,
@@ -514,7 +509,7 @@ def nash(game: GameSpecification, *,
         for k, deviation in enumerate(deviations):
             deviated = candidates[base + k * stride]
             if deviated < 0:
-                if fail:
+                if fail_infeasible_swaps:
                     return ExclusionWitness(agent=agent_id,
                                             decision=deviation)
             elif not row >> ids[deviated] & 1:
@@ -543,22 +538,10 @@ def nash(game: GameSpecification, *,
     return SolutionReport(NASH, tuple(column))
 
 
-def _fails_on_infeasible_swaps(infeasible_swaps: str) -> bool:
-    """Whether the policy fails a Nash candidate on a deviation that breaks
-    joint feasibility; a policy other than ``skip`` or ``fail`` raises
-    ``ValueError``."""
-    if infeasible_swaps not in (SKIP, FAIL):
-        raise ValueError(
-            f"unknown infeasible_swaps policy '{infeasible_swaps}'")
-    return infeasible_swaps == FAIL
-
-
 def solve(game: GameSpecification, concept: str, *,
-          infeasible_swaps: str = SKIP) -> SolutionReport:
-    """Dispatch by concept name; ``infeasible_swaps`` only affects nash,
-    the one concept whose quantifier can leave the feasible set, but an
-    unknown policy is refused for every concept."""
-    _fails_on_infeasible_swaps(infeasible_swaps)
+          fail_infeasible_swaps: bool = False) -> SolutionReport:
+    """Dispatch by concept name; ``fail_infeasible_swaps`` only affects
+    nash, the one concept whose quantifier can leave the feasible set."""
     if concept == PARETO:
         return pareto(game)
     if concept == STRONG_PARETO:
@@ -566,5 +549,5 @@ def solve(game: GameSpecification, concept: str, *,
     if concept == DOMINANT:
         return dominant(game)
     if concept == NASH:
-        return nash(game, infeasible_swaps=infeasible_swaps)
+        return nash(game, fail_infeasible_swaps=fail_infeasible_swaps)
     raise ValueError(f"unknown solution concept '{concept}'")

@@ -51,8 +51,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .decision import DecisionProfile, set_geq
 from .errors import CombinatorialBoundError, InfeasibleProfileError
 from .extension import extension
-from .game import (NASH, PARETO, GameSpecification, GoalSet,
-                   _fails_on_infeasible_swaps, goal_set_key, solve)
+from .game import (NASH, PARETO, GameSpecification, GoalSet, goal_set_key,
+                   solve)
 from .logic import Formula, formula_printer, in_sublanguage, model_builder
 from .model import AgentSystemSpec
 
@@ -307,30 +307,29 @@ def feasible_representation_check(game: GameSpecification) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def apply_decision_rule(game: GameSpecification, rule_name: str, *,
-                        infeasible_swaps: str = "skip") -> tuple[int, ...]:
+                        fail_infeasible_swaps: bool = False
+                        ) -> tuple[int, ...]:
     """Select profiles by a named societal rule; the output is U-closed.
 
     bd-rational: the Pareto profiles.  nash-else-pareto: the Nash profiles
-    (under the ``infeasible_swaps`` policy) when any exist, otherwise the
-    Pareto profiles.  Closing the result keeps rules blind to distinctions
-    between indistinguishable profiles.  An unknown policy is refused under
-    every rule.
+    (under ``fail_infeasible_swaps``) when any exist, otherwise the Pareto
+    profiles.  Closing the result keeps rules blind to distinctions
+    between indistinguishable profiles.
     """
     if rule_name not in DECISION_RULES:
         raise ValueError(f"unknown decision rule '{rule_name}'")
-    family = concept_family(game, NASH if rule_name == NASH_ELSE_PARETO
-                            else PARETO, infeasible_swaps=infeasible_swaps)
+    family = concept_family(
+        game, NASH if rule_name == NASH_ELSE_PARETO else PARETO,
+        fail_infeasible_swaps=fail_infeasible_swaps)
     return family or concept_family(game, PARETO)
 
 
 def concept_family(game: GameSpecification, concept: str, *,
-                   infeasible_swaps: str = "skip") -> tuple[int, ...]:
-    """The U-closure of a solution concept's profiles (or of all feasible).
-    An unknown ``infeasible_swaps`` policy is refused for every family."""
-    _fails_on_infeasible_swaps(infeasible_swaps)
+                   fail_infeasible_swaps: bool = False) -> tuple[int, ...]:
+    """The U-closure of a solution concept's profiles (or of all feasible)."""
     if concept == "all":
         return u_closure(game, range(len(game.positions)))
-    report = solve(game, concept, infeasible_swaps=infeasible_swaps)
+    report = solve(game, concept, fail_infeasible_swaps=fail_infeasible_swaps)
     return u_closure(game, report.profile_indexes)
 
 
@@ -448,8 +447,12 @@ def heuristic_goals(spec: AgentSystemSpec) -> frozenset[Formula]:
 def fragment_check(spec: AgentSystemSpec) -> bool:
     """True when no belief rule is triggered by decisions.
 
-    On this fragment (belief antecedents purely about the world) the
-    heuristic pool is exhaustive for positive goals.
+    On this fragment (belief antecedents purely about the world) decisions
+    trigger no belief, yet the heuristic pool can still miss a positive
+    goal: a desire consequent that names a decision atom the initial
+    decisions leave out (``a & q`` from ``q & a => a & q``) is reached by
+    a profile that decides it.  ``verify.check_heuristic_fragment``
+    counts the misses.
     """
     vocab = spec.vocabulary
     return all(in_sublanguage(r.antecedent, vocab, "world")

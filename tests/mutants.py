@@ -77,25 +77,13 @@ MUTANTS = (
            ("tests/test_differential.py::"
             "test_nash_matches_the_profile_loop_where_swaps_break_feasibility",
             )),
-    Mutant("unknown-policy-read-as-skip", "game.py",
-           "if infeasible_swaps not in (SKIP, FAIL):",
-           "if False:",
-           ("tests/test_game.py::"
-            "test_an_unknown_infeasible_swaps_policy_is_refused",
-            "tests/test_game.py::"
-            "test_an_unknown_policy_is_refused_where_nash_is_never_asked")),
-    Mutant("policy-unchecked-off-nash", "game.py",
-           "    _fails_on_infeasible_swaps(infeasible_swaps)\n"
-           "    if concept == PARETO:",
-           "    if concept == PARETO:",
-           ("tests/test_game.py::"
-            "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),
-    Mutant("policy-unchecked-for-the-feasible-family", "goals.py",
-           "    _fails_on_infeasible_swaps(infeasible_swaps)\n"
-           "    if concept == \"all\":",
-           "    if concept == \"all\":",
-           ("tests/test_game.py::"
-            "test_an_unknown_policy_is_refused_where_nash_is_never_asked",)),
+    Mutant("nash-fail-branch-read-as-skip", "game.py",
+           "                if fail_infeasible_swaps:\n",
+           "                if False:\n",
+           ("tests/test_game.py::test_nash_infeasible_swaps_policies",
+            "tests/test_differential.py::"
+            "test_nash_matches_the_profile_loop_where_swaps_break_feasibility",
+            )),
     Mutant("class-witnesses-expanded-through-a-shifted-index", "game.py",
            "tuple(map(per_class.__getitem__, game.class_ids))",
            "tuple(per_class[c - 1] for c in game.class_ids)",
@@ -468,6 +456,11 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_goals_refuses_a_via_goals_family_before_deriving_the_game",
             )),
+    Mutant("cli-fail-mapping-inverted", "cli.py",
+           'return args.infeasible_swaps == "fail"',
+           'return args.infeasible_swaps != "fail"',
+           ("tests/test_cli.py::"
+            "test_the_moved_flags_change_the_output_where_they_are_read",)),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "

@@ -25,7 +25,7 @@ from bdgame.goals import (DECISION_RULES, apply_decision_rule,
                           u_closure)
 from bdgame.logic import MAX_NESTING, format_formula
 from bdgame.model import format_spec, parse_spec
-from bdgame.verify import random_spec
+from bdgame.verify import CheckResult, random_spec
 
 from conftest import Evaluated, evaluated_profiles, four_by_three_spec
 
@@ -233,9 +233,6 @@ def test_nash_else_pareto_follows_the_infeasible_swaps_policy(policy, family,
     (("--rule", "bd-rational", "--via-goals"), "--via-goals"),
     (("--rule", "bd-rational", "--family", "pareto"), "--family"),
     (("--rule", "nash-else-pareto", "--family", "all"), "--family"),
-    (("--rule", "bd-rational", "--all"), "--all"),
-    (("--all", "--family", "nash"), "--family"),
-    (("--all", "--family", "all"), "--family"),
 ])
 def test_goals_refuses_flags_it_would_drop(flags, dropped, capsys):
     assert main(["goals", *flags, fixture("cooperation")]) == 2
@@ -341,6 +338,55 @@ def test_bad_atom_cap_env_value_is_an_input_error(value, monkeypatch):
 def test_non_positive_counts_and_caps_are_rejected(argv, capsys):
     assert cli_exit(*argv, fixture("prisoners")) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+# Each flag lives on the commands that read it: --seed on check,
+# --infeasible-swaps on solve and goals; goals --all (an alias of the
+# default family) is gone.
+@pytest.mark.parametrize("command, flag", [
+    *((command, ("--seed", "1")) for command in (
+        ("validate",), ("extension",), ("profiles",),
+        ("solve", "--concept", "nash"), ("goals",))),
+    *((command, ("--infeasible-swaps", "fail")) for command in (
+        ("validate",), ("extension",), ("profiles",),
+        ("check", "--property", "order-laws"))),
+    (("goals",), ("--all",)),
+], ids=lambda value: value[0])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, capsys):
+    assert cli_exit(*command, fixture("prisoners"), *flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flag)}\n" \
+        in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_the_moved_flags_change_the_output_where_they_are_read(
+        monkeypatch, capsys):
+    def out(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    # interdependence has two Nash profiles when infeasible swaps are
+    # skipped (the default) and none when they fail the candidate.  The
+    # nash-else-pareto policy test above covers the flag on goals.
+    spec = fixture("interdependence")
+    for flags, head in (((), "nash: 2 of 3"),
+                        (("--infeasible-swaps", "skip"), "nash: 2 of 3"),
+                        (("--infeasible-swaps", "fail"), "nash: 0 of 3")):
+        assert out("solve", "--concept", "nash", *flags, spec).startswith(
+            head)
+
+    # A seeded check that passes prints no draw, so each one is stubbed by
+    # one that prints its seed.
+    def seeded(name):
+        return lambda spec, seed, **kwargs: CheckResult(name, True, 1,
+                                                        f"seed {seed}")
+    for name in ("representation", "monotonicity"):
+        monkeypatch.setattr(bdgame.cli, f"check_{name}", seeded(name))
+        for flags, seed in (((), 0), (("--seed", "7"), 7)):
+            assert out("check", "--property", name, *flags, spec) == \
+                f"PASS {name}: 1 instances (seed {seed})\n"
 
 
 # cooperation: 4 candidate decisions per agent, 3 of them feasible, so 16
@@ -894,8 +940,9 @@ def ref_text(spec, command):
                     lines.append(f"      unreached[{a}]: {unreached or '-'}")
     elif args.command == "solve":
         game = derive_game(spec)
-        solution = solve_game(game, args.concept,
-                              infeasible_swaps=args.infeasible_swaps)
+        solution = solve_game(
+            game, args.concept,
+            fail_infeasible_swaps=args.infeasible_swaps == "fail")
         lines.append(f"{args.concept}: {len(solution.profile_indexes)} of "
                      f"{len(shown)} feasible profiles")
         for i in solution.profile_indexes:
@@ -918,7 +965,8 @@ def ref_text(spec, command):
         name = args.family or "all"
         if args.rule is not None:
             family = apply_decision_rule(
-                game, args.rule, infeasible_swaps=args.infeasible_swaps)
+                game, args.rule,
+                fail_infeasible_swaps=args.infeasible_swaps == "fail")
             label = f"decision rule {args.rule}"
         elif args.via_goals:
             result = pareto_via_goals(game)
@@ -929,8 +977,9 @@ def ref_text(spec, command):
             family = tuple(range(len(shown)))
             label = "all family"
         else:
-            family = concept_family(game, name,
-                                    infeasible_swaps=args.infeasible_swaps)
+            family = concept_family(
+                game, name,
+                fail_infeasible_swaps=args.infeasible_swaps == "fail")
             label = f"{name} family"
         goal_sets = delta_goal_sets(game, family)
         indexes = sorted(family)

@@ -50,8 +50,8 @@ from bdgame.decision import (AgentDesireStatus, Decision, DecisionProfile,
 from bdgame.errors import CombinatorialBoundError
 from bdgame.extension import (Extension, applicable_consequents, extension,
                               fixpoint_certificate)
-from bdgame.game import (FAIL, SKIP, ExclusionWitness, derive_game, dominant,
-                         nash, pareto, strongly_pareto)
+from bdgame.game import (ExclusionWitness, derive_game, dominant, nash,
+                         pareto, strongly_pareto)
 from bdgame.goals import (GoalSet, RepresentationViolation, _goal_decider,
                           concept_family, delta_goal_sets,
                           feasible_representation_check, fragment_check,
@@ -158,7 +158,7 @@ def ref_dominant(game):
     return tuple(column)
 
 
-def ref_nash(game, infeasible_swaps):
+def ref_nash(game, fail_infeasible_swaps):
     column = []
     for i, candidate in enumerate(evaluated_profiles(game.spec)):
         witness = None
@@ -170,7 +170,7 @@ def ref_nash(game, infeasible_swaps):
                 deviated = game.index_of(
                     candidate.profile.with_decision(deviation))
                 if deviated is None:
-                    if infeasible_swaps == FAIL:
+                    if fail_infeasible_swaps:
                         witness = ExclusionWitness(agent=agent_id,
                                                    decision=deviation)
                         break
@@ -284,9 +284,9 @@ def test_concepts_and_goal_sets_match_the_definitions():
                                  (strongly_pareto, ref_strongly_pareto),
                                  (dominant, ref_dominant)):
             assert_column_matches(solve(game), reference(game))
-        for policy in (SKIP, FAIL):
-            assert_column_matches(nash(game, infeasible_swaps=policy),
-                                  ref_nash(game, policy))
+        for fail in (False, True):
+            assert_column_matches(nash(game, fail_infeasible_swaps=fail),
+                                  ref_nash(game, fail))
         # The columns agree with the reference view, and every candidate's
         # feasible index points back at its position.
         assert [ep.report for ep in feasible] == list(game.reports)
@@ -340,9 +340,9 @@ def test_class_level_concepts_match_the_profile_loops():
             got = solve(game)
             assert_column_matches(got, reference(game))
             excluded += sum(w is not None for w in got.witness)
-        for policy in (SKIP, FAIL):
-            assert_column_matches(nash(game, infeasible_swaps=policy),
-                                  ref_nash(game, policy))
+        for fail in (False, True):
+            assert_column_matches(nash(game, fail_infeasible_swaps=fail),
+                                  ref_nash(game, fail))
         assert_game_extensions_match_the_definition(game)
         if games == CLASS_SPECS:
             break
@@ -416,9 +416,9 @@ def test_nash_matches_the_profile_loop_where_swaps_break_feasibility():
         games += 1
         three_agent += len(game.spec.agents) == 3
         unequal += len(set(map(len, game.feasible_decisions.values()))) > 1
-        for policy in (SKIP, FAIL):
-            got = nash(game, infeasible_swaps=policy)
-            assert_column_matches(got, ref_nash(game, policy))
+        for fail in (False, True):
+            got = nash(game, fail_infeasible_swaps=fail)
+            assert_column_matches(got, ref_nash(game, fail))
         decision_only += sum(w is not None and w.other is None
                              for w in got.witness)
     assert games >= 25 and three_agent >= 15 and unequal >= 25

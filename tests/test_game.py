@@ -4,18 +4,14 @@ import tracemalloc
 from collections import Counter
 from itertools import product
 
-import pytest
-
 import bdgame.decision
 import bdgame.game
 from bdgame.decision import (Decision, DecisionProfile, agent_extension,
                              desire_report, enumerate_decisions,
                              joint_extension, set_geq)
-from bdgame.game import (DOMINANT, FAIL, PARETO, SKIP, STRONG_PARETO,
-                         GameSpecification, derive_game, dominant, nash,
+from bdgame.game import (GameSpecification, derive_game, dominant, nash,
                          pareto, solve, strongly_pareto)
 from bdgame.errors import CombinatorialBoundError
-from bdgame.goals import apply_decision_rule, concept_family
 from bdgame.logic import Literal
 from bdgame.model import DecisionMode, parse_spec
 from bdgame.verify import check_game_laws, random_spec
@@ -160,38 +156,13 @@ def test_every_profile_nash_when_no_desires():
 def test_nash_infeasible_swaps_policies(interdependence):
     game = derive_game(interdependence)
     relaxed = nash(game)
-    strict = nash(game, infeasible_swaps=FAIL)
+    strict = nash(game, fail_infeasible_swaps=True)
     assert set(strict.profile_indexes) <= set(relaxed.profile_indexes)
     # alpha1 deciding a while alpha2 keeps b is jointly infeasible, so the
     # fail policy rejects <{},{b}> outright
     blocked = game.index_of(profile(alpha1=[], alpha2=["b"]))
     assert blocked in relaxed.profile_indexes
     assert blocked not in strict.profile_indexes
-
-
-def test_an_unknown_infeasible_swaps_policy_is_refused(interdependence):
-    game = derive_game(interdependence)
-    for call, policy in (
-            (lambda p: nash(game, infeasible_swaps=p), "bogus"),
-            (lambda p: solve(game, "nash", infeasible_swaps=p), "FAIL"),
-            (lambda p: apply_decision_rule(game, "nash-else-pareto",
-                                           infeasible_swaps=p), "nope")):
-        with pytest.raises(ValueError, match=f"policy '{policy}'"):
-            call(policy)
-
-
-def test_an_unknown_policy_is_refused_where_nash_is_never_asked(prisoners):
-    game = derive_game(prisoners)
-    calls = [lambda p, c=c: solve(game, c, infeasible_swaps=p)
-             for c in (PARETO, STRONG_PARETO, DOMINANT)]
-    calls += [lambda p, f=f: concept_family(game, f, infeasible_swaps=p)
-              for f in ("all", PARETO)]
-    calls.append(lambda p: apply_decision_rule(
-        game, "bd-rational", infeasible_swaps=p))
-    for call in calls:
-        with pytest.raises(ValueError, match="policy 'bogus'"):
-            call("bogus")
-        call(FAIL)
 
 
 def test_solution_sets_invariant_under_renaming(prisoners):
@@ -464,8 +435,8 @@ def seeded_games():
 def all_concepts(game):
     for concept in (pareto, strongly_pareto, dominant):
         concept(game)
-    for policy in (SKIP, FAIL):
-        nash(game, infeasible_swaps=policy)
+    for fail in (False, True):
+        nash(game, fail_infeasible_swaps=fail)
 
 
 def test_concepts_decide_each_pair_of_unreached_sets_once(monkeypatch):
@@ -535,7 +506,7 @@ def test_nash_builds_no_profile_and_looks_none_up(monkeypatch,
     monkeypatch.setattr(GameSpecification, "index_of", refuse)
     excluded = 0
     for game in [derive_game(interdependence), *seeded_games()]:
-        for policy in (SKIP, FAIL):
+        for fail in (False, True):
             excluded += sum(w is not None for w in nash(
-                game, infeasible_swaps=policy).witness)
+                game, fail_infeasible_swaps=fail).witness)
     assert excluded >= 1_000

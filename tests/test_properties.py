@@ -13,8 +13,8 @@ from bdgame.decision import (desire_report, is_feasible_decision,
                              is_feasible_profile)
 from bdgame.cli import _COMMANDS, _build_parser
 from bdgame.extension import Rule
-from bdgame.game import (CONCEPTS, FAIL, SKIP, ExclusionWitness,
-                         SolutionReport, derive_game, nash, solve)
+from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
+                         derive_game, nash, solve)
 from bdgame.goals import (DECISION_RULES, apply_decision_rule,
                           concept_family, pareto_via_goals, u_closure)
 from bdgame.logic import TRUE
@@ -146,11 +146,12 @@ def test_decision_rule_families_are_u_closed():
     # a rule's family holds exactly the profiles whose unreached sets one
     # of its members leaves.
     for spec, game in feasible_games(4242, 30):
-        families = [concept_family(game, concept, infeasible_swaps=policy)
+        families = [concept_family(game, concept, fail_infeasible_swaps=fail)
                     for concept in (*CONCEPTS, "all")
-                    for policy in (SKIP, FAIL)]
-        families += [apply_decision_rule(game, rule, infeasible_swaps=policy)
-                     for rule in DECISION_RULES for policy in (SKIP, FAIL)]
+                    for fail in (False, True)]
+        families += [apply_decision_rule(game, rule,
+                                         fail_infeasible_swaps=fail)
+                     for rule in DECISION_RULES for fail in (False, True)]
         families.append(pareto_via_goals(game).pareto_family)
         for family in families:
             assert u_closure(game, family) == family
@@ -410,10 +411,10 @@ def test_a_belief_concluding_a_fact_leaves_the_json_reports_byte_identical(
     assert compared >= 300
 
 
-def solution_decisions(game, concept, policy):
+def solution_decisions(game, concept, fail):
     """A concept's solution, each profile read as the set of its agents'
     decisions, whatever order the agents come in."""
-    solution = solve(game, concept, infeasible_swaps=policy)
+    solution = solve(game, concept, fail_infeasible_swaps=fail)
     return {frozenset(game.profile(i).decisions)
             for i in solution.profile_indexes}
 
@@ -432,10 +433,10 @@ def test_permuting_the_agents_changes_no_solution_and_no_goal_set():
         game, twin = derive_game(spec), derive_game(replace(spec,
                                                             agents=agents))
         for concept in CONCEPTS:
-            for policy in (SKIP, FAIL):
-                assert solution_decisions(twin, concept, policy) == \
-                    solution_decisions(game, concept, policy), \
-                    (concept, policy, format_spec(spec))
+            for fail in (False, True):
+                assert solution_decisions(twin, concept, fail) == \
+                    solution_decisions(game, concept, fail), \
+                    (concept, fail, format_spec(spec))
         assert set(twin.goal_sets) == set(game.goal_sets)
         permuted += 1
     assert permuted >= 300

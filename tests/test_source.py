@@ -48,7 +48,6 @@ def test_every_private_name_imported_across_modules_is_listed():
         "extension.py <- logic._universe",
         "game.py <- decision._check_profile_cap",
         "game.py <- decision._classify",
-        "goals.py <- game._fails_on_infeasible_swaps",
         "model.py <- logic._IDENT_RE",
         "model.py <- logic._RESERVED",
         "model.py <- logic._models",
