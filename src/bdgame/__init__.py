@@ -3,14 +3,14 @@
 from importlib import resources
 
 from .decision import (Decision, DecisionProfile, DesireReport,
-                       ProfileComparison, SetComparison, compare_profiles,
-                       desire_report, enumerate_decisions, enumerate_profiles,
+                       ProfileComparison, compare_profiles, desire_report,
+                       enumerate_decisions, enumerate_profiles,
                        is_feasible_decision, is_feasible_profile,
-                       joint_extension, set_preference)
+                       joint_extension)
 from .errors import (BdgameError, CombinatorialBoundError,
-                     CrossAgentRuleError, FormulaSyntaxError,
-                     InfeasibleProfileError, SpecSyntaxError,
-                     UndeclaredAtomError, VocabularyLimitError)
+                     FormulaSyntaxError, InfeasibleProfileError,
+                     SpecSyntaxError, UndeclaredAtomError,
+                     VocabularyLimitError)
 from .extension import (Extension, Rule, applicable_consequents, extension,
                         fixpoint_certificate)
 from .game import (GameSpecification, SolutionReport, derive_game, dominant,

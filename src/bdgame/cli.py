@@ -59,6 +59,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# The flags each ``check --property`` reads; it refuses the others.
+_CHECK_FLAGS = {"representation": ("--seed",),
+                "monotonicity": ("--seed", "--samples"),
+                "order-laws": (), "pipeline-equivalence": ()}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by later calls
@@ -119,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[common],
                              help="run a verification suite on the spec")
     p_check.add_argument("--property", required=True,
-                         choices=("representation", "monotonicity",
-                                  "order-laws", "pipeline-equivalence"))
-    p_check.add_argument("--seed", type=int, default=0,
+                         choices=tuple(_CHECK_FLAGS))
+    # None when not given: a property refuses the flags it does not read.
+    p_check.add_argument("--seed", type=int,
                          help="seed of the draws made by --property "
                               "representation and monotonicity")
-    p_check.add_argument("--samples", type=_positive_int, default=200,
+    p_check.add_argument("--samples", type=_positive_int,
                          help="samples drawn by --property monotonicity "
                               "(default 200)")
     return parser
@@ -499,13 +505,17 @@ def _goals_family(args: argparse.Namespace) -> str:
 
 
 def _cmd_check(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
-    _require_valid(spec)
     prop = args.property
+    for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
+        if value is not None and flag not in _CHECK_FLAGS[prop]:
+            raise BdgameError(f"--property {prop} does not read {flag}")
+    _require_valid(spec)
+    seed = args.seed or 0
     if prop == "representation":
-        result = check_representation(spec, seed=args.seed)
+        result = check_representation(spec, seed=seed)
     elif prop == "monotonicity":
-        result = check_monotonicity(spec, seed=args.seed,
-                                    samples=args.samples)
+        result = check_monotonicity(spec, seed=seed,
+                                    samples=args.samples or 200)
     elif prop == "order-laws":
         result = check_order_laws()
     else:

@@ -20,8 +20,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
-from .errors import (CombinatorialBoundError, CrossAgentRuleError,
-                     InfeasibleProfileError)
+from .errors import CombinatorialBoundError, InfeasibleProfileError
 from .extension import Extension
 from .logic import Formula, Literal, consistent_literals, literal_sort_key
 from .model import AgentSystemSpec, DecisionMode, PriorityOrder
@@ -290,13 +289,6 @@ def _classify(rows, fixed: Mapping[str, bool], theory: int,
 # Lifted preference
 # ---------------------------------------------------------------------------
 
-class SetComparison(Enum):
-    SUCCEEDS = "succeeds"
-    PRECEDES = "precedes"
-    EQUIVALENT = "equivalent"
-    INCOMPARABLE = "incomparable"
-
-
 class ProfileComparison(Enum):
     BETTER = "better"
     WORSE = "worse"
@@ -331,50 +323,23 @@ def set_geq(first: Iterable[str], second: Iterable[str],
     return True
 
 
-def set_preference(first: Iterable[str], second: Iterable[str],
-                   order: PriorityOrder) -> SetComparison:
-    """Compare two subsets of one agent's desires under its priority order."""
-    first_set, second_set = frozenset(first), frozenset(second)
-    foreign = (first_set | second_set) - order.rule_ids
-    if foreign:
-        raise CrossAgentRuleError(
-            f"rule ids outside the order's agent: {', '.join(sorted(foreign))}")
-    forward = set_geq(first_set, second_set, order)
-    backward = set_geq(second_set, first_set, order)
-    if forward and backward:
-        return SetComparison.EQUIVALENT
-    if forward:
-        return SetComparison.SUCCEEDS
-    if backward:
-        return SetComparison.PRECEDES
-    return SetComparison.INCOMPARABLE
-
-
-_SET_TO_PROFILE = {
-    SetComparison.SUCCEEDS: ProfileComparison.BETTER,
-    SetComparison.PRECEDES: ProfileComparison.WORSE,
-    SetComparison.EQUIVALENT: ProfileComparison.EQUAL,
-    SetComparison.INCOMPARABLE: ProfileComparison.INCOMPARABLE,
-}
-
-
-def compare_unreached(first_unreached: Iterable[str],
-                      second_unreached: Iterable[str],
-                      order: PriorityOrder) -> ProfileComparison:
-    """Profile comparison from two unreached sets.
-
-    Note the inversion: the profile whose unreached set sits lower in the
-    lifted order is the better one, so the roles are swapped before the set
-    comparison.
-    """
-    return _SET_TO_PROFILE[
-        set_preference(second_unreached, first_unreached, order)]
-
-
 def compare_profiles(spec: AgentSystemSpec, first: DecisionProfile,
                      second: DecisionProfile, agent_id: str) -> ProfileComparison:
-    """How ``first`` relates to ``second`` for one agent.  Both must be feasible."""
+    """How ``first`` relates to ``second`` for one agent.  Both must be feasible.
+
+    The profile whose unreached set sits lower in the lifted order is the
+    better one: ``first`` is at least as good as ``second`` when
+    ``second``'s unreached set is ``set_geq`` ``first``'s.
+    """
     order = spec.agent(agent_id).priority
     u_first = desire_report(spec, first).unreached(agent_id)
     u_second = desire_report(spec, second).unreached(agent_id)
-    return compare_unreached(u_first, u_second, order)
+    at_least = set_geq(u_second, u_first, order)
+    at_most = set_geq(u_first, u_second, order)
+    if at_least and at_most:
+        return ProfileComparison.EQUAL
+    if at_least:
+        return ProfileComparison.BETTER
+    if at_most:
+        return ProfileComparison.WORSE
+    return ProfileComparison.INCOMPARABLE

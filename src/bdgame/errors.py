@@ -41,7 +41,3 @@ class CombinatorialBoundError(BdgameError):
 
 class InfeasibleProfileError(BdgameError):
     """Operation undefined on profiles with inconsistent extensions."""
-
-
-class CrossAgentRuleError(BdgameError):
-    """Rule ids passed to a preference query belong to another agent."""

@@ -48,28 +48,29 @@ IDENTITY = "identity"
 class PriorityOrder:
     """Priority over one agent's desire rules.
 
-    ``ranked``: an injective rank per desire rule; higher rank means higher
-    priority, and distinct ranks give a strict total order.  ``identity``:
-    no rule outranks another (d >= d' only when d = d').
+    ``ranks`` maps each desire rule to its rank: higher rank means higher
+    priority, and distinct ranks give a strict total order.  ``None`` is
+    the identity order: no rule outranks another (d >= d' only when
+    d = d').  The spec's ``priority ranked|identity`` keyword is read off
+    it.
     """
 
-    mode: str
-    rule_ids: frozenset[str]
     # Left out of the hash (a dict has none); equal orders still hash equal.
-    ranks: dict[str, int] | None = field(default=None, hash=False)
+    ranks: dict[str, int] | None = field(hash=False)
 
     @classmethod
     def ranked(cls, ranks: dict[str, int]) -> "PriorityOrder":
-        return cls(RANKED, frozenset(ranks), dict(ranks))
+        return cls(dict(ranks))
 
     @classmethod
-    def identity(cls, rule_ids) -> "PriorityOrder":
-        return cls(IDENTITY, frozenset(rule_ids), None)
+    def identity(cls) -> "PriorityOrder":
+        return cls(None)
 
     def strictly_preferred(self, first: str, second: str) -> bool:
-        if self.mode != RANKED or self.ranks is None:
+        ranks = self.ranks
+        if ranks is None:
             return False
-        return self.ranks.get(first, 0) > self.ranks.get(second, 0)
+        return ranks.get(first, 0) > ranks.get(second, 0)
 
 
 @dataclass(frozen=True)
@@ -265,16 +266,15 @@ def validate_spec(spec: AgentSystemSpec) -> list[Violation]:
                     f"belief {r.id} concludes {format_formula(r.consequent)},"
                     " which mentions decision atoms"))
         desire_ids = agent.desire_ids()
-        foreign = (agent.priority.rule_ids
-                   | set(agent.priority.ranks or ())) - desire_ids
-        if foreign:
-            out.append(Violation(
-                "cross-agent-priority", "error", agent.id,
-                f"priority mentions rules not owned by the agent: "
-                f"{', '.join(sorted(foreign))}"))
-        if agent.priority.mode == RANKED:
-            ranks = agent.priority.ranks or {}
-            missing = desire_ids - set(ranks)
+        ranks = agent.priority.ranks
+        if ranks is not None:
+            foreign = ranks.keys() - desire_ids
+            if foreign:
+                out.append(Violation(
+                    "cross-agent-priority", "error", agent.id,
+                    f"priority mentions rules not owned by the agent: "
+                    f"{', '.join(sorted(foreign))}"))
+            missing = desire_ids - ranks.keys()
             if missing:
                 out.append(Violation(
                     "priority-not-total", "error", agent.id,
@@ -538,16 +538,14 @@ def _resolve(name: str, options: dict, world: list[str],
                 desires.append(rule)
                 if r.rank is not None:
                     ranks[rule_id] = r.rank
-        mode = raw.priority_mode or IDENTITY
-        if mode == IDENTITY and ranks:
+        if raw.priority_mode == RANKED:
+            # validate_spec reports desires the ranking misses
+            priority = PriorityOrder(ranks)
+        elif ranks:
             raise SpecSyntaxError(
                 "ranks are only meaningful with 'priority ranked'", raw.line)
-        if mode == RANKED:
-            # validate_spec reports desires the ranking misses
-            priority = PriorityOrder(RANKED, frozenset(r.id for r in desires),
-                                     ranks)
         else:
-            priority = PriorityOrder.identity(r.id for r in desires)
+            priority = PriorityOrder.identity()
         initial = set()
         for token, lineno in raw.initial:
             try:
@@ -588,12 +586,13 @@ def format_spec(spec: AgentSystemSpec) -> str:
         lines.append(f"agent {agent.id} {{")
         if agent.decision_atoms:
             lines.append("  atoms " + " ".join(agent.decision_atoms))
-        lines.append(f"  priority {agent.priority.mode}")
+        ranks = agent.priority.ranks
+        lines.append(f"  priority {IDENTITY if ranks is None else RANKED}")
         for f in agent.facts:
             lines.append(f"  fact {format_formula(f)}")
         for r in agent.beliefs:
             lines.append(f"  belief {r.id}: {r.antecedent} => {r.consequent}")
-        ranks = agent.priority.ranks or {}
+        ranks = ranks or {}
         for r in agent.desires:
             tag = f" [rank={ranks[r.id]}]" if r.id in ranks else ""
             lines.append(

@@ -20,8 +20,8 @@ from .goals import (_goal_decider, _representation_violations,
                     pareto_via_goals, u_closure)
 from .logic import (And, Formula, Implies, Not, Or, TRUE, Var,
                     model_builder)
-from .model import (IDENTITY, AgentSpec, AgentSystemSpec, DecisionMode,
-                    PriorityOrder, format_spec)
+from .model import (AgentSpec, AgentSystemSpec, DecisionMode, PriorityOrder,
+                    format_spec)
 
 
 NOTHING_TO_CHECK = "nothing to check: no feasible profile"
@@ -79,10 +79,9 @@ def random_theory(rng: random.Random, atoms: Sequence[str],
 
 
 def _random_priority(rng: random.Random, desires: Sequence[Rule]) -> PriorityOrder:
-    ids = [r.id for r in desires]
     if rng.random() < 0.3:
-        return PriorityOrder.identity(ids)
-    shuffled = list(ids)
+        return PriorityOrder.identity()
+    shuffled = [r.id for r in desires]
     rng.shuffle(shuffled)
     return PriorityOrder.ranked({rid: i + 1 for i, rid in enumerate(shuffled)})
 
@@ -252,7 +251,7 @@ def check_order_laws(max_rules: int = 4) -> CheckResult:
     identity-mode/superset equivalence, exhaustively over small rule sets."""
     ids = tuple(f"d{i + 1}" for i in range(max_rules))
     ranked = PriorityOrder.ranked({d: i + 1 for i, d in enumerate(ids)})
-    ident = PriorityOrder.identity(ids)
+    ident = PriorityOrder.identity()
     subsets = [frozenset(c) for size in range(len(ids) + 1)
                for c in combinations(ids, size)]
     checked = 0
@@ -266,7 +265,7 @@ def check_order_laws(max_rules: int = 4) -> CheckResult:
                                    {"set": sorted(x)})
         for x, y in product(subsets, repeat=2):
             checked += 1
-            if order.mode == IDENTITY:
+            if order.ranks is None:
                 if set_geq(x, y, order) != (y <= x):
                     return CheckResult(
                         "order-laws", False, checked,

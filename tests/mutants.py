@@ -307,6 +307,42 @@ MUTANTS = (
            "    if not gains:\n        return False",
            "    if not gains:\n        return True",
            ("tests/test_decision.py::test_set_geq_matches_its_definition",)),
+    Mutant("ranks-compared-weakly", "model.py",
+           "return ranks.get(first, 0) > ranks.get(second, 0)",
+           "return ranks.get(first, 0) >= ranks.get(second, 0)",
+           ("tests/test_decision.py::test_priority_pair",
+            "tests/test_decision.py::test_set_geq_matches_its_definition")),
+    Mutant("priority-keyword-printed-the-other-way", "model.py",
+           "{IDENTITY if ranks is None else RANKED}",
+           "{RANKED if ranks is None else IDENTITY}",
+           ("tests/test_model.py::"
+            "test_print_parse_identity_on_fixtures[single_agent_priorities]",
+            "tests/test_model.py::"
+            "test_orders_built_in_the_library_print_and_parse_back[identity]",
+            "tests/test_model.py::"
+            "test_orders_built_in_the_library_print_and_parse_back"
+            "[tie-free]")),
+    Mutant("foreign-ranks-unchecked", "model.py",
+           "foreign = ranks.keys() - desire_ids",
+           "foreign = set()",
+           ("tests/test_model.py::test_cross_agent_priority_flagged",)),
+    Mutant("profile-comparison-better-and-worse-swapped", "decision.py",
+           "    if at_least:\n"
+           "        return ProfileComparison.BETTER\n"
+           "    if at_most:\n"
+           "        return ProfileComparison.WORSE",
+           "    if at_least:\n"
+           "        return ProfileComparison.WORSE\n"
+           "    if at_most:\n"
+           "        return ProfileComparison.BETTER",
+           ("tests/test_decision.py::test_smaller_unreached_set_wins",
+            "tests/test_decision.py::test_opposed_interests_chains")),
+    Mutant("check-reads-every-flag", "cli.py",
+           "if value is not None and flag not in _CHECK_FLAGS[prop]:",
+           "if False:",
+           ("tests/test_cli.py::"
+            "test_a_check_property_refuses_the_flags_it_does_not_read"
+            "[order-laws-seed]",)),
     Mutant("belief-consequents-left-out-of-the-universe", "model.py",
            "constrained |= names",
            "constrained |= names if f in agent.facts else set()",
@@ -460,7 +496,10 @@ MUTANTS = (
            'return args.infeasible_swaps == "fail"',
            'return args.infeasible_swaps != "fail"',
            ("tests/test_cli.py::"
-            "test_the_moved_flags_change_the_output_where_they_are_read",)),
+            "test_the_moved_flags_change_the_output_where_they_are_read",
+            "tests/test_cli.py::"
+            "test_nash_else_pareto_follows_the_infeasible_swaps_policy"
+            "[fail-pareto family: 3 profiles]")),
     Mutant("goal-set-built-per-profile", "game.py",
            "return tuple(read[id(report)] for report in self.reports)",
            "return tuple(GoalSet(read[id(report)].positive, "
@@ -493,9 +532,15 @@ def survivors(mutant: Mutant) -> list[str]:
         except subprocess.TimeoutExpired:
             return [f"{test} (timed out after {TIMEOUT_S} s)"
                     for test in mutant.tests]
-    failed = {line.split()[1] for line in run.stdout.splitlines()
-              if line.startswith("FAILED ")}
+    failed = failed_ids(run.stdout)
     return [test for test in mutant.tests if test not in failed]
+
+
+def failed_ids(stdout: str) -> set[str]:
+    """The test ids of pytest's ``FAILED`` lines (``-rf``): each id runs up
+    to the `` - `` before the error, and a parametrized id may hold spaces."""
+    return {line[len("FAILED "):].split(" - ", 1)[0]
+            for line in stdout.splitlines() if line.startswith("FAILED ")}
 
 
 def main() -> int:

@@ -253,9 +253,10 @@ def test_goals_refuses_a_via_goals_family_before_deriving_the_game(capsys):
 
 
 def test_check_commands_pass():
-    for prop in ("representation", "monotonicity", "order-laws",
-                 "pipeline-equivalence"):
-        result = run_cli("check", "--property", prop, "--samples", "50",
+    for prop, flags in (("representation", ("--seed", "3")),
+                        ("monotonicity", ("--samples", "50")),
+                        ("order-laws", ()), ("pipeline-equivalence", ())):
+        result = run_cli("check", "--property", prop, *flags,
                          fixture("cooperation"))
         assert result.returncode == 0, (prop, result.stdout, result.stderr)
         assert "PASS" in result.stdout
@@ -359,6 +360,26 @@ def test_a_flag_the_command_does_not_read_is_refused(command, flag, capsys):
     assert f"error: unrecognized arguments: {' '.join(flag)}\n" \
         in captured.err
     assert "Traceback" not in captured.err
+
+
+# check reads --seed on representation and monotonicity and --samples on
+# monotonicity alone; the other properties refuse them.
+@pytest.mark.parametrize("prop, flag", [
+    ("order-laws", ("--seed", "3")),
+    ("order-laws", ("--samples", "5")),
+    ("pipeline-equivalence", ("--seed", "3")),
+    ("pipeline-equivalence", ("--samples", "5")),
+    ("representation", ("--samples", "5")),
+], ids=["order-laws-seed", "order-laws-samples", "pipeline-equivalence-seed",
+        "pipeline-equivalence-samples", "representation-samples"])
+def test_a_check_property_refuses_the_flags_it_does_not_read(prop, flag,
+                                                            capsys):
+    assert cli_exit("check", "--property", prop, *flag,
+                    fixture("prisoners")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"bdgame: --property {prop} does not read {flag[0]}\n"
 
 
 def test_the_moved_flags_change_the_output_where_they_are_read(

@@ -4,14 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from bdgame.decision import (Decision, ProfileComparison, SetComparison,
-                             compare_profiles, compare_unreached,
+from bdgame.decision import (Decision, ProfileComparison, compare_profiles,
                              desire_report,
                              enumerate_decisions, enumerate_profiles,
                              is_feasible_decision, is_feasible_profile,
-                             joint_extension, set_geq, set_preference)
-from bdgame.errors import (CombinatorialBoundError, CrossAgentRuleError,
-                           InfeasibleProfileError)
+                             joint_extension, set_geq)
+from bdgame.errors import CombinatorialBoundError, InfeasibleProfileError
 from bdgame.logic import Literal, Not, Var
 from bdgame.model import PriorityOrder, parse_spec
 
@@ -168,22 +166,26 @@ def test_reaching_everything(cooperation):
 # ---------------------------------------------------------------------------
 
 RANKED = PriorityOrder.ranked({"d1": 1, "d2": 2, "d3": 3, "d4": 4})
-IDENT = PriorityOrder.identity(["d1", "d2", "d3", "d4"])
+IDENT = PriorityOrder.identity()
 
 
 def test_equal_sets_are_equivalent():
-    assert set_preference({"d1", "d3"}, {"d1", "d3"}, RANKED) == \
-        SetComparison.EQUIVALENT
+    assert set_geq({"d1", "d3"}, {"d1", "d3"}, RANKED)
 
 
 def test_priority_pair():
-    order = PriorityOrder.ranked({"d_bp": 2, "d_b": 1})
-    assert set_preference({"d_bp"}, {"d_b"}, order) == SetComparison.SUCCEEDS
+    order = PriorityOrder.ranked({"d_bp": 2, "d_b": 1, "d_tie": 1})
+    assert set_geq({"d_bp"}, {"d_b"}, order)
+    assert not set_geq({"d_b"}, {"d_bp"}, order)
+    # A tie outranks neither way.
+    assert not set_geq({"d_b"}, {"d_tie"}, order)
+    assert not set_geq({"d_tie"}, {"d_b"}, order)
 
 
 def test_nonempty_succeeds_empty():
-    assert set_preference({"d1"}, set(), RANKED) == SetComparison.SUCCEEDS
-    assert set_preference(set(), set(), RANKED) == SetComparison.EQUIVALENT
+    assert set_geq({"d1"}, set(), RANKED)
+    assert not set_geq(set(), {"d1"}, RANKED)
+    assert set_geq(set(), set(), RANKED)
 
 
 def test_identity_mode_is_superset():
@@ -194,20 +196,20 @@ def test_identity_mode_is_superset():
         for y in subsets:
             assert set_geq(x, y, IDENT) == (y <= x)
     # Neither of two disjoint sets outranks the other.
-    order = PriorityOrder.identity(["d1", "d2"])
-    assert set_preference({"d1"}, {"d2"}, order) == \
-        SetComparison.INCOMPARABLE
-    assert compare_unreached({"d1"}, {"d2"}, order) == \
-        ProfileComparison.INCOMPARABLE
+    assert not set_geq({"d1"}, {"d2"}, IDENT)
+    assert not set_geq({"d2"}, {"d1"}, IDENT)
 
 
 def ref_set_geq(first, second, order):
     """The lifted order as first written, without early exits: every loss
-    is outranked by some gain."""
+    is outranked by some gain of a strictly higher rank (an unranked rule
+    has rank 0, and the identity order ranks nothing above anything)."""
     first_set, second_set = frozenset(first), frozenset(second)
     gains = first_set - second_set
+    ranks = order.ranks
     return all(
-        any(order.strictly_preferred(g, loss) for g in gains)
+        ranks is not None
+        and any(ranks.get(g, 0) > ranks.get(loss, 0) for g in gains)
         for loss in second_set - first_set)
 
 
@@ -218,7 +220,7 @@ def test_set_geq_matches_its_definition():
         ids = [f"d{k}" for k in range(rng.randint(0, 6))]
         # Ranks drawn from a small range, so ties are common.
         orders = (PriorityOrder.ranked({d: rng.randint(0, 3) for d in ids}),
-                  PriorityOrder.identity(ids))
+                  PriorityOrder.identity())
         for _ in range(20):
             first = rng.sample(ids, rng.randint(0, len(ids)))
             second = rng.sample(ids, rng.randint(0, len(ids)))
@@ -227,8 +229,8 @@ def test_set_geq_matches_its_definition():
                 assert set_geq(first, second, order) == expected
                 losses = set(second) - set(first)
                 gains = set(first) - set(second)
-                answers[expected, bool(losses), bool(gains),
-                        order.mode] += 1
+                mode = "identity" if order.ranks is None else "ranked"
+                answers[expected, bool(losses), bool(gains), mode] += 1
     # Both answers with losses and gains under both modes, and the two
     # early exits.
     for mode in ("ranked", "identity"):
@@ -236,11 +238,6 @@ def test_set_geq_matches_its_definition():
         assert answers[True, False, True, mode] >= 100
         assert answers[False, True, False, mode] >= 100
     assert answers[True, True, True, "ranked"] >= 100
-
-
-def test_cross_agent_rule_ids_rejected():
-    with pytest.raises(CrossAgentRuleError):
-        set_preference({"d1"}, {"other"}, RANKED)
 
 
 # ---------------------------------------------------------------------------

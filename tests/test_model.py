@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from bdgame import example_path
 from bdgame.decision import enumerate_decisions
 from bdgame.errors import BdgameError, SpecSyntaxError
 from bdgame.extension import Rule
-from bdgame.game import derive_game
+from bdgame.game import derive_game, pareto
 from bdgame.logic import TRUE, Literal, Var
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
                           PriorityOrder, _strip_comment, format_spec,
@@ -29,7 +30,7 @@ def test_parse_counts(single_agent_priorities):
     assert len(agent.beliefs) == 3
     assert len(agent.desires) == 5
     assert agent.initial_decision == {Literal("a")}
-    assert agent.priority.mode == "ranked"
+    assert agent.priority.ranks.keys() == agent.desire_ids()
     assert agent.priority.ranks["d_bp"] > agent.priority.ranks["d_q"] > \
         agent.priority.ranks["d_a"] > agent.priority.ranks["d_b"] > \
         agent.priority.ranks["d_dq"]
@@ -186,7 +187,7 @@ def test_cross_agent_priority_flagged():
 def test_inconsistent_initial_decision_flagged():
     agent = AgentSpec(
         id="x", decision_atoms=("a",), facts=(), beliefs=(), desires=(),
-        priority=PriorityOrder.identity(()),
+        priority=PriorityOrder.identity(),
         initial_decision=frozenset({Literal("a"), Literal("a", False)}))
     spec = AgentSystemSpec("t", (agent,), ())
     assert any(v.code == "initial-decision-inconsistent"
@@ -222,6 +223,32 @@ def test_validation_is_declaration_order_independent():
 def test_print_parse_identity_on_fixtures(name, request):
     spec = request.getfixturevalue(name)
     assert parse_spec(format_spec(spec)) == spec
+
+
+# single_agent_priorities with its own ranks, with ties among them (which
+# validate_spec refuses) and under the identity order.
+@pytest.mark.parametrize("ranks, solution", [
+    ({"d_bp": 5, "d_q": 4, "d_a": 3, "d_b": 2, "d_dq": 1}, (5, 6, 7)),
+    ({"d_bp": 2, "d_q": 2, "d_a": 1, "d_b": 1, "d_dq": 1}, (5, 6, 7)),
+    (None, (0, 1, 2, 5, 6, 7)),
+], ids=["tie-free", "ties", "identity"])
+def test_orders_built_in_the_library_print_and_parse_back(
+        ranks, solution, single_agent_priorities):
+    # An order is its ranks, so no order the library builds prints a
+    # ``priority`` keyword that disagrees with its rank tags.
+    assert [f.name for f in fields(PriorityOrder)] == ["ranks"]
+    order = (PriorityOrder.identity() if ranks is None
+             else PriorityOrder.ranked(ranks))
+    spec = replace(single_agent_priorities, agents=(replace(
+        single_agent_priorities.agents[0], priority=order),))
+    if ranks is not None and len(set(ranks.values())) < len(ranks):
+        assert {v.code for v in validate_spec(spec)} == {"priority-not-total"}
+    else:
+        assert validate_spec(spec) == []
+    twin = parse_spec(format_spec(spec))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert pareto(derive_game(spec)).profile_indexes == solution
+    assert pareto(derive_game(twin)).profile_indexes == solution
 
 
 def test_print_parse_identity_on_random_specs():

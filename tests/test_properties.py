@@ -18,7 +18,7 @@ from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
 from bdgame.goals import (DECISION_RULES, apply_decision_rule,
                           concept_family, pareto_via_goals, u_closure)
 from bdgame.logic import TRUE
-from bdgame.model import RANKED, DecisionMode, PriorityOrder, validate_spec
+from bdgame.model import DecisionMode, PriorityOrder, validate_spec
 from bdgame.verify import (CheckResult, check_extension_laws,
                            check_game_laws, check_heuristic_fragment,
                            check_monotonicity, check_order_laws,
@@ -369,13 +369,10 @@ def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
         owner = rng.randrange(len(spec.agents))
         agent = spec.agents[owner]
         always = Rule(f"{agent.id}_always", TRUE, TRUE, "desire", agent.id)
-        if agent.priority.mode == RANKED:
-            ranks = agent.priority.ranks
+        priority, ranks = agent.priority, agent.priority.ranks
+        if ranks is not None:
             priority = PriorityOrder.ranked(
                 {**ranks, always.id: min(ranks.values(), default=1) - 1})
-        else:
-            priority = PriorityOrder.identity(
-                agent.priority.rule_ids | {always.id})
         twin = replace(spec, agents=tuple(
             replace(a, desires=a.desires + (always,), priority=priority)
             if k == owner else a for k, a in enumerate(spec.agents)))

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import ModuleType
 
 import bdgame
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, failed_ids
 
 LIBRARY = Path(bdgame.__file__).parent
 SOURCES = sorted(LIBRARY.glob("*.py"))
@@ -69,12 +69,12 @@ def test_the_public_surface_is_listed():
                       and not isinstance(value, ModuleType))
     assert exported == [
         "AgentSpec", "AgentSystemSpec", "Atom", "BdgameError",
-        "CombinatorialBoundError", "CrossAgentRuleError", "Decision",
-        "DecisionMode", "DecisionProfile", "DesireReport", "Extension",
-        "Formula", "FormulaSyntaxError", "GameSpecification", "GoalSet",
+        "CombinatorialBoundError", "Decision", "DecisionMode",
+        "DecisionProfile", "DesireReport", "Extension", "Formula",
+        "FormulaSyntaxError", "GameSpecification", "GoalSet",
         "InfeasibleProfileError", "Literal", "PriorityOrder",
-        "ProfileComparison", "Rule", "SetComparison", "SolutionReport",
-        "SpecSyntaxError", "UndeclaredAtomError", "Violation", "Vocabulary",
+        "ProfileComparison", "Rule", "SolutionReport", "SpecSyntaxError",
+        "UndeclaredAtomError", "Violation", "Vocabulary",
         "VocabularyLimitError", "applicable_consequents",
         "apply_decision_rule", "atoms_of", "compare_profiles", "consistent",
         "delta_goal_sets", "derive_game", "desire_report", "dominant",
@@ -85,9 +85,8 @@ def test_the_public_surface_is_listed():
         "is_feasible_decision", "is_feasible_profile", "is_goal_based",
         "is_valid", "joint_extension", "load_example", "nash", "pareto",
         "pareto_via_goals", "parse_formula", "parse_spec",
-        "representation_check", "set_preference", "solve",
-        "strongly_pareto", "syntactic_goal_sets", "u_closure",
-        "validate_spec",
+        "representation_check", "solve", "strongly_pareto",
+        "syntactic_goal_sets", "u_closure", "validate_spec",
     ]
 
 
@@ -158,3 +157,15 @@ def test_every_mutant_applies_once_and_names_existing_tests():
             name = name.partition("[")[0]  # a parametrized test's id
             assert f"\ndef {name}(" in (ROOT / path).read_text(
                 encoding="utf-8"), test
+
+
+def test_the_mutant_runner_reads_whole_failed_ids():
+    # pytest ends a FAILED line's id at " - ", before the error; a
+    # parametrized id may hold spaces of its own.
+    test = ("tests/test_cli.py::test_nash_else_pareto_follows_the_"
+            "infeasible_swaps_policy[fail-pareto family: 3 profiles]")
+    stdout = (f"F.\nFAILED {test} - AssertionError: assert 1 == 0\n"
+              "FAILED tests/test_game.py::test_pareto_prisoners\n"
+              "1 failed, 1 passed in 0.1s\n")
+    assert failed_ids(stdout) == {
+        test, "tests/test_game.py::test_pareto_prisoners"}
