@@ -19,8 +19,8 @@ from .goals import (GoalSet, apply_decision_rule, delta_goal_sets,
                     feasible_representation_check, fragment_check,
                     heuristic_goals, is_goal_based, pareto_via_goals,
                     representation_check, syntactic_goal_sets, u_closure)
-from .logic import (Atom, Formula, Literal, Vocabulary, atoms_of, consistent,
-                    entails, format_formula, in_sublanguage, parse_formula)
+from .logic import (Formula, Literal, atoms_of, consistent, entails,
+                    format_formula, parse_formula)
 from .model import (AgentSpec, AgentSystemSpec, DecisionMode, PriorityOrder,
                     Violation, format_spec, is_valid, parse_spec,
                     validate_spec)

@@ -53,7 +53,7 @@ from .errors import CombinatorialBoundError, InfeasibleProfileError
 from .extension import extension
 from .game import (NASH, PARETO, GameSpecification, GoalSet, goal_set_key,
                    solve)
-from .logic import Formula, formula_printer, in_sublanguage, model_builder
+from .logic import Formula, formula_printer, model_builder
 from .model import AgentSystemSpec
 
 DEFAULT_SUBSET_CAP = 16
@@ -127,7 +127,7 @@ def _goal_decider(game: GameSpecification) -> Callable[[int, GoalSet], bool]:
     patterns are built once for the decider.  All of it dies with the
     decider."""
     spec = game.spec
-    build = model_builder(spec.vocabulary.names, spec.max_atoms)
+    build = model_builder(tuple(spec.vocabulary), spec.max_atoms)
     parts = [tuple(ds.values()) for ds in game.feasible_decisions.values()]
     radixes = [(stride, radix) for _, _, stride, radix in game._digits]
     digits: list[int] = []  # the last profile's digit per agent ...
@@ -215,8 +215,11 @@ class RepresentationViolation:
 
 @dataclass(frozen=True)
 class CheckReport:
-    passed: bool
-    violations: tuple[RepresentationViolation, ...] = ()
+    violations: tuple[RepresentationViolation, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _representation_violations(game: GameSpecification,
@@ -273,7 +276,7 @@ def representation_check(game: GameSpecification,
     violations = _representation_violations(
         game, _members(game, family),
         lambda i: decide(i, game.goal_sets[i]))
-    return CheckReport(not violations, violations)
+    return CheckReport(violations)
 
 
 def feasible_representation_check(game: GameSpecification) -> CheckReport:
@@ -299,7 +302,7 @@ def feasible_representation_check(game: GameSpecification) -> CheckReport:
                     "member-without-goal-set", profile, None,
                     f"{profile} is not goal-based for any goal set of its "
                     f"indistinguishability class"))
-    return CheckReport(not violations, tuple(violations))
+    return CheckReport(tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +442,7 @@ def heuristic_goals(spec: AgentSystemSpec) -> frozenset[Formula]:
     rules = spec.all_beliefs() + spec.all_desires()
     base = [f for a in spec.agents for f in a.facts]
     base += [lit.formula() for a in spec.agents for lit in a.initial_decision]
-    ext = extension(rules, base, atoms=spec.vocabulary.names,
+    ext = extension(rules, base, atoms=tuple(spec.vocabulary),
                     max_atoms=spec.max_atoms)
     return ext.formulas
 
@@ -454,6 +457,4 @@ def fragment_check(spec: AgentSystemSpec) -> bool:
     a profile that decides it.  ``verify.check_heuristic_fragment``
     counts the misses.
     """
-    vocab = spec.vocabulary
-    return all(in_sublanguage(r.antecedent, vocab, "world")
-               for r in spec.all_beliefs())
+    return all(spec.world_formula(r.antecedent) for r in spec.all_beliefs())

@@ -1,6 +1,5 @@
-"""Propositional vocabulary, formulas, parsing, and classical entailment.
+"""Propositional formulas, parsing, and classical entailment.
 
-The vocabulary is partitioned into per-agent decision atoms and world atoms.
 Formulas are immutable ASTs compared syntactically: formula sets throughout
 the package are *not* closed under logical consequence, so set membership is
 syntax-level on purpose.
@@ -29,6 +28,11 @@ width) and filled on first use.  ``models``, ``entails`` and
 ``consistent`` own one table per call, a ``model_builder`` owns one for
 its caller, and ``conditioned_models`` and ``RuleEntry`` take their
 caller's.  No table lives at module level.
+
+Nothing here knows which agent owns an atom: the partition of the
+vocabulary into each agent's decision atoms and the world atoms is one map
+on the spec, ``model.AgentSystemSpec.vocabulary``, and the parser takes
+any container of declared names.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import FormulaSyntaxError, UndeclaredAtomError, VocabularyLimitError
 
@@ -44,55 +48,6 @@ DEFAULT_MAX_ATOMS = 24
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 _RESERVED = {"true", "false"}
-
-
-# ---------------------------------------------------------------------------
-# Vocabulary
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Atom:
-    """A propositional atom: a decision atom of one agent, or a world atom.
-
-    ``owner`` is the agent id for decision atoms and ``None`` for world atoms.
-    """
-
-    name: str
-    owner: str | None = None
-
-
-class Vocabulary:
-    """The declared atom table. Names are unique across the whole table."""
-
-    def __init__(self, atoms: Iterable[Atom]):
-        table: dict[str, Atom] = {}
-        for atom in atoms:
-            if not _IDENT_RE.fullmatch(atom.name) or atom.name in _RESERVED:
-                raise UndeclaredAtomError(atom.name)
-            if atom.name in table:
-                raise ValueError(f"duplicate atom '{atom.name}'")
-            table[atom.name] = atom
-        self._table = table
-        self._names = tuple(table)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._table.values())
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def owner(self, name: str) -> str | None:
-        try:
-            return self._table[name].owner
-        except KeyError:
-            raise UndeclaredAtomError(name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +158,7 @@ def _nest(nesting: int, at: int) -> int:
 # checks the depth on the way down and the height on the way up.
 
 def _operand(tokens: list[tuple[str, int]], i: int, depth: int,
-             vocabulary: Vocabulary | None) -> tuple[Formula, int, int]:
+             vocabulary: Container[str] | None) -> tuple[Formula, int, int]:
     text, at = tokens[i]
     if text == "!":
         f, height, i = _operand(tokens, i + 1, _nest(depth + 1, at),
@@ -232,7 +187,7 @@ def _operand(tokens: list[tuple[str, int]], i: int, depth: int,
 
 
 def _expression(tokens: list[tuple[str, int]], i: int, depth: int,
-                lowest: int, vocabulary: Vocabulary | None
+                lowest: int, vocabulary: Container[str] | None
                 ) -> tuple[Formula, int, int]:
     # Precedence climbing: the operators binding at least ``lowest``.
     left, height, i = _operand(tokens, i, depth, vocabulary)
@@ -252,8 +207,10 @@ def _expression(tokens: list[tuple[str, int]], i: int, depth: int,
         height = _nest(max(height, below) + 1, at)
 
 
-def parse_formula(text: str, vocabulary: Vocabulary | None = None) -> Formula:
-    """Parse formula source text against a vocabulary.
+def parse_formula(text: str,
+                  vocabulary: Container[str] | None = None) -> Formula:
+    """Parse formula source text against a vocabulary, any container of
+    the declared atom names.
 
     Raises FormulaSyntaxError with the offending column, also for a
     formula nested deeper than ``MAX_NESTING``, or UndeclaredAtomError for
@@ -563,30 +520,3 @@ class RuleEntry:
                 f, given, self.world, outside.difference(given), self.patterns)
         self.table[key] = masks
         return masks
-
-
-# ---------------------------------------------------------------------------
-# Sublanguages
-# ---------------------------------------------------------------------------
-
-def in_sublanguage(f: Formula, vocabulary: Vocabulary, lang: str,
-                   agent: str | None = None) -> bool:
-    """Membership in a sublanguage of the partitioned vocabulary.
-
-    ``lang`` is one of:
-      - "world": every atom is a world atom
-      - "decision": every atom is a decision atom of ``agent``
-      - "full": always true (the unrestricted language)
-
-    Atom-free formulas belong to every sublanguage.
-    """
-    if lang == "full":
-        return True
-    names = atoms_of(f)
-    if lang == "world":
-        return all(vocabulary.owner(n) is None for n in names)
-    if lang == "decision":
-        if agent is None:
-            raise ValueError("lang='decision' requires an agent id")
-        return all(vocabulary.owner(n) == agent for n in names)
-    raise ValueError(f"unknown sublanguage {lang!r}")

@@ -5,6 +5,14 @@ desire rules, a priority order over the agent's own desires, and an initial
 decision (a literal set the agent is already committed to).  World atoms are
 shared.  Decision-atom sets are pairwise disjoint and disjoint from world
 atoms; priorities never span agents.
+
+Atom ownership lives in one map, ``AgentSystemSpec.vocabulary``: each atom
+name to the id of the agent that owns it, or ``None`` for a world atom.
+``_declare`` is the one builder of such a map and holds the rules for atom
+names; the parser calls it per declaration line, and a spec calls it on
+its own atoms when it is built, so a spec built in Python is refused with
+the parser's messages.  ``AgentSystemSpec.world_formula`` is the one
+question asked of the map.
 """
 
 from __future__ import annotations
@@ -13,14 +21,14 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import BdgameError, SpecSyntaxError, VocabularyLimitError
+from .errors import (BdgameError, SpecSyntaxError, UndeclaredAtomError,
+                     VocabularyLimitError)
 from .extension import Rule
-from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Atom, Formula,
-                    Literal, RuleEntry, Vocabulary, _models, atoms_of,
-                    consistent, consistent_literals,
-                    format_formula, in_sublanguage, literal_sort_key,
+from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Formula, Literal,
+                    RuleEntry, _models, atoms_of, consistent,
+                    consistent_literals, format_formula, literal_sort_key,
                     parse_formula, parse_literal)
 
 DEFAULT_DECISION_CAP = 4096
@@ -117,6 +125,11 @@ class AgentSystemSpec:
     # it is, so the caps take no part in equality or hashing.
     max_decisions: int = field(default=DEFAULT_DECISION_CAP, compare=False)
     max_profiles: int = field(default=DEFAULT_PROFILE_CAP, compare=False)
+    # Each atom name to the id of the agent that owns it, None for a world
+    # atom: the agents' decision atoms in agent order, then the world
+    # atoms.  Built from the fields above, so it takes no part in equality.
+    vocabulary: dict[str, str | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A mode may be given by its name; enumeration and printing read
@@ -127,13 +140,11 @@ class AgentSystemSpec:
             raise BdgameError(
                 f"unknown decision_mode '{self.decision_mode}'") from None
         object.__setattr__(self, "decision_mode", mode)
-
-    @cached_property
-    def vocabulary(self) -> Vocabulary:
-        atoms = [Atom(name, agent.id)
-                 for agent in self.agents for name in agent.decision_atoms]
-        atoms += [Atom(name, None) for name in self.world_atoms]
-        return Vocabulary(atoms)
+        vocabulary: dict[str, str | None] = {}
+        for agent in self.agents:
+            _declare(agent.decision_atoms, agent.id, vocabulary, None)
+        _declare(self.world_atoms, None, vocabulary, None)
+        object.__setattr__(self, "vocabulary", vocabulary)
 
     @cached_property
     def agent_ids(self) -> tuple[str, ...]:
@@ -162,14 +173,23 @@ class AgentSystemSpec:
         constrained: set[str] = set()
         for agent in self.agents:
             for f in agent.facts + tuple(r.consequent for r in agent.beliefs):
-                names = atoms_of(f)
-                if any(map(self.vocabulary.owner, names)):
+                if not self.world_formula(f):
                     raise BdgameError(
                         f"agent {agent.id}: {format_formula(f)} mentions "
                         "decision atoms, but facts and belief consequents "
                         "must be world formulas")
-                constrained |= names
+                constrained |= atoms_of(f)
         return tuple(a for a in self.world_atoms if a in constrained)
+
+    def world_formula(self, f: Formula) -> bool:
+        """Whether every atom of ``f`` is a world atom; an atom-free
+        formula is one.  Raises UndeclaredAtomError for an atom outside
+        ``vocabulary``, whatever the other atoms are."""
+        try:
+            owners = [self.vocabulary[name] for name in atoms_of(f)]
+        except KeyError as missing:
+            raise UndeclaredAtomError(missing.args[0]) from None
+        return all(owner is None for owner in owners)
 
     @cached_property
     def compiled(self) -> dict[str, CompiledAgent]:
@@ -252,15 +272,14 @@ def validate_spec(spec: AgentSystemSpec) -> list[Violation]:
     independent of declaration order.
     """
     out: list[Violation] = []
-    vocab = spec.vocabulary
     for agent in spec.agents:
         for f in agent.facts:
-            if not in_sublanguage(f, vocab, "world"):
+            if not spec.world_formula(f):
                 out.append(Violation(
                     "fact-not-in-L_W", "error", agent.id,
                     f"fact {format_formula(f)} mentions decision atoms"))
         for r in agent.beliefs:
-            if not in_sublanguage(r.consequent, vocab, "world"):
+            if not spec.world_formula(r.consequent):
                 out.append(Violation(
                     "belief-consequent-not-in-L_W", "error", agent.id,
                     f"belief {r.id} concludes {format_formula(r.consequent)},"
@@ -371,20 +390,23 @@ def _strip_comment(raw: str) -> str:
     return raw.strip()
 
 
-def _declare(names: str, declared: set[str], lineno: int) -> list[str]:
-    """The atom names of an ``atoms`` or ``world`` line, each a new
-    identifier and no reserved word; ``declared`` holds every name so far."""
-    atoms = names.split()
-    for atom in atoms:
+def _declare(names: Sequence[str], owner: str | None,
+             vocabulary: dict[str, str | None],
+             lineno: int | None) -> Sequence[str]:
+    """Enter ``names``, the atoms of ``owner`` (None for the world), in
+    ``vocabulary``, the map of every atom so far to its owner; each must
+    be a new identifier and no reserved word.  A refusal names ``lineno``,
+    the declaring line, unless it is None."""
+    for atom in names:
         if not _IDENT_RE.fullmatch(atom):
             raise SpecSyntaxError(f"bad atom name '{atom}'", lineno)
         if atom in _RESERVED:
             raise SpecSyntaxError(
                 f"'{atom}' is a reserved word, not an atom name", lineno)
-        if atom in declared:
+        if atom in vocabulary:
             raise SpecSyntaxError(f"duplicate atom '{atom}'", lineno)
-        declared.add(atom)
-    return atoms
+        vocabulary[atom] = owner
+    return names
 
 
 def _split_rule(text: str, lineno: int) -> tuple[str, str]:
@@ -403,7 +425,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
     name = ""
     options: dict[str, object] = {}
     world: list[str] = []
-    declared: set[str] = set()  # every atom name, decision or world
+    declared: dict[str, str | None] = {}  # every atom name to its owner
     raw_agents: list[_RawAgent] = []
     current: _RawAgent | None = None
 
@@ -438,7 +460,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
                 raise SpecSyntaxError(f"duplicate agent '{m.group(1)}'", lineno)
             current = _RawAgent(m.group(1), lineno)
         elif head == "world":
-            world += _declare(rest, declared, lineno)
+            world += _declare(rest.split(), None, declared, lineno)
         else:
             raise SpecSyntaxError(f"unknown declaration '{head}'", lineno)
 
@@ -448,7 +470,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
     if not raw_agents:
         raise SpecSyntaxError("a specification needs at least one agent")
 
-    return _resolve(name, options, world, raw_agents)
+    return _resolve(name, options, world, raw_agents, declared)
 
 
 def _parse_option(key: str, value: str, lineno: int):
@@ -470,11 +492,11 @@ def _parse_option(key: str, value: str, lineno: int):
 
 
 def _parse_agent_line(agent: _RawAgent, line: str, lineno: int,
-                      declared: set[str]) -> None:
+                      declared: dict[str, str | None]) -> None:
     head, _, rest = line.partition(" ")
     rest = rest.strip()
     if head == "atoms":
-        agent.atoms += _declare(rest, declared, lineno)
+        agent.atoms += _declare(rest.split(), agent.id, declared, lineno)
     elif head == "priority":
         if rest not in (RANKED, IDENTITY):
             raise SpecSyntaxError(
@@ -504,14 +526,11 @@ def _parse_agent_line(agent: _RawAgent, line: str, lineno: int,
 
 
 def _resolve(name: str, options: dict, world: list[str],
-             raw_agents: list[_RawAgent]) -> AgentSystemSpec:
-    atoms = [Atom(n, a.id) for a in raw_agents for n in a.atoms]
-    atoms += [Atom(n, None) for n in world]
-    vocab = Vocabulary(atoms)  # the names were checked line by line
-
+             raw_agents: list[_RawAgent],
+             declared: dict[str, str | None]) -> AgentSystemSpec:
     def formula(source: str, lineno: int) -> Formula:
         try:
-            return parse_formula(source, vocab)
+            return parse_formula(source, declared)
         except BdgameError as exc:
             raise SpecSyntaxError(f"{exc}", lineno) from None
 

@@ -436,13 +436,13 @@ def check_monotonicity(spec: AgentSystemSpec, seed: int = 0,
     """Extension monotonicity over the spec's own rules and random theories."""
     rng = random.Random(seed)
     rules = spec.all_beliefs() + spec.all_desires()
-    atoms = list(spec.vocabulary.names) or ["p"]
+    names = tuple(spec.vocabulary)
+    atoms = list(names) or ["p"]
     for i in range(samples):
         base = random_theory(rng, atoms, rng.randint(0, 3))
         extra = random_theory(rng, atoms, rng.randint(0, 2))
-        small = extension(rules, base, atoms=spec.vocabulary.names,
-                          max_atoms=spec.max_atoms)
-        big = extension(rules, base | extra, atoms=spec.vocabulary.names,
+        small = extension(rules, base, atoms=names, max_atoms=spec.max_atoms)
+        big = extension(rules, base | extra, atoms=names,
                         max_atoms=spec.max_atoms)
         if not small.formulas <= big.formulas:
             return CheckResult(
@@ -475,7 +475,7 @@ def check_heuristic_fragment(seed: int = 0, samples: int = 200) -> CheckResult:
         if not fragment_check(spec):
             continue
         examined += 1
-        build = model_builder(spec.vocabulary.names, spec.max_atoms)
+        build = model_builder(tuple(spec.vocabulary), spec.max_atoms)
         theory = build(heuristic_goals(spec))
         game = derive_game(spec)
         ok = True

@@ -344,8 +344,8 @@ MUTANTS = (
             "test_a_check_property_refuses_the_flags_it_does_not_read"
             "[order-laws-seed]",)),
     Mutant("belief-consequents-left-out-of-the-universe", "model.py",
-           "constrained |= names",
-           "constrained |= names if f in agent.facts else set()",
+           "constrained |= atoms_of(f)",
+           "constrained |= atoms_of(f) if f in agent.facts else set()",
            ("tests/test_differential.py::"
             "test_world_atoms_no_theory_constrains_are_quantified",
             "tests/test_differential.py::"
@@ -403,6 +403,21 @@ MUTANTS = (
             "test_theory_masks_agree_with_assignment_enumeration",
             "tests/test_logic.py::"
             "test_conditioned_masks_match_enumeration_over_the_free_atoms")),
+    Mutant("duplicate-atom-let-through", "model.py",
+           "        if atom in vocabulary:\n",
+           "        if False:\n",
+           ("tests/test_logic.py::test_duplicate_atom_rejected",
+            "tests/test_model.py::"
+            "test_atom_declarations_name_their_line[world-twice]")),
+    Mutant("unknown-atom-read-as-world", "model.py",
+           "owners = [self.vocabulary[name] for name in atoms_of(f)]",
+           "owners = [self.vocabulary.get(name) for name in atoms_of(f)]",
+           ("tests/test_model.py::"
+            "test_an_undeclared_world_formula_atom_is_refused[fact]",
+            "tests/test_model.py::"
+            "test_an_undeclared_world_formula_atom_is_refused"
+            "[belief-consequent]",
+            "tests/test_logic.py::test_decision_atom_breaks_world_language")),
     Mutant("builder-patterns-per-call", "logic.py",
            "return partial(_models, _universe((), atoms, max_atoms), {})",
            "return lambda formulas, within=None: _models(\n"

@@ -87,7 +87,7 @@ def ref_joint_extension(spec, profile):
     formula sets, the largest round count, and consistency decided on the
     union over the whole vocabulary.  Its ``models`` is left unset: the
     library's ranges over a narrower universe."""
-    vocabulary = spec.vocabulary.names
+    vocabulary = tuple(spec.vocabulary)
     parts = [extension(agent.beliefs, frozenset(agent.facts)
                        | profile.decision_for(agent.id).formulas(),
                        atoms=vocabulary, max_atoms=spec.max_atoms)
@@ -195,7 +195,7 @@ def assert_column_matches(got, column):
 
 def ref_desire_report(spec, ext):
     theory = ext.formulas
-    atoms = spec.vocabulary.names
+    atoms = tuple(spec.vocabulary)
 
     def holds(formula):
         return entails(theory, formula, atoms=atoms, max_atoms=spec.max_atoms)
@@ -220,7 +220,7 @@ def ref_desire_report(spec, ext):
 
 def ref_goal_set(spec, ext):
     theory = ext.formulas
-    atoms = spec.vocabulary.names
+    atoms = tuple(spec.vocabulary)
     positive, negative = set(), set()
     for rule in spec.all_desires():
         if entails(theory, And(rule.antecedent, rule.consequent),
@@ -448,14 +448,14 @@ def test_conditioned_route_matches_the_full_vocabulary():
     for _ in range(CONDITIONED_SPECS):
         drawn = random_spec(rng, max_agents=3, max_decision_atoms=3,
                             max_rules=4)
-        owner = drawn.vocabulary.owner
-        if any(owner(name) not in (None, rule.owner)
+        owners = drawn.vocabulary
+        if any(owners[name] not in (None, rule.owner)
                for rule in drawn.all_beliefs()
                for name in atoms_of(rule.antecedent)):
             seen["foreign belief antecedent"] += 1
         for mode in DecisionMode:
             spec = drawn.with_options(decision_mode=mode)
-            vocabulary = spec.vocabulary.names
+            vocabulary = tuple(spec.vocabulary)
             candidates = []
             for agent in spec.agents:
                 decisions = enumerate_decisions(spec, agent.id)
@@ -537,7 +537,7 @@ def test_world_atoms_no_theory_constrains_are_quantified():
         seen["in desires"] += len(quantified)
         for mode in DecisionMode:
             spec = drawn.with_options(decision_mode=mode)
-            vocabulary = spec.vocabulary.names
+            vocabulary = tuple(spec.vocabulary)
             for agent in spec.agents:
                 for decision in enumerate_decisions(spec, agent.id):
                     got = agent_extension(spec, agent.id, decision)
@@ -602,7 +602,7 @@ class RefGoals:
 
     def goal_based(self, profile, goals):
         theory = self.ext[profile].formulas
-        atoms = self.spec.vocabulary.names
+        atoms = tuple(self.spec.vocabulary)
 
         def holds(goal):
             return entails(theory, goal, atoms=atoms,
@@ -715,7 +715,7 @@ def test_goals_layer_matches_the_profile_route():
 
 def ref_goal_based(spec, ext, goals):
     theory = ext.formulas
-    atoms = spec.vocabulary.names
+    atoms = tuple(spec.vocabulary)
     return (all(entails(theory, g, atoms=atoms, max_atoms=spec.max_atoms)
                 for g in goals.positive)
             and not any(entails(theory, g, atoms=atoms,
@@ -763,7 +763,7 @@ def ref_check_heuristic_fragment(seed, samples):
         ok = True
         for gs in derive_game(spec).goal_sets:
             for goal in gs.positive:
-                if not entails(pool, goal, atoms=spec.vocabulary.names,
+                if not entails(pool, goal, atoms=tuple(spec.vocabulary),
                                max_atoms=spec.max_atoms):
                     ok = False
                     if first_miss is None:
@@ -788,7 +788,7 @@ def test_goal_basedness_matches_one_entailment_per_goal():
     while seen["specs"] < ORACLE_SPECS:
         spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                            max_rules=4)
-        vocabulary = spec.vocabulary.names
+        vocabulary = tuple(spec.vocabulary)
         drawn = [GoalSet(random_theory(rng, vocabulary, rng.randint(0, 2)),
                          random_theory(rng, vocabulary, rng.randint(0, 2)))
                  for _ in range(6)]
@@ -836,7 +836,7 @@ def test_rule_firing_and_certificates_match_one_entailment_per_rule():
     for _ in range(ORACLE_SPECS):
         spec = random_spec(rng, max_agents=2, max_decision_atoms=2,
                            max_rules=3)
-        vocabulary = spec.vocabulary.names
+        vocabulary = tuple(spec.vocabulary)
         rules = (spec.all_beliefs() + spec.all_desires())[:FIXPOINT_RULES]
         for _ in range(10):
             theory = set(random_theory(rng, vocabulary, rng.randint(0, 4)))

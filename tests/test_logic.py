@@ -13,23 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdgame.logic
-from bdgame.errors import (FormulaSyntaxError, UndeclaredAtomError,
-                           VocabularyLimitError)
-from bdgame.logic import (FALSE, MAX_NESTING, TRUE, And, Atom, Const,
-                          Implies, Literal, Not, Or, RuleEntry, Var,
-                          Vocabulary, atoms_of, conditioned_models,
-                          consistent, entails, evaluate, format_formula,
-                          in_sublanguage, model_builder, models, parse_formula,
+from bdgame.errors import (FormulaSyntaxError, SpecSyntaxError,
+                           UndeclaredAtomError, VocabularyLimitError)
+from bdgame.logic import (FALSE, MAX_NESTING, TRUE, And, Const, Implies,
+                          Literal, Not, Or, RuleEntry, Var, atoms_of,
+                          conditioned_models, consistent, entails, evaluate,
+                          format_formula, model_builder, models, parse_formula,
                           parse_literal)
+from bdgame.model import AgentSpec, AgentSystemSpec, PriorityOrder
 from bdgame.verify import random_formula
 
 ATOMS = ["a", "b", "p", "q", "r", "s"]
 
 
-def vocab(world=("p", "q", "r", "s"), decisions=(("a1", ("a", "b")),)):
-    atoms = [Atom(n, aid) for aid, names in decisions for n in names]
-    atoms += [Atom(n, None) for n in world]
-    return Vocabulary(atoms)
+def spec_over(world=("p", "q", "r", "s"), decisions=(("a1", ("a", "b")),)):
+    """A spec with no rules: each agent's decision atoms, then the world."""
+    agents = tuple(AgentSpec(aid, tuple(names), (), (), (),
+                             PriorityOrder.identity())
+                   for aid, names in decisions)
+    return AgentSystemSpec("t", agents, tuple(world))
 
 
 formulas = st.recursive(
@@ -48,17 +50,16 @@ formulas = st.recursive(
 # ---------------------------------------------------------------------------
 
 def test_parse_negated_atom():
-    v = vocab()
-    assert parse_formula("!p", v) == Not(Var("p"))
+    assert parse_formula("!p", ATOMS) == Not(Var("p"))
 
 
 def test_rule_arrow_is_not_formula_syntax():
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("b => p", vocab())
+        parse_formula("b => p", ATOMS)
 
 
 def test_precedence_reference_tree():
-    got = parse_formula("a & !q | r", vocab())
+    got = parse_formula("a & !q | r", ATOMS)
     assert got == Or(And(Var("a"), Not(Var("q"))), Var("r"))
     assert parse_formula("p | q & r") == Or(Var("p"), And(Var("q"), Var("r")))
 
@@ -77,7 +78,7 @@ def test_parentheses_and_constants():
 
 def test_undeclared_atom_is_named():
     with pytest.raises(UndeclaredAtomError, match="zzz"):
-        parse_formula("p & zzz", vocab())
+        parse_formula("p & zzz", ATOMS)
 
 
 def test_syntax_error_carries_position():
@@ -178,19 +179,37 @@ MALFORMED = [
 def test_malformed_formulas_name_the_error_and_its_column(text, message,
                                                           column):
     with pytest.raises(FormulaSyntaxError) as exc:
-        parse_formula(text, vocab())
+        parse_formula(text, ATOMS)
     assert (str(exc.value), exc.value.position) == (
         f"{message} (at column {column + 1})", column)
 
 
+# A spec built in Python checks its atom names as the parser does, with
+# the parser's messages and no line.
+def refusal(world, decisions):
+    with pytest.raises(SpecSyntaxError) as exc:
+        spec_over(world, decisions)
+    assert exc.value.line is None
+    return str(exc.value)
+
+
 def test_reserved_words_rejected_as_atom_names():
-    with pytest.raises(UndeclaredAtomError):
-        Vocabulary([Atom("true", None)])
+    assert refusal(("true",), ()) == \
+        "'true' is a reserved word, not an atom name"
+    assert refusal((), (("a1", ("a", "false")),)) == \
+        "'false' is a reserved word, not an atom name"
+
+
+def test_non_identifier_rejected_as_atom_name():
+    assert refusal(("p", "2q"), ()) == "bad atom name '2q'"
 
 
 def test_duplicate_atom_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        Vocabulary([Atom("p", None), Atom("p", "a1")])
+    for world, decisions in [
+            (("p",), (("a1", ("p",)),)),  # an agent and the world
+            ((), (("a1", ("a", "p")), ("a2", ("p",)))),  # two agents
+            (("p", "p"), ())]:
+        assert refusal(world, decisions) == "duplicate atom 'p'"
 
 
 @given(formulas)
@@ -455,31 +474,34 @@ def test_consistent_iff_not_entails_false():
 
 
 # ---------------------------------------------------------------------------
-# Sublanguages and literals
+# World formulas and literals
 # ---------------------------------------------------------------------------
 
 def test_world_formula_in_world_language():
-    v = vocab()
-    assert in_sublanguage(And(Var("p"), Var("q")), v, "world")
+    assert spec_over().world_formula(And(Var("p"), Var("q")))
 
 
 def test_decision_atom_breaks_world_language():
-    v = vocab()
-    assert not in_sublanguage(And(Var("a"), Var("p")), v, "world")
+    spec = spec_over()
+    assert not spec.world_formula(And(Var("a"), Var("p")))
+    # Every atom is looked up, so an undeclared one beside a decision atom
+    # is named whichever of the two the atom set yields first.
+    with pytest.raises(UndeclaredAtomError, match="zz"):
+        spec.world_formula(And(Var("a"), Var("zz")))
 
 
 def test_atom_free_formula_in_every_sublanguage():
-    v = vocab()
-    assert in_sublanguage(TRUE, v, "world")
-    assert in_sublanguage(TRUE, v, "decision", "a1")
-    assert in_sublanguage(Implies(TRUE, FALSE), v, "world")
+    spec = spec_over()
+    assert spec.world_formula(TRUE)
+    assert spec.world_formula(Implies(TRUE, FALSE))
 
 
 def test_decision_language_is_per_agent():
-    v = Vocabulary([Atom("a", "a1"), Atom("b", "a2"), Atom("p", None)])
-    assert in_sublanguage(Var("a"), v, "decision", "a1")
-    assert not in_sublanguage(Var("a"), v, "decision", "a2")
-    assert in_sublanguage(Var("a"), v, "full")
+    spec = spec_over(("p",), (("a1", ("a",)), ("a2", ("b",))))
+    assert list(spec.vocabulary.items()) == [
+        ("a", "a1"), ("b", "a2"), ("p", None)]
+    assert spec.world_formula(Var("p"))
+    assert not spec.world_formula(Var("b"))
 
 
 def test_literals():

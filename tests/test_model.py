@@ -7,7 +7,7 @@ import pytest
 import bdgame.logic
 from bdgame import example_path
 from bdgame.decision import enumerate_decisions
-from bdgame.errors import BdgameError, SpecSyntaxError
+from bdgame.errors import BdgameError, SpecSyntaxError, UndeclaredAtomError
 from bdgame.extension import Rule
 from bdgame.game import derive_game, pareto
 from bdgame.logic import TRUE, Literal, Var
@@ -202,6 +202,22 @@ def test_conflicting_facts_warn_only():
     assert [v.code for v in report] == ["facts-conflict"]
     assert report[0].severity == "warning"
     assert is_valid(spec)
+
+
+@pytest.mark.parametrize("where", ["fact", "belief-consequent"])
+def test_an_undeclared_world_formula_atom_is_refused(where):
+    # A spec built in Python is not parsed, so nothing else checks that
+    # the atoms of its facts and belief consequents are declared.
+    formula = Var("z")
+    belief = Rule("b", TRUE, formula, "belief", "x")
+    agent = AgentSpec(
+        id="x", decision_atoms=("a",),
+        facts=(formula,) if where == "fact" else (),
+        beliefs=(belief,) if where == "belief-consequent" else (),
+        desires=(), priority=PriorityOrder.identity())
+    spec = AgentSystemSpec("t", (agent,), ("p",))
+    with pytest.raises(UndeclaredAtomError, match="undeclared atom 'z'"):
+        validate_spec(spec)
 
 
 def test_validation_is_declaration_order_independent():

@@ -396,7 +396,7 @@ def test_a_belief_concluding_a_fact_leaves_the_json_reports_byte_identical(
         owner = rng.choice(holders)
         agent = spec.agents[owner]
         belief = Rule(f"{agent.id}_known",
-                      random_formula(rng, spec.vocabulary.names),
+                      random_formula(rng, tuple(spec.vocabulary)),
                       rng.choice(agent.facts), "belief", agent.id)
         twin = replace(spec, agents=tuple(
             replace(a, beliefs=a.beliefs + (belief,)) if i == owner else a

@@ -68,20 +68,20 @@ def test_the_public_surface_is_listed():
                       if not name.startswith("_")
                       and not isinstance(value, ModuleType))
     assert exported == [
-        "AgentSpec", "AgentSystemSpec", "Atom", "BdgameError",
+        "AgentSpec", "AgentSystemSpec", "BdgameError",
         "CombinatorialBoundError", "Decision", "DecisionMode",
         "DecisionProfile", "DesireReport", "Extension", "Formula",
         "FormulaSyntaxError", "GameSpecification", "GoalSet",
         "InfeasibleProfileError", "Literal", "PriorityOrder",
         "ProfileComparison", "Rule", "SolutionReport", "SpecSyntaxError",
-        "UndeclaredAtomError", "Violation", "Vocabulary",
+        "UndeclaredAtomError", "Violation",
         "VocabularyLimitError", "applicable_consequents",
         "apply_decision_rule", "atoms_of", "compare_profiles", "consistent",
         "delta_goal_sets", "derive_game", "desire_report", "dominant",
         "entails", "enumerate_decisions", "enumerate_profiles",
         "example_path", "extension", "feasible_representation_check",
         "fixpoint_certificate", "format_formula", "format_spec",
-        "fragment_check", "heuristic_goals", "in_sublanguage",
+        "fragment_check", "heuristic_goals",
         "is_feasible_decision", "is_feasible_profile", "is_goal_based",
         "is_valid", "joint_extension", "load_example", "nash", "pareto",
         "pareto_via_goals", "parse_formula", "parse_spec",
