@@ -18,17 +18,17 @@ from .logic import DEFAULT_MAX_ATOMS, Formula, _universe, model_builder
 
 @dataclass(frozen=True)
 class Rule:
-    """An ordered pair of formulas, typed belief or desire, owned by an agent.
+    """An ordered pair of formulas under an id.
 
-    Belief rules have world-language consequents; desire rules are
-    unrestricted.  Typing is validated at the spec level, not here.
+    Whether a rule is a belief or a desire, and whose, is where it sits in
+    a spec (``AgentSpec.beliefs`` or ``AgentSpec.desires``).  Belief rules
+    have world-language consequents; desire rules are unrestricted.
+    Typing is validated at the spec level, not here.
     """
 
     id: str
     antecedent: Formula
     consequent: Formula
-    kind: str  # "belief" | "desire"
-    owner: str
 
     def __str__(self) -> str:
         return f"{self.id}: {self.antecedent} => {self.consequent}"

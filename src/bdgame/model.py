@@ -6,13 +6,18 @@ decision (a literal set the agent is already committed to).  World atoms are
 shared.  Decision-atom sets are pairwise disjoint and disjoint from world
 atoms; priorities never span agents.
 
-Atom ownership lives in one map, ``AgentSystemSpec.vocabulary``: each atom
-name to the id of the agent that owns it, or ``None`` for a world atom.
-``_declare`` is the one builder of such a map and holds the rules for atom
-names; the parser calls it per declaration line, and a spec calls it on
-its own atoms when it is built, so a spec built in Python is refused with
-the parser's messages.  ``AgentSystemSpec.world_formula`` is the one
-question asked of the map.
+Construction owns the structural rules of a spec: a spec that builds is
+one the parser could have produced.  Each rule lives in one helper
+(``_declare`` for atom names, ``_claim`` for agent and rule ids,
+``_system_name``, ``_atom_cap``, ``_own_literal``) that the parser calls
+with the line it reads and a spec calls with no line when it is built, so
+a spec built in Python is refused with the parser's messages.  Atom
+ownership lives in one map, ``AgentSystemSpec.vocabulary``: each atom name
+to the id of the agent that owns it, or ``None`` for a world atom.
+``AgentSystemSpec.world_formula`` is the one question asked of the map.
+What the parser accepts and ``validate_spec`` reports (typing, total
+ranks, contradictory initial decisions, conflicting facts) is data, not a
+refusal.
 """
 
 from __future__ import annotations
@@ -91,6 +96,18 @@ class AgentSpec:
     priority: PriorityOrder
     initial_decision: frozenset[Literal] = frozenset()
 
+    def __post_init__(self) -> None:
+        # A fact stated twice is one fact, as the parser reads it.
+        object.__setattr__(self, "facts", tuple(dict.fromkeys(self.facts)))
+        foreign = sorted((self.priority.ranks or {}).keys()
+                         - self.desire_ids())
+        if foreign:
+            raise SpecSyntaxError(
+                f"agent {self.id}: priority ranks rules that are not its "
+                f"desires: {', '.join(foreign)}")
+        for lit in sorted(self.initial_decision, key=literal_sort_key):
+            _own_literal(lit, self.decision_atoms, None)
+
     def desire_ids(self) -> frozenset[str]:
         return frozenset(r.id for r in self.desires)
 
@@ -140,10 +157,23 @@ class AgentSystemSpec:
             raise BdgameError(
                 f"unknown decision_mode '{self.decision_mode}'") from None
         object.__setattr__(self, "decision_mode", mode)
+        _system_name(f'"{self.name}"', None)
+        _atom_cap(self.max_atoms, None)
         vocabulary: dict[str, str | None] = {}
+        agent_ids, rule_ids, used = set(), set(), set()
         for agent in self.agents:
+            _claim(agent.id, "agent", agent_ids, None)
             _declare(agent.decision_atoms, agent.id, vocabulary, None)
+            used.update(*map(atoms_of, agent.facts))
+            for r in agent.beliefs + agent.desires:
+                _claim(r.id, "rule id", rule_ids, None)
+                used |= atoms_of(r.antecedent) | atoms_of(r.consequent)
         _declare(self.world_atoms, None, vocabulary, None)
+        if not self.agents:
+            raise SpecSyntaxError("a specification needs at least one agent")
+        undeclared = used.difference(vocabulary)
+        if undeclared:  # one name, the smallest, as the parser names one
+            raise UndeclaredAtomError(min(undeclared))
         object.__setattr__(self, "vocabulary", vocabulary)
 
     @cached_property
@@ -284,16 +314,9 @@ def validate_spec(spec: AgentSystemSpec) -> list[Violation]:
                     "belief-consequent-not-in-L_W", "error", agent.id,
                     f"belief {r.id} concludes {format_formula(r.consequent)},"
                     " which mentions decision atoms"))
-        desire_ids = agent.desire_ids()
         ranks = agent.priority.ranks
         if ranks is not None:
-            foreign = ranks.keys() - desire_ids
-            if foreign:
-                out.append(Violation(
-                    "cross-agent-priority", "error", agent.id,
-                    f"priority mentions rules not owned by the agent: "
-                    f"{', '.join(sorted(foreign))}"))
-            missing = desire_ids - ranks.keys()
+            missing = agent.desire_ids() - ranks.keys()
             if missing:
                 out.append(Violation(
                     "priority-not-total", "error", agent.id,
@@ -310,13 +333,6 @@ def validate_spec(spec: AgentSystemSpec) -> list[Violation]:
             out.append(Violation(
                 "initial-decision-inconsistent", "error", agent.id,
                 "initial decision contains an atom with both polarities"))
-        stray = {lit.atom for lit in agent.initial_decision
-                 if lit.atom not in agent.decision_atoms}
-        if stray:
-            out.append(Violation(
-                "initial-decision-inconsistent", "error", agent.id,
-                f"initial decision uses atoms the agent does not own: "
-                f"{', '.join(sorted(stray))}"))
     all_facts = [f for a in spec.agents for f in a.facts]
     if all_facts and not consistent(all_facts, max_atoms=spec.max_atoms):
         out.append(Violation(
@@ -409,6 +425,44 @@ def _declare(names: Sequence[str], owner: str | None,
     return names
 
 
+def _claim(name: str, kind: str, taken: set[str], lineno: int | None) -> str:
+    """Add ``name``, an id of ``kind`` ("agent" or "rule id"), to ``taken``,
+    the ids of that kind so far; it must be a new identifier.  A refusal
+    names ``lineno`` unless it is None."""
+    if not _IDENT_RE.fullmatch(name):
+        raise SpecSyntaxError(f"bad {kind} '{name}'", lineno)
+    if name in taken:
+        raise SpecSyntaxError(f"duplicate {kind} '{name}'", lineno)
+    taken.add(name)
+    return name
+
+
+def _system_name(quoted: str, lineno: int | None) -> str:
+    """The name in ``quoted``, a system line's ``"name"``: it holds no '"'
+    and no line break, so it prints on one line and reads back."""
+    m = re.fullmatch(r'"([^"]*)"', quoted)
+    if m is None or len(quoted.splitlines()) != 1:
+        raise SpecSyntaxError('expected: system "name"', lineno)
+    return m.group(1)
+
+
+def _atom_cap(n: int, lineno: int | None) -> int:
+    if n <= 0:
+        raise SpecSyntaxError("max_atoms must be positive", lineno)
+    return n
+
+
+def _own_literal(lit: Literal, atoms: Sequence[str],
+                 lineno: int | None) -> Literal:
+    """``lit``, an initial decision literal, which must be over ``atoms``,
+    its agent's decision atoms."""
+    if lit.atom not in atoms:
+        raise SpecSyntaxError(
+            f"initial decision literal '{lit}' is not over the "
+            f"agent's decision atoms", lineno)
+    return lit
+
+
 def _split_rule(text: str, lineno: int) -> tuple[str, str]:
     parts = text.split("=>")
     if len(parts) != 2:
@@ -427,6 +481,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
     world: list[str] = []
     declared: dict[str, str | None] = {}  # every atom name to its owner
     raw_agents: list[_RawAgent] = []
+    agent_ids: set[str] = set()
     current: _RawAgent | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -443,10 +498,7 @@ def parse_spec(text: str) -> AgentSystemSpec:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "system":
-            m = re.fullmatch(r'"([^"]*)"', rest)
-            if m is None:
-                raise SpecSyntaxError('expected: system "name"', lineno)
-            name = m.group(1)
+            name = _system_name(rest, lineno)
         elif head == "option":
             key, ok, value = (p.strip() for p in rest.partition("="))
             if not ok:
@@ -456,9 +508,8 @@ def parse_spec(text: str) -> AgentSystemSpec:
             m = re.fullmatch(r"([a-zA-Z][a-zA-Z0-9_]*)\s*\{", rest)
             if m is None:
                 raise SpecSyntaxError("expected: agent NAME {", lineno)
-            if any(a.id == m.group(1) for a in raw_agents):
-                raise SpecSyntaxError(f"duplicate agent '{m.group(1)}'", lineno)
-            current = _RawAgent(m.group(1), lineno)
+            current = _RawAgent(
+                _claim(m.group(1), "agent", agent_ids, lineno), lineno)
         elif head == "world":
             world += _declare(rest.split(), None, declared, lineno)
         else:
@@ -467,8 +518,6 @@ def parse_spec(text: str) -> AgentSystemSpec:
     if current is not None:
         raise SpecSyntaxError(f"agent '{current.id}' is never closed ('}}')",
                               current.line)
-    if not raw_agents:
-        raise SpecSyntaxError("a specification needs at least one agent")
 
     return _resolve(name, options, world, raw_agents, declared)
 
@@ -485,9 +534,7 @@ def _parse_option(key: str, value: str, lineno: int):
             n = int(value)
         except ValueError:
             raise SpecSyntaxError("max_atoms must be an integer", lineno) from None
-        if n <= 0:
-            raise SpecSyntaxError("max_atoms must be positive", lineno)
-        return n
+        return _atom_cap(n, lineno)
     raise SpecSyntaxError(f"unknown option '{key}'", lineno)
 
 
@@ -543,12 +590,11 @@ def _resolve(name: str, options: dict, world: list[str],
         counters = {"belief": 0, "desire": 0}
         for r in raw.rules:
             counters[r.kind] += 1
-            rule_id = r.label or f"{raw.id}_{r.kind[0]}{counters[r.kind]}"
-            if rule_id in seen_rule_ids:
-                raise SpecSyntaxError(f"duplicate rule id '{rule_id}'", r.line)
-            seen_rule_ids.add(rule_id)
+            rule_id = _claim(
+                r.label or f"{raw.id}_{r.kind[0]}{counters[r.kind]}",
+                "rule id", seen_rule_ids, r.line)
             rule = Rule(rule_id, formula(r.antecedent, r.line),
-                        formula(r.consequent, r.line), r.kind, raw.id)
+                        formula(r.consequent, r.line))
             if r.kind == "belief":
                 if r.rank is not None:
                     raise SpecSyntaxError("belief rules take no rank", r.line)
@@ -571,16 +617,11 @@ def _resolve(name: str, options: dict, world: list[str],
                 lit = parse_literal(token)
             except BdgameError as exc:
                 raise SpecSyntaxError(str(exc), lineno) from None
-            if lit.atom not in raw.atoms:
-                raise SpecSyntaxError(
-                    f"initial decision literal '{lit}' is not over the "
-                    f"agent's decision atoms", lineno)
-            initial.add(lit)
+            initial.add(_own_literal(lit, raw.atoms, lineno))
         agents.append(AgentSpec(
             id=raw.id,
             decision_atoms=tuple(raw.atoms),
-            facts=tuple(dict.fromkeys(formula(src, ln)
-                                      for src, ln in raw.facts)),
+            facts=tuple(formula(src, ln) for src, ln in raw.facts),
             beliefs=tuple(beliefs),
             desires=tuple(desires),
             priority=priority,
@@ -597,7 +638,8 @@ def _resolve(name: str, options: dict, world: list[str],
 
 
 def format_spec(spec: AgentSystemSpec) -> str:
-    """Canonical printer; parse_spec(format_spec(s)) == s for valid specs."""
+    """Canonical printer; parse_spec(format_spec(s)) == s for every spec
+    whose formulas nest no deeper than ``logic.MAX_NESTING``."""
     lines = [f'system "{spec.name}"']
     lines.append(f"option decision_mode = {spec.decision_mode.value}")
     lines.append(f"option max_atoms = {spec.max_atoms}")

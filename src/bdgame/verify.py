@@ -64,12 +64,12 @@ def random_formula(rng: random.Random, atoms: Sequence[str],
                 random_formula(rng, atoms, depth - 1))
 
 
-def random_rules(rng: random.Random, atoms: Sequence[str], count: int,
-                 owner: str = "a1") -> tuple[Rule, ...]:
+def random_rules(rng: random.Random, atoms: Sequence[str],
+                 count: int) -> tuple[Rule, ...]:
     return tuple(
-        Rule(f"{owner}_r{i + 1}",
+        Rule(f"a1_r{i + 1}",
              TRUE if rng.random() < 0.3 else random_formula(rng, atoms, 1),
-             random_formula(rng, atoms, 1), "belief", owner)
+             random_formula(rng, atoms, 1))
         for i in range(count))
 
 
@@ -112,13 +112,13 @@ def random_spec(rng: random.Random, *, max_agents: int = 2,
         beliefs = tuple(
             Rule(f"{aid}_b{i + 1}",
                  random_formula(rng, all_atoms, 1),
-                 random_formula(rng, list(world_atoms), 1), "belief", aid)
+                 random_formula(rng, list(world_atoms), 1))
             for i in range(n_beliefs))
         desires = tuple(
             Rule(f"{aid}_d{i + 1}",
                  TRUE if rng.random() < 0.5
                  else random_formula(rng, all_atoms, 1),
-                 random_formula(rng, all_atoms, 1), "desire", aid)
+                 random_formula(rng, all_atoms, 1))
             for i in range(n_rules - n_beliefs))
         facts = tuple(random_formula(rng, list(world_atoms), 1)
                       for _ in range(rng.randint(0, 1)))
@@ -150,8 +150,8 @@ def exhaustive_small_specs() -> Iterator[AgentSystemSpec]:
         for atoms in (atoms2[:1], atoms2):
             x = atoms[0]
             belief_options: list[tuple] = [
-                (), (Rule(f"{aid}_b1", Var(x), Var("p"), "belief", aid),),
-                (Rule(f"{aid}_b1", Var(x), Not(Var("p")), "belief", aid),)]
+                (), (Rule(f"{aid}_b1", Var(x), Var("p")),),
+                (Rule(f"{aid}_b1", Var(x), Not(Var("p"))),)]
             desire_pool = [
                 (TRUE, Var("p")), (TRUE, Not(Var("p"))), (TRUE, Var(x))]
             desire_options: list[tuple[tuple[Formula, Formula], ...]] = [()]
@@ -161,7 +161,7 @@ def exhaustive_small_specs() -> Iterator[AgentSystemSpec]:
             for beliefs in belief_options:
                 for ordered in desire_options:
                     desires = tuple(
-                        Rule(f"{aid}_d{i + 1}", ant, cons, "desire", aid)
+                        Rule(f"{aid}_d{i + 1}", ant, cons)
                         for i, (ant, cons) in enumerate(ordered))
                     # rank by position: earlier in the tuple = higher priority
                     ranks = {r.id: len(desires) - i
@@ -222,12 +222,12 @@ def check_fixpoint_agreement() -> CheckResult:
     """
     a, b, p, q = Var("a"), Var("b"), Var("p"), Var("q")
     pool = [
-        Rule("r1", TRUE, p, "belief", "a1"),
-        Rule("r2", a, Not(p), "belief", "a1"),
-        Rule("r3", p, q, "belief", "a1"),
-        Rule("r4", q, p, "belief", "a1"),
-        Rule("r5", And(a, b), q, "belief", "a1"),
-        Rule("r6", Not(q), b, "belief", "a1"),
+        Rule("r1", TRUE, p),
+        Rule("r2", a, Not(p)),
+        Rule("r3", p, q),
+        Rule("r4", q, p),
+        Rule("r5", And(a, b), q),
+        Rule("r6", Not(q), b),
     ]
     bases = [frozenset(), frozenset({a}), frozenset({a, b}),
              frozenset({Not(q)}), frozenset({Or(a, p)})]

@@ -323,9 +323,12 @@ MUTANTS = (
             "test_orders_built_in_the_library_print_and_parse_back"
             "[tie-free]")),
     Mutant("foreign-ranks-unchecked", "model.py",
-           "foreign = ranks.keys() - desire_ids",
-           "foreign = set()",
-           ("tests/test_model.py::test_cross_agent_priority_flagged",)),
+           "foreign = sorted((self.priority.ranks or {}).keys()",
+           "foreign = sorted({}.keys()",
+           ("tests/test_model.py::test_cross_agent_priority_refused",
+            "tests/test_model.py::"
+            "test_an_edit_the_parser_refuses_is_refused_when_built"
+            "[foreign-ranks]")),
     Mutant("profile-comparison-better-and-worse-swapped", "decision.py",
            "    if at_least:\n"
            "        return ProfileComparison.BETTER\n"
@@ -412,12 +415,32 @@ MUTANTS = (
     Mutant("unknown-atom-read-as-world", "model.py",
            "owners = [self.vocabulary[name] for name in atoms_of(f)]",
            "owners = [self.vocabulary.get(name) for name in atoms_of(f)]",
+           ("tests/test_logic.py::test_decision_atom_breaks_world_language",)),
+    Mutant("duplicate-agent-let-through", "model.py",
+           "    if name in taken:\n",
+           "    if name in taken and kind != \"agent\":\n",
+           ("tests/test_model.py::test_duplicate_agent_rejected",
+            "tests/test_model.py::"
+            "test_an_edit_the_parser_refuses_is_refused_when_built"
+            "[duplicate-agent]")),
+    Mutant("duplicate-rule-id-let-through", "model.py",
+           "    if name in taken:\n",
+           "    if name in taken and kind != \"rule id\":\n",
+           ("tests/test_model.py::test_duplicate_rule_id_rejected",
+            "tests/test_model.py::"
+            "test_an_edit_the_parser_refuses_is_refused_when_built"
+            "[duplicate-rule-id]")),
+    Mutant("undeclared-spec-atom-let-through", "model.py",
+           "undeclared = used.difference(vocabulary)",
+           "undeclared = ()",
            ("tests/test_model.py::"
             "test_an_undeclared_world_formula_atom_is_refused[fact]",
             "tests/test_model.py::"
             "test_an_undeclared_world_formula_atom_is_refused"
-            "[belief-consequent]",
-            "tests/test_logic.py::test_decision_atom_breaks_world_language")),
+            "[belief-antecedent]",
+            "tests/test_model.py::"
+            "test_an_undeclared_world_formula_atom_is_refused"
+            "[desire-consequent]")),
     Mutant("builder-patterns-per-call", "logic.py",
            "return partial(_models, _universe((), atoms, max_atoms), {})",
            "return lambda formulas, within=None: _models(\n"
@@ -560,6 +583,7 @@ def failed_ids(stdout: str) -> set[str]:
 
 def main() -> int:
     alive = 0
+    began = time.perf_counter()
     for mutant in MUTANTS:
         start = time.perf_counter()
         left = survivors(mutant)
@@ -568,7 +592,8 @@ def main() -> int:
               f"({time.perf_counter() - start:.1f} s)", flush=True)
         for test in left:
             print(f"  did not fail: {test}", flush=True)
-    print(f"{alive} of {len(MUTANTS)} mutants survived")
+    print(f"{alive} of {len(MUTANTS)} mutants survived in "
+          f"{time.perf_counter() - began:.1f} s")
     return 1 if alive else 0
 
 

@@ -28,8 +28,8 @@ def passed(number, text):
 
 
 def test_01_extension_of_conflicting_beliefs():
-    rules = (Rule("r1", TRUE, P, "belief", "alpha1"),
-             Rule("r2", A, Not(P), "belief", "alpha1"))
+    rules = (Rule("r1", TRUE, P),
+             Rule("r2", A, Not(P)))
     with_a = extension(rules, [A])
     assert with_a.formulas == {A, P, Not(P)}
     assert not with_a.consistent

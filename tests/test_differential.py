@@ -449,8 +449,8 @@ def test_conditioned_route_matches_the_full_vocabulary():
         drawn = random_spec(rng, max_agents=3, max_decision_atoms=3,
                             max_rules=4)
         owners = drawn.vocabulary
-        if any(owners[name] not in (None, rule.owner)
-               for rule in drawn.all_beliefs()
+        if any(owners[name] not in (None, agent.id)
+               for agent in drawn.agents for rule in agent.beliefs
                for name in atoms_of(rule.antecedent)):
             seen["foreign belief antecedent"] += 1
         for mode in DecisionMode:
@@ -532,8 +532,9 @@ def test_world_atoms_no_theory_constrains_are_quantified():
         seen["in belief antecedents"] += sum(
             bool(atoms_of(r.antecedent) & outside)
             for r in drawn.all_beliefs())
-        quantified = [r for r in drawn.all_desires() if outside & (
-            atoms_of(r.antecedent) | atoms_of(r.consequent))]
+        quantified = [(agent.id, r) for agent in drawn.agents
+                      for r in agent.desires if outside & (
+                          atoms_of(r.antecedent) | atoms_of(r.consequent))]
         seen["in desires"] += len(quantified)
         for mode in DecisionMode:
             spec = drawn.with_options(decision_mode=mode)
@@ -557,8 +558,8 @@ def test_world_atoms_no_theory_constrains_are_quantified():
                 expected = ref_desire_report(spec, ep.extension)
                 assert report == expected
                 assert desire_report(spec, ep.profile) == expected
-                for rule in quantified:
-                    status = expected.per_agent[rule.owner]
+                for owner, rule in quantified:
+                    status = expected.per_agent[owner]
                     for outcome in ("reached", "violated", "unreached"):
                         seen[outcome] += rule.id in getattr(status, outcome)
                 seen[f"desire reports, {mode.value}"] += 1

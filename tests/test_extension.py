@@ -12,8 +12,8 @@ from bdgame.verify import (check_extension_laws, check_fixpoint_agreement,
 
 A, B, P, Q = Var("a"), Var("b"), Var("p"), Var("q")
 
-CONFLICT_RULES = (Rule("r1", TRUE, P, "belief", "a1"),
-                  Rule("r2", A, Not(P), "belief", "a1"))
+CONFLICT_RULES = (Rule("r1", TRUE, P),
+                  Rule("r2", A, Not(P)))
 
 
 def test_applicable_consequents_from_empty_theory():
@@ -25,7 +25,7 @@ def test_applicable_consequents_no_rules():
 
 
 def test_applicable_consequents_uses_entailment():
-    rules = [Rule("r", P, Q, "belief", "a1")]
+    rules = [Rule("r", P, Q)]
     assert applicable_consequents(rules, [And(P, Var("r"))]) == {Q}
 
 
@@ -60,9 +60,9 @@ def test_antecedent_atoms_outside_the_universe_are_refused():
     by both routes that check it; over a universe that holds the atom,
     the rule fires iff the theory entails its antecedent."""
     x = Var("x")
-    rules = [Rule("r1", TRUE, P, "belief", "a1"),
-             Rule("r2", Or(P, x), Q, "belief", "a1"),
-             Rule("r3", And(Q, x), Not(P), "belief", "a1")]
+    rules = [Rule("r1", TRUE, P),
+             Rule("r2", Or(P, x), Q),
+             Rule("r3", And(Q, x), Not(P))]
     narrow = ("p", "q")
     for call in (lambda: extension(rules, [], atoms=narrow),
                  lambda: applicable_consequents(rules, [], atoms=narrow),
@@ -74,16 +74,16 @@ def test_antecedent_atoms_outside_the_universe_are_refused():
 
 
 def test_extension_fires_on_entailed_decision_atoms():
-    rules = [Rule("b1", Var("c"), Q, "belief", "a1"),
-             Rule("b2", Var("d"), Q, "belief", "a1"),
-             Rule("b3", Var("e"), Not(Q), "belief", "a1")]
+    rules = [Rule("b1", Var("c"), Q),
+             Rule("b2", Var("d"), Q),
+             Rule("b3", Var("e"), Not(Q))]
     base = [Not(P), A, Var("c")]
     assert extension(rules, base).formulas == {Not(P), A, Var("c"), Q}
 
 
 def test_extension_chains_in_two_rounds():
-    rules = [Rule("r1", TRUE, P, "belief", "a1"),
-             Rule("r2", P, Q, "belief", "a1")]
+    rules = [Rule("r1", TRUE, P),
+             Rule("r2", P, Q)]
     ext = extension(rules, [])
     assert ext.formulas == {P, Q}
     assert ext.iterations == 2
@@ -104,8 +104,8 @@ def test_certificate_trivial_empty_rules():
 def test_certificate_rejects_self_supporting_cycles():
     # {a, b} is rule-closed and drops to nothing removable-by-one, but the
     # least closed superset of the empty base is empty.
-    rules = [Rule("x", A, B, "belief", "a1"),
-             Rule("y", B, A, "belief", "a1")]
+    rules = [Rule("x", A, B),
+             Rule("y", B, A)]
     assert fixpoint_certificate(rules, [], [])
     assert not fixpoint_certificate(rules, [], [A, B])
 

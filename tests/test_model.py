@@ -67,6 +67,12 @@ def test_atom_declarations_name_their_line(src, message):
     assert str(exc.value) == message
 
 
+def test_duplicate_agent_rejected():
+    src = 'agent x {\n  atoms a\n}\nagent x {\n  atoms b\n}\n'
+    with pytest.raises(SpecSyntaxError, match="^line 4: duplicate agent 'x'$"):
+        parse_spec(src)
+
+
 def test_duplicate_rule_id_rejected():
     src = (
         'agent x {\n  atoms a\n  desire d1: true => a\n'
@@ -173,15 +179,17 @@ def test_missing_rank_flagged():
                for v in report)
 
 
-def test_cross_agent_priority_flagged():
-    desire = Rule("mine", TRUE, Var("a"), "desire", "x")
-    agent = AgentSpec(
-        id="x", decision_atoms=("a",), facts=(), beliefs=(),
-        desires=(desire,),
-        priority=PriorityOrder.ranked({"mine": 2, "foreign": 1}))
-    spec = AgentSystemSpec("t", (agent,), ("p",))
-    report = validate_spec(spec)
-    assert any(v.code == "cross-agent-priority" for v in report)
+def test_cross_agent_priority_refused():
+    # An order ranks its own agent's desires, so one that ranks any other
+    # rule is refused when the agent is built.
+    desire = Rule("mine", TRUE, Var("a"))
+    with pytest.raises(SpecSyntaxError) as exc:
+        AgentSpec(
+            id="x", decision_atoms=("a",), facts=(), beliefs=(),
+            desires=(desire,),
+            priority=PriorityOrder.ranked({"mine": 2, "foreign": 1}))
+    assert str(exc.value) == \
+        "agent x: priority ranks rules that are not its desires: foreign"
 
 
 def test_inconsistent_initial_decision_flagged():
@@ -204,20 +212,119 @@ def test_conflicting_facts_warn_only():
     assert is_valid(spec)
 
 
-@pytest.mark.parametrize("where", ["fact", "belief-consequent"])
+@pytest.mark.parametrize("where", [
+    "fact", "belief-consequent", "belief-antecedent", "desire-antecedent",
+    "desire-consequent"])
 def test_an_undeclared_world_formula_atom_is_refused(where):
-    # A spec built in Python is not parsed, so nothing else checks that
-    # the atoms of its facts and belief consequents are declared.
-    formula = Var("z")
-    belief = Rule("b", TRUE, formula, "belief", "x")
+    # A spec built in Python is not parsed; building it refuses an atom
+    # outside its vocabulary in any formula, as the parser does.
+    z = Var("z")
+    rule = Rule("r", z if where.endswith("antecedent") else TRUE,
+                z if where.endswith("consequent") else TRUE)
     agent = AgentSpec(
         id="x", decision_atoms=("a",),
-        facts=(formula,) if where == "fact" else (),
-        beliefs=(belief,) if where == "belief-consequent" else (),
-        desires=(), priority=PriorityOrder.identity())
-    spec = AgentSystemSpec("t", (agent,), ("p",))
-    with pytest.raises(UndeclaredAtomError, match="undeclared atom 'z'"):
-        validate_spec(spec)
+        facts=(z,) if where == "fact" else (),
+        beliefs=(rule,) if where.startswith("belief") else (),
+        desires=(rule,) if where.startswith("desire") else (),
+        priority=PriorityOrder.identity())
+    with pytest.raises(UndeclaredAtomError, match="^undeclared atom 'z'$"):
+        AgentSystemSpec("t", (agent,), ("p",))
+
+
+def edit_agent(spec, k, **changes):
+    return replace(spec, agents=tuple(
+        replace(a, **changes) if i == k else a
+        for i, a in enumerate(spec.agents)))
+
+
+def renamed_first_desire(spec, k, rule_id):
+    first, *rest = spec.agents[k].desires
+    return edit_agent(spec, k, desires=(replace(first, id=rule_id), *rest))
+
+
+# Edits of prisoners that the parser refuses, or that no .bdg text can
+# state: each, and the prisoners source edited to state it where a text
+# can, with the line the parser names (None: it names none).
+REFUSED_EDITS = {
+    "duplicate-agent": (
+        lambda s: edit_agent(s, 1, id="alpha1"),
+        "duplicate agent 'alpha1'",
+        (lambda t: t.replace("agent alpha2", "agent alpha1"), 13)),
+    "duplicate-rule-id": (
+        lambda s: renamed_first_desire(s, 1, "d1_free_ride"),
+        "duplicate rule id 'd1_free_ride'",
+        (lambda t: t.replace("desire d2_free_ride", "desire d1_free_ride"),
+         16)),
+    "undeclared-atom": (
+        lambda s: edit_agent(s, 0, desires=(
+            replace(s.agents[0].desires[0], consequent=Var("zz")),
+            *s.agents[0].desires[1:])),
+        "undeclared atom 'zz'",
+        (lambda t: t.replace("true => !a & b", "true => zz"), 9)),
+    "no-agents": (
+        lambda s: replace(s, agents=()),
+        "a specification needs at least one agent",
+        (lambda t: t[:t.index("agent alpha1")], None)),
+    "max-atoms-zero": (
+        lambda s: replace(s, max_atoms=0),
+        "max_atoms must be positive",
+        (lambda t: t.replace("assignments\n",
+                             "assignments\noption max_atoms = 0\n"), 6)),
+    "quote-in-name": (
+        lambda s: replace(s, name='a"b'),
+        'expected: system "name"',
+        (lambda t: t.replace('"prisoners-dilemma"', '"a"b"'), 4)),
+    "line-break-in-name": (
+        lambda s: replace(s, name="a\nb"), 'expected: system "name"', None),
+    "bad-agent-id": (
+        lambda s: edit_agent(s, 0, id="1x"), "bad agent '1x'", None),
+    "bad-rule-id": (
+        lambda s: renamed_first_desire(s, 0, "d 1"), "bad rule id 'd 1'",
+        None),
+    "foreign-ranks": (
+        lambda s: edit_agent(
+            s, 0, priority=PriorityOrder.ranked({"d2_free_ride": 1})),
+        "agent alpha1: priority ranks rules that are not its desires: "
+        "d2_free_ride",
+        None),
+    "foreign-initial": (
+        lambda s: edit_agent(s, 0, initial_decision=frozenset({Literal("b")})),
+        "initial decision literal 'b' is not over the agent's decision atoms",
+        (lambda t: t.replace("atoms a\n", "atoms a\n  initial b\n"), 8)),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_EDITS)
+def test_an_edit_the_parser_refuses_is_refused_when_built(name, prisoners):
+    edit, message, parsed = REFUSED_EDITS[name]
+    with pytest.raises(BdgameError) as exc:
+        edit(prisoners)
+    assert str(exc.value) == message
+    assert getattr(exc.value, "line", None) is None
+    if parsed is not None:
+        text_edit, line = parsed
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text_edit(
+                example_path("prisoners").read_text(encoding="utf-8")))
+        assert (str(exc.value), exc.value.line) == (
+            message if line is None else f"line {line}: {message}", line)
+
+
+def test_a_rule_is_its_id_and_formulas():
+    # A rule's role and owner are where it sits in the spec.
+    assert [f.name for f in fields(Rule)] == ["id", "antecedent", "consequent"]
+    with pytest.raises(TypeError):
+        Rule("d", TRUE, TRUE, "belief", "alpha1")
+
+
+def test_a_fact_stated_twice_is_one_fact(prisoners):
+    # The parser reads a repeated fact once, and so does a spec built in
+    # Python, so the two agree and the spec prints and parses back.
+    spec = edit_agent(prisoners, 0, facts=(TRUE, Var("a"), TRUE, Var("a")))
+    assert spec.agents[0].facts == (TRUE, Var("a"))
+    assert parse_spec(format_spec(spec)) == spec
+    text = format_spec(spec).replace("  fact a\n", "  fact a\n  fact true\n")
+    assert parse_spec(text).agents[0].facts == (TRUE, Var("a"))
 
 
 def test_validation_is_declaration_order_independent():
@@ -268,10 +375,13 @@ def test_orders_built_in_the_library_print_and_parse_back(
 
 
 def test_print_parse_identity_on_random_specs():
+    # A spec that builds is one the parser could have produced.
     rng = random.Random(77)
-    for _ in range(100):
-        spec = random_spec(rng)
-        assert parse_spec(format_spec(spec)) == spec
+    for mode in DecisionMode:
+        for _ in range(500):
+            spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
+                               max_rules=4).with_options(decision_mode=mode)
+            assert parse_spec(format_spec(spec)) == spec
 
 
 def test_random_specs_name_decision_atoms_past_eight():

@@ -368,7 +368,7 @@ def test_a_desire_always_reached_leaves_the_solutions_byte_identical(
     for spec in metamorphic_specs(44):
         owner = rng.randrange(len(spec.agents))
         agent = spec.agents[owner]
-        always = Rule(f"{agent.id}_always", TRUE, TRUE, "desire", agent.id)
+        always = Rule(f"{agent.id}_always", TRUE, TRUE)
         priority, ranks = agent.priority, agent.priority.ranks
         if ranks is not None:
             priority = PriorityOrder.ranked(
@@ -397,7 +397,7 @@ def test_a_belief_concluding_a_fact_leaves_the_json_reports_byte_identical(
         agent = spec.agents[owner]
         belief = Rule(f"{agent.id}_known",
                       random_formula(rng, tuple(spec.vocabulary)),
-                      rng.choice(agent.facts), "belief", agent.id)
+                      rng.choice(agent.facts))
         twin = replace(spec, agents=tuple(
             replace(a, beliefs=a.beliefs + (belief,)) if i == owner else a
             for i, a in enumerate(spec.agents)))
