@@ -16,9 +16,9 @@ from .extension import (Extension, Rule, applicable_consequents, extension,
 from .game import (GameSpecification, SolutionReport, derive_game, dominant,
                    nash, pareto, solve, strongly_pareto)
 from .goals import (GoalSet, apply_decision_rule, delta_goal_sets,
-                    feasible_representation_check, fragment_check,
-                    heuristic_goals, is_goal_based, pareto_via_goals,
-                    representation_check, syntactic_goal_sets, u_closure)
+                    fragment_check, heuristic_goals, is_goal_based,
+                    pareto_via_goals, representation_check,
+                    syntactic_goal_sets, u_closure)
 from .logic import (Formula, Literal, atoms_of, consistent, entails,
                     format_formula, parse_formula)
 from .model import (AgentSpec, AgentSystemSpec, DecisionMode, PriorityOrder,

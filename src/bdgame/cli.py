@@ -60,7 +60,7 @@ def _positive_int(text: str) -> int:
 
 
 # The flags each ``check --property`` reads; it refuses the others.
-_CHECK_FLAGS = {"representation": ("--seed",),
+_CHECK_FLAGS = {"representation": (),
                 "monotonicity": ("--seed", "--samples"),
                 "order-laws": (), "pipeline-equivalence": ()}
 
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # None when not given: a property refuses the flags it does not read.
     p_check.add_argument("--seed", type=int,
                          help="seed of the draws made by --property "
-                              "representation and monotonicity")
+                              "monotonicity (default 0)")
     p_check.add_argument("--samples", type=_positive_int,
                          help="samples drawn by --property monotonicity "
                               "(default 200)")
@@ -510,11 +510,10 @@ def _cmd_check(spec: AgentSystemSpec, args: argparse.Namespace) -> int:
         if value is not None and flag not in _CHECK_FLAGS[prop]:
             raise BdgameError(f"--property {prop} does not read {flag}")
     _require_valid(spec)
-    seed = args.seed or 0
     if prop == "representation":
-        result = check_representation(spec, seed=seed)
+        result = check_representation(spec)
     elif prop == "monotonicity":
-        result = check_monotonicity(spec, seed=seed,
+        result = check_monotonicity(spec, seed=args.seed or 0,
                                     samples=args.samples or 200)
     elif prop == "order-laws":
         result = check_order_laws()

@@ -26,13 +26,15 @@ that generate the same goal set leave the same desires unreached.
 - The goals-first pipeline (``pareto_via_goals``) orders the distinct goal
   sets of its pool, one member standing for each, and only then expands
   the maximal ones to profiles.
-- The two representation checks verify, by brute force, that membership in
-  a U-closed family and being goal-based for one of its goal sets are the
-  same thing, and that feasibility alone is captured by the goal sets of
-  singleton closures.  Direction (a) is a fact about one profile, whether
-  it is goal-based for its own goal set: ``representation_check`` asks it
-  once per member, and ``verify.check_representation`` once per feasible
-  profile, as a column that all its families read.
+- ``representation_check`` verifies, by brute force, that membership in
+  a family and being goal-based for one of its goal sets are the same
+  thing.  Direction (a) is a fact about one profile, whether it is
+  goal-based for its own goal set: it is asked once per member.
+  ``verify.check_representation`` asks it once per feasible profile, as a
+  column that every class reads, and checks the classes alone: a U-closed
+  family is a union of classes, and a union passes whenever each of its
+  classes does, since a profile outside the union that generates one of
+  its goal sets is outside that goal set's class as well.
 
 Goal-basedness is decided by entailment over the whole vocabulary, one
 ``_goal_decider`` per call: it compiles each profile's theory as the AND of
@@ -206,20 +208,11 @@ def syntactic_goal_sets(spec: AgentSystemSpec) -> tuple[GoalSet, ...]:
 class RepresentationViolation:
     direction: str  # "member-without-goal-set" | "goal-based-outside-family"
     profile: DecisionProfile
-    goal_set: GoalSet | None
+    goal_set: GoalSet
     message: str
 
     def __str__(self) -> str:
         return f"{self.direction}: {self.message}"
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    violations: tuple[RepresentationViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _representation_violations(game: GameSpecification,
@@ -249,10 +242,11 @@ def _representation_violations(game: GameSpecification,
     return tuple(violations)
 
 
-def representation_check(game: GameSpecification,
-                         family: Iterable[int]) -> CheckReport:
+def representation_check(game: GameSpecification, family: Iterable[int]
+                         ) -> tuple[RepresentationViolation, ...]:
     """Brute-force both directions of the family/goal-set correspondence
-    on a family of feasible indexes.
+    on a family of feasible indexes: the violations, direction (a) first,
+    and none on a pass.
 
     (a) every member is goal-based for the goal set it generates;
     (b) every feasible profile that generates one of the family's goal sets
@@ -273,36 +267,9 @@ def representation_check(game: GameSpecification,
     scanning every feasible profile.
     """
     decide = _goal_decider(game)
-    violations = _representation_violations(
+    return _representation_violations(
         game, _members(game, family),
         lambda i: decide(i, game.goal_sets[i]))
-    return CheckReport(violations)
-
-
-def feasible_representation_check(game: GameSpecification) -> CheckReport:
-    """Every feasible profile is goal-based for a goal set of its own class.
-
-    The closure of a singleton is the minimal U-closed witness, so checking
-    each feasible profile against it decides representability by feasible
-    goal sets.  Infeasible profiles cannot be goal-based for anything here:
-    goal-basedness is only defined on consistent extensions.  Each profile
-    tries its own goal set first, then the class's other goal sets, with
-    one decider for the whole check.
-    """
-    decide = _goal_decider(game)
-    violations: list[RepresentationViolation] = []
-    for members in game.classes:
-        goal_sets = dict.fromkeys(game.goal_sets[i] for i in members)
-        for i in members:
-            own = game.goal_sets[i]
-            if not (decide(i, own) or any(decide(i, gs) for gs in goal_sets
-                                          if gs != own)):
-                profile = game.profile(i)
-                violations.append(RepresentationViolation(
-                    "member-without-goal-set", profile, None,
-                    f"{profile} is not goal-based for any goal set of its "
-                    f"indistinguishability class"))
-    return CheckReport(tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,40 @@ FALSE = Const(False)
 
 def atoms_of(formula: Formula) -> frozenset[str]:
     """The names of all atoms occurring in the formula."""
-    if isinstance(formula, Var):
-        return frozenset((formula.name,))
-    if isinstance(formula, Const):
-        return frozenset()
-    if isinstance(formula, Not):
-        return atoms_of(formula.operand)
-    return atoms_of(formula.left) | atoms_of(formula.right)
+    names: set[str] = set()
+    _walk(formula, names)
+    return frozenset(names)
+
+
+def _walk(formula: Formula, names: set[str]) -> int:
+    """Add the names of the formula's atoms to ``names``, and return the
+    nesting of its printed text as the parser counts it: the operators and
+    the parenthesis pairs on its deepest path, a subformula parenthesized
+    where ``format_formula`` writes parentheses.  The walk keeps its own
+    stack, so no formula is too deep for it."""
+    deepest = 0
+    # (subformula, the precedence its position requires, nesting above it)
+    stack = [(formula, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        f, lowest, above = pop()
+        kind = type(f)
+        if kind is Var:
+            names.add(f.name)
+        elif kind is not Const:
+            prec = _PRECEDENCE[kind]
+            level = above + 1 if prec >= lowest else above + 2
+            if level > deepest:
+                deepest = level
+            if kind is Not:
+                push((f.operand, prec, level))
+            elif kind is Implies:
+                push((f.left, prec + 1, level))
+                push((f.right, prec, level))
+            else:
+                push((f.left, prec, level))
+                push((f.right, prec + 1, level))
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +171,12 @@ _BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
 # operators on one path down to an atom: parsing and every walk of a
 # formula then stay far inside Python's recursion limit.
 MAX_NESTING = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
 
 def _nest(nesting: int, at: int) -> int:
     if nesting > MAX_NESTING:
-        raise FormulaSyntaxError(
-            f"formula nested deeper than {MAX_NESTING} levels", at)
+        raise FormulaSyntaxError(_TOO_DEEP, at)
     return nesting
 
 

@@ -11,7 +11,10 @@ one the parser could have produced.  Each rule lives in one helper
 (``_declare`` for atom names, ``_claim`` for agent and rule ids,
 ``_system_name``, ``_atom_cap``, ``_own_literal``) that the parser calls
 with the line it reads and a spec calls with no line when it is built, so
-a spec built in Python is refused with the parser's messages.  Atom
+a spec built in Python is refused with the parser's messages.  So is a
+formula that prints nested deeper than the parser reads: an agent walks
+each of its formulas once (``logic._walk``), for its printed nesting and
+its atoms, which the spec then checks against its vocabulary.  Atom
 ownership lives in one map, ``AgentSystemSpec.vocabulary``: each atom name
 to the id of the agent that owns it, or ``None`` for a world atom.
 ``AgentSystemSpec.world_formula`` is the one question asked of the map.
@@ -26,15 +29,16 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import (BdgameError, SpecSyntaxError, UndeclaredAtomError,
                      VocabularyLimitError)
 from .extension import Rule
-from .logic import (_IDENT_RE, _RESERVED, DEFAULT_MAX_ATOMS, Formula, Literal,
-                    RuleEntry, _models, atoms_of, consistent,
-                    consistent_literals, format_formula, literal_sort_key,
-                    parse_formula, parse_literal)
+from .logic import (_IDENT_RE, _RESERVED, _TOO_DEEP, DEFAULT_MAX_ATOMS,
+                    MAX_NESTING, Formula, Literal, RuleEntry, _models, _walk,
+                    atoms_of, consistent, consistent_literals, format_formula,
+                    literal_sort_key, parse_formula, parse_literal)
 
 DEFAULT_DECISION_CAP = 4096
 DEFAULT_PROFILE_CAP = 1 << 16
@@ -95,8 +99,21 @@ class AgentSpec:
     desires: tuple[Rule, ...]
     priority: PriorityOrder
     initial_decision: frozenset[Literal] = frozenset()
+    # The atoms its facts and rules mention, read off the one walk of each
+    # formula that also refuses a formula too deep to print and parse
+    # back.  Built from the fields above, so it takes no part in equality.
+    mentioned_atoms: frozenset[str] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Walked before any fact is hashed: a hash recurses through the
+        # whole formula, so one too deep to print is refused first.
+        mentioned: set[str] = set()
+        for f in chain(self.facts, *((r.antecedent, r.consequent)
+                                     for r in self.beliefs + self.desires)):
+            if _walk(f, mentioned) > MAX_NESTING:
+                raise SpecSyntaxError(_TOO_DEEP)
+        object.__setattr__(self, "mentioned_atoms", frozenset(mentioned))
         # A fact stated twice is one fact, as the parser reads it.
         object.__setattr__(self, "facts", tuple(dict.fromkeys(self.facts)))
         foreign = sorted((self.priority.ranks or {}).keys()
@@ -164,10 +181,9 @@ class AgentSystemSpec:
         for agent in self.agents:
             _claim(agent.id, "agent", agent_ids, None)
             _declare(agent.decision_atoms, agent.id, vocabulary, None)
-            used.update(*map(atoms_of, agent.facts))
+            used |= agent.mentioned_atoms
             for r in agent.beliefs + agent.desires:
                 _claim(r.id, "rule id", rule_ids, None)
-                used |= atoms_of(r.antecedent) | atoms_of(r.consequent)
         _declare(self.world_atoms, None, vocabulary, None)
         if not self.agents:
             raise SpecSyntaxError("a specification needs at least one agent")
@@ -638,8 +654,9 @@ def _resolve(name: str, options: dict, world: list[str],
 
 
 def format_spec(spec: AgentSystemSpec) -> str:
-    """Canonical printer; parse_spec(format_spec(s)) == s for every spec
-    whose formulas nest no deeper than ``logic.MAX_NESTING``."""
+    """Canonical printer; parse_spec(format_spec(s)) == s for every spec,
+    as one whose formulas print nested deeper than ``logic.MAX_NESTING``
+    does not build."""
     lines = [f'system "{spec.name}"']
     lines.append(f"option decision_mode = {spec.decision_mode.value}")
     lines.append(f"option max_atoms = {spec.max_atoms}")

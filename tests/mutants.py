@@ -480,13 +480,6 @@ MUTANTS = (
             "test_world_atoms_no_theory_constrains_are_quantified",
             "tests/test_differential.py::"
             "test_conditioned_route_matches_the_full_vocabulary")),
-    Mutant("feasible-check-drops-its-violations", "goals.py",
-           "violations.append(RepresentationViolation(\n"
-           "                    \"member-without-goal-set\", profile, None,",
-           "(RepresentationViolation(\n"
-           "                    \"member-without-goal-set\", profile, None,",
-           ("tests/test_goals.py::"
-            "test_the_feasible_check_reports_a_profile_without_goal_sets",)),
     Mutant("representation-column-read-off-the-next-profile", "verify.py",
            "held = [decide(i, gs) for i, gs in enumerate(game.goal_sets)]",
            "held = [decide(i, gs) for i, gs in enumerate(\n"
@@ -501,16 +494,27 @@ MUTANTS = (
            ("tests/test_goals.py::test_prisoners_nash_family_representation",
             "tests/test_differential.py::"
             "test_goals_layer_matches_the_profile_route")),
-    Mutant("feasible-fallback-retries-only-its-own-goal-set", "goals.py",
-           "if gs != own)",
-           "if gs == own)",
-           ("tests/test_goals.py::"
-            "test_feasible_check_tries_every_goal_set_of_the_class",)),
-    Mutant("feasible-fallback-asks-its-own-goal-set-again", "goals.py",
-           "if gs != own)",
-           "if True)",
-           ("tests/test_goals.py::"
-            "test_feasible_check_tries_every_goal_set_of_the_class",)),
+    Mutant("representation-skips-the-last-class", "verify.py",
+           "for members in game.classes:",
+           "for members in game.classes[:-1]:",
+           ("tests/test_goals.py::test_representation_checks_the_last_class",
+            )),
+    Mutant("construction-refuses-the-deepest-formula-it-could-print",
+           "model.py",
+           "if _walk(f, mentioned) > MAX_NESTING:",
+           "if _walk(f, mentioned) >= MAX_NESTING:",
+           ("tests/test_model.py::"
+            "test_construction_refuses_a_formula_the_parser_would_refuse"
+            "[parenthesized]",
+            "tests/test_cli.py::"
+            "test_formulas_nest_up_to_the_bound_and_no_deeper")),
+    Mutant("desire-numbers-restart-after-each-agent", "model.py",
+           "number += len(desires)",
+           "number = len(desires)",
+           ("tests/test_properties.py::"
+            "test_permuting_the_agents_changes_no_solution_and_no_goal_set",
+            "tests/test_differential.py::"
+            "test_conditioned_route_matches_the_full_vocabulary")),
     Mutant("nash-else-pareto-never-falls-back", "goals.py",
            "return family or concept_family(game, PARETO)",
            "return family",

@@ -253,13 +253,22 @@ def test_goals_refuses_a_via_goals_family_before_deriving_the_game(capsys):
 
 
 def test_check_commands_pass():
-    for prop, flags in (("representation", ("--seed", "3")),
+    for prop, flags in (("representation", ()),
                         ("monotonicity", ("--samples", "50")),
                         ("order-laws", ()), ("pipeline-equivalence", ())):
         result = run_cli("check", "--property", prop, *flags,
                          fixture("cooperation"))
         assert result.returncode == 0, (prop, result.stdout, result.stderr)
         assert "PASS" in result.stdout
+
+
+def test_representation_counts_one_singleton_closure_per_feasible_profile(
+        capsys):
+    # cooperation has 8 feasible profiles: the check examines each one's
+    # class, and no other family.
+    assert main(["check", "--property", "representation",
+                 fixture("cooperation")]) == 0
+    assert capsys.readouterr().out == "PASS representation: 8 instances\n"
 
 
 def test_check_seed_reproducibility():
@@ -362,16 +371,18 @@ def test_a_flag_the_command_does_not_read_is_refused(command, flag, capsys):
     assert "Traceback" not in captured.err
 
 
-# check reads --seed on representation and monotonicity and --samples on
-# monotonicity alone; the other properties refuse them.
+# check reads --seed and --samples on monotonicity alone; the other
+# properties draw nothing and refuse them.
 @pytest.mark.parametrize("prop, flag", [
     ("order-laws", ("--seed", "3")),
     ("order-laws", ("--samples", "5")),
     ("pipeline-equivalence", ("--seed", "3")),
     ("pipeline-equivalence", ("--samples", "5")),
+    ("representation", ("--seed", "3")),
     ("representation", ("--samples", "5")),
 ], ids=["order-laws-seed", "order-laws-samples", "pipeline-equivalence-seed",
-        "pipeline-equivalence-samples", "representation-samples"])
+        "pipeline-equivalence-samples", "representation-seed",
+        "representation-samples"])
 def test_a_check_property_refuses_the_flags_it_does_not_read(prop, flag,
                                                             capsys):
     assert cli_exit("check", "--property", prop, *flag,
@@ -398,16 +409,15 @@ def test_the_moved_flags_change_the_output_where_they_are_read(
         assert out("solve", "--concept", "nash", *flags, spec).startswith(
             head)
 
-    # A seeded check that passes prints no draw, so each one is stubbed by
-    # one that prints its seed.
-    def seeded(name):
-        return lambda spec, seed, **kwargs: CheckResult(name, True, 1,
-                                                        f"seed {seed}")
-    for name in ("representation", "monotonicity"):
-        monkeypatch.setattr(bdgame.cli, f"check_{name}", seeded(name))
-        for flags, seed in (((), 0), (("--seed", "7"), 7)):
-            assert out("check", "--property", name, *flags, spec) == \
-                f"PASS {name}: 1 instances (seed {seed})\n"
+    # A seeded check that passes prints no draw, so it is stubbed by one
+    # that prints its seed.
+    monkeypatch.setattr(
+        bdgame.cli, "check_monotonicity",
+        lambda spec, seed, **kwargs: CheckResult("monotonicity", True, 1,
+                                                 f"seed {seed}"))
+    for flags, seed in (((), 0), (("--seed", "7"), 7)):
+        assert out("check", "--property", "monotonicity", *flags, spec) == \
+            f"PASS monotonicity: 1 instances (seed {seed})\n"
 
 
 # cooperation: 4 candidate decisions per agent, 3 of them feasible, so 16

@@ -17,8 +17,7 @@ from bdgame.errors import CombinatorialBoundError, InfeasibleProfileError
 from bdgame.game import derive_game, nash, pareto
 from bdgame.goals import (GoalSet, RepresentationViolation,
                           apply_decision_rule, delta_goal_sets,
-                          feasible_representation_check, fragment_check,
-                          heuristic_goals, is_goal_based,
+                          fragment_check, heuristic_goals, is_goal_based,
                           iter_syntactic_goal_sets, pareto_via_goals,
                           representation_check, syntactic_goal_sets,
                           u_closure)
@@ -118,7 +117,7 @@ def test_family_indexes_outside_the_game_are_refused(outside, cooperation):
     empty = GoalSet(frozenset(), frozenset())
     inside = tuple(range(size))
     assert delta_goal_sets(game, inside)
-    assert representation_check(game, inside).passed
+    assert representation_check(game, inside) == ()
     assert u_closure(game, range(size)) == inside
     assert is_goal_based(game, size - 1, empty)
     index = outside(size)
@@ -217,26 +216,29 @@ def test_a_game_derived_inside_honours_the_spec_caps(cooperation):
 def test_prisoners_nash_family_representation(prisoners):
     game = derive_game(prisoners)
     family = apply_decision_rule(game, "nash-else-pareto")
-    report = representation_check(game, family)
-    assert report.passed, report.violations
+    violations = representation_check(game, family)
+    assert violations == (), violations
 
 
 def test_unclosed_family_reports_the_missing_twin():
     spec = parse_spec(TWIN_SPEC_SRC)
     unclosed = (index_of(spec, profile(x=["a"])),)
-    report = representation_check(derive_game(spec), unclosed)
-    assert not report.passed
-    assert {v.direction for v in report.violations} == \
-        {"goal-based-outside-family"}
-    assert len(report.violations) == 3
+    violations = representation_check(derive_game(spec), unclosed)
+    assert {v.direction for v in violations} == {"goal-based-outside-family"}
+    assert len(violations) == 3
 
 
-def test_feasible_representation_on_fixtures(
+def test_representation_on_fixtures(
         single_agent_priorities, interdependence, cooperation, prisoners,
         opposed_interests):
+    # Every class passes, so every feasible profile is goal-based for a
+    # goal set of its class: its own.  A pass counts one singleton closure
+    # per feasible profile.
     for spec in (single_agent_priorities, interdependence, cooperation,
                  prisoners, opposed_interests):
-        assert feasible_representation_check(derive_game(spec)).passed
+        result = check_representation(spec)
+        assert result.passed, result
+        assert result.checked == len(derive_game(spec).positions)
 
 
 def test_each_goal_set_is_built_once_per_game(monkeypatch):
@@ -260,8 +262,7 @@ def test_each_goal_set_is_built_once_per_game(monkeypatch):
     built.clear()
     feasible = [ep.profile for ep in evaluated_profiles(spec)]
     everything = tuple(range(len(feasible)))
-    assert representation_check(game, everything).passed
-    assert feasible_representation_check(game).passed
+    assert representation_check(game, everything) == ()
     pareto_via_goals(game)
     assert len(game.goal_sets) == len(feasible)
     assert len(built) == reports
@@ -384,7 +385,7 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
     feasible = evaluated_profiles(spec)
     for members in ((ab, a), (a, ab), range(len(feasible))):
         family = tuple(members)
-        assert representation_check(broken, family).violations == (expected,)
+        assert representation_check(broken, family) == (expected,)
     monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
     result = check_representation(spec)
     assert not result.passed
@@ -393,9 +394,34 @@ def test_representation_reports_the_one_member_that_lost_its_goals(
         str(profile(x=["a", "b"])), str(profile(x=["a"]))}
 
 
-def test_feasible_check_tries_every_goal_set_of_the_class(monkeypatch):
+def test_representation_checks_the_last_class(monkeypatch):
+    # !a is reached by {!a, b} and {!a, !b}, the last class.  With the part
+    # of {a, b}, {!a, b} keeps its goal set <+{!a}, -{}> but no longer
+    # entails !a, so that class fails and the first one passes.
+    spec = parse_spec('option decision_mode = total-assignments\n'
+                      'agent x {\n  atoms a b\n  desire d: true => !a\n}\n')
+    game = derive_game(spec)
+    mine, theirs = (game.index_of(profile(x=names))
+                    for names in (["!a", "b"], ["a", "b"]))
+    broken = with_part(game, mine, theirs)
+    first, last = broken.classes
+    assert mine in last and game.goal_sets[mine].positive
+    assert representation_check(broken, first) == ()
+    assert [v.profile for v in representation_check(broken, last)] == [
+        profile(x=["!a", "b"])]
+    monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
+    result = check_representation(spec)
+    assert not result.passed and result.checked == last[0] + 1
+    assert result.counterexample == {
+        "family": [str(broken.profile(i)) for i in last]}
+
+
+def test_representation_fails_a_profile_goal_based_only_for_a_twin_goal_set(
+        monkeypatch):
     # {}, {a} and {a, b} leave nothing unreached; {a, b} generates
-    # <+{a}, -{}>, the other two <+{}, -{b}>.
+    # <+{a}, -{}>, the other two <+{}, -{b}>.  With the part of {}, {a, b}
+    # is goal-based for its class's other goal set but not for its own,
+    # which is what direction (a) asks.
     spec = parse_spec(
         'agent x {\n  atoms a b\n  desire d: b => a\n}\n')
     game = derive_game(spec)
@@ -404,17 +430,12 @@ def test_feasible_check_tries_every_goal_set_of_the_class(monkeypatch):
     broken = with_part(game, ab, empty)
     shared = game.goal_sets[empty]
     assert game.goal_sets[ab] != shared
+    assert is_goal_based(broken, ab, shared)
     family = u_closure(broken, [ab])
     assert len(family) == 3
-    assert [v.profile for v in representation_check(
-        broken, family).violations] == [profile(x=["a", "b"])]
-    # Not goal-based for its own goal set, but for its class's other one,
-    # which one decider is asked after it; no pair is asked twice.
-    built, asked = spy_on_deciders(monkeypatch)
-    assert feasible_representation_check(broken).passed
-    assert len(built) == 1 and asked[profile(x=["a", "b"]), shared] == 1
-    assert max(asked.values()) == 1
-    # check --property representation fails it on its first family, the
+    assert [v.profile for v in representation_check(broken, family)] == [
+        profile(x=["a", "b"])]
+    # check --property representation fails it on its first class, the
     # class of {a, b}.
     monkeypatch.setattr(bdgame.verify, "derive_game", lambda _: broken)
     result = check_representation(spec)
@@ -424,21 +445,6 @@ def test_feasible_check_tries_every_goal_set_of_the_class(monkeypatch):
         f"for its own goal set {game.goal_sets[ab]}")
     assert result.counterexample == {"family": [
         str(profile(x=names)) for names in (["a", "b"], ["a"], [])]}
-
-
-def test_the_feasible_check_reports_a_profile_without_goal_sets():
-    # With the part of {b}, {a, b} no longer entails a: it is goal-based
-    # for neither <+{a}, -{}> nor <+{}, -{b}>.
-    spec = parse_spec(
-        'agent x {\n  atoms a b\n  desire d: b => a\n}\n')
-    game = derive_game(spec)
-    ab, b = (game.index_of(profile(x=names)) for names in (["a", "b"], ["b"]))
-    report = feasible_representation_check(with_part(game, ab, b))
-    assert not report.passed
-    assert report.violations == (RepresentationViolation(
-        "member-without-goal-set", profile(x=["a", "b"]), None,
-        f"{profile(x=['a', 'b'])} is not goal-based for any goal set of its "
-        f"indistinguishability class"),)
 
 
 def spy_on_deciders(monkeypatch):
@@ -466,8 +472,7 @@ def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     built, asked = spy_on_deciders(monkeypatch)
     assert check_representation(spec).passed
     assert len(built) == 1
-    # Each profile is decided on its own goal set, once; that settles the
-    # feasible check too.
+    # Each profile is decided on its own goal set, once.
     assert set(asked) == {(ep.profile, gs) for ep, gs in zip(
         evaluated_profiles(spec), game.goal_sets)}
     assert max(asked.values()) == 1
@@ -476,7 +481,7 @@ def test_representation_decides_each_profile_and_goal_set_once(monkeypatch):
     built.clear()
     asked.clear()
     assert representation_check(game, u_closure(
-        game, range(len(game.positions)))).passed
+        game, range(len(game.positions)))) == ()
     assert len(built) == 1 and asked == own
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -7,14 +8,16 @@ import pytest
 import bdgame.logic
 from bdgame import example_path
 from bdgame.decision import enumerate_decisions
-from bdgame.errors import BdgameError, SpecSyntaxError, UndeclaredAtomError
+from bdgame.errors import (BdgameError, FormulaSyntaxError, SpecSyntaxError,
+                           UndeclaredAtomError)
 from bdgame.extension import Rule
 from bdgame.game import derive_game, pareto
-from bdgame.logic import TRUE, Literal, Var
+from bdgame.logic import (MAX_NESTING, TRUE, And, Implies, Literal, Not, Or,
+                          Var, atoms_of, format_formula, parse_formula)
 from bdgame.model import (AgentSpec, AgentSystemSpec, DecisionMode,
                           PriorityOrder, _strip_comment, format_spec,
                           is_valid, parse_spec, validate_spec)
-from bdgame.verify import random_spec
+from bdgame.verify import random_formula, random_spec
 
 EXAMPLES = ["conflicting_beliefs", "single_agent_priorities",
             "interdependence", "opposed_interests", "prisoners",
@@ -382,6 +385,114 @@ def test_print_parse_identity_on_random_specs():
             spec = random_spec(rng, max_agents=3, max_decision_atoms=3,
                                max_rules=4).with_options(decision_mode=mode)
             assert parse_spec(format_spec(spec)) == spec
+
+
+def negations(k):
+    f = Var("b")
+    for _ in range(k):
+        f = Not(f)
+    return f
+
+
+def conjunctions(k):  # b & b & ... & b, a left chain
+    f = Var("b")
+    for _ in range(k):
+        f = And(f, Var("b"))
+    return f
+
+
+def implications(k):  # b -> b -> ... -> b, a right chain
+    f = Var("b")
+    for _ in range(k):
+        f = Implies(Var("b"), f)
+    return f
+
+
+def parenthesized(k):  # !(b | !(b | ... )): each disjunction in parentheses
+    f = negations(k % 3)
+    for _ in range(k // 3):
+        f = Not(Or(Var("b"), f))
+    return f
+
+
+# Formulas over b whose printed text nests ``k`` levels deep, as the parser
+# counts it: operators and parenthesis pairs, not the height of the tree.
+PRINTED_NESTING = {"negations": negations, "conjunctions": conjunctions,
+                   "implications": implications,
+                   "parenthesized": parenthesized}
+
+
+def with_formula(spec, f, where="desire"):
+    """prisoners with ``f`` as alpha2's first desire consequent, its first
+    desire antecedent, or its one fact."""
+    first, *rest = spec.agents[1].desires
+    if where == "fact":
+        return edit_agent(spec, 1, facts=(f,))
+    edited = (replace(first, antecedent=f) if where == "antecedent"
+              else replace(first, consequent=f))
+    return edit_agent(spec, 1, desires=(edited, *rest))
+
+
+@pytest.mark.parametrize("shape", PRINTED_NESTING)
+def test_construction_refuses_a_formula_the_parser_would_refuse(shape,
+                                                               prisoners):
+    # At the bound a spec builds and prints a text the parser reads back;
+    # one level deeper the parser would refuse that text, and so does
+    # construction, with the parser's message and no line.
+    nested = PRINTED_NESTING[shape]
+    deepest = with_formula(prisoners, nested(MAX_NESTING))
+    assert parse_spec(format_spec(deepest)) == deepest
+    too_deep = nested(MAX_NESTING + 1)
+    with pytest.raises(FormulaSyntaxError, match="^formula nested deeper"):
+        parse_formula(format_formula(too_deep))
+    for where in ("desire", "antecedent", "fact"):
+        with pytest.raises(SpecSyntaxError) as exc:
+            with_formula(prisoners, too_deep, where)
+        assert (str(exc.value), exc.value.line) == (
+            "formula nested deeper than 100 levels", None)
+
+
+@pytest.mark.parametrize("shape", PRINTED_NESTING)
+def test_a_formula_thousands_of_levels_deep_is_refused_without_recursion(
+        shape, prisoners):
+    # The walk that reads a formula's atoms keeps its own stack: a formula
+    # far past the interpreter's recursion limit is one more refusal, in a
+    # fact as well, which is read before any fact is hashed.
+    f = PRINTED_NESTING[shape](5000)
+    assert atoms_of(f) == {"b"}
+    for where in ("desire", "antecedent", "fact"):
+        with pytest.raises(SpecSyntaxError,
+                           match="^formula nested deeper than 100 levels$"):
+            with_formula(prisoners, f, where)
+
+
+def test_a_spec_builds_iff_its_formulas_print_and_parse_back(prisoners):
+    # Formulas grown around the bound by random operators, with random
+    # operands on either side: a spec holding one builds exactly when the
+    # parser reads its printed text, and then it round-trips.
+    rng = random.Random(101)
+    nodes = (Not, And, Or, Implies)
+    outcomes = Counter()
+    for _ in range(600):
+        f = Var("b")
+        for _ in range(rng.randrange(40, 110)):
+            node = rng.choice(nodes)
+            if node is Not:
+                f = Not(f)
+                continue
+            g = random_formula(rng, ("a", "b"), 1)
+            f = node(f, g) if rng.random() < 0.5 else node(g, f)
+        try:
+            parse_formula(format_formula(f))
+        except FormulaSyntaxError:
+            with pytest.raises(SpecSyntaxError, match="nested deeper"):
+                with_formula(prisoners, f)
+            outcomes["refused"] += 1
+        else:
+            spec = with_formula(prisoners, f)
+            assert parse_spec(format_spec(spec)) == spec
+            outcomes["built"] += 1
+    assert min(outcomes["built"], outcomes["refused"]) >= 150, outcomes
 
 
 def test_random_specs_name_decision_atoms_past_eight():

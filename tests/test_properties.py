@@ -1,6 +1,7 @@
 """Algebraic laws and cross-module invariants on seeded random instances."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from itertools import starmap
@@ -16,7 +17,8 @@ from bdgame.extension import Rule
 from bdgame.game import (CONCEPTS, ExclusionWitness, SolutionReport,
                          derive_game, nash, solve)
 from bdgame.goals import (DECISION_RULES, apply_decision_rule,
-                          concept_family, pareto_via_goals, u_closure)
+                          concept_family, pareto_via_goals,
+                          representation_check, u_closure)
 from bdgame.logic import TRUE
 from bdgame.model import DecisionMode, PriorityOrder, validate_spec
 from bdgame.verify import (CheckResult, check_extension_laws,
@@ -254,17 +256,15 @@ def test_representation_corpus_skips_specs_without_feasible_profiles(
     assert len(results) == 11 and len(skipped) == 1
 
 
-@pytest.mark.parametrize("failing, phase_samples", [(7, 1), (3_600 + 4, 2)],
+@pytest.mark.parametrize("failing", [7, 3_600 + 4],
                          ids=["exhaustive-phase", "random-phase"])
-def test_representation_corpus_reports_the_spec_that_fails(
-        monkeypatch, failing, phase_samples):
-    # The exhaustive family holds 3,600 specs and samples one family per
-    # spec; the random phase follows with two.
-    specs, samples = [], []
+def test_representation_corpus_reports_the_spec_that_fails(monkeypatch,
+                                                          failing):
+    # The exhaustive family holds 3,600 specs; the random phase follows.
+    specs = []
 
-    def failing_at(spec, seed=0, family_samples=5):
+    def failing_at(spec):
         specs.append(spec)
-        samples.append(family_samples)
         if len(specs) == failing:
             return CheckResult("representation", False, 1, "broken",
                                {"family": ["<a1={a}, a2={c}>"]})
@@ -272,11 +272,58 @@ def test_representation_corpus_reports_the_spec_that_fails(
 
     monkeypatch.setattr(bdgame.verify, "check_representation", failing_at)
     result = check_representation_corpus(seed=0, samples=10)
-    assert len(specs) == failing and samples[-1] == phase_samples
+    assert len(specs) == failing
     assert not result.passed and result.checked == failing
     assert result.details == "broken"
     assert result.counterexample == {"spec": format_spec(specs[-1]),
                                      "family": ["<a1={a}, a2={c}>"]}
+
+
+def broken_tables(game, rng):
+    """Copies of a game whose tables break representation on purpose: one
+    profile's goal set moved onto a profile of another class, and one
+    agent's decision given the part (its extension) of another."""
+    size = len(game.positions)
+    for _ in range(3):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if game.class_ids[i] != game.class_ids[j]:
+            moved = replace(game)
+            vars(moved)["goal_sets"] = tuple(
+                game.goal_sets[i] if k == j else gs
+                for k, gs in enumerate(game.goal_sets))
+            yield moved
+        agent = rng.choice(game.spec.agent_ids)
+        decisions = game.feasible_decisions[agent]
+        mine, theirs = rng.choices(tuple(decisions), k=2)
+        yield replace(game, feasible_decisions={
+            **game.feasible_decisions,
+            agent: {**decisions, mine: decisions[theirs]}})
+
+
+def test_a_union_of_classes_that_each_pass_passes():
+    # Why check --property representation checks the classes alone: on
+    # games with broken tables, every U-closed family (a union of classes)
+    # whose classes all pass passes too, and so does every family and the
+    # whole feasible set once every class passes.
+    rng = random.Random(2002)
+    seen = Counter()
+    for _, game in feasible_games(2002, 300, max_agents=3):
+        for broken in broken_tables(game, rng):
+            size = len(broken.positions)
+            failing = {c for c, members in enumerate(broken.classes)
+                       if representation_check(broken, members)}
+            seen["games with a failing class"] += bool(failing)
+            families = [u_closure(broken, rng.sample(
+                range(size), rng.randint(1, size))) for _ in range(5)]
+            families.append(tuple(range(size)))
+            for family in families:
+                classes = {broken.class_ids[i] for i in family}
+                if not classes & failing:
+                    assert representation_check(broken, family) == ()
+                    seen["passing unions beside a failing class"] += \
+                        bool(failing)
+    assert seen["games with a failing class"] >= 250, seen
+    assert seen["passing unions beside a failing class"] >= 80, seen
 
 
 # ---------------------------------------------------------------------------
